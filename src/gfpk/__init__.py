@@ -49,6 +49,7 @@ from .errors import (
 )
 from .drift import (
     ClippedLinearKernel,
+    ComponentwiseKernel,
     ConstantKernel,
     DriftField,
     GaussianLobeKernel,

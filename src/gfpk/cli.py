@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .basis import enumerate_basis, tensor_grid, uniform_gaussian_grid
 from .config import MODES, RunConfig, load_config, parse_config
-from .density import BumpTest, ChaosDensity
+from .density import BumpTest, ChaosDensity, as_measure
 from .diagnostics import fisher_energy, log_moment, log_moment_bracket, tail_check
 from .drift import (
     ClippedLinearKernel,
@@ -113,7 +113,14 @@ def bump_grid(k: int):
 
 
 def density_checks(rho: ChaosDensity, v, p_frozen, grid) -> tuple[dict, bool]:
-    """Residual suite plus the asserted and monitored certificates."""
+    """Residual suite plus the asserted and monitored certificates.
+
+    A ChaosDensity p_frozen is read as a point measure on the solve grid
+    once, so every check, the bump residuals on their own grid included,
+    certifies the drift that was solved.
+    """
+    if isinstance(p_frozen, ChaosDensity):
+        p_frozen = as_measure(p_frozen, grid)
     hermite_max, system_norm, _ = residual_suite(rho, v, p_frozen, grid)
     bumps = default_bumps(rho.k)
     bgrid = bump_grid(rho.k)

@@ -160,14 +160,16 @@ class PointMeasure:
     def mean(self) -> np.ndarray:
         return self.masses @ self.points
 
-    def integrate(self, f) -> float:
-        vals = np.asarray(f(self.points), dtype=float).reshape(-1)
-        return float(self.masses @ vals)
 
+def as_measure(
+    rho: ChaosDensity, grid: QuadratureGrid, values: np.ndarray | None = None
+) -> PointMeasure:
+    """Clip node values at 0 and renormalize to a probability point measure.
 
-def as_measure(rho: ChaosDensity, grid: QuadratureGrid) -> PointMeasure:
-    """Clip node values at 0 and renormalize to a probability point measure."""
-    vals = rho.evaluate(grid.nodes)
+    values, when given, are rho's values at grid.nodes already computed by
+    the caller (for example coefficients @ eval_matrix(grid.nodes)).
+    """
+    vals = rho.evaluate(grid.nodes) if values is None else values
     region_mass = float(np.sum(grid.weights[vals > 0.0]))
     if region_mass < MIN_POSITIVE_MASS:
         raise DegenerateDensityError(

@@ -45,7 +45,7 @@ def b1_bound(c0: float) -> float:
     if c0 == 0.0:
         return 1.0
     integrand = lambda u: math.exp(2.0 * u - (u / c0) ** 2)
-    value, err = quad(integrand, 0.0, np.inf, limit=200)
+    value, err = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
     if not np.isfinite(value) or err > 1e-8 * max(1.0, value):
         raise NumericError(f"ball-radius quadrature did not converge for C0={c0}")
     return 1.0 + 2.0 * math.e**2 * value
@@ -114,10 +114,8 @@ def tail_check(
             left = superlevel_mass_1d(rho, t)
         else:
             left = superlevel_mass_nodes(rho, t, grid)
+        # zero drift: density is 1, super-level mass above t > 1 must vanish
         right = math.e**2 * math.exp(-sigma_inf * math.log(t) ** 2) if np.isfinite(sigma_inf) else 0.0
-        if not np.isfinite(sigma_inf):
-            # zero drift: density is 1, super-level mass above t > 1 must vanish
-            right = 0.0
         ok = left <= right + tolerance
         passed = passed and ok
         rows.append({"t": t, "left": left, "right": right, "passed": ok})

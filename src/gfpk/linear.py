@@ -46,17 +46,31 @@ class GalerkinSystem:
         return float(np.linalg.norm(np.diag(self.ou_diagonal) - self.interaction, 1))
 
 
-def assemble(v, p, basis: ChaosBasis, grid: QuadratureGrid) -> GalerkinSystem:
-    """Quadrature assembly of the Galerkin system for drift v frozen at p."""
+def assemble(
+    v,
+    p,
+    basis: ChaosBasis,
+    grid: QuadratureGrid,
+    h: np.ndarray | None = None,
+    lowering: np.ndarray | None = None,
+) -> GalerkinSystem:
+    """Quadrature assembly of the Galerkin system for drift v frozen at p.
+
+    h = basis.eval_matrix(grid.nodes) and lowering = basis.lowering_table()
+    do not depend on p; callers that assemble repeatedly on one grid pass
+    them in instead of having them rebuilt.
+    """
     if grid.q < basis.degree + 1:
         raise ValueError(
             f"quadrature order {grid.q} too small for basis degree {basis.degree}"
         )
     if v.k != basis.k:
         raise ValueError(f"drift dimension {v.k} != basis dimension {basis.k}")
-    h = basis.eval_matrix(grid.nodes)  # (P, M)
+    if h is None:
+        h = basis.eval_matrix(grid.nodes)  # (P, M)
+    if lowering is None:
+        lowering = basis.lowering_table()
     vvals = v.eval_v(p, grid.nodes, grid)  # (M, k)
-    lowering = basis.lowering_table()
     exponents = np.array(basis.indices, dtype=float)
     interaction = np.zeros((basis.size, basis.size))
     for i in range(basis.k):

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import ChaosBasis, QuadratureGrid
-from .density import ChaosDensity
+from .density import ChaosDensity, as_measure
 from .diagnostics import b1_bound
 from .errors import NonConvergenceError
-from .linear import solve_linear
+from .linear import assemble, solve_system
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,13 @@ def fixed_point_solve(
     theta = opts.damping
     ball_radius_sq = b1_bound(v.c0) if np.isfinite(v.c0) else None
     trace = FixedPointTrace()
+    # the p-independent tables, built once; each iterate is read as a point
+    # measure on the grid from its node values coefficients @ h
+    h = basis.eval_matrix(grid.nodes)
+    lowering = basis.lowering_table()
     for _ in range(opts.max_iterations + 1):
-        rho = solve_linear(v, p, basis, grid)
+        measure = as_measure(p, grid, values=p.coefficients @ h)
+        rho = solve_system(assemble(v, measure, basis, grid, h=h, lowering=lowering))
         psi_res = l2_distance(rho, p)
         trace.psi_residuals.append(psi_res)
         trace.l2_norms_sq.append(p.l2_norm_sq())

@@ -1,12 +1,13 @@
 """Config parsing, mode dispatch, artifacts and the exit-code contract."""
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from gfpk import ChaosDensity, ConfigError, load_config, parse_config
-from gfpk.cli import main
+from gfpk.cli import DEFAULT_BUMP_CENTERS, main
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -146,6 +147,27 @@ def test_nonlinear_writes_trace(tmp_path):
     assert code == 0
     trace = (tmp_path / "out" / "trace.csv").read_text()
     assert trace.startswith("iteration,delta,psi_residual")
+
+
+def test_k2_vlasov_checks_finish_in_seconds(tmp_path):
+    """The bump residuals read the drift through the measure on the solve
+    grid; re-reading p on the 201^2-node bump grid took minutes."""
+    cfg = {
+        "mode": "solve-nonlinear",
+        "k": 2,
+        "N": 6,
+        "Q": 12,
+        "drift": {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.3}},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    start = time.monotonic()
+    code = main(["solve-nonlinear", "--config", write_config(tmp_path, cfg)])
+    elapsed = time.monotonic() - start
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(report["residuals"]["bumps"]) == len(DEFAULT_BUMP_CENTERS)
+    assert report["residuals"]["bump_pass"]
+    assert elapsed < 30.0
 
 
 def test_sweep_constant_family(tmp_path):

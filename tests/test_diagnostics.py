@@ -33,6 +33,17 @@ def test_b1_bound_matches_closed_form():
         assert abs(numeric - closed) <= 1e-10 * closed
 
 
+# every C0 on 0.05, 0.10, ..., 11.95; quad's default absolute tolerance made
+# 25 of these (0.15, 1.1 and 7.1 among them) fail the convergence check
+B1_GRID = [round(0.05 * j, 2) for j in range(1, 240)]
+
+
+@pytest.mark.parametrize("c0", B1_GRID)
+def test_b1_bound_converges_on_c0_grid(c0):
+    closed = b1_bound_closed_form(c0)
+    assert abs(b1_bound(c0) - closed) <= 1e-12 * closed
+
+
 def test_b1_bound_monotone():
     values = [b1_bound(c0) for c0 in (0.0, 0.2, 0.5, 1.0, 2.0)]
     assert values == sorted(values)
