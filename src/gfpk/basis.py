@@ -187,24 +187,22 @@ def uniform_gaussian_grid(span: float, n: int, k: int = 1) -> QuadratureGrid:
     w1[0] *= 0.5
     w1[-1] *= 0.5
     w1 /= w1.sum()
-    grids = np.meshgrid(*([x1] * k), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    weights = w1
-    for _ in range(k - 1):
-        weights = np.multiply.outer(weights, w1).ravel()
     # q records the polynomial degree the rule handles reliably; the dense
     # uniform rule is fine well past any basis degree used here
-    return QuadratureGrid(q=n, k=k, nodes=nodes, weights=weights)
+    return _tensorize(n, x1, w1, k)
 
 
 def tensor_grid(q: int, k: int) -> QuadratureGrid:
     """Tensorize the 1-D rule of order q over k coordinates."""
     rule = gauss_hermite(q)
-    x1 = rule.nodes[:, 0]
+    return _tensorize(q, rule.nodes[:, 0], rule.weights, k)
+
+
+def _tensorize(q: int, x1: np.ndarray, w1: np.ndarray, k: int) -> QuadratureGrid:
+    """Product of the 1-D rule (x1, w1) over k coordinates, last axis fastest."""
     grids = np.meshgrid(*([x1] * k), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=1)
-    w = rule.weights
-    weights = w
+    weights = w1
     for _ in range(k - 1):
-        weights = np.multiply.outer(weights, w).ravel()
+        weights = np.multiply.outer(weights, w1).ravel()
     return QuadratureGrid(q=q, k=k, nodes=nodes, weights=weights)

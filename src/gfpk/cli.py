@@ -22,26 +22,15 @@ import numpy as np
 
 from . import __version__
 from .basis import enumerate_basis, tensor_grid, uniform_gaussian_grid
-from .config import MODES, RunConfig, load_config, parse_config
-from .density import BumpTest, ChaosDensity, as_measure
+from .config import MODES, RunConfig, check_sizes, load_config, parse_config, sweep_drift
+from .density import BumpTest, ChaosDensity, as_measure, integrate
+from .density import marginal as density_marginal
 from .diagnostics import fisher_energy, log_moment, log_moment_bracket, tail_check
-from .drift import (
-    ClippedLinearKernel,
-    ConstantKernel,
-    GaussianLobeKernel,
-    TanhKernel,
-    clipped_potential_drift,
-    componentwise_drift,
-    constant_drift,
-    decoupled_tanh_components,
-    rotational_drift,
-    tanh_components,
-    vlasov_drift,
-)
-from .errors import ConfigError, GfpkError, NonConvergenceError
-from .ladder import LadderConfig, run_ladder
+from .drift import DRIFTS, drift_from_block
+from .errors import BasisSizeError, ConfigError, GfpkError
+from .ladder import run_ladder
 from .linear import residual, residual_suite, solve_linear
-from .nonlinear import FixedPointOptions, fixed_point_solve, l2_distance, schauder_membership
+from .nonlinear import fixed_point_solve, l2_distance, schauder_membership
 from .oracles import (
     l2_gamma_distance,
     oracle_1d,
@@ -49,6 +38,7 @@ from .oracles import (
     oracle_fd_2d,
     oracle_sde,
 )
+from .schema import read_kind
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -59,44 +49,6 @@ TAIL_LEVELS = (2.0, 4.0, 8.0)
 HERMITE_RESIDUAL_TOL = 1e-10
 BUMP_RESIDUAL_TOL = 1e-3
 DEFAULT_BUMP_CENTERS = np.linspace(-2.0, 2.0, 10)
-
-
-def build_kernel(block: dict):
-    kind = block["kind"]
-    if kind == "constant":
-        return ConstantKernel(tuple(block["h"]))
-    if kind == "tanh":
-        return TanhKernel(block["scale"])
-    if kind == "gaussian-lobe":
-        return GaussianLobeKernel(block["scale"])
-    return ClippedLinearKernel(block["scale"], block["cap"])
-
-
-def build_drift(block: dict, k: int, grid):
-    kind = block["kind"]
-    if kind == "constant":
-        h = list(block["h"])
-        if len(h) != k:
-            raise ConfigError(f"constant drift vector has length {len(h)}, expected {k}")
-        return constant_drift(h)
-    if kind == "clipped-potential":
-        return clipped_potential_drift(block["lam"], k, width=block.get("width", 2.0))
-    if kind == "rotational":
-        return rotational_drift(block["scale"], k, offset=block.get("offset"))
-    if kind == "vlasov":
-        return vlasov_drift(build_kernel(block["kernel"]), k, grid)
-    if kind == "componentwise-tanh":
-        comps = tanh_components(
-            block["scale"], block["n_components"], block.get("mean_shift", False)
-        )
-        return componentwise_drift(comps, k=min(k, block["n_components"]), bound=abs(block["scale"]))
-    comps = decoupled_tanh_components(block["scale"], block["n_components"])
-    return componentwise_drift(comps, k=min(k, block["n_components"]), bound=abs(block["scale"]))
-
-
-def drift_is_linear(block: dict) -> bool:
-    """True when the drift ignores the measure argument (one linear solve)."""
-    return block["kind"] in ("constant", "clipped-potential", "rotational")
 
 
 def default_bumps(k: int):
@@ -179,22 +131,23 @@ def _config_hash(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _solve_one(cfg: RunConfig, drift_block: dict):
+def _solve_one(cfg: RunConfig):
     basis = enumerate_basis(cfg.k, cfg.degree)
     grid = tensor_grid(cfg.effective_quad_order, cfg.k)
-    v = build_drift(drift_block, cfg.k, grid)
-    fp = cfg.fixed_point
-    opts = FixedPointOptions(
-        damping=fp.get("damping", 0.5),
-        tolerance=fp.get("tolerance", 1e-10),
-        max_iterations=fp.get("max_iterations", 100),
-    )
-    if drift_is_linear(drift_block):
+    v, reads_measure = drift_from_block(cfg.drift, cfg.k, grid)
+    if not reads_measure:
         p0 = ChaosDensity.constant(basis)
-        rho = solve_linear(v, p0, basis, grid)
-        return rho, None, v, grid, p0
-    rho, trace = fixed_point_solve(v, basis, grid, opts)
+        return solve_linear(v, p0, basis, grid), None, v, grid, p0
+    rho, trace = fixed_point_solve(v, basis, grid, cfg.fixed_point)
     return rho, trace, v, grid, rho
+
+
+def _read_density(path: str) -> ChaosDensity:
+    try:
+        with open(path) as fh:
+            return ChaosDensity.from_json(fh.read())
+    except (OSError, ValueError, KeyError, TypeError, BasisSizeError) as exc:
+        raise ConfigError(f"cannot read density {path}: {exc}") from exc
 
 
 def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
@@ -213,7 +166,7 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
 
     try:
         if config.mode in ("solve-linear", "solve-nonlinear"):
-            rho, trace, v, grid, p_frozen = _solve_one(config, config.drift)
+            rho, trace, v, grid, p_frozen = _solve_one(config)
             checks, passed = density_checks(rho, v, p_frozen, grid)
             report.update(checks)
             report["checks_passed"] = passed
@@ -226,23 +179,9 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
                 report["artifacts"]["trace"] = trace_path
                 report["iterations"] = trace.iterations
         elif config.mode == "ladder":
-            grid0 = tensor_grid(4, 1)  # placeholder; ladder builds its own grids
-            v = build_drift(config.drift, config.ladder["levels"][-1], grid0)
-            fp = config.fixed_point
-            cfg = LadderConfig(
-                weights=tuple(config.ladder["weights"]),
-                component_bound=float(config.ladder["component_bound"]),
-                levels=tuple(config.ladder["levels"]),
-                degrees=tuple(config.ladder["degrees"]),
-                quad_orders=tuple(config.ladder["quad_orders"]),
-                tail_levels=tuple(config.ladder.get("tail_levels", (1.0, 2.0, 4.0))),
-                fixed_point=FixedPointOptions(
-                    damping=fp.get("damping", 0.5),
-                    tolerance=fp.get("tolerance", 1e-10),
-                    max_iterations=fp.get("max_iterations", 200),
-                ),
-            )
-            ladder_report = run_ladder(v, cfg)
+            # componentwise drifts read no grid; each level builds its own
+            v, _ = drift_from_block(config.drift, config.ladder.levels[-1], None)
+            ladder_report = run_ladder(v, config.ladder)
             _write(os.path.join(out, "ladder.json"), json.dumps(ladder_report.to_json_dict(), sort_keys=True, indent=1))
             _write(os.path.join(out, "ladder.csv"), ladder_report.to_csv())
             report["artifacts"]["ladder_json"] = os.path.join(out, "ladder.json")
@@ -253,11 +192,11 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
         elif config.mode == "sweep":
             report["sweep"], report["checks_passed"] = _run_sweep(config, out, threads)
         elif config.mode == "verify":
-            with open(config.verify["density"]) as fh:
-                rho = ChaosDensity.from_json(fh.read())
-            grid = tensor_grid(config.effective_quad_order or 2 * rho.basis.degree, rho.k)
-            v = build_drift(config.drift, rho.k, grid)
-            p_frozen = rho if not drift_is_linear(config.drift) else ChaosDensity.constant(rho.basis)
+            rho = _read_density(config.verify["density"])
+            check_sizes("verify density", rho.k, rho.basis.degree, config.effective_quad_order)
+            grid = tensor_grid(config.effective_quad_order, rho.k)
+            v, reads_measure = drift_from_block(config.drift, rho.k, grid)
+            p_frozen = rho if reads_measure else ChaosDensity.constant(rho.basis)
             checks, passed = density_checks(rho, v, p_frozen, grid)
             report.update(checks)
             report["checks_passed"] = passed
@@ -268,17 +207,14 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
     except GfpkError as exc:
         report["error"] = str(exc)
         report["checks_passed"] = False
-        timestamps["finished_unix"] = time.time()
-        report["timestamps"] = timestamps
-        report["wall_seconds"] = timestamps["finished_unix"] - started
-        _write(os.path.join(out, "report.json"), json.dumps(report, sort_keys=True, indent=1, default=str))
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
     timestamps["finished_unix"] = time.time()
     report["timestamps"] = timestamps
     report["wall_seconds"] = timestamps["finished_unix"] - started
     _write(os.path.join(out, "report.json"), json.dumps(report, sort_keys=True, indent=1, default=str))
+    if "error" in report:
+        print(f"solver error: {report['error']}", file=sys.stderr)
+        return EXIT_SOLVER
     if report["checks_passed"] is False:
         print("asserted checks failed; see report.json", file=sys.stderr)
         return EXIT_ASSERTION
@@ -287,28 +223,14 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
 
 def _run_sweep(config: RunConfig, out: str, threads: int):
     values = config.sweep["values"]
-    family = config.sweep["family"]
     basis = enumerate_basis(config.k, config.degree)
     grid = tensor_grid(config.effective_quad_order, config.k)
 
-    def drift_for(u: float) -> dict:
-        if family == "constant-scale":
-            direction = config.sweep.get("direction") or [1.0] + [0.0] * (config.k - 1)
-            return {"kind": "constant", "h": [u * d for d in direction]}
-        return {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": u}}
-
     def solve_point(u: float):
-        block = drift_for(u)
-        v = build_drift(block, config.k, grid)
-        fp = config.fixed_point
-        opts = FixedPointOptions(
-            damping=fp.get("damping", 1.0),
-            tolerance=fp.get("tolerance", 1e-10),
-            max_iterations=fp.get("max_iterations", 100),
-        )
-        if drift_is_linear(block):
+        v, reads_measure = drift_from_block(sweep_drift(config.sweep, config.k, u), config.k, grid)
+        if not reads_measure:
             return solve_linear(v, ChaosDensity.constant(basis), basis, grid)
-        rho, _ = fixed_point_solve(v, basis, grid, opts)
+        rho, _ = fixed_point_solve(v, basis, grid, config.fixed_point)
         return rho
 
     results: list = [None] * len(values)
@@ -355,30 +277,20 @@ def _run_sweep(config: RunConfig, out: str, threads: int):
 def _run_oracle_compare(config: RunConfig):
     oc = config.oracle_compare
     which = oc["oracle"]
-    rho, trace, v, grid, p_frozen = _solve_one(config, config.drift)
+    rho, trace, v, grid, p_frozen = _solve_one(config)
     result = {"oracle": which}
     if which == "1d":
-        if config.k != 1:
-            raise ConfigError("the 1-D oracle requires k = 1")
-        if config.drift["kind"] == "vlasov":
-            kernel = build_kernel(config.drift["kernel"])
-            oracle = oracle_1d_selfconsistent(
-                lambda z: kernel(z[:, None])[:, 0], span=oc.get("span", 10.0)
-            )
+        span = oc.get("span", 10.0)
+        kernel = read_kind(config.drift, DRIFTS, "drift", 1)[1].get("kernel")
+        if kernel is not None:  # a Vlasov drift: the self-consistent problem
+            oracle = oracle_1d_selfconsistent(lambda z: kernel(z[:, None])[:, 0], span=span)
         else:
-            oracle = oracle_1d(
-                lambda x: v.eval_v(p_frozen, x[:, None], grid)[:, 0],
-                span=oc.get("span", 10.0),
-            )
+            oracle = oracle_1d(lambda x: v.eval_v(p_frozen, x[:, None], grid)[:, 0], span=span)
         distance = l2_gamma_distance(rho, oracle)
         tol = oc.get("tolerance", 1e-6)
         result.update({"l2_gamma_distance": distance, "tolerance": tol})
         return result, distance <= tol
     if which == "fd2d":
-        if config.k != 2:
-            raise ConfigError("the 2-D finite-difference oracle requires k = 2")
-        from .density import marginal as density_marginal
-
         fd = oracle_fd_2d(
             lambda x: v.eval_v(p_frozen, x, grid),
             span=oc.get("span", 6.0),
@@ -403,8 +315,6 @@ def _run_oracle_compare(config: RunConfig):
         grid=grid,
     )
     gaps = []
-    from .density import integrate
-
     for i in range(config.k):
         target = integrate(rho, lambda x, i=i: x[:, i], grid)
         gaps.append(abs(moments.mean[i] - target) / max(moments.mean_se[i], 1e-15))
@@ -439,11 +349,6 @@ def main(argv=None) -> int:
             doc = dict(config.raw)
             doc["seed"] = args.seed
             config = parse_config(doc)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         return run(config, out_dir=args.out, threads=threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -11,7 +11,13 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .basis import DEFAULT_BASIS_CAP
+from .drift import COMPONENTWISE_BOUND, DRIFTS
 from .errors import ConfigError
+from .ladder import LadderConfig
+from .nonlinear import FixedPointOptions
+from .oracles import SDE_BATCHES
+from .schema import Param, read_block, read_kind
 
 MODES = (
     "solve-linear",
@@ -22,72 +28,57 @@ MODES = (
     "oracle-compare",
 )
 
-_TOP_KEYS = {
-    "mode",
-    "k",
-    "N",
-    "Q",
-    "seed",
-    "drift",
-    "fixed_point",
-    "ladder",
-    "sweep",
-    "verify",
-    "oracle_compare",
-    "output",
-}
+# a tensor rule with more nodes than this is not built from a config
+MAX_GRID_NODES = 1_000_000
 
-_DRIFT_KEYS = {
-    "constant": {"kind", "h"},
-    "clipped-potential": {"kind", "lam", "width"},
-    "rotational": {"kind", "scale", "offset"},
-    "vlasov": {"kind", "kernel"},
-    "componentwise-tanh": {"kind", "scale", "n_components", "mean_shift"},
-    "componentwise-decoupled-tanh": {"kind", "scale", "n_components"},
-}
-
-_KERNEL_KEYS = {
-    "constant": {"kind", "h"},
-    "tanh": {"kind", "scale"},
-    "gaussian-lobe": {"kind", "scale"},
-    "clipped-linear": {"kind", "scale", "cap"},
-}
-
-_FIXED_POINT_KEYS = {"damping", "tolerance", "max_iterations"}
-_LADDER_KEYS = {
-    "weights",
-    "component_bound",
-    "levels",
-    "degrees",
-    "quad_orders",
-    "tail_levels",
-}
-_SWEEP_KEYS = {"family", "values", "direction", "kernel_scale_max"}
-_VERIFY_KEYS = {"density"}
-_ORACLE_KEYS = {"oracle", "tolerance", "span", "n_points", "n_cells", "dt", "n_steps", "n_particles"}
-_OUTPUT_KEYS = {"dir"}
-
-_SWEEP_FAMILIES = ("constant-scale", "vlasov-tanh-scale")
-_ORACLES = ("1d", "fd2d", "sde")
+_TOP = (
+    Param("mode", "text", choices=MODES),
+    Param("k", "integer", 1, 8, 1),
+    Param("N", "integer", 0, 64, 8),
+    Param("Q", "integer", 0, 512, 0),
+    Param("seed", "integer", 0, 2**64 - 1, 0),
+    *(
+        Param(name, "object", default=None)
+        for name in ("drift", "fixed_point", "ladder", "sweep", "verify", "oracle_compare", "output")
+    ),
+)
 
 
-def _require_keys(block: dict, allowed: set, context: str, required: set = frozenset()):
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
-    missing = required - set(block)
-    if missing:
-        raise ConfigError(f"missing required key(s) {sorted(missing)} in {context}")
+def fixed_point_params(mode: str) -> tuple:
+    """The fixed_point block; its defaults depend on the mode."""
+    return (
+        Param("damping", "number", 1e-6, 1.0, 1.0 if mode == "sweep" else 0.5),
+        Param("tolerance", "number", 1e-16, 1.0, 1e-10),
+        Param("max_iterations", "integer", 1, 100_000, 200 if mode == "ladder" else 100),
+    )
 
 
-def _check_range(name, value, low, high, integer=False):
-    if integer and not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be numeric, got {value!r}")
-    if not (low <= value <= high) or not math.isfinite(value):
-        raise ConfigError(f"{name}={value} outside the documented range [{low}, {high}]")
-    return value
+_LADDER = (
+    Param("weights", "numbers", 1e-12, 1e6),
+    Param("component_bound", "number", 0.0, 100.0),
+    Param("levels", "integers", 1, 8),
+    Param("degrees", "integers", 2, 64),
+    Param("quad_orders", "integers", 1, 512),
+    Param("tail_levels", "numbers", 0.0, 1e6, (1.0, 2.0, 4.0)),
+)
+_SWEEP = (
+    Param("family", "text", choices=("constant-scale", "vlasov-tanh-scale")),
+    Param("values", "numbers", -100.0, 100.0),
+    Param("direction", "vector", -100.0, 100.0, None),
+)
+_VERIFY = (Param("density", "text"),)
+# defaults per oracle are applied by the CLI
+_ORACLE = (
+    Param("oracle", "text", choices=("1d", "fd2d", "sde")),
+    Param("tolerance", "number", 0.0, 1e6, None),
+    Param("span", "number", 1.0, 100.0, None),
+    Param("n_cells", "integer", 8, 1000, None),
+    Param("dt", "number", 1e-6, 0.01, None),
+    Param("n_steps", "integer", 10, 10_000_000, None),
+    Param("n_particles", "integer", 50, 1_000_000, None),
+)
+_ORACLE_K = {"1d": 1, "fd2d": 2}
+_OUTPUT = (Param("dir", "text", default=None),)
 
 
 @dataclass(frozen=True)
@@ -98,8 +89,8 @@ class RunConfig:
     quad_order: int = 0  # 0: default 2 * degree
     seed: int = 0
     drift: dict = field(default_factory=dict)
-    fixed_point: dict = field(default_factory=dict)
-    ladder: dict = field(default_factory=dict)
+    fixed_point: FixedPointOptions = FixedPointOptions()
+    ladder: LadderConfig | None = None
     sweep: dict = field(default_factory=dict)
     verify: dict = field(default_factory=dict)
     oracle_compare: dict = field(default_factory=dict)
@@ -111,126 +102,90 @@ class RunConfig:
         return self.quad_order if self.quad_order else max(2 * self.degree, self.degree + 1)
 
 
-def _validate_drift(block, context="drift"):
-    if not isinstance(block, dict) or "kind" not in block:
-        raise ConfigError(f"{context} block must be an object with a 'kind'")
-    kind = block["kind"]
-    if kind not in _DRIFT_KEYS:
-        raise ConfigError(f"unknown drift kind {kind!r}")
-    _require_keys(block, _DRIFT_KEYS[kind], context)
-    if kind == "constant":
-        if "h" not in block or not isinstance(block["h"], list):
-            raise ConfigError("constant drift needs a vector 'h'")
-        for c in block["h"]:
-            _check_range("drift.h entry", c, -100.0, 100.0)
-    elif kind == "clipped-potential":
-        _check_range("drift.lam", block.get("lam", None), -10.0, 10.0)
-        if "width" in block:
-            _check_range("drift.width", block["width"], 1e-3, 100.0)
-    elif kind == "rotational":
-        _check_range("drift.scale", block.get("scale", None), -10.0, 10.0)
-        if "offset" in block:
-            for c in block["offset"]:
-                _check_range("drift.offset entry", c, -10.0, 10.0)
-    elif kind == "vlasov":
-        kernel = block.get("kernel")
-        if not isinstance(kernel, dict) or kernel.get("kind") not in _KERNEL_KEYS:
-            raise ConfigError("vlasov drift needs a kernel block with a known kind")
-        _require_keys(kernel, _KERNEL_KEYS[kernel["kind"]], f"{context}.kernel")
-        for key in set(kernel) - {"kind", "h"}:
-            _check_range(f"kernel.{key}", kernel[key], -100.0, 100.0)
-        if kernel["kind"] == "constant":
-            for c in kernel.get("h", []):
-                _check_range("kernel.h entry", c, -100.0, 100.0)
-    else:
-        _check_range("drift.scale", block.get("scale", None), -100.0, 100.0)
-        _check_range("drift.n_components", block.get("n_components", None), 1, 64, integer=True)
-        if "mean_shift" in block and not isinstance(block["mean_shift"], bool):
-            raise ConfigError("drift.mean_shift must be a boolean")
+def check_sizes(context: str, k: int, degree: int, quad_order: int):
+    """Reject a (k, N, Q) the solver cannot run: Q < N + 1, a basis above
+    the size cap or a tensor grid above MAX_GRID_NODES."""
+    if quad_order < degree + 1:
+        raise ConfigError(f"{context}: Q={quad_order} must be at least N+1={degree + 1}")
+    if math.comb(degree + k, k) > DEFAULT_BASIS_CAP:
+        raise ConfigError(f"{context}: the basis of k={k}, N={degree} exceeds {DEFAULT_BASIS_CAP} elements")
+    if quad_order**k > MAX_GRID_NODES:
+        raise ConfigError(f"{context}: the grid of k={k}, Q={quad_order} exceeds {MAX_GRID_NODES} nodes")
+
+
+def sweep_drift(sweep: dict, k: int, u) -> dict:
+    """The drift block of the sweep point with parameter value u."""
+    if sweep["family"] == "constant-scale":
+        direction = sweep.get("direction") or [1.0] + [0.0] * (k - 1)
+        return {"kind": "constant", "h": [u * d for d in direction]}
+    return {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": u}}
+
+
+def _read_ladder(block, fixed_point: FixedPointOptions) -> LadderConfig:
+    q = read_block(block, _LADDER, "ladder")
+    q["component_bound"] = float(q["component_bound"])  # ladder.json prints a float
+    try:
+        ladder = LadderConfig(fixed_point=fixed_point, **q)
+    except ValueError as exc:
+        raise ConfigError(f"ladder: {exc}") from exc
+    for k, degree, quad_order in zip(ladder.levels, ladder.degrees, ladder.quad_orders):
+        check_sizes(f"ladder level k={k}", k, degree, quad_order)
+    return ladder
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig; strict on keys."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _require_keys(doc, _TOP_KEYS, "config", required={"mode"})
-    mode = doc["mode"]
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
+    top = read_block(doc, _TOP, "config")
+    mode, k = top["mode"], top["k"]
+    fixed_point = FixedPointOptions(
+        **read_block(top.get("fixed_point", {}), fixed_point_params(mode), "fixed_point")
+    )
 
-    k = _check_range("k", doc.get("k", 1), 1, 8, integer=True)
-    degree = _check_range("N", doc.get("N", 8), 0, 64, integer=True)
-    quad_order = _check_range("Q", doc.get("Q", 0), 0, 512, integer=True)
-    seed = _check_range("seed", doc.get("seed", 0), 0, 2**64 - 1, integer=True)
+    def required(name):
+        if name not in top:
+            raise ConfigError(f"{mode} mode requires a {name} block")
+        return top[name]
 
-    drift = doc.get("drift", {})
-    if mode in ("solve-linear", "solve-nonlinear", "sweep", "verify", "oracle-compare"):
-        if mode != "sweep":
-            _validate_drift(drift)
+    ladder, sweep, verify, oracle = None, {}, {}, {}
+    if mode in ("solve-linear", "solve-nonlinear", "oracle-compare"):
+        read_kind(top.get("drift"), DRIFTS, "drift", k)
+    if mode == "verify":
+        verify = read_block(required("verify"), _VERIFY, "verify")
+        read_kind(top.get("drift"), DRIFTS, "drift")
     if mode == "ladder":
-        ladder = doc.get("ladder")
-        if not isinstance(ladder, dict):
-            raise ConfigError("ladder mode requires a ladder block")
-        _require_keys(
-            ladder,
-            _LADDER_KEYS,
-            "ladder",
-            required={"weights", "component_bound", "levels", "degrees", "quad_orders"},
-        )
-        _validate_drift(drift, "drift")
-        if drift.get("kind") not in ("componentwise-tanh", "componentwise-decoupled-tanh"):
+        ladder = _read_ladder(required("ladder"), fixed_point)
+        entry, _ = read_kind(top.get("drift"), DRIFTS, "drift", ladder.levels[-1])
+        if entry.bound != COMPONENTWISE_BOUND:
             raise ConfigError("ladder mode requires a componentwise drift kind")
     if mode == "sweep":
-        sweep = doc.get("sweep")
-        if not isinstance(sweep, dict):
-            raise ConfigError("sweep mode requires a sweep block")
-        _require_keys(sweep, _SWEEP_KEYS, "sweep", required={"family", "values"})
-        if sweep["family"] not in _SWEEP_FAMILIES:
-            raise ConfigError(f"unknown sweep family {sweep['family']!r}")
-        if not isinstance(sweep["values"], list) or not sweep["values"]:
-            raise ConfigError("sweep.values must be a non-empty list")
+        sweep = read_block(required("sweep"), _SWEEP, "sweep", k)
         for u in sweep["values"]:
-            _check_range("sweep value", u, -100.0, 100.0)
-    if mode == "verify":
-        verify = doc.get("verify")
-        if not isinstance(verify, dict):
-            raise ConfigError("verify mode requires a verify block")
-        _require_keys(verify, _VERIFY_KEYS, "verify", required={"density"})
+            read_kind(sweep_drift(sweep, k, u), DRIFTS, f"sweep point {u!r}: drift", k)
     if mode == "oracle-compare":
-        oc = doc.get("oracle_compare")
-        if not isinstance(oc, dict):
-            raise ConfigError("oracle-compare mode requires an oracle_compare block")
-        _require_keys(oc, _ORACLE_KEYS, "oracle_compare", required={"oracle"})
-        if oc["oracle"] not in _ORACLES:
-            raise ConfigError(f"unknown oracle {oc['oracle']!r}")
-    fp = doc.get("fixed_point", {})
-    if fp:
-        _require_keys(fp, _FIXED_POINT_KEYS, "fixed_point")
-        if "damping" in fp:
-            _check_range("fixed_point.damping", fp["damping"], 1e-6, 1.0)
-        if "tolerance" in fp:
-            _check_range("fixed_point.tolerance", fp["tolerance"], 1e-16, 1.0)
-        if "max_iterations" in fp:
-            _check_range("fixed_point.max_iterations", fp["max_iterations"], 1, 100000, integer=True)
-    output = doc.get("output", {})
-    if output:
-        _require_keys(output, _OUTPUT_KEYS, "output")
+        oracle = read_block(required("oracle_compare"), _ORACLE, "oracle_compare")
+        if _ORACLE_K.get(oracle["oracle"], k) != k:
+            raise ConfigError(f"the {oracle['oracle']} oracle requires k = {_ORACLE_K[oracle['oracle']]}")
+        if oracle.get("n_particles", SDE_BATCHES) % SDE_BATCHES:
+            raise ConfigError(f"oracle_compare.n_particles must be a multiple of {SDE_BATCHES}")
+    output = read_block(top.get("output", {}), _OUTPUT, "output")
 
-    return RunConfig(
+    config = RunConfig(
         mode=mode,
         k=k,
-        degree=degree,
-        quad_order=quad_order,
-        seed=int(seed),
-        drift=drift,
-        fixed_point=fp,
-        ladder=doc.get("ladder", {}),
-        sweep=doc.get("sweep", {}),
-        verify=doc.get("verify", {}),
-        oracle_compare=doc.get("oracle_compare", {}),
+        degree=top["N"],
+        quad_order=top["Q"],
+        seed=int(top["seed"]),
+        drift=top.get("drift", {}),
+        fixed_point=fixed_point,
+        ladder=ladder,
+        sweep=sweep,
+        verify=verify,
+        oracle_compare=oracle,
         output_dir=output.get("dir"),
         raw=doc,
     )
+    check_sizes("config", k, config.degree, config.effective_quad_order)
+    return config
 
 
 def load_config(path: str) -> RunConfig:

@@ -1,7 +1,7 @@
 """Drift fields b(p, x) = -x + v(p, x) with certified bounds.
 
-A DriftField owns the measure-dependent part v only; the linear -x part is
-added by `eval_b`.  Every field declares a bound, either on the Euclidean
+A DriftField owns the measure-dependent part v only; callers add the
+linear -x part.  Every field declares a bound, either on the Euclidean
 (Cameron-Martin) norm |v|_H or componentwise (|v_n| <= C), and the bound is
 validated by sampling at registration and re-checked at every evaluation.
 
@@ -9,6 +9,10 @@ The measure argument of v may be a ChaosDensity (read through its chaos
 coefficients / quadrature measure) or a PointMeasure (the weak-topology
 form used by componentwise fields).  Fields that ignore the measure accept
 None.
+
+The registry at the end (DRIFTS, KERNELS) is the one description of the
+drift and kernel kinds a config can name: their parameters, constructors
+and whether the drift reads the measure.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ import numpy as np
 from .basis import QuadratureGrid
 from .density import ChaosDensity, PointMeasure, as_measure
 from .errors import BoundViolationError
+from .schema import Kind, Param, read_kind
 
 BOUND_SLACK = 1e-9
 VALIDATION_SAMPLES = 10_000
@@ -46,6 +51,10 @@ class ComponentwiseKernel:
     def component(self, i: int, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def h_bound_for(self, k: int) -> float:
+        """Bound on |b0|_H in dimension k implied by the componentwise bound."""
+        return self.component_bound * math.sqrt(k)
+
     def __call__(self, z: np.ndarray) -> np.ndarray:
         out = np.empty(z.shape)
         for i in range(z.shape[-1]):
@@ -63,8 +72,7 @@ class ConstantKernel(ComponentwiseKernel):
     def component_bound(self) -> float:
         return max(abs(c) for c in self.h)
 
-    @property
-    def h_bound(self) -> float:
+    def h_bound_for(self, k: int) -> float:
         return math.sqrt(sum(c * c for c in self.h))
 
     def component(self, i: int, z: np.ndarray) -> np.ndarray:
@@ -81,9 +89,6 @@ class TanhKernel(ComponentwiseKernel):
     def component_bound(self) -> float:
         return abs(self.scale)
 
-    def h_bound_for(self, k: int) -> float:
-        return abs(self.scale) * math.sqrt(k)
-
     def component(self, i: int, z: np.ndarray) -> np.ndarray:
         return self.scale * np.tanh(z)
 
@@ -97,9 +102,6 @@ class GaussianLobeKernel(ComponentwiseKernel):
     @property
     def component_bound(self) -> float:
         return abs(self.scale) * math.exp(-0.5)
-
-    def h_bound_for(self, k: int) -> float:
-        return self.component_bound * math.sqrt(k)
 
     def component(self, i: int, z: np.ndarray) -> np.ndarray:
         return self.scale * z * np.exp(-0.5 * z * z)
@@ -116,9 +118,6 @@ class ClippedLinearKernel(ComponentwiseKernel):
     def component_bound(self) -> float:
         return abs(self.cap)
 
-    def h_bound_for(self, k: int) -> float:
-        return abs(self.cap) * math.sqrt(k)
-
     def component(self, i: int, z: np.ndarray) -> np.ndarray:
         return np.clip(self.scale * z, -self.cap, self.cap)
 
@@ -127,14 +126,19 @@ class ClippedLinearKernel(ComponentwiseKernel):
 
 
 class DriftField:
-    """Measure-dependent drift v with a declared, enforced bound."""
+    """Measure-dependent drift v with a declared, enforced bound.
 
-    def __init__(self, kind, k, evaluator, bound_kind, bound, validate=True, seed=0):
+    kind is a label for messages.  restrict, when given, maps j to the field
+    restricted to the first j coordinates (see truncate_to_k).
+    """
+
+    def __init__(self, kind, k, evaluator, bound_kind, bound, validate=True, seed=0, restrict=None):
         self.kind = kind
         self.k = k
         self._evaluator = evaluator
         self.bound_kind = bound_kind
         self.bound = float(bound)
+        self.restrict = restrict
         if validate:
             self._validate_by_sampling(seed)
 
@@ -152,20 +156,13 @@ class DriftField:
             )
 
     def _validate_by_sampling(self, seed):
+        """Check the bound at Gaussian samples, the measure argument being
+        the Gaussian reference as a point cloud."""
         rng = np.random.default_rng(seed)
         points = rng.standard_normal((VALIDATION_SAMPLES, self.k))
-        # probe with no measure and with the Gaussian reference as a point cloud
-        probes = [None]
         cloud = rng.standard_normal((64, self.k))
-        probes.append(
-            PointMeasure(points=cloud, masses=np.full(64, 1.0 / 64), clip_defect=0.0)
-        )
-        for p in probes:
-            try:
-                values = self._evaluator(p, points, None)
-            except (TypeError, AttributeError):
-                continue  # evaluator requires a measure kind this probe is not
-            self._check_bound(np.asarray(values))
+        probe = PointMeasure(points=cloud, masses=np.full(64, 1.0 / 64), clip_defect=0.0)
+        self._check_bound(np.asarray(self._evaluator(probe, points, None)))
 
     def eval_v(self, p, x, grid: QuadratureGrid | None = None) -> np.ndarray:
         """v(p, x) for x of shape (k,) or (m, k); bound-checked."""
@@ -174,11 +171,6 @@ class DriftField:
         values = np.asarray(self._evaluator(p, np.atleast_2d(x), grid), dtype=float)
         self._check_bound(values)
         return values[0] if single else values
-
-    def eval_b(self, p, x, grid: QuadratureGrid | None = None) -> np.ndarray:
-        """Full drift b(p, x) = -x + v(p, x)."""
-        x = np.asarray(x, dtype=float)
-        return self.eval_v(p, x, grid) - x
 
     @property
     def h_bound(self) -> float:
@@ -217,23 +209,19 @@ def constant_drift(h) -> DriftField:
         return np.broadcast_to(h, x.shape).copy()
 
     return DriftField(
-        "constant", h.size, evaluator, H_BOUND, float(np.linalg.norm(h))
+        "constant", h.size, evaluator, H_BOUND, float(np.linalg.norm(h)),
+        restrict=lambda j: constant_drift(h[:j]),
     )
 
 
-def gradient_drift(grad_fn, k, bound, potential=None) -> DriftField:
-    """v = grad W for a scalar potential with bounded gradient.
-
-    grad_fn maps (m, k) points to (m, k) gradients; the optional potential
-    callable is kept for oracles that want the closed-form solution.
-    """
+def gradient_drift(grad_fn, k, bound) -> DriftField:
+    """v = grad W for a scalar potential W with bounded gradient; grad_fn
+    maps (m, k) points to (m, k) gradients.  The solution is exp(W) / Z."""
 
     def evaluator(p, x, grid):
         return np.asarray(grad_fn(x), dtype=float)
 
-    field = DriftField("gradient", k, evaluator, H_BOUND, bound)
-    field.potential = potential
-    return field
+    return DriftField("gradient", k, evaluator, H_BOUND, bound)
 
 
 def clipped_potential_drift(lam: float, k: int, width: float = 2.0) -> DriftField:
@@ -252,11 +240,7 @@ def clipped_potential_drift(lam: float, k: int, width: float = 2.0) -> DriftFiel
     def grad_fn(x):
         return lam * np.tanh(x / width)
 
-    def potential(x):
-        x = np.atleast_2d(x)
-        return lam * width * np.sum(np.log(np.cosh(x / width)), axis=1)
-
-    return gradient_drift(grad_fn, k, abs(lam) * math.sqrt(k), potential=potential)
+    return gradient_drift(grad_fn, k, abs(lam) * math.sqrt(k))
 
 
 # entries of the largest kernel matrix built at once by either convolution
@@ -327,22 +311,18 @@ def vlasov_drift(kernel, k: int, grid: QuadratureGrid) -> DriftField:
     measure; any other kernel, such as a general H-valued b0, is convolved
     over all pairs of points.
 
+    Every kernel answers h_bound_for(k), its bound on |b0|_H in dimension k.
+
     The grid supplied here is the default rule used to read a ChaosDensity
     measure argument; explicit grids passed at evaluation time win.
     """
-    if hasattr(kernel, "h_bound"):
-        bound = kernel.h_bound
-    else:
-        bound = kernel.h_bound_for(k)
 
     def evaluator(p, x, grid_arg):
         if p is None:
             raise TypeError("vlasov drift requires a measure argument")
         return vlasov_eval(kernel, p, x, grid_arg if grid_arg is not None else grid)
 
-    field = DriftField("vlasov", k, evaluator, H_BOUND, bound)
-    field.kernel = kernel
-    return field
+    return DriftField("vlasov", k, evaluator, H_BOUND, kernel.h_bound_for(k))
 
 
 def componentwise_drift(components, k: int | None = None, bound: float = 0.0) -> DriftField:
@@ -355,7 +335,7 @@ def componentwise_drift(components, k: int | None = None, bound: float = 0.0) ->
     ambient = len(components)
     k = ambient if k is None else k
     if k > ambient:
-        raise ValueError(f"requested dimension {k} exceeds available components {ambient}")
+        raise ValueError(f"cannot truncate to {k} dimensions: only {ambient} components")
 
     def evaluator(p, x, grid):
         measure = _as_point_measure(p, grid)
@@ -366,24 +346,18 @@ def componentwise_drift(components, k: int | None = None, bound: float = 0.0) ->
             out[:, i] = np.asarray(components[i](measure, padded), dtype=float)
         return out
 
-    field = DriftField("componentwise", k, evaluator, COMPONENTWISE_BOUND, bound)
-    field.components = tuple(components)
-    return field
+    return DriftField(
+        "componentwise", k, evaluator, COMPONENTWISE_BOUND, bound,
+        restrict=lambda j: componentwise_drift(components, k=j, bound=bound),
+    )
 
 
 def truncate_to_k(v: DriftField, k: int) -> DriftField:
     """Restriction of a componentwise (or constant) field to its first k
     coordinates, with points read through the zero-padding embedding."""
-    if v.kind == "componentwise":
-        if k > len(v.components):
-            raise ValueError(
-                f"cannot truncate to {k} dimensions: only {len(v.components)} components"
-            )
-        return componentwise_drift(v.components, k=k, bound=v.bound)
-    if v.kind == "constant":
-        h = v.eval_v(None, np.zeros(v.k))[:k]
-        return constant_drift(h)
-    raise ValueError(f"truncate_to_k is not defined for drift kind {v.kind!r}")
+    if v.restrict is None:
+        raise ValueError(f"truncate_to_k is not defined for a {v.kind} drift")
+    return v.restrict(k)
 
 
 def rotational_drift(scale: float, k: int = 2, offset=None) -> DriftField:
@@ -405,7 +379,7 @@ def rotational_drift(scale: float, k: int = 2, offset=None) -> DriftField:
         return scale * rotated / (1.0 + np.sum(x * x, axis=1))[:, None] + shift
 
     bound = abs(scale) / 2.0 + float(np.linalg.norm(shift))
-    return DriftField("custom", k, evaluator, H_BOUND, bound)
+    return DriftField("rotational", k, evaluator, H_BOUND, bound)
 
 
 def tanh_components(scale: float, n_components: int, mean_shift: bool = False):
@@ -447,3 +421,59 @@ def custom_drift(fn, k, bound_kind, bound, seed=0) -> DriftField:
     gets constructed.
     """
     return DriftField("custom", k, fn, bound_kind, bound, validate=True, seed=seed)
+
+
+# -- registry of config kinds ----------------------------------------------
+
+
+def _kernel(cls, *params) -> Kind:
+    return Kind(params, lambda q, k, grid: cls(**q))
+
+
+_SCALE = Param("scale", "number", -100.0, 100.0)
+KERNELS = {
+    "constant": _kernel(ConstantKernel, Param("h", "vector", -100.0, 100.0)),
+    "tanh": _kernel(TanhKernel, _SCALE),
+    "gaussian-lobe": _kernel(GaussianLobeKernel, _SCALE),
+    "clipped-linear": _kernel(ClippedLinearKernel, _SCALE, Param("cap", "number", -100.0, 100.0)),
+}
+
+
+def _componentwise(components, *params) -> Kind:
+    """The componentwise fields take the measure as an argument, so they
+    count as reading it; only mean_shift makes tanh components use it."""
+    return Kind(
+        (_SCALE, Param("n_components", "integer", 1, 64)) + params,
+        lambda q, k, grid: componentwise_drift(components(**q), k, abs(q["scale"])),
+        reads_measure=True,
+        bound=COMPONENTWISE_BOUND,
+        dims=lambda q, k: "" if k <= q["n_components"] else f"has fewer n_components than k={k}",
+    )
+
+
+DRIFTS = {
+    "constant": Kind((Param("h", "vector", -100.0, 100.0),), lambda q, k, grid: constant_drift(**q)),
+    "clipped-potential": Kind(
+        (Param("lam", "number", -10.0, 10.0), Param("width", "number", 1e-3, 100.0, 2.0)),
+        lambda q, k, grid: clipped_potential_drift(k=k, **q),
+    ),
+    "rotational": Kind(
+        (Param("scale", "number", -10.0, 10.0), Param("offset", "vector", -10.0, 10.0, None)),
+        lambda q, k, grid: rotational_drift(k=k, **q),
+        dims=lambda q, k: "" if k % 2 == 0 else f"needs an even dimension, got k={k}",
+    ),
+    "vlasov": Kind(
+        (Param("kernel", KERNELS),),
+        lambda q, k, grid: vlasov_drift(q["kernel"], k, grid),
+        reads_measure=True,
+    ),
+    "componentwise-tanh": _componentwise(tanh_components, Param("mean_shift", "bool", default=False)),
+    "componentwise-decoupled-tanh": _componentwise(decoupled_tanh_components),
+}
+
+
+def drift_from_block(block, k: int, grid: QuadratureGrid | None) -> tuple[DriftField, bool]:
+    """The k-dimensional drift a config block describes and whether it reads
+    the measure; a ConfigError for any block or k the registry rejects."""
+    entry, params = read_kind(block, DRIFTS, "drift", k)
+    return entry.build(params, k, grid), entry.reads_measure

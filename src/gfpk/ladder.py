@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,6 +46,8 @@ class LadderConfig:
             raise ValueError("levels must be strictly increasing")
         if self.levels[-1] > len(self.weights):
             raise ValueError("need one weight per coordinate up to the deepest level")
+        if len(self.weights) < 2:
+            raise ValueError("need two weights at least: their ratio bounds the weight tail")
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
         for a, b in zip(self.weights[:-1], self.weights[1:]):
@@ -210,14 +212,8 @@ def run_ladder(v, cfg: LadderConfig, battery=None) -> LadderReport:
         seed = None
         if previous is not None:
             seed = _zero_pad(previous[0], basis)
-        opts = FixedPointOptions(
-            damping=cfg.fixed_point.damping,
-            tolerance=cfg.fixed_point.tolerance,
-            max_iterations=cfg.fixed_point.max_iterations,
-            initial=seed,
-        )
         try:
-            rho, trace = fixed_point_solve(v_k, basis, grid, opts)
+            rho, trace = fixed_point_solve(v_k, basis, grid, replace(cfg.fixed_point, initial=seed))
         except NonConvergenceError as exc:
             report.completed = False
             report.failure = f"level k={k}: {exc}"

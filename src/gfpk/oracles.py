@@ -20,6 +20,7 @@ from .errors import DomainError, InstabilityError, NumericError
 
 BOUNDARY_DENSITY_LIMIT = 1e-12
 BLOWUP_LIMIT = 1e6
+SDE_BATCHES = 50  # default particle groups of oracle_sde
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ def oracle_sde(
     n_particles: int = 500,
     seed: int = 0,
     burn_in: float = 0.2,
-    n_batches: int = 50,
+    n_batches: int = SDE_BATCHES,
     grid=None,
     weights=None,
 ) -> SdeMoments:

@@ -243,3 +243,91 @@ def test_oracle_compare_1d(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["oracle"]["l2_gamma_distance"] <= 1e-6
+
+
+# -- malformed inputs exit 2 ------------------------------------------------
+
+CONSTANT = {"kind": "constant", "h": [0.3]}
+COMPONENTWISE = {"kind": "componentwise-tanh", "scale": 0.5, "n_components": 3}
+LADDER = {
+    "weights": [0.25, 0.0625, 0.015625],
+    "component_bound": 0.5,
+    "levels": [1, 2, 3],
+    "degrees": [4, 4, 4],
+    "quad_orders": [6, 6, 6],
+}
+
+
+def _solve(k, drift, mode="solve-linear", **extra):
+    return {"mode": mode, "k": k, "N": 4, "Q": 8, "drift": drift, **extra}
+
+
+def _ladder(drift=None, **ladder):
+    return {"mode": "ladder", "drift": {**COMPONENTWISE, **(drift or {})}, "ladder": {**LADDER, **ladder}}
+
+
+def _verify(density):
+    return {"mode": "verify", "drift": CONSTANT, "verify": {"density": density}}
+
+
+def _vlasov(k, kernel):
+    return _solve(k, {"kind": "vlasov", "kernel": kernel}, "solve-nonlinear")
+
+
+MALFORMED = {
+    "rotational-odd-k": _solve(3, {"kind": "rotational", "scale": 0.3}),
+    "rotational-scalar-offset": _solve(2, {"kind": "rotational", "scale": 0.3, "offset": 0.2}),
+    "rotational-offset-length": _solve(2, {"kind": "rotational", "scale": 0.3, "offset": [0.1] * 3}),
+    "componentwise-k-above-n-components": _solve(3, {**COMPONENTWISE, "n_components": 2}, "solve-nonlinear"),
+    "constant-kernel-h-short": _vlasov(2, {"kind": "constant", "h": [0.3]}),
+    "constant-kernel-h-scalar": _vlasov(1, {"kind": "constant", "h": 0.3}),
+    "tanh-kernel-without-scale": _vlasov(1, {"kind": "tanh"}),
+    "q-below-n-plus-1": {**_solve(1, CONSTANT), "N": 64, "Q": 8},
+    "basis-above-cap": {**_solve(8, {"kind": "clipped-potential", "lam": 0.5}), "N": 20, "Q": 21},
+    "grid-above-cap": {**_solve(4, {"kind": "clipped-potential", "lam": 0.5}), "Q": 40},
+    "verify-missing-density": _verify("{tmp}/missing.json"),
+    "verify-unreadable-density": _verify("{tmp}/bad.json"),
+    "verify-wrong-coefficient-count": _verify("{tmp}/short.json"),
+    "verify-q-below-density-degree": {**_verify("{tmp}/high.json"), "N": 4, "Q": 8},
+    "ladder-levels-string": _ladder(levels="ab"),
+    "ladder-weights-flat": _ladder(weights=[1, 1], levels=[1, 2], degrees=[4, 4], quad_orders=[6, 6]),
+    "ladder-too-few-weights": _ladder(weights=[0.25, 0.0625]),
+    "ladder-single-weight": _ladder(weights=[0.5], levels=[1], degrees=[4], quad_orders=[6]),
+    "ladder-level-above-n-components": _ladder(drift={"n_components": 2}),
+    "ladder-q-below-degree": _ladder(quad_orders=[6, 4, 6]),
+    "ladder-constant-drift": {**_ladder(), "drift": {"kind": "constant", "h": [0.1, 0.2, 0.3]}},
+    "oracle-n-cells-string": _solve(
+        2, {"kind": "rotational", "scale": 0.3}, "oracle-compare", oracle_compare={"oracle": "fd2d", "n_cells": "x"}
+    ),
+    "oracle-n-particles-not-batched": _solve(
+        1, CONSTANT, "oracle-compare", oracle_compare={"oracle": "sde", "n_particles": 75}
+    ),
+    "oracle-1d-with-k-2": _solve(2, {"kind": "clipped-potential", "lam": 0.5}, "oracle-compare",
+                                 oracle_compare={"oracle": "1d"}),
+    "oracle-n-points": _solve(1, CONSTANT, "oracle-compare", oracle_compare={"oracle": "1d", "n_points": 9}),
+    "sweep-direction-length": {
+        "mode": "sweep", "k": 2, "N": 4, "sweep": {"family": "constant-scale", "values": [0.1], "direction": [1.0]}
+    },
+    "sweep-kernel-scale-max": {
+        "mode": "sweep", "k": 1, "N": 4, "sweep": {"family": "constant-scale", "values": [0.1], "kernel_scale_max": 2}
+    },
+    "sweep-point-outside-range": {
+        "mode": "sweep", "k": 1, "N": 4, "sweep": {"family": "constant-scale", "values": [60.0], "direction": [2.0]}
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exits_2(tmp_path, capsys, name):
+    (tmp_path / "bad.json").write_text("{not json")
+    short = {"k": 1, "N": 4, "ordering": "grlex", "coefficients": [1.0, 0.0]}
+    (tmp_path / "short.json").write_text(json.dumps(short))
+    high = {"k": 1, "N": 12, "ordering": "grlex", "coefficients": [1.0] + [0.0] * 12}
+    (tmp_path / "high.json").write_text(json.dumps(high))
+    doc = json.loads(json.dumps(MALFORMED[name]).replace("{tmp}", str(tmp_path)))
+    doc["output"] = {"dir": str(tmp_path / "out")}
+    code = main([doc["mode"], "--config", write_config(tmp_path, doc)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not (tmp_path / "out").exists()

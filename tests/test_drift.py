@@ -89,13 +89,19 @@ def test_vlasov_weak_continuity():
 
 
 def test_clipped_potential_gradient_consistency():
-    v = clipped_potential_drift(0.8, 2)
+    """v = grad W for the documented W(x) = lam width sum_i log cosh(x_i / width)."""
+    lam, width = 0.8, 2.0
+    v = clipped_potential_drift(lam, 2, width)
+
+    def potential(x):
+        return lam * width * np.sum(np.log(np.cosh(x / width)), axis=1)
+
     x = np.array([[0.3, -1.0], [1.5, 0.2]])
     eps = 1e-6
     for i in range(2):
         shift = np.zeros(2)
         shift[i] = eps
-        fd = (v.potential(x + shift) - v.potential(x - shift)) / (2 * eps)
+        fd = (potential(x + shift) - potential(x - shift)) / (2 * eps)
         assert np.allclose(v.eval_v(None, x)[:, i], fd, atol=1e-8)
 
 
@@ -122,6 +128,14 @@ def test_truncate_beyond_components_raises():
         truncate_to_k(v, 2)
 
 
+def test_buggy_evaluator_is_not_registered():
+    # the validation probe lets the evaluator's own error through
+    with pytest.raises(AttributeError):
+        custom_drift(lambda p, x, g: x.no_such_attribute, 1, "H", 1.0)
+    with pytest.raises(TypeError):
+        custom_drift(lambda p, x, g: p + x, 1, "H", 1.0)
+
+
 def test_bound_violation_raises():
     with pytest.raises(BoundViolationError, match="declared"):
         custom_drift(lambda p, x, g: 2.0 * np.ones_like(x), 1, "H", 1.0)
@@ -144,6 +158,7 @@ def test_rotational_drift_bound_and_structure():
     out = v.eval_v(None, x)
     assert np.allclose(out, [[0.0, 0.15]])  # 0.3 * (0, 1) / 2
     assert v.h_bound == pytest.approx(0.15)
+    assert v.kind == "rotational"
     with pytest.raises(ValueError, match="even"):
         rotational_drift(0.3, 3)
 
@@ -159,6 +174,8 @@ def test_kernel_bounds():
     assert TanhKernel(0.7).component_bound == pytest.approx(0.7)
     assert GaussianLobeKernel(2.0).component_bound == pytest.approx(2.0 * math.exp(-0.5))
     assert ClippedLinearKernel(5.0, 0.4).component_bound == pytest.approx(0.4)
+    assert GaussianLobeKernel(2.0).h_bound_for(4) == 2.0 * GaussianLobeKernel(2.0).component_bound
+    assert ConstantKernel((0.3, -0.4)).h_bound_for(2) == pytest.approx(0.5)  # |h|, not 0.4 sqrt(2)
     z = np.linspace(-10, 10, 1001)
     assert np.max(np.abs(GaussianLobeKernel(2.0)(z))) <= 2.0 * math.exp(-0.5) + 1e-12
     assert np.max(np.abs(ClippedLinearKernel(5.0, 0.4)(z))) <= 0.4
