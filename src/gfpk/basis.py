@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .errors import BasisSizeError, NumericError
 
 # Hard ceiling on the number of basis elements; desk-scale dense solves only.
 DEFAULT_BASIS_CAP = 20000
+# Relative agreement of a grid's weights with the product of their 1-D
+# marginals for the grid to count as a product rule (product_rule).
+PRODUCT_RTOL = 1e-13
 
 
 def hermite_eval(n: int, x):
@@ -89,7 +93,12 @@ class ChaosBasis:
         return self.index_map[tuple(alpha)]
 
     def lowering_table(self) -> np.ndarray:
-        """table[j, i] = position of alpha - e_i for basis element j, or -1."""
+        """table[j, i] = position of alpha - e_i for basis element j, or -1;
+        built once per basis and shared read-only."""
+        return self._lowering
+
+    @cached_property
+    def _lowering(self) -> np.ndarray:
         table = np.full((self.size, self.k), -1, dtype=int)
         for j, alpha in enumerate(self.indices):
             for i in range(self.k):
@@ -97,7 +106,31 @@ class ChaosBasis:
                     lowered = list(alpha)
                     lowered[i] -= 1
                     table[j, i] = self.index_map[tuple(lowered)]
+        table.flags.writeable = False
         return table
+
+    @cached_property
+    def gram_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where the 1-D Gram entries of a separable drift land in the
+        Galerkin interaction matrix; built once per basis.
+
+        When v_i depends on x_i alone, <v_i h_mu, h_alpha> = G_i[mu_i, alpha_i]
+        if mu and alpha agree off coordinate i and 0 otherwise.  Returns
+        (target, source, scale), ordered by coordinate i: the interaction
+        entry sum_i sqrt(beta_i) <v_i h_{beta - e_i}, h_alpha> is the sum of
+        scale * grams.flat[source] over its flat index target, for grams of
+        shape (k, N+1, N+1).
+        """
+        n1 = self.degree + 1
+        exps = np.array(self.indices, dtype=np.intp).reshape(self.size, self.k)
+        parts = []
+        for i in range(self.k):
+            rest = np.delete(exps, i, axis=1)
+            same_rest = np.all(rest[:, None, :] == rest[None, :, :], axis=2)
+            rows, cols = np.nonzero((exps[:, i] > 0)[:, None] & same_rest)
+            b = exps[rows, i]
+            parts.append((rows * self.size + cols, (i * n1 + b - 1) * n1 + exps[cols, i], np.sqrt(b)))
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     def eval_matrix(self, points: np.ndarray) -> np.ndarray:
         """Matrix H[j, q] = h_{alpha_j}(points[q]) for points of shape (m, k)."""
@@ -147,6 +180,26 @@ class QuadratureGrid:
     @property
     def n_nodes(self) -> int:
         return self.weights.size
+
+    @cached_property
+    def axis_rule(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The 1-D rule (x1, w1) whose k-fold product is this grid, or None.
+
+        x1 is read off the first coordinate and w1 is the marginal of the
+        weights; their product must give back the nodes bitwise and the
+        weights to PRODUCT_RTOL.
+        """
+        q, k = self.q, self.k
+        if self.n_nodes != q**k:
+            return None
+        x1 = self.nodes[:: q ** (k - 1), 0]
+        w1 = self.weights.reshape(q, -1).sum(axis=1)
+        product = _tensorize(q, x1, w1, k)
+        if np.array_equal(product.nodes, self.nodes) and np.allclose(
+            product.weights, self.weights, rtol=PRODUCT_RTOL, atol=0.0
+        ):
+            return x1, w1
+        return None
 
 
 def gauss_hermite(q: int) -> QuadratureGrid:

@@ -324,6 +324,18 @@ def _run_oracle_compare(config: RunConfig):
     return result, max(gaps) <= 3.0
 
 
+def _thread_count(flag: int | None) -> int:
+    """--threads, else GFPK_THREADS, else 1; a ConfigError unless a positive integer."""
+    raw = flag if flag is not None else os.environ.get("GFPK_THREADS", "1")
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ConfigError(f"GFPK_THREADS={raw!r} is not an integer") from None
+    if value < 1:
+        raise ConfigError(f"the thread count must be at least 1, got {raw!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="gfpk", description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
@@ -335,11 +347,8 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("GFPK_THREADS", "1"))
-
     try:
+        threads = _thread_count(args.threads)
         config = load_config(args.config)
         if config.mode != args.mode:
             raise ConfigError(

@@ -284,13 +284,16 @@ def vlasov_marginal(kernel, measure: PointMeasure, x: np.ndarray) -> np.ndarray:
     the measure, so the masses are summed over points sharing a value of
     y_i and the 1-D kernel is evaluated once per distinct (x_i, y_i) pair.
     On a Q^k tensor grid this is O(k Q^2) instead of O(k Q^{2k}); the result
-    equals the dense sum up to the order of floating-point additions.
+    equals the dense sum up to the order of floating-point additions.  When
+    x is the measure's own point set (as in assembly), its distinct values
+    are those of y and are not sorted again.
     """
     out = np.empty_like(x)
+    own_points = x is measure.points
     for i in range(x.shape[1]):
         ys, owner = np.unique(measure.points[:, i], return_inverse=True)
         weights = np.bincount(owner, weights=measure.masses, minlength=ys.size)
-        xs, target = np.unique(x[:, i], return_inverse=True)
+        xs, target = (ys, owner) if own_points else np.unique(x[:, i], return_inverse=True)
         values = np.empty(xs.size)
         chunk = max(1, CHUNK_ENTRIES // max(1, ys.size))
         for start in range(0, xs.size, chunk):

@@ -16,12 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
-from .basis import ChaosBasis, QuadratureGrid
+from .basis import ChaosBasis, QuadratureGrid, hermite_table
 from .density import BumpTest, ChaosDensity, HermiteTest
 from .errors import SolverError
 
 CONDITION_LIMIT = 1e12
+# Largest deviation of H1 diag(w1) H1^T from the identity for which a 1-D
+# rule counts as orthonormal up to the basis degree (separable_interaction).
+ORTHONORMAL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -47,30 +51,41 @@ class GalerkinSystem:
 
 
 def assemble(
-    v,
-    p,
-    basis: ChaosBasis,
-    grid: QuadratureGrid,
-    h: np.ndarray | None = None,
-    lowering: np.ndarray | None = None,
+    v, p, basis: ChaosBasis, grid: QuadratureGrid, h: np.ndarray | None = None
 ) -> GalerkinSystem:
     """Quadrature assembly of the Galerkin system for drift v frozen at p.
 
-    h = basis.eval_matrix(grid.nodes) and lowering = basis.lowering_table()
-    do not depend on p; callers that assemble repeatedly on one grid pass
-    them in instead of having them rebuilt.
+    The interaction comes from 1-D Gram matrices when the drift's node
+    values and the grid allow it (separable_interaction) and from the dense
+    quadrature sum otherwise.  h = basis.eval_matrix(grid.nodes) does not
+    depend on p; callers that assemble repeatedly on one grid pass it in
+    instead of having the dense path rebuild it.
     """
+    vvals = _drift_on_grid(v, p, basis, grid)
+    interaction = separable_interaction(basis, grid, vvals)
+    if interaction is None:
+        interaction = dense_interaction(basis, grid, vvals, h)
+    return GalerkinSystem(basis=basis, ou_diagonal=basis.degrees(), interaction=interaction)
+
+
+def _drift_on_grid(v, p, basis: ChaosBasis, grid: QuadratureGrid) -> np.ndarray:
     if grid.q < basis.degree + 1:
         raise ValueError(
             f"quadrature order {grid.q} too small for basis degree {basis.degree}"
         )
     if v.k != basis.k:
         raise ValueError(f"drift dimension {v.k} != basis dimension {basis.k}")
+    return v.eval_v(p, grid.nodes, grid)  # (M, k)
+
+
+def dense_interaction(
+    basis: ChaosBasis, grid: QuadratureGrid, vvals: np.ndarray, h: np.ndarray | None = None
+) -> np.ndarray:
+    """A[beta, alpha] from k dense P x M x P quadrature Gram products; valid
+    for any drift and any grid, and the reference for the separable path."""
     if h is None:
         h = basis.eval_matrix(grid.nodes)  # (P, M)
-    if lowering is None:
-        lowering = basis.lowering_table()
-    vvals = v.eval_v(p, grid.nodes, grid)  # (M, k)
+    lowering = basis.lowering_table()
     exponents = np.array(basis.indices, dtype=float)
     interaction = np.zeros((basis.size, basis.size))
     for i in range(basis.k):
@@ -79,23 +94,66 @@ def assemble(
         rows = lowering[:, i]
         mask = rows >= 0
         interaction[mask] += np.sqrt(exponents[mask, i])[:, None] * gram[rows[mask]]
-    return GalerkinSystem(
-        basis=basis, ou_diagonal=basis.degrees(), interaction=interaction
-    )
+    return interaction
+
+
+def separable_interaction(
+    basis: ChaosBasis, grid: QuadratureGrid, vvals: np.ndarray
+) -> np.ndarray | None:
+    """The dense quadrature sum regrouped into k 1-D Gram matrices, or None
+    when the regrouping does not hold.
+
+    It holds when the grid is the product of a 1-D rule that is orthonormal
+    up to the basis degree (to ORTHONORMAL_TOL) and each v_i is bitwise
+    constant along every grid axis other than i.  Then, with u_i the sum of
+    weights * v_i over the other axes, G_i = H1 diag(u_i) H1^T and
+    basis.gram_pattern scatters sqrt(beta_i) G_i[beta_i - 1, alpha_i] into
+    the P x P interaction.
+    """
+    if grid.axis_rule is None:
+        return None
+    fibres = [_fibres(vvals[:, i], grid, i) for i in range(grid.k)]
+    if not all(np.all(f == f[:, :1]) for f in fibres):
+        return None
+    x1, w1 = grid.axis_rule
+    h1 = hermite_table(basis.degree, x1)  # (N+1, q)
+    if np.max(np.abs((h1 * w1) @ h1.T - np.eye(basis.degree + 1))) > ORTHONORMAL_TOL:
+        return None
+    weighted = grid.weights[:, None] * vvals
+    u = np.stack([_fibres(weighted[:, i], grid, i).sum(axis=1) for i in range(grid.k)])
+    grams = np.einsum("na,ia,ma->inm", h1, u, h1)  # (k, N+1, N+1)
+    target, source, scale = basis.gram_pattern
+    size = basis.size
+    flat = np.bincount(target, weights=scale * grams.ravel()[source], minlength=size * size)
+    return flat.reshape(size, size)
+
+
+def _fibres(values: np.ndarray, grid: QuadratureGrid, axis: int) -> np.ndarray:
+    """Node values of a product grid (last axis fastest) as (q, q^(k-1)):
+    row a holds the values at the nodes whose coordinate `axis` is x1[a]."""
+    q, k = grid.q, grid.k
+    return np.moveaxis(values.reshape((q,) * k), axis, 0).reshape(q, -1)
 
 
 def solve_system(system: GalerkinSystem) -> ChaosDensity:
-    """Solve the assembled truncation for the density coefficients."""
+    """Solve the assembled truncation for the density coefficients.
+
+    One LU factorization (LAPACK dgetrf) serves the solve and the 1-norm
+    condition estimate (dgecon), which must stay below CONDITION_LIMIT.
+    """
     mat = system.matrix
-    cond = np.linalg.cond(mat, 1)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SolverError(
-            f"Galerkin matrix condition estimate {cond:.3g} exceeds "
-            f"{CONDITION_LIMIT:.0e}; increase the basis degree or reduce the drift"
-        )
     coeffs = np.empty(system.basis.size)
     coeffs[0] = 1.0
-    coeffs[1:] = np.linalg.solve(mat, system.rhs)
+    if mat.size:
+        lu, piv, _ = dgetrf(mat)
+        rcond, _ = dgecon(lu, np.linalg.norm(mat, 1), norm="1")
+        cond = 1.0 / rcond if rcond > 0.0 else np.inf
+        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+            raise SolverError(
+                f"Galerkin matrix condition estimate {cond:.3g} exceeds "
+                f"{CONDITION_LIMIT:.0e}; increase the basis degree or reduce the drift"
+            )
+        coeffs[1:], _ = dgetrs(lu, piv, system.rhs)
     return ChaosDensity(system.basis, coeffs)
 
 
@@ -130,10 +188,14 @@ def residual(rho: ChaosDensity, v, p_frozen, phi, grid: QuadratureGrid) -> float
 def residual_suite(rho, v, p_frozen, grid, bump_tests=()):
     """Residuals for every Hermite test of degree <= N plus optional bumps.
 
-    Returns (hermite_max, system_norm, bump_values); callers compare
-    hermite_max against tol * (1 + system_norm).
+    The residuals use the dense assembly whatever path the solve took, so
+    they cross-check the separable assembly.  Returns (hermite_max,
+    system_norm, bump_values); callers compare hermite_max against
+    tol * (1 + system_norm).
     """
-    system = assemble(v, p_frozen, rho.basis, grid)
+    basis = rho.basis
+    vvals = _drift_on_grid(v, p_frozen, basis, grid)
+    system = GalerkinSystem(basis, basis.degrees(), dense_interaction(basis, grid, vvals))
     coeffs = rho.coefficients
     full = system.interaction @ coeffs - system.ou_diagonal * coeffs
     hermite_max = float(np.max(np.abs(full[1:]))) if rho.basis.size > 1 else 0.0

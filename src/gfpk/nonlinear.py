@@ -89,13 +89,12 @@ def fixed_point_solve(
     theta = opts.damping
     ball_radius_sq = b1_bound(v.c0) if np.isfinite(v.c0) else None
     trace = FixedPointTrace()
-    # the p-independent tables, built once; each iterate is read as a point
-    # measure on the grid from its node values coefficients @ h
+    # the p-independent evaluation matrix, built once; each iterate is read
+    # as a point measure on the grid from its node values coefficients @ h
     h = basis.eval_matrix(grid.nodes)
-    lowering = basis.lowering_table()
     for _ in range(opts.max_iterations + 1):
         measure = as_measure(p, grid, values=p.coefficients @ h)
-        rho = solve_system(assemble(v, measure, basis, grid, h=h, lowering=lowering))
+        rho = solve_system(assemble(v, measure, basis, grid, h=h))
         psi_res = l2_distance(rho, p)
         trace.psi_residuals.append(psi_res)
         trace.l2_norms_sq.append(p.l2_norm_sq())

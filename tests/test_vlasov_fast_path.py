@@ -78,6 +78,11 @@ def test_marginal_matches_dense_on_tensor_grids(name, args, k, q, seed):
     grid = tensor_grid(q, k)
     measure = as_measure(random_density(k, min(q - 1, 3), seed), grid)
     assert_paths_agree(kernel, measure, grid.nodes)
+    # evaluating at the measure's own points reuses their distinct values;
+    # the result is bitwise that of an equal but distinct point array
+    assert measure.points is grid.nodes
+    own = vlasov_marginal(kernel, measure, grid.nodes)
+    assert np.array_equal(own, vlasov_marginal(kernel, measure, grid.nodes.copy()))
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
