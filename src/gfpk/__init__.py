@@ -8,8 +8,8 @@ from .basis import (
     enumerate_basis,
     enumerate_multi_indices,
     gauss_hermite,
-    hermite_eval,
     hermite_table,
+    product_grid,
     tensor_grid,
     uniform_gaussian_grid,
 )

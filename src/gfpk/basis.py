@@ -29,19 +29,6 @@ DEFAULT_BASIS_CAP = 20000
 PRODUCT_RTOL = 1e-13
 
 
-def hermite_eval(n: int, x):
-    """Evaluate the normalized probabilists' Hermite polynomial h_n at x.
-
-    x may be a scalar or an ndarray; the return matches its shape.
-    """
-    x = np.asarray(x, dtype=float)
-    h_prev = np.zeros_like(x)
-    h = np.ones_like(x)
-    for m in range(n):
-        h, h_prev = (x * h - math.sqrt(m) * h_prev) / math.sqrt(m + 1), h
-    return h if h.shape else float(h)
-
-
 def hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
     """Table H[n, j] = h_n(x[j]) for n = 0..n_max via the three-term recurrence."""
     x = np.asarray(x, dtype=float)
@@ -85,12 +72,27 @@ class ChaosBasis:
     def size(self) -> int:
         return len(self.indices)
 
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """Integer (P, k) array of the multi-indices, row j = alpha_j; read-only."""
+        exps = np.array(self.indices, dtype=np.intp).reshape(self.size, self.k)
+        exps.flags.writeable = False
+        return exps
+
     def degrees(self) -> np.ndarray:
         """Total degree |alpha| per basis element (OU eigenvalue diagonal)."""
-        return np.array([sum(a) for a in self.indices], dtype=float)
+        return self.exponents.sum(axis=1).astype(float)
 
     def position(self, alpha: tuple[int, ...]) -> int:
         return self.index_map[tuple(alpha)]
+
+    def embed(self, source: "ChaosBasis", axes) -> np.ndarray:
+        """Position in this basis of each element of `source` with its
+        coordinates placed on `axes` and zero exponents elsewhere, or -1 where
+        the degree of this basis is too low (zero-padding, marginals)."""
+        exps = np.zeros((source.size, self.k), dtype=np.intp)
+        exps[:, list(axes)] = source.exponents
+        return np.array([self.index_map.get(tuple(e), -1) for e in exps.tolist()], dtype=np.intp)
 
     def lowering_table(self) -> np.ndarray:
         """table[j, i] = position of alpha - e_i for basis element j, or -1;
@@ -99,13 +101,10 @@ class ChaosBasis:
 
     @cached_property
     def _lowering(self) -> np.ndarray:
-        table = np.full((self.size, self.k), -1, dtype=int)
-        for j, alpha in enumerate(self.indices):
-            for i in range(self.k):
-                if alpha[i] > 0:
-                    lowered = list(alpha)
-                    lowered[i] -= 1
-                    table[j, i] = self.index_map[tuple(lowered)]
+        lowered = lambda a, i: a[:i] + (a[i] - 1,) + a[i + 1 :]
+        table = np.array(
+            [[self.index_map.get(lowered(a, i), -1) for i in range(self.k)] for a in self.indices]
+        )
         table.flags.writeable = False
         return table
 
@@ -122,7 +121,7 @@ class ChaosBasis:
         shape (k, N+1, N+1).
         """
         n1 = self.degree + 1
-        exps = np.array(self.indices, dtype=np.intp).reshape(self.size, self.k)
+        exps = self.exponents
         parts = []
         for i in range(self.k):
             rest = np.delete(exps, i, axis=1)
@@ -137,13 +136,37 @@ class ChaosBasis:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.k:
             raise ValueError(f"points have dimension {points.shape[1]}, basis has {self.k}")
-        tables = [hermite_table(self.degree, points[:, i]) for i in range(self.k)]
-        out = np.ones((self.size, points.shape[0]))
-        for j, alpha in enumerate(self.indices):
-            for i, a in enumerate(alpha):
-                if a > 0:
-                    out[j] *= tables[i][a]
+        out = hermite_table(self.degree, points[:, 0])[self.exponents[:, 0]]
+        for i in range(1, self.k):
+            out *= hermite_table(self.degree, points[:, i])[self.exponents[:, i]]
         return out
+
+    def grid_values(self, coefficients: np.ndarray, grid: "QuadratureGrid") -> np.ndarray:
+        """Values at grid.nodes of the expansions with coefficients (..., P).
+
+        On a product of 1-D rules (grid.factors) by sum factorization: the
+        coefficients are scattered into an (N+1)^k array whose axes are
+        contracted in turn with the 1-D tables h_n(x_i), at O(k (N+1) M)
+        work and O(M) memory for M nodes.  Other grids take
+        coefficients @ eval_matrix(grid.nodes), a P x M matrix.
+        """
+        coefficients = np.asarray(coefficients, dtype=float)
+        if grid.factors is None:
+            return coefficients @ self.eval_matrix(grid.nodes)
+        lead = coefficients.shape[:-1]
+        n1 = self.degree + 1
+        # axes (n_0, ..., n_{k-1}, lead); each step contracts the first
+        # degree axis and appends the grid axis after the lead
+        box = np.zeros((n1**self.k,) + lead)
+        box[self._box_index] = coefficients.T
+        for table in grid.hermite_tables(self.degree):
+            box = box.reshape(n1, -1).T @ table
+        return box.reshape(lead + (-1,))
+
+    @cached_property
+    def _box_index(self) -> np.ndarray:
+        """Flat index of each alpha in the (N+1)^k array of grid_values."""
+        return np.ravel_multi_index(self.exponents.T, (self.degree + 1,) * self.k)
 
 
 def enumerate_basis(k: int, max_degree: int, cap: int = DEFAULT_BASIS_CAP) -> ChaosBasis:
@@ -167,38 +190,43 @@ def enumerate_basis(k: int, max_degree: int, cap: int = DEFAULT_BASIS_CAP) -> Ch
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Tensor Gauss-Hermite rule for expectations under gamma_k.
+    """Quadrature rule for expectations under gamma_k.
 
     nodes has shape (n_nodes, k); weights are positive and sum to 1.
+    factors holds the 1-D node sets when the nodes are their product, last
+    axis fastest (product_grid); grids built otherwise have None.
     """
 
     q: int
     k: int
     nodes: np.ndarray
     weights: np.ndarray
+    factors: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
         return self.weights.size
 
+    def hermite_tables(self, n_max: int) -> tuple[np.ndarray, ...]:
+        """hermite_table(n_max, x) for each 1-D factor, built once per grid
+        and degree."""
+        tables = self.__dict__.setdefault("_hermite_tables", {})
+        if n_max not in tables:
+            tables[n_max] = tuple(hermite_table(n_max, x) for x in self.factors)
+        return tables[n_max]
+
     @cached_property
     def axis_rule(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The 1-D rule (x1, w1) whose k-fold product is this grid, or None.
-
-        x1 is read off the first coordinate and w1 is the marginal of the
-        weights; their product must give back the nodes bitwise and the
-        weights to PRODUCT_RTOL.
-        """
-        q, k = self.q, self.k
-        if self.n_nodes != q**k:
-            return None
-        x1 = self.nodes[:: q ** (k - 1), 0]
-        w1 = self.weights.reshape(q, -1).sum(axis=1)
-        product = _tensorize(q, x1, w1, k)
-        if np.array_equal(product.nodes, self.nodes) and np.allclose(
-            product.weights, self.weights, rtol=PRODUCT_RTOL, atol=0.0
+        """The 1-D rule (x1, w1) of order q whose k-fold product is this
+        grid, or None: every factor must be x1, and the weights the product
+        of their marginal w1 to PRODUCT_RTOL."""
+        if self.factors is None or any(
+            x.size != self.q or not np.array_equal(x, self.factors[0]) for x in self.factors
         ):
-            return x1, w1
+            return None
+        w1 = self.weights.reshape(self.q, -1).sum(axis=1)
+        if np.allclose(_outer([w1] * self.k), self.weights, rtol=PRODUCT_RTOL, atol=0.0):
+            return self.factors[0], w1
         return None
 
 
@@ -223,7 +251,7 @@ def gauss_hermite(q: int) -> QuadratureGrid:
     # harmless, only negative or non-finite weights indicate a failure
     if not (np.all(np.isfinite(nodes)) and np.all(weights >= 0) and weights.sum() > 0):
         raise NumericError(f"Gauss-Hermite rule for q={q} produced invalid nodes/weights")
-    return QuadratureGrid(q=q, k=1, nodes=nodes.reshape(-1, 1), weights=weights)
+    return QuadratureGrid(q=q, k=1, nodes=nodes.reshape(-1, 1), weights=weights, factors=(nodes,))
 
 
 def uniform_gaussian_grid(span: float, n: int, k: int = 1) -> QuadratureGrid:
@@ -242,20 +270,28 @@ def uniform_gaussian_grid(span: float, n: int, k: int = 1) -> QuadratureGrid:
     w1 /= w1.sum()
     # q records the polynomial degree the rule handles reliably; the dense
     # uniform rule is fine well past any basis degree used here
-    return _tensorize(n, x1, w1, k)
+    return product_grid([(x1, w1)] * k, n)
 
 
 def tensor_grid(q: int, k: int) -> QuadratureGrid:
-    """Tensorize the 1-D rule of order q over k coordinates."""
+    """Tensorize the 1-D Gauss-Hermite rule of order q over k coordinates."""
     rule = gauss_hermite(q)
-    return _tensorize(q, rule.nodes[:, 0], rule.weights, k)
+    return product_grid([(rule.nodes[:, 0], rule.weights)] * k, q)
 
 
-def _tensorize(q: int, x1: np.ndarray, w1: np.ndarray, k: int) -> QuadratureGrid:
-    """Product of the 1-D rule (x1, w1) over k coordinates, last axis fastest."""
-    grids = np.meshgrid(*([x1] * k), indexing="ij")
+def product_grid(rules, q: int) -> QuadratureGrid:
+    """Product of the 1-D rules (x_i, w_i), one per coordinate, last axis
+    fastest; the rules may differ per axis.  q records the polynomial order
+    the grid is meant to resolve."""
+    grids = np.meshgrid(*(x for x, _ in rules), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=1)
-    weights = w1
-    for _ in range(k - 1):
-        weights = np.multiply.outer(weights, w1).ravel()
-    return QuadratureGrid(q=q, k=k, nodes=nodes, weights=weights)
+    weights = _outer([w for _, w in rules])
+    return QuadratureGrid(q, len(rules), nodes, weights, tuple(x for x, _ in rules))
+
+
+def _outer(weights) -> np.ndarray:
+    """Flattened outer product of 1-D weight vectors, last one fastest."""
+    out = weights[0]
+    for w in weights[1:]:
+        out = np.multiply.outer(out, w).ravel()
+    return out

@@ -59,27 +59,32 @@ class ChaosDensity:
         return float(self.coefficients @ self.coefficients)
 
     def evaluate(self, x) -> np.ndarray | float:
-        """Pointwise value sum_alpha c_alpha h_alpha(x); x is (k,) or (m, k)."""
+        """Value sum_alpha c_alpha h_alpha(x) for x of shape (k,) or (m, k), or
+        at the nodes of a QuadratureGrid x (sum factorization on products)."""
+        if isinstance(x, QuadratureGrid):
+            return self.basis.grid_values(self.coefficients, x)
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
         values = self.coefficients @ self.basis.eval_matrix(np.atleast_2d(x))
-        return float(values[0]) if single else values
+        return float(values[0]) if x.ndim == 1 else values
 
     def gradient(self, x) -> np.ndarray:
-        """Exact gradient from the coefficients via d/dx_i h_a = sqrt(a_i) h_{a-e_i}."""
+        """Gradient at x as in evaluate: shape (k,) for one point, else (m, k)."""
+        if isinstance(x, QuadratureGrid):
+            return self.basis.grid_values(self._gradient_coefficients(), x).T
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        x = np.atleast_2d(x)
-        h = self.basis.eval_matrix(x)  # (P, m)
+        grad = (self._gradient_coefficients() @ self.basis.eval_matrix(np.atleast_2d(x))).T
+        return grad[0] if x.ndim == 1 else grad
+
+    def _gradient_coefficients(self) -> np.ndarray:
+        """(k, P) coefficients of the partial derivatives, exactly, from
+        d/dx_i h_alpha = sqrt(alpha_i) h_{alpha - e_i}."""
         lowering = self.basis.lowering_table()
-        exponents = np.array(self.basis.indices, dtype=float)  # (P, k)
-        grad = np.zeros((x.shape[0], self.k))
-        for i in range(self.k):
-            rows = lowering[:, i]
-            mask = rows >= 0
-            factors = np.sqrt(exponents[:, i])
-            grad[:, i] = (self.coefficients[mask] * factors[mask]) @ h[rows[mask]]
-        return grad[0] if single else grad
+        rows, axes = np.nonzero(lowering >= 0)
+        out = np.zeros((self.k, self.basis.size))
+        out[axes, lowering[rows, axes]] = self.coefficients[rows] * np.sqrt(
+            self.basis.exponents[rows, axes]
+        )
+        return out
 
     # -- serialization ----------------------------------------------------
 
@@ -109,19 +114,13 @@ class ChaosDensity:
 def integrate(rho: ChaosDensity, f, grid: QuadratureGrid) -> float:
     """Quadrature value of integral f d(mu), mu = rho * gamma.
 
-    f maps an (m, k) array of points to m values (or accepts single points).
+    f maps an (m, k) array of points to m values.
     """
-    try:
-        fvals = np.asarray(f(grid.nodes), dtype=float)
-    except Exception:
-        fvals = np.array([float(f(x)) for x in grid.nodes])
-    if fvals.shape != (grid.n_nodes,):
-        fvals = fvals.reshape(grid.n_nodes)
+    fvals = np.asarray(f(grid.nodes), dtype=float).reshape(grid.n_nodes)
     if not np.all(np.isfinite(fvals)):
         bad = int(np.flatnonzero(~np.isfinite(fvals))[0])
         raise NumericError(f"integrand not finite at quadrature node {grid.nodes[bad]}")
-    rvals = rho.evaluate(grid.nodes)
-    return float(np.sum(grid.weights * fvals * rvals))
+    return float(np.sum(grid.weights * fvals * rho.evaluate(grid)))
 
 
 def marginal(rho: ChaosDensity, keep: list[int]) -> ChaosDensity:
@@ -137,13 +136,8 @@ def marginal(rho: ChaosDensity, keep: list[int]) -> ChaosDensity:
         raise ValueError(f"keep set {keep} out of range for dimension {rho.k}")
     if len(keep) == rho.k:
         return rho
-    dropped = [i for i in range(rho.k) if i not in keep]
     new_basis = enumerate_basis(len(keep), rho.basis.degree)
-    coeffs = np.zeros(new_basis.size)
-    for alpha, c in zip(rho.basis.indices, rho.coefficients):
-        if all(alpha[i] == 0 for i in dropped):
-            coeffs[new_basis.position(tuple(alpha[i] for i in keep))] = c
-    return ChaosDensity(new_basis, coeffs)
+    return ChaosDensity(new_basis, rho.coefficients[rho.basis.embed(new_basis, keep)])
 
 
 @dataclass(frozen=True)
@@ -161,15 +155,9 @@ class PointMeasure:
         return self.masses @ self.points
 
 
-def as_measure(
-    rho: ChaosDensity, grid: QuadratureGrid, values: np.ndarray | None = None
-) -> PointMeasure:
-    """Clip node values at 0 and renormalize to a probability point measure.
-
-    values, when given, are rho's values at grid.nodes already computed by
-    the caller (for example coefficients @ eval_matrix(grid.nodes)).
-    """
-    vals = rho.evaluate(grid.nodes) if values is None else values
+def as_measure(rho: ChaosDensity, grid: QuadratureGrid) -> PointMeasure:
+    """Clip node values at 0 and renormalize to a probability point measure."""
+    vals = rho.evaluate(grid)
     region_mass = float(np.sum(grid.weights[vals > 0.0]))
     if region_mass < MIN_POSITIVE_MASS:
         raise DegenerateDensityError(
@@ -204,6 +192,14 @@ class HermiteTest:
         n_max = max(self.beta) if self.beta else 0
         return [hermite_table(max(n_max, 1), x[:, i]) for i in range(self.k)]
 
+    def _lowered(self, tables, i: int, m: int) -> np.ndarray:
+        """d^m/dx_i^m h_beta = sqrt(beta_i! / (beta_i - m)!) h_{beta - m e_i}."""
+        term = math.sqrt(math.perm(self.beta[i], m)) * tables[i][self.beta[i] - m]
+        for j in range(self.k):
+            if j != i:
+                term = term * tables[j][self.beta[j]]
+        return term
+
     def value(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         tables = self._tables(x)
@@ -215,31 +211,19 @@ class HermiteTest:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         tables = self._tables(x)
-        cols = [tables[i][b] for i, b in enumerate(self.beta)]
         grad = np.zeros_like(x)
         for i, b in enumerate(self.beta):
-            if b == 0:
-                continue
-            term = math.sqrt(b) * tables[i][b - 1]
-            for j in range(self.k):
-                if j != i:
-                    term = term * cols[j]
-            grad[:, i] = term
+            if b >= 1:
+                grad[:, i] = self._lowered(tables, i, 1)
         return grad
 
     def laplacian(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
         tables = self._tables(x)
-        cols = [tables[i][b] for i, b in enumerate(self.beta)]
         lap = np.zeros(x.shape[0])
         for i, b in enumerate(self.beta):
-            if b < 2:
-                continue
-            term = math.sqrt(b * (b - 1)) * tables[i][b - 2]
-            for j in range(self.k):
-                if j != i:
-                    term = term * cols[j]
-            lap += term
+            if b >= 2:
+                lap += self._lowered(tables, i, 2)
         return lap
 
 

@@ -61,7 +61,7 @@ def b1_bound_closed_form(c0: float) -> float:
 
 def superlevel_mass_nodes(rho: ChaosDensity, t: float, grid: QuadratureGrid) -> float:
     """gamma(rho >= t) estimated as the quadrature mass of the super-level nodes."""
-    vals = rho.evaluate(grid.nodes)
+    vals = rho.evaluate(grid)
     return float(np.sum(grid.weights[vals >= t]))
 
 
@@ -75,14 +75,10 @@ def superlevel_mass_1d(rho: ChaosDensity, t: float, span: float = 12.0, scan: in
     if rho.k != 1:
         raise ValueError("level-set mass is implemented for 1-D densities only")
     xs = np.linspace(-span, span, scan)
-    vals = rho.evaluate(xs[:, None]) - t
-    crossings = []
-    sign = vals >= 0
-    for j in range(scan - 1):
-        if sign[j] != sign[j + 1]:
-            f = lambda s: rho.evaluate(np.array([s])) - t
-            crossings.append(brentq(f, xs[j], xs[j + 1], xtol=1e-14))
-    edges = [-span] + crossings + [span]
+    sign = rho.evaluate(xs[:, None]) >= t
+    f = lambda s: rho.evaluate(np.array([s])) - t
+    changes = np.flatnonzero(sign[:-1] != sign[1:])
+    edges = [-span] + [brentq(f, xs[j], xs[j + 1], xtol=1e-14) for j in changes] + [span]
     mass = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (a + b)
@@ -135,7 +131,7 @@ def log_moment(rho: ChaosDensity, alpha: float, grid: QuadratureGrid) -> float:
     f = max(rho, 0) at the nodes (clipping policy shared with as_measure)."""
     if not 0.0 < alpha < 0.25:
         raise ValueError("alpha must lie in (0, 1/4)")
-    f = np.clip(rho.evaluate(grid.nodes), 0.0, None)
+    f = np.clip(rho.evaluate(grid), 0.0, None)
     return float(np.sum(grid.weights * f * np.log1p(f) ** alpha))
 
 
@@ -143,7 +139,7 @@ def log_moment_bracket(rho: ChaosDensity, v, p_frozen, alpha: float, grid: Quadr
     """The drift bracket 1 + ||v||_{L^1(mu)} (log(1 + ||v||_{L^1(mu)}))^alpha
     reported alongside the monitored functional."""
     vvals = v.eval_v(p_frozen, grid.nodes, grid)
-    f = np.clip(rho.evaluate(grid.nodes), 0.0, None)
+    f = np.clip(rho.evaluate(grid), 0.0, None)
     l1 = float(np.sum(grid.weights * np.linalg.norm(vvals, axis=1) * f))
     return 1.0 + l1 * math.log1p(l1) ** alpha
 
@@ -164,7 +160,7 @@ def fisher_energy(rho: ChaosDensity, v, p_frozen, grid: QuadratureGrid) -> Fishe
     Both candidate right-hand sides are reported; neither is asserted.
     Skipped (with reason) when the positive part carries too little mass.
     """
-    vals = rho.evaluate(grid.nodes)
+    vals = rho.evaluate(grid)
     positive_mass = float(np.sum(grid.weights[vals > 0.0]))
     if positive_mass < FISHER_MASS_REQUIRED:
         return FisherReport(
@@ -174,7 +170,7 @@ def fisher_energy(rho: ChaosDensity, v, p_frozen, grid: QuadratureGrid) -> Fishe
             skipped=True,
             reason=f"positive-part mass {positive_mass:.8f} below {FISHER_MASS_REQUIRED}",
         )
-    grads = rho.gradient(grid.nodes)
+    grads = rho.gradient(grid)
     mask = vals > FISHER_FLOOR
     fisher = float(
         np.sum(grid.weights[mask] * np.sum(grads[mask] ** 2, axis=1) / vals[mask])

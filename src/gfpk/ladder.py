@@ -100,20 +100,19 @@ def lyapunov_moment(rho: ChaosDensity, weights) -> float:
     return float(total)
 
 
-def _battery_integral(rho: ChaosDensity, grid, phi) -> float:
-    """integral phi d(mu) with phi read through the zero-padding embedding:
-    coordinates beyond the density's dimension are held at 0."""
-    if isinstance(phi, HermiteTest):
-        ambient = len(phi.beta)
-    else:
-        ambient = max(phi.active) + 1
-    if ambient <= rho.k:
-        vals = phi.value(grid.nodes)
-    else:
-        padded = np.zeros((grid.n_nodes, ambient))
-        padded[:, : rho.k] = grid.nodes
-        vals = phi.value(padded)
-    return float(np.sum(grid.weights * vals * rho.evaluate(grid.nodes)))
+def _battery_integrals(rho: ChaosDensity, grid, battery) -> list:
+    """integral phi d(mu) for each phi of the battery, read through the
+    zero-padding embedding: coordinates beyond the density's dimension are
+    held at 0.  rho is evaluated on the grid once for the whole battery."""
+    ambient = max(
+        len(phi.beta) if isinstance(phi, HermiteTest) else max(phi.active) + 1 for phi in battery
+    )
+    points = grid.nodes
+    if ambient > rho.k:
+        points = np.zeros((grid.n_nodes, ambient))
+        points[:, : rho.k] = grid.nodes
+    rvals = rho.evaluate(grid)
+    return [float(np.sum(grid.weights * phi.value(points) * rvals)) for phi in battery]
 
 
 def marginal_distance(rho_a, grid_a, rho_b, grid_b, battery) -> float:
@@ -121,12 +120,9 @@ def marginal_distance(rho_a, grid_a, rho_b, grid_b, battery) -> float:
     measures read through the zero-padding embedding."""
     if not battery:
         raise ValueError("battery must be non-empty")
-    worst = 0.0
-    for phi in battery:
-        da = _battery_integral(rho_a, grid_a, phi)
-        db = _battery_integral(rho_b, grid_b, phi)
-        worst = max(worst, abs(da - db))
-    return worst
+    a = _battery_integrals(rho_a, grid_a, battery)
+    b = _battery_integrals(rho_b, grid_b, battery)
+    return max(abs(da - db) for da, db in zip(a, b))
 
 
 @dataclass
@@ -248,11 +244,10 @@ def run_ladder(v, cfg: LadderConfig, battery=None) -> LadderReport:
 def _zero_pad(rho: ChaosDensity, basis) -> ChaosDensity:
     """Embed a lower-dimensional solution into a larger basis by treating the
     new coordinates as independent standard Gaussians (zero exponents)."""
+    target = basis.embed(rho.basis, range(rho.k))
+    held = target >= 0
     coeffs = np.zeros(basis.size)
-    for alpha, c in zip(rho.basis.indices, rho.coefficients):
-        padded = tuple(alpha) + (0,) * (basis.k - rho.k)
-        if padded in basis.index_map:
-            coeffs[basis.position(padded)] = c
+    coeffs[target[held]] = rho.coefficients[held]
     coeffs[0] = 1.0
     return ChaosDensity(basis, coeffs)
 

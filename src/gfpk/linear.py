@@ -50,20 +50,19 @@ class GalerkinSystem:
         return float(np.linalg.norm(np.diag(self.ou_diagonal) - self.interaction, 1))
 
 
-def assemble(
-    v, p, basis: ChaosBasis, grid: QuadratureGrid, h: np.ndarray | None = None
-) -> GalerkinSystem:
+def assemble(v, p, basis: ChaosBasis, grid: QuadratureGrid, dense_table=None) -> GalerkinSystem:
     """Quadrature assembly of the Galerkin system for drift v frozen at p.
 
     The interaction comes from 1-D Gram matrices when the drift's node
     values and the grid allow it (separable_interaction) and from the dense
-    quadrature sum otherwise.  h = basis.eval_matrix(grid.nodes) does not
-    depend on p; callers that assemble repeatedly on one grid pass it in
-    instead of having the dense path rebuild it.
+    quadrature sum otherwise.  dense_table, a callable returning
+    basis.eval_matrix(grid.nodes), lets callers that assemble repeatedly on
+    one grid build that P x M table once, and only if the dense path runs.
     """
     vvals = _drift_on_grid(v, p, basis, grid)
     interaction = separable_interaction(basis, grid, vvals)
     if interaction is None:
+        h = None if dense_table is None else dense_table()
         interaction = dense_interaction(basis, grid, vvals, h)
     return GalerkinSystem(basis=basis, ou_diagonal=basis.degrees(), interaction=interaction)
 
@@ -86,14 +85,13 @@ def dense_interaction(
     if h is None:
         h = basis.eval_matrix(grid.nodes)  # (P, M)
     lowering = basis.lowering_table()
-    exponents = np.array(basis.indices, dtype=float)
     interaction = np.zeros((basis.size, basis.size))
     for i in range(basis.k):
         weighted = h * (grid.weights * vvals[:, i])  # (P, M)
         gram = weighted @ h.T  # gram[mu, alpha] = <v_i h_mu, h_alpha>
         rows = lowering[:, i]
         mask = rows >= 0
-        interaction[mask] += np.sqrt(exponents[mask, i])[:, None] * gram[rows[mask]]
+        interaction[mask] += np.sqrt(basis.exponents[mask, i])[:, None] * gram[rows[mask]]
     return interaction
 
 
@@ -170,8 +168,12 @@ def residual(rho: ChaosDensity, v, p_frozen, phi, grid: QuadratureGrid) -> float
     Hermite polynomials of degree <= N; for bump tests the magnitude is
     limited by quadrature and truncation error.
     """
+    vvals = v.eval_v(p_frozen, grid.nodes, grid)
+    return _weak_defect(phi, grid, vvals, rho.evaluate(grid))
+
+
+def _weak_defect(phi, grid: QuadratureGrid, vvals: np.ndarray, rvals: np.ndarray) -> float:
     x = grid.nodes
-    vvals = v.eval_v(p_frozen, x, grid)
     if isinstance(phi, HermiteTest):
         # OU part exactly: (Lap - x.grad) h_beta = -|beta| h_beta
         ou = -float(sum(phi.beta)) * phi.value(x)
@@ -181,16 +183,17 @@ def residual(rho: ChaosDensity, v, p_frozen, phi, grid: QuadratureGrid) -> float
         integrand = phi.laplacian(x) + np.sum(drift_full * phi.gradient(x), axis=1)
     else:
         raise TypeError(f"unsupported test function type {type(phi).__name__}")
-    rvals = rho.evaluate(x)
     return float(np.sum(grid.weights * integrand * rvals))
 
 
-def residual_suite(rho, v, p_frozen, grid, bump_tests=()):
+def residual_suite(rho, v, p_frozen, grid, bump_tests=(), bump_grid=None):
     """Residuals for every Hermite test of degree <= N plus optional bumps.
 
     The residuals use the dense assembly whatever path the solve took, so
-    they cross-check the separable assembly.  Returns (hermite_max,
-    system_norm, bump_values); callers compare hermite_max against
+    they cross-check the separable assembly.  The bump residuals are taken
+    on bump_grid (default: grid), where the drift and the density are
+    evaluated once for all bumps.  Returns (hermite_max, system_norm,
+    bump_values); callers compare hermite_max against
     tol * (1 + system_norm).
     """
     basis = rho.basis
@@ -199,5 +202,10 @@ def residual_suite(rho, v, p_frozen, grid, bump_tests=()):
     coeffs = rho.coefficients
     full = system.interaction @ coeffs - system.ou_diagonal * coeffs
     hermite_max = float(np.max(np.abs(full[1:]))) if rho.basis.size > 1 else 0.0
-    bump_values = [residual(rho, v, p_frozen, phi, grid) for phi in bump_tests]
+    bump_values = []
+    if bump_tests:
+        bgrid = grid if bump_grid is None else bump_grid
+        bvals = v.eval_v(p_frozen, bgrid.nodes, bgrid)
+        rvals = rho.evaluate(bgrid)
+        bump_values = [_weak_defect(phi, bgrid, bvals, rvals) for phi in bump_tests]
     return hermite_max, system.norm(), bump_values

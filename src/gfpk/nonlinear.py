@@ -9,6 +9,7 @@ stronger than the weak closeness the existence argument needs.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 
@@ -89,12 +90,12 @@ def fixed_point_solve(
     theta = opts.damping
     ball_radius_sq = b1_bound(v.c0) if np.isfinite(v.c0) else None
     trace = FixedPointTrace()
-    # the p-independent evaluation matrix, built once; each iterate is read
-    # as a point measure on the grid from its node values coefficients @ h
-    h = basis.eval_matrix(grid.nodes)
+    # the dense assembly's P x M table is built at most once per solve, and
+    # only if the separable path declines
+    dense_table = functools.cache(lambda: basis.eval_matrix(grid.nodes))
     for _ in range(opts.max_iterations + 1):
-        measure = as_measure(p, grid, values=p.coefficients @ h)
-        rho = solve_system(assemble(v, measure, basis, grid, h=h))
+        measure = as_measure(p, grid)
+        rho = solve_system(assemble(v, measure, basis, grid, dense_table))
         psi_res = l2_distance(rho, p)
         trace.psi_residuals.append(psi_res)
         trace.l2_norms_sq.append(p.l2_norm_sq())

@@ -123,8 +123,6 @@ class SdeMoments:
     second: np.ndarray  # E[x_i x_j]
     second_se: np.ndarray
     n_batches: int
-    weighted_moment: float | None = None
-    weighted_moment_se: float | None = None
 
 
 def oracle_sde(
@@ -138,7 +136,6 @@ def oracle_sde(
     burn_in: float = 0.2,
     n_batches: int = SDE_BATCHES,
     grid=None,
-    weights=None,
 ) -> SdeMoments:
     """Euler-Maruyama sampling of dX = (-X + v(p, X)) dt + sqrt(2) dW.
 
@@ -160,7 +157,6 @@ def oracle_sde(
     group = n_particles // n_batches
     mean_batches = np.zeros((n_batches, k))
     second_batches = np.zeros((n_batches, k, k))
-    weighted_batches = np.zeros(n_batches) if weights is not None else None
     sqrt_2dt = math.sqrt(2.0 * dt)
     for step in range(n_steps):
         drift = v.eval_v(p_frozen, x, grid) - x
@@ -172,12 +168,8 @@ def oracle_sde(
         xr = x.reshape(n_batches, group, k)
         mean_batches += xr.mean(axis=1)
         second_batches += np.einsum("bgi,bgj->bij", xr, xr) / group
-        if weighted_batches is not None:
-            weighted_batches += (xr**2 @ np.asarray(weights)).mean(axis=1)
     mean_batches /= kept
     second_batches /= kept
-    if weighted_batches is not None:
-        weighted_batches /= kept
     sqrt_nb = math.sqrt(n_batches)
     return SdeMoments(
         mean=mean_batches.mean(axis=0),
@@ -185,10 +177,6 @@ def oracle_sde(
         second=second_batches.mean(axis=0),
         second_se=second_batches.std(axis=0, ddof=1) / sqrt_nb,
         n_batches=n_batches,
-        weighted_moment=None if weighted_batches is None else float(weighted_batches.mean()),
-        weighted_moment_se=None
-        if weighted_batches is None
-        else float(weighted_batches.std(ddof=1) / sqrt_nb),
     )
 
 
@@ -219,6 +207,38 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fd_matrix(v, x: np.ndarray, h: float):
+    """Flux-balance matrix of the exponentially fitted scheme, cell (i, j) at
+    row i * n + j, with the last row replaced by the unit-mass constraint."""
+    n = x.size
+    mid = 0.5 * (x[:-1] + x[1:])
+    cells = np.arange(n * n).reshape(n, n)
+    rows, cols, data = [], [], []
+    # faces between adjacent cells along each axis: (lower cell, upper cell)
+    for axis, face_pts, lo, step in (
+        (0, np.stack([np.repeat(mid, n), np.tile(x, n - 1)], axis=1), cells[:-1].ravel(), n),
+        (1, np.stack([np.repeat(x, n - 1), np.tile(mid, n)], axis=1), cells[:, :-1].ravel(), 1),
+    ):
+        b_face = np.asarray(v(face_pts), dtype=float) - face_pts
+        w = b_face[:, axis] * h
+        b_minus = _bernoulli(-w) / h**2  # multiplies the lower cell
+        b_plus = _bernoulli(w) / h**2  # multiplies the upper cell
+        hi = lo + step
+        # flux F = B(-w) u_lo - B(w) u_hi leaves lo and enters hi
+        rows.append(np.stack([lo, lo, hi, hi], axis=1).ravel())
+        cols.append(np.stack([lo, hi, lo, hi], axis=1).ravel())
+        data.append(np.stack([b_minus, -b_plus, -b_minus, b_plus], axis=1).ravel())
+    rows, cols, data = (np.concatenate(part) for part in (rows, cols, data))
+    # rows sum to a singular conservation system; the last equation becomes
+    # the unit-mass constraint
+    last = n * n - 1
+    keep = rows != last
+    rows = np.concatenate([rows[keep], np.full(n * n, last)])
+    cols = np.concatenate([cols[keep], np.arange(n * n)])
+    data = np.concatenate([data[keep], np.full(n * n, h * h)])
+    return sp.csr_matrix((data, (rows, cols)), shape=(n * n, n * n))
+
+
 def oracle_fd_2d(v, span: float = 6.0, n: int = 161) -> GridDensity2D:
     """Steady state of div(grad u - b u) = 0 on a box with zero-flux walls.
 
@@ -229,48 +249,7 @@ def oracle_fd_2d(v, span: float = 6.0, n: int = 161) -> GridDensity2D:
     """
     h = 2.0 * span / n
     x = -span + h * (np.arange(n) + 0.5)
-    idx = lambda i, j: i * n + j
-
-    rows, cols, data = [], [], []
-
-    def add(r, c, val):
-        rows.append(r)
-        cols.append(c)
-        data.append(val)
-
-    # faces between adjacent cells along each axis
-    for axis in range(2):
-        if axis == 0:
-            face_pts = np.stack(
-                [np.repeat(0.5 * (x[:-1] + x[1:]), n), np.tile(x, n - 1)], axis=1
-            )
-        else:
-            face_pts = np.stack(
-                [np.repeat(x, n - 1), np.tile(0.5 * (x[:-1] + x[1:]), n)], axis=1
-            )
-        b_face = np.asarray(v(face_pts), dtype=float) - face_pts
-        w = b_face[:, axis] * h
-        b_minus = _bernoulli(-w) / h**2  # multiplies the lower cell
-        b_plus = _bernoulli(w) / h**2  # multiplies the upper cell
-        for m in range(face_pts.shape[0]):
-            if axis == 0:
-                i, j = divmod(m, n)
-                lo, hi = idx(i, j), idx(i + 1, j)
-            else:
-                i, j = divmod(m, n - 1)
-                lo, hi = idx(i, j), idx(i, j + 1)
-            # flux F = B(-w) u_lo - B(w) u_hi leaves lo and enters hi
-            add(lo, lo, b_minus[m])
-            add(lo, hi, -b_plus[m])
-            add(hi, lo, -b_minus[m])
-            add(hi, hi, b_plus[m])
-
-    matrix = sp.csr_matrix((data, (rows, cols)), shape=(n * n, n * n))
-    # rows sum to a singular conservation system; replace the last equation
-    # with the unit-mass constraint
-    matrix = matrix.tolil()
-    matrix[n * n - 1, :] = h * h
-    matrix = matrix.tocsr()
+    matrix = _fd_matrix(v, x, h)
     rhs = np.zeros(n * n)
     rhs[-1] = 1.0
     u = spla.spsolve(matrix, rhs)

@@ -9,11 +9,11 @@ from gfpk import (
     enumerate_basis,
     enumerate_multi_indices,
     gauss_hermite,
-    hermite_eval,
     hermite_table,
     tensor_grid,
     uniform_gaussian_grid,
 )
+from helpers import hermite_eval
 
 
 def test_enumerate_1d_degree_3():

@@ -16,7 +16,7 @@ from gfpk import (
     marginal,
     tensor_grid,
 )
-from helpers import cameron_martin
+from helpers import cameron_martin, hermite_eval
 
 
 def test_constant_density_evaluates_to_one():
@@ -85,8 +85,6 @@ def test_marginal_product_density():
     marg = marginal(rho, [0])
     assert np.allclose(marg.coefficients, a, atol=1e-15)
     # quadrature oracle for one coefficient: <marginal, h_2>
-    from gfpk import hermite_eval
-
     grid = tensor_grid(10, 2)
     oracle = float(
         np.sum(grid.weights * hermite_eval(2, grid.nodes[:, 0]) * rho.evaluate(grid.nodes))
@@ -161,8 +159,6 @@ def test_from_json_rejects_unknown_ordering():
 def test_hermite_test_value_gradient_laplacian():
     phi = HermiteTest((2, 1))
     x = np.array([[0.5, -0.7], [1.2, 0.1]])
-    from gfpk import hermite_eval
-
     expected = hermite_eval(2, x[:, 0]) * hermite_eval(1, x[:, 1])
     assert np.allclose(phi.value(x), expected)
     eps = 1e-6

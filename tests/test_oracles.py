@@ -131,3 +131,52 @@ def test_fd_2d_marginal_mass():
     fd = oracle_fd_2d(lambda x: np.zeros_like(x), span=6.0, n=61)
     for axis in (0, 1):
         assert np.sum(fd.marginal(axis)) * fd.h == pytest.approx(1.0, abs=1e-12)
+
+
+def loop_built_fd_matrix(v, x, h):
+    """The flux-balance matrix assembled face by face, as a reference for the
+    array assembly: four entries per face, then the last row replaced by the
+    unit-mass constraint."""
+    import scipy.sparse as sp
+
+    from gfpk.oracles import _bernoulli
+
+    n = x.size
+    rows, cols, data = [], [], []
+    for axis in range(2):
+        if axis == 0:
+            face_pts = np.stack([np.repeat(0.5 * (x[:-1] + x[1:]), n), np.tile(x, n - 1)], axis=1)
+        else:
+            face_pts = np.stack([np.repeat(x, n - 1), np.tile(0.5 * (x[:-1] + x[1:]), n)], axis=1)
+        w = (np.asarray(v(face_pts)) - face_pts)[:, axis] * h
+        b_minus, b_plus = _bernoulli(-w) / h**2, _bernoulli(w) / h**2
+        for m in range(face_pts.shape[0]):
+            if axis == 0:
+                i, j = divmod(m, n)
+                lo, hi = i * n + j, (i + 1) * n + j
+            else:
+                i, j = divmod(m, n - 1)
+                lo, hi = i * n + j, i * n + j + 1
+            rows += [lo, lo, hi, hi]
+            cols += [lo, hi, lo, hi]
+            data += [b_minus[m], -b_plus[m], -b_minus[m], b_plus[m]]
+    matrix = sp.csr_matrix((data, (rows, cols)), shape=(n * n, n * n)).tolil()
+    matrix[n * n - 1, :] = h * h
+    return matrix.tocsr()
+
+
+@pytest.mark.parametrize("n", [5, 40])
+def test_fd_matrix_matches_face_loop(n):
+    from gfpk import rotational_drift
+    from gfpk.oracles import _fd_matrix
+
+    v = rotational_drift(0.3, 2, offset=[0.2, 0.0])
+    span = 6.0
+    h = 2.0 * span / n
+    x = -span + h * (np.arange(n) + 0.5)
+    field = lambda pts: v.eval_v(None, pts)
+    fast, reference = _fd_matrix(field, x, h), loop_built_fd_matrix(field, x, h)
+    assert fast.shape == reference.shape
+    difference = abs(fast - reference)
+    assert difference.max() <= 1e-15 * abs(reference).max()
+    assert (fast != 0).nnz == (reference != 0).nnz
