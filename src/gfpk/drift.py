@@ -34,6 +34,23 @@ H_BOUND = "H"
 COMPONENTWISE_BOUND = "componentwise"
 
 
+def h_norm(values, axis=None) -> np.ndarray:
+    """Euclidean norm of `values` along `axis` (all entries when None).
+
+    The entries are scaled by a power of two before they are squared, so
+    small vectors do not lose their norm to underflow (|v| = 4.9e-162 read
+    as 4.97e-162 unscaled) and large ones do not overflow; in between the
+    result is bitwise np.linalg.norm, since the scaling is exact.
+    """
+    values = np.asarray(values, dtype=float)
+    top = np.max(np.abs(values), axis=axis, keepdims=True, initial=0.0)
+    _, exponent = np.frexp(top)
+    norm = np.linalg.norm(np.ldexp(values, -exponent), axis=axis)
+    if axis is None:
+        return np.ldexp(norm, int(exponent.flat[0]))
+    return np.ldexp(norm, np.squeeze(exponent, axis=axis))
+
+
 # -- convolution kernels ---------------------------------------------------
 
 
@@ -73,7 +90,12 @@ class ConstantKernel(ComponentwiseKernel):
         return max(abs(c) for c in self.h)
 
     def h_bound_for(self, k: int) -> float:
-        return math.sqrt(sum(c * c for c in self.h))
+        # scaled by a power of two before squaring, as in h_norm
+        top = max(abs(c) for c in self.h)
+        if top == 0.0:
+            return 0.0
+        _, exponent = math.frexp(top)
+        return math.ldexp(math.sqrt(sum(math.ldexp(c, -exponent) ** 2 for c in self.h)), exponent)
 
     def component(self, i: int, z: np.ndarray) -> np.ndarray:
         return np.full(z.shape, float(self.h[i]))
@@ -146,7 +168,7 @@ class DriftField:
 
     def _check_bound(self, values: np.ndarray):
         if self.bound_kind == H_BOUND:
-            worst = float(np.max(np.linalg.norm(values, axis=1), initial=0.0))
+            worst = float(np.max(h_norm(values, axis=1), initial=0.0))
         else:
             worst = float(np.max(np.abs(values), initial=0.0))
         if worst > self.bound * (1.0 + BOUND_SLACK) + 1e-300:
@@ -209,7 +231,7 @@ def constant_drift(h) -> DriftField:
         return np.broadcast_to(h, x.shape).copy()
 
     return DriftField(
-        "constant", h.size, evaluator, H_BOUND, float(np.linalg.norm(h)),
+        "constant", h.size, evaluator, H_BOUND, float(h_norm(h)),
         restrict=lambda j: constant_drift(h[:j]),
     )
 
@@ -381,7 +403,7 @@ def rotational_drift(scale: float, k: int = 2, offset=None) -> DriftField:
         rotated[:, 1::2] = x[:, 0::2]
         return scale * rotated / (1.0 + np.sum(x * x, axis=1))[:, None] + shift
 
-    bound = abs(scale) / 2.0 + float(np.linalg.norm(shift))
+    bound = abs(scale) / 2.0 + float(h_norm(shift))
     return DriftField("rotational", k, evaluator, H_BOUND, bound)
 
 

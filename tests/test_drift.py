@@ -179,3 +179,28 @@ def test_kernel_bounds():
     z = np.linspace(-10, 10, 1001)
     assert np.max(np.abs(GaussianLobeKernel(2.0)(z))) <= 2.0 * math.exp(-0.5) + 1e-12
     assert np.max(np.abs(ClippedLinearKernel(5.0, 0.4)(z))) <= 0.4
+
+
+@pytest.mark.parametrize("scale", [4.9e-162, -1.1648016382560584e-170, 3e-200, 5e-310])
+def test_tiny_fields_keep_their_bounds(scale):
+    # unscaled squares underflow here: |v| read 4.97e-162 against the tanh
+    # kernel's bound 4.9e-162, and the constant kernel's bound read 0
+    grid = tensor_grid(2, 1)
+    for kernel in (TanhKernel(scale), ConstantKernel((scale,)), ConstantKernel((scale, scale / 3))):
+        v = vlasov_drift(kernel, len(getattr(kernel, "h", (0,))), grid)
+        assert v.bound > 0.0
+    assert constant_drift([scale, scale]).bound == pytest.approx(abs(scale) * math.sqrt(2), rel=1e-15)
+    assert rotational_drift(0.0, 2, offset=[scale, 0.0]).bound == abs(scale)
+
+
+def test_h_norm_is_linalg_norm_in_range():
+    from gfpk.drift import h_norm
+
+    rng = np.random.default_rng(5)
+    for shape in [(7,), (50, 3), (9, 1)]:
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100)
+        axis = None if len(shape) == 1 else 1
+        assert np.array_equal(h_norm(values, axis=axis), np.linalg.norm(values, axis=axis))
+    assert h_norm(np.zeros((4, 2)), axis=1).tolist() == [0.0] * 4
+    assert h_norm([3e200, 4e200]) == pytest.approx(5e200, rel=1e-15)
+    assert ConstantKernel((0.3, -0.4)).h_bound_for(2) == math.sqrt(0.3 * 0.3 + 0.4 * 0.4)
