@@ -27,7 +27,6 @@ from .diagnostics import (
     BoundReport,
     FisherReport,
     b1_bound,
-    b1_bound_closed_form,
     fisher_energy,
     log_moment,
     log_moment_bracket,

@@ -193,8 +193,9 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
             report["sweep"], report["checks_passed"] = _run_sweep(config, out, threads)
         elif config.mode == "verify":
             rho = _read_density(config.verify["density"])
-            check_sizes("verify density", rho.k, rho.basis.degree, config.effective_quad_order)
-            grid = tensor_grid(config.effective_quad_order, rho.k)
+            quad_order = config.quad_order_for(rho.basis.degree)
+            check_sizes("verify density", rho.k, rho.basis.degree, quad_order)
+            grid = tensor_grid(quad_order, rho.k)
             v, reads_measure = drift_from_block(config.drift, rho.k, grid)
             p_frozen = rho if reads_measure else ChaosDensity.constant(rho.basis)
             checks, passed = density_checks(rho, v, p_frozen, grid)

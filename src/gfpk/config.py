@@ -99,7 +99,11 @@ class RunConfig:
 
     @property
     def effective_quad_order(self) -> int:
-        return self.quad_order if self.quad_order else max(2 * self.degree, self.degree + 1)
+        return self.quad_order_for(self.degree)
+
+    def quad_order_for(self, degree: int) -> int:
+        """The configured Q, else the default max(2N, N + 1) for degree N."""
+        return self.quad_order if self.quad_order else max(2 * degree, degree + 1)
 
 
 def check_sizes(context: str, k: int, degree: int, quad_order: int):

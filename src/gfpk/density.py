@@ -152,7 +152,13 @@ class PointMeasure:
     clip_defect: float
 
     def mean(self) -> np.ndarray:
-        return self.masses @ self.points
+        """Coordinate means, computed once per measure and read-only: every
+        component of a drift may ask for them."""
+        if "_mean" not in self.__dict__:
+            mean = self.masses @ self.points
+            mean.flags.writeable = False
+            object.__setattr__(self, "_mean", mean)
+        return self.__dict__["_mean"]
 
 
 def as_measure(rho: ChaosDensity, grid: QuadratureGrid) -> PointMeasure:

@@ -12,9 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import erf, ndtr
 
 from .basis import QuadratureGrid
 from .density import ChaosDensity
@@ -37,26 +34,22 @@ class BoundReport:
 def b1_bound(c0: float) -> float:
     """A-priori radius B(C0) = 1 + 2 e^2 int_1^inf t exp(-(ln t)^2 / C0^2) dt.
 
-    Computed by adaptive quadrature after the substitution u = ln t; B(0) = 1
-    (zero drift forces the density to be identically 1).
+    Completing the square after the substitution u = ln t gives the closed
+    form 1 + e^2 sqrt(pi) C0 e^{C0^2} (1 + erf(C0)); B(0) = 1 (zero drift
+    forces the density to be identically 1).  A NumericError where the
+    radius exceeds the float range (C0 above about 26.6).
     """
     if c0 < 0:
         raise ValueError("C0 must be nonnegative")
     if c0 == 0.0:
         return 1.0
-    integrand = lambda u: math.exp(2.0 * u - (u / c0) ** 2)
-    value, err = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
-    if not np.isfinite(value) or err > 1e-8 * max(1.0, value):
-        raise NumericError(f"ball-radius quadrature did not converge for C0={c0}")
-    return 1.0 + 2.0 * math.e**2 * value
-
-
-def b1_bound_closed_form(c0: float) -> float:
-    """Closed form 1 + e^2 sqrt(pi) C0 e^{C0^2} (1 + erf(C0)), by completing
-    the square in the u-substituted integral; used as the independent oracle."""
-    if c0 == 0.0:
-        return 1.0
-    return 1.0 + math.e**2 * math.sqrt(math.pi) * c0 * math.exp(c0**2) * (1.0 + erf(c0))
+    try:
+        value = 1.0 + math.e**2 * math.sqrt(math.pi) * c0 * math.exp(c0**2) * (1.0 + math.erf(c0))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NumericError(f"ball radius is not a finite float for C0={c0}")
+    return value
 
 
 def superlevel_mass_nodes(rho: ChaosDensity, t: float, grid: QuadratureGrid) -> float:
@@ -72,6 +65,8 @@ def superlevel_mass_1d(rho: ChaosDensity, t: float, span: float = 12.0, scan: in
     by bisection and sums the exact Gaussian mass of the super-level
     intervals.  Accurate to root-finding precision, unlike node counting.
     """
+    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
+
     if rho.k != 1:
         raise ValueError("level-set mass is implemented for 1-D densities only")
     xs = np.linspace(-span, span, scan)
@@ -83,8 +78,12 @@ def superlevel_mass_1d(rho: ChaosDensity, t: float, span: float = 12.0, scan: in
     for a, b in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (a + b)
         if rho.evaluate(np.array([mid])) >= t:
-            mass += float(ndtr(b) - ndtr(a))
+            mass += _gaussian_cdf(b) - _gaussian_cdf(a)
     return mass
+
+
+def _gaussian_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def tail_check(

@@ -364,8 +364,10 @@ def componentwise_drift(components, k: int | None = None, bound: float = 0.0) ->
 
     def evaluator(p, x, grid):
         measure = _as_point_measure(p, grid)
-        padded = np.zeros((x.shape[0], ambient))
-        padded[:, : x.shape[1]] = x
+        padded = x
+        if x.shape[1] < ambient:
+            padded = np.zeros((x.shape[0], ambient))
+            padded[:, : x.shape[1]] = x
         out = np.empty((x.shape[0], k))
         for i in range(k):
             out[:, i] = np.asarray(components[i](measure, padded), dtype=float)

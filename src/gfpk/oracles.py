@@ -11,10 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.integrate import cumulative_trapezoid
-from scipy.signal import fftconvolve
 
 from .errors import DomainError, InstabilityError, NumericError
 
@@ -47,6 +43,20 @@ class GridDensity1D:
         return float(np.trapezoid(self.x**2 * self.pdf, self.x))
 
 
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x from x[0], summed in the order
+    of scipy.integrate.cumulative_trapezoid(y, x, initial=0)."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
+def _convolve_valid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.convolve(a, b, mode="valid") for len(a) >= len(b), by real FFTs of
+    a power-of-two length that holds the full convolution."""
+    size = 1 << (a.size + b.size - 2).bit_length()
+    full = np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)
+    return full[b.size - 1 : a.size]
+
+
 def _normalize_1d(x, unnormalized) -> GridDensity1D:
     peak = float(np.max(unnormalized))
     if unnormalized[0] > BOUNDARY_DENSITY_LIMIT * peak or unnormalized[-1] > BOUNDARY_DENSITY_LIMIT * peak:
@@ -64,7 +74,7 @@ def oracle_1d(v, span: float = 10.0, n_points: int = 20001) -> GridDensity1D:
         n_points += 1  # keep 0 on the grid to anchor the potential integral
     x = np.linspace(-span, span, n_points)
     vvals = np.asarray(v(x), dtype=float)
-    potential = cumulative_trapezoid(vvals, x, initial=0.0)
+    potential = _cumulative_trapezoid(vvals, x)
     potential -= potential[n_points // 2]
     log_density = -0.5 * x**2 + potential
     return _normalize_1d(x, np.exp(log_density - log_density.max()))
@@ -92,8 +102,8 @@ def oracle_1d_selfconsistent(
     density = np.exp(-0.5 * x**2)
     density /= np.trapezoid(density, x)
     for _ in range(max_iterations):
-        v = h * fftconvolve(kernel_samples, density, mode="valid")
-        potential = cumulative_trapezoid(v, x, initial=0.0)
+        v = h * _convolve_valid(kernel_samples, density)
+        potential = _cumulative_trapezoid(v, x)
         potential -= potential[n_points // 2]
         log_density = -0.5 * x**2 + potential
         new = np.exp(log_density - log_density.max())
@@ -210,6 +220,8 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
 def _fd_matrix(v, x: np.ndarray, h: float):
     """Flux-balance matrix of the exponentially fitted scheme, cell (i, j) at
     row i * n + j, with the last row replaced by the unit-mass constraint."""
+    import scipy.sparse as sp  # deferred: only the FD oracle needs scipy.sparse
+
     n = x.size
     mid = 0.5 * (x[:-1] + x[1:])
     cells = np.arange(n * n).reshape(n, n)
@@ -247,6 +259,8 @@ def oracle_fd_2d(v, span: float = 6.0, n: int = 161) -> GridDensity2D:
     unit-mass constraint.  v maps (m, 2) points to (m, 2) values; the full
     drift -x + v is formed internally.
     """
+    import scipy.sparse.linalg as spla
+
     h = 2.0 * span / n
     x = -span + h * (np.arange(n) + 0.5)
     matrix = _fd_matrix(v, x, h)

@@ -17,6 +17,19 @@ def hermite_eval(n: int, x):
     return h if h.shape else float(h)
 
 
+def b1_bound_quadrature(c0: float) -> float:
+    """Independent value of the a-priori radius B(C0) = 1 + 2 e^2 int_1^inf
+    t exp(-(ln t)^2 / C0^2) dt: adaptive quadrature after u = ln t."""
+    from scipy.integrate import quad
+
+    if c0 == 0.0:
+        return 1.0
+    integrand = lambda u: math.exp(2.0 * u - (u / c0) ** 2)
+    value, err = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
+    assert np.isfinite(value) and err <= 1e-8 * max(1.0, value), f"quadrature failed at C0={c0}"
+    return 1.0 + 2.0 * math.e**2 * value
+
+
 def cameron_martin(c: float, degree: int) -> ChaosDensity:
     """1-D density exp(cx - c^2/2) relative to gamma: c_n = c^n / sqrt(n!)."""
     basis = enumerate_basis(1, degree)

@@ -1,6 +1,9 @@
 """Config parsing, mode dispatch, artifacts and the exit-code contract."""
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -103,6 +106,42 @@ def test_verify_is_idempotent(tmp_path):
     }
     code = main(["verify", "--config", write_config(tmp_path, verify, "ver.json")])
     assert code == 0
+
+
+def test_verify_takes_default_q_from_the_density_degree(tmp_path):
+    """With N and Q left out, Q comes from the density's degree (16 -> 32),
+    not from the default N=8, so the checks run instead of a config error."""
+    out = tmp_path / "out"
+    solve = dict(linear_config(str(out)), N=16, Q=32)
+    assert main(["solve-linear", "--config", write_config(tmp_path, solve)]) == 0
+    verify = {
+        "mode": "verify",
+        "k": 1,
+        "drift": {"kind": "constant", "h": [0.3]},
+        "verify": {"density": str(out / "density.json")},
+        "output": {"dir": str(tmp_path / "ver")},
+    }
+    code = main(["verify", "--config", write_config(tmp_path, verify, "ver.json")])
+    assert code in (0, 1)
+    report = json.loads((tmp_path / "ver" / "report.json").read_text())
+    assert report["checks_passed"] is (code == 0)
+
+
+HEAVY_SCIPY = ("scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special", "scipy.stats")
+
+
+@pytest.mark.parametrize("module", ["gfpk.cli", "gfpk"])
+def test_import_loads_no_heavy_scipy_subpackage(module):
+    """Every CLI call pays for this import: numpy and scipy.linalg.lapack
+    only; the oracles and the level-set mass import the rest on first use."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    probe = f"import sys, {module}; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert module in loaded
+    assert [m for m in HEAVY_SCIPY if m in loaded] == []
 
 
 def test_malformed_config_exit_2_no_outputs(tmp_path):

@@ -7,8 +7,8 @@ from scipy.special import ndtr
 
 from gfpk import (
     ChaosDensity,
+    NumericError,
     b1_bound,
-    b1_bound_closed_form,
     constant_drift,
     enumerate_basis,
     fisher_energy,
@@ -18,30 +18,38 @@ from gfpk import (
     tensor_grid,
 )
 from gfpk.diagnostics import log_moment_bracket
-from helpers import cameron_martin
+from helpers import b1_bound_quadrature, cameron_martin
 
 
 def test_b1_bound_zero_is_one():
     assert b1_bound(0.0) == 1.0
-    assert b1_bound_closed_form(0.0) == 1.0
 
 
-def test_b1_bound_matches_closed_form():
+def test_b1_bound_matches_quadrature():
     for c0 in (0.1, 0.5, 1.0, 2.0, 5.0):
-        numeric = b1_bound(c0)
-        closed = b1_bound_closed_form(c0)
+        numeric = b1_bound_quadrature(c0)
+        closed = b1_bound(c0)
         assert abs(numeric - closed) <= 1e-10 * closed
 
 
-# every C0 on 0.05, 0.10, ..., 11.95; quad's default absolute tolerance made
-# 25 of these (0.15, 1.1 and 7.1 among them) fail the convergence check
+# every C0 on 0.05, 0.10, ..., 11.95; the quadrature is the independent check
+# of the closed form (with quad's default absolute tolerance, 25 of these,
+# 0.15, 1.1 and 7.1 among them, once failed its convergence check)
 B1_GRID = [round(0.05 * j, 2) for j in range(1, 240)]
 
 
 @pytest.mark.parametrize("c0", B1_GRID)
 def test_b1_bound_converges_on_c0_grid(c0):
-    closed = b1_bound_closed_form(c0)
-    assert abs(b1_bound(c0) - closed) <= 1e-12 * closed
+    closed = b1_bound(c0)
+    assert abs(b1_bound_quadrature(c0) - closed) <= 1e-12 * closed
+
+
+@pytest.mark.parametrize("c0", [26.6, 30.0, math.inf, math.nan])
+def test_b1_bound_beyond_float_range_raises(c0):
+    """e^{C0^2} overflows above C0 = 26.6: a NumericError, never an
+    OverflowError or an infinite radius."""
+    with pytest.raises(NumericError):
+        b1_bound(c0)
 
 
 def test_b1_bound_monotone():
@@ -86,6 +94,24 @@ def test_cameron_martin_levelset_mass_matches_erf():
         left = superlevel_mass_1d(rho, t)
         exact = 1.0 - ndtr(math.log(t) / c + c / 2.0)
         assert abs(left - exact) <= 1e-8
+
+
+# values of the scipy.special.ndtr implementation of the level-set mass
+LEVELSET_MASSES = {
+    (0.3, 1.5): 0.06660663570537873,
+    (0.3, 2.0): 0.00693736029152725,
+    (0.3, 4.0): 9.166532490834101e-07,
+    (0.3, 8.0): 7.132072710192006e-13,
+    (-0.5, 1.5): 0.14436080820826952,
+    (-0.5, 2.0): 0.05088899791280395,
+    (-0.5, 4.0): 0.0012531130333041064,
+    (-0.5, 8.0): 5.195254434309807e-06,
+}
+
+
+@pytest.mark.parametrize("c, t", sorted(LEVELSET_MASSES))
+def test_levelset_mass_matches_ndtr_values(c, t):
+    assert abs(superlevel_mass_1d(cameron_martin(c, 12), t) - LEVELSET_MASSES[c, t]) <= 1e-15
 
 
 def test_cameron_martin_tail_bound_certified():

@@ -9,12 +9,14 @@ from gfpk import (
     ChaosDensity,
     ConstantKernel,
     TanhKernel,
+    as_measure,
     clipped_potential_drift,
     componentwise_drift,
     constant_drift,
     custom_drift,
     enumerate_basis,
     rotational_drift,
+    tanh_components,
     tensor_grid,
     truncate_to_k,
     vlasov_drift,
@@ -114,6 +116,30 @@ def test_componentwise_truncation():
     v2 = truncate_to_k(v, 2)
     out = v2.eval_v(None, np.zeros((1, 2)))
     assert np.allclose(out, [weights[0], weights[1]])
+
+
+@pytest.mark.parametrize("k, ambient", [(1, 1), (3, 3), (3, 5)])
+def test_mean_shift_tanh_matches_per_component_evaluation(k, ambient):
+    """Bitwise the values of each component reading its own copy of the
+    mean and of the zero-padded points."""
+    scale = 0.5
+    rng = np.random.default_rng(k + ambient)
+    grid = tensor_grid(6, k)
+    basis = enumerate_basis(k, 3)
+    coefficients = np.concatenate([[1.0], 0.1 * rng.standard_normal(basis.size - 1)])
+    p = ChaosDensity(basis, coefficients)
+    x = rng.standard_normal((40, k))
+    v = componentwise_drift(tanh_components(scale, ambient, mean_shift=True), k, scale)
+    measure = as_measure(p, grid)
+    padded = np.zeros((x.shape[0], ambient))
+    padded[:, :k] = x
+    reference = np.stack(
+        [scale * np.tanh(padded[:, n] - (measure.masses @ measure.points)[n]) for n in range(k)],
+        axis=1,
+    )
+    assert np.array_equal(v.eval_v(p, x, grid), reference)
+    assert np.array_equal(v.eval_v(measure, x), reference)
+    assert measure.mean() is measure.mean() and not measure.mean().flags.writeable
 
 
 def test_truncate_constant_field():

@@ -47,6 +47,31 @@ def test_oracle_1d_selfconsistent_symmetric():
     assert oracle.second_moment() == pytest.approx(1.0, abs=0.2)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_cumulative_trapezoid_is_scipy_bitwise(seed):
+    from scipy.integrate import cumulative_trapezoid
+
+    from gfpk.oracles import _cumulative_trapezoid
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 3000))
+    x = np.sort(rng.uniform(-10.0, 10.0, n))
+    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    assert np.array_equal(_cumulative_trapezoid(y, x), cumulative_trapezoid(y, x, initial=0.0))
+
+
+@pytest.mark.parametrize("na, nb", [(1, 1), (2, 1), (7, 3), (64, 64), (1001, 333), (40001, 20001)])
+def test_fft_valid_convolution_matches_direct(na, nb):
+    from gfpk.oracles import _convolve_valid
+
+    rng = np.random.default_rng(na + nb)
+    a, b = rng.standard_normal(na), rng.standard_normal(nb)
+    direct = np.convolve(a, b, mode="valid")
+    fast = _convolve_valid(a, b)
+    assert fast.shape == direct.shape
+    assert np.max(np.abs(fast - direct)) <= 1e-14 * np.sum(np.abs(a)) * np.max(np.abs(b))
+
+
 def test_l2_gamma_distance_exact_match():
     c = 0.3
     rho = cameron_martin(c, 16)
