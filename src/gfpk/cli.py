@@ -68,12 +68,10 @@ def bump_grid(k: int):
 def density_checks(rho: ChaosDensity, v, p_frozen, grid) -> tuple[dict, bool]:
     """Residual suite plus the asserted and monitored certificates.
 
-    A ChaosDensity p_frozen is read as a point measure on the solve grid
-    once, so every check, the bump residuals on their own grid included,
-    certifies the drift that was solved.
+    p_frozen is the measure the drift reads (the solved density read on the
+    solve grid once, or None), so every check, the bump residuals on their
+    own grid included, certifies the drift that was solved.
     """
-    if isinstance(p_frozen, ChaosDensity):
-        p_frozen = as_measure(p_frozen, grid)
     hermite_max, system_norm, bump_vals = residual_suite(
         rho, v, p_frozen, grid, default_bumps(rho.k), bump_grid(rho.k)
     )
@@ -132,14 +130,16 @@ def _config_hash(doc: dict) -> str:
 
 
 def _solve_one(cfg: RunConfig):
+    """(rho, trace or None, v, grid, p_frozen) of one solve; p_frozen is the
+    measure the drift reads, rho read on the solve grid once, or None for a
+    drift that ignores the measure."""
     basis = enumerate_basis(cfg.k, cfg.degree)
     grid = tensor_grid(cfg.effective_quad_order, cfg.k)
-    v, reads_measure = drift_from_block(cfg.drift, cfg.k, grid)
+    v, reads_measure = drift_from_block(cfg.drift, cfg.k)
     if not reads_measure:
-        p0 = ChaosDensity.constant(basis)
-        return solve_linear(v, p0, basis, grid), None, v, grid, p0
+        return solve_linear(v, None, basis, grid), None, v, grid, None
     rho, trace = fixed_point_solve(v, basis, grid, cfg.fixed_point)
-    return rho, trace, v, grid, rho
+    return rho, trace, v, grid, as_measure(rho, grid)
 
 
 def _read_density(path: str) -> ChaosDensity:
@@ -179,8 +179,7 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
                 report["artifacts"]["trace"] = trace_path
                 report["iterations"] = trace.iterations
         elif config.mode == "ladder":
-            # componentwise drifts read no grid; each level builds its own
-            v, _ = drift_from_block(config.drift, config.ladder.levels[-1], None)
+            v, _ = drift_from_block(config.drift, config.ladder.levels[-1])
             ladder_report = run_ladder(v, config.ladder)
             _write(os.path.join(out, "ladder.json"), json.dumps(ladder_report.to_json_dict(), sort_keys=True, indent=1))
             _write(os.path.join(out, "ladder.csv"), ladder_report.to_csv())
@@ -196,8 +195,8 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
             quad_order = config.quad_order_for(rho.basis.degree)
             check_sizes("verify density", rho.k, rho.basis.degree, quad_order)
             grid = tensor_grid(quad_order, rho.k)
-            v, reads_measure = drift_from_block(config.drift, rho.k, grid)
-            p_frozen = rho if reads_measure else ChaosDensity.constant(rho.basis)
+            v, reads_measure = drift_from_block(config.drift, rho.k)
+            p_frozen = as_measure(rho, grid) if reads_measure else None
             checks, passed = density_checks(rho, v, p_frozen, grid)
             report.update(checks)
             report["checks_passed"] = passed
@@ -228,9 +227,9 @@ def _run_sweep(config: RunConfig, out: str, threads: int):
     grid = tensor_grid(config.effective_quad_order, config.k)
 
     def solve_point(u: float):
-        v, reads_measure = drift_from_block(sweep_drift(config.sweep, config.k, u), config.k, grid)
+        v, reads_measure = drift_from_block(sweep_drift(config.sweep, config.k, u), config.k)
         if not reads_measure:
-            return solve_linear(v, ChaosDensity.constant(basis), basis, grid)
+            return solve_linear(v, None, basis, grid)
         rho, _ = fixed_point_solve(v, basis, grid, config.fixed_point)
         return rho
 
@@ -286,14 +285,14 @@ def _run_oracle_compare(config: RunConfig):
         if kernel is not None:  # a Vlasov drift: the self-consistent problem
             oracle = oracle_1d_selfconsistent(lambda z: kernel(z[:, None])[:, 0], span=span)
         else:
-            oracle = oracle_1d(lambda x: v.eval_v(p_frozen, x[:, None], grid)[:, 0], span=span)
+            oracle = oracle_1d(lambda x: v.eval_v(p_frozen, x[:, None])[:, 0], span=span)
         distance = l2_gamma_distance(rho, oracle)
         tol = oc.get("tolerance", 1e-6)
         result.update({"l2_gamma_distance": distance, "tolerance": tol})
         return result, distance <= tol
     if which == "fd2d":
         fd = oracle_fd_2d(
-            lambda x: v.eval_v(p_frozen, x, grid),
+            lambda x: v.eval_v(p_frozen, x),
             span=oc.get("span", 6.0),
             n=oc.get("n_cells", 161),
         )
@@ -313,7 +312,6 @@ def _run_oracle_compare(config: RunConfig):
         n_steps=oc.get("n_steps", 2000),
         n_particles=oc.get("n_particles", 500),
         seed=config.seed,
-        grid=grid,
     )
     gaps = []
     for i in range(config.k):

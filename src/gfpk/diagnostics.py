@@ -92,23 +92,15 @@ def tail_check(
     t_grid,
     grid: QuadratureGrid,
     tolerance: float = 1e-8,
-    method: str = "nodes",
 ) -> BoundReport:
-    """Verify gamma(rho >= t) <= e^2 exp(-sigma_inf (ln t)^2) for each t > 1.
-
-    method "nodes" uses the quadrature super-level mass; "levelset1d" resolves
-    the level set exactly (1-D only) and is the right choice when the left
-    side itself is under test.
-    """
+    """Verify gamma(rho >= t) <= e^2 exp(-sigma_inf (ln t)^2) for each t > 1,
+    the left side being the quadrature super-level mass on grid."""
     rows = []
     passed = True
     for t in t_grid:
         if t <= 1.0:
             raise ValueError("tail levels must exceed 1")
-        if method == "levelset1d":
-            left = superlevel_mass_1d(rho, t)
-        else:
-            left = superlevel_mass_nodes(rho, t, grid)
+        left = superlevel_mass_nodes(rho, t, grid)
         # zero drift: density is 1, super-level mass above t > 1 must vanish
         right = math.e**2 * math.exp(-sigma_inf * math.log(t) ** 2) if np.isfinite(sigma_inf) else 0.0
         ok = left <= right + tolerance
@@ -121,7 +113,7 @@ def tail_check(
         right=worst["right"],
         passed=passed,
         tolerance=tolerance,
-        inputs={"sigma_inf": sigma_inf, "t_grid": list(t_grid), "rows": rows, "method": method},
+        inputs={"sigma_inf": sigma_inf, "t_grid": list(t_grid), "rows": rows},
     )
 
 
@@ -137,7 +129,7 @@ def log_moment(rho: ChaosDensity, alpha: float, grid: QuadratureGrid) -> float:
 def log_moment_bracket(rho: ChaosDensity, v, p_frozen, alpha: float, grid: QuadratureGrid) -> float:
     """The drift bracket 1 + ||v||_{L^1(mu)} (log(1 + ||v||_{L^1(mu)}))^alpha
     reported alongside the monitored functional."""
-    vvals = v.eval_v(p_frozen, grid.nodes, grid)
+    vvals = v.eval_v(p_frozen, grid.nodes)
     f = np.clip(rho.evaluate(grid), 0.0, None)
     l1 = float(np.sum(grid.weights * np.linalg.norm(vvals, axis=1) * f))
     return 1.0 + l1 * math.log1p(l1) ** alpha
@@ -174,7 +166,7 @@ def fisher_energy(rho: ChaosDensity, v, p_frozen, grid: QuadratureGrid) -> Fishe
     fisher = float(
         np.sum(grid.weights[mask] * np.sum(grads[mask] ** 2, axis=1) / vals[mask])
     )
-    b = v.eval_v(p_frozen, grid.nodes, grid) - grid.nodes
+    b = v.eval_v(p_frozen, grid.nodes) - grid.nodes
     b_sq = np.sum(b * b, axis=1)
     energy_gamma = float(np.sum(grid.weights * b_sq))
     energy_mu = float(np.sum(grid.weights * b_sq * np.clip(vals, 0.0, None)))

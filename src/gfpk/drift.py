@@ -5,10 +5,9 @@ linear -x part.  Every field declares a bound, either on the Euclidean
 (Cameron-Martin) norm |v|_H or componentwise (|v_n| <= C), and the bound is
 validated by sampling at registration and re-checked at every evaluation.
 
-The measure argument of v may be a ChaosDensity (read through its chaos
-coefficients / quadrature measure) or a PointMeasure (the weak-topology
-form used by componentwise fields).  Fields that ignore the measure accept
-None.
+The measure argument of v is a PointMeasure (the weak-topology form, a
+ChaosDensity read once on the solve grid by `as_measure`) or None for
+fields that ignore it.
 
 The registry at the end (DRIFTS, KERNELS) is the one description of the
 drift and kernel kinds a config can name: their parameters, constructors
@@ -150,21 +149,20 @@ class ClippedLinearKernel(ComponentwiseKernel):
 class DriftField:
     """Measure-dependent drift v with a declared, enforced bound.
 
-    kind is a label for messages.  restrict, when given, maps j to the field
-    restricted to the first j coordinates (see truncate_to_k).
+    The evaluator maps (measure, x (m, k)) to (m, k), the measure being a
+    PointMeasure or None.  kind is a label for messages.  restrict, when
+    given, maps j to the field restricted to the first j coordinates (see
+    truncate_to_k).
     """
 
-    def __init__(self, kind, k, evaluator, bound_kind, bound, validate=True, seed=0, restrict=None):
+    def __init__(self, kind, k, evaluator, bound_kind, bound, restrict=None):
         self.kind = kind
         self.k = k
         self._evaluator = evaluator
         self.bound_kind = bound_kind
         self.bound = float(bound)
         self.restrict = restrict
-        if validate:
-            self._validate_by_sampling(seed)
-
-    # evaluator signature: (p, x (m, k), grid or None) -> (m, k)
+        self._validate_by_sampling()
 
     def _check_bound(self, values: np.ndarray):
         if self.bound_kind == H_BOUND:
@@ -177,20 +175,25 @@ class DriftField:
                 f"declared {self.bound_kind} bound {self.bound:.6g}"
             )
 
-    def _validate_by_sampling(self, seed):
+    def _validate_by_sampling(self):
         """Check the bound at Gaussian samples, the measure argument being
         the Gaussian reference as a point cloud."""
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         points = rng.standard_normal((VALIDATION_SAMPLES, self.k))
         cloud = rng.standard_normal((64, self.k))
         probe = PointMeasure(points=cloud, masses=np.full(64, 1.0 / 64), clip_defect=0.0)
-        self._check_bound(np.asarray(self._evaluator(probe, points, None)))
+        self._check_bound(np.asarray(self._evaluator(probe, points)))
 
-    def eval_v(self, p, x, grid: QuadratureGrid | None = None) -> np.ndarray:
-        """v(p, x) for x of shape (k,) or (m, k); bound-checked."""
+    def eval_v(self, measure: PointMeasure | None, x) -> np.ndarray:
+        """v(measure, x) for x of shape (k,) or (m, k); bound-checked."""
+        if measure is not None and not isinstance(measure, PointMeasure):
+            raise TypeError(
+                f"a drift reads its measure as a PointMeasure or None, not a "
+                f"{type(measure).__name__}; read a density with as_measure(p, grid)"
+            )
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        values = np.asarray(self._evaluator(p, np.atleast_2d(x), grid), dtype=float)
+        values = np.asarray(self._evaluator(measure, np.atleast_2d(x)), dtype=float)
         self._check_bound(values)
         return values[0] if single else values
 
@@ -213,21 +216,11 @@ class DriftField:
         return math.inf if self.c0 == 0.0 else self.c0**-2
 
 
-def _as_point_measure(p, grid):
-    if p is None or isinstance(p, PointMeasure):
-        return p
-    if isinstance(p, ChaosDensity):
-        if grid is None:
-            raise TypeError("a quadrature grid is required to read a ChaosDensity as a measure")
-        return as_measure(p, grid)
-    raise TypeError(f"unsupported measure argument of type {type(p).__name__}")
-
-
 def constant_drift(h) -> DriftField:
     """v = h, a fixed Cameron-Martin vector; ignores the measure and the point."""
     h = np.asarray(h, dtype=float).reshape(-1)
 
-    def evaluator(p, x, grid):
+    def evaluator(measure, x):
         return np.broadcast_to(h, x.shape).copy()
 
     return DriftField(
@@ -240,7 +233,7 @@ def gradient_drift(grad_fn, k, bound) -> DriftField:
     """v = grad W for a scalar potential W with bounded gradient; grad_fn
     maps (m, k) points to (m, k) gradients.  The solution is exp(W) / Z."""
 
-    def evaluator(p, x, grid):
+    def evaluator(measure, x):
         return np.asarray(grad_fn(x), dtype=float)
 
     return DriftField("gradient", k, evaluator, H_BOUND, bound)
@@ -269,20 +262,24 @@ def clipped_potential_drift(lam: float, k: int, width: float = 2.0) -> DriftFiel
 CHUNK_ENTRIES = 2_000_000
 
 
-def vlasov_eval(kernel, p, x, grid: QuadratureGrid) -> np.ndarray:
+def vlasov_eval(kernel, p, x, grid: QuadratureGrid | None) -> np.ndarray:
     """Convolution v(p, x) = integral b0(x - y) p(y) gamma(dy) by quadrature.
 
-    p may be a ChaosDensity (read on the grid through as_measure, which
-    clips negative node values and records the removed mass in the
-    measure's clip_defect) or a PointMeasure.  Componentwise kernels are
-    convolved against the 1-D marginals of the measure (`vlasov_marginal`),
-    all other kernels over every pair of points (`vlasov_dense`).
+    p is a PointMeasure, or a ChaosDensity read on grid through as_measure
+    (which clips negative node values and records the removed mass in the
+    measure's clip_defect); the Vlasov drift passes a PointMeasure and no
+    grid.  Componentwise kernels are convolved against the 1-D marginals of
+    the measure (`vlasov_marginal`), all other kernels over every pair of
+    points (`vlasov_dense`).
     """
-    measure = _as_point_measure(p, grid)
+    if isinstance(p, ChaosDensity):
+        if grid is None:
+            raise TypeError("a quadrature grid is required to read a ChaosDensity as a measure")
+        p = as_measure(p, grid)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if getattr(kernel, "componentwise", False):
-        return vlasov_marginal(kernel, measure, x)
-    return vlasov_dense(kernel, measure, x)
+        return vlasov_marginal(kernel, p, x)
+    return vlasov_dense(kernel, p, x)
 
 
 def vlasov_dense(kernel, measure: PointMeasure, x: np.ndarray) -> np.ndarray:
@@ -325,7 +322,7 @@ def vlasov_marginal(kernel, measure: PointMeasure, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def vlasov_drift(kernel, k: int, grid: QuadratureGrid) -> DriftField:
+def vlasov_drift(kernel, k: int) -> DriftField:
     """Drift obtained by convolving a bounded kernel with the solution measure.
 
     The kernel maps an array of differences z (..., k) to b0(z) (..., k).  A
@@ -337,15 +334,13 @@ def vlasov_drift(kernel, k: int, grid: QuadratureGrid) -> DriftField:
     over all pairs of points.
 
     Every kernel answers h_bound_for(k), its bound on |b0|_H in dimension k.
-
-    The grid supplied here is the default rule used to read a ChaosDensity
-    measure argument; explicit grids passed at evaluation time win.
+    The measure argument is a PointMeasure; None is a TypeError.
     """
 
-    def evaluator(p, x, grid_arg):
-        if p is None:
+    def evaluator(measure, x):
+        if measure is None:
             raise TypeError("vlasov drift requires a measure argument")
-        return vlasov_eval(kernel, p, x, grid_arg if grid_arg is not None else grid)
+        return vlasov_eval(kernel, measure, x, None)
 
     return DriftField("vlasov", k, evaluator, H_BOUND, kernel.h_bound_for(k))
 
@@ -362,8 +357,7 @@ def componentwise_drift(components, k: int | None = None, bound: float = 0.0) ->
     if k > ambient:
         raise ValueError(f"cannot truncate to {k} dimensions: only {ambient} components")
 
-    def evaluator(p, x, grid):
-        measure = _as_point_measure(p, grid)
+    def evaluator(measure, x):
         padded = x
         if x.shape[1] < ambient:
             padded = np.zeros((x.shape[0], ambient))
@@ -399,7 +393,7 @@ def rotational_drift(scale: float, k: int = 2, offset=None) -> DriftField:
         raise ValueError("rotational drift needs an even dimension")
     shift = np.zeros(k) if offset is None else np.asarray(offset, dtype=float)
 
-    def evaluator(p, x, grid):
+    def evaluator(measure, x):
         rotated = np.empty_like(x)
         rotated[:, 0::2] = -x[:, 1::2]
         rotated[:, 1::2] = x[:, 0::2]
@@ -441,20 +435,21 @@ def decoupled_tanh_components(scale: float, n_components: int):
     return [first] + [zero] * (n_components - 1)
 
 
-def custom_drift(fn, k, bound_kind, bound, seed=0) -> DriftField:
-    """Register a user evaluator (p, x, grid) -> (m, k) under a declared bound.
+def custom_drift(fn, k, bound_kind, bound) -> DriftField:
+    """Register a user evaluator (measure, x) -> (m, k) under a declared
+    bound; the measure is a PointMeasure or None.
 
     Sampling validation at registration is mandatory; a violating field never
     gets constructed.
     """
-    return DriftField("custom", k, fn, bound_kind, bound, validate=True, seed=seed)
+    return DriftField("custom", k, fn, bound_kind, bound)
 
 
 # -- registry of config kinds ----------------------------------------------
 
 
 def _kernel(cls, *params) -> Kind:
-    return Kind(params, lambda q, k, grid: cls(**q))
+    return Kind(params, lambda q, k: cls(**q))
 
 
 _SCALE = Param("scale", "number", -100.0, 100.0)
@@ -471,7 +466,7 @@ def _componentwise(components, *params) -> Kind:
     count as reading it; only mean_shift makes tanh components use it."""
     return Kind(
         (_SCALE, Param("n_components", "integer", 1, 64)) + params,
-        lambda q, k, grid: componentwise_drift(components(**q), k, abs(q["scale"])),
+        lambda q, k: componentwise_drift(components(**q), k, abs(q["scale"])),
         reads_measure=True,
         bound=COMPONENTWISE_BOUND,
         dims=lambda q, k: "" if k <= q["n_components"] else f"has fewer n_components than k={k}",
@@ -479,19 +474,19 @@ def _componentwise(components, *params) -> Kind:
 
 
 DRIFTS = {
-    "constant": Kind((Param("h", "vector", -100.0, 100.0),), lambda q, k, grid: constant_drift(**q)),
+    "constant": Kind((Param("h", "vector", -100.0, 100.0),), lambda q, k: constant_drift(**q)),
     "clipped-potential": Kind(
         (Param("lam", "number", -10.0, 10.0), Param("width", "number", 1e-3, 100.0, 2.0)),
-        lambda q, k, grid: clipped_potential_drift(k=k, **q),
+        lambda q, k: clipped_potential_drift(k=k, **q),
     ),
     "rotational": Kind(
         (Param("scale", "number", -10.0, 10.0), Param("offset", "vector", -10.0, 10.0, None)),
-        lambda q, k, grid: rotational_drift(k=k, **q),
+        lambda q, k: rotational_drift(k=k, **q),
         dims=lambda q, k: "" if k % 2 == 0 else f"needs an even dimension, got k={k}",
     ),
     "vlasov": Kind(
         (Param("kernel", KERNELS),),
-        lambda q, k, grid: vlasov_drift(q["kernel"], k, grid),
+        lambda q, k: vlasov_drift(q["kernel"], k),
         reads_measure=True,
     ),
     "componentwise-tanh": _componentwise(tanh_components, Param("mean_shift", "bool", default=False)),
@@ -499,8 +494,8 @@ DRIFTS = {
 }
 
 
-def drift_from_block(block, k: int, grid: QuadratureGrid | None) -> tuple[DriftField, bool]:
+def drift_from_block(block, k: int) -> tuple[DriftField, bool]:
     """The k-dimensional drift a config block describes and whether it reads
     the measure; a ConfigError for any block or k the registry rejects."""
     entry, params = read_kind(block, DRIFTS, "drift", k)
-    return entry.build(params, k, grid), entry.reads_measure
+    return entry.build(params, k), entry.reads_measure

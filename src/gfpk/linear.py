@@ -1,5 +1,6 @@
-"""Linear stationary solver: for a frozen measure argument p, assemble and
-solve the Galerkin truncation of L*_{b(p,.)}(rho * gamma) = 0.
+"""Linear stationary solver: for a frozen measure argument p (a PointMeasure,
+or None for a drift that ignores it), assemble and solve the Galerkin
+truncation of L*_{b(p,.)}(rho * gamma) = 0.
 
 Testing the weak identity with phi = h_beta and using
 (Laplacian - x.grad) h_beta = -|beta| h_beta and
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
-from .basis import ChaosBasis, QuadratureGrid, hermite_table
+from .basis import ChaosBasis, QuadratureGrid
 from .density import BumpTest, ChaosDensity, HermiteTest
 from .errors import SolverError
 
@@ -74,7 +75,7 @@ def _drift_on_grid(v, p, basis: ChaosBasis, grid: QuadratureGrid) -> np.ndarray:
         )
     if v.k != basis.k:
         raise ValueError(f"drift dimension {v.k} != basis dimension {basis.k}")
-    return v.eval_v(p, grid.nodes, grid)  # (M, k)
+    return v.eval_v(p, grid.nodes)  # (M, k)
 
 
 def dense_interaction(
@@ -113,8 +114,8 @@ def separable_interaction(
     fibres = [_fibres(vvals[:, i], grid, i) for i in range(grid.k)]
     if not all(np.all(f == f[:, :1]) for f in fibres):
         return None
-    x1, w1 = grid.axis_rule
-    h1 = hermite_table(basis.degree, x1)  # (N+1, q)
+    _, w1 = grid.axis_rule
+    h1 = grid.hermite_tables(basis.degree)[0]  # (N+1, q), the table of x1
     if np.max(np.abs((h1 * w1) @ h1.T - np.eye(basis.degree + 1))) > ORTHONORMAL_TOL:
         return None
     weighted = grid.weights[:, None] * vvals
@@ -168,7 +169,7 @@ def residual(rho: ChaosDensity, v, p_frozen, phi, grid: QuadratureGrid) -> float
     Hermite polynomials of degree <= N; for bump tests the magnitude is
     limited by quadrature and truncation error.
     """
-    vvals = v.eval_v(p_frozen, grid.nodes, grid)
+    vvals = v.eval_v(p_frozen, grid.nodes)
     return _weak_defect(phi, grid, vvals, rho.evaluate(grid))
 
 
@@ -205,7 +206,7 @@ def residual_suite(rho, v, p_frozen, grid, bump_tests=(), bump_grid=None):
     bump_values = []
     if bump_tests:
         bgrid = grid if bump_grid is None else bump_grid
-        bvals = v.eval_v(p_frozen, bgrid.nodes, bgrid)
+        bvals = v.eval_v(p_frozen, bgrid.nodes)
         rvals = rho.evaluate(bgrid)
         bump_values = [_weak_defect(phi, bgrid, bvals, rvals) for phi in bump_tests]
     return hermite_max, system.norm(), bump_values

@@ -145,16 +145,16 @@ def oracle_sde(
     seed: int = 0,
     burn_in: float = 0.2,
     n_batches: int = SDE_BATCHES,
-    grid=None,
 ) -> SdeMoments:
     """Euler-Maruyama sampling of dX = (-X + v(p, X)) dt + sqrt(2) dW.
 
-    The drift is frozen at p_frozen; the stationary law of this diffusion is
-    exactly what the linear equation characterizes.  Standard errors come
-    from batch means over disjoint particle groups, which are genuinely
-    independent replicates (time batches would understate the error whenever
-    a batch is shorter than the autocorrelation time).  Identical seeds give
-    bitwise identical estimates.
+    The drift is frozen at p_frozen, a PointMeasure read once from the
+    solved density (None for a drift that ignores the measure); the
+    stationary law of this diffusion is exactly what the linear equation
+    characterizes.  Standard errors come from batch means over disjoint
+    particle groups, which are genuinely independent replicates (time
+    batches would understate the error whenever a batch is shorter than the
+    autocorrelation time).  Identical seeds give bitwise identical estimates.
     """
     if dt > 0.01:
         raise ValueError("dt must be <= 0.01 for a trustworthy invariant law")
@@ -169,7 +169,7 @@ def oracle_sde(
     second_batches = np.zeros((n_batches, k, k))
     sqrt_2dt = math.sqrt(2.0 * dt)
     for step in range(n_steps):
-        drift = v.eval_v(p_frozen, x, grid) - x
+        drift = v.eval_v(p_frozen, x) - x
         x = x + dt * drift + sqrt_2dt * rng.standard_normal((n_particles, k))
         if float(np.max(np.abs(x))) > BLOWUP_LIMIT:
             raise InstabilityError("particle blow-up detected; reduce dt")

@@ -34,8 +34,9 @@ class Param:
 
 @dataclass(frozen=True)
 class Kind:
-    """A registry entry: parameters, constructor (params, k, grid) -> object,
-    whether the drift built reads the measure, the bound it declares
+    """A registry entry: parameters, constructor (params, k) -> object,
+    whether the drift built reads the measure (a PointMeasure its callers
+    read from the density once; None otherwise), the bound it declares
     (drift.H_BOUND or drift.COMPONENTWISE_BOUND), and a dimension check
     (params, k) -> "" or what is wrong with k."""
 
@@ -58,7 +59,7 @@ def _read_value(param: Param, value, name: str, k):
     ptype = param.type
     if isinstance(ptype, dict):
         entry, params = read_kind(value, ptype, name, k)
-        return entry.build(params, k, None)
+        return entry.build(params, k)
     if ptype in ("number", "integer"):
         return _number(value, name, param.low, param.high, ptype == "integer")
     python_type = {"bool": bool, "text": str, "object": dict}.get(ptype, list)

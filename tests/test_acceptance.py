@@ -126,7 +126,7 @@ def test_criterion_05_nonlinear_vlasov():
     start = time.monotonic()
     grid = tensor_grid(40, 1)
     basis = enumerate_basis(1, 20)
-    v = vlasov_drift(TanhKernel(0.2), 1, grid)
+    v = vlasov_drift(TanhKernel(0.2), 1)
     rho, trace = fixed_point_solve(
         v, basis, grid, FixedPointOptions(damping=0.5, tolerance=1e-10)
     )
@@ -164,7 +164,7 @@ def test_criterion_05_nonlinear_vlasov():
 def test_criterion_06_constant_kernel_one_iteration():
     grid = tensor_grid(24, 1)
     basis = enumerate_basis(1, 12)
-    v = vlasov_drift(ConstantKernel((0.3,)), 1, grid)
+    v = vlasov_drift(ConstantKernel((0.3,)), 1)
     _, trace = fixed_point_solve(v, basis, grid, FixedPointOptions(damping=1.0))
     check(6, "constant-kernel one iteration", trace.iterations == 1, f"{trace.iterations} iters")
 
@@ -193,7 +193,7 @@ def test_criterion_08_tail_bound():
     grid32 = tensor_grid(32, 1)
     cases.append((solve_linear(v_grad, None, basis16, grid32), v_grad.sigma_inf, grid32))
     grid40 = tensor_grid(40, 1)
-    v_vl = vlasov_drift(TanhKernel(0.2), 1, grid40)
+    v_vl = vlasov_drift(TanhKernel(0.2), 1)
     rho_vl, _ = fixed_point_solve(
         v_vl, enumerate_basis(1, 20), grid40, FixedPointOptions(damping=0.5)
     )
@@ -263,7 +263,7 @@ def test_criterion_10_cross_validation_2d():
     rho = solve_linear(v, None, basis, grid)
     # SDE: 1e6 particle-steps total, fixed seed, batch means over particles
     moments = oracle_sde(
-        v, None, 2, dt=5e-3, n_steps=2000, n_particles=500, seed=42, grid=grid
+        v, None, 2, dt=5e-3, n_steps=2000, n_particles=500, seed=42
     )
     sde_gaps = []
     for i in range(2):
@@ -291,7 +291,7 @@ def test_criterion_10_cross_validation_2d():
 
 def test_criterion_11_gradient_check():
     grid = tensor_grid(40, 1)
-    v = vlasov_drift(TanhKernel(0.2), 1, grid)
+    v = vlasov_drift(TanhKernel(0.2), 1)
     rho, _ = fixed_point_solve(v, enumerate_basis(1, 20), grid, FixedPointOptions(damping=0.5))
     rng = np.random.default_rng(0)
     x = rng.standard_normal((100, 1))

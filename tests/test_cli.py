@@ -284,6 +284,36 @@ def test_oracle_compare_1d(tmp_path):
     assert report["oracle"]["l2_gamma_distance"] <= 1e-6
 
 
+def test_oracle_compare_sde_reads_the_density_once(tmp_path, monkeypatch):
+    """After the fixed point, the solved density is read as a measure once;
+    the SDE oracle's steps reuse that measure instead of re-reading it."""
+    import gfpk.density
+
+    calls = []
+    original = gfpk.density.as_measure
+
+    def counted(name):
+        def as_measure(rho, grid):
+            calls.append(name)
+            return original(rho, grid)
+
+        return as_measure
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gfpk") and getattr(module, "as_measure", None) is original:
+            monkeypatch.setattr(module, "as_measure", counted(name))
+    cfg = {
+        **_vlasov(1, {"kind": "tanh", "scale": 0.2}),
+        "mode": "oracle-compare",
+        "oracle_compare": {"oracle": "sde", "n_steps": 400, "n_particles": 100},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    code = main(["oracle-compare", "--config", write_config(tmp_path, cfg)])
+    assert code == 0
+    assert "gfpk.nonlinear" in calls
+    assert [name for name in calls if name != "gfpk.nonlinear"] == ["gfpk.cli"]
+
+
 # -- malformed inputs exit 2 ------------------------------------------------
 
 CONSTANT = {"kind": "constant", "h": [0.3]}

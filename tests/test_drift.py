@@ -34,18 +34,18 @@ def test_constant_drift_value_and_bound():
 
 def test_vlasov_constant_kernel_ignores_measure():
     grid = tensor_grid(12, 1)
-    v = vlasov_drift(ConstantKernel((0.4,)), 1, grid)
-    p = ChaosDensity.constant(enumerate_basis(1, 4))
-    out = v.eval_v(p, np.array([[0.0], [2.0]]), grid)
+    v = vlasov_drift(ConstantKernel((0.4,)), 1)
+    p = as_measure(ChaosDensity.constant(enumerate_basis(1, 4)), grid)
+    out = v.eval_v(p, np.array([[0.0], [2.0]]))
     assert np.allclose(out, 0.4)
 
 
 def test_vlasov_tanh_symmetric_measure_at_origin():
     # odd kernel against the symmetric Gaussian vanishes at x = 0
     grid = tensor_grid(24, 1)
-    v = vlasov_drift(TanhKernel(1.0), 1, grid)
-    p = ChaosDensity.constant(enumerate_basis(1, 4))
-    assert abs(v.eval_v(p, np.array([[0.0]]), grid)[0, 0]) < 1e-14
+    v = vlasov_drift(TanhKernel(1.0), 1)
+    p = as_measure(ChaosDensity.constant(enumerate_basis(1, 4)), grid)
+    assert abs(v.eval_v(p, np.array([[0.0]]))[0, 0]) < 1e-14
 
 
 def test_vlasov_tanh_against_quadrature_oracle():
@@ -53,8 +53,8 @@ def test_vlasov_tanh_against_quadrature_oracle():
     independent high-order quadrature over the explicit integrand."""
     grid = tensor_grid(48, 1)
     p = cameron_martin(0.5, 20)
-    v = vlasov_drift(TanhKernel(1.0), 1, grid)
-    value = v.eval_v(p, np.array([[0.0]]), grid)[0, 0]
+    v = vlasov_drift(TanhKernel(1.0), 1)
+    value = v.eval_v(as_measure(p, grid), np.array([[0.0]]))[0, 0]
     y = grid.nodes[:, 0]
     oracle = float(np.sum(grid.weights * np.tanh(-y) * np.exp(0.5 * y - 0.125)))
     assert value == pytest.approx(oracle, abs=1e-8)
@@ -70,22 +70,55 @@ def test_vlasov_eval_point_measure():
     assert abs(out[0, 0]) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "v",
+    [
+        vlasov_drift(TanhKernel(0.5), 1),
+        componentwise_drift(tanh_components(0.5, 1, mean_shift=True), 1, 0.5),
+        constant_drift([0.3]),
+    ],
+    ids=lambda v: v.kind,
+)
+def test_eval_v_rejects_a_density(v):
+    """A drift reads its measure as a PointMeasure; a ChaosDensity must be
+    read on a grid by as_measure first, whether or not the drift uses it."""
+    p = cameron_martin(0.4, 8)
+    with pytest.raises(TypeError, match="as_measure"):
+        v.eval_v(p, np.zeros((1, 1)))
+    v.eval_v(as_measure(p, tensor_grid(12, 1)), np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("kernel", [TanhKernel(0.7), ConstantKernel((0.2, -0.1))])
+def test_vlasov_eval_reads_a_density_on_its_grid(kernel):
+    """vlasov_eval on a ChaosDensity and a grid is vlasov_eval on the
+    measure as_measure reads from them, bit for bit."""
+    grid = tensor_grid(7, 2)
+    basis = enumerate_basis(2, 4)
+    rng = np.random.default_rng(3)
+    p = ChaosDensity(basis, np.concatenate([[1.0], 0.1 * rng.standard_normal(basis.size - 1)]))
+    x = rng.standard_normal((30, 2))
+    expected = vlasov_eval(kernel, as_measure(p, grid), x, None)
+    assert np.array_equal(vlasov_eval(kernel, p, x, grid), expected)
+    with pytest.raises(TypeError, match="grid"):
+        vlasov_eval(kernel, p, x, None)
+
+
 def test_vlasov_weak_continuity():
     """If p_m -> p coefficientwise on a fixed basis with bounded norms, then
     eval_v(p_m, x) -> eval_v(p, x) at every node (the sequential-continuity
     hypothesis the fixed-point argument rests on)."""
     grid = tensor_grid(24, 1)
-    v = vlasov_drift(TanhKernel(0.5), 1, grid)
+    v = vlasov_drift(TanhKernel(0.5), 1)
     basis = enumerate_basis(1, 8)
     target = cameron_martin(0.4, 8)
     x = grid.nodes[:32]
-    limit = v.eval_v(target, x, grid)
+    limit = v.eval_v(as_measure(target, grid), x)
     gaps = []
     for m in (1, 2, 4, 8, 16):
         coeffs = target.coefficients.copy()
         coeffs[1:] *= 1.0 + 1.0 / m  # converging perturbation, bounded norm
         p_m = ChaosDensity(basis, coeffs)
-        gaps.append(float(np.max(np.abs(v.eval_v(p_m, x, grid) - limit))))
+        gaps.append(float(np.max(np.abs(v.eval_v(as_measure(p_m, grid), x) - limit))))
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-1] < gaps[0] / 8
 
@@ -137,7 +170,6 @@ def test_mean_shift_tanh_matches_per_component_evaluation(k, ambient):
         [scale * np.tanh(padded[:, n] - (measure.masses @ measure.points)[n]) for n in range(k)],
         axis=1,
     )
-    assert np.array_equal(v.eval_v(p, x, grid), reference)
     assert np.array_equal(v.eval_v(measure, x), reference)
     assert measure.mean() is measure.mean() and not measure.mean().flags.writeable
 
@@ -157,20 +189,20 @@ def test_truncate_beyond_components_raises():
 def test_buggy_evaluator_is_not_registered():
     # the validation probe lets the evaluator's own error through
     with pytest.raises(AttributeError):
-        custom_drift(lambda p, x, g: x.no_such_attribute, 1, "H", 1.0)
+        custom_drift(lambda p, x: x.no_such_attribute, 1, "H", 1.0)
     with pytest.raises(TypeError):
-        custom_drift(lambda p, x, g: p + x, 1, "H", 1.0)
+        custom_drift(lambda p, x: p + x, 1, "H", 1.0)
 
 
 def test_bound_violation_raises():
     with pytest.raises(BoundViolationError, match="declared"):
-        custom_drift(lambda p, x, g: 2.0 * np.ones_like(x), 1, "H", 1.0)
+        custom_drift(lambda p, x: 2.0 * np.ones_like(x), 1, "H", 1.0)
 
 
 def test_eval_time_bound_check():
     # a field whose declared bound holds on the validation cloud but is
     # violated at an extreme evaluation point
-    def fn(p, x, g):
+    def fn(p, x):
         return np.where(np.abs(x) > 50.0, 10.0, 0.1)
 
     v = custom_drift(fn, 1, "H", 0.5)
@@ -211,9 +243,8 @@ def test_kernel_bounds():
 def test_tiny_fields_keep_their_bounds(scale):
     # unscaled squares underflow here: |v| read 4.97e-162 against the tanh
     # kernel's bound 4.9e-162, and the constant kernel's bound read 0
-    grid = tensor_grid(2, 1)
     for kernel in (TanhKernel(scale), ConstantKernel((scale,)), ConstantKernel((scale, scale / 3))):
-        v = vlasov_drift(kernel, len(getattr(kernel, "h", (0,))), grid)
+        v = vlasov_drift(kernel, len(getattr(kernel, "h", (0,))))
         assert v.bound > 0.0
     assert constant_drift([scale, scale]).bound == pytest.approx(abs(scale) * math.sqrt(2), rel=1e-15)
     assert rotational_drift(0.0, 2, offset=[scale, 0.0]).bound == abs(scale)

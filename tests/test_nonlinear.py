@@ -33,7 +33,7 @@ def test_options_validation():
 def test_constant_kernel_converges_in_one_iteration():
     grid = tensor_grid(24, 1)
     basis = enumerate_basis(1, 12)
-    v = vlasov_drift(ConstantKernel((0.3,)), 1, grid)
+    v = vlasov_drift(ConstantKernel((0.3,)), 1)
     rho, trace = fixed_point_solve(
         v, basis, grid, FixedPointOptions(damping=1.0, tolerance=1e-10)
     )
@@ -57,7 +57,7 @@ def test_measure_independent_drift_stationary_after_first_step():
 def test_vlasov_tanh_matches_selfconsistent_oracle():
     grid = tensor_grid(40, 1)
     basis = enumerate_basis(1, 20)
-    v = vlasov_drift(TanhKernel(0.2), 1, grid)
+    v = vlasov_drift(TanhKernel(0.2), 1)
     rho, trace = fixed_point_solve(
         v, basis, grid, FixedPointOptions(damping=0.5, tolerance=1e-10)
     )
@@ -69,7 +69,7 @@ def test_vlasov_tanh_matches_selfconsistent_oracle():
 def test_undamped_reaches_same_fixed_point():
     grid = tensor_grid(40, 1)
     basis = enumerate_basis(1, 20)
-    v = vlasov_drift(TanhKernel(0.2), 1, grid)
+    v = vlasov_drift(TanhKernel(0.2), 1)
     damped, _ = fixed_point_solve(
         v, basis, grid, FixedPointOptions(damping=0.5, tolerance=1e-10)
     )
@@ -82,7 +82,7 @@ def test_undamped_reaches_same_fixed_point():
 def test_seed_robustness():
     grid = tensor_grid(40, 1)
     basis = enumerate_basis(1, 20)
-    v = vlasov_drift(TanhKernel(0.2), 1, grid)
+    v = vlasov_drift(TanhKernel(0.2), 1)
     opts = FixedPointOptions(damping=0.5, tolerance=1e-10)
     from_default, _ = fixed_point_solve(v, basis, grid, opts)
     seeded = FixedPointOptions(
@@ -95,7 +95,7 @@ def test_seed_robustness():
 def test_affine_update_preserves_unit_mass():
     grid = tensor_grid(24, 1)
     basis = enumerate_basis(1, 12)
-    v = vlasov_drift(TanhKernel(0.2), 1, grid)
+    v = vlasov_drift(TanhKernel(0.2), 1)
     rho, trace = fixed_point_solve(
         v, basis, grid, FixedPointOptions(damping=0.3, tolerance=1e-10)
     )
@@ -107,7 +107,7 @@ def test_affine_update_preserves_unit_mass():
 def test_non_convergence_carries_trace():
     grid = tensor_grid(24, 1)
     basis = enumerate_basis(1, 12)
-    v = vlasov_drift(TanhKernel(0.2), 1, grid)
+    v = vlasov_drift(TanhKernel(0.2), 1)
     with pytest.raises(NonConvergenceError) as err:
         fixed_point_solve(
             v, basis, grid, FixedPointOptions(damping=0.5, tolerance=1e-10, max_iterations=2)
@@ -120,7 +120,7 @@ def test_non_convergence_carries_trace():
 def test_trace_csv_format():
     grid = tensor_grid(24, 1)
     basis = enumerate_basis(1, 10)
-    v = vlasov_drift(TanhKernel(0.2), 1, grid)
+    v = vlasov_drift(TanhKernel(0.2), 1)
     _, trace = fixed_point_solve(v, basis, grid, FixedPointOptions(damping=0.5))
     lines = trace.to_csv().strip().splitlines()
     assert lines[0] == "iteration,delta,psi_residual,l2sq,in_schauder_set"

@@ -107,7 +107,7 @@ def test_sde_rejects_large_dt():
 
 def test_sde_blowup_detection():
     # destabilizing drift v = 3x wrapped with a huge declared bound
-    v = custom_drift(lambda p, x, g: 3.0 * x, 1, "H", 1e9)
+    v = custom_drift(lambda p, x: 3.0 * x, 1, "H", 1e9)
     with pytest.raises(InstabilityError, match="dt"):
         oracle_sde(v, None, 1, dt=0.01, n_steps=2000, n_particles=100, seed=0)
 

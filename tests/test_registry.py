@@ -59,8 +59,7 @@ def _block_id(block):
 def test_minimal_block_round_trip(block):
     mode = "solve-nonlinear" if DRIFTS[block["kind"]].reads_measure else "solve-linear"
     cfg = parse_config({"mode": mode, "k": 2, "N": 4, "Q": 8, "drift": block})
-    grid = tensor_grid(cfg.effective_quad_order, 2)
-    v, reads_measure = drift_from_block(cfg.drift, 2, grid)
+    v, reads_measure = drift_from_block(cfg.drift, 2)
     entry = DRIFTS[block["kind"]]
     assert v.k == 2
     assert reads_measure is entry.reads_measure
@@ -203,19 +202,19 @@ def _build(cfg):
     if cfg.mode == "verify":
         return
     if cfg.mode == "ladder":
-        assert drift_from_block(cfg.drift, cfg.ladder.levels[-1], None)[0].k == cfg.ladder.levels[-1]
+        assert drift_from_block(cfg.drift, cfg.ladder.levels[-1])[0].k == cfg.ladder.levels[-1]
         for k, degree, q in zip(cfg.ladder.levels, cfg.ladder.degrees, cfg.ladder.quad_orders):
             enumerate_basis(k, degree)
             tensor_grid(q, k)
         return
     enumerate_basis(cfg.k, cfg.degree)
-    grid = tensor_grid(cfg.effective_quad_order, cfg.k)
+    tensor_grid(cfg.effective_quad_order, cfg.k)
     if cfg.mode == "sweep":
         blocks = [sweep_drift(cfg.sweep, cfg.k, u) for u in cfg.sweep["values"]]
     else:
         blocks = [cfg.drift]
     for block in blocks:
-        assert drift_from_block(block, cfg.k, grid)[0].k == cfg.k
+        assert drift_from_block(block, cfg.k)[0].k == cfg.k
 
 
 @pytest.mark.parametrize("doc", VALID, ids=lambda d: d["mode"])

@@ -81,9 +81,9 @@ def test_separable_matches_dense(kind, size, scale, seed):
     k, degree, q = size
     grid = tensor_grid(q, k)
     basis = enumerate_basis(k, degree)
-    v, _ = drift_from_block(SEPARABLE_KINDS[kind](k, scale), k, grid)
+    v, _ = drift_from_block(SEPARABLE_KINDS[kind](k, scale), k)
     p = as_measure(random_iterate(basis, seed), grid)
-    vvals = v.eval_v(p, grid.nodes, grid)
+    vvals = v.eval_v(p, grid.nodes)
     sparse = separable_interaction(basis, grid, vvals)
     assert sparse is not None
     assert_close(sparse, dense_interaction(basis, grid, vvals))
@@ -95,7 +95,7 @@ def shuffled(grid, seed=0):
     return QuadratureGrid(q=grid.q, k=grid.k, nodes=grid.nodes[order], weights=grid.weights[order])
 
 
-def coupled(p, x, grid):
+def coupled(p, x):
     return 0.4 * np.tanh(x + x[:, ::-1])
 
 
@@ -104,14 +104,14 @@ def coupled(p, x, grid):
     [
         (rotational_drift(0.3, 2, offset=[0.2, 0.0]), tensor_grid(8, 2)),
         (custom_drift(coupled, 2, "componentwise", 0.4), tensor_grid(8, 2)),
-        (drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 2, None)[0], uniform_gaussian_grid(6.0, 21, 2)),
-        (drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 2, None)[0], shuffled(tensor_grid(8, 2))),
+        (drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 2)[0], uniform_gaussian_grid(6.0, 21, 2)),
+        (drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 2)[0], shuffled(tensor_grid(8, 2))),
     ],
     ids=["rotational", "coupled-custom", "uniform-grid", "non-product-order"],
 )
 def test_dense_path_when_regrouping_fails(v, grid):
     basis = enumerate_basis(2, 5)
-    vvals = v.eval_v(None, grid.nodes, grid)
+    vvals = v.eval_v(None, grid.nodes)
     assert separable_interaction(basis, grid, vvals) is None
     dense = dense_interaction(basis, grid, vvals)
     assert np.array_equal(assemble(v, None, basis, grid).interaction, dense)
@@ -136,11 +136,11 @@ def test_tables_built_once_per_basis():
     grid = tensor_grid(8, 2)
     basis = enumerate_basis(2, 6)
     assert "gram_pattern" not in vars(basis)
-    v, _ = drift_from_block({"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}}, 2, grid)
+    v, _ = drift_from_block({"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}}, 2)
     rho, trace = fixed_point_solve(v, basis, grid)
     assert trace.converged and trace.iterations > 1
     pattern, lowering = basis.gram_pattern, basis.lowering_table()
-    assemble(v, rho, basis, grid)
+    assemble(v, as_measure(rho, grid), basis, grid)
     assert basis.gram_pattern is pattern and basis.lowering_table() is lowering
     assert not lowering.flags.writeable
 
@@ -158,7 +158,7 @@ DENSE_LADDER = [
 
 def test_ladder_matches_dense_assembly():
     v, _ = drift_from_block(
-        {"kind": "componentwise-tanh", "scale": 0.5, "n_components": 5, "mean_shift": True}, 5, None
+        {"kind": "componentwise-tanh", "scale": 0.5, "n_components": 5, "mean_shift": True}, 5
     )
     cfg = LadderConfig(
         weights=(1.0, 0.5, 0.25, 0.125, 0.0625),
@@ -186,7 +186,7 @@ def test_lu_solve_matches_dense_solve(seed):
 
 
 def test_degree_zero_solves_to_the_constant():
-    rho = solve_linear(custom_drift(lambda p, x, g: np.full_like(x, 0.3), 1, "H", 0.3), None,
+    rho = solve_linear(custom_drift(lambda p, x: np.full_like(x, 0.3), 1, "H", 0.3), None,
                        enumerate_basis(1, 0), tensor_grid(2, 1))
     assert np.array_equal(rho.coefficients, [1.0])
 

@@ -180,7 +180,7 @@ def reference_fixed_point(v, basis, grid, opts):
     p = opts.initial
     residuals = []
     for _ in range(opts.max_iterations + 1):
-        rho = solve_linear(v, p, basis, grid)
+        rho = solve_linear(v, as_measure(p, grid), basis, grid)
         residuals.append(l2_distance(rho, p))
         if residuals[-1] <= opts.tolerance:
             return rho, residuals
@@ -195,7 +195,7 @@ def test_hoisted_fixed_point_matches_per_iteration_solves(scale):
     every iterate off the symmetric fixed point."""
     grid = tensor_grid(16, 2)
     basis = enumerate_basis(2, 8)
-    v = vlasov_drift(TanhKernel(scale), 2, grid)
+    v = vlasov_drift(TanhKernel(scale), 2)
     opts = FixedPointOptions(
         damping=0.7, tolerance=1e-10, initial=shifted_density(basis, (0.4, -0.25))
     )
