@@ -58,7 +58,6 @@ from .drift import (
     constant_drift,
     custom_drift,
     decoupled_tanh_components,
-    gradient_drift,
     rotational_drift,
     tanh_components,
     truncate_to_k,

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BasisSizeError, NumericError
 
 # Hard ceiling on the number of basis elements; desk-scale dense solves only.
-DEFAULT_BASIS_CAP = 20000
+BASIS_CAP = 20000
 # Relative agreement of a grid's weights with the product of their 1-D
 # marginals for the grid to count as a product rule (product_rule).
 PRODUCT_RTOL = 1e-13
@@ -169,19 +169,19 @@ class ChaosBasis:
         return np.ravel_multi_index(self.exponents.T, (self.degree + 1,) * self.k)
 
 
-def enumerate_basis(k: int, max_degree: int, cap: int = DEFAULT_BASIS_CAP) -> ChaosBasis:
+def enumerate_basis(k: int, max_degree: int) -> ChaosBasis:
     """Build the chaos basis of dimension k and total degree <= max_degree.
 
-    Raises BasisSizeError when binomial(max_degree + k, k) exceeds the cap.
+    Raises BasisSizeError when binomial(max_degree + k, k) exceeds BASIS_CAP.
     """
     if k < 1:
         raise ValueError("dimension k must be >= 1")
     if max_degree < 0:
         raise ValueError("max degree must be >= 0")
     count = math.comb(max_degree + k, k)
-    if count > cap:
+    if count > BASIS_CAP:
         raise BasisSizeError(
-            f"basis would have {count} elements, exceeding the cap of {cap}"
+            f"basis would have {count} elements, exceeding the cap of {BASIS_CAP}"
         )
     indices = tuple(enumerate_multi_indices(k, max_degree))
     index_map = {alpha: j for j, alpha in enumerate(indices)}

@@ -180,6 +180,11 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
                 report["iterations"] = trace.iterations
         elif config.mode == "ladder":
             v, _ = drift_from_block(config.drift, config.ladder.levels[-1])
+            if config.ladder.component_bound < v.bound:
+                raise ConfigError(
+                    f"ladder.component_bound={config.ladder.component_bound!r} is below the "
+                    f"drift's componentwise bound {v.bound!r}"
+                )
             ladder_report = run_ladder(v, config.ladder)
             _write(os.path.join(out, "ladder.json"), json.dumps(ladder_report.to_json_dict(), sort_keys=True, indent=1))
             _write(os.path.join(out, "ladder.csv"), ladder_report.to_csv())
@@ -192,6 +197,9 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
             report["sweep"], report["checks_passed"] = _run_sweep(config, out, threads)
         elif config.mode == "verify":
             rho = _read_density(config.verify["density"])
+            for key, value in (("k", rho.k), ("N", rho.basis.degree)):
+                if config.raw.get(key, value) != value:
+                    raise ConfigError(f"verify: {key}={config.raw[key]!r} but the density has {key}={value}")
             quad_order = config.quad_order_for(rho.basis.degree)
             check_sizes("verify density", rho.k, rho.basis.degree, quad_order)
             grid = tensor_grid(quad_order, rho.k)
@@ -227,27 +235,17 @@ def _run_sweep(config: RunConfig, out: str, threads: int):
     grid = tensor_grid(config.effective_quad_order, config.k)
 
     def solve_point(u: float):
-        v, reads_measure = drift_from_block(sweep_drift(config.sweep, config.k, u), config.k)
-        if not reads_measure:
-            return solve_linear(v, None, basis, grid)
-        rho, _ = fixed_point_solve(v, basis, grid, config.fixed_point)
-        return rho
-
-    results: list = [None] * len(values)
-    failures: list = [None] * len(values)
-
-    def task(j):
+        """(density, None), or (None, the failure message)."""
         try:
-            results[j] = solve_point(values[j])
+            v, reads_measure = drift_from_block(sweep_drift(config.sweep, config.k, u), config.k)
+            if not reads_measure:
+                return solve_linear(v, None, basis, grid), None
+            return fixed_point_solve(v, basis, grid, config.fixed_point)[0], None
         except GfpkError as exc:
-            failures[j] = str(exc)
+            return None, str(exc)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(task, range(len(values))))
-    else:
-        for j in range(len(values)):
-            task(j)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results, failures = zip(*pool.map(solve_point, values))
 
     rows = []
     for j, u in enumerate(values):
@@ -279,39 +277,27 @@ def _run_oracle_compare(config: RunConfig):
     which = oc["oracle"]
     rho, trace, v, grid, p_frozen = _solve_one(config)
     result = {"oracle": which}
+    tol = oc["tolerance"]
     if which == "1d":
-        span = oc.get("span", 10.0)
         kernel = read_kind(config.drift, DRIFTS, "drift", 1)[1].get("kernel")
         if kernel is not None:  # a Vlasov drift: the self-consistent problem
-            oracle = oracle_1d_selfconsistent(lambda z: kernel(z[:, None])[:, 0], span=span)
+            oracle = oracle_1d_selfconsistent(lambda z: kernel(z[:, None])[:, 0], span=oc["span"])
         else:
-            oracle = oracle_1d(lambda x: v.eval_v(p_frozen, x[:, None])[:, 0], span=span)
+            oracle = oracle_1d(lambda x: v.eval_v(p_frozen, x[:, None])[:, 0], span=oc["span"])
         distance = l2_gamma_distance(rho, oracle)
-        tol = oc.get("tolerance", 1e-6)
         result.update({"l2_gamma_distance": distance, "tolerance": tol})
         return result, distance <= tol
     if which == "fd2d":
-        fd = oracle_fd_2d(
-            lambda x: v.eval_v(p_frozen, x),
-            span=oc.get("span", 6.0),
-            n=oc.get("n_cells", 161),
-        )
+        fd = oracle_fd_2d(lambda x: v.eval_v(p_frozen, x), span=oc["span"], n=oc["n_cells"])
         phi = np.exp(-0.5 * fd.x**2) / np.sqrt(2.0 * np.pi)
         worst = 0.0
         for axis in range(2):
             spectral = density_marginal(rho, [axis]).evaluate(fd.x[:, None]) * phi
             worst = max(worst, float(np.max(np.abs(spectral - fd.marginal(axis)))))
-        tol = oc.get("tolerance", 5e-3)
         result.update({"max_marginal_gap": worst, "tolerance": tol})
         return result, worst <= tol
     moments = oracle_sde(
-        v,
-        p_frozen,
-        config.k,
-        dt=oc.get("dt", 5e-3),
-        n_steps=oc.get("n_steps", 2000),
-        n_particles=oc.get("n_particles", 500),
-        seed=config.seed,
+        v, p_frozen, config.k, dt=oc["dt"], n_steps=oc["n_steps"], n_particles=oc["n_particles"], seed=config.seed
     )
     gaps = []
     for i in range(config.k):
@@ -319,8 +305,9 @@ def _run_oracle_compare(config: RunConfig):
         gaps.append(abs(moments.mean[i] - target) / max(moments.mean_se[i], 1e-15))
         target2 = integrate(rho, lambda x, i=i: x[:, i] ** 2, grid)
         gaps.append(abs(moments.second[i, i] - target2) / max(moments.second_se[i, i], 1e-15))
-    result.update({"max_gap_in_se": max(gaps), "tolerance_se": 3.0})
-    return result, max(gaps) <= 3.0
+    worst = float(max(gaps))  # a numpy bool verdict is never `is False`: a failure would exit 0
+    result.update({"max_gap_in_se": worst, "tolerance_se": tol})
+    return result, worst <= tol
 
 
 def _thread_count(flag: int | None) -> int:

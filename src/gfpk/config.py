@@ -1,8 +1,8 @@
 """Strict run-configuration parsing for the batch front door.
 
-Configs are JSON documents with a fixed schema: unknown keys and
-out-of-range values abort before any computation.  The parsed RunConfig
-carries everything a mode needs, so a run is a pure function of
+Configs are JSON documents with a fixed schema: a key the mode does not
+read and an out-of-range value abort before any computation.  The parsed
+RunConfig carries everything a mode needs, so a run is a pure function of
 (config, seed).
 """
 from __future__ import annotations
@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .basis import DEFAULT_BASIS_CAP
+from .basis import BASIS_CAP
 from .drift import COMPONENTWISE_BOUND, DRIFTS
 from .errors import ConfigError
 from .ladder import LadderConfig
@@ -19,14 +19,19 @@ from .nonlinear import FixedPointOptions
 from .oracles import SDE_BATCHES
 from .schema import Param, read_block, read_kind
 
-MODES = (
-    "solve-linear",
-    "solve-nonlinear",
-    "ladder",
-    "sweep",
-    "verify",
-    "oracle-compare",
-)
+# the top-level keys every mode reads, and those each mode reads besides;
+# a config with any other key is rejected
+COMMON_KEYS = ("mode", "seed", "output")
+_SOLVE_KEYS = ("k", "N", "Q", "drift", "fixed_point")
+MODE_KEYS = {
+    "solve-linear": _SOLVE_KEYS,
+    "solve-nonlinear": _SOLVE_KEYS,
+    "ladder": ("drift", "fixed_point", "ladder"),
+    "sweep": ("k", "N", "Q", "fixed_point", "sweep"),
+    "verify": ("k", "N", "Q", "drift", "verify"),  # k and N must match the density
+    "oracle-compare": _SOLVE_KEYS + ("oracle_compare",),
+}
+MODES = tuple(MODE_KEYS)
 
 # a tensor rule with more nodes than this is not built from a config
 MAX_GRID_NODES = 1_000_000
@@ -67,16 +72,22 @@ _SWEEP = (
     Param("direction", "vector", -100.0, 100.0, None),
 )
 _VERIFY = (Param("density", "text"),)
-# defaults per oracle are applied by the CLI
-_ORACLE = (
-    Param("oracle", "text", choices=("1d", "fd2d", "sde")),
-    Param("tolerance", "number", 0.0, 1e6, None),
-    Param("span", "number", 1.0, 100.0, None),
-    Param("n_cells", "integer", 8, 1000, None),
-    Param("dt", "number", 1e-6, 0.01, None),
-    Param("n_steps", "integer", 10, 10_000_000, None),
-    Param("n_particles", "integer", 50, 1_000_000, None),
-)
+# the keys each oracle of an oracle_compare block reads besides "oracle";
+# the sde tolerance is in standard errors of the sampled moments
+ORACLES = {
+    "1d": (Param("tolerance", "number", 0.0, 1e6, 1e-6), Param("span", "number", 1.0, 100.0, 10.0)),
+    "fd2d": (
+        Param("tolerance", "number", 0.0, 1e6, 5e-3),
+        Param("span", "number", 1.0, 100.0, 6.0),
+        Param("n_cells", "integer", 8, 1000, 161),
+    ),
+    "sde": (
+        Param("tolerance", "number", 0.0, 1e6, 3.0),
+        Param("dt", "number", 1e-6, 0.01, 5e-3),
+        Param("n_steps", "integer", 10, 10_000_000, 2000),
+        Param("n_particles", "integer", 50, 1_000_000, 500),
+    ),
+}
 _ORACLE_K = {"1d": 1, "fd2d": 2}
 _OUTPUT = (Param("dir", "text", default=None),)
 
@@ -111,8 +122,8 @@ def check_sizes(context: str, k: int, degree: int, quad_order: int):
     the size cap or a tensor grid above MAX_GRID_NODES."""
     if quad_order < degree + 1:
         raise ConfigError(f"{context}: Q={quad_order} must be at least N+1={degree + 1}")
-    if math.comb(degree + k, k) > DEFAULT_BASIS_CAP:
-        raise ConfigError(f"{context}: the basis of k={k}, N={degree} exceeds {DEFAULT_BASIS_CAP} elements")
+    if math.comb(degree + k, k) > BASIS_CAP:
+        raise ConfigError(f"{context}: the basis of k={k}, N={degree} exceeds {BASIS_CAP} elements")
     if quad_order**k > MAX_GRID_NODES:
         raise ConfigError(f"{context}: the grid of k={k}, Q={quad_order} exceeds {MAX_GRID_NODES} nodes")
 
@@ -137,10 +148,25 @@ def _read_ladder(block, fixed_point: FixedPointOptions) -> LadderConfig:
     return ladder
 
 
+def _read_oracle(block) -> dict:
+    """The oracle_compare block, with the defaults of its oracle filled in."""
+    which = block.get("oracle") if isinstance(block, dict) else None
+    if not isinstance(which, str) or which not in ORACLES:
+        raise ConfigError(f"oracle_compare.oracle must be {' or '.join(ORACLES)}, got {which!r}")
+    oracle = read_block(block, (Param("oracle", "text"),) + ORACLES[which], "oracle_compare")
+    if which == "sde" and oracle["n_particles"] % SDE_BATCHES:
+        raise ConfigError(f"oracle_compare.n_particles must be a multiple of {SDE_BATCHES}")
+    return oracle
+
+
 def parse_config(doc: dict) -> RunConfig:
-    """Validate a parsed JSON document into a RunConfig; strict on keys."""
+    """Validate a parsed JSON document into a RunConfig; strict on keys:
+    a mode accepts only COMMON_KEYS and its MODE_KEYS."""
     top = read_block(doc, _TOP, "config")
     mode, k = top["mode"], top["k"]
+    unread = set(doc) - set(COMMON_KEYS + MODE_KEYS[mode])
+    if unread:
+        raise ConfigError(f"{mode} mode does not read the key(s) {sorted(unread)}")
     fixed_point = FixedPointOptions(
         **read_block(top.get("fixed_point", {}), fixed_point_params(mode), "fixed_point")
     )
@@ -166,11 +192,9 @@ def parse_config(doc: dict) -> RunConfig:
         for u in sweep["values"]:
             read_kind(sweep_drift(sweep, k, u), DRIFTS, f"sweep point {u!r}: drift", k)
     if mode == "oracle-compare":
-        oracle = read_block(required("oracle_compare"), _ORACLE, "oracle_compare")
+        oracle = _read_oracle(required("oracle_compare"))
         if _ORACLE_K.get(oracle["oracle"], k) != k:
             raise ConfigError(f"the {oracle['oracle']} oracle requires k = {_ORACLE_K[oracle['oracle']]}")
-        if oracle.get("n_particles", SDE_BATCHES) % SDE_BATCHES:
-            raise ConfigError(f"oracle_compare.n_particles must be a multiple of {SDE_BATCHES}")
     output = read_block(top.get("output", {}), _OUTPUT, "output")
 
     config = RunConfig(
@@ -188,7 +212,8 @@ def parse_config(doc: dict) -> RunConfig:
         output_dir=output.get("dir"),
         raw=doc,
     )
-    check_sizes("config", k, config.degree, config.effective_quad_order)
+    if mode not in ("ladder", "verify"):  # these two size their own grids
+        check_sizes("config", k, config.degree, config.effective_quad_order)
     return config
 
 

@@ -237,7 +237,7 @@ class HermiteTest:
 class BumpTest:
     """Compactly supported smooth cylindrical test function.
 
-    phi(x) = exp(-(1 - u)^{-q} + 1) on u < 1, 0 outside, where
+    phi(x) = exp(-(1 - u)^{-1} + 1) on u < 1, 0 outside, where
     u = |x_A - center|^2 / radius^2 over the active coordinates A.
     The +1 normalizes phi = 1 at the center.
     """
@@ -245,7 +245,6 @@ class BumpTest:
     active: tuple[int, ...]
     center: tuple[float, ...]
     radius: float
-    order: int = 1
 
     def __post_init__(self):
         if len(self.center) != len(self.active):
@@ -254,16 +253,15 @@ class BumpTest:
             raise ValueError("radius must be positive")
 
     def _profile(self, u: np.ndarray):
-        """g(u), g'(u), g''(u) for g = exp(-(1-u)^{-q} + 1), supported on u < 1."""
-        q = self.order
+        """g(u), g'(u), g''(u) for g = exp(-(1-u)^{-1} + 1), supported on u < 1."""
         inside = u < 1.0
         g = np.zeros_like(u)
         g1 = np.zeros_like(u)
         g2 = np.zeros_like(u)
         w = 1.0 - u[inside]
-        f = -(w ** (-q)) + 1.0
-        fp = -q * w ** (-q - 1)
-        fpp = -q * (q + 1) * w ** (-q - 2)
+        f = -(w ** (-1)) + 1.0
+        fp = -(w ** (-2))
+        fpp = -2 * w ** (-3)
         gi = np.exp(f)
         g[inside] = gi
         g1[inside] = fp * gi

@@ -19,6 +19,10 @@ from .errors import NumericError
 
 FISHER_FLOOR = 1e-12
 FISHER_MASS_REQUIRED = 1.0 - 1e-6
+TAIL_TOLERANCE = 1e-8  # absolute slack of each tail comparison
+# half-width and point count of the sign-change scan of superlevel_mass_1d
+LEVELSET_SPAN = 12.0
+LEVELSET_SCAN = 4001
 
 
 @dataclass(frozen=True)
@@ -58,18 +62,20 @@ def superlevel_mass_nodes(rho: ChaosDensity, t: float, grid: QuadratureGrid) -> 
     return float(np.sum(grid.weights[vals >= t]))
 
 
-def superlevel_mass_1d(rho: ChaosDensity, t: float, span: float = 12.0, scan: int = 4001) -> float:
+def superlevel_mass_1d(rho: ChaosDensity, t: float) -> float:
     """gamma(rho >= t) for a 1-D density by explicit level-set resolution.
 
-    Scans [-span, span] for sign changes of rho - t, refines each crossing
-    by bisection and sums the exact Gaussian mass of the super-level
-    intervals.  Accurate to root-finding precision, unlike node counting.
+    Scans [-LEVELSET_SPAN, LEVELSET_SPAN] for sign changes of rho - t,
+    refines each crossing by bisection and sums the exact Gaussian mass of
+    the super-level intervals.  Accurate to root-finding precision, unlike
+    node counting.
     """
     from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
 
     if rho.k != 1:
         raise ValueError("level-set mass is implemented for 1-D densities only")
-    xs = np.linspace(-span, span, scan)
+    span = LEVELSET_SPAN
+    xs = np.linspace(-span, span, LEVELSET_SCAN)
     sign = rho.evaluate(xs[:, None]) >= t
     f = lambda s: rho.evaluate(np.array([s])) - t
     changes = np.flatnonzero(sign[:-1] != sign[1:])
@@ -86,13 +92,7 @@ def _gaussian_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def tail_check(
-    rho: ChaosDensity,
-    sigma_inf: float,
-    t_grid,
-    grid: QuadratureGrid,
-    tolerance: float = 1e-8,
-) -> BoundReport:
+def tail_check(rho: ChaosDensity, sigma_inf: float, t_grid, grid: QuadratureGrid) -> BoundReport:
     """Verify gamma(rho >= t) <= e^2 exp(-sigma_inf (ln t)^2) for each t > 1,
     the left side being the quadrature super-level mass on grid."""
     rows = []
@@ -103,7 +103,7 @@ def tail_check(
         left = superlevel_mass_nodes(rho, t, grid)
         # zero drift: density is 1, super-level mass above t > 1 must vanish
         right = math.e**2 * math.exp(-sigma_inf * math.log(t) ** 2) if np.isfinite(sigma_inf) else 0.0
-        ok = left <= right + tolerance
+        ok = left <= right + TAIL_TOLERANCE
         passed = passed and ok
         rows.append({"t": t, "left": left, "right": right, "passed": ok})
     worst = max(rows, key=lambda r: r["left"] - r["right"])
@@ -112,7 +112,7 @@ def tail_check(
         left=worst["left"],
         right=worst["right"],
         passed=passed,
-        tolerance=tolerance,
+        tolerance=TAIL_TOLERANCE,
         inputs={"sigma_inf": sigma_inf, "t_grid": list(t_grid), "rows": rows},
     )
 

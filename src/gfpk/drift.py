@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -57,12 +56,9 @@ class ComponentwiseKernel:
     """A kernel whose i-th output component depends on z_i only.
 
     Subclasses implement `component(i, z)` on a plain array of z_i values;
-    `componentwise = True` is the declaration `vlasov_eval` relies on to
-    convolve coordinate by coordinate against the 1-D marginals of the
-    measure.  A kernel without the declaration is convolved densely.
+    `vlasov_eval` convolves an instance coordinate by coordinate against the
+    1-D marginals of the measure.  Any other kernel is convolved densely.
     """
-
-    componentwise: ClassVar[bool] = True
 
     def component(self, i: int, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -229,16 +225,6 @@ def constant_drift(h) -> DriftField:
     )
 
 
-def gradient_drift(grad_fn, k, bound) -> DriftField:
-    """v = grad W for a scalar potential W with bounded gradient; grad_fn
-    maps (m, k) points to (m, k) gradients.  The solution is exp(W) / Z."""
-
-    def evaluator(measure, x):
-        return np.asarray(grad_fn(x), dtype=float)
-
-    return DriftField("gradient", k, evaluator, H_BOUND, bound)
-
-
 def clipped_potential_drift(lam: float, k: int, width: float = 2.0) -> DriftField:
     """Built-in bounded gradient field v_i = lam * tanh(x_i / width).
 
@@ -252,10 +238,10 @@ def clipped_potential_drift(lam: float, k: int, width: float = 2.0) -> DriftFiel
     if width <= 0:
         raise ValueError("saturation width must be positive")
 
-    def grad_fn(x):
+    def evaluator(measure, x):
         return lam * np.tanh(x / width)
 
-    return gradient_drift(grad_fn, k, abs(lam) * math.sqrt(k))
+    return DriftField("gradient", k, evaluator, H_BOUND, abs(lam) * math.sqrt(k))
 
 
 # entries of the largest kernel matrix built at once by either convolution
@@ -277,7 +263,7 @@ def vlasov_eval(kernel, p, x, grid: QuadratureGrid | None) -> np.ndarray:
             raise TypeError("a quadrature grid is required to read a ChaosDensity as a measure")
         p = as_measure(p, grid)
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if getattr(kernel, "componentwise", False):
+    if isinstance(kernel, ComponentwiseKernel):
         return vlasov_marginal(kernel, p, x)
     return vlasov_dense(kernel, p, x)
 
@@ -326,12 +312,11 @@ def vlasov_drift(kernel, k: int) -> DriftField:
     """Drift obtained by convolving a bounded kernel with the solution measure.
 
     The kernel maps an array of differences z (..., k) to b0(z) (..., k).  A
-    kernel that sets `componentwise = True` and provides `component(i, z)`,
-    the i-th component of b0 as a function of z_i alone (every built-in
-    kernel: constant, tanh, gaussian-lobe, clipped-linear; see
-    ComponentwiseKernel), is convolved against the 1-D marginals of the
-    measure; any other kernel, such as a general H-valued b0, is convolved
-    over all pairs of points.
+    ComponentwiseKernel, whose `component(i, z)` is the i-th component of b0
+    as a function of z_i alone (every built-in kernel: constant, tanh,
+    gaussian-lobe, clipped-linear), is convolved against the 1-D marginals
+    of the measure; any other kernel, such as a general H-valued b0, is
+    convolved over all pairs of points.
 
     Every kernel answers h_bound_for(k), its bound on |b0|_H in dimension k.
     The measure argument is a PointMeasure; None is a TypeError.

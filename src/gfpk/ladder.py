@@ -192,9 +192,10 @@ class LadderReport:
         }
 
 
-def run_ladder(v, cfg: LadderConfig, battery=None) -> LadderReport:
+def run_ladder(v, cfg: LadderConfig) -> LadderReport:
     """Solve the nonlinear problem level by level, seeding each dimension
-    with the zero-padded solution of the previous one.
+    with the zero-padded solution of the previous one.  Adjacent levels are
+    compared on the default battery of the lower one.
 
     A non-convergent level aborts the ladder and returns the partial report
     with the failure message recorded.
@@ -232,9 +233,8 @@ def run_ladder(v, cfg: LadderConfig, battery=None) -> LadderReport:
             iterations=trace.iterations,
         )
         if previous is not None:
-            shared_battery = battery if battery is not None else default_battery(previous[0].k)
             report.levels[-1].distance_to_next = marginal_distance(
-                previous[0], previous[1], rho, grid, shared_battery
+                previous[0], previous[1], rho, grid, default_battery(previous[0].k)
             )
         report.levels.append(level)
         previous = (rho, grid)

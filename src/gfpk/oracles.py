@@ -16,7 +16,12 @@ from .errors import DomainError, InstabilityError, NumericError
 
 BOUNDARY_DENSITY_LIMIT = 1e-12
 BLOWUP_LIMIT = 1e6
-SDE_BATCHES = 50  # default particle groups of oracle_sde
+# odd, so that x = 0 is a node of the 1-D grids and anchors the potential integral
+ORACLE_1D_POINTS = 20001
+SELFCONSISTENT_TOL = 1e-12  # sup distance of successive 1-D iterates
+SELFCONSISTENT_MAX_ITERATIONS = 200
+SDE_BATCHES = 50  # particle groups of oracle_sde
+SDE_BURN_IN = 0.2  # share of the steps of oracle_sde left out of the averages
 
 
 @dataclass(frozen=True)
@@ -67,52 +72,42 @@ def _normalize_1d(x, unnormalized) -> GridDensity1D:
     return GridDensity1D(x=x, pdf=unnormalized / z, z=z)
 
 
-def oracle_1d(v, span: float = 10.0, n_points: int = 20001) -> GridDensity1D:
+def oracle_1d(v, span: float = 10.0) -> GridDensity1D:
     """Closed-form 1-D stationary density for the drift b(x) = -x + v(x):
     Lebesgue density proportional to exp(-x^2/2 + int_0^x v(s) ds)."""
-    if n_points % 2 == 0:
-        n_points += 1  # keep 0 on the grid to anchor the potential integral
-    x = np.linspace(-span, span, n_points)
+    x = np.linspace(-span, span, ORACLE_1D_POINTS)
     vvals = np.asarray(v(x), dtype=float)
     potential = _cumulative_trapezoid(vvals, x)
-    potential -= potential[n_points // 2]
+    potential -= potential[ORACLE_1D_POINTS // 2]
     log_density = -0.5 * x**2 + potential
     return _normalize_1d(x, np.exp(log_density - log_density.max()))
 
 
-def oracle_1d_selfconsistent(
-    kernel,
-    span: float = 10.0,
-    n_points: int = 20001,
-    tol: float = 1e-12,
-    max_iterations: int = 200,
-) -> GridDensity1D:
+def oracle_1d_selfconsistent(kernel, span: float = 10.0) -> GridDensity1D:
     """Fixed point of the 1-D convolution drift v(x) = int b0(x - y) f(y) dy.
 
     Iterates f -> normalize(exp(-x^2/2 + int_0^x v(f, s) ds)) on a fine grid;
     the convolution is evaluated by FFT on the uniform grid.  Stops when the
-    sup distance of successive densities falls below tol.
+    sup distance of successive densities falls below SELFCONSISTENT_TOL.
     """
-    if n_points % 2 == 0:
-        n_points += 1
-    x = np.linspace(-span, span, n_points)
+    x = np.linspace(-span, span, ORACLE_1D_POINTS)
     h = x[1] - x[0]
-    diffs = np.linspace(-2.0 * span, 2.0 * span, 2 * n_points - 1)
+    diffs = np.linspace(-2.0 * span, 2.0 * span, 2 * ORACLE_1D_POINTS - 1)
     kernel_samples = np.asarray(kernel(diffs), dtype=float)
     density = np.exp(-0.5 * x**2)
     density /= np.trapezoid(density, x)
-    for _ in range(max_iterations):
+    for _ in range(SELFCONSISTENT_MAX_ITERATIONS):
         v = h * _convolve_valid(kernel_samples, density)
         potential = _cumulative_trapezoid(v, x)
-        potential -= potential[n_points // 2]
+        potential -= potential[ORACLE_1D_POINTS // 2]
         log_density = -0.5 * x**2 + potential
         new = np.exp(log_density - log_density.max())
         new /= np.trapezoid(new, x)
-        if float(np.max(np.abs(new - density))) < tol:
+        if float(np.max(np.abs(new - density))) < SELFCONSISTENT_TOL:
             return _normalize_1d(x, new)
         density = new
     raise NumericError(
-        f"self-consistent 1-D oracle did not converge in {max_iterations} iterations"
+        f"self-consistent 1-D oracle did not converge in {SELFCONSISTENT_MAX_ITERATIONS} iterations"
     )
 
 
@@ -132,7 +127,6 @@ class SdeMoments:
     mean_se: np.ndarray
     second: np.ndarray  # E[x_i x_j]
     second_se: np.ndarray
-    n_batches: int
 
 
 def oracle_sde(
@@ -143,30 +137,29 @@ def oracle_sde(
     n_steps: int = 2000,
     n_particles: int = 500,
     seed: int = 0,
-    burn_in: float = 0.2,
-    n_batches: int = SDE_BATCHES,
 ) -> SdeMoments:
     """Euler-Maruyama sampling of dX = (-X + v(p, X)) dt + sqrt(2) dW.
 
     The drift is frozen at p_frozen, a PointMeasure read once from the
     solved density (None for a drift that ignores the measure); the
     stationary law of this diffusion is exactly what the linear equation
-    characterizes.  Standard errors come from batch means over disjoint
-    particle groups, which are genuinely independent replicates (time
-    batches would understate the error whenever a batch is shorter than the
-    autocorrelation time).  Identical seeds give bitwise identical estimates.
+    characterizes.  Standard errors come from batch means over SDE_BATCHES
+    disjoint particle groups, which are genuinely independent replicates
+    (time batches would understate the error whenever a batch is shorter
+    than the autocorrelation time).  The first SDE_BURN_IN share of the
+    steps is not averaged.  Identical seeds give bitwise identical estimates.
     """
     if dt > 0.01:
         raise ValueError("dt must be <= 0.01 for a trustworthy invariant law")
-    if n_particles % n_batches != 0:
-        raise ValueError("n_particles must be divisible by n_batches")
+    if n_particles % SDE_BATCHES != 0:
+        raise ValueError(f"n_particles must be divisible by {SDE_BATCHES}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_particles, k))
-    skip = int(burn_in * n_steps)
+    skip = int(SDE_BURN_IN * n_steps)
     kept = n_steps - skip
-    group = n_particles // n_batches
-    mean_batches = np.zeros((n_batches, k))
-    second_batches = np.zeros((n_batches, k, k))
+    group = n_particles // SDE_BATCHES
+    mean_batches = np.zeros((SDE_BATCHES, k))
+    second_batches = np.zeros((SDE_BATCHES, k, k))
     sqrt_2dt = math.sqrt(2.0 * dt)
     for step in range(n_steps):
         drift = v.eval_v(p_frozen, x) - x
@@ -175,18 +168,17 @@ def oracle_sde(
             raise InstabilityError("particle blow-up detected; reduce dt")
         if step < skip:
             continue
-        xr = x.reshape(n_batches, group, k)
+        xr = x.reshape(SDE_BATCHES, group, k)
         mean_batches += xr.mean(axis=1)
         second_batches += np.einsum("bgi,bgj->bij", xr, xr) / group
     mean_batches /= kept
     second_batches /= kept
-    sqrt_nb = math.sqrt(n_batches)
+    sqrt_nb = math.sqrt(SDE_BATCHES)
     return SdeMoments(
         mean=mean_batches.mean(axis=0),
         mean_se=mean_batches.std(axis=0, ddof=1) / sqrt_nb,
         second=second_batches.mean(axis=0),
         second_se=second_batches.std(axis=0, ddof=1) / sqrt_nb,
-        n_batches=n_batches,
     )
 
 

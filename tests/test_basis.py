@@ -39,7 +39,7 @@ def test_enumeration_is_graded():
 
 def test_basis_cap_raises():
     with pytest.raises(BasisSizeError, match="exceed"):
-        enumerate_basis(6, 30, cap=1000)
+        enumerate_basis(6, 30)
 
 
 def test_hermite_trivial_values():

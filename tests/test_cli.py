@@ -284,6 +284,29 @@ def test_oracle_compare_1d(tmp_path):
     assert report["oracle"]["l2_gamma_distance"] <= 1e-6
 
 
+def test_oracle_compare_sde_honours_its_tolerance(tmp_path):
+    cfg = {
+        **_solve(1, CONSTANT, "oracle-compare"),
+        "oracle_compare": {"oracle": "sde", "tolerance": 1e-6, "n_steps": 400, "n_particles": 100},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    assert main(["oracle-compare", "--config", write_config(tmp_path, cfg)]) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["oracle"]["tolerance_se"] == 1e-6
+    assert report["oracle"]["max_gap_in_se"] > 1e-6
+    assert report["checks_passed"] is False
+
+
+def test_sweep_threads_give_identical_artifacts(tmp_path):
+    cfg = {"mode": "sweep", "k": 1, "N": 8, "sweep": {"family": "vlasov-tanh-scale", "values": [0.1, 0.3, 0.5]}}
+    path = write_config(tmp_path, cfg)
+    for threads in ("1", "2"):
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / threads), "--threads", threads]) == 0
+    names = ["sweep.csv"] + [f"density_{j:03d}.json" for j in range(3)]
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_oracle_compare_sde_reads_the_density_once(tmp_path, monkeypatch):
     """After the fixed point, the solved density is read as a measure once;
     the SDE oracle's steps reuse that measure instead of re-reading it."""
@@ -357,7 +380,9 @@ MALFORMED = {
     "verify-missing-density": _verify("{tmp}/missing.json"),
     "verify-unreadable-density": _verify("{tmp}/bad.json"),
     "verify-wrong-coefficient-count": _verify("{tmp}/short.json"),
-    "verify-q-below-density-degree": {**_verify("{tmp}/high.json"), "N": 4, "Q": 8},
+    "verify-q-below-density-degree": {**_verify("{tmp}/high.json"), "Q": 8},
+    "verify-k-differs-from-density": {**_verify("{tmp}/high.json"), "k": 2},
+    "verify-with-fixed-point": {**_verify("{tmp}/high.json"), "fixed_point": {"damping": 0.5}},
     "ladder-levels-string": _ladder(levels="ab"),
     "ladder-weights-flat": _ladder(weights=[1, 1], levels=[1, 2], degrees=[4, 4], quad_orders=[6, 6]),
     "ladder-too-few-weights": _ladder(weights=[0.25, 0.0625]),
@@ -365,6 +390,8 @@ MALFORMED = {
     "ladder-level-above-n-components": _ladder(drift={"n_components": 2}),
     "ladder-q-below-degree": _ladder(quad_orders=[6, 4, 6]),
     "ladder-constant-drift": {**_ladder(), "drift": {"kind": "constant", "h": [0.1, 0.2, 0.3]}},
+    "ladder-with-k": {**_ladder(), "k": 7},
+    "ladder-component-bound-below-drift": _ladder(drift={"scale": 2.0}, component_bound=0.1),
     "oracle-n-cells-string": _solve(
         2, {"kind": "rotational", "scale": 0.3}, "oracle-compare", oracle_compare={"oracle": "fd2d", "n_cells": "x"}
     ),
@@ -374,6 +401,12 @@ MALFORMED = {
     "oracle-1d-with-k-2": _solve(2, {"kind": "clipped-potential", "lam": 0.5}, "oracle-compare",
                                  oracle_compare={"oracle": "1d"}),
     "oracle-n-points": _solve(1, CONSTANT, "oracle-compare", oracle_compare={"oracle": "1d", "n_points": 9}),
+    "oracle-sde-with-span": _solve(1, CONSTANT, "oracle-compare", oracle_compare={"oracle": "sde", "span": 6.0}),
+    "oracle-1d-with-n-cells": _solve(1, CONSTANT, "oracle-compare", oracle_compare={"oracle": "1d", "n_cells": 41}),
+    "solve-with-sweep-block": {**_solve(1, CONSTANT), "sweep": {"family": "constant-scale", "values": [0.1]}},
+    "sweep-with-drift-block": {
+        "mode": "sweep", "k": 1, "N": 4, "sweep": {"family": "constant-scale", "values": [0.1]}, "drift": {"kind": "bogus"}
+    },
     "sweep-direction-length": {
         "mode": "sweep", "k": 2, "N": 4, "sweep": {"family": "constant-scale", "values": [0.1], "direction": [1.0]}
     },

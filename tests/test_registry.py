@@ -4,6 +4,7 @@ every rejected input is a ConfigError."""
 import copy
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gfpk import ConfigError, PointMeasure, enumerate_basis, parse_config, tensor_grid
-from gfpk.config import MODES, fixed_point_params, sweep_drift
+from gfpk.config import MODE_KEYS, MODES, ORACLES, fixed_point_params, sweep_drift
 from gfpk.drift import DRIFTS, KERNELS, drift_from_block
 from gfpk.schema import REQUIRED
 
@@ -72,11 +73,27 @@ def test_minimal_block_round_trip(block):
 # -- the README tables ------------------------------------------------------
 
 
+def _cells(line):
+    return [c.strip() for c in line.strip().strip("|").split("|")]
+
+
 def _table_rows(first_cell):
     with open(README) as fh:
-        rows = [line.strip() for line in fh if line.startswith("|")]
-    cells = [[c.strip() for c in row.strip("|").split("|")] for row in rows]
+        cells = [_cells(line) for line in fh if line.startswith("|")]
     return [c for c in cells if c[0].startswith(first_cell)]
+
+
+def _table(header):
+    """The body rows of the README table whose header cells are `header`."""
+    with open(README) as fh:
+        lines = [line.strip() for line in fh]
+    start = [_cells(line) if line.startswith("|") else None for line in lines].index(header)
+    rows = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        rows.append(_cells(line))
+    return rows
 
 
 def _param_row(block, kind, p):
@@ -103,6 +120,17 @@ def test_readme_parameter_table_matches_registry():
     assert documented == expected
 
 
+def test_readme_oracle_table_matches_config():
+    expected = [_param_row("oracle", which, p) for which, params in ORACLES.items() for p in params]
+    assert _table_rows("oracle `") == expected
+
+
+def test_readme_mode_keys_table_matches_config():
+    rows = _table(["mode", "keys it reads besides `mode`, `seed` and `output`"])
+    documented = {row[0].strip("`"): re.findall(r"`([^`]+)`", row[1]) for row in rows}
+    assert documented == {mode: list(keys) for mode, keys in MODE_KEYS.items()}
+
+
 def test_readme_kind_table_matches_registry():
     documented = {row[0]: row[1:3] for row in _table_rows("`") if row[0].strip("`") in DRIFTS}
     expected = {
@@ -112,8 +140,13 @@ def test_readme_kind_table_matches_registry():
 
 
 def test_readme_fixed_point_defaults_match_config():
-    documented = {row[0].strip("`"): row[1:] for row in _table_rows("`") if row[0].strip("`") in MODES}
-    expected = {mode: [f"{p.default:g}" for p in fixed_point_params(mode)] for mode in MODES}
+    rows = _table(["mode", "`damping`", "`tolerance`", "`max_iterations`"])
+    documented = {row[0].strip("`"): row[1:] for row in rows}
+    expected = {
+        mode: [f"{p.default:g}" for p in fixed_point_params(mode)]
+        for mode in MODES
+        if "fixed_point" in MODE_KEYS[mode]
+    }
     assert documented == expected
 
 
