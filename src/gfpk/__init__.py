@@ -60,7 +60,6 @@ from .drift import (
     decoupled_tanh_components,
     rotational_drift,
     tanh_components,
-    truncate_to_k,
     vlasov_drift,
     vlasov_eval,
 )
@@ -80,6 +79,7 @@ from .nonlinear import (
     fixed_point_solve,
     l2_distance,
     schauder_membership,
+    solve_stationary,
 )
 from .oracles import (
     GridDensity1D,

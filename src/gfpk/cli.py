@@ -30,8 +30,8 @@ from .drift import DRIFTS, drift_from_block
 from .errors import BasisSizeError, ConfigError, GfpkError
 from .ladder import run_ladder
 # residual stays importable here: the benchmark's tests check gfpk.cli.residual
-from .linear import residual, residual_suite, solve_linear  # noqa: F401
-from .nonlinear import fixed_point_solve, l2_distance, schauder_membership
+from .linear import residual, residual_suite  # noqa: F401
+from .nonlinear import l2_distance, schauder_membership, solve_stationary
 from .oracles import (
     l2_gamma_distance,
     oracle_1d,
@@ -129,17 +129,20 @@ def _config_hash(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _solve_one(cfg: RunConfig):
-    """(rho, trace or None, v, grid, p_frozen) of one solve; p_frozen is the
-    measure the drift reads, rho read on the solve grid once, or None for a
+def _frozen_measure(v, rho: ChaosDensity, grid):
+    """The measure v reads at rho: rho read on the grid once, or None for a
     drift that ignores the measure."""
+    return as_measure(rho, grid) if v.reads_measure else None
+
+
+def _solve_one(cfg: RunConfig):
+    """(rho, trace or None, v, grid, p_frozen) of one solve, p_frozen being
+    the measure the drift reads at rho."""
     basis = enumerate_basis(cfg.k, cfg.degree)
     grid = tensor_grid(cfg.effective_quad_order, cfg.k)
-    v, reads_measure = drift_from_block(cfg.drift, cfg.k)
-    if not reads_measure:
-        return solve_linear(v, None, basis, grid), None, v, grid, None
-    rho, trace = fixed_point_solve(v, basis, grid, cfg.fixed_point)
-    return rho, trace, v, grid, as_measure(rho, grid)
+    v = drift_from_block(cfg.drift, cfg.k)
+    rho, trace = solve_stationary(v, basis, grid, cfg.fixed_point)
+    return rho, trace, v, grid, _frozen_measure(v, rho, grid)
 
 
 def _read_density(path: str) -> ChaosDensity:
@@ -179,13 +182,7 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
                 report["artifacts"]["trace"] = trace_path
                 report["iterations"] = trace.iterations
         elif config.mode == "ladder":
-            v, _ = drift_from_block(config.drift, config.ladder.levels[-1])
-            if config.ladder.component_bound < v.bound:
-                raise ConfigError(
-                    f"ladder.component_bound={config.ladder.component_bound!r} is below the "
-                    f"drift's componentwise bound {v.bound!r}"
-                )
-            ladder_report = run_ladder(v, config.ladder)
+            ladder_report = run_ladder(lambda k: drift_from_block(config.drift, k), config.ladder)
             _write(os.path.join(out, "ladder.json"), json.dumps(ladder_report.to_json_dict(), sort_keys=True, indent=1))
             _write(os.path.join(out, "ladder.csv"), ladder_report.to_csv())
             report["artifacts"]["ladder_json"] = os.path.join(out, "ladder.json")
@@ -203,9 +200,8 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
             quad_order = config.quad_order_for(rho.basis.degree)
             check_sizes("verify density", rho.k, rho.basis.degree, quad_order)
             grid = tensor_grid(quad_order, rho.k)
-            v, reads_measure = drift_from_block(config.drift, rho.k)
-            p_frozen = as_measure(rho, grid) if reads_measure else None
-            checks, passed = density_checks(rho, v, p_frozen, grid)
+            v = drift_from_block(config.drift, rho.k)
+            checks, passed = density_checks(rho, v, _frozen_measure(v, rho, grid), grid)
             report.update(checks)
             report["checks_passed"] = passed
         elif config.mode == "oracle-compare":
@@ -237,10 +233,8 @@ def _run_sweep(config: RunConfig, out: str, threads: int):
     def solve_point(u: float):
         """(density, None), or (None, the failure message)."""
         try:
-            v, reads_measure = drift_from_block(sweep_drift(config.sweep, config.k, u), config.k)
-            if not reads_measure:
-                return solve_linear(v, None, basis, grid), None
-            return fixed_point_solve(v, basis, grid, config.fixed_point)[0], None
+            v = drift_from_block(sweep_drift(config.sweep, config.k, u), config.k)
+            return solve_stationary(v, basis, grid, config.fixed_point)[0], None
         except GfpkError as exc:
             return None, str(exc)
 

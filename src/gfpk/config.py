@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .basis import BASIS_CAP
-from .drift import COMPONENTWISE_BOUND, DRIFTS
+from .drift import DRIFTS, drift_from_block
 from .errors import ConfigError
 from .ladder import LadderConfig
 from .nonlinear import FixedPointOptions
@@ -184,9 +184,10 @@ def parse_config(doc: dict) -> RunConfig:
         read_kind(top.get("drift"), DRIFTS, "drift")
     if mode == "ladder":
         ladder = _read_ladder(required("ladder"), fixed_point)
-        entry, _ = read_kind(top.get("drift"), DRIFTS, "drift", ladder.levels[-1])
-        if entry.bound != COMPONENTWISE_BOUND:
-            raise ConfigError("ladder mode requires a componentwise drift kind")
+        try:
+            ladder.check_drift(drift_from_block(top.get("drift"), ladder.levels[-1]))
+        except ValueError as exc:
+            raise ConfigError(f"ladder: {exc}") from exc
     if mode == "sweep":
         sweep = read_block(required("sweep"), _SWEEP, "sweep", k)
         for u in sweep["values"]:

@@ -10,8 +10,9 @@ ChaosDensity read once on the solve grid by `as_measure`) or None for
 fields that ignore it.
 
 The registry at the end (DRIFTS, KERNELS) is the one description of the
-drift and kernel kinds a config can name: their parameters, constructors
-and whether the drift reads the measure.
+drift and kernel kinds a config can name: their parameters and
+constructors.  Everything else about a drift (its bound, whether it reads
+the measure) is stated by the DriftField its constructor builds.
 """
 from __future__ import annotations
 
@@ -146,18 +147,21 @@ class DriftField:
     """Measure-dependent drift v with a declared, enforced bound.
 
     The evaluator maps (measure, x (m, k)) to (m, k), the measure being a
-    PointMeasure or None.  kind is a label for messages.  restrict, when
-    given, maps j to the field restricted to the first j coordinates (see
-    truncate_to_k).
+    PointMeasure or None.  kind is a label for messages.  bound_kind is
+    H_BOUND (on |v|_H) or COMPONENTWISE_BOUND (on every |v_n|).
+    reads_measure says whether v takes the measure as an argument: such a
+    field is solved by the fixed point, any other by one linear solve.
     """
 
-    def __init__(self, kind, k, evaluator, bound_kind, bound, restrict=None):
+    def __init__(self, kind, k, evaluator, bound_kind, bound, reads_measure):
+        if bound_kind not in (H_BOUND, COMPONENTWISE_BOUND):
+            raise ValueError(f"bound kind must be {H_BOUND!r} or {COMPONENTWISE_BOUND!r}, got {bound_kind!r}")
         self.kind = kind
         self.k = k
         self._evaluator = evaluator
         self.bound_kind = bound_kind
         self.bound = float(bound)
-        self.restrict = restrict
+        self.reads_measure = reads_measure
         self._validate_by_sampling()
 
     def _check_bound(self, values: np.ndarray):
@@ -209,7 +213,10 @@ class DriftField:
     @property
     def sigma_inf(self) -> float:
         """Tail-bound exponent (2 pi ||v|_H||_inf)^{-2}; inf for zero drift."""
-        return math.inf if self.c0 == 0.0 else self.c0**-2
+        try:
+            return self.c0**-2
+        except (ZeroDivisionError, OverflowError):  # C0 = 0, or below about 1e-154
+            return math.inf
 
 
 def constant_drift(h) -> DriftField:
@@ -219,10 +226,7 @@ def constant_drift(h) -> DriftField:
     def evaluator(measure, x):
         return np.broadcast_to(h, x.shape).copy()
 
-    return DriftField(
-        "constant", h.size, evaluator, H_BOUND, float(h_norm(h)),
-        restrict=lambda j: constant_drift(h[:j]),
-    )
+    return DriftField("constant", h.size, evaluator, H_BOUND, float(h_norm(h)), reads_measure=False)
 
 
 def clipped_potential_drift(lam: float, k: int, width: float = 2.0) -> DriftField:
@@ -241,7 +245,7 @@ def clipped_potential_drift(lam: float, k: int, width: float = 2.0) -> DriftFiel
     def evaluator(measure, x):
         return lam * np.tanh(x / width)
 
-    return DriftField("gradient", k, evaluator, H_BOUND, abs(lam) * math.sqrt(k))
+    return DriftField("gradient", k, evaluator, H_BOUND, abs(lam) * math.sqrt(k), reads_measure=False)
 
 
 # entries of the largest kernel matrix built at once by either convolution
@@ -327,7 +331,7 @@ def vlasov_drift(kernel, k: int) -> DriftField:
             raise TypeError("vlasov drift requires a measure argument")
         return vlasov_eval(kernel, measure, x, None)
 
-    return DriftField("vlasov", k, evaluator, H_BOUND, kernel.h_bound_for(k))
+    return DriftField("vlasov", k, evaluator, H_BOUND, kernel.h_bound_for(k), reads_measure=True)
 
 
 def componentwise_drift(components, k: int | None = None, bound: float = 0.0) -> DriftField:
@@ -335,7 +339,8 @@ def componentwise_drift(components, k: int | None = None, bound: float = 0.0) ->
 
     Each component maps (PointMeasure-or-None, points (m, a)) to (m,) values,
     where a = len(components) is the ambient dimension; active points are
-    zero-padded into the ambient space.  Bound is per component.
+    zero-padded into the ambient space.  Bound is per component.  The field
+    counts as reading the measure, since its components take it.
     """
     ambient = len(components)
     k = ambient if k is None else k
@@ -352,18 +357,7 @@ def componentwise_drift(components, k: int | None = None, bound: float = 0.0) ->
             out[:, i] = np.asarray(components[i](measure, padded), dtype=float)
         return out
 
-    return DriftField(
-        "componentwise", k, evaluator, COMPONENTWISE_BOUND, bound,
-        restrict=lambda j: componentwise_drift(components, k=j, bound=bound),
-    )
-
-
-def truncate_to_k(v: DriftField, k: int) -> DriftField:
-    """Restriction of a componentwise (or constant) field to its first k
-    coordinates, with points read through the zero-padding embedding."""
-    if v.restrict is None:
-        raise ValueError(f"truncate_to_k is not defined for a {v.kind} drift")
-    return v.restrict(k)
+    return DriftField("componentwise", k, evaluator, COMPONENTWISE_BOUND, bound, reads_measure=True)
 
 
 def rotational_drift(scale: float, k: int = 2, offset=None) -> DriftField:
@@ -385,7 +379,7 @@ def rotational_drift(scale: float, k: int = 2, offset=None) -> DriftField:
         return scale * rotated / (1.0 + np.sum(x * x, axis=1))[:, None] + shift
 
     bound = abs(scale) / 2.0 + float(h_norm(shift))
-    return DriftField("rotational", k, evaluator, H_BOUND, bound)
+    return DriftField("rotational", k, evaluator, H_BOUND, bound, reads_measure=False)
 
 
 def tanh_components(scale: float, n_components: int, mean_shift: bool = False):
@@ -422,12 +416,13 @@ def decoupled_tanh_components(scale: float, n_components: int):
 
 def custom_drift(fn, k, bound_kind, bound) -> DriftField:
     """Register a user evaluator (measure, x) -> (m, k) under a declared
-    bound; the measure is a PointMeasure or None.
+    bound (bound_kind "H" or "componentwise"); the measure is a PointMeasure
+    or None, and the field counts as reading it.
 
     Sampling validation at registration is mandatory; a violating field never
     gets constructed.
     """
-    return DriftField("custom", k, fn, bound_kind, bound)
+    return DriftField("custom", k, fn, bound_kind, bound, reads_measure=True)
 
 
 # -- registry of config kinds ----------------------------------------------
@@ -447,13 +442,9 @@ KERNELS = {
 
 
 def _componentwise(components, *params) -> Kind:
-    """The componentwise fields take the measure as an argument, so they
-    count as reading it; only mean_shift makes tanh components use it."""
     return Kind(
         (_SCALE, Param("n_components", "integer", 1, 64)) + params,
         lambda q, k: componentwise_drift(components(**q), k, abs(q["scale"])),
-        reads_measure=True,
-        bound=COMPONENTWISE_BOUND,
         dims=lambda q, k: "" if k <= q["n_components"] else f"has fewer n_components than k={k}",
     )
 
@@ -469,18 +460,14 @@ DRIFTS = {
         lambda q, k: rotational_drift(k=k, **q),
         dims=lambda q, k: "" if k % 2 == 0 else f"needs an even dimension, got k={k}",
     ),
-    "vlasov": Kind(
-        (Param("kernel", KERNELS),),
-        lambda q, k: vlasov_drift(q["kernel"], k),
-        reads_measure=True,
-    ),
+    "vlasov": Kind((Param("kernel", KERNELS),), lambda q, k: vlasov_drift(q["kernel"], k)),
     "componentwise-tanh": _componentwise(tanh_components, Param("mean_shift", "bool", default=False)),
     "componentwise-decoupled-tanh": _componentwise(decoupled_tanh_components),
 }
 
 
-def drift_from_block(block, k: int) -> tuple[DriftField, bool]:
-    """The k-dimensional drift a config block describes and whether it reads
-    the measure; a ConfigError for any block or k the registry rejects."""
+def drift_from_block(block, k: int) -> DriftField:
+    """The k-dimensional drift a config block describes; a ConfigError for
+    any block or k the registry rejects."""
     entry, params = read_kind(block, DRIFTS, "drift", k)
-    return entry.build(params, k), entry.reads_measure
+    return entry.build(params, k)

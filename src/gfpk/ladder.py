@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import enumerate_basis, tensor_grid
 from .density import BumpTest, ChaosDensity, HermiteTest, as_measure
-from .drift import truncate_to_k
+from .drift import COMPONENTWISE_BOUND
 from .errors import NonConvergenceError
 from .nonlinear import FixedPointOptions, fixed_point_solve
 
@@ -69,6 +69,14 @@ class LadderConfig:
     @property
     def moment_threshold(self) -> float:
         return (2.0 + self.component_bound**2) * self.weight_total
+
+    def check_drift(self, v):
+        """Raise ValueError unless v is componentwise bounded by at most
+        component_bound, the C the moment threshold is computed from."""
+        if v.bound_kind != COMPONENTWISE_BOUND:
+            raise ValueError(f"the moment threshold needs a componentwise-bounded drift, not a {v.kind} drift")
+        if v.bound > self.component_bound:
+            raise ValueError(f"component_bound={self.component_bound!r} is below the drift's bound {v.bound!r}")
 
 
 def default_battery(k: int) -> list:
@@ -192,10 +200,11 @@ class LadderReport:
         }
 
 
-def run_ladder(v, cfg: LadderConfig) -> LadderReport:
+def run_ladder(drift, cfg: LadderConfig) -> LadderReport:
     """Solve the nonlinear problem level by level, seeding each dimension
-    with the zero-padded solution of the previous one.  Adjacent levels are
-    compared on the default battery of the lower one.
+    with the zero-padded solution of the previous one.  drift maps k to the
+    k-dimensional drift, which cfg.check_drift must accept.  Adjacent levels
+    are compared on the default battery of the lower one.
 
     A non-convergent level aborts the ladder and returns the partial report
     with the failure message recorded.
@@ -205,7 +214,8 @@ def run_ladder(v, cfg: LadderConfig) -> LadderReport:
     for k, degree, q in zip(cfg.levels, cfg.degrees, cfg.quad_orders):
         basis = enumerate_basis(k, degree)
         grid = tensor_grid(q, k)
-        v_k = truncate_to_k(v, k)
+        v_k = drift(k)
+        cfg.check_drift(v_k)
         seed = None
         if previous is not None:
             seed = _zero_pad(previous[0], basis)

@@ -19,7 +19,7 @@ from .basis import ChaosBasis, QuadratureGrid
 from .density import ChaosDensity, as_measure
 from .diagnostics import b1_bound
 from .errors import NonConvergenceError
-from .linear import assemble, solve_system
+from .linear import assemble, solve_linear, solve_system
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,14 @@ def fixed_point_solve(
         "consider a smaller damping factor",
         trace=trace,
     )
+
+
+def solve_stationary(v, basis, grid, opts: FixedPointOptions) -> tuple[ChaosDensity, FixedPointTrace | None]:
+    """(rho, trace) of the fixed point for a drift that reads the measure;
+    (rho, None) of one linear solve for any other."""
+    if not v.reads_measure:
+        return solve_linear(v, None, basis, grid), None
+    return fixed_point_solve(v, basis, grid, opts)
 
 
 def schauder_membership(rho: ChaosDensity, c0: float) -> tuple[bool, float]:

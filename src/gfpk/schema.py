@@ -1,8 +1,8 @@
 """Typed parameter declarations for the JSON config blocks.
 
 `read_block` checks a block against a tuple of Params, `read_kind` a
-{"kind": ...} block against a registry of Kinds (the drift and kernel
-tables in `drift`).  Every violation is a ConfigError.
+{"kind": ...} block against a registry of Kinds.  Every violation is a
+ConfigError.
 """
 from __future__ import annotations
 
@@ -34,16 +34,11 @@ class Param:
 
 @dataclass(frozen=True)
 class Kind:
-    """A registry entry: parameters, constructor (params, k) -> object,
-    whether the drift built reads the measure (a PointMeasure its callers
-    read from the density once; None otherwise), the bound it declares
-    (drift.H_BOUND or drift.COMPONENTWISE_BOUND), and a dimension check
-    (params, k) -> "" or what is wrong with k."""
+    """A registry entry: parameters, constructor (params, k) -> object and
+    a dimension check (params, k) -> "" or what is wrong with k."""
 
     params: tuple
     build: Callable
-    reads_measure: bool = False
-    bound: str = "H"
     dims: Callable = lambda params, k: ""
 
 

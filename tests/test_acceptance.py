@@ -226,8 +226,8 @@ def test_criterion_09_ladder():
         quad_orders=(10, 8, 6, 6),
         fixed_point=FixedPointOptions(damping=0.5, tolerance=1e-9, max_iterations=200),
     )
-    v = componentwise_drift(tanh_components(0.5, 4, mean_shift=True), bound=0.5)
-    report = run_ladder(v, cfg)
+    components = tanh_components(0.5, 4, mean_shift=True)
+    report = run_ladder(lambda k: componentwise_drift(components, k, 0.5), cfg)
     moments_ok = report.completed and all(
         lv.moment <= 2.25 * cfg.weight_total + lv.quad_error for lv in report.levels
     )
@@ -240,8 +240,8 @@ def test_criterion_09_ladder():
         quad_orders=(10, 10, 10, 10),
         fixed_point=FixedPointOptions(damping=0.5, tolerance=1e-11, max_iterations=200),
     )
-    v_dec = componentwise_drift(decoupled_tanh_components(0.5, 4), bound=0.5)
-    report_dec = run_ladder(v_dec, cfg_dec)
+    components_dec = decoupled_tanh_components(0.5, 4)
+    report_dec = run_ladder(lambda k: componentwise_drift(components_dec, k, 0.5), cfg_dec)
     stability = max(
         lv.distance_to_next for lv in report_dec.levels[:-1] if lv.distance_to_next is not None
     )

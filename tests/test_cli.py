@@ -1,13 +1,18 @@
 """Config parsing, mode dispatch, artifacts and the exit-code contract."""
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfpk import ChaosDensity, ConfigError, load_config, parse_config
 from gfpk.cli import DEFAULT_BUMP_CENTERS, main
@@ -417,6 +422,48 @@ MALFORMED = {
         "mode": "sweep", "k": 1, "N": 4, "sweep": {"family": "constant-scale", "values": [60.0], "direction": [2.0]}
     },
 }
+
+
+def _tiny(mode, scale, bound):
+    """A valid tiny config of one solving mode with the drift scale
+    `scale` (and, for the ladder, the component bound `bound`)."""
+    if mode == "ladder":
+        return _ladder(drift={"scale": scale}, component_bound=bound, degrees=[4, 3, 2], quad_orders=[5, 4, 3])
+    if mode == "sweep":
+        return {"mode": "sweep", "k": 1, "N": 4, "sweep": {"family": "vlasov-tanh-scale", "values": [scale]}}
+    drift = {
+        "solve-linear": {"kind": "constant", "h": [scale]},
+        "solve-nonlinear": {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": scale}},
+        "oracle-compare": {"kind": "clipped-potential", "lam": scale},
+    }[mode]
+    extra = {"oracle_compare": {"oracle": "1d"}} if mode == "oracle-compare" else {}
+    return _solve(1, drift, mode, **extra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(["solve-linear", "solve-nonlinear", "ladder", "sweep", "oracle-compare"]),
+    scale=st.floats(-100.0, 100.0),
+    bound=st.floats(0.0, 100.0),
+    iterations=st.integers(1, 30),
+)
+def test_tiny_runs_keep_the_exit_code_contract(mode, scale, bound, iterations):
+    """Wide drift scales and budgets down to one iteration reach the solver
+    failures of exit 3, which the config fuzzing never does."""
+    doc = {**_tiny(mode, scale, bound), "fixed_point": {"max_iterations": iterations}}
+    with tempfile.TemporaryDirectory() as tmp:
+        doc["output"] = {"dir": os.path.join(tmp, "out")}
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main([mode, "--config", path])
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert not os.path.exists(os.path.join(tmp, "out"))
+        if code == 3:
+            with open(os.path.join(tmp, "out", "report.json")) as fh:
+                assert "error" in json.load(fh)
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))

@@ -18,7 +18,6 @@ from gfpk import (
     rotational_drift,
     tanh_components,
     tensor_grid,
-    truncate_to_k,
     vlasov_drift,
     vlasov_eval,
 )
@@ -145,8 +144,7 @@ def test_componentwise_truncation():
     components = [
         (lambda measure, x, w=w: np.full(x.shape[0], w)) for w in weights
     ]
-    v = componentwise_drift(components, bound=weights[0])
-    v2 = truncate_to_k(v, 2)
+    v2 = componentwise_drift(components, 2, weights[0])
     out = v2.eval_v(None, np.zeros((1, 2)))
     assert np.allclose(out, [weights[0], weights[1]])
 
@@ -174,16 +172,27 @@ def test_mean_shift_tanh_matches_per_component_evaluation(k, ambient):
     assert measure.mean() is measure.mean() and not measure.mean().flags.writeable
 
 
-def test_truncate_constant_field():
-    v = constant_drift([0.1, 0.2, 0.3])
-    v1 = truncate_to_k(v, 2)
-    assert np.allclose(v1.eval_v(None, np.zeros((1, 2))), [[0.1, 0.2]])
-
-
 def test_truncate_beyond_components_raises():
-    v = componentwise_drift([lambda m, x: np.zeros(x.shape[0])], bound=0.0)
     with pytest.raises(ValueError, match="truncate"):
-        truncate_to_k(v, 2)
+        componentwise_drift([lambda m, x: np.zeros(x.shape[0])], 2, 0.0)
+
+
+@pytest.mark.parametrize("bound_kind", ["h", "Hilbert", "Componentwise", ""])
+def test_unknown_bound_kind_is_rejected(bound_kind):
+    # a misspelt kind once became componentwise: h_bound 0.3 * sqrt(2)
+    with pytest.raises(ValueError, match="bound kind"):
+        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, bound_kind, 0.3)
+    assert custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3).h_bound == 0.3
+
+
+def test_fields_state_whether_they_read_the_measure():
+    reading = [
+        vlasov_drift(TanhKernel(0.3), 2),
+        componentwise_drift(tanh_components(0.3, 2), 2, 0.3),
+        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3),
+    ]
+    ignoring = [constant_drift([0.1, 0.2]), clipped_potential_drift(0.3, 2), rotational_drift(0.3, 2)]
+    assert [v.reads_measure for v in reading + ignoring] == [True] * 3 + [False] * 3
 
 
 def test_buggy_evaluator_is_not_registered():

@@ -194,15 +194,13 @@ def eval_matrix_calls(monkeypatch):
 
 def test_separable_solves_build_no_evaluation_matrix(eval_matrix_calls):
     grid = tensor_grid(10, 2)
-    v, _ = drift_from_block({"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.8}}, 2)
+    v = drift_from_block({"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.8}}, 2)
     _, trace = fixed_point_solve(v, enumerate_basis(2, 8), grid)
     assert trace.converged and trace.iterations > 1
-    v, _ = drift_from_block(
-        {"kind": "componentwise-tanh", "scale": 0.5, "n_components": 3, "mean_shift": True}, 3
-    )
+    block = {"kind": "componentwise-tanh", "scale": 0.5, "n_components": 3, "mean_shift": True}
     cfg = LadderConfig(weights=(1.0, 0.5, 0.25), component_bound=0.5, levels=(1, 2, 3),
                        degrees=(6, 5, 4), quad_orders=(8, 6, 5))
-    assert run_ladder(v, cfg).completed
+    assert run_ladder(lambda k: drift_from_block(block, k), cfg).completed
     assert eval_matrix_calls == []
 
 
@@ -218,7 +216,7 @@ def test_dense_fixed_point_builds_the_evaluation_matrix_once(eval_matrix_calls):
 def test_suite_bumps_equal_single_residuals():
     grid = tensor_grid(10, 2)
     bumps = [BumpTest(active=(i,), center=(c,), radius=2.0) for i in range(2) for c in (-1.0, 0.5)]
-    v, _ = drift_from_block({"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}}, 2)
+    v = drift_from_block({"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}}, 2)
     rho, _ = fixed_point_solve(v, enumerate_basis(2, 6), grid)
     p = as_measure(rho, grid)
     bgrid = uniform_gaussian_grid(6.0, 61, 2)
@@ -230,12 +228,10 @@ LADDER_TO_K8 = """
 import json, resource
 from gfpk import LadderConfig, run_ladder
 from gfpk.drift import drift_from_block
-v, _ = drift_from_block(
-    {"kind": "componentwise-tanh", "scale": 0.5, "n_components": 8, "mean_shift": True}, 8
-)
+block = {"kind": "componentwise-tanh", "scale": 0.5, "n_components": 8, "mean_shift": True}
 cfg = LadderConfig(weights=tuple(0.5**n for n in range(8)), component_bound=0.5,
                    levels=tuple(range(1, 9)), degrees=(4,) * 8, quad_orders=(5,) * 8)
-report = run_ladder(v, cfg)
+report = run_ladder(lambda k: drift_from_block(block, k), cfg)
 # Linux carries ru_maxrss across exec from the forking (test) process, so
 # the peak of this process image is read from VmHWM where it exists
 try:

@@ -7,6 +7,8 @@ from gfpk import (
     FixedPointOptions,
     LadderConfig,
     componentwise_drift,
+    constant_drift,
+    custom_drift,
     decoupled_tanh_components,
     default_battery,
     enumerate_basis,
@@ -99,9 +101,8 @@ def test_marginal_distance_mean_battery():
 
 def test_ladder_zero_drift():
     components = [lambda m, x: np.zeros(x.shape[0]) for _ in range(3)]
-    v = componentwise_drift(components, bound=0.0)
     cfg = make_config(component_bound=0.0)
-    report = run_ladder(v, cfg)
+    report = run_ladder(lambda k: componentwise_drift(components, k, 0.0), cfg)
     assert report.completed
     for level, k in zip(report.levels, cfg.levels):
         assert np.max(np.abs(level.solution.coefficients[1:])) <= 1e-12
@@ -110,9 +111,9 @@ def test_ladder_zero_drift():
 
 
 def test_ladder_tanh_moment_certificates():
-    v = componentwise_drift(tanh_components(0.5, 3, mean_shift=True), bound=0.5)
+    components = tanh_components(0.5, 3, mean_shift=True)
     cfg = make_config()
-    report = run_ladder(v, cfg)
+    report = run_ladder(lambda k: componentwise_drift(components, k, 0.5), cfg)
     assert report.completed
     for level in report.levels:
         assert level.passed
@@ -128,9 +129,9 @@ def test_ladder_decoupled_marginal_stability():
     Identical truncation parameters per level make the shared coefficient
     block solve the same 1-D system exactly.
     """
-    v = componentwise_drift(decoupled_tanh_components(0.5, 3), bound=0.5)
+    components = decoupled_tanh_components(0.5, 3)
     cfg = make_config(degrees=(6, 6, 6), quad_orders=(8, 8, 8))
-    report = run_ladder(v, cfg)
+    report = run_ladder(lambda k: componentwise_drift(components, k, 0.5), cfg)
     assert report.completed
     for level in report.levels[:-1]:
         assert level.distance_to_next is not None
@@ -138,20 +139,43 @@ def test_ladder_decoupled_marginal_stability():
 
 
 def test_ladder_aborts_on_non_convergence():
-    v = componentwise_drift(tanh_components(0.5, 3), bound=0.5)
+    components = tanh_components(0.5, 3)
     cfg = make_config(
         fixed_point=FixedPointOptions(damping=0.5, tolerance=1e-12, max_iterations=1)
     )
-    report = run_ladder(v, cfg)
+    report = run_ladder(lambda k: componentwise_drift(components, k, 0.5), cfg)
     assert not report.completed
     assert "k=1" in report.failure
     assert report.levels == []
 
 
-def test_ladder_report_serialization():
-    v = componentwise_drift(tanh_components(0.3, 2), bound=0.3)
+def test_ladder_rejects_a_drift_beyond_its_component_bound():
+    # the threshold (2 + C^2) T certifies only drifts bounded by C: scale 2.0
+    # against C = 0.1 once ran and reported 0.67 instead of 2.0
+    cfg = make_config(weights=(0.25, 0.0625), component_bound=0.1, levels=(1, 2), degrees=(5, 4),
+                      quad_orders=(6, 6))
+    components = tanh_components(2.0, 2)
+    with pytest.raises(ValueError, match="component_bound=0.1 is below"):
+        run_ladder(lambda k: componentwise_drift(components, k, 2.0), cfg)
+    with pytest.raises(ValueError, match="componentwise-bounded"):
+        run_ladder(lambda k: constant_drift([0.05] * k), cfg)
+
+
+def test_ladder_runs_a_custom_drift():
+    """A custom componentwise field is laddered like the registry's; equal
+    values give equal levels."""
     cfg = make_config(levels=(1, 2), degrees=(5, 4), quad_orders=(6, 6))
-    report = run_ladder(v, cfg)
+    custom = run_ladder(lambda k: custom_drift(lambda p, x: 0.3 * np.tanh(x), k, "componentwise", 0.3), cfg)
+    components = tanh_components(0.3, 2)
+    registry = run_ladder(lambda k: componentwise_drift(components, k, 0.3), cfg)
+    assert custom.completed
+    assert [lv.moment for lv in custom.levels] == [lv.moment for lv in registry.levels]
+
+
+def test_ladder_report_serialization():
+    components = tanh_components(0.3, 2)
+    cfg = make_config(levels=(1, 2), degrees=(5, 4), quad_orders=(6, 6))
+    report = run_ladder(lambda k: componentwise_drift(components, k, 0.3), cfg)
     doc = report.to_json_dict()
     assert doc["completed"] and len(doc["levels"]) == 2
     csv_lines = report.to_csv().strip().splitlines()

@@ -58,15 +58,13 @@ def _block_id(block):
 
 @pytest.mark.parametrize("block", list(_blocks()), ids=_block_id)
 def test_minimal_block_round_trip(block):
-    mode = "solve-nonlinear" if DRIFTS[block["kind"]].reads_measure else "solve-linear"
+    mode = "solve-nonlinear" if drift_from_block(block, 2).reads_measure else "solve-linear"
     cfg = parse_config({"mode": mode, "k": 2, "N": 4, "Q": 8, "drift": block})
-    v, reads_measure = drift_from_block(cfg.drift, 2)
-    entry = DRIFTS[block["kind"]]
+    v = drift_from_block(cfg.drift, 2)
     assert v.k == 2
-    assert reads_measure is entry.reads_measure
-    assert v.bound_kind == entry.bound
+    assert v.bound_kind in ("H", "componentwise")
     x = np.random.default_rng(0).standard_normal((25, 2))
-    if not reads_measure:
+    if not v.reads_measure:
         assert np.array_equal(v.eval_v(_cloud(1), x), v.eval_v(_cloud(2), x))
 
 
@@ -133,9 +131,10 @@ def test_readme_mode_keys_table_matches_config():
 
 def test_readme_kind_table_matches_registry():
     documented = {row[0]: row[1:3] for row in _table_rows("`") if row[0].strip("`") in DRIFTS}
-    expected = {
-        f"`{kind}`": ["yes" if e.reads_measure else "no", e.bound] for kind, e in DRIFTS.items()
-    }
+    expected = {}
+    for kind, params in MINIMAL_DRIFTS.items():
+        v = drift_from_block({"kind": kind, **params}, 2)
+        expected[f"`{kind}`"] = ["yes" if v.reads_measure else "no", v.bound_kind]
     assert documented == expected
 
 
@@ -235,7 +234,7 @@ def _build(cfg):
     if cfg.mode == "verify":
         return
     if cfg.mode == "ladder":
-        assert drift_from_block(cfg.drift, cfg.ladder.levels[-1])[0].k == cfg.ladder.levels[-1]
+        assert drift_from_block(cfg.drift, cfg.ladder.levels[-1]).k == cfg.ladder.levels[-1]
         for k, degree, q in zip(cfg.ladder.levels, cfg.ladder.degrees, cfg.ladder.quad_orders):
             enumerate_basis(k, degree)
             tensor_grid(q, k)
@@ -247,7 +246,21 @@ def _build(cfg):
     else:
         blocks = [cfg.drift]
     for block in blocks:
-        assert drift_from_block(block, cfg.k)[0].k == cfg.k
+        assert drift_from_block(block, cfg.k).k == cfg.k
+
+
+def test_ladder_component_bound_below_the_drift_is_a_config_error():
+    doc = {
+        "mode": "ladder",
+        "drift": {"kind": "componentwise-tanh", "scale": 2.0, "n_components": 2},
+        "ladder": {"weights": [0.25, 0.0625], "component_bound": 0.1, "levels": [1, 2],
+                   "degrees": [5, 4], "quad_orders": [6, 6]},
+    }
+    with pytest.raises(ConfigError, match="component_bound=0.1 is below"):
+        parse_config(doc)
+    doc["drift"] = {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.05}}
+    with pytest.raises(ConfigError, match="componentwise-bounded"):
+        parse_config(doc)
 
 
 @pytest.mark.parametrize("doc", VALID, ids=lambda d: d["mode"])

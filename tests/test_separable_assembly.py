@@ -81,7 +81,7 @@ def test_separable_matches_dense(kind, size, scale, seed):
     k, degree, q = size
     grid = tensor_grid(q, k)
     basis = enumerate_basis(k, degree)
-    v, _ = drift_from_block(SEPARABLE_KINDS[kind](k, scale), k)
+    v = drift_from_block(SEPARABLE_KINDS[kind](k, scale), k)
     p = as_measure(random_iterate(basis, seed), grid)
     vvals = v.eval_v(p, grid.nodes)
     sparse = separable_interaction(basis, grid, vvals)
@@ -104,8 +104,8 @@ def coupled(p, x):
     [
         (rotational_drift(0.3, 2, offset=[0.2, 0.0]), tensor_grid(8, 2)),
         (custom_drift(coupled, 2, "componentwise", 0.4), tensor_grid(8, 2)),
-        (drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 2)[0], uniform_gaussian_grid(6.0, 21, 2)),
-        (drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 2)[0], shuffled(tensor_grid(8, 2))),
+        (drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 2), uniform_gaussian_grid(6.0, 21, 2)),
+        (drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 2), shuffled(tensor_grid(8, 2))),
     ],
     ids=["rotational", "coupled-custom", "uniform-grid", "non-product-order"],
 )
@@ -136,7 +136,7 @@ def test_tables_built_once_per_basis():
     grid = tensor_grid(8, 2)
     basis = enumerate_basis(2, 6)
     assert "gram_pattern" not in vars(basis)
-    v, _ = drift_from_block({"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}}, 2)
+    v = drift_from_block({"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}}, 2)
     rho, trace = fixed_point_solve(v, basis, grid)
     assert trace.converged and trace.iterations > 1
     pattern, lowering = basis.gram_pattern, basis.lowering_table()
@@ -157,9 +157,7 @@ DENSE_LADDER = [
 
 
 def test_ladder_matches_dense_assembly():
-    v, _ = drift_from_block(
-        {"kind": "componentwise-tanh", "scale": 0.5, "n_components": 5, "mean_shift": True}, 5
-    )
+    block = {"kind": "componentwise-tanh", "scale": 0.5, "n_components": 5, "mean_shift": True}
     cfg = LadderConfig(
         weights=(1.0, 0.5, 0.25, 0.125, 0.0625),
         component_bound=0.5,
@@ -167,7 +165,7 @@ def test_ladder_matches_dense_assembly():
         degrees=(8, 6, 5, 4, 4),
         quad_orders=(10, 8, 6, 6, 6),
     )
-    report = run_ladder(v, cfg)
+    report = run_ladder(lambda k: drift_from_block(block, k), cfg)
     assert [(lv.k, lv.iterations) for lv in report.levels] == [row[:2] for row in DENSE_LADDER]
     for lv, (_, _, moment) in zip(report.levels, DENSE_LADDER):
         assert abs(lv.moment - moment) <= 1e-12
