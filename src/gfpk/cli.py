@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .basis import enumerate_basis, tensor_grid, uniform_gaussian_grid
-from .config import MODES, RunConfig, check_sizes, load_config, parse_config, sweep_drift
+from .config import MODES, RunConfig, check_sizes, load_config, sweep_drift
 from .density import BumpTest, ChaosDensity, as_measure, integrate
 from .density import marginal as density_marginal
 from .diagnostics import fisher_energy, log_moment, log_moment_bracket, tail_check
@@ -329,15 +329,11 @@ def main(argv=None) -> int:
 
     try:
         threads = _thread_count(args.threads)
-        config = load_config(args.config)
+        config = load_config(args.config, seed=args.seed)
         if config.mode != args.mode:
             raise ConfigError(
                 f"config mode {config.mode!r} does not match subcommand {args.mode!r}"
             )
-        if args.seed is not None:
-            doc = dict(config.raw)
-            doc["seed"] = args.seed
-            config = parse_config(doc)
         return run(config, out_dir=args.out, threads=threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -55,6 +55,7 @@ def fixed_point_params(mode: str) -> tuple:
         Param("damping", "number", 1e-6, 1.0, 1.0 if mode == "sweep" else 0.5),
         Param("tolerance", "number", 1e-16, 1.0, 1e-10),
         Param("max_iterations", "integer", 1, 100_000, 200 if mode == "ladder" else 100),
+        Param("memory", "integer", 0, 20, 5),
     )
 
 
@@ -218,10 +219,14 @@ def parse_config(doc: dict) -> RunConfig:
     return config
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, seed: int | None = None) -> RunConfig:
+    """Read and parse the config file at path; a seed given here replaces
+    the document's before the one parse."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if seed is not None and isinstance(doc, dict):  # parse_config rejects any other document
+        doc["seed"] = seed
     return parse_config(doc)

@@ -414,15 +414,16 @@ def decoupled_tanh_components(scale: float, n_components: int):
     return [first] + [zero] * (n_components - 1)
 
 
-def custom_drift(fn, k, bound_kind, bound) -> DriftField:
+def custom_drift(fn, k, bound_kind, bound, *, reads_measure: bool) -> DriftField:
     """Register a user evaluator (measure, x) -> (m, k) under a declared
     bound (bound_kind "H" or "componentwise"); the measure is a PointMeasure
-    or None, and the field counts as reading it.
+    or None, and `reads_measure` states whether fn reads it (a field that
+    does not is solved by one linear solve).
 
     Sampling validation at registration is mandatory; a violating field never
     gets constructed.
     """
-    return DriftField("custom", k, fn, bound_kind, bound, reads_measure=True)
+    return DriftField("custom", k, fn, bound_kind, bound, reads_measure=reads_measure)
 
 
 # -- registry of config kinds ----------------------------------------------

@@ -1,10 +1,16 @@
-"""Nonlinear stationary solver: damped fixed-point iteration on the map
-p -> rho_p, plus membership certification for the a-priori L^2 ball.
+"""Nonlinear stationary solver: Anderson-mixed fixed-point iteration on the
+map p -> rho_p, plus membership certification for the a-priori L^2 ball.
 
-The update is p_{m+1} = (1 - theta) p_m + theta rho_{p_m}; the affine
-combination preserves unit mass at every iterate.  Convergence is measured
-in the strong L^2(gamma) norm (Parseval on the coefficients), which is
-stronger than the weak closeness the existence argument needs.
+With x_m the coefficients of p_m and f_m = rho_{p_m} - x_m, a damped step is
+x_{m+1} = (1 - theta) x_m + theta rho_{p_m}.  An Anderson (type-II) step
+keeps the last `memory` differences dX, dF of the iterates and residuals,
+takes gamma = argmin |dF gamma - f_m| and steps to
+x_m + theta f_m - (dX + theta dF) gamma (Walker & Ni 2011).  The first step
+is damped, and so is every step after the residual |f| grows: the history
+is cleared and rebuilt.  memory = 0 is damped Picard throughout.  Every
+iterate has c_0 = 1 exactly, so unit mass holds.  Convergence is measured in
+the strong L^2(gamma) norm (Parseval on the coefficients), which is stronger
+than the weak closeness the existence argument needs.
 """
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ class FixedPointOptions:
     damping: float = 0.5
     tolerance: float = 1e-10
     max_iterations: int = 100
+    memory: int = 5  # Anderson history pairs; 0 is damped Picard
     initial: ChaosDensity | None = None  # default: the constant density
 
     def __post_init__(self):
@@ -36,6 +43,8 @@ class FixedPointOptions:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.memory < 0:
+            raise ValueError("memory must be >= 0")
 
 
 @dataclass
@@ -46,21 +55,24 @@ class FixedPointTrace:
     psi_residuals: list = field(default_factory=list)  # ||rho_{p_m} - p_m||
     l2_norms_sq: list = field(default_factory=list)  # ||p_m||^2
     in_ball: list = field(default_factory=list)  # membership flag, or None
+    depths: list = field(default_factory=list)  # history pairs a step mixed; 0: damped
     iterations: int = 0
     converged: bool = False
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["iteration", "delta", "psi_residual", "l2sq", "in_schauder_set"])
+        writer.writerow(["iteration", "delta", "psi_residual", "l2sq", "in_schauder_set", "depth"])
         for m in range(len(self.psi_residuals)):
+            stepped = m < len(self.deltas)
             writer.writerow(
                 [
                     m,
-                    repr(self.deltas[m]) if m < len(self.deltas) else "",
+                    repr(self.deltas[m]) if stepped else "",
                     repr(self.psi_residuals[m]),
                     repr(self.l2_norms_sq[m]),
                     self.in_ball[m],
+                    self.depths[m] if stepped else "",
                 ]
             )
         return buf.getvalue()
@@ -79,7 +91,7 @@ def fixed_point_solve(
     grid: QuadratureGrid,
     opts: FixedPointOptions = FixedPointOptions(),
 ) -> tuple[ChaosDensity, FixedPointTrace]:
-    """Iterate the damped map until ||rho_p - p|| falls below the tolerance.
+    """Iterate the mixed map until ||rho_p - p|| falls below the tolerance.
 
     Returns the last linear solve's output (so the result is itself a
     solution of the linear equation frozen at the final iterate) together
@@ -93,6 +105,7 @@ def fixed_point_solve(
     # the dense assembly's P x M table is built at most once per solve, and
     # only if the separable path declines
     dense_table = functools.cache(lambda: basis.eval_matrix(grid.nodes))
+    dx, df = [], []  # the last `memory` differences of iterates and residuals
     for _ in range(opts.max_iterations + 1):
         measure = as_measure(p, grid)
         rho = solve_system(assemble(v, measure, basis, grid, dense_table))
@@ -107,15 +120,32 @@ def fixed_point_solve(
             return rho, trace
         if trace.iterations >= opts.max_iterations:
             break
-        new_coeffs = (1.0 - theta) * p.coefficients + theta * rho.coefficients
+        x, f = p.coefficients, rho.coefficients - p.coefficients
+        if trace.iterations and opts.memory:
+            if psi_res > trace.psi_residuals[-2]:  # restart: a damped step
+                dx, df = [], []
+            else:
+                dx = (dx + [x - x_prev])[-opts.memory :]
+                df = (df + [f - f_prev])[-opts.memory :]
+        if dx:
+            d_x, d_f = np.column_stack(dx), np.column_stack(df)
+            gamma = np.linalg.lstsq(d_f, f, rcond=None)[0]
+            new_coeffs = x + theta * f - (d_x + theta * d_f) @ gamma
+            new_coeffs[0] = 1.0
+        else:
+            new_coeffs = (1.0 - theta) * x + theta * rho.coefficients
+        x_prev, f_prev = x, f
         p_next = ChaosDensity(basis, new_coeffs)
         trace.deltas.append(l2_distance(p_next, p))
+        trace.depths.append(len(dx))
         trace.iterations += 1
         p = p_next
     raise NonConvergenceError(
         f"fixed point not reached within {opts.max_iterations} iterations "
         f"(last residual {trace.psi_residuals[-1]:.3e}, tolerance {opts.tolerance:.1e}); "
-        "consider a smaller damping factor",
+        f"each step mixes up to memory={opts.memory} earlier steps (Anderson) and falls "
+        "back to a damped step after the residual grows; consider a smaller damping "
+        "factor or memory 0 (damped Picard)",
         trace=trace,
     )
 

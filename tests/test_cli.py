@@ -273,6 +273,28 @@ def test_determinism_byte_identical(tmp_path):
     assert ra == rb
 
 
+def test_seed_flag_parses_the_config_once(tmp_path, monkeypatch):
+    """--seed replaces the document's seed before the one parse; a ladder
+    config builds and sample-validates its deepest drift at parse time."""
+    import gfpk.cli
+    import gfpk.config
+
+    calls = []
+
+    def counted(doc):
+        calls.append(doc)
+        return parse_config(doc)
+
+    monkeypatch.setattr(gfpk.config, "parse_config", counted)
+    monkeypatch.setattr(gfpk.cli, "parse_config", counted, raising=False)
+    cfg = {**_ladder(), "seed": 4, "output": {"dir": str(tmp_path / "out")}}
+    assert main(["ladder", "--config", write_config(tmp_path, cfg), "--seed", "7"]) == 0
+    assert [doc["seed"] for doc in calls] == [7]
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["config"]["seed"] == 7
+    # a document that is not an object still exits 2
+    assert main(["ladder", "--config", write_config(tmp_path, [cfg], "list.json"), "--seed", "7"]) == 2
+
+
 def test_oracle_compare_1d(tmp_path):
     cfg = {
         "mode": "oracle-compare",
@@ -388,6 +410,7 @@ MALFORMED = {
     "verify-q-below-density-degree": {**_verify("{tmp}/high.json"), "Q": 8},
     "verify-k-differs-from-density": {**_verify("{tmp}/high.json"), "k": 2},
     "verify-with-fixed-point": {**_verify("{tmp}/high.json"), "fixed_point": {"damping": 0.5}},
+    "fixed-point-memory-negative": {**_vlasov(1, {"kind": "tanh", "scale": 0.2}), "fixed_point": {"memory": -1}},
     "ladder-levels-string": _ladder(levels="ab"),
     "ladder-weights-flat": _ladder(weights=[1, 1], levels=[1, 2], degrees=[4, 4], quad_orders=[6, 6]),
     "ladder-too-few-weights": _ladder(weights=[0.25, 0.0625]),
@@ -446,11 +469,13 @@ def _tiny(mode, scale, bound):
     scale=st.floats(-100.0, 100.0),
     bound=st.floats(0.0, 100.0),
     iterations=st.integers(1, 30),
+    memory=st.sampled_from([0, 1, 5, 20]),
 )
-def test_tiny_runs_keep_the_exit_code_contract(mode, scale, bound, iterations):
-    """Wide drift scales and budgets down to one iteration reach the solver
-    failures of exit 3, which the config fuzzing never does."""
-    doc = {**_tiny(mode, scale, bound), "fixed_point": {"max_iterations": iterations}}
+def test_tiny_runs_keep_the_exit_code_contract(mode, scale, bound, iterations, memory):
+    """Wide drift scales and budgets down to one iteration, damped or
+    Anderson-mixed, reach the solver failures of exit 3, which the config
+    fuzzing never does."""
+    doc = {**_tiny(mode, scale, bound), "fixed_point": {"max_iterations": iterations, "memory": memory}}
     with tempfile.TemporaryDirectory() as tmp:
         doc["output"] = {"dir": os.path.join(tmp, "out")}
         path = os.path.join(tmp, "cfg.json")

@@ -181,31 +181,36 @@ def test_truncate_beyond_components_raises():
 def test_unknown_bound_kind_is_rejected(bound_kind):
     # a misspelt kind once became componentwise: h_bound 0.3 * sqrt(2)
     with pytest.raises(ValueError, match="bound kind"):
-        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, bound_kind, 0.3)
-    assert custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3).h_bound == 0.3
+        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, bound_kind, 0.3, reads_measure=False)
+    assert custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3, reads_measure=False).h_bound == 0.3
 
 
 def test_fields_state_whether_they_read_the_measure():
     reading = [
         vlasov_drift(TanhKernel(0.3), 2),
         componentwise_drift(tanh_components(0.3, 2), 2, 0.3),
-        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3),
+        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3, reads_measure=True),
     ]
-    ignoring = [constant_drift([0.1, 0.2]), clipped_potential_drift(0.3, 2), rotational_drift(0.3, 2)]
-    assert [v.reads_measure for v in reading + ignoring] == [True] * 3 + [False] * 3
+    ignoring = [
+        constant_drift([0.1, 0.2]),
+        clipped_potential_drift(0.3, 2),
+        rotational_drift(0.3, 2),
+        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3, reads_measure=False),
+    ]
+    assert [v.reads_measure for v in reading + ignoring] == [True] * 3 + [False] * 4
 
 
 def test_buggy_evaluator_is_not_registered():
     # the validation probe lets the evaluator's own error through
     with pytest.raises(AttributeError):
-        custom_drift(lambda p, x: x.no_such_attribute, 1, "H", 1.0)
+        custom_drift(lambda p, x: x.no_such_attribute, 1, "H", 1.0, reads_measure=False)
     with pytest.raises(TypeError):
-        custom_drift(lambda p, x: p + x, 1, "H", 1.0)
+        custom_drift(lambda p, x: p + x, 1, "H", 1.0, reads_measure=True)
 
 
 def test_bound_violation_raises():
     with pytest.raises(BoundViolationError, match="declared"):
-        custom_drift(lambda p, x: 2.0 * np.ones_like(x), 1, "H", 1.0)
+        custom_drift(lambda p, x: 2.0 * np.ones_like(x), 1, "H", 1.0, reads_measure=False)
 
 
 def test_eval_time_bound_check():
@@ -214,7 +219,7 @@ def test_eval_time_bound_check():
     def fn(p, x):
         return np.where(np.abs(x) > 50.0, 10.0, 0.1)
 
-    v = custom_drift(fn, 1, "H", 0.5)
+    v = custom_drift(fn, 1, "H", 0.5, reads_measure=False)
     with pytest.raises(BoundViolationError):
         v.eval_v(None, np.array([[60.0]]))
 

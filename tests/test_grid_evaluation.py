@@ -206,7 +206,8 @@ def test_separable_solves_build_no_evaluation_matrix(eval_matrix_calls):
 
 def test_dense_fixed_point_builds_the_evaluation_matrix_once(eval_matrix_calls):
     # a coupled drift takes the dense assembly on every iteration
-    v = custom_drift(lambda p, x: 0.4 * np.tanh(x + x[:, ::-1]), 2, "componentwise", 0.4)
+    v = custom_drift(lambda p, x: 0.4 * np.tanh(x + x[:, ::-1]), 2, "componentwise", 0.4,
+                     reads_measure=True)
     grid = tensor_grid(8, 2)
     _, trace = fixed_point_solve(v, enumerate_basis(2, 5), grid, FixedPointOptions(damping=0.5))
     assert trace.converged and trace.iterations > 1

@@ -165,7 +165,8 @@ def test_ladder_runs_a_custom_drift():
     """A custom componentwise field is laddered like the registry's; equal
     values give equal levels."""
     cfg = make_config(levels=(1, 2), degrees=(5, 4), quad_orders=(6, 6))
-    custom = run_ladder(lambda k: custom_drift(lambda p, x: 0.3 * np.tanh(x), k, "componentwise", 0.3), cfg)
+    custom = run_ladder(lambda k: custom_drift(lambda p, x: 0.3 * np.tanh(x), k, "componentwise", 0.3,
+                                                   reads_measure=True), cfg)
     components = tanh_components(0.3, 2)
     registry = run_ladder(lambda k: componentwise_drift(components, k, 0.3), cfg)
     assert custom.completed

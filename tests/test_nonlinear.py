@@ -1,13 +1,22 @@
-"""Damped fixed-point iteration and ball membership."""
+"""Damped and Anderson-mixed fixed-point iteration and ball membership."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import gfpk.nonlinear
 from gfpk import (
+    ClippedLinearKernel,
     ConstantKernel,
     FixedPointOptions,
+    GfpkError,
     NonConvergenceError,
     TanhKernel,
+    as_measure,
     constant_drift,
+    custom_drift,
     enumerate_basis,
     fixed_point_solve,
     l2_distance,
@@ -15,9 +24,11 @@ from gfpk import (
     l2_gamma_distance,
     schauder_membership,
     solve_linear,
+    solve_stationary,
     tensor_grid,
     vlasov_drift,
 )
+from gfpk.drift import drift_from_block
 from helpers import cameron_martin
 
 
@@ -28,6 +39,8 @@ def test_options_validation():
         FixedPointOptions(tolerance=0.0)
     with pytest.raises(ValueError):
         FixedPointOptions(max_iterations=0)
+    with pytest.raises(ValueError):
+        FixedPointOptions(memory=-1)
 
 
 def test_constant_kernel_converges_in_one_iteration():
@@ -123,8 +136,83 @@ def test_trace_csv_format():
     v = vlasov_drift(TanhKernel(0.2), 1)
     _, trace = fixed_point_solve(v, basis, grid, FixedPointOptions(damping=0.5))
     lines = trace.to_csv().strip().splitlines()
-    assert lines[0] == "iteration,delta,psi_residual,l2sq,in_schauder_set"
+    assert lines[0] == "iteration,delta,psi_residual,l2sq,in_schauder_set,depth"
     assert len(lines) == len(trace.psi_residuals) + 1
+
+
+@pytest.mark.parametrize("memory", [0, 1, 5])
+def test_trace_records_the_anderson_depth(memory):
+    """Each step mixes one more history pair than the last, up to memory;
+    the first step and every step after the residual grows mix none."""
+    v = vlasov_drift(ClippedLinearKernel(1.0, 2.0), 1)
+    _, trace = fixed_point_solve(
+        v, enumerate_basis(1, 12), tensor_grid(24, 1), FixedPointOptions(damping=0.5, memory=memory)
+    )
+    psi = trace.psi_residuals
+    expected = [0]
+    for m in range(1, trace.iterations):
+        expected.append(0 if psi[m] > psi[m - 1] else min(expected[-1] + 1, memory))
+    assert trace.depths == expected
+    if memory == 5:
+        assert 0 in trace.depths[1:]  # this solve restarts
+    column = [line.rsplit(",", 1)[1] for line in trace.to_csv().strip().splitlines()[1:]]
+    assert column == [str(d) for d in trace.depths] + [""]  # the converged iterate takes no step
+
+
+def test_anderson_converges_where_undamped_picard_does_not():
+    v = vlasov_drift(ClippedLinearKernel(1.0, 2.0), 2)
+    basis, grid = enumerate_basis(2, 12), tensor_grid(24, 2)
+    with pytest.raises(NonConvergenceError):
+        fixed_point_solve(v, basis, grid, FixedPointOptions(damping=1.0, memory=0))
+    _, trace = fixed_point_solve(v, basis, grid, FixedPointOptions(damping=1.0))
+    assert trace.converged and trace.iterations <= 15
+
+
+def test_measure_free_custom_drift_takes_one_linear_solve():
+    """The README's custom field gets one linear solve, with the
+    coefficients of the fixed point that ignores the measure."""
+    basis, grid = enumerate_basis(1, 20), tensor_grid(40, 1)
+
+    def field(measure, x):
+        return 0.3 * np.tanh(x)
+
+    w = custom_drift(field, 1, "H", 0.3, reads_measure=False)
+    rho, trace = solve_stationary(w, basis, grid, FixedPointOptions())
+    assert trace is None
+    reading = custom_drift(field, 1, "H", 0.3, reads_measure=True)
+    for memory in (0, 5):
+        fixed, fixed_trace = solve_stationary(reading, basis, grid, FixedPointOptions(memory=memory))
+        assert fixed_trace.iterations > 1
+        assert np.array_equal(fixed.coefficients, rho.coefficients)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kernel=st.sampled_from(["tanh", "gaussian-lobe", "clipped-linear"]),
+    scale=st.floats(-2.5, 2.5),
+    cap=st.floats(0.1, 3.0),
+    damping=st.sampled_from([0.3, 0.5, 1.0]),
+    k=st.sampled_from([1, 2]),
+)
+def test_anderson_converges_wherever_damped_picard_does(kernel, scale, cap, damping, k):
+    block = {"kind": kernel, "scale": scale, **({"cap": cap} if kernel == "clipped-linear" else {})}
+    v = drift_from_block({"kind": "vlasov", "kernel": block}, k)
+    basis, grid = (enumerate_basis(1, 10), tensor_grid(20, 1)) if k == 1 else (enumerate_basis(2, 6), tensor_grid(12, 2))
+    try:
+        damped, _ = fixed_point_solve(v, basis, grid, FixedPointOptions(damping=damping, memory=0, max_iterations=300))
+    except GfpkError:
+        assume(False)
+    constant_terms = []
+
+    def recording(p, grid):
+        constant_terms.append(p.coefficients[0])
+        return as_measure(p, grid)
+
+    with mock.patch.object(gfpk.nonlinear, "as_measure", recording):
+        mixed, trace = fixed_point_solve(v, basis, grid, FixedPointOptions(damping=damping, max_iterations=300))
+    assert trace.converged
+    assert len(constant_terms) == trace.iterations + 1 and all(c == 1.0 for c in constant_terms)
+    assert np.max(np.abs(mixed.coefficients - damped.coefficients)) <= 1e-9
 
 
 def test_schauder_membership_constant_density():

@@ -139,7 +139,7 @@ def test_readme_kind_table_matches_registry():
 
 
 def test_readme_fixed_point_defaults_match_config():
-    rows = _table(["mode", "`damping`", "`tolerance`", "`max_iterations`"])
+    rows = _table(["mode", "`damping`", "`tolerance`", "`max_iterations`", "`memory`"])
     documented = {row[0].strip("`"): row[1:] for row in rows}
     expected = {
         mode: [f"{p.default:g}" for p in fixed_point_params(mode)]

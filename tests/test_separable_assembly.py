@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gfpk import (
     ChaosDensity,
+    FixedPointOptions,
     QuadratureGrid,
     SolverError,
     as_measure,
@@ -103,7 +104,7 @@ def coupled(p, x):
     "v, grid",
     [
         (rotational_drift(0.3, 2, offset=[0.2, 0.0]), tensor_grid(8, 2)),
-        (custom_drift(coupled, 2, "componentwise", 0.4), tensor_grid(8, 2)),
+        (custom_drift(coupled, 2, "componentwise", 0.4, reads_measure=False), tensor_grid(8, 2)),
         (drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 2), uniform_gaussian_grid(6.0, 21, 2)),
         (drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 2), shuffled(tensor_grid(8, 2))),
     ],
@@ -146,7 +147,8 @@ def test_tables_built_once_per_basis():
 
 
 # the bench ladder (mean-shifted componentwise tanh, k = 1..5) solved with
-# the dense assembly: per-level iteration counts and Lyapunov moments
+# the dense assembly and damped Picard (memory 0): per-level iteration
+# counts and Lyapunov moments
 DENSE_LADDER = [
     (1, 32, 1.3842192714063213),
     (2, 32, 2.0768242292699264),
@@ -156,7 +158,7 @@ DENSE_LADDER = [
 ]
 
 
-def test_ladder_matches_dense_assembly():
+def bench_ladder(fixed_point):
     block = {"kind": "componentwise-tanh", "scale": 0.5, "n_components": 5, "mean_shift": True}
     cfg = LadderConfig(
         weights=(1.0, 0.5, 0.25, 0.125, 0.0625),
@@ -164,10 +166,23 @@ def test_ladder_matches_dense_assembly():
         levels=(1, 2, 3, 4, 5),
         degrees=(8, 6, 5, 4, 4),
         quad_orders=(10, 8, 6, 6, 6),
+        fixed_point=fixed_point,
     )
-    report = run_ladder(lambda k: drift_from_block(block, k), cfg)
+    return run_ladder(lambda k: drift_from_block(block, k), cfg)
+
+
+def test_ladder_matches_dense_assembly():
+    report = bench_ladder(FixedPointOptions(memory=0))
     assert [(lv.k, lv.iterations) for lv in report.levels] == [row[:2] for row in DENSE_LADDER]
     for lv, (_, _, moment) in zip(report.levels, DENSE_LADDER):
+        assert abs(lv.moment - moment) <= 1e-12
+
+
+def test_anderson_ladder_reaches_the_damped_moments():
+    report = bench_ladder(FixedPointOptions())
+    assert [lv.k for lv in report.levels] == [row[0] for row in DENSE_LADDER]
+    for lv, (_, _, moment) in zip(report.levels, DENSE_LADDER):
+        assert lv.iterations <= 3
         assert abs(lv.moment - moment) <= 1e-12
 
 
@@ -184,7 +199,7 @@ def test_lu_solve_matches_dense_solve(seed):
 
 
 def test_degree_zero_solves_to_the_constant():
-    rho = solve_linear(custom_drift(lambda p, x: np.full_like(x, 0.3), 1, "H", 0.3), None,
+    rho = solve_linear(custom_drift(lambda p, x: np.full_like(x, 0.3), 1, "H", 0.3, reads_measure=False), None,
                        enumerate_basis(1, 0), tensor_grid(2, 1))
     assert np.array_equal(rho.coefficients, [1.0])
 

@@ -197,7 +197,7 @@ def test_hoisted_fixed_point_matches_per_iteration_solves(scale):
     basis = enumerate_basis(2, 8)
     v = vlasov_drift(TanhKernel(scale), 2)
     opts = FixedPointOptions(
-        damping=0.7, tolerance=1e-10, initial=shifted_density(basis, (0.4, -0.25))
+        damping=0.7, tolerance=1e-10, memory=0, initial=shifted_density(basis, (0.4, -0.25))
     )
     rho, trace = fixed_point_solve(v, basis, grid, opts)
     assert trace.converged
