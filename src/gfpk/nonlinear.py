@@ -24,7 +24,7 @@ import numpy as np
 from .basis import ChaosBasis, QuadratureGrid
 from .density import ChaosDensity, as_measure
 from .diagnostics import b1_bound
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, NumericError
 from .linear import assemble, solve_linear, solve_system
 
 
@@ -100,7 +100,10 @@ def fixed_point_solve(
     """
     p = opts.initial if opts.initial is not None else ChaosDensity.constant(basis)
     theta = opts.damping
-    ball_radius_sq = b1_bound(v.c0) if np.isfinite(v.c0) else None
+    try:
+        ball_radius_sq = b1_bound(v.c0)
+    except NumericError:  # no finite radius: the monitored flags stay None
+        ball_radius_sq = None
     trace = FixedPointTrace()
     # the dense assembly's P x M table is built at most once per solve, and
     # only if the separable path declines

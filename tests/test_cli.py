@@ -236,6 +236,22 @@ def test_sweep_constant_family(tmp_path):
     assert d01 == pytest.approx(np.linalg.norm(cm(0.1) - cm(0.0)), abs=1e-6)
 
 
+def test_sweep_point_without_a_finite_ball_radius_is_solved(tmp_path):
+    # Vlasov tanh 4.0 at k=2 has C0 = 35.5, beyond a finite b1_bound
+    cfg = {
+        "mode": "sweep",
+        "k": 2,
+        "N": 8,
+        "Q": 16,
+        "sweep": {"family": "vlasov-tanh-scale", "values": [4.0]},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [row["failed"] for row in report["sweep"]] == [None]
+    assert (tmp_path / "out" / "density_000.json").exists()
+
+
 def test_ladder_mode(tmp_path):
     cfg = {
         "mode": "ladder",
@@ -447,25 +463,46 @@ MALFORMED = {
 }
 
 
-def _tiny(mode, scale, bound):
+def _tiny(mode, scale, bound, density=None):
     """A valid tiny config of one solving mode with the drift scale
-    `scale` (and, for the ladder, the component bound `bound`)."""
+    `scale` (and, for the ladder, the component bound `bound`); verify
+    checks `density` under the Vlasov drift of kernel scale `scale`."""
     if mode == "ladder":
         return _ladder(drift={"scale": scale}, component_bound=bound, degrees=[4, 3, 2], quad_orders=[5, 4, 3])
     if mode == "sweep":
         return {"mode": "sweep", "k": 1, "N": 4, "sweep": {"family": "vlasov-tanh-scale", "values": [scale]}}
+    vlasov = {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": scale}}
+    if mode == "verify":
+        return {"mode": "verify", "k": 1, "drift": vlasov, "verify": {"density": density}}
     drift = {
         "solve-linear": {"kind": "constant", "h": [scale]},
-        "solve-nonlinear": {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": scale}},
+        "solve-nonlinear": vlasov,
         "oracle-compare": {"kind": "clipped-potential", "lam": scale},
     }[mode]
     extra = {"oracle_compare": {"oracle": "1d"}} if mode == "oracle-compare" else {}
     return _solve(1, drift, mode, **extra)
 
 
+def _run_tiny(doc, out):
+    """Run doc, writing to out, and check the exit-code contract; the exit code."""
+    doc = {**doc, "output": {"dir": out}}
+    path = out + ".json"
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = main([doc["mode"], "--config", path])
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert not os.path.exists(out)
+    if code == 3:
+        with open(os.path.join(out, "report.json")) as fh:
+            assert "error" in json.load(fh)
+    return code
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    mode=st.sampled_from(["solve-linear", "solve-nonlinear", "ladder", "sweep", "oracle-compare"]),
+    mode=st.sampled_from(["solve-linear", "solve-nonlinear", "ladder", "sweep", "oracle-compare", "verify"]),
     scale=st.floats(-100.0, 100.0),
     bound=st.floats(0.0, 100.0),
     iterations=st.integers(1, 30),
@@ -474,21 +511,17 @@ def _tiny(mode, scale, bound):
 def test_tiny_runs_keep_the_exit_code_contract(mode, scale, bound, iterations, memory):
     """Wide drift scales and budgets down to one iteration, damped or
     Anderson-mixed, reach the solver failures of exit 3, which the config
-    fuzzing never does."""
-    doc = {**_tiny(mode, scale, bound), "fixed_point": {"max_iterations": iterations, "memory": memory}}
+    fuzzing never does.  verify checks the density of a tiny linear solve
+    (C0 = 2 pi bound / 25, below the last finite ball radius, so the
+    density is always written) under a Vlasov drift of any scale."""
     with tempfile.TemporaryDirectory() as tmp:
-        doc["output"] = {"dir": os.path.join(tmp, "out")}
-        path = os.path.join(tmp, "cfg.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-        with contextlib.redirect_stderr(io.StringIO()):
-            code = main([mode, "--config", path])
-        assert code in (0, 1, 2, 3)
-        if code == 2:
-            assert not os.path.exists(os.path.join(tmp, "out"))
-        if code == 3:
-            with open(os.path.join(tmp, "out", "report.json")) as fh:
-                assert "error" in json.load(fh)
+        if mode == "verify":
+            solved = os.path.join(tmp, "solved")
+            assert _run_tiny(_tiny("solve-linear", bound / 25.0, bound), solved) in (0, 1)
+            doc = _tiny(mode, scale, bound, density=os.path.join(solved, "density.json"))
+        else:
+            doc = {**_tiny(mode, scale, bound), "fixed_point": {"max_iterations": iterations, "memory": memory}}
+        _run_tiny(doc, os.path.join(tmp, "out"))
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))

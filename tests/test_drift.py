@@ -21,6 +21,7 @@ from gfpk import (
     vlasov_drift,
     vlasov_eval,
 )
+from gfpk.drift import BOUND_SLACK, VALIDATION_SAMPLES, ComponentwiseKernel, h_norm
 from helpers import cameron_martin
 
 
@@ -214,7 +215,7 @@ def test_bound_violation_raises():
 
 
 def test_eval_time_bound_check():
-    # a field whose declared bound holds on the validation cloud but is
+    # a field whose declared bound holds on the validation samples but is
     # violated at an extreme evaluation point
     def fn(p, x):
         return np.where(np.abs(x) > 50.0, 10.0, 0.1)
@@ -222,6 +223,75 @@ def test_eval_time_bound_check():
     v = custom_drift(fn, 1, "H", 0.5, reads_measure=False)
     with pytest.raises(BoundViolationError):
         v.eval_v(None, np.array([[60.0]]))
+
+
+@pytest.mark.parametrize("bound_kind", ["H", "componentwise"])
+def test_nan_fails_the_bound_check(bound_kind):
+    with pytest.raises(BoundViolationError, match="nan"):
+        custom_drift(lambda p, x: np.full_like(x, np.nan), 1, bound_kind, 1.0, reads_measure=False)
+    # NaN only far out: constructed, then refused where it is evaluated
+    v = custom_drift(lambda p, x: np.where(np.abs(x) > 50.0, np.nan, 0.1), 1, bound_kind, 0.5, reads_measure=False)
+    assert v.eval_v(None, np.array([[1.0]])).tolist() == [[0.1]]
+    with pytest.raises(BoundViolationError, match="nan"):
+        v.eval_v(None, np.array([[60.0]]))
+
+
+class CountingTanh(ComponentwiseKernel):
+    """tanh, counting the kernel entries evaluated per coordinate."""
+
+    component_bound = 1.0
+
+    def __init__(self, k):
+        self.entries = [0] * k
+
+    def component(self, i, z):
+        self.entries[i] += z.size
+        return np.tanh(z)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_vlasov_validation_reads_the_kernel_once_per_sample(k):
+    # the probe is a point mass, so construction costs one kernel entry per
+    # sample and coordinate (a 64-point probe cloud cost 64 each)
+    kernel = CountingTanh(k)
+    vlasov_drift(kernel, k)
+    assert 0 < max(kernel.entries) <= VALIDATION_SAMPLES
+
+
+class SpikedTanh(ComponentwiseKernel):
+    """tanh declared bounded by 1, but 3 on |z| < 0.05."""
+
+    component_bound = 1.0
+
+    def component(self, i, z):
+        return np.where(np.abs(z) < 0.05, 3.0, np.tanh(z))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_kernel_beyond_its_bound_near_zero_is_refused(k):
+    # convolved with a spread probe the spike averages away; the point-mass
+    # probe reads the kernel itself
+    with pytest.raises(BoundViolationError):
+        vlasov_drift(SpikedTanh(), k)
+
+
+def test_bound_check_gives_the_verdict_of_the_row_norms():
+    fields = {k: custom_drift(lambda p, x: np.zeros_like(x), k, "H", 0.0, reads_measure=False) for k in range(1, 9)}
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        k, m = int(rng.integers(1, 9)), int(rng.integers(1, 200))
+        low, high = np.sort(rng.uniform(-300.0, 300.0, 2))
+        values = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(low, high, (m, 1))
+        worst = float(np.max(h_norm(values, axis=1)))
+        v = fields[k]
+        for factor in (0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0):
+            v.bound = worst * factor
+            refused = not worst <= v.bound * (1.0 + BOUND_SLACK) + 1e-300
+            try:
+                v._check_bound(values)
+                assert not refused
+            except BoundViolationError:
+                assert refused
 
 
 def test_rotational_drift_bound_and_structure():

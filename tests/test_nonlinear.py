@@ -168,6 +168,17 @@ def test_anderson_converges_where_undamped_picard_does_not():
     assert trace.converged and trace.iterations <= 15
 
 
+@pytest.mark.parametrize("memory", [0, 5])
+def test_a_drift_without_a_finite_ball_radius_still_converges(memory):
+    """C0 = 35.5 is past the last finite b1_bound (C0 about 26.6); the radius
+    only feeds the monitored in_ball flags, which stay None."""
+    v = vlasov_drift(TanhKernel(4.0), 2)
+    assert v.c0 > 26.6
+    _, trace = fixed_point_solve(v, enumerate_basis(2, 8), tensor_grid(16, 2), FixedPointOptions(memory=memory))
+    assert trace.converged
+    assert trace.in_ball == [None] * len(trace.psi_residuals)
+
+
 def test_measure_free_custom_drift_takes_one_linear_solve():
     """The README's custom field gets one linear solve, with the
     coefficients of the fixed point that ignores the measure."""
