@@ -120,15 +120,20 @@ class ChaosBasis:
         scale * grams.flat[source] over its flat index target, for grams of
         shape (k, N+1, N+1).
         """
-        n1 = self.degree + 1
-        exps = self.exponents
+        n1, size, exps = self.degree + 1, self.size, self.exponents
         parts = []
         for i in range(self.k):
+            # fibres (the elements that agree off i), sorted by the exponents off i
+            # and then the i-th, are runs whose i-th exponents rise 0..N - |rest|
             rest = np.delete(exps, i, axis=1)
-            same_rest = np.all(rest[:, None, :] == rest[None, :, :], axis=2)
-            rows, cols = np.nonzero((exps[:, i] > 0)[:, None] & same_rest)
+            order = np.lexsort((exps[:, i],) + tuple(rest.T))
+            rows = np.flatnonzero(exps[:, i] > 0)
+            length = n1 - rest[rows].sum(axis=1)
+            shift = np.argsort(order)[rows] - exps[rows, i] - np.cumsum(length) + length
+            cols = order[np.arange(length.sum()) + np.repeat(shift, length)]
+            rows = np.repeat(rows, length)
             b = exps[rows, i]
-            parts.append((rows * self.size + cols, (i * n1 + b - 1) * n1 + exps[cols, i], np.sqrt(b)))
+            parts.append((rows * size + cols, (i * n1 + b - 1) * n1 + exps[cols, i], np.sqrt(b)))
         return tuple(np.concatenate(column) for column in zip(*parts))
 
     def eval_matrix(self, points: np.ndarray) -> np.ndarray:

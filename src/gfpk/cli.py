@@ -170,9 +170,7 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
     try:
         if config.mode in ("solve-linear", "solve-nonlinear"):
             rho, trace, v, grid, p_frozen = _solve_one(config)
-            checks, passed = density_checks(rho, v, p_frozen, grid)
-            report.update(checks)
-            report["checks_passed"] = passed
+            # the artifacts first: a check that fails to run (exit 3) keeps them
             density_path = os.path.join(out, "density.json")
             _write(density_path, rho.to_json())
             report["artifacts"]["density"] = density_path
@@ -181,6 +179,9 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
                 _write(trace_path, trace.to_csv())
                 report["artifacts"]["trace"] = trace_path
                 report["iterations"] = trace.iterations
+            checks, passed = density_checks(rho, v, p_frozen, grid)
+            report.update(checks)
+            report["checks_passed"] = passed
         elif config.mode == "ladder":
             ladder_report = run_ladder(lambda k: drift_from_block(config.drift, k), config.ladder)
             _write(os.path.join(out, "ladder.json"), json.dumps(ladder_report.to_json_dict(), sort_keys=True, indent=1))

@@ -238,8 +238,9 @@ class BumpTest:
     """Compactly supported smooth cylindrical test function.
 
     phi(x) = exp(-(1 - u)^{-1} + 1) on u < 1, 0 outside, where
-    u = |x_A - center|^2 / radius^2 over the active coordinates A.
-    The +1 normalizes phi = 1 at the center.
+    u = |x_A - center|^2 / radius^2 over the distinct active coordinates A.
+    The +1 normalizes phi = 1 at the center.  phi reads x_A alone, so the
+    residuals evaluate it only at the distinct values of x_A on their grid.
     """
 
     active: tuple[int, ...]
@@ -249,6 +250,8 @@ class BumpTest:
     def __post_init__(self):
         if len(self.center) != len(self.active):
             raise ValueError("center must have one entry per active coordinate")
+        if not self.active or len(set(self.active)) != len(self.active):
+            raise ValueError("active coordinates must be distinct, and at least one")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 

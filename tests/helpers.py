@@ -35,3 +35,31 @@ def cameron_martin(c: float, degree: int) -> ChaosDensity:
     basis = enumerate_basis(1, degree)
     coeffs = np.array([c**n / math.sqrt(math.factorial(n)) for n in range(degree + 1)])
     return ChaosDensity(basis, coeffs)
+
+
+def gram_pattern_by_compare(basis):
+    """Reference (target, source, scale) of ChaosBasis.gram_pattern: for each
+    coordinate i, every pair (beta, alpha) with beta_i > 0 that agrees off i,
+    found by comparing all P x P pairs."""
+    n1 = basis.degree + 1
+    exps = basis.exponents
+    parts = []
+    for i in range(basis.k):
+        rest = np.delete(exps, i, axis=1)
+        same_rest = np.all(rest[:, None, :] == rest[None, :, :], axis=2)
+        rows, cols = np.nonzero((exps[:, i] > 0)[:, None] & same_rest)
+        b = exps[rows, i]
+        parts.append((rows * basis.size + cols, (i * n1 + b - 1) * n1 + exps[cols, i], np.sqrt(b)))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def bump_defect_per_node(phi, grid, vvals, rvals):
+    """Reference weak defect sum_m w_m rho_m [Lap(phi) + (v - x).grad(phi)](x_m)
+    of a bump test, with phi evaluated at every node, and the sum of the
+    absolute values of its terms (the scale of its rounding error)."""
+    x = grid.nodes
+    weighted = (grid.weights * rvals)[:, None]
+    terms = np.concatenate(
+        [weighted * phi.laplacian(x)[:, None], weighted * (vvals - x) * phi.gradient(x)], axis=1
+    )
+    return float(terms.sum()), float(np.abs(terms).sum())

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfpk import (
     BasisSizeError,
@@ -13,7 +15,7 @@ from gfpk import (
     tensor_grid,
     uniform_gaussian_grid,
 )
-from helpers import hermite_eval
+from helpers import gram_pattern_by_compare, hermite_eval
 
 
 def test_enumerate_1d_degree_3():
@@ -123,3 +125,11 @@ def test_lowering_table():
     assert table[j, 0] == basis.position((1, 1))
     assert table[j, 1] == basis.position((2, 0))
     assert table[basis.position((0, 0))].tolist() == [-1, -1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 6), degree=st.integers(0, 6))
+def test_gram_pattern_per_fibre_equals_the_pairwise_compare(k, degree):
+    basis = enumerate_basis(k, degree)
+    for fibres, compared in zip(basis.gram_pattern, gram_pattern_by_compare(basis)):
+        assert fibres.dtype == compared.dtype and np.array_equal(fibres, compared)

@@ -252,6 +252,21 @@ def test_sweep_point_without_a_finite_ball_radius_is_solved(tmp_path):
     assert (tmp_path / "out" / "density_000.json").exists()
 
 
+def test_a_check_that_cannot_run_keeps_the_artifacts(tmp_path, capsys):
+    # the l2_ball certificate has no finite radius at C0 = 35.5: exit 3, but
+    # the converged density and its trace are written first
+    out = tmp_path / "out"
+    cfg = {**_vlasov(2, {"kind": "tanh", "scale": 4.0}), "N": 8, "Q": 16, "output": {"dir": str(out)}}
+    assert main(["solve-nonlinear", "--config", write_config(tmp_path, cfg)]) == 3
+    assert capsys.readouterr().err.startswith("solver error:")
+    report = json.loads((out / "report.json").read_text())
+    assert "error" in report and report["artifacts"] == {
+        "density": str(out / "density.json"), "trace": str(out / "trace.csv")
+    }
+    assert ChaosDensity.from_json((out / "density.json").read_text()).k == 2
+    assert (out / "trace.csv").read_text().startswith("iteration,delta,psi_residual")
+
+
 def test_ladder_mode(tmp_path):
     cfg = {
         "mode": "ladder",
@@ -463,10 +478,11 @@ MALFORMED = {
 }
 
 
-def _tiny(mode, scale, bound, density=None):
+def _tiny(mode, scale, bound, density=None, oracle="1d"):
     """A valid tiny config of one solving mode with the drift scale
     `scale` (and, for the ladder, the component bound `bound`); verify
-    checks `density` under the Vlasov drift of kernel scale `scale`."""
+    checks `density` under the Vlasov drift of kernel scale `scale`, and
+    oracle-compare runs `oracle` at a tiny size."""
     if mode == "ladder":
         return _ladder(drift={"scale": scale}, component_bound=bound, degrees=[4, 3, 2], quad_orders=[5, 4, 3])
     if mode == "sweep":
@@ -474,13 +490,11 @@ def _tiny(mode, scale, bound, density=None):
     vlasov = {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": scale}}
     if mode == "verify":
         return {"mode": "verify", "k": 1, "drift": vlasov, "verify": {"density": density}}
-    drift = {
-        "solve-linear": {"kind": "constant", "h": [scale]},
-        "solve-nonlinear": vlasov,
-        "oracle-compare": {"kind": "clipped-potential", "lam": scale},
-    }[mode]
-    extra = {"oracle_compare": {"oracle": "1d"}} if mode == "oracle-compare" else {}
-    return _solve(1, drift, mode, **extra)
+    if mode == "oracle-compare":
+        tiny = {"1d": {}, "fd2d": {"n_cells": 12}, "sde": {"n_steps": 10, "n_particles": 50}}[oracle]
+        drift = {"kind": "clipped-potential", "lam": scale}
+        return _solve(2 if oracle == "fd2d" else 1, drift, mode, oracle_compare={"oracle": oracle, **tiny})
+    return _solve(1, {"kind": "constant", "h": [scale]} if mode == "solve-linear" else vlasov, mode)
 
 
 def _run_tiny(doc, out):
@@ -507,20 +521,23 @@ def _run_tiny(doc, out):
     bound=st.floats(0.0, 100.0),
     iterations=st.integers(1, 30),
     memory=st.sampled_from([0, 1, 5, 20]),
+    oracle=st.sampled_from(["1d", "fd2d", "sde"]),
 )
-def test_tiny_runs_keep_the_exit_code_contract(mode, scale, bound, iterations, memory):
+def test_tiny_runs_keep_the_exit_code_contract(mode, scale, bound, iterations, memory, oracle):
     """Wide drift scales and budgets down to one iteration, damped or
     Anderson-mixed, reach the solver failures of exit 3, which the config
     fuzzing never does.  verify checks the density of a tiny linear solve
     (C0 = 2 pi bound / 25, below the last finite ball radius, so the
-    density is always written) under a Vlasov drift of any scale."""
+    density is always written) under a Vlasov drift of any scale;
+    oracle-compare runs each oracle, the FD and SDE ones at tiny sizes."""
     with tempfile.TemporaryDirectory() as tmp:
         if mode == "verify":
             solved = os.path.join(tmp, "solved")
             assert _run_tiny(_tiny("solve-linear", bound / 25.0, bound), solved) in (0, 1)
             doc = _tiny(mode, scale, bound, density=os.path.join(solved, "density.json"))
         else:
-            doc = {**_tiny(mode, scale, bound), "fixed_point": {"max_iterations": iterations, "memory": memory}}
+            doc = {**_tiny(mode, scale, bound, oracle=oracle),
+                   "fixed_point": {"max_iterations": iterations, "memory": memory}}
         _run_tiny(doc, os.path.join(tmp, "out"))
 
 

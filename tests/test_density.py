@@ -188,3 +188,11 @@ def test_bump_test_support_and_smoothness():
 def test_bump_test_center_length_mismatch():
     with pytest.raises(ValueError, match="center"):
         BumpTest(active=(0, 1), center=(0.0,), radius=1.0)
+
+
+@pytest.mark.parametrize("active, center", [((1, 1), (0.0, 0.5)), ((), ())])
+def test_bump_test_active_coordinates_are_distinct(active, center):
+    # a repeated coordinate would enter u twice but its derivatives once;
+    # with none, phi = 1 everywhere is no compactly supported bump
+    with pytest.raises(ValueError, match="distinct"):
+        BumpTest(active=active, center=center, radius=1.0)

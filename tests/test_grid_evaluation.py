@@ -1,6 +1,8 @@
 """Sum-factorized evaluation of chaos densities on product grids against the
-P x M evaluation matrix, the fallback on other grids, the index embedding
-shared by zero-padding and marginals, and the memory of a ladder to k = 8."""
+P x M evaluation matrix, the fallback on other grids, bump residuals on
+their active-coordinate marginals against the per-node sum, the index
+embedding shared by zero-padding and marginals, and the memory of a ladder
+to k = 8."""
 import json
 import os
 import subprocess
@@ -30,8 +32,10 @@ from gfpk import (
     tensor_grid,
     uniform_gaussian_grid,
 )
+from gfpk.cli import bump_grid, default_bumps
 from gfpk.drift import drift_from_block
 from gfpk.ladder import LadderConfig, _zero_pad, run_ladder
+from helpers import bump_defect_per_node
 
 REL_TOL = 1e-13
 MAX_NODES = {1: 40, 2: 14, 3: 8, 4: 6}
@@ -223,6 +227,65 @@ def test_suite_bumps_equal_single_residuals():
     bgrid = uniform_gaussian_grid(6.0, 61, 2)
     _, _, values = residual_suite(rho, v, p, grid, bumps, bgrid)
     assert values == [residual(rho, v, p, phi, bgrid) for phi in bumps]
+
+
+@st.composite
+def bump_grids(draw):
+    """Product grids of one or mixed 1-D rules, shuffled ones, and point
+    clouds whose coordinates repeat, with a seed."""
+    grid, seed = draw(mixed_product_grids())
+    form = draw(st.sampled_from(["product", "shuffled", "cloud"]))
+    if form == "shuffled":
+        return shuffled(grid, seed), seed
+    if form == "cloud":
+        rng = np.random.default_rng(seed)
+        m = draw(st.integers(1, 200))
+        distinct = draw(st.lists(st.integers(1, m), min_size=grid.k, max_size=grid.k))
+        nodes = np.stack([rng.uniform(-3.0, 3.0, n)[rng.integers(0, n, m)] for n in distinct], axis=1)
+        weights = rng.uniform(0.1, 1.0, m)
+        return QuadratureGrid(q=m, k=grid.k, nodes=nodes, weights=weights / weights.sum()), seed
+    return grid, seed
+
+
+def bump_tests(k):
+    active = st.permutations(range(k)).flatmap(
+        lambda axes: st.integers(1, min(2, k)).map(lambda n: tuple(axes[:n]))
+    )
+    return st.builds(
+        lambda active, center, radius: BumpTest(active, tuple(center[: len(active)]), radius),
+        active,
+        st.lists(st.floats(-2.5, 2.5), min_size=2, max_size=2),
+        st.floats(0.3, 3.0),
+    )
+
+
+def coupled_drift(k):
+    return custom_drift(lambda p, x: 0.5 * np.tanh(x + 1.0 - x[:, ::-1]), k, "componentwise", 0.5,
+                        reads_measure=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=bump_grids(), data=st.data())
+def test_regrouped_bump_residuals_equal_the_per_node_sum(case, data):
+    grid, seed = case
+    bumps = data.draw(st.lists(bump_tests(grid.k), min_size=1, max_size=4))
+    rho, v = random_density(grid.k, 3, seed), coupled_drift(grid.k)
+    _, _, values = residual_suite(rho, v, None, tensor_grid(4, grid.k), bumps, grid)
+    vvals, rvals = v.eval_v(None, grid.nodes), rho.evaluate(grid)
+    for phi, value in zip(bumps, values):
+        reference, magnitude = bump_defect_per_node(phi, grid, vvals, rvals)
+        assert abs(value - reference) <= 1e-13 * magnitude
+        assert value == residual(rho, v, None, phi, grid)
+
+
+def test_bumps_are_evaluated_on_their_active_values(monkeypatch):
+    # the CLI's k = 3 bump grid has 41^3 = 68,921 nodes but 41 values of x_0
+    seen = []
+    profile = BumpTest._profile
+    monkeypatch.setattr(BumpTest, "_profile", lambda self, u: seen.append(u.size) or profile(self, u))
+    rho = random_density(3, 3, 0)
+    _, _, values = residual_suite(rho, coupled_drift(3), None, tensor_grid(4, 3), default_bumps(3), bump_grid(3))
+    assert len(values) == len(default_bumps(3)) and seen and max(seen) <= 41
 
 
 LADDER_TO_K8 = """
