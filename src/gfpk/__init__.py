@@ -52,14 +52,12 @@ from .drift import (
     ConstantKernel,
     DriftField,
     GaussianLobeKernel,
+    SeparableField,
     TanhKernel,
     clipped_potential_drift,
-    componentwise_drift,
     constant_drift,
     custom_drift,
-    decoupled_tanh_components,
     rotational_drift,
-    tanh_components,
     vlasov_drift,
     vlasov_eval,
 )

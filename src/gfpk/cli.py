@@ -53,8 +53,9 @@ DEFAULT_BUMP_CENTERS = np.linspace(-2.0, 2.0, 10)
 
 
 def default_bumps(k: int):
+    """The bumps at DEFAULT_BUMP_CENTERS on each of the k coordinates."""
     return [
-        BumpTest(active=(0,), center=(float(c),), radius=2.0) for c in DEFAULT_BUMP_CENTERS
+        BumpTest(active=(i,), center=(float(c),), radius=2.0) for i in range(k) for c in DEFAULT_BUMP_CENTERS
     ]
 
 

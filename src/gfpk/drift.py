@@ -12,6 +12,9 @@ The measure argument of v is a PointMeasure (the weak-topology form, a
 ChaosDensity read once on the solve grid by `as_measure`) or None for
 fields that ignore it.
 
+A SeparableField is built from one function v_i(measure, x_i) per
+coordinate; every built-in kind except `rotational` builds one.
+
 The registry at the end (DRIFTS, KERNELS) is the one description of the
 drift and kernel kinds a config can name: their parameters and
 constructors.  Everything else about a drift (its bound, whether it reads
@@ -53,6 +56,15 @@ def h_norm(values, axis=None) -> np.ndarray:
     return np.ldexp(norm, np.squeeze(exponent, axis=axis))
 
 
+def _by_coordinate(component, k: int, z: np.ndarray) -> np.ndarray:
+    """The (..., k) array whose i-th entry is component(i, z[..., i]): a
+    function of each coordinate alone, tensorized over k coordinates."""
+    out = np.empty(z.shape[:-1] + (k,))
+    for i in range(k):
+        out[..., i] = component(i, z[..., i])
+    return out
+
+
 # -- convolution kernels ---------------------------------------------------
 
 
@@ -60,8 +72,9 @@ class ComponentwiseKernel:
     """A kernel whose i-th output component depends on z_i only.
 
     Subclasses implement `component(i, z)` on a plain array of z_i values;
-    `vlasov_eval` convolves an instance coordinate by coordinate against the
-    1-D marginals of the measure.  Any other kernel is convolved densely.
+    `vlasov_drift` builds a SeparableField from an instance, convolved
+    coordinate by coordinate against the 1-D marginals of the measure.  Any
+    other kernel is convolved densely.
     """
 
     def component(self, i: int, z: np.ndarray) -> np.ndarray:
@@ -72,10 +85,7 @@ class ComponentwiseKernel:
         return self.component_bound * math.sqrt(k)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        out = np.empty(z.shape)
-        for i in range(z.shape[-1]):
-            out[..., i] = self.component(i, z[..., i])
-        return out
+        return _by_coordinate(self.component, z.shape[-1], z)
 
 
 @dataclass(frozen=True)
@@ -189,14 +199,13 @@ class DriftField:
 
     def eval_v(self, measure: PointMeasure | None, x) -> np.ndarray:
         """v(measure, x) for x of shape (k,) or (m, k); bound-checked."""
-        if measure is not None and not isinstance(measure, PointMeasure):
-            raise TypeError(
-                f"a drift reads its measure as a PointMeasure or None, not a "
-                f"{type(measure).__name__}; read a density with as_measure(p, grid)"
-            )
+        _check_measure(measure)
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        values = np.asarray(self._evaluator(measure, np.atleast_2d(x)), dtype=float)
+        points = np.atleast_2d(x)
+        if points.ndim != 2 or points.shape[1] != self.k:
+            raise ValueError(f"a {self.k}-dimensional {self.kind} drift cannot read points of shape {x.shape}")
+        values = np.asarray(self._evaluator(measure, points), dtype=float)
         self._check_bound(values)
         return values[0] if single else values
 
@@ -222,14 +231,50 @@ class DriftField:
             return math.inf
 
 
+def _check_measure(measure):
+    if measure is not None and not isinstance(measure, PointMeasure):
+        raise TypeError(
+            f"a drift reads its measure as a PointMeasure or None, not a "
+            f"{type(measure).__name__}; read a density with as_measure(p, grid)"
+        )
+
+
+class SeparableField(DriftField):
+    """A drift whose i-th component reads x_i alone, besides the measure.
+
+    It is built from one function axis(measure, i, z) -> v_i at the values z
+    of x_i, so it cannot claim a separability it does not have.  Assembly
+    reads it on the 1-D nodes of a product grid (eval_axes) instead of on
+    all q^k nodes.
+    """
+
+    def __init__(self, kind, k, axis, bound_kind, bound, reads_measure):
+        self.axis = axis
+        super().__init__(kind, k, self._stacked, bound_kind, bound, reads_measure)
+
+    def _stacked(self, measure, x):
+        return _by_coordinate(lambda i, z: self.axis(measure, i, z), self.k, x)
+
+    def eval_axes(self, measure: PointMeasure | None, x1: np.ndarray) -> np.ndarray:
+        """(q, k) values v_i(x1_a) at the 1-D nodes x1 of every coordinate.
+
+        The bound is checked on the row of maxima max_a |v_i(x1_a)|: for
+        either bound kind that row is the worst point of the product grid
+        of x1, so the check is that of eval_v on all q^k nodes.
+        """
+        _check_measure(measure)
+        values = self._stacked(measure, np.broadcast_to(x1[:, None], (x1.size, self.k)))
+        self._check_bound(np.max(np.abs(values), axis=0, keepdims=True))
+        return values
+
+
 def constant_drift(h) -> DriftField:
     """v = h, a fixed Cameron-Martin vector; ignores the measure and the point."""
     h = np.asarray(h, dtype=float).reshape(-1)
-
-    def evaluator(measure, x):
-        return np.broadcast_to(h, x.shape).copy()
-
-    return DriftField("constant", h.size, evaluator, H_BOUND, float(h_norm(h)), reads_measure=False)
+    return SeparableField(
+        "constant", h.size, lambda measure, i, z: np.full(z.shape, h[i]), H_BOUND, float(h_norm(h)),
+        reads_measure=False,
+    )
 
 
 def clipped_potential_drift(lam: float, k: int, width: float = 2.0) -> DriftField:
@@ -244,11 +289,10 @@ def clipped_potential_drift(lam: float, k: int, width: float = 2.0) -> DriftFiel
     """
     if width <= 0:
         raise ValueError("saturation width must be positive")
-
-    def evaluator(measure, x):
-        return lam * np.tanh(x / width)
-
-    return DriftField("gradient", k, evaluator, H_BOUND, abs(lam) * math.sqrt(k), reads_measure=False)
+    return SeparableField(
+        "gradient", k, lambda measure, i, z: lam * np.tanh(z / width), H_BOUND, abs(lam) * math.sqrt(k),
+        reads_measure=False,
+    )
 
 
 # entries of the largest kernel matrix built at once by either convolution
@@ -262,8 +306,9 @@ def vlasov_eval(kernel, p, x, grid: QuadratureGrid | None) -> np.ndarray:
     (which clips negative node values and records the removed mass in the
     measure's clip_defect); the Vlasov drift passes a PointMeasure and no
     grid.  Componentwise kernels are convolved against the 1-D marginals of
-    the measure (`vlasov_marginal`), all other kernels over every pair of
-    points (`vlasov_dense`).
+    the measure (`marginal_convolution`), all other kernels over every pair
+    of points (`vlasov_dense`); the two agree up to the order of
+    floating-point additions.
     """
     if isinstance(p, ChaosDensity):
         if grid is None:
@@ -271,7 +316,7 @@ def vlasov_eval(kernel, p, x, grid: QuadratureGrid | None) -> np.ndarray:
         p = as_measure(p, grid)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if isinstance(kernel, ComponentwiseKernel):
-        return vlasov_marginal(kernel, p, x)
+        return _by_coordinate(lambda i, z: marginal_convolution(kernel, p, i, z), x.shape[1], x)
     return vlasov_dense(kernel, p, x)
 
 
@@ -289,30 +334,24 @@ def vlasov_dense(kernel, measure: PointMeasure, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def vlasov_marginal(kernel, measure: PointMeasure, x: np.ndarray) -> np.ndarray:
-    """The dense sum regrouped by coordinate, for a componentwise kernel.
+def marginal_convolution(kernel, measure: PointMeasure, i: int, z: np.ndarray) -> np.ndarray:
+    """v_i(z) = sum_j masses_j b0_i(z - y_ji) at the values z of x_i, for a
+    componentwise kernel.
 
-    v_i(x) = sum_j masses_j b0_i(x_i - y_ji) only sees the i-th marginal of
-    the measure, so the masses are summed over points sharing a value of
-    y_i and the 1-D kernel is evaluated once per distinct (x_i, y_i) pair.
-    On a Q^k tensor grid this is O(k Q^2) instead of O(k Q^{2k}); the result
-    equals the dense sum up to the order of floating-point additions.  When
-    x is the measure's own point set (as in assembly), its distinct values
-    are those of y and are not sorted again.
+    v_i only sees the i-th marginal of the measure, so the masses are summed
+    over points sharing a value of y_i and the 1-D kernel is evaluated once
+    per distinct (z, y_i) pair.  On a Q^k tensor grid this is O(Q^2) instead
+    of O(Q^{2k}).
     """
-    out = np.empty_like(x)
-    own_points = x is measure.points
-    for i in range(x.shape[1]):
-        ys, owner = np.unique(measure.points[:, i], return_inverse=True)
-        weights = np.bincount(owner, weights=measure.masses, minlength=ys.size)
-        xs, target = (ys, owner) if own_points else np.unique(x[:, i], return_inverse=True)
-        values = np.empty(xs.size)
-        chunk = max(1, CHUNK_ENTRIES // max(1, ys.size))
-        for start in range(0, xs.size, chunk):
-            diffs = xs[start : start + chunk, None] - ys[None, :]
-            values[start : start + chunk] = kernel.component(i, diffs) @ weights
-        out[:, i] = values[target]
-    return out
+    ys, owner = np.unique(measure.points[:, i], return_inverse=True)
+    weights = np.bincount(owner, weights=measure.masses, minlength=ys.size)
+    xs, target = np.unique(z, return_inverse=True)
+    values = np.empty(xs.size)
+    chunk = max(1, CHUNK_ENTRIES // max(1, ys.size))
+    for start in range(0, xs.size, chunk):
+        diffs = xs[start : start + chunk, None] - ys[None, :]
+        values[start : start + chunk] = kernel.component(i, diffs) @ weights
+    return values[target]
 
 
 def vlasov_drift(kernel, k: int) -> DriftField:
@@ -321,46 +360,29 @@ def vlasov_drift(kernel, k: int) -> DriftField:
     The kernel maps an array of differences z (..., k) to b0(z) (..., k).  A
     ComponentwiseKernel, whose `component(i, z)` is the i-th component of b0
     as a function of z_i alone (every built-in kernel: constant, tanh,
-    gaussian-lobe, clipped-linear), is convolved against the 1-D marginals
-    of the measure; any other kernel, such as a general H-valued b0, is
-    convolved over all pairs of points.
+    gaussian-lobe, clipped-linear), gives a SeparableField convolved against
+    the 1-D marginals of the measure; any other kernel, such as a general
+    H-valued b0, is convolved over all pairs of points.
 
     Every kernel answers h_bound_for(k), its bound on |b0|_H in dimension k.
     The measure argument is a PointMeasure; None is a TypeError.
     """
 
-    def evaluator(measure, x):
+    def required(measure):
         if measure is None:
             raise TypeError("vlasov drift requires a measure argument")
-        return vlasov_eval(kernel, measure, x, None)
+        return measure
 
-    return DriftField("vlasov", k, evaluator, H_BOUND, kernel.h_bound_for(k), reads_measure=True)
-
-
-def componentwise_drift(components, k: int | None = None, bound: float = 0.0) -> DriftField:
-    """Drift with uniformly bounded components v_n(measure, x), n < len(components).
-
-    Each component maps (PointMeasure-or-None, points (m, a)) to (m,) values,
-    where a = len(components) is the ambient dimension; active points are
-    zero-padded into the ambient space.  Bound is per component.  The field
-    counts as reading the measure, since its components take it.
-    """
-    ambient = len(components)
-    k = ambient if k is None else k
-    if k > ambient:
-        raise ValueError(f"cannot truncate to {k} dimensions: only {ambient} components")
-
-    def evaluator(measure, x):
-        padded = x
-        if x.shape[1] < ambient:
-            padded = np.zeros((x.shape[0], ambient))
-            padded[:, : x.shape[1]] = x
-        out = np.empty((x.shape[0], k))
-        for i in range(k):
-            out[:, i] = np.asarray(components[i](measure, padded), dtype=float)
-        return out
-
-    return DriftField("componentwise", k, evaluator, COMPONENTWISE_BOUND, bound, reads_measure=True)
+    bound = kernel.h_bound_for(k)
+    if isinstance(kernel, ComponentwiseKernel):
+        return SeparableField(
+            "vlasov", k, lambda measure, i, z: marginal_convolution(kernel, required(measure), i, z), H_BOUND,
+            bound, reads_measure=True,
+        )
+    return DriftField(
+        "vlasov", k, lambda measure, x: vlasov_eval(kernel, required(measure), x, None), H_BOUND, bound,
+        reads_measure=True,
+    )
 
 
 def rotational_drift(scale: float, k: int = 2, offset=None) -> DriftField:
@@ -383,38 +405,6 @@ def rotational_drift(scale: float, k: int = 2, offset=None) -> DriftField:
 
     bound = abs(scale) / 2.0 + float(h_norm(shift))
     return DriftField("rotational", k, evaluator, H_BOUND, bound, reads_measure=False)
-
-
-def tanh_components(scale: float, n_components: int, mean_shift: bool = False):
-    """Component functions v_n(measure, x) = scale * tanh(x_n - shift_n),
-    where shift_n is the measure's n-th coordinate mean when mean_shift is
-    set (a genuinely measure-dependent family); bound |v_n| <= scale."""
-    components = []
-    for n in range(n_components):
-
-        def component(measure, x, n=n):
-            shift = 0.0
-            if mean_shift and measure is not None:
-                mean = measure.mean()
-                if n < mean.shape[0]:
-                    shift = mean[n]
-            return scale * np.tanh(x[:, n] - shift)
-
-        components.append(component)
-    return components
-
-
-def decoupled_tanh_components(scale: float, n_components: int):
-    """First component scale * tanh(x_1), all others identically zero; the
-    solution then factorizes and every marginal beyond the first is Gaussian."""
-
-    def first(measure, x):
-        return scale * np.tanh(x[:, 0])
-
-    def zero(measure, x):
-        return np.zeros(x.shape[0])
-
-    return [first] + [zero] * (n_components - 1)
 
 
 def custom_drift(fn, k, bound_kind, bound, *, reads_measure: bool) -> DriftField:
@@ -445,10 +435,33 @@ KERNELS = {
 }
 
 
-def _componentwise(components, *params) -> Kind:
+def _tanh_axis(q):
+    """v_i = scale * tanh(x_i - shift_i), where shift_i is the measure's i-th
+    coordinate mean when mean_shift is set (a genuinely measure-dependent
+    family), else 0."""
+    scale, mean_shift = q["scale"], q["mean_shift"]
+
+    def axis(measure, i, z):
+        shift = measure.mean()[i] if mean_shift and measure is not None else 0.0
+        return scale * np.tanh(z - shift)
+
+    return axis
+
+
+def _decoupled_tanh_axis(q):
+    """v_0 = scale * tanh(x_0) and every other component 0: the solution
+    factorizes and every marginal beyond the first is Gaussian."""
+    scale = q["scale"]
+    return lambda measure, i, z: scale * np.tanh(z) if i == 0 else np.zeros(z.shape)
+
+
+def _componentwise(axis, *params) -> Kind:
+    """A separable kind bounded by |v_i| <= |scale|, whose v_i = axis(q)(measure,
+    i, x_i); it counts as reading the measure, and n_components only bounds k."""
     return Kind(
         (_SCALE, Param("n_components", "integer", 1, 64)) + params,
-        lambda q, k: componentwise_drift(components(**q), k, abs(q["scale"])),
+        lambda q, k: SeparableField("componentwise", k, axis(q), COMPONENTWISE_BOUND, abs(q["scale"]),
+                                    reads_measure=True),
         dims=lambda q, k: "" if k <= q["n_components"] else f"has fewer n_components than k={k}",
     )
 
@@ -465,8 +478,8 @@ DRIFTS = {
         dims=lambda q, k: "" if k % 2 == 0 else f"needs an even dimension, got k={k}",
     ),
     "vlasov": Kind((Param("kernel", KERNELS),), lambda q, k: vlasov_drift(q["kernel"], k)),
-    "componentwise-tanh": _componentwise(tanh_components, Param("mean_shift", "bool", default=False)),
-    "componentwise-decoupled-tanh": _componentwise(decoupled_tanh_components),
+    "componentwise-tanh": _componentwise(_tanh_axis, Param("mean_shift", "bool", default=False)),
+    "componentwise-decoupled-tanh": _componentwise(_decoupled_tanh_axis),
 }
 
 

@@ -109,23 +109,20 @@ def lyapunov_moment(rho: ChaosDensity, weights) -> float:
 
 
 def _battery_integrals(rho: ChaosDensity, grid, battery) -> list:
-    """integral phi d(mu) for each phi of the battery, read through the
-    zero-padding embedding: coordinates beyond the density's dimension are
-    held at 0.  rho is evaluated on the grid once for the whole battery."""
-    ambient = max(
-        len(phi.beta) if isinstance(phi, HermiteTest) else max(phi.active) + 1 for phi in battery
-    )
-    points = grid.nodes
-    if ambient > rho.k:
-        points = np.zeros((grid.n_nodes, ambient))
-        points[:, : rho.k] = grid.nodes
+    """integral phi d(mu) for each phi of the battery; rho is evaluated on
+    the grid once for the whole battery.  A test reading a coordinate the
+    density does not have is a ValueError."""
+    for phi in battery:
+        if (len(phi.beta) if isinstance(phi, HermiteTest) else max(phi.active) + 1) > rho.k:
+            raise ValueError(f"battery test {phi} reads a coordinate beyond the density's k={rho.k}")
     rvals = rho.evaluate(grid)
-    return [float(np.sum(grid.weights * phi.value(points) * rvals)) for phi in battery]
+    return [float(np.sum(grid.weights * phi.value(grid.nodes) * rvals)) for phi in battery]
 
 
 def marginal_distance(rho_a, grid_a, rho_b, grid_b, battery) -> float:
-    """Max over the battery of |int phi d(mu_a) - int phi d(mu_b)|, with both
-    measures read through the zero-padding embedding."""
+    """Max over the battery of |int phi d(mu_a) - int phi d(mu_b)|.  Every
+    test reads only coordinates both densities have, so a higher-dimensional
+    measure enters through its marginal on them."""
     if not battery:
         raise ValueError("battery must be non-empty")
     a = _battery_integrals(rho_a, grid_a, battery)

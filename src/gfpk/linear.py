@@ -21,6 +21,7 @@ from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .basis import ChaosBasis, QuadratureGrid
 from .density import BumpTest, ChaosDensity, HermiteTest
+from .drift import SeparableField
 from .errors import SolverError
 
 CONDITION_LIMIT = 1e12
@@ -54,28 +55,27 @@ class GalerkinSystem:
 def assemble(v, p, basis: ChaosBasis, grid: QuadratureGrid, dense_table=None) -> GalerkinSystem:
     """Quadrature assembly of the Galerkin system for drift v frozen at p.
 
-    The interaction comes from 1-D Gram matrices when the drift's node
-    values and the grid allow it (separable_interaction) and from the dense
-    quadrature sum otherwise.  dense_table, a callable returning
+    The interaction comes from 1-D Gram matrices when the drift is a
+    SeparableField and the grid allows it (separable_interaction) and from
+    the dense quadrature sum otherwise.  dense_table, a callable returning
     basis.eval_matrix(grid.nodes), lets callers that assemble repeatedly on
     one grid build that P x M table once, and only if the dense path runs.
     """
-    vvals = _drift_on_grid(v, p, basis, grid)
-    interaction = separable_interaction(basis, grid, vvals)
+    _check_sizes(v, basis, grid)
+    interaction = separable_interaction(basis, grid, v, p)
     if interaction is None:
         h = None if dense_table is None else dense_table()
-        interaction = dense_interaction(basis, grid, vvals, h)
+        interaction = dense_interaction(basis, grid, v.eval_v(p, grid.nodes), h)
     return GalerkinSystem(basis=basis, ou_diagonal=basis.degrees(), interaction=interaction)
 
 
-def _drift_on_grid(v, p, basis: ChaosBasis, grid: QuadratureGrid) -> np.ndarray:
+def _check_sizes(v, basis: ChaosBasis, grid: QuadratureGrid):
     if grid.q < basis.degree + 1:
         raise ValueError(
             f"quadrature order {grid.q} too small for basis degree {basis.degree}"
         )
     if v.k != basis.k:
         raise ValueError(f"drift dimension {v.k} != basis dimension {basis.k}")
-    return v.eval_v(p, grid.nodes)  # (M, k)
 
 
 def dense_interaction(
@@ -96,42 +96,29 @@ def dense_interaction(
     return interaction
 
 
-def separable_interaction(
-    basis: ChaosBasis, grid: QuadratureGrid, vvals: np.ndarray
-) -> np.ndarray | None:
+def separable_interaction(basis: ChaosBasis, grid: QuadratureGrid, v, p) -> np.ndarray | None:
     """The dense quadrature sum regrouped into k 1-D Gram matrices, or None
     when the regrouping does not hold.
 
-    It holds when the grid is the product of a 1-D rule that is orthonormal
-    up to the basis degree (to ORTHONORMAL_TOL) and each v_i is bitwise
-    constant along every grid axis other than i.  Then, with u_i the sum of
-    weights * v_i over the other axes, G_i = H1 diag(u_i) H1^T and
-    basis.gram_pattern scatters sqrt(beta_i) G_i[beta_i - 1, alpha_i] into
-    the P x P interaction.
+    It holds when v is a SeparableField and the grid is the product of a
+    1-D rule (x1, w1) that is orthonormal up to the basis degree (to
+    ORTHONORMAL_TOL).  Then, with u_i = w1 * v_i(p, x1), G_i = H1 diag(u_i)
+    H1^T and basis.gram_pattern scatters sqrt(beta_i) G_i[beta_i - 1,
+    alpha_i] into the P x P interaction.  v is read at the q nodes of x1
+    only.
     """
-    if grid.axis_rule is None:
+    if not isinstance(v, SeparableField) or grid.axis_rule is None:
         return None
-    fibres = [_fibres(vvals[:, i], grid, i) for i in range(grid.k)]
-    if not all(np.all(f == f[:, :1]) for f in fibres):
-        return None
-    _, w1 = grid.axis_rule
+    x1, w1 = grid.axis_rule
     h1 = grid.hermite_tables(basis.degree)[0]  # (N+1, q), the table of x1
     if np.max(np.abs((h1 * w1) @ h1.T - np.eye(basis.degree + 1))) > ORTHONORMAL_TOL:
         return None
-    weighted = grid.weights[:, None] * vvals
-    u = np.stack([_fibres(weighted[:, i], grid, i).sum(axis=1) for i in range(grid.k)])
+    u = w1 * v.eval_axes(p, x1).T  # (k, q)
     grams = np.einsum("na,ia,ma->inm", h1, u, h1)  # (k, N+1, N+1)
     target, source, scale = basis.gram_pattern
     size = basis.size
     flat = np.bincount(target, weights=scale * grams.ravel()[source], minlength=size * size)
     return flat.reshape(size, size)
-
-
-def _fibres(values: np.ndarray, grid: QuadratureGrid, axis: int) -> np.ndarray:
-    """Node values of a product grid (last axis fastest) as (q, q^(k-1)):
-    row a holds the values at the nodes whose coordinate `axis` is x1[a]."""
-    q, k = grid.q, grid.k
-    return np.moveaxis(values.reshape((q,) * k), axis, 0).reshape(q, -1)
 
 
 def solve_system(system: GalerkinSystem) -> ChaosDensity:
@@ -214,7 +201,8 @@ def residual_suite(rho, v, p_frozen, grid, bump_tests=(), bump_grid=None):
     tol * (1 + system_norm).
     """
     basis = rho.basis
-    vvals = _drift_on_grid(v, p_frozen, basis, grid)
+    _check_sizes(v, basis, grid)
+    vvals = v.eval_v(p_frozen, grid.nodes)
     system = GalerkinSystem(basis, basis.degrees(), dense_interaction(basis, grid, vvals))
     coeffs = rho.coefficients
     full = system.interaction @ coeffs - system.ou_diagonal * coeffs

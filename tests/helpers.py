@@ -4,6 +4,7 @@ import math
 import numpy as np
 
 from gfpk import ChaosDensity, enumerate_basis
+from gfpk.drift import drift_from_block
 
 
 def hermite_eval(n: int, x):
@@ -63,3 +64,9 @@ def bump_defect_per_node(phi, grid, vvals, rvals):
         [weighted * phi.laplacian(x)[:, None], weighted * (vvals - x) * phi.gradient(x)], axis=1
     )
     return float(terms.sum()), float(np.abs(terms).sum())
+
+
+def registry_drift(kind: str, **params):
+    """A ladder's drift builder k -> the drift of the config block
+    {"kind": kind, **params} in dimension k."""
+    return lambda k: drift_from_block({"kind": kind, **params}, k)

@@ -20,9 +20,7 @@ from gfpk import (
     TanhKernel,
     b1_bound,
     clipped_potential_drift,
-    componentwise_drift,
     constant_drift,
-    decoupled_tanh_components,
     enumerate_basis,
     fixed_point_solve,
     integrate,
@@ -41,13 +39,12 @@ from gfpk import (
     solve_linear,
     superlevel_mass_1d,
     tail_check,
-    tanh_components,
     tensor_grid,
     uniform_gaussian_grid,
     vlasov_drift,
 )
 from gfpk.cli import main as cli_main
-from helpers import b1_bound_quadrature, cameron_martin
+from helpers import b1_bound_quadrature, cameron_martin, registry_drift
 from scipy.special import ndtr
 
 
@@ -226,8 +223,7 @@ def test_criterion_09_ladder():
         quad_orders=(10, 8, 6, 6),
         fixed_point=FixedPointOptions(damping=0.5, tolerance=1e-9, max_iterations=200),
     )
-    components = tanh_components(0.5, 4, mean_shift=True)
-    report = run_ladder(lambda k: componentwise_drift(components, k, 0.5), cfg)
+    report = run_ladder(registry_drift("componentwise-tanh", scale=0.5, n_components=4, mean_shift=True), cfg)
     moments_ok = report.completed and all(
         lv.moment <= 2.25 * cfg.weight_total + lv.quad_error for lv in report.levels
     )
@@ -240,8 +236,7 @@ def test_criterion_09_ladder():
         quad_orders=(10, 10, 10, 10),
         fixed_point=FixedPointOptions(damping=0.5, tolerance=1e-11, max_iterations=200),
     )
-    components_dec = decoupled_tanh_components(0.5, 4)
-    report_dec = run_ladder(lambda k: componentwise_drift(components_dec, k, 0.5), cfg_dec)
+    report_dec = run_ladder(registry_drift("componentwise-decoupled-tanh", scale=0.5, n_components=4), cfg_dec)
     stability = max(
         lv.distance_to_next for lv in report_dec.levels[:-1] if lv.distance_to_next is not None
     )

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfpk import ChaosDensity, ConfigError, load_config, parse_config
-from gfpk.cli import DEFAULT_BUMP_CENTERS, main
+from gfpk.cli import DEFAULT_BUMP_CENTERS, default_bumps, main
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -209,9 +209,17 @@ def test_k2_vlasov_checks_finish_in_seconds(tmp_path):
     elapsed = time.monotonic() - start
     assert code == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert len(report["residuals"]["bumps"]) == len(DEFAULT_BUMP_CENTERS)
+    assert len(report["residuals"]["bumps"]) == 2 * len(DEFAULT_BUMP_CENTERS)
     assert report["residuals"]["bump_pass"]
     assert elapsed < 30.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_default_bumps_test_every_coordinate(k):
+    bumps = default_bumps(k)
+    assert {phi.active for phi in bumps} == {(i,) for i in range(k)}
+    for i in range(k):
+        assert [phi.center[0] for phi in bumps if phi.active == (i,)] == list(DEFAULT_BUMP_CENTERS)
 
 
 def test_sweep_constant_family(tmp_path):

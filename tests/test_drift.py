@@ -11,17 +11,15 @@ from gfpk import (
     TanhKernel,
     as_measure,
     clipped_potential_drift,
-    componentwise_drift,
     constant_drift,
     custom_drift,
     enumerate_basis,
     rotational_drift,
-    tanh_components,
     tensor_grid,
     vlasov_drift,
     vlasov_eval,
 )
-from gfpk.drift import BOUND_SLACK, VALIDATION_SAMPLES, ComponentwiseKernel, h_norm
+from gfpk.drift import BOUND_SLACK, VALIDATION_SAMPLES, ComponentwiseKernel, drift_from_block, h_norm
 from helpers import cameron_martin
 
 
@@ -74,7 +72,7 @@ def test_vlasov_eval_point_measure():
     "v",
     [
         vlasov_drift(TanhKernel(0.5), 1),
-        componentwise_drift(tanh_components(0.5, 1, mean_shift=True), 1, 0.5),
+        drift_from_block({"kind": "componentwise-tanh", "scale": 0.5, "n_components": 1, "mean_shift": True}, 1),
         constant_drift([0.3]),
     ],
     ids=lambda v: v.kind,
@@ -140,20 +138,10 @@ def test_clipped_potential_gradient_consistency():
         assert np.allclose(v.eval_v(None, x)[:, i], fd, atol=1e-8)
 
 
-def test_componentwise_truncation():
-    weights = [0.5 / 4 ** (n + 1) for n in range(4)]
-    components = [
-        (lambda measure, x, w=w: np.full(x.shape[0], w)) for w in weights
-    ]
-    v2 = componentwise_drift(components, 2, weights[0])
-    out = v2.eval_v(None, np.zeros((1, 2)))
-    assert np.allclose(out, [weights[0], weights[1]])
-
-
 @pytest.mark.parametrize("k, ambient", [(1, 1), (3, 3), (3, 5)])
 def test_mean_shift_tanh_matches_per_component_evaluation(k, ambient):
     """Bitwise the values of each component reading its own copy of the
-    mean and of the zero-padded points."""
+    mean; n_components (ambient) only bounds k."""
     scale = 0.5
     rng = np.random.default_rng(k + ambient)
     grid = tensor_grid(6, k)
@@ -161,21 +149,34 @@ def test_mean_shift_tanh_matches_per_component_evaluation(k, ambient):
     coefficients = np.concatenate([[1.0], 0.1 * rng.standard_normal(basis.size - 1)])
     p = ChaosDensity(basis, coefficients)
     x = rng.standard_normal((40, k))
-    v = componentwise_drift(tanh_components(scale, ambient, mean_shift=True), k, scale)
+    v = drift_from_block({"kind": "componentwise-tanh", "scale": scale, "n_components": ambient, "mean_shift": True}, k)
     measure = as_measure(p, grid)
-    padded = np.zeros((x.shape[0], ambient))
-    padded[:, :k] = x
     reference = np.stack(
-        [scale * np.tanh(padded[:, n] - (measure.masses @ measure.points)[n]) for n in range(k)],
+        [scale * np.tanh(x[:, n] - (measure.masses @ measure.points)[n]) for n in range(k)],
         axis=1,
     )
     assert np.array_equal(v.eval_v(measure, x), reference)
     assert measure.mean() is measure.mean() and not measure.mean().flags.writeable
 
 
-def test_truncate_beyond_components_raises():
-    with pytest.raises(ValueError, match="truncate"):
-        componentwise_drift([lambda m, x: np.zeros(x.shape[0])], 2, 0.0)
+@pytest.mark.parametrize(
+    "v",
+    [
+        clipped_potential_drift(0.5, 2),
+        rotational_drift(0.3, 2),
+        vlasov_drift(TanhKernel(0.3), 2),
+        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3, reads_measure=False),
+    ],
+    ids=lambda v: v.kind,
+)
+@pytest.mark.parametrize("shape", [(3, 5), (3, 1), (5,), (1,), (2, 2, 2)])
+def test_eval_v_rejects_points_of_another_dimension(v, shape):
+    # a 2-dimensional field once returned (3, 5) values for (3, 5) points
+    measure = as_measure(ChaosDensity.constant(enumerate_basis(2, 2)), tensor_grid(4, 2))
+    with pytest.raises(ValueError, match="2-dimensional"):
+        v.eval_v(measure, np.ones(shape))
+    assert v.eval_v(measure, np.ones((3, 2))).shape == (3, 2)
+    assert v.eval_v(measure, np.ones(2)).shape == (2,)
 
 
 @pytest.mark.parametrize("bound_kind", ["h", "Hilbert", "Componentwise", ""])
@@ -189,7 +190,7 @@ def test_unknown_bound_kind_is_rejected(bound_kind):
 def test_fields_state_whether_they_read_the_measure():
     reading = [
         vlasov_drift(TanhKernel(0.3), 2),
-        componentwise_drift(tanh_components(0.3, 2), 2, 0.3),
+        drift_from_block({"kind": "componentwise-tanh", "scale": 0.3, "n_components": 2}, 2),
         custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3, reads_measure=True),
     ]
     ignoring = [

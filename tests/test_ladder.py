@@ -3,22 +3,21 @@ import numpy as np
 import pytest
 
 from gfpk import (
+    BumpTest,
     ChaosDensity,
     FixedPointOptions,
+    HermiteTest,
     LadderConfig,
-    componentwise_drift,
     constant_drift,
     custom_drift,
-    decoupled_tanh_components,
     default_battery,
     enumerate_basis,
     lyapunov_moment,
     marginal_distance,
     run_ladder,
-    tanh_components,
     tensor_grid,
 )
-from helpers import cameron_martin
+from helpers import cameron_martin, registry_drift
 
 WEIGHTS = (0.25, 0.0625, 0.015625, 0.00390625)  # alpha_n = 4^{-n}
 
@@ -99,10 +98,21 @@ def test_marginal_distance_mean_battery():
     assert d == pytest.approx(0.3, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "phi", [HermiteTest((0, 1)), HermiteTest((0, 0, 0)), BumpTest(active=(2,), center=(0.0,), radius=2.0)]
+)
+def test_marginal_distance_refuses_a_coordinate_beyond_the_densities(phi):
+    # such a test once read the missing coordinates as 0 (a point mass),
+    # while the ladder's seeds make them standard Gaussians
+    rho_a = ChaosDensity.constant(enumerate_basis(1, 4))
+    rho_b = ChaosDensity.constant(enumerate_basis(2, 4))
+    with pytest.raises(ValueError, match="beyond the density's k=1"):
+        marginal_distance(rho_a, tensor_grid(6, 1), rho_b, tensor_grid(6, 2), [HermiteTest((1,)), phi])
+
+
 def test_ladder_zero_drift():
-    components = [lambda m, x: np.zeros(x.shape[0]) for _ in range(3)]
     cfg = make_config(component_bound=0.0)
-    report = run_ladder(lambda k: componentwise_drift(components, k, 0.0), cfg)
+    report = run_ladder(registry_drift("componentwise-tanh", scale=0.0, n_components=3), cfg)
     assert report.completed
     for level, k in zip(report.levels, cfg.levels):
         assert np.max(np.abs(level.solution.coefficients[1:])) <= 1e-12
@@ -111,9 +121,8 @@ def test_ladder_zero_drift():
 
 
 def test_ladder_tanh_moment_certificates():
-    components = tanh_components(0.5, 3, mean_shift=True)
     cfg = make_config()
-    report = run_ladder(lambda k: componentwise_drift(components, k, 0.5), cfg)
+    report = run_ladder(registry_drift("componentwise-tanh", scale=0.5, n_components=3, mean_shift=True), cfg)
     assert report.completed
     for level in report.levels:
         assert level.passed
@@ -129,9 +138,8 @@ def test_ladder_decoupled_marginal_stability():
     Identical truncation parameters per level make the shared coefficient
     block solve the same 1-D system exactly.
     """
-    components = decoupled_tanh_components(0.5, 3)
     cfg = make_config(degrees=(6, 6, 6), quad_orders=(8, 8, 8))
-    report = run_ladder(lambda k: componentwise_drift(components, k, 0.5), cfg)
+    report = run_ladder(registry_drift("componentwise-decoupled-tanh", scale=0.5, n_components=3), cfg)
     assert report.completed
     for level in report.levels[:-1]:
         assert level.distance_to_next is not None
@@ -139,11 +147,10 @@ def test_ladder_decoupled_marginal_stability():
 
 
 def test_ladder_aborts_on_non_convergence():
-    components = tanh_components(0.5, 3)
     cfg = make_config(
         fixed_point=FixedPointOptions(damping=0.5, tolerance=1e-12, max_iterations=1)
     )
-    report = run_ladder(lambda k: componentwise_drift(components, k, 0.5), cfg)
+    report = run_ladder(registry_drift("componentwise-tanh", scale=0.5, n_components=3), cfg)
     assert not report.completed
     assert "k=1" in report.failure
     assert report.levels == []
@@ -154,9 +161,8 @@ def test_ladder_rejects_a_drift_beyond_its_component_bound():
     # against C = 0.1 once ran and reported 0.67 instead of 2.0
     cfg = make_config(weights=(0.25, 0.0625), component_bound=0.1, levels=(1, 2), degrees=(5, 4),
                       quad_orders=(6, 6))
-    components = tanh_components(2.0, 2)
     with pytest.raises(ValueError, match="component_bound=0.1 is below"):
-        run_ladder(lambda k: componentwise_drift(components, k, 2.0), cfg)
+        run_ladder(registry_drift("componentwise-tanh", scale=2.0, n_components=2), cfg)
     with pytest.raises(ValueError, match="componentwise-bounded"):
         run_ladder(lambda k: constant_drift([0.05] * k), cfg)
 
@@ -167,16 +173,14 @@ def test_ladder_runs_a_custom_drift():
     cfg = make_config(levels=(1, 2), degrees=(5, 4), quad_orders=(6, 6))
     custom = run_ladder(lambda k: custom_drift(lambda p, x: 0.3 * np.tanh(x), k, "componentwise", 0.3,
                                                    reads_measure=True), cfg)
-    components = tanh_components(0.3, 2)
-    registry = run_ladder(lambda k: componentwise_drift(components, k, 0.3), cfg)
+    registry = run_ladder(registry_drift("componentwise-tanh", scale=0.3, n_components=2), cfg)
     assert custom.completed
     assert [lv.moment for lv in custom.levels] == [lv.moment for lv in registry.levels]
 
 
 def test_ladder_report_serialization():
-    components = tanh_components(0.3, 2)
     cfg = make_config(levels=(1, 2), degrees=(5, 4), quad_orders=(6, 6))
-    report = run_ladder(lambda k: componentwise_drift(components, k, 0.3), cfg)
+    report = run_ladder(registry_drift("componentwise-tanh", scale=0.3, n_components=2), cfg)
     doc = report.to_json_dict()
     assert doc["completed"] and len(doc["levels"]) == 2
     csv_lines = report.to_csv().strip().splitlines()

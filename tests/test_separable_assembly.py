@@ -1,15 +1,19 @@
 """Assembly of separable drifts from 1-D Gram matrices against the dense
-quadrature sum, the observed choice between the two paths, and the LU
-solve with its condition estimate."""
+quadrature sum, the choice between the two paths by the field's type, and
+the LU solve with its condition estimate."""
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfpk import (
+    BoundViolationError,
     ChaosDensity,
     FixedPointOptions,
     QuadratureGrid,
+    SeparableField,
     SolverError,
     as_measure,
     assemble,
@@ -21,33 +25,57 @@ from gfpk import (
     tensor_grid,
     uniform_gaussian_grid,
 )
-from gfpk.drift import drift_from_block
+from gfpk.drift import DRIFTS, H_BOUND, KERNELS, drift_from_block
 from gfpk.ladder import LadderConfig, run_ladder
 from gfpk.linear import GalerkinSystem, dense_interaction, separable_interaction, solve_system
+from gfpk.schema import REQUIRED
 
 REL_TOL = 1e-13
 # largest Q per k: Gauss-Hermite rules up to Q = 25 are orthonormal to
 # 1e-13 up to degree Q - 1, and the grids stay small
 MAX_Q = {1: 24, 2: 12, 3: 7, 4: 5}
 
+
+def minimal_block(registry, kind, k, s, switched_on=None):
+    """The {"kind": kind} block with every required number, integer and
+    vector set from the scale s (integers at their largest value) and the
+    bool parameter switched_on set."""
+    block = {"kind": kind}
+    for param in registry[kind].params:
+        if param.name == switched_on:
+            block[param.name] = True
+        elif param.default is REQUIRED and not isinstance(param.type, dict):
+            values = {"number": s, "integer": int(param.high), "vector": [s * (i + 1) / k for i in range(k)]}
+            block[param.name] = values[param.type]
+    return block
+
+
+def case_block(kind, kernel, switched_on, k, s):
+    block = minimal_block(DRIFTS, kind, k, s, switched_on)
+    if kernel is not None:
+        block["kernel"] = minimal_block(KERNELS, kernel, k, s)
+    return block
+
+
+def registry_cases():
+    """(name, block of (k, s)) for every drift kind, with each kernel of a
+    kind that reads one and with each of its bool parameters switched on."""
+    cases = []
+    for kind, entry in DRIFTS.items():
+        kernels = KERNELS if any(p.type is KERNELS for p in entry.params) else [None]
+        switches = [None] + [p.name for p in entry.params if p.type == "bool"]
+        for kernel in kernels:
+            for switch in switches:
+                name = "-".join(filter(None, [kind, kernel, switch and switch.replace("_", "-")]))
+                cases.append((name, functools.partial(case_block, kind, kernel, switch)))
+    return cases
+
+
+# every registry case that builds a SeparableField (checked at k = 2, which
+# every kind accepts)
 SEPARABLE_KINDS = {
-    "constant": lambda k, s: {"kind": "constant", "h": [s * (i + 1) / k for i in range(k)]},
-    "clipped-potential": lambda k, s: {"kind": "clipped-potential", "lam": s, "width": 1.5},
-    "componentwise-tanh": lambda k, s: {"kind": "componentwise-tanh", "scale": s, "n_components": 4},
-    "componentwise-tanh-mean-shift": lambda k, s: {
-        "kind": "componentwise-tanh", "scale": s, "n_components": 4, "mean_shift": True
-    },
-    "componentwise-decoupled-tanh": lambda k, s: {
-        "kind": "componentwise-decoupled-tanh", "scale": s, "n_components": 4
-    },
-    "vlasov-constant": lambda k, s: {
-        "kind": "vlasov", "kernel": {"kind": "constant", "h": [s / (i + 1) for i in range(k)]}
-    },
-    "vlasov-tanh": lambda k, s: {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": s}},
-    "vlasov-gaussian-lobe": lambda k, s: {"kind": "vlasov", "kernel": {"kind": "gaussian-lobe", "scale": s}},
-    "vlasov-clipped-linear": lambda k, s: {
-        "kind": "vlasov", "kernel": {"kind": "clipped-linear", "scale": s, "cap": 0.7}
-    },
+    name: block for name, block in registry_cases()
+    if isinstance(drift_from_block(block(2, 0.5), 2), SeparableField)
 }
 
 
@@ -84,11 +112,53 @@ def test_separable_matches_dense(kind, size, scale, seed):
     basis = enumerate_basis(k, degree)
     v = drift_from_block(SEPARABLE_KINDS[kind](k, scale), k)
     p = as_measure(random_iterate(basis, seed), grid)
-    vvals = v.eval_v(p, grid.nodes)
-    sparse = separable_interaction(basis, grid, vvals)
+    sparse = separable_interaction(basis, grid, v, p)
     assert sparse is not None
-    assert_close(sparse, dense_interaction(basis, grid, vvals))
+    assert_close(sparse, dense_interaction(basis, grid, v.eval_v(p, grid.nodes)))
     assert np.array_equal(assemble(v, p, basis, grid).interaction, sparse)
+
+
+def test_every_kind_but_rotational_is_separable():
+    names = {name for name, _ in registry_cases()}
+    assert names - set(SEPARABLE_KINDS) == {"rotational"}
+    assert {"componentwise-tanh-mean-shift", "vlasov-clipped-linear", "constant"} <= set(SEPARABLE_KINDS)
+
+
+def one_sided(c):
+    """v_0 = c where x_0 > 0 and v_1 = c where x_1 < 0, both 0 under the
+    one-point construction probe: |v|_H = c on every diagonal point x_0 = x_1
+    and c sqrt(2) where x_0 > 0 > x_1."""
+
+    def axis(measure, i, z):
+        if measure is None or measure.points.shape[0] == 1:
+            return np.zeros(z.shape)
+        return np.where(z > 0 if i == 0 else z < 0, c, 0.0)
+
+    return SeparableField("one-sided", 2, axis, H_BOUND, c, reads_measure=True)
+
+
+def test_bound_is_checked_on_the_product_grid():
+    grid = tensor_grid(6, 2)
+    basis = enumerate_basis(2, 4)
+    v = one_sided(0.3)
+    p = as_measure(ChaosDensity.constant(basis), grid)
+    diagonal = np.repeat(grid.axis_rule[0][:, None], 2, axis=1)
+    assert np.max(np.linalg.norm(v.eval_v(p, diagonal), axis=1)) <= 0.3
+    with pytest.raises(BoundViolationError, match="0.424264"):
+        assemble(v, p, basis, grid)
+
+
+def test_assembly_reads_a_separable_field_on_the_one_dimensional_nodes():
+    sizes = []
+
+    def axis(measure, i, z):
+        sizes.append(z.size)
+        return 0.3 * np.tanh(z)
+
+    v = SeparableField("counting", 3, axis, H_BOUND, 0.3 * np.sqrt(3), reads_measure=False)
+    sizes.clear()
+    assemble(v, None, enumerate_basis(3, 4), tensor_grid(6, 3))
+    assert sizes == [6, 6, 6]
 
 
 def shuffled(grid, seed=0):
@@ -112,9 +182,8 @@ def coupled(p, x):
 )
 def test_dense_path_when_regrouping_fails(v, grid):
     basis = enumerate_basis(2, 5)
-    vvals = v.eval_v(None, grid.nodes)
-    assert separable_interaction(basis, grid, vvals) is None
-    dense = dense_interaction(basis, grid, vvals)
+    assert separable_interaction(basis, grid, v, None) is None
+    dense = dense_interaction(basis, grid, v.eval_v(None, grid.nodes))
     assert np.array_equal(assemble(v, None, basis, grid).interaction, dense)
 
 

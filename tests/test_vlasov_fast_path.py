@@ -25,7 +25,7 @@ from gfpk import (
     vlasov_drift,
     vlasov_eval,
 )
-from gfpk.drift import vlasov_dense, vlasov_marginal
+from gfpk.drift import vlasov_dense
 
 KERNEL_NAMES = ("constant", "tanh", "gaussian-lobe", "clipped-linear")
 REL_TOL = 1e-13
@@ -56,9 +56,9 @@ def random_density(k, degree, seed, amplitude=0.05):
 
 
 def assert_paths_agree(kernel, measure, x):
-    """Marginal and dense sums agree to REL_TOL of the kernel's bound, which
+    """Marginal (vlasov_eval of a componentwise kernel) and dense sums agree to REL_TOL of the kernel's bound, which
     bounds every summand (the masses sum to 1)."""
-    fast = vlasov_marginal(kernel, measure, x)
+    fast = vlasov_eval(kernel, measure, x, None)
     dense = vlasov_dense(kernel, measure, x)
     assert fast.shape == dense.shape == x.shape
     scale = max(kernel.component_bound, 1e-300)
@@ -78,11 +78,11 @@ def test_marginal_matches_dense_on_tensor_grids(name, args, k, q, seed):
     grid = tensor_grid(q, k)
     measure = as_measure(random_density(k, min(q - 1, 3), seed), grid)
     assert_paths_agree(kernel, measure, grid.nodes)
-    # evaluating at the measure's own points reuses their distinct values;
-    # the result is bitwise that of an equal but distinct point array
+    # at the measure's own points the result is bitwise that of an equal but
+    # distinct point array
     assert measure.points is grid.nodes
-    own = vlasov_marginal(kernel, measure, grid.nodes)
-    assert np.array_equal(own, vlasov_marginal(kernel, measure, grid.nodes.copy()))
+    own = vlasov_eval(kernel, measure, grid.nodes, None)
+    assert np.array_equal(own, vlasov_eval(kernel, measure, grid.nodes.copy(), None))
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
