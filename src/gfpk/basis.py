@@ -24,9 +24,6 @@ from .errors import BasisSizeError, NumericError
 
 # Hard ceiling on the number of basis elements; desk-scale dense solves only.
 BASIS_CAP = 20000
-# Relative agreement of a grid's weights with the product of their 1-D
-# marginals for the grid to count as a product rule (product_rule).
-PRODUCT_RTOL = 1e-13
 
 
 def hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -147,17 +144,13 @@ class ChaosBasis:
         return out
 
     def grid_values(self, coefficients: np.ndarray, grid: "QuadratureGrid") -> np.ndarray:
-        """Values at grid.nodes of the expansions with coefficients (..., P).
-
-        On a product of 1-D rules (grid.factors) by sum factorization: the
-        coefficients are scattered into an (N+1)^k array whose axes are
-        contracted in turn with the 1-D tables h_n(x_i), at O(k (N+1) M)
-        work and O(M) memory for M nodes.  Other grids take
-        coefficients @ eval_matrix(grid.nodes), a P x M matrix.
+        """Values at grid.nodes of the expansions with coefficients (..., P),
+        by sum factorization over the grid's 1-D rules: the coefficients are
+        scattered into an (N+1)^k array whose axes are contracted in turn
+        with the 1-D tables h_n(x_i), at O(k (N+1) M) work and O(M) memory
+        for M nodes.
         """
         coefficients = np.asarray(coefficients, dtype=float)
-        if grid.factors is None:
-            return coefficients @ self.eval_matrix(grid.nodes)
         lead = coefficients.shape[:-1]
         n1 = self.degree + 1
         # axes (n_0, ..., n_{k-1}, lead); each step contracts the first
@@ -195,44 +188,83 @@ def enumerate_basis(k: int, max_degree: int) -> ChaosBasis:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Quadrature rule for expectations under gamma_k.
+    """Product of declared 1-D rules for expectations under gamma_k.
 
-    nodes has shape (n_nodes, k); weights are positive and sum to 1.
-    factors holds the 1-D node sets when the nodes are their product, last
-    axis fastest (product_grid); grids built otherwise have None.
+    rules holds one rule (x_i, w_i) per coordinate, with nonnegative weights
+    summing to 1; nodes (n_nodes, k) and weights are their product, last
+    axis fastest.  q records the polynomial order the grid is meant to
+    resolve.  Built by product_grid.
     """
 
     q: int
-    k: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    factors: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
+    rules: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
+
+    @property
+    def k(self) -> int:
+        return len(self.rules)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Number of nodes of each 1-D rule."""
+        return tuple(x.size for x, _ in self.rules)
 
     @property
     def n_nodes(self) -> int:
-        return self.weights.size
+        return math.prod(self.shape)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        grids = np.meshgrid(*(x for x, _ in self.rules), indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=1)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        out = self.rules[0][1]
+        for _, w in self.rules[1:]:
+            out = np.multiply.outer(out, w).ravel()
+        return out
 
     def hermite_tables(self, n_max: int) -> tuple[np.ndarray, ...]:
-        """hermite_table(n_max, x) for each 1-D factor, built once per grid
+        """hermite_table(n_max, x_i) for each 1-D rule, built once per grid
         and degree."""
         tables = self.__dict__.setdefault("_hermite_tables", {})
         if n_max not in tables:
-            tables[n_max] = tuple(hermite_table(n_max, x) for x in self.factors)
+            tables[n_max] = tuple(hermite_table(n_max, x) for x, _ in self.rules)
         return tables[n_max]
 
     @cached_property
     def axis_rule(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The 1-D rule (x1, w1) of order q whose k-fold product is this
-        grid, or None: every factor must be x1, and the weights the product
-        of their marginal w1 to PRODUCT_RTOL."""
-        if self.factors is None or any(
-            x.size != self.q or not np.array_equal(x, self.factors[0]) for x in self.factors
-        ):
-            return None
-        w1 = self.weights.reshape(self.q, -1).sum(axis=1)
-        if np.allclose(_outer([w1] * self.k), self.weights, rtol=PRODUCT_RTOL, atol=0.0):
-            return self.factors[0], w1
+        """The 1-D rule (x1, w1) every axis carries, or None when the axes
+        carry different rules."""
+        x1, w1 = self.rules[0]
+        if all(np.array_equal(x, x1) and np.array_equal(w, w1) for x, w in self.rules):
+            return x1, w1
         return None
+
+    def axis_sums(self, values: np.ndarray, axes) -> np.ndarray:
+        """Sums of per-node values, shape (n_nodes,) + trailing, over the
+        nodes that share their coordinates on axes: an array of shape
+        (q_a for a in sorted(axes)) + trailing."""
+        box = values.reshape(self.shape + values.shape[1:])
+        return box.sum(axis=tuple(i for i in range(self.k) if i not in axes))
+
+    def axis_points(self, axes) -> np.ndarray:
+        """The distinct coordinates on axes as (n, k) points, in the order of
+        axis_sums; the other coordinates are those of the first node."""
+        rules = [r if i in axes else (r[0][:1], r[1][:1]) for i, r in enumerate(self.rules)]
+        return product_grid(rules, self.q).nodes
+
+    def blocks(self, max_nodes: int):
+        """Yield (block, place): product sub-grids of at most max_nodes nodes
+        that partition this grid, each with the slice of every axis it
+        covers.  Leading axes are taken one node at a time as far as the
+        budget needs, the next axis in runs."""
+        lead = next(j for j in range(self.k) if math.prod(self.shape[j + 1 :]) <= max_nodes)
+        run = max(1, max_nodes // math.prod(self.shape[lead + 1 :]))
+        for index in np.ndindex(*self.shape[:lead]):
+            for start in range(0, self.shape[lead], run):
+                place = [slice(i, i + 1) for i in index] + [slice(start, start + run)] + [slice(None)] * (self.k - lead - 1)
+                yield product_grid([(x[s], w[s]) for (x, w), s in zip(self.rules, place)], self.q), place
 
 
 def gauss_hermite(q: int) -> QuadratureGrid:
@@ -256,7 +288,7 @@ def gauss_hermite(q: int) -> QuadratureGrid:
     # harmless, only negative or non-finite weights indicate a failure
     if not (np.all(np.isfinite(nodes)) and np.all(weights >= 0) and weights.sum() > 0):
         raise NumericError(f"Gauss-Hermite rule for q={q} produced invalid nodes/weights")
-    return QuadratureGrid(q=q, k=1, nodes=nodes.reshape(-1, 1), weights=weights, factors=(nodes,))
+    return product_grid([(nodes, weights)], q)
 
 
 def uniform_gaussian_grid(span: float, n: int, k: int = 1) -> QuadratureGrid:
@@ -280,23 +312,12 @@ def uniform_gaussian_grid(span: float, n: int, k: int = 1) -> QuadratureGrid:
 
 def tensor_grid(q: int, k: int) -> QuadratureGrid:
     """Tensorize the 1-D Gauss-Hermite rule of order q over k coordinates."""
-    rule = gauss_hermite(q)
-    return product_grid([(rule.nodes[:, 0], rule.weights)] * k, q)
+    return product_grid(gauss_hermite(q).rules * k, q)
 
 
 def product_grid(rules, q: int) -> QuadratureGrid:
     """Product of the 1-D rules (x_i, w_i), one per coordinate, last axis
     fastest; the rules may differ per axis.  q records the polynomial order
     the grid is meant to resolve."""
-    grids = np.meshgrid(*(x for x, _ in rules), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    weights = _outer([w for _, w in rules])
-    return QuadratureGrid(q, len(rules), nodes, weights, tuple(x for x, _ in rules))
+    return QuadratureGrid(q, tuple((np.asarray(x, dtype=float), np.asarray(w, dtype=float)) for x, w in rules))
 
-
-def _outer(weights) -> np.ndarray:
-    """Flattened outer product of 1-D weight vectors, last one fastest."""
-    out = weights[0]
-    for w in weights[1:]:
-        out = np.multiply.outer(out, w).ravel()
-    return out

@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .basis import enumerate_basis, tensor_grid, uniform_gaussian_grid
+from .basis import enumerate_basis, tensor_grid
 from .config import MODES, RunConfig, check_sizes, load_config, sweep_drift
 from .density import BumpTest, ChaosDensity, as_measure, integrate
 from .density import marginal as density_marginal
@@ -59,23 +59,14 @@ def default_bumps(k: int):
     ]
 
 
-def bump_grid(k: int):
-    """Dense uniform rule for the bump residuals; GH rules resolve the
-    compactly supported tests poorly."""
-    n = 4001 if k == 1 else (201 if k == 2 else 41)
-    return uniform_gaussian_grid(10.0 if k == 1 else 6.0, n, k)
-
-
 def density_checks(rho: ChaosDensity, v, p_frozen, grid) -> tuple[dict, bool]:
     """Residual suite plus the asserted and monitored certificates.
 
     p_frozen is the measure the drift reads (the solved density read on the
     solve grid once, or None), so every check, the bump residuals on their
-    own grid included, certifies the drift that was solved.
+    own grids included, certifies the drift that was solved.
     """
-    hermite_max, system_norm, bump_vals = residual_suite(
-        rho, v, p_frozen, grid, default_bumps(rho.k), bump_grid(rho.k)
-    )
+    hermite_max, system_norm, bump_vals = residual_suite(rho, v, p_frozen, grid, default_bumps(rho.k))
     hermite_ok = hermite_max <= HERMITE_RESIDUAL_TOL * (1.0 + system_norm)
     bump_ok = all(abs(b) <= BUMP_RESIDUAL_TOL for b in bump_vals)
     member, margin = schauder_membership(rho, v.c0)

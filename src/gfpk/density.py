@@ -60,7 +60,7 @@ class ChaosDensity:
 
     def evaluate(self, x) -> np.ndarray | float:
         """Value sum_alpha c_alpha h_alpha(x) for x of shape (k,) or (m, k), or
-        at the nodes of a QuadratureGrid x (sum factorization on products)."""
+        at the nodes of a QuadratureGrid x (by sum factorization)."""
         if isinstance(x, QuadratureGrid):
             return self.basis.grid_values(self.coefficients, x)
         x = np.asarray(x, dtype=float)
@@ -195,12 +195,11 @@ class HermiteTest:
         return sum(self.beta)
 
     def _tables(self, x: np.ndarray):
-        n_max = max(self.beta) if self.beta else 0
-        return [hermite_table(max(n_max, 1), x[:, i]) for i in range(self.k)]
+        return [hermite_table(max(self.beta, default=0), x[:, i]) for i in range(self.k)]
 
-    def _lowered(self, tables, i: int, m: int) -> np.ndarray:
-        """d^m/dx_i^m h_beta = sqrt(beta_i! / (beta_i - m)!) h_{beta - m e_i}."""
-        term = math.sqrt(math.perm(self.beta[i], m)) * tables[i][self.beta[i] - m]
+    def _lowered(self, tables, i: int) -> np.ndarray:
+        """d/dx_i h_beta = sqrt(beta_i) h_{beta - e_i}."""
+        term = math.sqrt(self.beta[i]) * tables[i][self.beta[i] - 1]
         for j in range(self.k):
             if j != i:
                 term = term * tables[j][self.beta[j]]
@@ -220,17 +219,8 @@ class HermiteTest:
         grad = np.zeros_like(x)
         for i, b in enumerate(self.beta):
             if b >= 1:
-                grad[:, i] = self._lowered(tables, i, 1)
+                grad[:, i] = self._lowered(tables, i)
         return grad
-
-    def laplacian(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        tables = self._tables(x)
-        lap = np.zeros(x.shape[0])
-        for i, b in enumerate(self.beta):
-            if b >= 2:
-                lap += self._lowered(tables, i, 2)
-        return lap
 
 
 @dataclass(frozen=True)
@@ -297,6 +287,3 @@ class BumpTest:
         _, g1, g2 = self._profile(u)
         m = len(self.active)
         return g2 * 4.0 * u / self.radius**2 + g1 * 2.0 * m / self.radius**2
-
-
-TestFunction = HermiteTest | BumpTest

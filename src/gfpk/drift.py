@@ -300,37 +300,25 @@ CHUNK_ENTRIES = 2_000_000
 
 
 def vlasov_eval(kernel, p, x, grid: QuadratureGrid | None) -> np.ndarray:
-    """Convolution v(p, x) = integral b0(x - y) p(y) gamma(dy) by quadrature.
+    """Convolution v(p, x) = integral b0(x - y) p(dy) as the sum of
+    masses_j * b0(x - y_j) over every pair (x, y_j): O(m M k).
 
     p is a PointMeasure, or a ChaosDensity read on grid through as_measure
     (which clips negative node values and records the removed mass in the
     measure's clip_defect); the Vlasov drift passes a PointMeasure and no
-    grid.  Componentwise kernels are convolved against the 1-D marginals of
-    the measure (`marginal_convolution`), all other kernels over every pair
-    of points (`vlasov_dense`); the two agree up to the order of
-    floating-point additions.
+    grid.
     """
     if isinstance(p, ChaosDensity):
         if grid is None:
             raise TypeError("a quadrature grid is required to read a ChaosDensity as a measure")
         p = as_measure(p, grid)
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if isinstance(kernel, ComponentwiseKernel):
-        return _by_coordinate(lambda i, z: marginal_convolution(kernel, p, i, z), x.shape[1], x)
-    return vlasov_dense(kernel, p, x)
-
-
-def vlasov_dense(kernel, measure: PointMeasure, x: np.ndarray) -> np.ndarray:
-    """Sum of masses_j * b0(x - y_j) over every (x, y_j) pair: O(m M k)."""
     out = np.zeros_like(x)
     # chunk over evaluation points to bound the (m, M, k) intermediate
-    chunk = max(1, int(CHUNK_ENTRIES / max(1, measure.points.shape[0] * x.shape[1])))
+    chunk = max(1, int(CHUNK_ENTRIES / max(1, p.points.shape[0] * x.shape[1])))
     for start in range(0, x.shape[0], chunk):
-        xs = x[start : start + chunk]
-        diffs = xs[:, None, :] - measure.points[None, :, :]
-        out[start : start + chunk] = np.einsum(
-            "j,ijd->id", measure.masses, kernel(diffs)
-        )
+        diffs = x[start : start + chunk, None, :] - p.points[None, :, :]
+        out[start : start + chunk] = np.einsum("j,ijd->id", p.masses, kernel(diffs))
     return out
 
 

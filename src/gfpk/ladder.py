@@ -110,13 +110,21 @@ def lyapunov_moment(rho: ChaosDensity, weights) -> float:
 
 def _battery_integrals(rho: ChaosDensity, grid, battery) -> list:
     """integral phi d(mu) for each phi of the battery; rho is evaluated on
-    the grid once for the whole battery.  A test reading a coordinate the
-    density does not have is a ValueError."""
+    the grid once for the whole battery, and each phi only at the distinct
+    values of the coordinates it reads (grid.axis_sums).  A test reading a
+    coordinate the density does not have is a ValueError."""
     for phi in battery:
         if (len(phi.beta) if isinstance(phi, HermiteTest) else max(phi.active) + 1) > rho.k:
             raise ValueError(f"battery test {phi} reads a coordinate beyond the density's k={rho.k}")
-    rvals = rho.evaluate(grid)
-    return [float(np.sum(grid.weights * phi.value(grid.nodes) * rvals)) for phi in battery]
+    weighted = grid.weights * rho.evaluate(grid)
+    sums, out = {}, []
+    for phi in battery:
+        axes = tuple(np.flatnonzero(phi.beta)) if isinstance(phi, HermiteTest) else phi.active
+        if axes not in sums:
+            sums[axes] = grid.axis_points(axes), grid.axis_sums(weighted, axes).ravel()
+        points, mass = sums[axes]
+        out.append(float(np.sum(phi.value(points) * mass)))
+    return out
 
 
 def marginal_distance(rho_a, grid_a, rho_b, grid_b, battery) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
-from .basis import ChaosBasis, QuadratureGrid
+from .basis import ChaosBasis, QuadratureGrid, product_grid, uniform_gaussian_grid
 from .density import BumpTest, ChaosDensity, HermiteTest
 from .drift import SeparableField
 from .errors import SolverError
@@ -28,6 +28,10 @@ CONDITION_LIMIT = 1e12
 # Largest deviation of H1 diag(w1) H1^T from the identity for which a 1-D
 # rule counts as orthonormal up to the basis degree (separable_interaction).
 ORTHONORMAL_TOL = 1e-13
+# (span, nodes) of the uniform rule for a bump's active coordinates; the
+# default bumps live in [-4, 4] (residual_suite)
+BUMP_RULE = (6.0, 401)
+BLOCK_NODES = 1_000_000  # most nodes per drift and density read of _bump_defects
 
 
 @dataclass(frozen=True)
@@ -155,50 +159,53 @@ def residual(rho: ChaosDensity, v, p_frozen, phi, grid: QuadratureGrid) -> float
     Vanishes (up to solver tolerance) for Galerkin solutions tested with
     Hermite polynomials of degree <= N; for bump tests the magnitude is
     limited by quadrature and truncation error.  Bumps take residual_suite's
-    path (_bump_defects): phi is evaluated only at the distinct values of x_A.
+    path (_bump_defects), on grid: phi is read only at the values of x_A.
     """
-    vvals = v.eval_v(p_frozen, grid.nodes)
-    rvals = rho.evaluate(grid)
     if isinstance(phi, BumpTest):
-        return _bump_defects([phi], grid.nodes, grid.weights * rvals, vvals)[0]
+        return _bump_defects([phi], rho, v, p_frozen, lambda axes: grid)[0]
     if not isinstance(phi, HermiteTest):
         raise TypeError(f"unsupported test function type {type(phi).__name__}")
     x = grid.nodes
     # OU part exactly: (Lap - x.grad) h_beta = -|beta| h_beta
     ou = -float(sum(phi.beta)) * phi.value(x)
-    integrand = ou + np.sum(vvals * phi.gradient(x), axis=1)
-    return float(np.sum(grid.weights * integrand * rvals))
+    integrand = ou + np.sum(v.eval_v(p_frozen, x) * phi.gradient(x), axis=1)
+    return float(np.sum(grid.weights * integrand * rho.evaluate(grid)))
 
 
-def _bump_defects(bumps, x: np.ndarray, weighted: np.ndarray, vvals: np.ndarray) -> list[float]:
-    """sum_m weighted_m [Lap(phi) + (v - x).grad(phi)](x_m) per bump phi, regrouped
-    exactly over the distinct values of x_A, all phi reads (A = phi.active): 1-D
-    np.unique and bincount at O(M log M) per active set, then O(q^|A|) per bump."""
+def _bump_defects(bumps, rho, v, p_frozen, grid_for) -> list[float]:
+    """sum_m w_m rho_m [Lap(phi) + (v - x).grad(phi)](x_m) per bump phi over
+    the grid grid_for(A), A = sorted(phi.active).  Per active set, w rho and
+    w rho (v_i - x_i), i in A, are summed over the nodes that share x_A
+    (grid.axis_sums), reading the grid in blocks of at most BLOCK_NODES
+    nodes; each bump is then evaluated at the q^|A| values of x_A only."""
     grouped, out = {}, []
     for phi in bumps:
-        if phi.active not in grouped:
-            group = np.zeros(x.shape[0], dtype=np.intp)
-            for i in phi.active:  # one unique per axis, one to merge it in
-                values, inverse = np.unique(x[:, i], return_inverse=True)
-                first, group = np.unique(group * values.size + inverse, return_index=True, return_inverse=True)[1:]
-            flux = [np.bincount(group, weighted * (vvals[:, i] - x[:, i]), first.size) for i in phi.active]
-            grouped[phi.active] = x[first], np.bincount(group, weighted, first.size), np.stack(flux, axis=1)
-        points, mass, flux = grouped[phi.active]
-        grad_flux = np.sum(phi.gradient(points)[:, phi.active] * flux, axis=1)
-        out.append(float(np.sum(phi.laplacian(points) * mass + grad_flux)))
+        axes = sorted(phi.active)
+        if tuple(axes) not in grouped:
+            grid = grid_for(axes)
+            sums = np.zeros(tuple(grid.shape[a] for a in axes) + (1 + len(axes),))
+            for block, place in grid.blocks(BLOCK_NODES):
+                x = block.nodes
+                weighted = block.weights * rho.evaluate(block)
+                terms = np.column_stack([weighted, weighted[:, None] * (v.eval_v(p_frozen, x)[:, axes] - x[:, axes])])
+                sums[tuple(place[a] for a in axes)] += block.axis_sums(terms, axes)
+            grouped[tuple(axes)] = grid.axis_points(axes), sums.reshape(-1, 1 + len(axes))
+        points, sums = grouped[tuple(axes)]
+        grad_flux = np.sum(phi.gradient(points)[:, axes] * sums[:, 1:], axis=1)
+        out.append(float(np.sum(phi.laplacian(points) * sums[:, 0] + grad_flux)))
     return out
 
 
-def residual_suite(rho, v, p_frozen, grid, bump_tests=(), bump_grid=None):
+def residual_suite(rho, v, p_frozen, grid, bump_tests=()):
     """Residuals for every Hermite test of degree <= N plus optional bumps.
 
     The residuals use the dense assembly whatever path the solve took, so
-    they cross-check the separable assembly.  The bump residuals are taken
-    on bump_grid (default: grid), where the drift and the density are
-    evaluated once for all bumps and each bump only at the distinct values
-    of its active coordinates (_bump_defects).  Returns (hermite_max,
-    system_norm, bump_values); callers compare hermite_max against
-    tol * (1 + system_norm).
+    they cross-check the separable assembly.  A bump reading x_A is
+    integrated on grid's own rules with the rules of A replaced by the
+    uniform BUMP_RULE, which resolves the compactly supported bumps where a
+    Gauss-Hermite rule does not; bumps of one active set share that grid
+    (_bump_defects).  Returns (hermite_max, system_norm, bump_values);
+    callers compare hermite_max against tol * (1 + system_norm).
     """
     basis = rho.basis
     _check_sizes(v, basis, grid)
@@ -207,9 +214,6 @@ def residual_suite(rho, v, p_frozen, grid, bump_tests=(), bump_grid=None):
     coeffs = rho.coefficients
     full = system.interaction @ coeffs - system.ou_diagonal * coeffs
     hermite_max = float(np.max(np.abs(full[1:]))) if rho.basis.size > 1 else 0.0
-    bump_values = []
-    if bump_tests:
-        bgrid = grid if bump_grid is None else bump_grid
-        bvals = v.eval_v(p_frozen, bgrid.nodes)
-        bump_values = _bump_defects(bump_tests, bgrid.nodes, bgrid.weights * rho.evaluate(bgrid), bvals)
-    return hermite_max, system.norm(), bump_values
+    rule = uniform_gaussian_grid(*BUMP_RULE).rules[0]
+    swapped = lambda axes: product_grid([rule if i in axes else r for i, r in enumerate(grid.rules)], grid.q)
+    return hermite_max, system.norm(), _bump_defects(bump_tests, rho, v, p_frozen, swapped)

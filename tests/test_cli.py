@@ -195,7 +195,7 @@ def test_nonlinear_writes_trace(tmp_path):
 
 def test_k2_vlasov_checks_finish_in_seconds(tmp_path):
     """The bump residuals read the drift through the measure on the solve
-    grid; re-reading p on the 201^2-node bump grid took minutes."""
+    grid; re-reading p on a 201^2-node bump grid took minutes."""
     cfg = {
         "mode": "solve-nonlinear",
         "k": 2,
@@ -212,6 +212,26 @@ def test_k2_vlasov_checks_finish_in_seconds(tmp_path):
     assert len(report["residuals"]["bumps"]) == 2 * len(DEFAULT_BUMP_CENTERS)
     assert report["residuals"]["bump_pass"]
     assert elapsed < 30.0
+
+
+@pytest.mark.parametrize(
+    "k, degree, quad, drift",
+    [
+        (3, 6, 7, {"kind": "constant", "h": [0.0, 0.0, 0.0]}),
+        (3, 10, 14, {"kind": "clipped-potential", "lam": 0.5}),
+        (4, 8, 9, {"kind": "clipped-potential", "lam": 0.5}),
+    ],
+    ids=["zero-k3", "clipped-k3", "clipped-k4"],
+)
+def test_exact_solutions_pass_their_bumps_for_k_above_2(tmp_path, k, degree, quad, drift):
+    """rho = 1 and the product of cosh powers solve these exactly, so every
+    bump residual is quadrature and truncation error."""
+    cfg = {"mode": "solve-linear", "k": k, "N": degree, "Q": quad, "drift": drift,
+           "output": {"dir": str(tmp_path / "out")}}
+    assert main(["solve-linear", "--config", write_config(tmp_path, cfg)]) == 0
+    residuals = json.loads((tmp_path / "out" / "report.json").read_text())["residuals"]
+    assert len(residuals["bumps"]) == k * len(DEFAULT_BUMP_CENTERS)
+    assert residuals["bump_pass"] and max(abs(b) for b in residuals["bumps"]) <= 1e-3
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -490,7 +510,9 @@ def _tiny(mode, scale, bound, density=None, oracle="1d"):
     """A valid tiny config of one solving mode with the drift scale
     `scale` (and, for the ladder, the component bound `bound`); verify
     checks `density` under the Vlasov drift of kernel scale `scale`, and
-    oracle-compare runs `oracle` at a tiny size."""
+    oracle-compare runs `oracle` at a tiny size: the 1-D one on a
+    clipped-potential drift, the FD and SDE ones on the Vlasov drift, whose
+    fixed point can fail (exit 3)."""
     if mode == "ladder":
         return _ladder(drift={"scale": scale}, component_bound=bound, degrees=[4, 3, 2], quad_orders=[5, 4, 3])
     if mode == "sweep":
@@ -500,7 +522,7 @@ def _tiny(mode, scale, bound, density=None, oracle="1d"):
         return {"mode": "verify", "k": 1, "drift": vlasov, "verify": {"density": density}}
     if mode == "oracle-compare":
         tiny = {"1d": {}, "fd2d": {"n_cells": 12}, "sde": {"n_steps": 10, "n_particles": 50}}[oracle]
-        drift = {"kind": "clipped-potential", "lam": scale}
+        drift = {"kind": "clipped-potential", "lam": scale} if oracle == "1d" else vlasov
         return _solve(2 if oracle == "fd2d" else 1, drift, mode, oracle_compare={"oracle": oracle, **tiny})
     return _solve(1, {"kind": "constant", "h": [scale]} if mode == "solve-linear" else vlasov, mode)
 
@@ -547,6 +569,12 @@ def test_tiny_runs_keep_the_exit_code_contract(mode, scale, bound, iterations, m
             doc = {**_tiny(mode, scale, bound, oracle=oracle),
                    "fixed_point": {"max_iterations": iterations, "memory": memory}}
         _run_tiny(doc, os.path.join(tmp, "out"))
+
+
+@pytest.mark.parametrize("oracle", ["fd2d", "sde"])
+def test_oracle_compare_exits_3_when_the_fixed_point_fails(tmp_path, oracle):
+    doc = {**_tiny("oracle-compare", 2.0, 0.0, oracle=oracle), "fixed_point": {"max_iterations": 1, "memory": 0}}
+    assert _run_tiny(doc, str(tmp_path / "out")) == 3
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))

@@ -156,7 +156,7 @@ def test_from_json_rejects_unknown_ordering():
         ChaosDensity.from_json('{"k": 1, "N": 1, "ordering": "lex", "coefficients": [1, 0]}')
 
 
-def test_hermite_test_value_gradient_laplacian():
+def test_hermite_test_value_and_gradient():
     phi = HermiteTest((2, 1))
     x = np.array([[0.5, -0.7], [1.2, 0.1]])
     expected = hermite_eval(2, x[:, 0]) * hermite_eval(1, x[:, 1])

@@ -1,6 +1,6 @@
 """Sum-factorized evaluation of chaos densities on product grids against the
-P x M evaluation matrix, the fallback on other grids, bump residuals on
-their active-coordinate marginals against the per-node sum, the index
+P x M evaluation matrix, which scattered points take, bump residuals and
+battery integrals from axis sums against the per-node sum, the index
 embedding shared by zero-padding and marginals, and the memory of a ladder
 to k = 8."""
 import json
@@ -14,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfpk.basis
+import gfpk.drift
+import gfpk.linear
 from gfpk import (
     BumpTest,
     ChaosDensity,
     FixedPointOptions,
     HermiteTest,
-    QuadratureGrid,
     as_measure,
     custom_drift,
     enumerate_basis,
@@ -32,9 +33,10 @@ from gfpk import (
     tensor_grid,
     uniform_gaussian_grid,
 )
-from gfpk.cli import bump_grid, default_bumps
+from gfpk.cli import default_bumps
 from gfpk.drift import drift_from_block
-from gfpk.ladder import LadderConfig, _zero_pad, run_ladder
+from gfpk.ladder import LadderConfig, _battery_integrals, _zero_pad, default_battery, run_ladder
+from gfpk.linear import BUMP_RULE
 from helpers import bump_defect_per_node
 
 REL_TOL = 1e-13
@@ -97,7 +99,6 @@ def mixed_product_grids(draw):
 @given(case=mixed_product_grids(), degree=st.integers(0, 6))
 def test_sum_factorization_on_mixed_product_grids(case, degree):
     grid, seed = case
-    assert grid.factors is not None
     assert_matches_reference(random_density(grid.k, degree if grid.k < 3 else degree % 5, seed), grid)
 
 
@@ -113,33 +114,37 @@ def test_sum_factorization_on_one_rule_grids(grid, degree, seed):
     assert_matches_reference(random_density(grid.k, degree if grid.k < 4 else degree % 4, seed), grid)
 
 
-def shuffled(grid, seed=0):
-    order = np.random.default_rng(seed).permutation(grid.n_nodes)
-    return QuadratureGrid(q=grid.q, k=grid.k, nodes=grid.nodes[order], weights=grid.weights[order])
+def shuffled_nodes(grid, seed=0):
+    return grid.nodes[np.random.default_rng(seed).permutation(grid.n_nodes)]
 
 
 def gaussian_cloud(k, m=50, seed=0):
-    nodes = np.random.default_rng(seed).standard_normal((m, k))
-    return QuadratureGrid(q=m, k=k, nodes=nodes, weights=np.full(m, 1.0 / m))
+    return np.random.default_rng(seed).standard_normal((m, k))
 
 
 @pytest.mark.parametrize(
-    "grid", [shuffled(tensor_grid(6, 2)), shuffled(tensor_grid(4, 3), 1), gaussian_cloud(2), gaussian_cloud(3)],
+    "points", [shuffled_nodes(tensor_grid(6, 2)), shuffled_nodes(tensor_grid(4, 3), 1), gaussian_cloud(2), gaussian_cloud(3)],
     ids=["shuffled-k2", "shuffled-k3", "cloud-k2", "cloud-k3"],
 )
-def test_other_grids_take_the_evaluation_matrix(grid):
-    rho = random_density(grid.k, 4, 11)
-    assert grid.factors is None
-    assert np.array_equal(rho.evaluate(grid), rho.coefficients @ rho.basis.eval_matrix(grid.nodes))
-    assert np.array_equal(rho.gradient(grid), rho.gradient(grid.nodes))
+def test_other_grids_take_the_evaluation_matrix(points):
+    """Scattered points, not a QuadratureGrid, are read through the P x M
+    evaluation matrix, which agrees with the term-by-term sum."""
+    rho = random_density(points.shape[1], 4, 11)
+    values = rho.evaluate(points)
+    assert np.array_equal(values, rho.coefficients @ rho.basis.eval_matrix(points))
+    terms = [c * HermiteTest(alpha).value(points) for c, alpha in zip(rho.coefficients, rho.basis.indices)]
+    scale = max(float(np.max(sum(np.abs(t) for t in terms))), 1.0)
+    assert np.max(np.abs(values - sum(terms))) <= REL_TOL * scale
+    gradient = sum(c * HermiteTest(alpha).gradient(points) for c, alpha in zip(rho.coefficients, rho.basis.indices))
+    assert np.allclose(rho.gradient(points), gradient, rtol=0.0, atol=1e-12)
 
 
 def test_product_grid_keeps_its_rules():
     rules = [one_dimensional_rule("gauss-hermite", 5, 0), one_dimensional_rule("uniform", 7, 0)]
     grid = product_grid(rules, 5)
     assert grid.n_nodes == 35 and np.isclose(grid.weights.sum(), 1.0)
-    for (x, _), factor in zip(rules, grid.factors):
-        assert np.array_equal(x, factor)
+    for (x, w), (x_i, w_i) in zip(rules, grid.rules):
+        assert np.array_equal(x, x_i) and np.array_equal(w, w_i)
     assert np.array_equal(grid.nodes[:7, 1], rules[1][0]) and np.all(grid.nodes[:7, 0] == rules[0][0][0])
     # one rule on every axis is needed for the separable assembly
     assert grid.axis_rule is None
@@ -150,7 +155,7 @@ def test_product_grid_keeps_its_rules():
 
 
 def test_sum_factorization_on_the_k3_bump_grid():
-    # the k = 3 bump grid of the CLI: 41^3 = 68,921 nodes
+    # a uniform 41^3 = 68,921-node grid
     grid = uniform_gaussian_grid(6.0, 41, 3)
     assert_matches_reference(random_density(3, 8, 5), grid)
 
@@ -218,33 +223,43 @@ def test_dense_fixed_point_builds_the_evaluation_matrix_once(eval_matrix_calls):
     assert eval_matrix_calls == [grid.nodes.shape]
 
 
+def bump_grid_of(grid, active):
+    """residual_suite's grid for bumps reading x_A, A = active: grid's rules
+    with those of A replaced by the uniform bump rule."""
+    rule = uniform_gaussian_grid(*BUMP_RULE).rules[0]
+    return product_grid([rule if i in active else r for i, r in enumerate(grid.rules)], grid.q)
+
+
 def test_suite_bumps_equal_single_residuals():
     grid = tensor_grid(10, 2)
     bumps = [BumpTest(active=(i,), center=(c,), radius=2.0) for i in range(2) for c in (-1.0, 0.5)]
+    bumps.append(BumpTest(active=(1, 0), center=(0.5, -0.2), radius=1.5))
     v = drift_from_block({"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}}, 2)
     rho, _ = fixed_point_solve(v, enumerate_basis(2, 6), grid)
     p = as_measure(rho, grid)
-    bgrid = uniform_gaussian_grid(6.0, 61, 2)
-    _, _, values = residual_suite(rho, v, p, grid, bumps, bgrid)
-    assert values == [residual(rho, v, p, phi, bgrid) for phi in bumps]
+    _, _, values = residual_suite(rho, v, p, grid, bumps)
+    assert values == [residual(rho, v, p, phi, bump_grid_of(grid, phi.active)) for phi in bumps]
 
 
 @st.composite
 def bump_grids(draw):
-    """Product grids of one or mixed 1-D rules, shuffled ones, and point
-    clouds whose coordinates repeat, with a seed."""
+    """Product grids of one or mixed 1-D rules: as drawn, with each rule's
+    nodes out of order, or with nodes that repeat a few values under random
+    weights; with a seed."""
     grid, seed = draw(mixed_product_grids())
-    form = draw(st.sampled_from(["product", "shuffled", "cloud"]))
-    if form == "shuffled":
-        return shuffled(grid, seed), seed
-    if form == "cloud":
-        rng = np.random.default_rng(seed)
-        m = draw(st.integers(1, 200))
-        distinct = draw(st.lists(st.integers(1, m), min_size=grid.k, max_size=grid.k))
-        nodes = np.stack([rng.uniform(-3.0, 3.0, n)[rng.integers(0, n, m)] for n in distinct], axis=1)
-        weights = rng.uniform(0.1, 1.0, m)
-        return QuadratureGrid(q=m, k=grid.k, nodes=nodes, weights=weights / weights.sum()), seed
-    return grid, seed
+    form = draw(st.sampled_from(["product", "shuffled", "repeated"]))
+    rng = np.random.default_rng(seed)
+    rules = []
+    for x, w in grid.rules:
+        if form == "shuffled":
+            order = rng.permutation(x.size)
+            x, w = x[order], w[order]
+        elif form == "repeated":
+            levels = rng.uniform(-3.0, 3.0, draw(st.integers(1, x.size)))
+            x, w = levels[rng.integers(0, levels.size, x.size)], rng.uniform(0.1, 1.0, x.size)
+            w = w / w.sum()
+        rules.append((x, w))
+    return product_grid(rules, grid.q), seed
 
 
 def bump_tests(k):
@@ -270,22 +285,72 @@ def test_regrouped_bump_residuals_equal_the_per_node_sum(case, data):
     grid, seed = case
     bumps = data.draw(st.lists(bump_tests(grid.k), min_size=1, max_size=4))
     rho, v = random_density(grid.k, 3, seed), coupled_drift(grid.k)
-    _, _, values = residual_suite(rho, v, None, tensor_grid(4, grid.k), bumps, grid)
     vvals, rvals = v.eval_v(None, grid.nodes), rho.evaluate(grid)
-    for phi, value in zip(bumps, values):
+    for phi in bumps:
         reference, magnitude = bump_defect_per_node(phi, grid, vvals, rvals)
-        assert abs(value - reference) <= 1e-13 * magnitude
-        assert value == residual(rho, v, None, phi, grid)
+        assert abs(residual(rho, v, None, phi, grid) - reference) <= 1e-13 * magnitude
 
 
-def test_bumps_are_evaluated_on_their_active_values(monkeypatch):
-    # the CLI's k = 3 bump grid has 41^3 = 68,921 nodes but 41 values of x_0
+@pytest.fixture
+def profile_sizes(monkeypatch):
+    """The number of points of every BumpTest._profile call."""
     seen = []
     profile = BumpTest._profile
     monkeypatch.setattr(BumpTest, "_profile", lambda self, u: seen.append(u.size) or profile(self, u))
+    return seen
+
+
+def test_bumps_are_evaluated_on_their_active_values(profile_sizes):
+    # a bump on x_0 is integrated on 401 x 4 x 4 nodes but read at the 401 values of x_0
     rho = random_density(3, 3, 0)
-    _, _, values = residual_suite(rho, coupled_drift(3), None, tensor_grid(4, 3), default_bumps(3), bump_grid(3))
-    assert len(values) == len(default_bumps(3)) and seen and max(seen) <= 41
+    _, _, values = residual_suite(rho, coupled_drift(3), None, tensor_grid(4, 3), default_bumps(3))
+    assert len(values) == len(default_bumps(3)) and profile_sizes and max(profile_sizes) <= BUMP_RULE[1]
+
+
+def test_battery_tests_are_evaluated_on_their_coordinate_values(profile_sizes):
+    grid = tensor_grid(5, 3)
+    rho = random_density(3, 4, 3)
+    battery = default_battery(3)
+    values = _battery_integrals(rho, grid, battery)
+    assert profile_sizes and max(profile_sizes) <= 5
+    weighted = grid.weights * rho.evaluate(grid)
+    for phi, value in zip(battery, values):
+        terms = weighted * phi.value(grid.nodes)
+        assert abs(value - terms.sum()) <= 1e-14 * np.abs(terms).sum()
+
+
+def test_bump_grids_are_read_in_blocks(monkeypatch):
+    # k = 6, Q = 6: a bump grid has 401 * 6^5 = 3,118,176 nodes
+    sizes = []
+    eval_v = gfpk.drift.DriftField.eval_v
+    monkeypatch.setattr(gfpk.drift.DriftField, "eval_v", lambda self, p, x: sizes.append(len(x)) or eval_v(self, p, x))
+    rho = ChaosDensity.constant(enumerate_basis(6, 1))
+    v = drift_from_block({"kind": "constant", "h": [0.0] * 6}, 6)
+    _, _, values = residual_suite(rho, v, None, tensor_grid(6, 6), default_bumps(6))
+    assert max(sizes) <= 1_000_000 and sum(sizes) == 6**6 + 6 * 401 * 6**5
+    # rho = 1 solves the zero-drift equation exactly
+    assert max(abs(b) for b in values) <= 1e-3
+
+
+@pytest.mark.parametrize("max_nodes", [1, 5, 37, 1_000_000])
+def test_blocks_partition_the_grid(monkeypatch, max_nodes):
+    rules = [one_dimensional_rule("gauss-hermite", 4, 0), one_dimensional_rule("uniform", 6, 0),
+             one_dimensional_rule("random", 5, 1)]
+    grid = product_grid(rules, 4)
+    nodes, weights = grid.nodes.reshape(grid.shape + (3,)), grid.weights.reshape(grid.shape)
+    covered = np.zeros(grid.shape)
+    for block, place in grid.blocks(max_nodes):
+        assert block.n_nodes <= max_nodes
+        assert np.array_equal(block.nodes, nodes[tuple(place)].reshape(-1, 3))
+        assert np.array_equal(block.weights, weights[tuple(place)].ravel())
+        covered[tuple(place)] += 1
+    assert np.all(covered == 1)
+    # a bump residual summed block by block is the per-node sum
+    monkeypatch.setattr(gfpk.linear, "BLOCK_NODES", max_nodes)
+    phi = BumpTest(active=(2, 0), center=(0.3, -0.1), radius=2.0)
+    rho, v = random_density(3, 3, 2), coupled_drift(3)
+    reference, magnitude = bump_defect_per_node(phi, grid, v.eval_v(None, grid.nodes), rho.evaluate(grid))
+    assert abs(residual(rho, v, None, phi, grid) - reference) <= 1e-13 * magnitude
 
 
 LADDER_TO_K8 = """

@@ -12,7 +12,6 @@ from gfpk import (
     BoundViolationError,
     ChaosDensity,
     FixedPointOptions,
-    QuadratureGrid,
     SeparableField,
     SolverError,
     as_measure,
@@ -20,6 +19,8 @@ from gfpk import (
     custom_drift,
     enumerate_basis,
     fixed_point_solve,
+    gauss_hermite,
+    product_grid,
     rotational_drift,
     solve_linear,
     tensor_grid,
@@ -161,9 +162,9 @@ def test_assembly_reads_a_separable_field_on_the_one_dimensional_nodes():
     assert sizes == [6, 6, 6]
 
 
-def shuffled(grid, seed=0):
-    order = np.random.default_rng(seed).permutation(grid.n_nodes)
-    return QuadratureGrid(q=grid.q, k=grid.k, nodes=grid.nodes[order], weights=grid.weights[order])
+def mixed_rules():
+    """Gauss-Hermite on x_0, a uniform rule on x_1: no one rule per axis."""
+    return product_grid([gauss_hermite(8).rules[0], uniform_gaussian_grid(6.0, 9).rules[0]], 8)
 
 
 def coupled(p, x):
@@ -176,9 +177,9 @@ def coupled(p, x):
         (rotational_drift(0.3, 2, offset=[0.2, 0.0]), tensor_grid(8, 2)),
         (custom_drift(coupled, 2, "componentwise", 0.4, reads_measure=False), tensor_grid(8, 2)),
         (drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 2), uniform_gaussian_grid(6.0, 21, 2)),
-        (drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 2), shuffled(tensor_grid(8, 2))),
+        (drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 2), mixed_rules()),
     ],
-    ids=["rotational", "coupled-custom", "uniform-grid", "non-product-order"],
+    ids=["rotational", "coupled-custom", "uniform-grid", "mixed-rules"],
 )
 def test_dense_path_when_regrouping_fails(v, grid):
     basis = enumerate_basis(2, 5)
@@ -188,18 +189,17 @@ def test_dense_path_when_regrouping_fails(v, grid):
 
 
 def test_axis_rule_reads_the_one_dimensional_rule():
-    rule = tensor_grid(7, 1)
+    rule = gauss_hermite(7).rules[0]
     for k in (1, 3):
         x1, w1 = tensor_grid(7, k).axis_rule
-        assert np.array_equal(x1, rule.nodes[:, 0])
-        assert np.allclose(w1, rule.weights, rtol=1e-14, atol=0.0)
+        assert np.array_equal(x1, rule[0])
+        assert np.array_equal(w1, rule[1])
     x1, _ = uniform_gaussian_grid(3.0, 5, 2).axis_rule
     assert np.array_equal(x1, np.linspace(-3.0, 3.0, 5))
-    assert shuffled(tensor_grid(7, 3)).axis_rule is None
-    nodes = tensor_grid(7, 2).nodes
-    ramp = np.linspace(1.0, 2.0, nodes.shape[0])
-    assert QuadratureGrid(q=7, k=2, nodes=nodes, weights=ramp / ramp.sum()).axis_rule is None
-    assert QuadratureGrid(q=6, k=2, nodes=nodes, weights=ramp / ramp.sum()).axis_rule is None
+    assert mixed_rules().axis_rule is None
+    # equal nodes with other weights are another rule
+    ramp = np.linspace(1.0, 2.0, 7)
+    assert product_grid([rule, (rule[0], ramp / ramp.sum())], 7).axis_rule is None
 
 
 def test_tables_built_once_per_basis():

@@ -25,7 +25,6 @@ from gfpk import (
     vlasov_drift,
     vlasov_eval,
 )
-from gfpk.drift import vlasov_dense
 
 KERNEL_NAMES = ("constant", "tanh", "gaussian-lobe", "clipped-linear")
 REL_TOL = 1e-13
@@ -56,10 +55,10 @@ def random_density(k, degree, seed, amplitude=0.05):
 
 
 def assert_paths_agree(kernel, measure, x):
-    """Marginal (vlasov_eval of a componentwise kernel) and dense sums agree to REL_TOL of the kernel's bound, which
-    bounds every summand (the masses sum to 1)."""
-    fast = vlasov_eval(kernel, measure, x, None)
-    dense = vlasov_dense(kernel, measure, x)
+    """Marginal (the Vlasov drift of a componentwise kernel) and dense (vlasov_eval) sums agree to REL_TOL of the
+    kernel's bound, which bounds every summand (the masses sum to 1)."""
+    fast = vlasov_drift(kernel, x.shape[1]).eval_v(measure, x)
+    dense = vlasov_eval(kernel, measure, x, None)
     assert fast.shape == dense.shape == x.shape
     scale = max(kernel.component_bound, 1e-300)
     assert float(np.max(np.abs(fast - dense))) <= REL_TOL * scale
@@ -81,8 +80,8 @@ def test_marginal_matches_dense_on_tensor_grids(name, args, k, q, seed):
     # at the measure's own points the result is bitwise that of an equal but
     # distinct point array
     assert measure.points is grid.nodes
-    own = vlasov_eval(kernel, measure, grid.nodes, None)
-    assert np.array_equal(own, vlasov_eval(kernel, measure, grid.nodes.copy(), None))
+    v = vlasov_drift(kernel, k)
+    assert np.array_equal(v.eval_v(measure, grid.nodes), v.eval_v(measure, grid.nodes.copy()))
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
@@ -154,8 +153,7 @@ def test_undeclared_kernel_takes_the_dense_path():
     grid = tensor_grid(6, 2)
     measure = as_measure(random_density(2, 3, 7), grid)
     x = grid.nodes[::5]
-    expected = vlasov_dense(rotation, measure, x)
-    assert np.array_equal(vlasov_eval(rotation, measure, x, None), expected)
+    expected = vlasov_eval(rotation, measure, x, None)
     pairwise = np.array(
         [sum(w * rotation(xi - y) for y, w in zip(measure.points, measure.masses)) for xi in x]
     )
