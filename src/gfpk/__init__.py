@@ -31,7 +31,6 @@ from .diagnostics import (
     log_moment,
     log_moment_bracket,
     superlevel_mass_1d,
-    superlevel_mass_nodes,
     tail_check,
 )
 from .errors import (

@@ -161,6 +161,16 @@ class ChaosBasis:
             box = box.reshape(n1, -1).T @ table
         return box.reshape(lead + (-1,))
 
+    def project(self, values: np.ndarray, grid: "QuadratureGrid") -> np.ndarray:
+        """Sums sum_m w_m f(x_m) h_alpha(x_m), shape (..., P), of node values
+        f of shape (..., M): the transpose of grid_values, at the same cost."""
+        lead = np.shape(values)[:-1]
+        # axes (q_0, ..., q_{k-1}, lead); each step turns the first into a last degree axis
+        box = (values * grid.weights).reshape(-1, grid.n_nodes).T
+        for table in grid.hermite_tables(self.degree):
+            box = box.reshape(table.shape[1], -1).T @ table.T
+        return box.reshape(lead + (-1,))[..., self._box_index]
+
     @cached_property
     def _box_index(self) -> np.ndarray:
         """Flat index of each alpha in the (N+1)^k array of grid_values."""

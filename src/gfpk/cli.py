@@ -11,7 +11,9 @@ Exit codes: 0 all asserted checks pass, 1 an asserted check failed,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -246,16 +248,13 @@ def _run_sweep(config: RunConfig, out: str, threads: int):
                 row["distance_to_previous"] = l2_distance(results[j], results[j - 1])
         rows.append(row)
 
-    def fmt(value):
-        return "" if value is None else repr(value)
-
-    lines = ["u,failed,l2_norm_sq,distance_to_previous"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")  # quotes the commas of failure messages
+    writer.writerow(["u", "failed", "l2_norm_sq", "distance_to_previous"])
     for row in rows:
-        lines.append(
-            f"{row['u']!r},{row['failed'] or ''},{fmt(row.get('l2_norm_sq'))},"
-            f"{fmt(row.get('distance_to_previous'))}"
-        )
-    _write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
+        measured = [row.get(key) for key in ("l2_norm_sq", "distance_to_previous")]
+        writer.writerow([repr(row["u"]), row["failed"] or ""] + ["" if x is None else repr(x) for x in measured])
+    _write(os.path.join(out, "sweep.csv"), buf.getvalue())
     return rows, all(f is None for f in failures)
 
 

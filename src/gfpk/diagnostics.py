@@ -56,12 +56,6 @@ def b1_bound(c0: float) -> float:
     return value
 
 
-def superlevel_mass_nodes(rho: ChaosDensity, t: float, grid: QuadratureGrid) -> float:
-    """gamma(rho >= t) estimated as the quadrature mass of the super-level nodes."""
-    vals = rho.evaluate(grid)
-    return float(np.sum(grid.weights[vals >= t]))
-
-
 def superlevel_mass_1d(rho: ChaosDensity, t: float) -> float:
     """gamma(rho >= t) for a 1-D density by explicit level-set resolution.
 
@@ -96,22 +90,20 @@ def tail_check(rho: ChaosDensity, sigma_inf: float, t_grid, grid: QuadratureGrid
     """Verify gamma(rho >= t) <= e^2 exp(-sigma_inf (ln t)^2) for each t > 1,
     the left side being the quadrature super-level mass on grid."""
     rows = []
-    passed = True
+    vals = rho.evaluate(grid)
     for t in t_grid:
         if t <= 1.0:
             raise ValueError("tail levels must exceed 1")
-        left = superlevel_mass_nodes(rho, t, grid)
+        left = float(np.sum(grid.weights[vals >= t]))
         # zero drift: density is 1, super-level mass above t > 1 must vanish
         right = math.e**2 * math.exp(-sigma_inf * math.log(t) ** 2) if np.isfinite(sigma_inf) else 0.0
-        ok = left <= right + TAIL_TOLERANCE
-        passed = passed and ok
-        rows.append({"t": t, "left": left, "right": right, "passed": ok})
+        rows.append({"t": t, "left": left, "right": right, "passed": left <= right + TAIL_TOLERANCE})
     worst = max(rows, key=lambda r: r["left"] - r["right"])
     return BoundReport(
         name="tail",
         left=worst["left"],
         right=worst["right"],
-        passed=passed,
+        passed=all(r["passed"] for r in rows),
         tolerance=TAIL_TOLERANCE,
         inputs={"sigma_inf": sigma_inf, "t_grid": list(t_grid), "rows": rows},
     )

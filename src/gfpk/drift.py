@@ -99,12 +99,7 @@ class ConstantKernel(ComponentwiseKernel):
         return max(abs(c) for c in self.h)
 
     def h_bound_for(self, k: int) -> float:
-        # scaled by a power of two before squaring, as in h_norm
-        top = max(abs(c) for c in self.h)
-        if top == 0.0:
-            return 0.0
-        _, exponent = math.frexp(top)
-        return math.ldexp(math.sqrt(sum(math.ldexp(c, -exponent) ** 2 for c in self.h)), exponent)
+        return float(h_norm(self.h))
 
     def component(self, i: int, z: np.ndarray) -> np.ndarray:
         return np.full(z.shape, float(self.h[i]))

@@ -85,8 +85,8 @@ def _check_sizes(v, basis: ChaosBasis, grid: QuadratureGrid):
 def dense_interaction(
     basis: ChaosBasis, grid: QuadratureGrid, vvals: np.ndarray, h: np.ndarray | None = None
 ) -> np.ndarray:
-    """A[beta, alpha] from k dense P x M x P quadrature Gram products; valid
-    for any drift and any grid, and the reference for the separable path."""
+    """A[beta, alpha] from k dense P x M x P quadrature Gram products, for
+    any drift and grid: the non-separable assembly, and the reference."""
     if h is None:
         h = basis.eval_matrix(grid.nodes)  # (P, M)
     lowering = basis.lowering_table()
@@ -153,23 +153,33 @@ def solve_linear(v, p, basis: ChaosBasis, grid: QuadratureGrid) -> ChaosDensity:
     return solve_system(assemble(v, p, basis, grid))
 
 
+def hermite_defects(rho: ChaosDensity, v, p_frozen, grid: QuadratureGrid) -> np.ndarray:
+    """(A c - D c)_beta = -|beta| c_beta + sum_i sqrt(beta_i) <v_i rho,
+    h_{beta - e_i}> for every beta of rho's basis, from the projections of
+    v_i rho read on every node of grid (ChaosBasis.project): no code shared
+    with either assembly and no P x M array."""
+    basis = rho.basis
+    _check_sizes(v, basis, grid)
+    projections = basis.project(v.eval_v(p_frozen, grid.nodes).T * rho.evaluate(grid), grid)  # (k, P)
+    # (P, k); the -1 entries of the lowering table meet sqrt(beta_i) = 0
+    lowered = projections.T[basis.lowering_table(), np.arange(basis.k)]
+    return np.sum(np.sqrt(basis.exponents) * lowered, axis=1) - basis.degrees() * rho.coefficients
+
+
 def residual(rho: ChaosDensity, v, p_frozen, phi, grid: QuadratureGrid) -> float:
     """Weak-identity defect integral [Lap(phi) - x.grad(phi) + v.grad(phi)] rho dgamma.
 
-    Vanishes (up to solver tolerance) for Galerkin solutions tested with
-    Hermite polynomials of degree <= N; for bump tests the magnitude is
-    limited by quadrature and truncation error.  Bumps take residual_suite's
-    path (_bump_defects), on grid: phi is read only at the values of x_A.
+    Entry beta of hermite_defects for h_beta, beta in rho's basis: zero up to
+    solver tolerance for a Galerkin solution.  A bump takes residual_suite's
+    path (_bump_defects) on grid; quadrature and truncation limit it.
     """
     if isinstance(phi, BumpTest):
         return _bump_defects([phi], rho, v, p_frozen, lambda axes: grid)[0]
     if not isinstance(phi, HermiteTest):
         raise TypeError(f"unsupported test function type {type(phi).__name__}")
-    x = grid.nodes
-    # OU part exactly: (Lap - x.grad) h_beta = -|beta| h_beta
-    ou = -float(sum(phi.beta)) * phi.value(x)
-    integrand = ou + np.sum(v.eval_v(p_frozen, x) * phi.gradient(x), axis=1)
-    return float(np.sum(grid.weights * integrand * rho.evaluate(grid)))
+    if tuple(phi.beta) not in rho.basis.index_map:
+        raise ValueError(f"Hermite test {tuple(phi.beta)} is not in the density's basis")
+    return float(hermite_defects(rho, v, p_frozen, grid)[rho.basis.position(phi.beta)])
 
 
 def _bump_defects(bumps, rho, v, p_frozen, grid_for) -> list[float]:
@@ -199,21 +209,16 @@ def _bump_defects(bumps, rho, v, p_frozen, grid_for) -> list[float]:
 def residual_suite(rho, v, p_frozen, grid, bump_tests=()):
     """Residuals for every Hermite test of degree <= N plus optional bumps.
 
-    The residuals use the dense assembly whatever path the solve took, so
-    they cross-check the separable assembly.  A bump reading x_A is
+    The Hermite residuals (hermite_defects) are projected from node values,
+    so they cross-check either assembly; system_norm = ||D - A||_1 comes
+    from assemble, dense only where the solve is.  A bump reading x_A is
     integrated on grid's own rules with the rules of A replaced by the
     uniform BUMP_RULE, which resolves the compactly supported bumps where a
     Gauss-Hermite rule does not; bumps of one active set share that grid
     (_bump_defects).  Returns (hermite_max, system_norm, bump_values);
     callers compare hermite_max against tol * (1 + system_norm).
     """
-    basis = rho.basis
-    _check_sizes(v, basis, grid)
-    vvals = v.eval_v(p_frozen, grid.nodes)
-    system = GalerkinSystem(basis, basis.degrees(), dense_interaction(basis, grid, vvals))
-    coeffs = rho.coefficients
-    full = system.interaction @ coeffs - system.ou_diagonal * coeffs
-    hermite_max = float(np.max(np.abs(full[1:]))) if rho.basis.size > 1 else 0.0
+    hermite_max = float(np.max(np.abs(hermite_defects(rho, v, p_frozen, grid)[1:]), initial=0.0))
     rule = uniform_gaussian_grid(*BUMP_RULE).rules[0]
     swapped = lambda axes: product_grid([rule if i in axes else r for i, r in enumerate(grid.rules)], grid.q)
-    return hermite_max, system.norm(), _bump_defects(bump_tests, rho, v, p_frozen, swapped)
+    return hermite_max, assemble(v, p_frozen, rho.basis, grid).norm(), _bump_defects(bump_tests, rho, v, p_frozen, swapped)

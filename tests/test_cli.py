@@ -1,5 +1,6 @@
 """Config parsing, mode dispatch, artifacts and the exit-code contract."""
 import contextlib
+import csv
 import io
 import json
 import math
@@ -262,6 +263,25 @@ def test_sweep_constant_family(tmp_path):
     d01 = float(table[2].split(",")[3])
     cm = lambda u: np.array([u**n / math.sqrt(math.factorial(n)) for n in range(13)])
     assert d01 == pytest.approx(np.linalg.norm(cm(0.1) - cm(0.0)), abs=1e-6)
+
+
+def test_failing_sweep_points_keep_four_columns(tmp_path):
+    # one iteration cannot converge; the failure message holds commas
+    cfg = {
+        "mode": "sweep",
+        "k": 1,
+        "N": 6,
+        "fixed_point": {"max_iterations": 1},
+        "sweep": {"family": "vlasov-tanh-scale", "values": [0.3, 0.5]},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
+    with open(tmp_path / "out" / "sweep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["u", "failed", "l2_norm_sq", "distance_to_previous"]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [row[:2] for row in rows[1:]] == [["0.3", report["sweep"][0]["failed"]], ["0.5", report["sweep"][1]["failed"]]]
+    assert all(len(row) == 4 for row in rows) and all("," in row[1] for row in rows[1:])
 
 
 def test_sweep_point_without_a_finite_ball_radius_is_solved(tmp_path):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,10 +31,11 @@ from gfpk import (
     product_grid,
     residual,
     residual_suite,
+    solve_linear,
     tensor_grid,
     uniform_gaussian_grid,
 )
-from gfpk.cli import default_bumps
+from gfpk.cli import default_bumps, density_checks
 from gfpk.drift import drift_from_block
 from gfpk.ladder import LadderConfig, _battery_integrals, _zero_pad, default_battery, run_ladder
 from gfpk.linear import BUMP_RULE
@@ -112,6 +114,25 @@ def test_sum_factorization_on_mixed_product_grids(case, degree):
 @given(degree=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
 def test_sum_factorization_on_one_rule_grids(grid, degree, seed):
     assert_matches_reference(random_density(grid.k, degree if grid.k < 4 else degree % 4, seed), grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=mixed_product_grids(), degree=st.integers(0, 6))
+def test_project_is_the_adjoint_of_grid_values(case, degree):
+    """<grid_values(c), w f> = <c, project(f)>, and project(f) is the weighted
+    product with the evaluation matrix, for node values f with a lead axis."""
+    grid, seed = case
+    rho = random_density(grid.k, degree if grid.k < 3 else degree % 5, seed)
+    basis, c = rho.basis, rho.coefficients
+    f = np.random.default_rng(seed).standard_normal((2, grid.n_nodes))
+    projected = basis.project(f, grid)
+    assert projected.shape == (2, basis.size)
+    h = basis.eval_matrix(grid.nodes)
+    weighted = np.abs(f) * grid.weights
+    assert np.all(np.abs(projected - (f * grid.weights) @ h.T) <= REL_TOL * (weighted @ np.abs(h).T))
+    pairing = (f * grid.weights) @ basis.grid_values(c, grid)
+    assert np.all(np.abs(projected @ c - pairing) <= REL_TOL * (weighted @ (np.abs(c) @ np.abs(h))))
+    assert np.all(np.abs(basis.project(f[0], grid) - projected[0]) <= REL_TOL * (weighted[0] @ np.abs(h).T))
 
 
 def shuffled_nodes(grid, seed=0):
@@ -221,6 +242,29 @@ def test_dense_fixed_point_builds_the_evaluation_matrix_once(eval_matrix_calls):
     _, trace = fixed_point_solve(v, enumerate_basis(2, 5), grid, FixedPointOptions(damping=0.5))
     assert trace.converged and trace.iterations > 1
     assert eval_matrix_calls == [grid.nodes.shape]
+
+
+def test_separable_checks_build_no_evaluation_matrix(eval_matrix_calls):
+    v = drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 3)
+    grid = tensor_grid(6, 3)
+    rho = solve_linear(v, None, enumerate_basis(3, 5), grid)
+    report, _ = density_checks(rho, v, None, grid)
+    assert report["residuals"]["hermite_pass"] and eval_matrix_calls == []
+
+
+def test_hermite_residuals_hold_no_p_by_m_array():
+    # k = 6, N = 5, Q = 6: P = 462 and M = 46,656, so one P x M table is 172 MB
+    v = drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 6)
+    grid = tensor_grid(6, 6)
+    rho = solve_linear(v, None, enumerate_basis(6, 5), grid)
+    tracemalloc.start()
+    try:
+        hermite_max, system_norm, _ = residual_suite(rho, v, None, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hermite_max <= 1e-10 * (1.0 + system_norm)
+    assert peak < 50e6
 
 
 def bump_grid_of(grid, active):

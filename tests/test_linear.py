@@ -114,6 +114,15 @@ def test_residual_hand_quadrature_value():
     assert value == pytest.approx(0.3, abs=1e-12)
 
 
+def test_residual_outside_the_basis_raises():
+    rho = ChaosDensity.constant(enumerate_basis(2, 3))
+    v = constant_drift([0.1, 0.2])
+    for beta in [(4, 0), (2, 2), (1,), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="not in the density's basis"):
+            residual(rho, v, None, HermiteTest(beta), tensor_grid(6, 2))
+    assert residual(rho, v, None, HermiteTest((0, 1)), tensor_grid(6, 2)) == pytest.approx(0.2, abs=1e-14)
+
+
 def test_residual_suite_solved_case():
     basis = enumerate_basis(1, 12)
     grid = tensor_grid(24, 1)

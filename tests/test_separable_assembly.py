@@ -28,7 +28,7 @@ from gfpk import (
 )
 from gfpk.drift import DRIFTS, H_BOUND, KERNELS, drift_from_block
 from gfpk.ladder import LadderConfig, run_ladder
-from gfpk.linear import GalerkinSystem, dense_interaction, separable_interaction, solve_system
+from gfpk.linear import GalerkinSystem, dense_interaction, hermite_defects, separable_interaction, solve_system
 from gfpk.schema import REQUIRED
 
 REL_TOL = 1e-13
@@ -117,6 +117,46 @@ def test_separable_matches_dense(kind, size, scale, seed):
     assert sparse is not None
     assert_close(sparse, dense_interaction(basis, grid, v.eval_v(p, grid.nodes)))
     assert np.array_equal(assemble(v, p, basis, grid).interaction, sparse)
+
+
+def defect_reference(rho, v, p, grid):
+    """(A c - D c) from the dense interaction, and per entry the sum of the
+    absolute values of its quadrature terms (the scale of its rounding)."""
+    basis, c = rho.basis, rho.coefficients
+    vvals, h = v.eval_v(p, grid.nodes), basis.eval_matrix(grid.nodes)
+    reference = dense_interaction(basis, grid, vvals, h) @ c - basis.degrees() * c
+    bound = dense_interaction(basis, grid, np.abs(vvals), np.abs(h)) @ np.abs(c) + basis.degrees() * np.abs(c)
+    return reference, bound
+
+
+ALL_KINDS = dict(registry_cases())
+
+
+@pytest.mark.parametrize("kind", sorted(ALL_KINDS) + ["coupled-custom"])
+@settings(max_examples=8, deadline=None)
+@given(
+    size=sizes(),
+    scale=st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+    seed=st.integers(0, 2**32 - 1),
+    mixed=st.booleans(),
+)
+def test_hermite_defects_equal_the_dense_product(kind, size, scale, seed, mixed):
+    """The projected defects against the dense P x M x P product, for every
+    registry kind (separable and rotational) and a coupled custom drift, on
+    Gauss-Hermite grids and on grids mixing Gauss-Hermite and uniform rules."""
+    k, degree, q = size
+    k += k % 2 if kind == "rotational" else 0  # rotational pairs the coordinates
+    rules = [gauss_hermite(q).rules[0], uniform_gaussian_grid(4.0, q + 3).rules[0]]
+    grid = product_grid([rules[mixed and i % 2] for i in range(k)], q)
+    basis = enumerate_basis(k, degree)
+    if kind == "coupled-custom":
+        v = custom_drift(coupled, k, "componentwise", 0.4, reads_measure=False)
+    else:
+        v = drift_from_block(ALL_KINDS[kind](k, scale), k)
+    rho = random_iterate(basis, seed, amplitude=0.5)
+    p = as_measure(random_iterate(basis, seed + 1), grid) if v.reads_measure else None
+    reference, bound = defect_reference(rho, v, p, grid)
+    assert np.all(np.abs(hermite_defects(rho, v, p, grid) - reference) <= 1e-13 * bound)
 
 
 def test_every_kind_but_rotational_is_separable():
