@@ -68,12 +68,13 @@ def density_checks(rho: ChaosDensity, v, p_frozen, grid) -> tuple[dict, bool]:
     solve grid once, or None), so every check, the bump residuals on their
     own grids included, certifies the drift that was solved.
     """
-    hermite_max, system_norm, bump_vals = residual_suite(rho, v, p_frozen, grid, default_bumps(rho.k))
+    vvals, vals = v.eval_v(p_frozen, grid.nodes), rho.evaluate(grid)
+    hermite_max, system_norm, bump_vals = residual_suite(rho, v, p_frozen, grid, default_bumps(rho.k), vvals, vals)
     hermite_ok = hermite_max <= HERMITE_RESIDUAL_TOL * (1.0 + system_norm)
     bump_ok = all(abs(b) <= BUMP_RESIDUAL_TOL for b in bump_vals)
     member, margin = schauder_membership(rho, v.c0)
-    tail = tail_check(rho, v.sigma_inf, TAIL_LEVELS, grid)
-    fisher = fisher_energy(rho, v, p_frozen, grid)
+    tail = tail_check(rho, v.sigma_inf, TAIL_LEVELS, grid, vals)
+    fisher = fisher_energy(rho, v, p_frozen, grid, vvals, vals)
     report = {
         "residuals": {
             "hermite_max": hermite_max,
@@ -101,8 +102,8 @@ def density_checks(rho: ChaosDensity, v, p_frozen, grid) -> tuple[dict, bool]:
             },
         ],
         "monitored": {
-            "log_moment": log_moment(rho, 0.2, grid),
-            "log_moment_bracket": log_moment_bracket(rho, v, p_frozen, 0.2, grid),
+            "log_moment": log_moment(rho, 0.2, grid, vals),
+            "log_moment_bracket": log_moment_bracket(rho, v, p_frozen, 0.2, grid, vvals, vals),
             "fisher": fisher.fisher,
             "drift_energy_gamma": fisher.drift_energy_gamma,
             "drift_energy_mu": fisher.drift_energy_mu,

@@ -4,7 +4,8 @@ the Fisher information functional.
 
 Asserted bounds (ball radius, tails) come with explicit tolerances; the
 logarithmic moment and Fisher functionals are monitored only, because their
-comparison constants are not pinned down.
+comparison constants are not pinned down.  A caller that already read rho
+(and v) on the grid's nodes passes those values as vals (and vvals).
 """
 from __future__ import annotations
 
@@ -86,11 +87,11 @@ def _gaussian_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def tail_check(rho: ChaosDensity, sigma_inf: float, t_grid, grid: QuadratureGrid) -> BoundReport:
+def tail_check(rho: ChaosDensity, sigma_inf: float, t_grid, grid: QuadratureGrid, vals=None) -> BoundReport:
     """Verify gamma(rho >= t) <= e^2 exp(-sigma_inf (ln t)^2) for each t > 1,
     the left side being the quadrature super-level mass on grid."""
     rows = []
-    vals = rho.evaluate(grid)
+    vals = rho.evaluate(grid) if vals is None else vals
     for t in t_grid:
         if t <= 1.0:
             raise ValueError("tail levels must exceed 1")
@@ -109,20 +110,20 @@ def tail_check(rho: ChaosDensity, sigma_inf: float, t_grid, grid: QuadratureGrid
     )
 
 
-def log_moment(rho: ChaosDensity, alpha: float, grid: QuadratureGrid) -> float:
+def log_moment(rho: ChaosDensity, alpha: float, grid: QuadratureGrid, vals=None) -> float:
     """Monitored functional integral f (log(f + 1))^alpha dgamma with
     f = max(rho, 0) at the nodes (clipping policy shared with as_measure)."""
     if not 0.0 < alpha < 0.25:
         raise ValueError("alpha must lie in (0, 1/4)")
-    f = np.clip(rho.evaluate(grid), 0.0, None)
+    f = np.clip(rho.evaluate(grid) if vals is None else vals, 0.0, None)
     return float(np.sum(grid.weights * f * np.log1p(f) ** alpha))
 
 
-def log_moment_bracket(rho: ChaosDensity, v, p_frozen, alpha: float, grid: QuadratureGrid) -> float:
+def log_moment_bracket(rho: ChaosDensity, v, p_frozen, alpha: float, grid: QuadratureGrid, vvals=None, vals=None) -> float:
     """The drift bracket 1 + ||v||_{L^1(mu)} (log(1 + ||v||_{L^1(mu)}))^alpha
     reported alongside the monitored functional."""
-    vvals = v.eval_v(p_frozen, grid.nodes)
-    f = np.clip(rho.evaluate(grid), 0.0, None)
+    vvals = v.eval_v(p_frozen, grid.nodes) if vvals is None else vvals
+    f = np.clip(rho.evaluate(grid) if vals is None else vals, 0.0, None)
     l1 = float(np.sum(grid.weights * np.linalg.norm(vvals, axis=1) * f))
     return 1.0 + l1 * math.log1p(l1) ** alpha
 
@@ -136,14 +137,14 @@ class FisherReport:
     reason: str = ""
 
 
-def fisher_energy(rho: ChaosDensity, v, p_frozen, grid: QuadratureGrid) -> FisherReport:
+def fisher_energy(rho: ChaosDensity, v, p_frozen, grid: QuadratureGrid, vvals=None, vals=None) -> FisherReport:
     """Monitored relative Fisher information |grad rho|^2 / rho against the
     drift energies |b|^2 integrated under gamma and under mu = rho * gamma.
 
     Both candidate right-hand sides are reported; neither is asserted.
     Skipped (with reason) when the positive part carries too little mass.
     """
-    vals = rho.evaluate(grid)
+    vals = rho.evaluate(grid) if vals is None else vals
     positive_mass = float(np.sum(grid.weights[vals > 0.0]))
     if positive_mass < FISHER_MASS_REQUIRED:
         return FisherReport(
@@ -158,7 +159,7 @@ def fisher_energy(rho: ChaosDensity, v, p_frozen, grid: QuadratureGrid) -> Fishe
     fisher = float(
         np.sum(grid.weights[mask] * np.sum(grads[mask] ** 2, axis=1) / vals[mask])
     )
-    b = v.eval_v(p_frozen, grid.nodes) - grid.nodes
+    b = (v.eval_v(p_frozen, grid.nodes) if vvals is None else vvals) - grid.nodes
     b_sq = np.sum(b * b, axis=1)
     energy_gamma = float(np.sum(grid.weights * b_sq))
     energy_mu = float(np.sum(grid.weights * b_sq * np.clip(vals, 0.0, None)))

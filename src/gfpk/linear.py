@@ -19,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
-from .basis import ChaosBasis, QuadratureGrid, product_grid, uniform_gaussian_grid
-from .density import BumpTest, ChaosDensity, HermiteTest
+from .basis import ChaosBasis, QuadratureGrid, hermite_table, product_grid, uniform_gaussian_grid
+from .density import BumpTest, ChaosDensity, HermiteTest, marginal
 from .drift import SeparableField
 from .errors import SolverError
 
 CONDITION_LIMIT = 1e12
-# Largest deviation of H1 diag(w1) H1^T from the identity for which a 1-D
-# rule counts as orthonormal up to the basis degree (separable_interaction).
+# Largest deviation of H1 diag(w1) H1^T from I (of H1 w1 from e_0) for which a
+# 1-D rule counts as orthonormal (exact) up to the basis degree.
 ORTHONORMAL_TOL = 1e-13
 # (span, nodes) of the uniform rule for a bump's active coordinates; the
 # default bumps live in [-4, 4] (residual_suite)
@@ -153,14 +153,16 @@ def solve_linear(v, p, basis: ChaosBasis, grid: QuadratureGrid) -> ChaosDensity:
     return solve_system(assemble(v, p, basis, grid))
 
 
-def hermite_defects(rho: ChaosDensity, v, p_frozen, grid: QuadratureGrid) -> np.ndarray:
+def hermite_defects(rho: ChaosDensity, v, p_frozen, grid: QuadratureGrid, vvals=None, vals=None) -> np.ndarray:
     """(A c - D c)_beta = -|beta| c_beta + sum_i sqrt(beta_i) <v_i rho,
     h_{beta - e_i}> for every beta of rho's basis, from the projections of
-    v_i rho read on every node of grid (ChaosBasis.project): no code shared
-    with either assembly and no P x M array."""
+    v_i rho read on every node of grid (vvals, vals when given): no code
+    shared with either assembly and no P x M array (ChaosBasis.project)."""
     basis = rho.basis
     _check_sizes(v, basis, grid)
-    projections = basis.project(v.eval_v(p_frozen, grid.nodes).T * rho.evaluate(grid), grid)  # (k, P)
+    vvals = v.eval_v(p_frozen, grid.nodes) if vvals is None else vvals
+    vals = rho.evaluate(grid) if vals is None else vals
+    projections = basis.project(vvals.T * vals, grid)  # (k, P)
     # (P, k); the -1 entries of the lowering table meet sqrt(beta_i) = 0
     lowered = projections.T[basis.lowering_table(), np.arange(basis.k)]
     return np.sum(np.sqrt(basis.exponents) * lowered, axis=1) - basis.degrees() * rho.coefficients
@@ -182,23 +184,38 @@ def residual(rho: ChaosDensity, v, p_frozen, phi, grid: QuadratureGrid) -> float
     return float(hermite_defects(rho, v, p_frozen, grid)[rho.basis.position(phi.beta)])
 
 
+def _integrates_exactly(rule, degree: int) -> bool:
+    """Whether the 1-D rule (x, w) integrates h_0..h_degree exactly (to ORTHONORMAL_TOL)."""
+    return np.max(np.abs(hermite_table(degree, rule[0]) @ rule[1] - np.eye(degree + 1)[0])) <= ORTHONORMAL_TOL
+
+
 def _bump_defects(bumps, rho, v, p_frozen, grid_for) -> list[float]:
     """sum_m w_m rho_m [Lap(phi) + (v - x).grad(phi)](x_m) per bump phi over
     the grid grid_for(A), A = sorted(phi.active).  Per active set, w rho and
     w rho (v_i - x_i), i in A, are summed over the nodes that share x_A
     (grid.axis_sums), reading the grid in blocks of at most BLOCK_NODES
-    nodes; each bump is then evaluated at the q^|A| values of x_A only."""
+    nodes; each bump is then evaluated at the q^|A| values of x_A only.
+    For A = {i}, a SeparableField and other rules exact to degree N (a
+    Gauss-Hermite rule of q >= (N + 1) / 2 nodes), those sums are w_z rho_i(z)
+    and w_z rho_i(z) (v_i(z) - z) on the rule of x_i, rho_i = marginal(rho, [i])."""
     grouped, out = {}, []
     for phi in bumps:
         axes = sorted(phi.active)
         if tuple(axes) not in grouped:
             grid = grid_for(axes)
-            sums = np.zeros(tuple(grid.shape[a] for a in axes) + (1 + len(axes),))
-            for block, place in grid.blocks(BLOCK_NODES):
-                x = block.nodes
-                weighted = block.weights * rho.evaluate(block)
-                terms = np.column_stack([weighted, weighted[:, None] * (v.eval_v(p_frozen, x)[:, axes] - x[:, axes])])
-                sums[tuple(place[a] for a in axes)] += block.axis_sums(terms, axes)
+            if len(axes) == 1 and isinstance(v, SeparableField) and all(
+                _integrates_exactly(r, rho.basis.degree) for a, r in enumerate(grid.rules) if a not in axes
+            ):
+                line = product_grid([grid.rules[axes[0]]], grid.q)
+                z, weighted = line.nodes[:, 0], line.weights * marginal(rho, axes).evaluate(line)
+                sums = np.column_stack([weighted, weighted * (v.eval_axes(p_frozen, z)[:, axes[0]] - z)])
+            else:
+                sums = np.zeros(tuple(grid.shape[a] for a in axes) + (1 + len(axes),))
+                for block, place in grid.blocks(BLOCK_NODES):
+                    x = block.nodes
+                    weighted = block.weights * rho.evaluate(block)
+                    terms = np.column_stack([weighted, weighted[:, None] * (v.eval_v(p_frozen, x)[:, axes] - x[:, axes])])
+                    sums[tuple(place[a] for a in axes)] += block.axis_sums(terms, axes)
             grouped[tuple(axes)] = grid.axis_points(axes), sums.reshape(-1, 1 + len(axes))
         points, sums = grouped[tuple(axes)]
         grad_flux = np.sum(phi.gradient(points)[:, axes] * sums[:, 1:], axis=1)
@@ -206,7 +223,7 @@ def _bump_defects(bumps, rho, v, p_frozen, grid_for) -> list[float]:
     return out
 
 
-def residual_suite(rho, v, p_frozen, grid, bump_tests=()):
+def residual_suite(rho, v, p_frozen, grid, bump_tests=(), vvals=None, vals=None):
     """Residuals for every Hermite test of degree <= N plus optional bumps.
 
     The Hermite residuals (hermite_defects) are projected from node values,
@@ -215,10 +232,10 @@ def residual_suite(rho, v, p_frozen, grid, bump_tests=()):
     integrated on grid's own rules with the rules of A replaced by the
     uniform BUMP_RULE, which resolves the compactly supported bumps where a
     Gauss-Hermite rule does not; bumps of one active set share that grid
-    (_bump_defects).  Returns (hermite_max, system_norm, bump_values);
-    callers compare hermite_max against tol * (1 + system_norm).
+    (_bump_defects).  vvals, vals: see hermite_defects.  Returns (hermite_max,
+    system_norm, bump_values); callers compare hermite_max against tol * (1 + system_norm).
     """
-    hermite_max = float(np.max(np.abs(hermite_defects(rho, v, p_frozen, grid)[1:]), initial=0.0))
+    hermite_max = float(np.max(np.abs(hermite_defects(rho, v, p_frozen, grid, vvals, vals)[1:]), initial=0.0))
     rule = uniform_gaussian_grid(*BUMP_RULE).rules[0]
     swapped = lambda axes: product_grid([rule if i in axes else r for i, r in enumerate(grid.rules)], grid.q)
     return hermite_max, assemble(v, p_frozen, rho.basis, grid).norm(), _bump_defects(bump_tests, rho, v, p_frozen, swapped)

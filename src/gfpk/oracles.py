@@ -211,7 +211,8 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
 
 def _fd_matrix(v, x: np.ndarray, h: float):
     """Flux-balance matrix of the exponentially fitted scheme, cell (i, j) at
-    row i * n + j, with the last row replaced by the unit-mass constraint."""
+    row i * n + j, as CSC.  The flux equation of the cell c nearest the
+    origin becomes a_cc u_c = a_cc; its other entries stay as stored zeros."""
     import scipy.sparse as sp  # deferred: only the FD oracle needs scipy.sparse
 
     n = x.size
@@ -233,33 +234,38 @@ def _fd_matrix(v, x: np.ndarray, h: float):
         cols.append(np.stack([lo, hi, lo, hi], axis=1).ravel())
         data.append(np.stack([b_minus, -b_plus, -b_minus, b_plus], axis=1).ravel())
     rows, cols, data = (np.concatenate(part) for part in (rows, cols, data))
-    # rows sum to a singular conservation system; the last equation becomes
-    # the unit-mass constraint
-    last = n * n - 1
-    keep = rows != last
-    rows = np.concatenate([rows[keep], np.full(n * n, last)])
-    cols = np.concatenate([cols[keep], np.arange(n * n)])
-    data = np.concatenate([data[keep], np.full(n * n, h * h)])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n * n, n * n))
+    data[(rows == cells[n // 2, n // 2]) & (cols != rows)] = 0.0
+    return sp.csc_matrix((data, (rows, cols)), shape=(n * n, n * n))
+
+
+def _pinned_solve(matrix, pin: int) -> np.ndarray:
+    """u with matrix u = matrix[pin, pin] e_pin, for _fd_matrix's irreducibly
+    column-diagonally-dominant M-matrix: SuperLU, minimum degree on A^T + A,
+    no pivoting.  A NumericError for an exactly singular factor or a
+    non-finite u (a density whose ratio to the pinned cell overflows)."""
+    import scipy.sparse.linalg as spla
+
+    rhs = np.zeros(matrix.shape[0])
+    rhs[pin] = matrix[pin, pin]
+    try:
+        u = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0).solve(rhs)
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise NumericError(f"finite-difference steady state solve failed: {exc}") from exc
+    if not np.all(np.isfinite(u)):
+        raise NumericError("finite-difference steady state solve failed")
+    return u
 
 
 def oracle_fd_2d(v, span: float = 6.0, n: int = 161) -> GridDensity2D:
     """Steady state of div(grad u - b u) = 0 on a box with zero-flux walls.
 
     Exponentially fitted (flux-upwinded) finite volumes keep the discrete
-    density positive; the singular conservation system is closed by the
-    unit-mass constraint.  v maps (m, 2) points to (m, 2) values; the full
-    drift -x + v is formed internally.
+    density positive; the singular conservation system is closed by pinning
+    the cell nearest the origin, then scaled to unit mass.  v maps (m, 2)
+    points to (m, 2) values; the full drift -x + v is formed internally.
     """
-    import scipy.sparse.linalg as spla
-
     h = 2.0 * span / n
     x = -span + h * (np.arange(n) + 0.5)
-    matrix = _fd_matrix(v, x, h)
-    rhs = np.zeros(n * n)
-    rhs[-1] = 1.0
-    u = spla.spsolve(matrix, rhs)
-    if not np.all(np.isfinite(u)):
-        raise NumericError("finite-difference steady state solve failed")
+    u = _pinned_solve(_fd_matrix(v, x, h), (n // 2) * n + n // 2)
     total = float(u.sum() * h * h)
     return GridDensity2D(x=x, values=(u / total).reshape(n, n))

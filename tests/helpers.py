@@ -70,3 +70,40 @@ def registry_drift(kind: str, **params):
     """A ladder's drift builder k -> the drift of the config block
     {"kind": kind, **params} in dimension k."""
     return lambda k: drift_from_block({"kind": kind, **params}, k)
+
+
+def mass_row_fd_2d(v, span: float, n: int) -> np.ndarray:
+    """Reference (n, n) values of oracle_fd_2d from the closing it replaced:
+    the flux-balance system with its last equation swapped for the dense
+    unit-mass row sum_c h^2 u_c = 1, solved by spsolve (SuperLU with partial
+    pivoting)."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    from gfpk.oracles import _bernoulli
+
+    h = 2.0 * span / n
+    x = -span + h * (np.arange(n) + 0.5)
+    mid = 0.5 * (x[:-1] + x[1:])
+    cells = np.arange(n * n).reshape(n, n)
+    rows, cols, data = [], [], []
+    for axis, face_pts, lo, step in (
+        (0, np.stack([np.repeat(mid, n), np.tile(x, n - 1)], axis=1), cells[:-1].ravel(), n),
+        (1, np.stack([np.repeat(x, n - 1), np.tile(mid, n)], axis=1), cells[:, :-1].ravel(), 1),
+    ):
+        w = (np.asarray(v(face_pts), dtype=float) - face_pts)[:, axis] * h
+        b_minus, b_plus = _bernoulli(-w) / h**2, _bernoulli(w) / h**2
+        hi = lo + step
+        rows.append(np.stack([lo, lo, hi, hi], axis=1).ravel())
+        cols.append(np.stack([lo, hi, lo, hi], axis=1).ravel())
+        data.append(np.stack([b_minus, -b_plus, -b_minus, b_plus], axis=1).ravel())
+    rows, cols, data = (np.concatenate(part) for part in (rows, cols, data))
+    last = n * n - 1
+    keep = rows != last
+    rows = np.concatenate([rows[keep], np.full(n * n, last)])
+    cols = np.concatenate([cols[keep], np.arange(n * n)])
+    data = np.concatenate([data[keep], np.full(n * n, h * h)])
+    rhs = np.zeros(n * n)
+    rhs[last] = 1.0
+    u = spla.spsolve(sp.csr_matrix((data, (rows, cols)), shape=(n * n, n * n)), rhs)
+    return (u / float(u.sum() * h * h)).reshape(n, n)

@@ -369,11 +369,101 @@ def test_bump_grids_are_read_in_blocks(monkeypatch):
     eval_v = gfpk.drift.DriftField.eval_v
     monkeypatch.setattr(gfpk.drift.DriftField, "eval_v", lambda self, p, x: sizes.append(len(x)) or eval_v(self, p, x))
     rho = ChaosDensity.constant(enumerate_basis(6, 1))
-    v = drift_from_block({"kind": "constant", "h": [0.0] * 6}, 6)
+    # zero, but not a SeparableField: the bumps take the axis_sums path, and
+    # the dense assembly reads the solve grid besides hermite_defects
+    v = custom_drift(lambda p, x: np.zeros_like(x), 6, "H", 0.0, reads_measure=False)
     _, _, values = residual_suite(rho, v, None, tensor_grid(6, 6), default_bumps(6))
-    assert max(sizes) <= 1_000_000 and sum(sizes) == 6**6 + 6 * 401 * 6**5
+    assert max(sizes) <= 1_000_000 and sum(sizes) == 2 * 6**6 + 6 * 401 * 6**5
     # rho = 1 solves the zero-drift equation exactly
     assert max(abs(b) for b in values) <= 1e-3
+
+
+H = [0.3, -0.2, 0.1, 0.25]
+# a config block in dimension k for every separable drift kind and kernel
+SEPARABLE_BLOCKS = {
+    "constant": lambda k: {"kind": "constant", "h": H[:k]},
+    "clipped-potential": lambda k: {"kind": "clipped-potential", "lam": 0.5},
+    "vlasov-constant": lambda k: {"kind": "vlasov", "kernel": {"kind": "constant", "h": H[:k]}},
+    "vlasov-tanh": lambda k: {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}},
+    "vlasov-gaussian-lobe": lambda k: {"kind": "vlasov", "kernel": {"kind": "gaussian-lobe", "scale": 0.8}},
+    "vlasov-clipped-linear": lambda k: {"kind": "vlasov", "kernel": {"kind": "clipped-linear", "scale": 0.5, "cap": 0.4}},
+    "componentwise-tanh": lambda k: {"kind": "componentwise-tanh", "scale": 0.5, "n_components": 4, "mean_shift": True},
+    "componentwise-decoupled-tanh": lambda k: {"kind": "componentwise-decoupled-tanh", "scale": 0.5, "n_components": 4},
+}
+# (N, Q) per dimension k: every Gauss-Hermite rule is exact to degree N
+ONE_AXIS_SIZES = {1: (8, 10), 2: (6, 8), 3: (5, 6), 4: (4, 5)}
+
+
+def test_separable_blocks_cover_every_separable_kind():
+    blocks = [make(2) for make in SEPARABLE_BLOCKS.values()]
+    assert {b["kind"] for b in blocks} | {"rotational"} == set(gfpk.drift.DRIFTS)
+    assert {b["kernel"]["kind"] for b in blocks if "kernel" in b} == set(gfpk.drift.KERNELS)
+    assert all(isinstance(drift_from_block(b, 2), gfpk.drift.SeparableField) for b in blocks)
+
+
+@pytest.mark.parametrize("k", sorted(ONE_AXIS_SIZES))
+@pytest.mark.parametrize("name", sorted(SEPARABLE_BLOCKS))
+def test_one_axis_bumps_match_the_axis_sums(name, k):
+    """The 1-D bump sums of a SeparableField against the axis_sums path,
+    which the same field takes once wrapped as a non-separable drift."""
+    degree, q = ONE_AXIS_SIZES[k]
+    grid = tensor_grid(q, k)
+    rho = random_density(k, degree, 7 + k)
+    v = drift_from_block(SEPARABLE_BLOCKS[name](k), k)
+    wrapped = custom_drift(lambda p, x: v.eval_v(p, x), k, v.bound_kind, v.bound, reads_measure=v.reads_measure)
+    p = as_measure(rho, grid) if v.reads_measure else None
+    bumps = default_bumps(k) + [BumpTest(active=(k - 1,), center=(0.7,), radius=1.3)]
+    one_axis = residual_suite(rho, v, p, grid, bumps)[2]
+    reference = residual_suite(rho, wrapped, p, grid, bumps)[2]
+    assert np.max(np.abs(np.subtract(one_axis, reference))) <= 1e-14
+
+
+@pytest.fixture
+def axis_sums_calls(monkeypatch):
+    calls = []
+    original = gfpk.basis.QuadratureGrid.axis_sums
+    monkeypatch.setattr(gfpk.basis.QuadratureGrid, "axis_sums",
+                        lambda self, values, axes: calls.append(tuple(axes)) or original(self, values, axes))
+    return calls
+
+
+ONE_AXIS = BumpTest(active=(0,), center=(0.5,), radius=2.0)
+TWO_AXES = BumpTest(active=(1, 0), center=(0.5, -0.2), radius=1.5)
+BUMP = uniform_gaussian_grid(*BUMP_RULE).rules[0]
+
+
+@pytest.mark.parametrize(
+    "drift, phi, other, degree, expected",
+    [
+        ({"kind": "rotational", "scale": 0.3}, ONE_AXIS, gauss_hermite(8).rules[0], 6, True),
+        ({"kind": "clipped-potential", "lam": 0.5}, TWO_AXES, gauss_hermite(8).rules[0], 6, True),
+        # a Gauss-Hermite rule of 3 nodes is exact to degree 5 < 6
+        ({"kind": "clipped-potential", "lam": 0.5}, ONE_AXIS, gauss_hermite(3).rules[0], 6, True),
+        ({"kind": "clipped-potential", "lam": 0.5}, ONE_AXIS, uniform_gaussian_grid(6.0, 41).rules[0], 4, True),
+        ({"kind": "clipped-potential", "lam": 0.5}, ONE_AXIS, gauss_hermite(4).rules[0], 6, False),
+    ],
+    ids=["rotational", "two-axis", "inexact-gauss-hermite", "uniform", "one-axis"],
+)
+def test_which_bumps_take_the_axis_sums(axis_sums_calls, drift, phi, other, degree, expected):
+    """Only a one-axis bump of a SeparableField whose other rule is exact to
+    the degree N of rho skips the sums over the 2-D bump grid."""
+    grid = product_grid([BUMP, other], 8)
+    residual(random_density(2, degree, 1), drift_from_block(drift, 2), None, phi, grid)
+    assert bool(axis_sums_calls) == expected
+
+
+def test_separable_k3_checks_read_v_and_rho_once_on_the_solve_grid(monkeypatch):
+    sizes, evaluated = [], []
+    eval_v, evaluate = gfpk.drift.DriftField.eval_v, ChaosDensity.evaluate
+    monkeypatch.setattr(gfpk.drift.DriftField, "eval_v", lambda self, p, x: sizes.append(len(x)) or eval_v(self, p, x))
+    monkeypatch.setattr(ChaosDensity, "evaluate", lambda self, x: evaluated.append(getattr(x, "n_nodes", None)) or evaluate(self, x))
+    v = drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 3)
+    grid = tensor_grid(8, 3)
+    rho = solve_linear(v, None, enumerate_basis(3, 6), grid)
+    report, passed = density_checks(rho, v, None, grid)
+    # no bump grid of 401 * 8^2 nodes is read; v and rho are read on the 8^3 nodes once
+    assert sizes == [8**3] and evaluated.count(8**3) == 1
+    assert passed and report["residuals"]["bump_pass"]
 
 
 @pytest.mark.parametrize("max_nodes", [1, 5, 37, 1_000_000])

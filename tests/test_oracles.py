@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfpk import (
     DomainError,
     InstabilityError,
+    NumericError,
     constant_drift,
     custom_drift,
     l2_gamma_distance,
@@ -14,9 +18,11 @@ from gfpk import (
     oracle_1d_selfconsistent,
     oracle_fd_2d,
     oracle_sde,
+    rotational_drift,
     tensor_grid,
 )
-from helpers import cameron_martin
+from gfpk.oracles import _fd_matrix, _pinned_solve
+from helpers import cameron_martin, mass_row_fd_2d
 
 
 def test_oracle_1d_zero_drift_is_gaussian():
@@ -160,8 +166,8 @@ def test_fd_2d_marginal_mass():
 
 def loop_built_fd_matrix(v, x, h):
     """The flux-balance matrix assembled face by face, as a reference for the
-    array assembly: four entries per face, then the last row replaced by the
-    unit-mass constraint."""
+    array assembly: four entries per face, then the row of the cell nearest
+    the origin cut to its diagonal (the pinned cell)."""
     import scipy.sparse as sp
 
     from gfpk.oracles import _bernoulli
@@ -186,7 +192,10 @@ def loop_built_fd_matrix(v, x, h):
             cols += [lo, hi, lo, hi]
             data += [b_minus[m], -b_plus[m], -b_minus[m], b_plus[m]]
     matrix = sp.csr_matrix((data, (rows, cols)), shape=(n * n, n * n)).tolil()
-    matrix[n * n - 1, :] = h * h
+    pin = (n // 2) * n + n // 2
+    diagonal = matrix[pin, pin]
+    matrix[pin, :] = 0.0
+    matrix[pin, pin] = diagonal
     return matrix.tocsr()
 
 
@@ -205,3 +214,60 @@ def test_fd_matrix_matches_face_loop(n):
     difference = abs(fast - reference)
     assert difference.max() <= 1e-15 * abs(reference).max()
     assert (fast != 0).nnz == (reference != 0).nnz
+
+
+# Both closings are backward-stable solves of one system; at n = 161 each
+# lies up to 1.4e-14 of the maximum from a solution refined with long-double
+# residuals, so they may differ by twice that (measured: 1.24e-14, zero drift).
+FD_CLOSING_TOL = 3e-14
+FD_DRIFTS = {
+    "zero": lambda x: np.zeros_like(x),
+    "tanh-gradient": lambda x: 0.4 * np.tanh(x / 2.0),
+    "rotational": lambda x, v=rotational_drift(0.3, 2, offset=[0.2, 0.0]): v.eval_v(None, x),
+}
+
+
+@pytest.mark.parametrize("n", [41, 161])
+@pytest.mark.parametrize("drift", sorted(FD_DRIFTS))
+def test_fd_pinned_cell_matches_the_mass_row(drift, n):
+    reference = mass_row_fd_2d(FD_DRIFTS[drift], 6.0, n)
+    values = oracle_fd_2d(FD_DRIFTS[drift], span=6.0, n=n).values
+    assert np.max(np.abs(values - reference)) <= FD_CLOSING_TOL * np.max(reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(5, 30),
+    coefficients=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
+)
+def test_pinned_fd_matrix_is_a_column_dominant_m_matrix(n, coefficients):
+    """For a bounded drift v(x) = a * tanh(B x + c) the pinned matrix is
+    structurally symmetric, with a positive diagonal, nonpositive
+    off-diagonals and columns whose diagonal dominates, strictly in at least
+    one column: the M-matrix that SuperLU factors without pivoting."""
+    a, c = np.array(coefficients[:2]), np.array(coefficients[2:4])
+    b = np.array(coefficients[4:]).reshape(2, 2)
+    span = 6.0
+    h = 2.0 * span / n
+    x = -span + h * (np.arange(n) + 0.5)
+    matrix = _fd_matrix(lambda pts: a * np.tanh(pts @ b.T + c), x, h)
+    pattern = matrix.copy()
+    pattern.data[:] = 1.0
+    assert (pattern != pattern.T).nnz == 0
+    diagonal = matrix.diagonal()
+    off = (matrix - sp.diags(diagonal)).tocsc()
+    assert np.all(diagonal > 0.0) and np.all(off.data <= 0.0)
+    column_off = np.asarray(abs(off).sum(axis=0)).ravel()
+    assert np.all(diagonal >= column_off * (1.0 - 1e-14))
+    assert np.any(diagonal > column_off * (1.0 + 1e-14))
+
+
+@pytest.mark.parametrize(
+    "matrix, match",
+    [([[1.0, -1.0], [-1.0, 1.0]], "singular"), ([[1.0, 0.0], [-1.0, 1e-310]], "failed")],
+    ids=["singular", "overflow"],
+)
+def test_fd_solve_failures_are_numeric_errors(matrix, match):
+    # an exactly singular factor, and a ratio to the pinned cell beyond the float range
+    with pytest.raises(NumericError, match=match):
+        _pinned_solve(sp.csc_matrix(np.array(matrix)), 0)
