@@ -18,10 +18,12 @@ from .density import (
     BumpTest,
     ChaosDensity,
     HermiteTest,
+    MarginalMeasure,
     PointMeasure,
     as_measure,
     integrate,
     marginal,
+    marginal_measure,
 )
 from .diagnostics import (
     BoundReport,

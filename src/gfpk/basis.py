@@ -14,6 +14,7 @@ weight).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -72,9 +73,7 @@ class ChaosBasis:
     @cached_property
     def exponents(self) -> np.ndarray:
         """Integer (P, k) array of the multi-indices, row j = alpha_j; read-only."""
-        exps = np.array(self.indices, dtype=np.intp).reshape(self.size, self.k)
-        exps.flags.writeable = False
-        return exps
+        return _read_only(np.array(self.indices, dtype=np.intp).reshape(self.size, self.k))
 
     def degrees(self) -> np.ndarray:
         """Total degree |alpha| per basis element (OU eigenvalue diagonal)."""
@@ -99,11 +98,9 @@ class ChaosBasis:
     @cached_property
     def _lowering(self) -> np.ndarray:
         lowered = lambda a, i: a[:i] + (a[i] - 1,) + a[i + 1 :]
-        table = np.array(
+        return _read_only(np.array(
             [[self.index_map.get(lowered(a, i), -1) for i in range(self.k)] for a in self.indices]
-        )
-        table.flags.writeable = False
-        return table
+        ))
 
     @cached_property
     def gram_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -131,7 +128,7 @@ class ChaosBasis:
             rows = np.repeat(rows, length)
             b = exps[rows, i]
             parts.append((rows * size + cols, (i * n1 + b - 1) * n1 + exps[cols, i], np.sqrt(b)))
-        return tuple(np.concatenate(column) for column in zip(*parts))
+        return tuple(_read_only(np.concatenate(column)) for column in zip(*parts))
 
     def eval_matrix(self, points: np.ndarray) -> np.ndarray:
         """Matrix H[j, q] = h_{alpha_j}(points[q]) for points of shape (m, k)."""
@@ -174,12 +171,24 @@ class ChaosBasis:
     @cached_property
     def _box_index(self) -> np.ndarray:
         """Flat index of each alpha in the (N+1)^k array of grid_values."""
-        return np.ravel_multi_index(self.exponents.T, (self.degree + 1,) * self.k)
+        return _read_only(np.ravel_multi_index(self.exponents.T, (self.degree + 1,) * self.k))
+
+    @cached_property
+    def axis_index(self) -> np.ndarray:
+        """(k, N+1) positions of the powers n e_i: row i picks the i-th marginal's coefficients."""
+        return _read_only(np.stack([self.embed(enumerate_basis(1, self.degree), [i]) for i in range(self.k)]))
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=16)
 def enumerate_basis(k: int, max_degree: int) -> ChaosBasis:
     """Build the chaos basis of dimension k and total degree <= max_degree.
 
+    The 16 most recent bases are shared, so every table they cache is read-only.
     Raises BasisSizeError when binomial(max_degree + k, k) exceeds BASIS_CAP.
     """
     if k < 1:

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .basis import enumerate_basis, tensor_grid
 from .config import MODES, RunConfig, check_sizes, load_config, sweep_drift
-from .density import BumpTest, ChaosDensity, as_measure, integrate
+from .density import BumpTest, ChaosDensity, integrate
 from .density import marginal as density_marginal
 from .diagnostics import fisher_energy, log_moment, log_moment_bracket, tail_check
 from .drift import DRIFTS, drift_from_block
@@ -125,9 +125,9 @@ def _config_hash(doc: dict) -> str:
 
 
 def _frozen_measure(v, rho: ChaosDensity, grid):
-    """The measure v reads at rho: rho read on the grid once, or None for a
+    """The measure v reads at rho (v.read_measure, once), or None for a
     drift that ignores the measure."""
-    return as_measure(rho, grid) if v.reads_measure else None
+    return v.read_measure(rho, grid) if v.reads_measure else None
 
 
 def _solve_one(cfg: RunConfig):
@@ -178,7 +178,8 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
             report.update(checks)
             report["checks_passed"] = passed
         elif config.mode == "ladder":
-            ladder_report = run_ladder(lambda k: drift_from_block(config.drift, k), config.ladder)
+            drift = lambda k: config.ladder_drifts.get(k) or drift_from_block(config.drift, k)
+            ladder_report = run_ladder(drift, config.ladder)
             _write(os.path.join(out, "ladder.json"), json.dumps(ladder_report.to_json_dict(), sort_keys=True, indent=1))
             _write(os.path.join(out, "ladder.csv"), ladder_report.to_csv())
             report["artifacts"]["ladder_json"] = os.path.join(out, "ladder.json")

@@ -103,6 +103,7 @@ class RunConfig:
     drift: dict = field(default_factory=dict)
     fixed_point: FixedPointOptions = FixedPointOptions()
     ladder: LadderConfig | None = None
+    ladder_drifts: dict = field(default_factory=dict, compare=False, repr=False)  # level k -> drift, built once
     sweep: dict = field(default_factory=dict)
     verify: dict = field(default_factory=dict)
     oracle_compare: dict = field(default_factory=dict)
@@ -177,7 +178,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"{mode} mode requires a {name} block")
         return top[name]
 
-    ladder, sweep, verify, oracle = None, {}, {}, {}
+    ladder, ladder_drifts, sweep, verify, oracle = None, {}, {}, {}, {}
     if mode in ("solve-linear", "solve-nonlinear", "oracle-compare"):
         read_kind(top.get("drift"), DRIFTS, "drift", k)
     if mode == "verify":
@@ -185,8 +186,10 @@ def parse_config(doc: dict) -> RunConfig:
         read_kind(top.get("drift"), DRIFTS, "drift")
     if mode == "ladder":
         ladder = _read_ladder(required("ladder"), fixed_point)
+        ladder_drifts = {k: drift_from_block(top.get("drift"), k) for k in ladder.levels}
         try:
-            ladder.check_drift(drift_from_block(top.get("drift"), ladder.levels[-1]))
+            for v in ladder_drifts.values():
+                ladder.check_drift(v)
         except ValueError as exc:
             raise ConfigError(f"ladder: {exc}") from exc
     if mode == "sweep":
@@ -208,6 +211,7 @@ def parse_config(doc: dict) -> RunConfig:
         drift=top.get("drift", {}),
         fixed_point=fixed_point,
         ladder=ladder,
+        ladder_drifts=ladder_drifts,
         sweep=sweep,
         verify=verify,
         oracle_compare=oracle,

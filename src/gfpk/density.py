@@ -5,8 +5,11 @@ A ChaosDensity rho = sum_alpha c_alpha h_alpha represents the Radon-Nikodym
 derivative of a candidate measure with respect to gamma_k.  The constant
 coefficient is pinned to 1 (unit mass); everything else is free and the
 pointwise values may dip negative as a truncation artifact.  Clipping to a
-bona fide measure happens only in `as_measure`, which reports the clipped
-mass instead of hiding it.
+bona fide measure happens only in `as_measure` (the joint law on every node
+of a grid) and `marginal_measure` (the k 1-D marginals on the grid's rules,
+each clipped on its own; the joint clip defect is not computed there), which
+report the clipped mass instead of hiding it.  Both measures answer
+marginal(i) -> (y, masses) and mean(), all a separable drift reads.
 """
 from __future__ import annotations
 
@@ -160,21 +163,57 @@ class PointMeasure:
             object.__setattr__(self, "_mean", mean)
         return self.__dict__["_mean"]
 
+    def marginal(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct values y of coordinate i and the summed masses at each."""
+        y, owner = np.unique(self.points[:, i], return_inverse=True)
+        return y, np.bincount(owner, weights=self.masses, minlength=y.size)
 
-def as_measure(rho: ChaosDensity, grid: QuadratureGrid) -> PointMeasure:
-    """Clip node values at 0 and renormalize to a probability point measure."""
-    vals = rho.evaluate(grid)
-    region_mass = float(np.sum(grid.weights[vals > 0.0]))
+
+@dataclass(frozen=True)
+class MarginalMeasure:
+    """The k 1-D marginals of a measure: nodes[i] with masses[i], nonnegative
+    and summing to 1.  clip_defect is the largest mass clipping removed from
+    one marginal."""
+
+    nodes: tuple[np.ndarray, ...]
+    masses: tuple[np.ndarray, ...]
+    clip_defect: float
+
+    def mean(self) -> np.ndarray:
+        return np.array([m @ y for y, m in zip(self.nodes, self.masses)])
+
+    def marginal(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.nodes[i], self.masses[i]
+
+
+def _clipped(weights: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, float]:
+    """Masses weights * vals clipped at 0 and renormalized, and the mass clipped."""
+    region_mass = float(np.sum(weights[vals > 0.0]))
     if region_mass < MIN_POSITIVE_MASS:
         raise DegenerateDensityError(
             f"positive region carries quadrature mass {region_mass:.3f} < "
             f"{MIN_POSITIVE_MASS}; truncation unusable as a measure"
         )
-    raw = grid.weights * vals
+    raw = weights * vals
     clip_defect = float(-np.sum(raw[raw < 0.0]))
     masses = np.clip(raw, 0.0, None)
-    total = float(masses.sum())
-    return PointMeasure(points=grid.nodes, masses=masses / total, clip_defect=clip_defect)
+    return masses / float(masses.sum()), clip_defect
+
+
+def as_measure(rho: ChaosDensity, grid: QuadratureGrid) -> PointMeasure:
+    """Clip node values at 0 and renormalize to a probability point measure."""
+    masses, clip_defect = _clipped(grid.weights, rho.evaluate(grid))
+    return PointMeasure(points=grid.nodes, masses=masses, clip_defect=clip_defect)
+
+
+def marginal_measure(rho: ChaosDensity, grid: QuadratureGrid) -> MarginalMeasure:
+    """Each marginal rho_i = sum_n c_{n e_i} h_n (ChaosBasis.axis_index) on the
+    rule grid.rules[i], clipped one at a time as in as_measure: the marginals
+    of as_measure where it clips nothing and the other rules are exact to N."""
+    coefficients = rho.coefficients[rho.basis.axis_index]
+    tables = grid.hermite_tables(rho.basis.degree)
+    masses, defects = zip(*(_clipped(w, c @ t) for (_, w), c, t in zip(grid.rules, coefficients, tables)))
+    return MarginalMeasure(tuple(x for x, _ in grid.rules), masses, max(defects))
 
 
 # -- test functions -------------------------------------------------------

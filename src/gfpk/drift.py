@@ -8,9 +8,10 @@ mass at the origin, which reads a Vlasov kernel itself, v(delta_0, x) = b0(x):
 by Jensen sup |b0|_H bounds |v(p, x)|_H for every probability p.  eval_v
 re-checks the bound at every point it evaluates.
 
-The measure argument of v is a PointMeasure (the weak-topology form, a
-ChaosDensity read once on the solve grid by `as_measure`) or None for
-fields that ignore it.
+The measure argument of v is None for fields that ignore it, else a
+ChaosDensity in weak-topology form, read once by `v.read_measure(p, grid)`:
+a PointMeasure on every grid node, or for a SeparableField a
+MarginalMeasure, its k marginals on the grid's 1-D rules.
 
 A SeparableField is built from one function v_i(measure, x_i) per
 coordinate; every built-in kind except `rotational` builds one.
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import QuadratureGrid
-from .density import ChaosDensity, PointMeasure, as_measure
+from .basis import QuadratureGrid, _read_only
+from .density import ChaosDensity, MarginalMeasure, PointMeasure, as_measure, marginal_measure
 from .errors import BoundViolationError
 from .schema import Kind, Param, read_kind
 
@@ -54,6 +55,19 @@ def h_norm(values, axis=None) -> np.ndarray:
     if axis is None:
         return np.ldexp(norm, int(exponent.flat[0]))
     return np.ldexp(norm, np.squeeze(exponent, axis=axis))
+
+
+_DRAW = [np.empty(0)]  # the longest seed-0 standard normal draw taken so far
+
+
+def validation_samples(k: int) -> np.ndarray:
+    """The (VALIDATION_SAMPLES, k) seed-0 Gaussian samples every k-dimensional
+    field is validated on: a read-only view of one draw, taken again only for
+    a larger k, since a shorter draw is a prefix of a longer one."""
+    draw = _DRAW[0]  # one read: another thread may swap in a draw of its own
+    if draw.size < VALIDATION_SAMPLES * k:
+        draw = _DRAW[0] = _read_only(np.random.default_rng(0).standard_normal(VALIDATION_SAMPLES * k))
+    return draw[: VALIDATION_SAMPLES * k].reshape(VALIDATION_SAMPLES, k)
 
 
 def _by_coordinate(component, k: int, z: np.ndarray) -> np.ndarray:
@@ -154,12 +168,14 @@ class ClippedLinearKernel(ComponentwiseKernel):
 class DriftField:
     """Measure-dependent drift v with a declared, enforced bound.
 
-    The evaluator maps (measure, x (m, k)) to (m, k), the measure being a
-    PointMeasure or None.  kind is a label for messages.  bound_kind is
+    The evaluator maps (measure, x (m, k)) to (m, k), the measure being one
+    of measure_types or None.  kind is a label for messages.  bound_kind is
     H_BOUND (on |v|_H) or COMPONENTWISE_BOUND (on every |v_n|).
     reads_measure says whether v takes the measure as an argument: such a
     field is solved by the fixed point, any other by one linear solve.
     """
+
+    measure_types = (PointMeasure,)  # what eval_v reads besides None
 
     def __init__(self, kind, k, evaluator, bound_kind, bound, reads_measure):
         if bound_kind not in (H_BOUND, COMPONENTWISE_BOUND):
@@ -188,13 +204,21 @@ class DriftField:
         """Check the bound at Gaussian samples against a unit point mass at the
         origin: a Vlasov field then reads b0 itself, which by Jensen bounds
         v(p, x) for every probability p; eval_v still re-checks every point."""
-        points = np.random.default_rng(0).standard_normal((VALIDATION_SAMPLES, self.k))
         probe = PointMeasure(points=np.zeros((1, self.k)), masses=np.ones(1), clip_defect=0.0)
-        self._check_bound(np.asarray(self._evaluator(probe, points)))
+        self._check_bound(np.asarray(self._evaluator(probe, validation_samples(self.k))))
 
-    def eval_v(self, measure: PointMeasure | None, x) -> np.ndarray:
+    def read_measure(self, p: ChaosDensity, grid: QuadratureGrid) -> PointMeasure:
+        """The measure v reads at the density p, on grid (as_measure)."""
+        return as_measure(p, grid)
+
+    def _check_measure(self, measure):
+        if measure is not None and not isinstance(measure, self.measure_types):
+            raise TypeError(f"a {self.kind} drift cannot read a {type(measure).__name__} as its measure; read "
+                            "a density with v.read_measure(p, grid) (as_measure or marginal_measure)")
+
+    def eval_v(self, measure: PointMeasure | MarginalMeasure | None, x) -> np.ndarray:
         """v(measure, x) for x of shape (k,) or (m, k); bound-checked."""
-        _check_measure(measure)
+        self._check_measure(measure)
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         points = np.atleast_2d(x)
@@ -208,9 +232,7 @@ class DriftField:
     def h_bound(self) -> float:
         """Bound on |v|_H implied by the declared bound (componentwise fields
         convert by sqrt(k))."""
-        if self.bound_kind == H_BOUND:
-            return self.bound
-        return self.bound * math.sqrt(self.k)
+        return self.bound if self.bound_kind == H_BOUND else self.bound * math.sqrt(self.k)
 
     @property
     def c0(self) -> float:
@@ -226,22 +248,16 @@ class DriftField:
             return math.inf
 
 
-def _check_measure(measure):
-    if measure is not None and not isinstance(measure, PointMeasure):
-        raise TypeError(
-            f"a drift reads its measure as a PointMeasure or None, not a "
-            f"{type(measure).__name__}; read a density with as_measure(p, grid)"
-        )
-
-
 class SeparableField(DriftField):
     """A drift whose i-th component reads x_i alone, besides the measure.
 
     It is built from one function axis(measure, i, z) -> v_i at the values z
     of x_i, so it cannot claim a separability it does not have.  Assembly
     reads it on the 1-D nodes of a product grid (eval_axes) instead of on
-    all q^k nodes.
+    all q^k nodes, and a density as its k marginals (marginal_measure).
     """
+
+    measure_types = (PointMeasure, MarginalMeasure)
 
     def __init__(self, kind, k, axis, bound_kind, bound, reads_measure):
         self.axis = axis
@@ -250,17 +266,26 @@ class SeparableField(DriftField):
     def _stacked(self, measure, x):
         return _by_coordinate(lambda i, z: self.axis(measure, i, z), self.k, x)
 
-    def eval_axes(self, measure: PointMeasure | None, x1: np.ndarray) -> np.ndarray:
-        """(q, k) values v_i(x1_a) at the 1-D nodes x1 of every coordinate.
-
-        The bound is checked on the row of maxima max_a |v_i(x1_a)|: for
-        either bound kind that row is the worst point of the product grid
-        of x1, so the check is that of eval_v on all q^k nodes.
-        """
-        _check_measure(measure)
-        values = self._stacked(measure, np.broadcast_to(x1[:, None], (x1.size, self.k)))
+    def _check_axes(self, values: np.ndarray) -> np.ndarray:
+        """Check the bound on the row of maxima max_a |v_i(x_ai)|: for either
+        bound kind that row is the worst point of the product of the rows."""
         self._check_bound(np.max(np.abs(values), axis=0, keepdims=True))
         return values
+
+    def _validate_by_sampling(self):
+        """DriftField's check on the product of the samples (_check_axes),
+        the probe a unit mass at 0 on each coordinate."""
+        probe = MarginalMeasure((np.zeros(1),) * self.k, (np.ones(1),) * self.k, 0.0)
+        self._check_axes(self._stacked(probe, validation_samples(self.k)))
+
+    def read_measure(self, p: ChaosDensity, grid: QuadratureGrid) -> MarginalMeasure:
+        return marginal_measure(p, grid)
+
+    def eval_axes(self, measure: PointMeasure | MarginalMeasure | None, x1: np.ndarray) -> np.ndarray:
+        """(q, k) values v_i(x1_a) at the 1-D nodes x1 of every coordinate,
+        checked as on all q^k nodes of their product (_check_axes)."""
+        self._check_measure(measure)
+        return self._check_axes(self._stacked(measure, np.broadcast_to(x1[:, None], (x1.size, self.k))))
 
 
 def constant_drift(h) -> DriftField:
@@ -317,24 +342,18 @@ def vlasov_eval(kernel, p, x, grid: QuadratureGrid | None) -> np.ndarray:
     return out
 
 
-def marginal_convolution(kernel, measure: PointMeasure, i: int, z: np.ndarray) -> np.ndarray:
-    """v_i(z) = sum_j masses_j b0_i(z - y_ji) at the values z of x_i, for a
-    componentwise kernel.
+def marginal_convolution(kernel, measure, i: int, z: np.ndarray) -> np.ndarray:
+    """v_i(z) = sum_a masses_a b0_i(z - y_a) at the values z of x_i, for a
+    componentwise kernel and the i-th marginal (y, masses) = measure.marginal(i).
 
-    v_i only sees the i-th marginal of the measure, so the masses are summed
-    over points sharing a value of y_i and the 1-D kernel is evaluated once
-    per distinct (z, y_i) pair.  On a Q^k tensor grid this is O(Q^2) instead
-    of O(Q^{2k}).
+    That is O(len(z) q) for a marginal on q nodes, not O(len(z) Q^k) on Q^k points.
     """
-    ys, owner = np.unique(measure.points[:, i], return_inverse=True)
-    weights = np.bincount(owner, weights=measure.masses, minlength=ys.size)
-    xs, target = np.unique(z, return_inverse=True)
-    values = np.empty(xs.size)
-    chunk = max(1, CHUNK_ENTRIES // max(1, ys.size))
-    for start in range(0, xs.size, chunk):
-        diffs = xs[start : start + chunk, None] - ys[None, :]
-        values[start : start + chunk] = kernel.component(i, diffs) @ weights
-    return values[target]
+    y, masses = measure.marginal(i)
+    values = np.empty(z.size)
+    chunk = max(1, CHUNK_ENTRIES // max(1, y.size))
+    for start in range(0, z.size, chunk):
+        values[start : start + chunk] = kernel.component(i, z[start : start + chunk, None] - y[None, :]) @ masses
+    return values
 
 
 def vlasov_drift(kernel, k: int) -> DriftField:
@@ -348,7 +367,7 @@ def vlasov_drift(kernel, k: int) -> DriftField:
     H-valued b0, is convolved over all pairs of points.
 
     Every kernel answers h_bound_for(k), its bound on |b0|_H in dimension k.
-    The measure argument is a PointMeasure; None is a TypeError.
+    The measure argument is required; None is a TypeError.
     """
 
     def required(measure):

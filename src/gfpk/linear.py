@@ -56,20 +56,21 @@ class GalerkinSystem:
         return float(np.linalg.norm(np.diag(self.ou_diagonal) - self.interaction, 1))
 
 
-def assemble(v, p, basis: ChaosBasis, grid: QuadratureGrid, dense_table=None) -> GalerkinSystem:
+def assemble(v, p, basis: ChaosBasis, grid: QuadratureGrid, dense_table=None, vvals=None) -> GalerkinSystem:
     """Quadrature assembly of the Galerkin system for drift v frozen at p.
 
     The interaction comes from 1-D Gram matrices when the drift is a
     SeparableField and the grid allows it (separable_interaction) and from
     the dense quadrature sum otherwise.  dense_table, a callable returning
     basis.eval_matrix(grid.nodes), lets callers that assemble repeatedly on
-    one grid build that P x M table once, and only if the dense path runs.
+    one grid build that P x M table once, and only if the dense path runs;
+    vvals, v(p, grid.nodes) if the caller holds it, spares its read of v.
     """
     _check_sizes(v, basis, grid)
     interaction = separable_interaction(basis, grid, v, p)
     if interaction is None:
         h = None if dense_table is None else dense_table()
-        interaction = dense_interaction(basis, grid, v.eval_v(p, grid.nodes), h)
+        interaction = dense_interaction(basis, grid, v.eval_v(p, grid.nodes) if vvals is None else vvals, h)
     return GalerkinSystem(basis=basis, ou_diagonal=basis.degrees(), interaction=interaction)
 
 
@@ -228,14 +229,16 @@ def residual_suite(rho, v, p_frozen, grid, bump_tests=(), vvals=None, vals=None)
 
     The Hermite residuals (hermite_defects) are projected from node values,
     so they cross-check either assembly; system_norm = ||D - A||_1 comes
-    from assemble, dense only where the solve is.  A bump reading x_A is
-    integrated on grid's own rules with the rules of A replaced by the
-    uniform BUMP_RULE, which resolves the compactly supported bumps where a
-    Gauss-Hermite rule does not; bumps of one active set share that grid
-    (_bump_defects).  vvals, vals: see hermite_defects.  Returns (hermite_max,
+    from assemble (dense only where the solve is, on the same vvals).  A
+    bump reading x_A is integrated on grid's own rules with the rules of A
+    replaced by the uniform BUMP_RULE, which resolves the compactly supported
+    bumps where a Gauss-Hermite rule does not; bumps of one active set share
+    that grid (_bump_defects).  vvals, vals: see hermite_defects.  Returns (hermite_max,
     system_norm, bump_values); callers compare hermite_max against tol * (1 + system_norm).
     """
+    vvals = v.eval_v(p_frozen, grid.nodes) if vvals is None else vvals
     hermite_max = float(np.max(np.abs(hermite_defects(rho, v, p_frozen, grid, vvals, vals)[1:]), initial=0.0))
+    system_norm = assemble(v, p_frozen, rho.basis, grid, vvals=vvals).norm()
     rule = uniform_gaussian_grid(*BUMP_RULE).rules[0]
     swapped = lambda axes: product_grid([rule if i in axes else r for i, r in enumerate(grid.rules)], grid.q)
-    return hermite_max, assemble(v, p_frozen, rho.basis, grid).norm(), _bump_defects(bump_tests, rho, v, p_frozen, swapped)
+    return hermite_max, system_norm, _bump_defects(bump_tests, rho, v, p_frozen, swapped)

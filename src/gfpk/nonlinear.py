@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import ChaosBasis, QuadratureGrid
-from .density import ChaosDensity, as_measure
+from .density import ChaosDensity
 from .diagnostics import b1_bound
 from .errors import NonConvergenceError, NumericError
 from .linear import assemble, solve_linear, solve_system
@@ -93,10 +93,11 @@ def fixed_point_solve(
 ) -> tuple[ChaosDensity, FixedPointTrace]:
     """Iterate the mixed map until ||rho_p - p|| falls below the tolerance.
 
-    Returns the last linear solve's output (so the result is itself a
-    solution of the linear equation frozen at the final iterate) together
-    with the full trace.  Raises NonConvergenceError, carrying the trace,
-    when the iteration budget runs out.
+    Each iterate is read as the drift's measure (v.read_measure).  Returns
+    the last linear solve's output (so the result is itself a solution of the
+    linear equation frozen at the final iterate) together with the full
+    trace.  Raises NonConvergenceError, carrying the trace, when the
+    iteration budget runs out.
     """
     p = opts.initial if opts.initial is not None else ChaosDensity.constant(basis)
     theta = opts.damping
@@ -110,7 +111,7 @@ def fixed_point_solve(
     dense_table = functools.cache(lambda: basis.eval_matrix(grid.nodes))
     dx, df = [], []  # the last `memory` differences of iterates and residuals
     for _ in range(opts.max_iterations + 1):
-        measure = as_measure(p, grid)
+        measure = v.read_measure(p, grid)
         rho = solve_system(assemble(v, measure, basis, grid, dense_table))
         psi_res = l2_distance(rho, p)
         trace.psi_residuals.append(psi_res)

@@ -1,10 +1,24 @@
 """Shared construction helpers for the test suite."""
+import copy
 import math
 
 import numpy as np
 
-from gfpk import ChaosDensity, enumerate_basis
+from gfpk import ChaosDensity, FixedPointOptions, as_measure, enumerate_basis, fixed_point_solve
 from gfpk.drift import drift_from_block
+
+H = [0.3, -0.2, 0.1, 0.25]
+# a config block in dimension k <= 4 for every separable drift kind and kernel
+SEPARABLE_BLOCKS = {
+    "constant": lambda k: {"kind": "constant", "h": H[:k]},
+    "clipped-potential": lambda k: {"kind": "clipped-potential", "lam": 0.5},
+    "vlasov-constant": lambda k: {"kind": "vlasov", "kernel": {"kind": "constant", "h": H[:k]}},
+    "vlasov-tanh": lambda k: {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}},
+    "vlasov-gaussian-lobe": lambda k: {"kind": "vlasov", "kernel": {"kind": "gaussian-lobe", "scale": 0.8}},
+    "vlasov-clipped-linear": lambda k: {"kind": "vlasov", "kernel": {"kind": "clipped-linear", "scale": 0.5, "cap": 0.4}},
+    "componentwise-tanh": lambda k: {"kind": "componentwise-tanh", "scale": 0.5, "n_components": 4, "mean_shift": True},
+    "componentwise-decoupled-tanh": lambda k: {"kind": "componentwise-decoupled-tanh", "scale": 0.5, "n_components": 4},
+}
 
 
 def hermite_eval(n: int, x):
@@ -64,6 +78,20 @@ def bump_defect_per_node(phi, grid, vvals, rvals):
         [weighted * phi.laplacian(x)[:, None], weighted * (vvals - x) * phi.gradient(x)], axis=1
     )
     return float(terms.sum()), float(np.abs(terms).sum())
+
+
+def joint_measure_drift(v):
+    """A copy of v that reads every density as the joint PointMeasure on all
+    nodes of the grid (as_measure), as every drift did before a
+    SeparableField read its marginals: the reference for that path."""
+    joint = copy.copy(v)
+    joint.read_measure = as_measure
+    return joint
+
+
+def joint_fixed_point(v, basis, grid, opts=FixedPointOptions()):
+    """fixed_point_solve with every iterate read as the joint PointMeasure."""
+    return fixed_point_solve(joint_measure_drift(v), basis, grid, opts)
 
 
 def registry_drift(kind: str, **params):

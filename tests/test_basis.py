@@ -133,3 +133,25 @@ def test_gram_pattern_per_fibre_equals_the_pairwise_compare(k, degree):
     basis = enumerate_basis(k, degree)
     for fibres, compared in zip(basis.gram_pattern, gram_pattern_by_compare(basis)):
         assert fibres.dtype == compared.dtype and np.array_equal(fibres, compared)
+
+
+def test_two_cli_operations_share_one_basis_whose_tables_are_read_only(tmp_path, monkeypatch):
+    import json
+
+    import gfpk.cli
+
+    bases = []
+    solve = gfpk.cli.solve_stationary
+    monkeypatch.setattr(gfpk.cli, "solve_stationary", lambda v, basis, *a: bases.append(basis) or solve(v, basis, *a))
+    for out, h in (("a", 0.3), ("b", -0.2)):
+        cfg = {"mode": "solve-linear", "k": 2, "N": 4, "Q": 8, "drift": {"kind": "constant", "h": [h, 0.1]}}
+        path = tmp_path / f"{out}.json"
+        path.write_text(json.dumps(cfg))
+        assert gfpk.cli.main(["solve-linear", "--config", str(path), "--out", str(tmp_path / out)]) == 0
+    assert len(bases) == 2 and bases[0] is bases[1]
+    basis = bases[0]
+    assert basis.axis_index.tolist() == [[basis.position((n, 0)) for n in range(5)], [basis.position((0, n)) for n in range(5)]]
+    tables = [basis.exponents, basis.lowering_table(), basis._box_index, basis.axis_index, *basis.gram_pattern]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0

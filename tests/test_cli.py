@@ -335,6 +335,20 @@ def test_ladder_mode(tmp_path):
     assert doc["completed"] and len(doc["levels"]) == 3
 
 
+def test_ladder_builds_and_validates_each_level_drift_once(tmp_path, monkeypatch):
+    import gfpk.drift
+
+    validated = []
+    for cls in (gfpk.drift.DriftField, gfpk.drift.SeparableField):
+        original = cls.__dict__["_validate_by_sampling"]
+        monkeypatch.setattr(cls, "_validate_by_sampling", lambda self, f=original: validated.append(self.k) or f(self))
+    cfg = {**_ladder(), "output": {"dir": str(tmp_path / "out")}}
+    assert main(["ladder", "--config", write_config(tmp_path, cfg)]) == 0
+    assert validated == LADDER["levels"]
+    # the check stays: a drift beyond the component bound is still refused
+    assert main(["ladder", "--config", write_config(tmp_path, _ladder(drift={"scale": 2.0}, component_bound=0.1))]) == 2
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg_path = write_config(tmp_path, linear_config(str(tmp_path / "a")))
     main(["solve-linear", "--config", cfg_path, "--out", str(tmp_path / "a")])
@@ -354,7 +368,8 @@ def test_determinism_byte_identical(tmp_path):
 
 def test_seed_flag_parses_the_config_once(tmp_path, monkeypatch):
     """--seed replaces the document's seed before the one parse; a ladder
-    config builds and sample-validates its deepest drift at parse time."""
+    config builds and sample-validates the drift of every level at parse
+    time."""
     import gfpk.cli
     import gfpk.config
 
@@ -416,21 +431,19 @@ def test_sweep_threads_give_identical_artifacts(tmp_path):
 def test_oracle_compare_sde_reads_the_density_once(tmp_path, monkeypatch):
     """After the fixed point, the solved density is read as a measure once;
     the SDE oracle's steps reuse that measure instead of re-reading it."""
-    import gfpk.density
+    import gfpk.drift
 
     calls = []
-    original = gfpk.density.as_measure
 
-    def counted(name):
-        def as_measure(rho, grid):
-            calls.append(name)
-            return original(rho, grid)
+    def counted(original):
+        def read_measure(self, rho, grid):
+            calls.append(sys._getframe(1).f_globals["__name__"])  # the reading module
+            return original(self, rho, grid)
 
-        return as_measure
+        return read_measure
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("gfpk") and getattr(module, "as_measure", None) is original:
-            monkeypatch.setattr(module, "as_measure", counted(name))
+    for cls in (gfpk.drift.DriftField, gfpk.drift.SeparableField):
+        monkeypatch.setattr(cls, "read_measure", counted(cls.__dict__["read_measure"]))
     cfg = {
         **_vlasov(1, {"kind": "tanh", "scale": 0.2}),
         "mode": "oracle-compare",

@@ -39,7 +39,7 @@ from gfpk.cli import default_bumps, density_checks
 from gfpk.drift import drift_from_block
 from gfpk.ladder import LadderConfig, _battery_integrals, _zero_pad, default_battery, run_ladder
 from gfpk.linear import BUMP_RULE
-from helpers import bump_defect_per_node
+from helpers import SEPARABLE_BLOCKS, bump_defect_per_node
 
 REL_TOL = 1e-13
 MAX_NODES = {1: 40, 2: 14, 3: 8, 4: 6}
@@ -370,26 +370,14 @@ def test_bump_grids_are_read_in_blocks(monkeypatch):
     monkeypatch.setattr(gfpk.drift.DriftField, "eval_v", lambda self, p, x: sizes.append(len(x)) or eval_v(self, p, x))
     rho = ChaosDensity.constant(enumerate_basis(6, 1))
     # zero, but not a SeparableField: the bumps take the axis_sums path, and
-    # the dense assembly reads the solve grid besides hermite_defects
+    # the dense assembly of system_norm reuses hermite_defects' node values
     v = custom_drift(lambda p, x: np.zeros_like(x), 6, "H", 0.0, reads_measure=False)
     _, _, values = residual_suite(rho, v, None, tensor_grid(6, 6), default_bumps(6))
-    assert max(sizes) <= 1_000_000 and sum(sizes) == 2 * 6**6 + 6 * 401 * 6**5
+    assert max(sizes) <= 1_000_000 and sum(sizes) == 6**6 + 6 * 401 * 6**5
     # rho = 1 solves the zero-drift equation exactly
     assert max(abs(b) for b in values) <= 1e-3
 
 
-H = [0.3, -0.2, 0.1, 0.25]
-# a config block in dimension k for every separable drift kind and kernel
-SEPARABLE_BLOCKS = {
-    "constant": lambda k: {"kind": "constant", "h": H[:k]},
-    "clipped-potential": lambda k: {"kind": "clipped-potential", "lam": 0.5},
-    "vlasov-constant": lambda k: {"kind": "vlasov", "kernel": {"kind": "constant", "h": H[:k]}},
-    "vlasov-tanh": lambda k: {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}},
-    "vlasov-gaussian-lobe": lambda k: {"kind": "vlasov", "kernel": {"kind": "gaussian-lobe", "scale": 0.8}},
-    "vlasov-clipped-linear": lambda k: {"kind": "vlasov", "kernel": {"kind": "clipped-linear", "scale": 0.5, "cap": 0.4}},
-    "componentwise-tanh": lambda k: {"kind": "componentwise-tanh", "scale": 0.5, "n_components": 4, "mean_shift": True},
-    "componentwise-decoupled-tanh": lambda k: {"kind": "componentwise-decoupled-tanh", "scale": 0.5, "n_components": 4},
-}
 # (N, Q) per dimension k: every Gauss-Hermite rule is exact to degree N
 ONE_AXIS_SIZES = {1: (8, 10), 2: (6, 8), 3: (5, 6), 4: (4, 5)}
 

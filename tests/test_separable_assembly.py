@@ -171,7 +171,7 @@ def one_sided(c):
     and c sqrt(2) where x_0 > 0 > x_1."""
 
     def axis(measure, i, z):
-        if measure is None or measure.points.shape[0] == 1:
+        if measure is None or measure.marginal(i)[0].size == 1:
             return np.zeros(z.shape)
         return np.where(z > 0 if i == 0 else z < 0, c, 0.0)
 
