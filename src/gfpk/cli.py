@@ -178,8 +178,7 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
             report.update(checks)
             report["checks_passed"] = passed
         elif config.mode == "ladder":
-            drift = lambda k: config.ladder_drifts.get(k) or drift_from_block(config.drift, k)
-            ladder_report = run_ladder(drift, config.ladder)
+            ladder_report = run_ladder(config.ladder_drifts.__getitem__, config.ladder)
             _write(os.path.join(out, "ladder.json"), json.dumps(ladder_report.to_json_dict(), sort_keys=True, indent=1))
             _write(os.path.join(out, "ladder.csv"), ladder_report.to_csv())
             report["artifacts"]["ladder_json"] = os.path.join(out, "ladder.json")

@@ -23,6 +23,7 @@ the measure) is stated by the DriftField its constructor builds.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,17 +58,11 @@ def h_norm(values, axis=None) -> np.ndarray:
     return np.ldexp(norm, np.squeeze(exponent, axis=axis))
 
 
-_DRAW = [np.empty(0)]  # the longest seed-0 standard normal draw taken so far
-
-
+@functools.lru_cache(maxsize=16)
 def validation_samples(k: int) -> np.ndarray:
-    """The (VALIDATION_SAMPLES, k) seed-0 Gaussian samples every k-dimensional
-    field is validated on: a read-only view of one draw, taken again only for
-    a larger k, since a shorter draw is a prefix of a longer one."""
-    draw = _DRAW[0]  # one read: another thread may swap in a draw of its own
-    if draw.size < VALIDATION_SAMPLES * k:
-        draw = _DRAW[0] = _read_only(np.random.default_rng(0).standard_normal(VALIDATION_SAMPLES * k))
-    return draw[: VALIDATION_SAMPLES * k].reshape(VALIDATION_SAMPLES, k)
+    """The read-only (VALIDATION_SAMPLES, k) seed-0 Gaussian samples every
+    k-dimensional field is validated on, drawn once per k."""
+    return _read_only(np.random.default_rng(0).standard_normal((VALIDATION_SAMPLES, k)))
 
 
 def _by_coordinate(component, k: int, z: np.ndarray) -> np.ndarray:
@@ -232,7 +227,9 @@ class DriftField:
     def h_bound(self) -> float:
         """Bound on |v|_H implied by the declared bound (componentwise fields
         convert by sqrt(k))."""
-        return self.bound if self.bound_kind == H_BOUND else self.bound * math.sqrt(self.k)
+        if self.bound_kind == H_BOUND:
+            return self.bound
+        return self.bound * math.sqrt(self.k)
 
     @property
     def c0(self) -> float:
@@ -346,14 +343,19 @@ def marginal_convolution(kernel, measure, i: int, z: np.ndarray) -> np.ndarray:
     """v_i(z) = sum_a masses_a b0_i(z - y_a) at the values z of x_i, for a
     componentwise kernel and the i-th marginal (y, masses) = measure.marginal(i).
 
-    That is O(len(z) q) for a marginal on q nodes, not O(len(z) Q^k) on Q^k points.
+    That is O(len(z) q) for a marginal on q nodes, not O(len(z) Q^k) on Q^k
+    points.  z longer than a marginal of more than one node, such as x_i at
+    all nodes of a product grid, repeats values: it is read once per
+    distinct value.  The 1-D nodes of eval_axes are read as they are, and so
+    are samples against a one-node probe, where a sort could not pay.
     """
     y, masses = measure.marginal(i)
-    values = np.empty(z.size)
+    xs, target = np.unique(z, return_inverse=True) if z.size > y.size > 1 else (z, slice(None))
+    values = np.empty(xs.size)
     chunk = max(1, CHUNK_ENTRIES // max(1, y.size))
-    for start in range(0, z.size, chunk):
-        values[start : start + chunk] = kernel.component(i, z[start : start + chunk, None] - y[None, :]) @ masses
-    return values
+    for start in range(0, xs.size, chunk):
+        values[start : start + chunk] = kernel.component(i, xs[start : start + chunk, None] - y[None, :]) @ masses
+    return values[target]
 
 
 def vlasov_drift(kernel, k: int) -> DriftField:

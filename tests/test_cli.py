@@ -430,20 +430,27 @@ def test_sweep_threads_give_identical_artifacts(tmp_path):
 
 def test_oracle_compare_sde_reads_the_density_once(tmp_path, monkeypatch):
     """After the fixed point, the solved density is read as a measure once;
-    the SDE oracle's steps reuse that measure instead of re-reading it."""
+    the SDE oracle's steps reuse that measure instead of re-reading it.
+    as_measure and marginal_measure are called only by read_measure."""
+    import gfpk.density
     import gfpk.drift
 
-    calls = []
+    calls, reads = [], []  # the module calling read_measure; that calling as_measure or marginal_measure
 
-    def counted(original):
-        def read_measure(self, rho, grid):
-            calls.append(sys._getframe(1).f_globals["__name__"])  # the reading module
-            return original(self, rho, grid)
+    def counted(original, log):
+        def read(*args):
+            log.append(sys._getframe(1).f_globals["__name__"])
+            return original(*args)
 
-        return read_measure
+        return read
 
     for cls in (gfpk.drift.DriftField, gfpk.drift.SeparableField):
-        monkeypatch.setattr(cls, "read_measure", counted(cls.__dict__["read_measure"]))
+        monkeypatch.setattr(cls, "read_measure", counted(cls.__dict__["read_measure"], calls))
+    for name in ("as_measure", "marginal_measure"):
+        original = getattr(gfpk.density, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("gfpk") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(original, reads))
     cfg = {
         **_vlasov(1, {"kind": "tanh", "scale": 0.2}),
         "mode": "oracle-compare",
@@ -454,6 +461,7 @@ def test_oracle_compare_sde_reads_the_density_once(tmp_path, monkeypatch):
     assert code == 0
     assert "gfpk.nonlinear" in calls
     assert [name for name in calls if name != "gfpk.nonlinear"] == ["gfpk.cli"]
+    assert reads == ["gfpk.drift"] * len(calls)
 
 
 # -- malformed inputs exit 2 ------------------------------------------------

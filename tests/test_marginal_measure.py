@@ -28,6 +28,7 @@ from gfpk import (
     vlasov_drift,
 )
 from gfpk.drift import drift_from_block
+from gfpk.linear import assemble, separable_interaction
 from helpers import SEPARABLE_BLOCKS, cameron_martin, joint_fixed_point, joint_measure_drift, registry_drift
 
 
@@ -123,6 +124,29 @@ def test_the_joint_measure_still_reads_as_a_measure_of_a_separable_drift():
     assert isinstance(coupled.read_measure(p, grid), PointMeasure)
     with pytest.raises(TypeError, match="read_measure"):
         coupled.eval_v(marginal_measure(p, grid), np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("read", ["marginal_measure", "as_measure"])
+@pytest.mark.parametrize("grid", [tensor_grid(30, 2), uniform_gaussian_grid(5.0, 30, 2)], ids=["gauss-hermite", "uniform"])
+def test_the_dense_path_reads_the_kernel_once_per_distinct_value(read, grid, monkeypatch):
+    """Where the Gram regrouping fails (Gauss-Hermite Q = 30 at N = 12, a
+    uniform rule), assembly reads a separable Vlasov drift on all q^k nodes;
+    the kernel is still evaluated at no more than k q^2 pairs, one per
+    distinct x_i and marginal node, not k q^(k+1)."""
+    k, q, kernel = 2, 30, TanhKernel(0.5)
+    v, basis = vlasov_drift(kernel, k), enumerate_basis(k, 12)
+    measure = {"marginal_measure": marginal_measure, "as_measure": as_measure}[read](random_density(k, 4, 1), grid)
+    x = grid.nodes
+    expected = np.column_stack([kernel.component(i, x[:, [i]] - y) @ masses for i, (y, masses) in enumerate(map(measure.marginal, range(k)))])
+    entries = []
+    component = TanhKernel.component
+    monkeypatch.setattr(TanhKernel, "component", lambda self, i, z: entries.append(z.size) or component(self, i, z))
+    assert separable_interaction(basis, grid, v, measure) is None
+    assemble(v, measure, basis, grid)
+    assert 0 < sum(entries) <= k * q * q
+    entries.clear()
+    assert np.max(np.abs(v.eval_v(measure, x) - expected)) <= 1e-15
+    assert 0 < sum(entries) <= k * q * q
 
 
 # (k, N, Q, kernel or None, fixed-point options) of the bench and acceptance
