@@ -233,8 +233,8 @@ class QuadratureGrid:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        grids = np.meshgrid(*(x for x, _ in self.rules), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        grids = np.meshgrid(*(x for x, _ in self.rules), indexing="ij", copy=False)
+        return np.stack(grids, axis=-1).reshape(-1, self.k)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -250,15 +250,6 @@ class QuadratureGrid:
         if n_max not in tables:
             tables[n_max] = tuple(hermite_table(n_max, x) for x, _ in self.rules)
         return tables[n_max]
-
-    @cached_property
-    def axis_rule(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The 1-D rule (x1, w1) every axis carries, or None when the axes
-        carry different rules."""
-        x1, w1 = self.rules[0]
-        if all(np.array_equal(x, x1) and np.array_equal(w, w1) for x, w in self.rules):
-            return x1, w1
-        return None
 
     def axis_sums(self, values: np.ndarray, axes) -> np.ndarray:
         """Sums of per-node values, shape (n_nodes,) + trailing, over the
@@ -318,6 +309,8 @@ def uniform_gaussian_grid(span: float, n: int, k: int = 1) -> QuadratureGrid:
     (bump test functions), where the trapezoid rule on a uniform grid is far
     more accurate than any polynomial-exact rule of comparable size.
     """
+    if not (span > 0 and n >= 2):
+        raise ValueError(f"a uniform rule needs span > 0 and n >= 2 nodes, got span={span!r}, n={n!r}")
     x1 = np.linspace(-span, span, n)
     h = x1[1] - x1[0]
     w1 = np.exp(-0.5 * x1**2) / math.sqrt(2.0 * math.pi) * h

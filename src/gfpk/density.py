@@ -206,13 +206,15 @@ def as_measure(rho: ChaosDensity, grid: QuadratureGrid) -> PointMeasure:
     return PointMeasure(points=grid.nodes, masses=masses, clip_defect=clip_defect)
 
 
+def marginal_values(rho: ChaosDensity, grid: QuadratureGrid, i: int) -> np.ndarray:
+    """The i-th marginal density rho_i = sum_n c_{n e_i} h_n (axis_index) on the rule grid.rules[i]."""
+    return rho.coefficients[rho.basis.axis_index[i]] @ grid.hermite_tables(rho.basis.degree)[i]
+
+
 def marginal_measure(rho: ChaosDensity, grid: QuadratureGrid) -> MarginalMeasure:
-    """Each marginal rho_i = sum_n c_{n e_i} h_n (ChaosBasis.axis_index) on the
-    rule grid.rules[i], clipped one at a time as in as_measure: the marginals
-    of as_measure where it clips nothing and the other rules are exact to N."""
-    coefficients = rho.coefficients[rho.basis.axis_index]
-    tables = grid.hermite_tables(rho.basis.degree)
-    masses, defects = zip(*(_clipped(w, c @ t) for (_, w), c, t in zip(grid.rules, coefficients, tables)))
+    """Each marginal rho_i (marginal_values) on its rule, clipped one at a time as in as_measure:
+    the marginals of as_measure where it clips nothing and the other rules are exact to N."""
+    masses, defects = zip(*(_clipped(w, marginal_values(rho, grid, i)) for i, (_, w) in enumerate(grid.rules)))
     return MarginalMeasure(tuple(x for x, _ in grid.rules), masses, max(defects))
 
 

@@ -250,8 +250,8 @@ class SeparableField(DriftField):
 
     It is built from one function axis(measure, i, z) -> v_i at the values z
     of x_i, so it cannot claim a separability it does not have.  Assembly
-    reads it on the 1-D nodes of a product grid (eval_axes) instead of on
-    all q^k nodes, and a density as its k marginals (marginal_measure).
+    reads it on the 1-D rules of a product grid (eval_rules) instead of on
+    all of its nodes, and a density as its k marginals (marginal_measure).
     """
 
     measure_types = (PointMeasure, MarginalMeasure)
@@ -263,26 +263,26 @@ class SeparableField(DriftField):
     def _stacked(self, measure, x):
         return _by_coordinate(lambda i, z: self.axis(measure, i, z), self.k, x)
 
-    def _check_axes(self, values: np.ndarray) -> np.ndarray:
-        """Check the bound on the row of maxima max_a |v_i(x_ai)|: for either
-        bound kind that row is the worst point of the product of the rows."""
-        self._check_bound(np.max(np.abs(values), axis=0, keepdims=True))
+    def _check_axes(self, values):
+        """Check the bound on the row of maxima max_a |v_i(x_ai)| over each coordinate's
+        values: for either bound kind that row is the worst point of their product."""
+        self._check_bound(np.array([[np.max(np.abs(v_i)) for v_i in values]]))
         return values
 
     def _validate_by_sampling(self):
         """DriftField's check on the product of the samples (_check_axes),
         the probe a unit mass at 0 on each coordinate."""
         probe = MarginalMeasure((np.zeros(1),) * self.k, (np.ones(1),) * self.k, 0.0)
-        self._check_axes(self._stacked(probe, validation_samples(self.k)))
+        self._check_axes(self._stacked(probe, validation_samples(self.k)).T)
 
     def read_measure(self, p: ChaosDensity, grid: QuadratureGrid) -> MarginalMeasure:
         return marginal_measure(p, grid)
 
-    def eval_axes(self, measure: PointMeasure | MarginalMeasure | None, x1: np.ndarray) -> np.ndarray:
-        """(q, k) values v_i(x1_a) at the 1-D nodes x1 of every coordinate,
-        checked as on all q^k nodes of their product (_check_axes)."""
+    def eval_rules(self, measure: PointMeasure | MarginalMeasure | None, grid: QuadratureGrid) -> list[np.ndarray]:
+        """v_i at the nodes of grid.rules[i], one array per coordinate i,
+        checked as on all nodes of their product (_check_axes)."""
         self._check_measure(measure)
-        return self._check_axes(self._stacked(measure, np.broadcast_to(x1[:, None], (x1.size, self.k))))
+        return self._check_axes([np.asarray(self.axis(measure, i, x), dtype=float) for i, (x, _) in enumerate(grid.rules)])
 
 
 def constant_drift(h) -> DriftField:
@@ -346,8 +346,8 @@ def marginal_convolution(kernel, measure, i: int, z: np.ndarray) -> np.ndarray:
     That is O(len(z) q) for a marginal on q nodes, not O(len(z) Q^k) on Q^k
     points.  z longer than a marginal of more than one node, such as x_i at
     all nodes of a product grid, repeats values: it is read once per
-    distinct value.  The 1-D nodes of eval_axes are read as they are, and so
-    are samples against a one-node probe, where a sort could not pay.
+    distinct value.  The rules of eval_rules and samples against a one-node
+    probe are read as they are, where a sort could not pay.
     """
     y, masses = measure.marginal(i)
     xs, target = np.unique(z, return_inverse=True) if z.size > y.size > 1 else (z, slice(None))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import enumerate_basis, tensor_grid
-from .density import BumpTest, ChaosDensity, HermiteTest, as_measure
+from .density import BumpTest, ChaosDensity, HermiteTest, as_measure, marginal_values
 from .drift import COMPONENTWISE_BOUND
 from .errors import NonConvergenceError
 from .nonlinear import FixedPointOptions, fixed_point_solve
@@ -100,30 +100,27 @@ def lyapunov_moment(rho: ChaosDensity, weights) -> float:
     if rho.basis.degree < 2:
         raise ValueError("basis degree must be at least 2 for second moments")
     total = 0.0
-    for n in range(rho.k):
-        idx = [0] * rho.k
-        idx[n] = 2
-        c2 = rho.coefficients[rho.basis.position(tuple(idx))]
+    for n, c2 in enumerate(rho.coefficients[rho.basis.axis_index[:, 2]]):
         total += weights[n] * (1.0 + math.sqrt(2.0) * c2)
     return float(total)
 
 
 def _battery_integrals(rho: ChaosDensity, grid, battery) -> list:
-    """integral phi d(mu) for each phi of the battery; rho is evaluated on
-    the grid once for the whole battery, and each phi only at the distinct
-    values of the coordinates it reads (grid.axis_sums).  A test reading a
-    coordinate the density does not have is a ValueError."""
+    """integral phi d(mu) for each phi of the battery, which reads one coordinate
+    x_i: the sum of phi w_z rho_i(z) over the rule (z, w_z) of x_i (marginal_values),
+    nothing on the product grid.  A test reading a coordinate the density does
+    not have, or other than one coordinate, is a ValueError."""
+    axes = []
     for phi in battery:
         if (len(phi.beta) if isinstance(phi, HermiteTest) else max(phi.active) + 1) > rho.k:
             raise ValueError(f"battery test {phi} reads a coordinate beyond the density's k={rho.k}")
-    weighted = grid.weights * rho.evaluate(grid)
-    sums, out = {}, []
-    for phi in battery:
-        axes = tuple(np.flatnonzero(phi.beta)) if isinstance(phi, HermiteTest) else phi.active
-        if axes not in sums:
-            sums[axes] = grid.axis_points(axes), grid.axis_sums(weighted, axes).ravel()
-        points, mass = sums[axes]
-        out.append(float(np.sum(phi.value(points) * mass)))
+        axes.append(tuple(np.flatnonzero(phi.beta)) if isinstance(phi, HermiteTest) else phi.active)
+        if len(axes[-1]) != 1:
+            raise ValueError(f"battery test {phi} reads {len(axes[-1])} coordinates, not one")
+    out = []
+    for phi, (i,) in zip(battery, axes):
+        z, w = grid.rules[i]  # phi is read at the points z e_i
+        out.append(float(np.sum(phi.value(np.outer(z, np.eye(rho.k)[i])) * (w * marginal_values(rho, grid, i)))))
     return out
 
 

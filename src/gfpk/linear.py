@@ -19,14 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
-from .basis import ChaosBasis, QuadratureGrid, hermite_table, product_grid, uniform_gaussian_grid
-from .density import BumpTest, ChaosDensity, HermiteTest, marginal
+from .basis import ChaosBasis, QuadratureGrid, product_grid, uniform_gaussian_grid
+from .density import BumpTest, ChaosDensity, HermiteTest, marginal_values
 from .drift import SeparableField
 from .errors import SolverError
 
 CONDITION_LIMIT = 1e12
-# Largest deviation of H1 diag(w1) H1^T from I (of H1 w1 from e_0) for which a
-# 1-D rule counts as orthonormal (exact) up to the basis degree.
+# Largest deviation of H diag(w) H^T from I (of its row 0 from e_0) for which a
+# 1-D rule counts as orthonormal (exact) up to the basis degree (_rule_defects).
 ORTHONORMAL_TOL = 1e-13
 # (span, nodes) of the uniform rule for a bump's active coordinates; the
 # default bumps live in [-4, 4] (residual_suite)
@@ -101,25 +101,27 @@ def dense_interaction(
     return interaction
 
 
+def _rule_defects(grid: QuadratureGrid, degree: int) -> list[np.ndarray]:
+    """|H_i diag(w_i) H_i^T - I| per 1-D rule (x_i, w_i) of grid, H_i = h_0..h_degree at x_i: the
+    rule is orthonormal up to degree where all of it is within ORTHONORMAL_TOL, and
+    integrates h_0..h_degree exactly where its row 0 is."""
+    return [np.abs((h * w) @ h.T - np.eye(degree + 1)) for h, (_, w) in zip(grid.hermite_tables(degree), grid.rules)]
+
+
 def separable_interaction(basis: ChaosBasis, grid: QuadratureGrid, v, p) -> np.ndarray | None:
     """The dense quadrature sum regrouped into k 1-D Gram matrices, or None
     when the regrouping does not hold.
 
-    It holds when v is a SeparableField and the grid is the product of a
-    1-D rule (x1, w1) that is orthonormal up to the basis degree (to
-    ORTHONORMAL_TOL).  Then, with u_i = w1 * v_i(p, x1), G_i = H1 diag(u_i)
-    H1^T and basis.gram_pattern scatters sqrt(beta_i) G_i[beta_i - 1,
-    alpha_i] into the P x P interaction.  v is read at the q nodes of x1
-    only.
+    It holds when v is a SeparableField and every 1-D rule (x_i, w_i) of the
+    grid is orthonormal up to the basis degree (_rule_defects).  Then G_i =
+    H_i diag(w_i v_i(p, x_i)) H_i^T and basis.gram_pattern scatters
+    sqrt(beta_i) G_i[beta_i - 1, alpha_i] into the P x P interaction.  v is
+    read on the 1-D rules only (eval_rules).
     """
-    if not isinstance(v, SeparableField) or grid.axis_rule is None:
+    if not isinstance(v, SeparableField) or max(np.max(d) for d in _rule_defects(grid, basis.degree)) > ORTHONORMAL_TOL:
         return None
-    x1, w1 = grid.axis_rule
-    h1 = grid.hermite_tables(basis.degree)[0]  # (N+1, q), the table of x1
-    if np.max(np.abs((h1 * w1) @ h1.T - np.eye(basis.degree + 1))) > ORTHONORMAL_TOL:
-        return None
-    u = w1 * v.eval_axes(p, x1).T  # (k, q)
-    grams = np.einsum("na,ia,ma->inm", h1, u, h1)  # (k, N+1, N+1)
+    grams = np.stack([np.einsum("na,a,ma->nm", h, w * v_i, h)  # (k, N+1, N+1)
+                      for h, (_, w), v_i in zip(grid.hermite_tables(basis.degree), grid.rules, v.eval_rules(p, grid))])
     target, source, scale = basis.gram_pattern
     size = basis.size
     flat = np.bincount(target, weights=scale * grams.ravel()[source], minlength=size * size)
@@ -185,11 +187,6 @@ def residual(rho: ChaosDensity, v, p_frozen, phi, grid: QuadratureGrid) -> float
     return float(hermite_defects(rho, v, p_frozen, grid)[rho.basis.position(phi.beta)])
 
 
-def _integrates_exactly(rule, degree: int) -> bool:
-    """Whether the 1-D rule (x, w) integrates h_0..h_degree exactly (to ORTHONORMAL_TOL)."""
-    return np.max(np.abs(hermite_table(degree, rule[0]) @ rule[1] - np.eye(degree + 1)[0])) <= ORTHONORMAL_TOL
-
-
 def _bump_defects(bumps, rho, v, p_frozen, grid_for) -> list[float]:
     """sum_m w_m rho_m [Lap(phi) + (v - x).grad(phi)](x_m) per bump phi over
     the grid grid_for(A), A = sorted(phi.active).  Per active set, w rho and
@@ -197,19 +194,20 @@ def _bump_defects(bumps, rho, v, p_frozen, grid_for) -> list[float]:
     (grid.axis_sums), reading the grid in blocks of at most BLOCK_NODES
     nodes; each bump is then evaluated at the q^|A| values of x_A only.
     For A = {i}, a SeparableField and other rules exact to degree N (a
-    Gauss-Hermite rule of q >= (N + 1) / 2 nodes), those sums are w_z rho_i(z)
-    and w_z rho_i(z) (v_i(z) - z) on the rule of x_i, rho_i = marginal(rho, [i])."""
+    Gauss-Hermite rule of q >= (N + 1) / 2 nodes; _rule_defects), those sums
+    are w_z rho_i(z) and w_z rho_i(z) (v_i(z) - z) on the rule (z, w_z) of
+    x_i (marginal_values, eval_rules)."""
     grouped, out = {}, []
     for phi in bumps:
         axes = sorted(phi.active)
         if tuple(axes) not in grouped:
             grid = grid_for(axes)
             if len(axes) == 1 and isinstance(v, SeparableField) and all(
-                _integrates_exactly(r, rho.basis.degree) for a, r in enumerate(grid.rules) if a not in axes
+                np.max(d[0]) <= ORTHONORMAL_TOL for a, d in enumerate(_rule_defects(grid, rho.basis.degree)) if a != axes[0]
             ):
-                line = product_grid([grid.rules[axes[0]]], grid.q)
-                z, weighted = line.nodes[:, 0], line.weights * marginal(rho, axes).evaluate(line)
-                sums = np.column_stack([weighted, weighted * (v.eval_axes(p_frozen, z)[:, axes[0]] - z)])
+                (z, w), i = grid.rules[axes[0]], axes[0]
+                weighted = w * marginal_values(rho, grid, i)
+                sums = np.column_stack([weighted, weighted * (v.eval_rules(p_frozen, grid)[i] - z)])
             else:
                 sums = np.zeros(tuple(grid.shape[a] for a in axes) + (1 + len(axes),))
                 for block, place in grid.blocks(BLOCK_NODES):

@@ -76,11 +76,15 @@ def oracle_1d(v, span: float = 10.0) -> GridDensity1D:
     """Closed-form 1-D stationary density for the drift b(x) = -x + v(x):
     Lebesgue density proportional to exp(-x^2/2 + int_0^x v(s) ds)."""
     x = np.linspace(-span, span, ORACLE_1D_POINTS)
-    vvals = np.asarray(v(x), dtype=float)
+    return _normalize_1d(x, _gibbs(x, np.asarray(v(x), dtype=float)))
+
+
+def _gibbs(x: np.ndarray, vvals: np.ndarray) -> np.ndarray:
+    """exp(-x^2/2 + int_0^x v) on the oracle grid x, scaled to peak 1."""
     potential = _cumulative_trapezoid(vvals, x)
     potential -= potential[ORACLE_1D_POINTS // 2]
     log_density = -0.5 * x**2 + potential
-    return _normalize_1d(x, np.exp(log_density - log_density.max()))
+    return np.exp(log_density - log_density.max())
 
 
 def oracle_1d_selfconsistent(kernel, span: float = 10.0) -> GridDensity1D:
@@ -97,11 +101,7 @@ def oracle_1d_selfconsistent(kernel, span: float = 10.0) -> GridDensity1D:
     density = np.exp(-0.5 * x**2)
     density /= np.trapezoid(density, x)
     for _ in range(SELFCONSISTENT_MAX_ITERATIONS):
-        v = h * _convolve_valid(kernel_samples, density)
-        potential = _cumulative_trapezoid(v, x)
-        potential -= potential[ORACLE_1D_POINTS // 2]
-        log_density = -0.5 * x**2 + potential
-        new = np.exp(log_density - log_density.max())
+        new = _gibbs(x, h * _convolve_valid(kernel_samples, density))
         new /= np.trapezoid(new, x)
         if float(np.max(np.abs(new - density))) < SELFCONSISTENT_TOL:
             return _normalize_1d(x, new)

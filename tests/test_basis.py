@@ -1,5 +1,6 @@
 """Hermite basis, multi-index enumeration and quadrature rules."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,26 @@ def test_uniform_gaussian_grid_normalized():
     grid = uniform_gaussian_grid(8.0, 801, 2)
     assert grid.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.dot(grid.weights, grid.nodes[:, 0] ** 2) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("span, n", [(0.0, 5), (-1.0, 5), (float("nan"), 5), (3.0, 1), (3.0, 0)])
+def test_uniform_gaussian_grid_refuses_degenerate_input(span, n):
+    # span 0 once gave NaN weights, and n < 2 an IndexError
+    with pytest.raises(ValueError, match="span > 0 and n >= 2"):
+        uniform_gaussian_grid(span, n)
+
+
+def test_nodes_are_built_in_one_allocation():
+    grid = tensor_grid(4, 8)  # 65,536 nodes, 4.2 MB
+    tracemalloc.start()
+    try:
+        nodes = grid.nodes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * nodes.nbytes
+    columns = np.meshgrid(*(x for x, _ in grid.rules), indexing="ij")
+    assert np.array_equal(nodes, np.stack([c.ravel() for c in columns], axis=1))
 
 
 def test_eval_matrix_wrong_dimension():

@@ -38,7 +38,7 @@ from gfpk import (
 from gfpk.cli import default_bumps, density_checks
 from gfpk.drift import drift_from_block
 from gfpk.ladder import LadderConfig, _battery_integrals, _zero_pad, default_battery, run_ladder
-from gfpk.linear import BUMP_RULE
+from gfpk.linear import BUMP_RULE, ORTHONORMAL_TOL, _rule_defects
 from helpers import SEPARABLE_BLOCKS, bump_defect_per_node
 
 REL_TOL = 1e-13
@@ -167,12 +167,12 @@ def test_product_grid_keeps_its_rules():
     for (x, w), (x_i, w_i) in zip(rules, grid.rules):
         assert np.array_equal(x, x_i) and np.array_equal(w, w_i)
     assert np.array_equal(grid.nodes[:7, 1], rules[1][0]) and np.all(grid.nodes[:7, 0] == rules[0][0][0])
-    # one rule on every axis is needed for the separable assembly
-    assert grid.axis_rule is None
+    # the separable assembly needs every rule orthonormal to the basis degree
+    assert [bool(np.max(d) <= ORTHONORMAL_TOL) for d in _rule_defects(grid, 4)] == [True, False]
     same = product_grid([rules[0]] * 2, 5)
     assert np.array_equal(same.nodes, tensor_grid(5, 2).nodes)
     assert np.array_equal(same.weights, tensor_grid(5, 2).weights)
-    assert same.axis_rule is not None
+    assert all(np.max(d) <= ORTHONORMAL_TOL for d in _rule_defects(same, 4))
 
 
 def test_sum_factorization_on_the_k3_bump_grid():

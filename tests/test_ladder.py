@@ -110,6 +110,15 @@ def test_marginal_distance_refuses_a_coordinate_beyond_the_densities(phi):
         marginal_distance(rho_a, tensor_grid(6, 1), rho_b, tensor_grid(6, 2), [HermiteTest((1,)), phi])
 
 
+@pytest.mark.parametrize(
+    "phi", [HermiteTest((1, 1)), HermiteTest((0, 0)), BumpTest(active=(0, 1), center=(0.0, 0.0), radius=2.0)]
+)
+def test_marginal_distance_refuses_a_test_of_other_than_one_coordinate(phi):
+    rho = ChaosDensity.constant(enumerate_basis(2, 4))
+    with pytest.raises(ValueError, match="not one"):
+        marginal_distance(rho, tensor_grid(6, 2), rho, tensor_grid(6, 2), [HermiteTest((1,)), phi])
+
+
 def test_ladder_zero_drift():
     cfg = make_config(component_bound=0.0)
     report = run_ladder(registry_drift("componentwise-tanh", scale=0.0, n_components=3), cfg)

@@ -18,9 +18,11 @@ from gfpk import (
     TanhKernel,
     as_measure,
     custom_drift,
+    default_battery,
     enumerate_basis,
     fixed_point_solve,
     marginal,
+    marginal_distance,
     marginal_measure,
     run_ladder,
     tensor_grid,
@@ -56,8 +58,7 @@ def test_separable_fields_read_the_marginals_as_the_joint_measure(name, k, degre
         assert np.max(np.abs(masses - marginals.masses[i])) <= 1e-14
     assert np.max(np.abs(joint.mean() - marginals.mean())) <= 1e-14
     v = drift_from_block(SEPARABLE_BLOCKS[name](k), k)
-    x1 = grid.axis_rule[0]
-    assert np.max(np.abs(v.eval_axes(marginals, x1) - v.eval_axes(joint, x1))) <= 1e-13 * v.bound
+    assert np.max(np.abs(np.subtract(v.eval_rules(marginals, grid), v.eval_rules(joint, grid)))) <= 1e-13 * v.bound
 
 
 def test_marginals_are_those_of_density_marginal_clipped_one_at_a_time():
@@ -111,6 +112,20 @@ def test_separable_fixed_point_reads_nothing_on_the_product_grid(name):
     reference, joint_trace = joint_fixed_point(v, basis, grid, opts)
     assert trace.converged and trace.iterations == joint_trace.iterations > 1
     assert np.max(np.abs(rho.coefficients - reference.coefficients)) <= 1e-13
+
+
+def test_marginal_distance_reads_nothing_on_the_product_grid(monkeypatch):
+    rho_a, rho_b = random_density(2, 4, 1), random_density(3, 4, 2)
+    grid_a, grid_b = tensor_grid(6, 2), tensor_grid(5, 3)
+    battery = default_battery(2)
+    per_node = lambda rho, grid, phi: np.sum(grid.weights * rho.evaluate(grid) * phi.value(grid.nodes))
+    reference = max(abs(per_node(rho_a, grid_a, phi) - per_node(rho_b, grid_b, phi)) for phi in battery)
+    grids = []
+    evaluate = ChaosDensity.evaluate
+    monkeypatch.setattr(ChaosDensity, "evaluate", lambda self, x: grids.append(isinstance(x, QuadratureGrid)) or evaluate(self, x))
+    distance = marginal_distance(rho_a, NodelessGrid(6, grid_a.rules), rho_b, NodelessGrid(5, grid_b.rules), battery)
+    assert not any(grids)
+    assert distance > 0.0 and abs(distance - reference) <= 1e-15
 
 
 def test_the_joint_measure_still_reads_as_a_measure_of_a_separable_drift():

@@ -183,7 +183,7 @@ def test_bound_is_checked_on_the_product_grid():
     basis = enumerate_basis(2, 4)
     v = one_sided(0.3)
     p = as_measure(ChaosDensity.constant(basis), grid)
-    diagonal = np.repeat(grid.axis_rule[0][:, None], 2, axis=1)
+    diagonal = np.repeat(grid.rules[0][0][:, None], 2, axis=1)
     assert np.max(np.linalg.norm(v.eval_v(p, diagonal), axis=1)) <= 0.3
     with pytest.raises(BoundViolationError, match="0.424264"):
         assemble(v, p, basis, grid)
@@ -203,7 +203,7 @@ def test_assembly_reads_a_separable_field_on_the_one_dimensional_nodes():
 
 
 def mixed_rules():
-    """Gauss-Hermite on x_0, a uniform rule on x_1: no one rule per axis."""
+    """Gauss-Hermite on x_0, a uniform rule on x_1 that is not orthonormal to degree 5."""
     return product_grid([gauss_hermite(8).rules[0], uniform_gaussian_grid(6.0, 9).rules[0]], 8)
 
 
@@ -228,22 +228,22 @@ def test_dense_path_when_regrouping_fails(v, grid):
     assert np.array_equal(assemble(v, None, basis, grid).interaction, dense)
 
 
-def test_axis_rule_reads_the_one_dimensional_rule():
-    rule = gauss_hermite(7).rules[0]
-    for k in (1, 3):
-        x1, w1 = tensor_grid(7, k).axis_rule
-        assert np.array_equal(x1, rule[0])
-        assert np.array_equal(w1, rule[1])
-    x1, _ = uniform_gaussian_grid(3.0, 5, 2).axis_rule
-    assert np.array_equal(x1, np.linspace(-3.0, 3.0, 5))
-    assert mixed_rules().axis_rule is None
-    # equal nodes with other weights are another rule
-    ramp = np.linspace(1.0, 2.0, 7)
-    assert product_grid([rule, (rule[0], ramp / ramp.sum())], 7).axis_rule is None
+@pytest.mark.parametrize("kind", sorted(SEPARABLE_KINDS))
+def test_gauss_hermite_rules_of_different_sizes_take_the_gram_path(kind):
+    # Q = 7 and Q = 10, each orthonormal to the degree N = 5
+    grid = product_grid([gauss_hermite(7).rules[0], gauss_hermite(10).rules[0]], 7)
+    basis = enumerate_basis(2, 5)
+    v = drift_from_block(SEPARABLE_KINDS[kind](2, 0.5), 2)
+    p = v.read_measure(random_iterate(basis, 3), grid)
+    assert [values.shape for values in v.eval_rules(p, grid)] == [(7,), (10,)]
+    sparse = separable_interaction(basis, grid, v, p)
+    assert sparse is not None
+    assert_close(sparse, dense_interaction(basis, grid, v.eval_v(p, grid.nodes)))
 
 
 def test_tables_built_once_per_basis():
     grid = tensor_grid(8, 2)
+    enumerate_basis.cache_clear()  # a basis shared with an earlier test may hold its tables
     basis = enumerate_basis(2, 6)
     assert "gram_pattern" not in vars(basis)
     v = drift_from_block({"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}}, 2)
