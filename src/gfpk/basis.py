@@ -211,16 +211,19 @@ class QuadratureGrid:
 
     rules holds one rule (x_i, w_i) per coordinate, with nonnegative weights
     summing to 1; nodes (n_nodes, k) and weights are their product, last
-    axis fastest.  q records the polynomial order the grid is meant to
-    resolve.  Built by product_grid.
+    axis fastest.  Built by product_grid.
     """
 
-    q: int
     rules: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
 
     @property
     def k(self) -> int:
         return len(self.rules)
+
+    @property
+    def q(self) -> int:
+        """The order of the grid: the fewest nodes of any of its rules."""
+        return min(self.shape)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -244,12 +247,27 @@ class QuadratureGrid:
         return out
 
     def hermite_tables(self, n_max: int) -> tuple[np.ndarray, ...]:
-        """hermite_table(n_max, x_i) for each 1-D rule, built once per grid
-        and degree."""
-        tables = self.__dict__.setdefault("_hermite_tables", {})
-        if n_max not in tables:
-            tables[n_max] = tuple(hermite_table(n_max, x) for x, _ in self.rules)
-        return tables[n_max]
+        """hermite_table(n_max, x_i) for each 1-D rule (_per_rule)."""
+        return self._per_rule(n_max)[0]
+
+    def rule_defects(self, n_max: int) -> tuple[np.ndarray, ...]:
+        """|H_i diag(w_i) H_i^T - I| for each 1-D rule (x_i, w_i), H_i its hermite
+        table: the rule is orthonormal up to n_max where all of it is small, and
+        integrates h_0..h_{n_max} exactly where its row 0 is (_per_rule)."""
+        return self._per_rule(n_max)[1]
+
+    def _per_rule(self, n_max: int):
+        """(hermite_tables, rule_defects) of degree n_max, built once per
+        grid, degree and distinct rule: the axes of tensor_grid share one."""
+        cache = self.__dict__.setdefault("_rule_tables", {})
+        if n_max not in cache:
+            built = {}
+            for x, w in self.rules:
+                if (id(x), id(w)) not in built:
+                    h = hermite_table(n_max, x)
+                    built[id(x), id(w)] = h, np.abs((h * w) @ h.T - np.eye(n_max + 1))
+            cache[n_max] = tuple(zip(*(built[id(x), id(w)] for x, w in self.rules)))
+        return cache[n_max]
 
     def axis_sums(self, values: np.ndarray, axes) -> np.ndarray:
         """Sums of per-node values, shape (n_nodes,) + trailing, over the
@@ -262,7 +280,7 @@ class QuadratureGrid:
         """The distinct coordinates on axes as (n, k) points, in the order of
         axis_sums; the other coordinates are those of the first node."""
         rules = [r if i in axes else (r[0][:1], r[1][:1]) for i, r in enumerate(self.rules)]
-        return product_grid(rules, self.q).nodes
+        return product_grid(rules).nodes
 
     def blocks(self, max_nodes: int):
         """Yield (block, place): product sub-grids of at most max_nodes nodes
@@ -274,7 +292,7 @@ class QuadratureGrid:
         for index in np.ndindex(*self.shape[:lead]):
             for start in range(0, self.shape[lead], run):
                 place = [slice(i, i + 1) for i in index] + [slice(start, start + run)] + [slice(None)] * (self.k - lead - 1)
-                yield product_grid([(x[s], w[s]) for (x, w), s in zip(self.rules, place)], self.q), place
+                yield product_grid([(x[s], w[s]) for (x, w), s in zip(self.rules, place)]), place
 
 
 def gauss_hermite(q: int) -> QuadratureGrid:
@@ -298,7 +316,7 @@ def gauss_hermite(q: int) -> QuadratureGrid:
     # harmless, only negative or non-finite weights indicate a failure
     if not (np.all(np.isfinite(nodes)) and np.all(weights >= 0) and weights.sum() > 0):
         raise NumericError(f"Gauss-Hermite rule for q={q} produced invalid nodes/weights")
-    return product_grid([(nodes, weights)], q)
+    return product_grid([(nodes, weights)])
 
 
 def uniform_gaussian_grid(span: float, n: int, k: int = 1) -> QuadratureGrid:
@@ -317,19 +335,16 @@ def uniform_gaussian_grid(span: float, n: int, k: int = 1) -> QuadratureGrid:
     w1[0] *= 0.5
     w1[-1] *= 0.5
     w1 /= w1.sum()
-    # q records the polynomial degree the rule handles reliably; the dense
-    # uniform rule is fine well past any basis degree used here
-    return product_grid([(x1, w1)] * k, n)
+    return product_grid([(x1, w1)] * k)
 
 
 def tensor_grid(q: int, k: int) -> QuadratureGrid:
     """Tensorize the 1-D Gauss-Hermite rule of order q over k coordinates."""
-    return product_grid(gauss_hermite(q).rules * k, q)
+    return product_grid(gauss_hermite(q).rules * k)
 
 
-def product_grid(rules, q: int) -> QuadratureGrid:
+def product_grid(rules) -> QuadratureGrid:
     """Product of the 1-D rules (x_i, w_i), one per coordinate, last axis
-    fastest; the rules may differ per axis.  q records the polynomial order
-    the grid is meant to resolve."""
-    return QuadratureGrid(q, tuple((np.asarray(x, dtype=float), np.asarray(w, dtype=float)) for x, w in rules))
+    fastest; the rules may differ per axis."""
+    return QuadratureGrid(tuple((np.asarray(x, dtype=float), np.asarray(w, dtype=float)) for x, w in rules))
 

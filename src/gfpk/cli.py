@@ -69,12 +69,12 @@ def density_checks(rho: ChaosDensity, v, p_frozen, grid) -> tuple[dict, bool]:
     own grids included, certifies the drift that was solved.
     """
     vvals, vals = v.eval_v(p_frozen, grid.nodes), rho.evaluate(grid)
-    hermite_max, system_norm, bump_vals = residual_suite(rho, v, p_frozen, grid, default_bumps(rho.k), vvals, vals)
+    hermite_max, system_norm, bump_vals = residual_suite(rho, v, p_frozen, grid, vals, vvals, default_bumps(rho.k))
     hermite_ok = hermite_max <= HERMITE_RESIDUAL_TOL * (1.0 + system_norm)
     bump_ok = all(abs(b) <= BUMP_RESIDUAL_TOL for b in bump_vals)
     member, margin = schauder_membership(rho, v.c0)
-    tail = tail_check(rho, v.sigma_inf, TAIL_LEVELS, grid, vals)
-    fisher = fisher_energy(rho, v, p_frozen, grid, vvals, vals)
+    tail = tail_check(v.sigma_inf, TAIL_LEVELS, grid, vals)
+    fisher = fisher_energy(rho, grid, vals, vvals)
     report = {
         "residuals": {
             "hermite_max": hermite_max,
@@ -102,8 +102,8 @@ def density_checks(rho: ChaosDensity, v, p_frozen, grid) -> tuple[dict, bool]:
             },
         ],
         "monitored": {
-            "log_moment": log_moment(rho, 0.2, grid, vals),
-            "log_moment_bracket": log_moment_bracket(rho, v, p_frozen, 0.2, grid, vvals, vals),
+            "log_moment": log_moment(0.2, grid, vals),
+            "log_moment_bracket": log_moment_bracket(0.2, grid, vals, vvals),
             "fisher": fisher.fisher,
             "drift_energy_gamma": fisher.drift_energy_gamma,
             "drift_energy_mu": fisher.drift_energy_mu,
@@ -283,9 +283,7 @@ def _run_oracle_compare(config: RunConfig):
             worst = max(worst, float(np.max(np.abs(spectral - fd.marginal(axis)))))
         result.update({"max_marginal_gap": worst, "tolerance": tol})
         return result, worst <= tol
-    moments = oracle_sde(
-        v, p_frozen, config.k, dt=oc["dt"], n_steps=oc["n_steps"], n_particles=oc["n_particles"], seed=config.seed
-    )
+    moments = oracle_sde(v, p_frozen, dt=oc["dt"], n_steps=oc["n_steps"], n_particles=oc["n_particles"], seed=config.seed)
     gaps = []
     for i in range(config.k):
         target = integrate(rho, lambda x, i=i: x[:, i], grid)

@@ -16,10 +16,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .basis import ChaosBasis, QuadratureGrid, enumerate_basis, hermite_table
+from .basis import ChaosBasis, QuadratureGrid, _read_only, enumerate_basis, hermite_table
 from .errors import DegenerateDensityError, NumericError
 
 # Gaussian quadrature mass of the region where the truncation is positive;
@@ -157,11 +158,11 @@ class PointMeasure:
     def mean(self) -> np.ndarray:
         """Coordinate means, computed once per measure and read-only: every
         component of a drift may ask for them."""
-        if "_mean" not in self.__dict__:
-            mean = self.masses @ self.points
-            mean.flags.writeable = False
-            object.__setattr__(self, "_mean", mean)
-        return self.__dict__["_mean"]
+        return self._mean
+
+    @cached_property
+    def _mean(self) -> np.ndarray:
+        return _read_only(self.masses @ self.points)
 
     def marginal(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The distinct values y of coordinate i and the summed masses at each."""
@@ -180,7 +181,12 @@ class MarginalMeasure:
     clip_defect: float
 
     def mean(self) -> np.ndarray:
-        return np.array([m @ y for y, m in zip(self.nodes, self.masses)])
+        """Coordinate means, as PointMeasure.mean."""
+        return self._mean
+
+    @cached_property
+    def _mean(self) -> np.ndarray:
+        return _read_only(np.array([m @ y for y, m in zip(self.nodes, self.masses)]))
 
     def marginal(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         return self.nodes[i], self.masses[i]

@@ -26,7 +26,7 @@ from .errors import SolverError
 
 CONDITION_LIMIT = 1e12
 # Largest deviation of H diag(w) H^T from I (of its row 0 from e_0) for which a
-# 1-D rule counts as orthonormal (exact) up to the basis degree (_rule_defects).
+# 1-D rule counts as orthonormal (exact) up to the basis degree (grid.rule_defects).
 ORTHONORMAL_TOL = 1e-13
 # (span, nodes) of the uniform rule for a bump's active coordinates; the
 # default bumps live in [-4, 4] (residual_suite)
@@ -101,24 +101,17 @@ def dense_interaction(
     return interaction
 
 
-def _rule_defects(grid: QuadratureGrid, degree: int) -> list[np.ndarray]:
-    """|H_i diag(w_i) H_i^T - I| per 1-D rule (x_i, w_i) of grid, H_i = h_0..h_degree at x_i: the
-    rule is orthonormal up to degree where all of it is within ORTHONORMAL_TOL, and
-    integrates h_0..h_degree exactly where its row 0 is."""
-    return [np.abs((h * w) @ h.T - np.eye(degree + 1)) for h, (_, w) in zip(grid.hermite_tables(degree), grid.rules)]
-
-
 def separable_interaction(basis: ChaosBasis, grid: QuadratureGrid, v, p) -> np.ndarray | None:
     """The dense quadrature sum regrouped into k 1-D Gram matrices, or None
     when the regrouping does not hold.
 
     It holds when v is a SeparableField and every 1-D rule (x_i, w_i) of the
-    grid is orthonormal up to the basis degree (_rule_defects).  Then G_i =
+    grid is orthonormal up to the basis degree (grid.rule_defects).  Then G_i =
     H_i diag(w_i v_i(p, x_i)) H_i^T and basis.gram_pattern scatters
     sqrt(beta_i) G_i[beta_i - 1, alpha_i] into the P x P interaction.  v is
     read on the 1-D rules only (eval_rules).
     """
-    if not isinstance(v, SeparableField) or max(np.max(d) for d in _rule_defects(grid, basis.degree)) > ORTHONORMAL_TOL:
+    if not isinstance(v, SeparableField) or max(np.max(d) for d in grid.rule_defects(basis.degree)) > ORTHONORMAL_TOL:
         return None
     grams = np.stack([np.einsum("na,a,ma->nm", h, w * v_i, h)  # (k, N+1, N+1)
                       for h, (_, w), v_i in zip(grid.hermite_tables(basis.degree), grid.rules, v.eval_rules(p, grid))])
@@ -156,15 +149,13 @@ def solve_linear(v, p, basis: ChaosBasis, grid: QuadratureGrid) -> ChaosDensity:
     return solve_system(assemble(v, p, basis, grid))
 
 
-def hermite_defects(rho: ChaosDensity, v, p_frozen, grid: QuadratureGrid, vvals=None, vals=None) -> np.ndarray:
+def hermite_defects(rho: ChaosDensity, grid: QuadratureGrid, vals: np.ndarray, vvals: np.ndarray) -> np.ndarray:
     """(A c - D c)_beta = -|beta| c_beta + sum_i sqrt(beta_i) <v_i rho,
     h_{beta - e_i}> for every beta of rho's basis, from the projections of
-    v_i rho read on every node of grid (vvals, vals when given): no code
-    shared with either assembly and no P x M array (ChaosBasis.project)."""
+    v_i rho read on every node of grid (vals = rho.evaluate(grid), vvals =
+    v(p, grid.nodes)): no code shared with either assembly and no P x M
+    array (ChaosBasis.project)."""
     basis = rho.basis
-    _check_sizes(v, basis, grid)
-    vvals = v.eval_v(p_frozen, grid.nodes) if vvals is None else vvals
-    vals = rho.evaluate(grid) if vals is None else vals
     projections = basis.project(vvals.T * vals, grid)  # (k, P)
     # (P, k); the -1 entries of the lowering table meet sqrt(beta_i) = 0
     lowered = projections.T[basis.lowering_table(), np.arange(basis.k)]
@@ -184,7 +175,9 @@ def residual(rho: ChaosDensity, v, p_frozen, phi, grid: QuadratureGrid) -> float
         raise TypeError(f"unsupported test function type {type(phi).__name__}")
     if tuple(phi.beta) not in rho.basis.index_map:
         raise ValueError(f"Hermite test {tuple(phi.beta)} is not in the density's basis")
-    return float(hermite_defects(rho, v, p_frozen, grid)[rho.basis.position(phi.beta)])
+    _check_sizes(v, rho.basis, grid)
+    defects = hermite_defects(rho, grid, rho.evaluate(grid), v.eval_v(p_frozen, grid.nodes))
+    return float(defects[rho.basis.position(phi.beta)])
 
 
 def _bump_defects(bumps, rho, v, p_frozen, grid_for) -> list[float]:
@@ -194,7 +187,7 @@ def _bump_defects(bumps, rho, v, p_frozen, grid_for) -> list[float]:
     (grid.axis_sums), reading the grid in blocks of at most BLOCK_NODES
     nodes; each bump is then evaluated at the q^|A| values of x_A only.
     For A = {i}, a SeparableField and other rules exact to degree N (a
-    Gauss-Hermite rule of q >= (N + 1) / 2 nodes; _rule_defects), those sums
+    Gauss-Hermite rule of q >= (N + 1) / 2 nodes; grid.rule_defects), those sums
     are w_z rho_i(z) and w_z rho_i(z) (v_i(z) - z) on the rule (z, w_z) of
     x_i (marginal_values, eval_rules)."""
     grouped, out = {}, []
@@ -203,7 +196,7 @@ def _bump_defects(bumps, rho, v, p_frozen, grid_for) -> list[float]:
         if tuple(axes) not in grouped:
             grid = grid_for(axes)
             if len(axes) == 1 and isinstance(v, SeparableField) and all(
-                np.max(d[0]) <= ORTHONORMAL_TOL for a, d in enumerate(_rule_defects(grid, rho.basis.degree)) if a != axes[0]
+                np.max(d[0]) <= ORTHONORMAL_TOL for a, d in enumerate(grid.rule_defects(rho.basis.degree)) if a != axes[0]
             ):
                 (z, w), i = grid.rules[axes[0]], axes[0]
                 weighted = w * marginal_values(rho, grid, i)
@@ -222,21 +215,21 @@ def _bump_defects(bumps, rho, v, p_frozen, grid_for) -> list[float]:
     return out
 
 
-def residual_suite(rho, v, p_frozen, grid, bump_tests=(), vvals=None, vals=None):
+def residual_suite(rho, v, p_frozen, grid, vals, vvals, bump_tests=()):
     """Residuals for every Hermite test of degree <= N plus optional bumps.
 
-    The Hermite residuals (hermite_defects) are projected from node values,
-    so they cross-check either assembly; system_norm = ||D - A||_1 comes
-    from assemble (dense only where the solve is, on the same vvals).  A
-    bump reading x_A is integrated on grid's own rules with the rules of A
-    replaced by the uniform BUMP_RULE, which resolves the compactly supported
-    bumps where a Gauss-Hermite rule does not; bumps of one active set share
-    that grid (_bump_defects).  vvals, vals: see hermite_defects.  Returns (hermite_max,
+    The Hermite residuals (hermite_defects, from the node values vals and
+    vvals) are projected, so they cross-check either assembly; system_norm
+    = ||D - A||_1 comes from assemble (dense only where the solve is, on the
+    same vvals).  A bump reading x_A is integrated on grid's own rules with
+    the rules of A replaced by the uniform BUMP_RULE, which resolves the
+    compactly supported bumps where a Gauss-Hermite rule does not; bumps of
+    one active set share that grid (_bump_defects).  Returns (hermite_max,
     system_norm, bump_values); callers compare hermite_max against tol * (1 + system_norm).
     """
-    vvals = v.eval_v(p_frozen, grid.nodes) if vvals is None else vvals
-    hermite_max = float(np.max(np.abs(hermite_defects(rho, v, p_frozen, grid, vvals, vals)[1:]), initial=0.0))
+    _check_sizes(v, rho.basis, grid)
+    hermite_max = float(np.max(np.abs(hermite_defects(rho, grid, vals, vvals)[1:]), initial=0.0))
     system_norm = assemble(v, p_frozen, rho.basis, grid, vvals=vvals).norm()
     rule = uniform_gaussian_grid(*BUMP_RULE).rules[0]
-    swapped = lambda axes: product_grid([rule if i in axes else r for i, r in enumerate(grid.rules)], grid.q)
+    swapped = lambda axes: product_grid([rule if i in axes else r for i, r in enumerate(grid.rules)])
     return hermite_max, system_norm, _bump_defects(bump_tests, rho, v, p_frozen, swapped)

@@ -129,16 +129,10 @@ class SdeMoments:
     second_se: np.ndarray
 
 
-def oracle_sde(
-    v,
-    p_frozen,
-    k: int,
-    dt: float = 1e-3,
-    n_steps: int = 2000,
-    n_particles: int = 500,
-    seed: int = 0,
-) -> SdeMoments:
-    """Euler-Maruyama sampling of dX = (-X + v(p, X)) dt + sqrt(2) dW.
+def oracle_sde(v, p_frozen, dt: float = 1e-3, n_steps: int = 2000, n_particles: int = 500,
+               seed: int = 0) -> SdeMoments:
+    """Euler-Maruyama sampling of dX = (-X + v(p, X)) dt + sqrt(2) dW in
+    the dimension k = v.k of the drift.
 
     The drift is frozen at p_frozen, a PointMeasure read once from the
     solved density (None for a drift that ignores the measure); the
@@ -153,6 +147,7 @@ def oracle_sde(
         raise ValueError("dt must be <= 0.01 for a trustworthy invariant law")
     if n_particles % SDE_BATCHES != 0:
         raise ValueError(f"n_particles must be divisible by {SDE_BATCHES}")
+    k = v.k
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_particles, k))
     skip = int(SDE_BURN_IN * n_steps)

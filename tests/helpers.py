@@ -68,6 +68,11 @@ def gram_pattern_by_compare(basis):
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
+def node_values(rho, v, p, grid):
+    """(rho, v) read on every node of grid: the (vals, vvals) the check layer takes."""
+    return rho.evaluate(grid), v.eval_v(p, grid.nodes)
+
+
 def bump_defect_per_node(phi, grid, vvals, rvals):
     """Reference weak defect sum_m w_m rho_m [Lap(phi) + (v - x).grad(phi)](x_m)
     of a bump test, with phi evaluated at every node, and the sum of the

@@ -44,7 +44,7 @@ from gfpk import (
     vlasov_drift,
 )
 from gfpk.cli import main as cli_main
-from helpers import b1_bound_quadrature, cameron_martin, registry_drift
+from helpers import b1_bound_quadrature, cameron_martin, node_values, registry_drift
 from scipy.special import ndtr
 
 
@@ -93,7 +93,7 @@ def test_criterion_03_residual_suite():
     grid = tensor_grid(24, 1)
     v = constant_drift([0.3])
     rho = solve_linear(v, None, basis, grid)
-    hermite_max, system_norm, _ = residual_suite(rho, v, None, grid)
+    hermite_max, system_norm, _ = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid))
     hermite_ok = hermite_max <= 1e-10 * (1.0 + system_norm)
     bgrid = uniform_gaussian_grid(10.0, 4001, 1)
     bumps = [
@@ -196,7 +196,7 @@ def test_criterion_08_tail_bound():
     )
     cases.append((rho_vl, v_vl.sigma_inf, grid40))
     for rho, sigma_inf, g in cases:
-        all_pass = all_pass and tail_check(rho, sigma_inf, t_grid, g).passed
+        all_pass = all_pass and tail_check(sigma_inf, t_grid, g, rho.evaluate(g)).passed
     # Cameron-Martin left side against the error-function closed form
     c = 0.3
     rho_cm = cases[0][0]
@@ -257,9 +257,7 @@ def test_criterion_10_cross_validation_2d():
     grid = tensor_grid(20, 2)
     rho = solve_linear(v, None, basis, grid)
     # SDE: 1e6 particle-steps total, fixed seed, batch means over particles
-    moments = oracle_sde(
-        v, None, 2, dt=5e-3, n_steps=2000, n_particles=500, seed=42
-    )
+    moments = oracle_sde(v, None, dt=5e-3, n_steps=2000, n_particles=500, seed=42)
     sde_gaps = []
     for i in range(2):
         target = integrate(rho, lambda x, i=i: x[:, i], grid)

@@ -18,7 +18,7 @@ from gfpk import (
     tensor_grid,
 )
 from gfpk.diagnostics import log_moment_bracket
-from helpers import b1_bound_quadrature, cameron_martin
+from helpers import b1_bound_quadrature, cameron_martin, node_values
 
 
 def test_b1_bound_zero_is_one():
@@ -66,7 +66,7 @@ def test_b1_bound_negative_raises():
 def test_tail_check_constant_density():
     rho = ChaosDensity.constant(enumerate_basis(1, 4))
     grid = tensor_grid(16, 1)
-    report = tail_check(rho, 1.0, (2.0, 4.0, 8.0), grid)
+    report = tail_check(1.0, (2.0, 4.0, 8.0), grid, rho.evaluate(grid))
     assert report.passed
     assert report.left == 0.0
 
@@ -74,15 +74,15 @@ def test_tail_check_constant_density():
 def test_tail_check_right_exceeds_mass_near_one():
     rho = cameron_martin(0.3, 12)
     grid = tensor_grid(24, 1)
-    report = tail_check(rho, (0.6 * math.pi) ** -2, (1.0001,), grid)
+    report = tail_check((0.6 * math.pi) ** -2, (1.0001,), grid, rho.evaluate(grid))
     assert report.passed
     assert report.inputs["rows"][0]["right"] > 1.0  # e^2 > total mass
 
 
 def test_tail_check_rejects_levels_at_most_one():
-    rho = ChaosDensity.constant(enumerate_basis(1, 4))
+    rho, grid = ChaosDensity.constant(enumerate_basis(1, 4)), tensor_grid(8, 1)
     with pytest.raises(ValueError, match="exceed 1"):
-        tail_check(rho, 1.0, (1.0,), tensor_grid(8, 1))
+        tail_check(1.0, (1.0,), grid, rho.evaluate(grid))
 
 
 def test_cameron_martin_levelset_mass_matches_erf():
@@ -125,14 +125,14 @@ def test_cameron_martin_tail_bound_certified():
 def test_log_moment_constant_density():
     rho = ChaosDensity.constant(enumerate_basis(1, 4))
     grid = tensor_grid(16, 1)
-    assert log_moment(rho, 0.2, grid) == pytest.approx(math.log(2.0) ** 0.2, abs=1e-12)
+    assert log_moment(0.2, grid, rho.evaluate(grid)) == pytest.approx(math.log(2.0) ** 0.2, abs=1e-12)
 
 
 def test_log_moment_alpha_to_zero_limit():
     rho = cameron_martin(0.3, 12)
     grid = tensor_grid(24, 1)
     # as alpha -> 0 the integrand tends to f, whose integral is the unit mass
-    assert log_moment(rho, 1e-6, grid) == pytest.approx(1.0, abs=5e-3)
+    assert log_moment(1e-6, grid, rho.evaluate(grid)) == pytest.approx(1.0, abs=5e-3)
 
 
 def test_log_moment_alpha_range():
@@ -140,14 +140,14 @@ def test_log_moment_alpha_range():
     grid = tensor_grid(8, 1)
     for alpha in (0.0, 0.25, 0.5):
         with pytest.raises(ValueError):
-            log_moment(rho, alpha, grid)
+            log_moment(alpha, grid, rho.evaluate(grid))
 
 
 def test_log_moment_cameron_martin_against_fine_quadrature():
     c, alpha = 0.3, 0.2
     rho = cameron_martin(c, 12)
     grid = tensor_grid(24, 1)
-    value = log_moment(rho, alpha, grid)
+    value = log_moment(alpha, grid, rho.evaluate(grid))
     # independent oracle: dense trapezoid quadrature of the exact density
     x = np.linspace(-10, 10, 200001)
     f = np.exp(c * x - c * c / 2.0)
@@ -159,14 +159,14 @@ def test_log_moment_cameron_martin_against_fine_quadrature():
 def test_log_moment_bracket_reported():
     rho = cameron_martin(0.3, 12)
     grid = tensor_grid(24, 1)
-    bracket = log_moment_bracket(rho, constant_drift([0.3]), None, 0.2, grid)
+    bracket = log_moment_bracket(0.2, grid, *node_values(rho, constant_drift([0.3]), None, grid))
     assert bracket >= 1.0
 
 
 def test_fisher_constant_density_is_zero():
     rho = ChaosDensity.constant(enumerate_basis(2, 4))
     grid = tensor_grid(8, 2)
-    report = fisher_energy(rho, constant_drift([0.0, 0.0]), None, grid)
+    report = fisher_energy(rho, grid, *node_values(rho, constant_drift([0.0, 0.0]), None, grid))
     assert not report.skipped
     assert report.fisher == pytest.approx(0.0, abs=1e-15)
     # drift energy for v = 0 is the Gaussian second moment, k
@@ -178,13 +178,14 @@ def test_fisher_cameron_martin_identity():
     c = 0.4
     rho = cameron_martin(c, 14)
     grid = tensor_grid(28, 1)
-    report = fisher_energy(rho, constant_drift([c]), None, grid)
+    report = fisher_energy(rho, grid, *node_values(rho, constant_drift([c]), None, grid))
     assert report.fisher == pytest.approx(c * c, abs=1e-6)
 
 
 def test_fisher_skips_degenerate_density():
     basis = enumerate_basis(1, 2)
     rho = ChaosDensity(basis, np.array([1.0, 0.0, 4.0]))  # negative near 0
-    report = fisher_energy(rho, constant_drift([0.0]), None, tensor_grid(16, 1))
+    grid = tensor_grid(16, 1)
+    report = fisher_energy(rho, grid, *node_values(rho, constant_drift([0.0]), None, grid))
     assert report.skipped
     assert "mass" in report.reason

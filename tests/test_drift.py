@@ -14,6 +14,7 @@ from gfpk import (
     constant_drift,
     custom_drift,
     enumerate_basis,
+    marginal_measure,
     rotational_drift,
     tensor_grid,
     vlasov_drift,
@@ -159,13 +160,13 @@ def test_mean_shift_tanh_matches_per_component_evaluation(k, ambient):
     p = ChaosDensity(basis, coefficients)
     x = rng.standard_normal((40, k))
     v = drift_from_block({"kind": "componentwise-tanh", "scale": scale, "n_components": ambient, "mean_shift": True}, k)
-    measure = as_measure(p, grid)
-    reference = np.stack(
-        [scale * np.tanh(x[:, n] - (measure.masses @ measure.points)[n]) for n in range(k)],
-        axis=1,
-    )
-    assert np.array_equal(v.eval_v(measure, x), reference)
-    assert measure.mean() is measure.mean() and not measure.mean().flags.writeable
+    # the joint measure and the marginals, each with its own mean
+    point, marginals = as_measure(p, grid), marginal_measure(p, grid)
+    for measure, mean in ((point, lambda n: (point.masses @ point.points)[n]),
+                          (marginals, lambda n: marginals.masses[n] @ marginals.nodes[n])):
+        reference = np.stack([scale * np.tanh(x[:, n] - mean(n)) for n in range(k)], axis=1)
+        assert np.array_equal(v.eval_v(measure, x), reference)
+        assert measure.mean() is measure.mean() and not measure.mean().flags.writeable
 
 
 @pytest.mark.parametrize(

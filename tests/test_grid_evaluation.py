@@ -38,8 +38,8 @@ from gfpk import (
 from gfpk.cli import default_bumps, density_checks
 from gfpk.drift import drift_from_block
 from gfpk.ladder import LadderConfig, _battery_integrals, _zero_pad, default_battery, run_ladder
-from gfpk.linear import BUMP_RULE, ORTHONORMAL_TOL, _rule_defects
-from helpers import SEPARABLE_BLOCKS, bump_defect_per_node
+from gfpk.linear import BUMP_RULE, ORTHONORMAL_TOL
+from helpers import SEPARABLE_BLOCKS, bump_defect_per_node, node_values
 
 REL_TOL = 1e-13
 MAX_NODES = {1: 40, 2: 14, 3: 8, 4: 6}
@@ -94,7 +94,7 @@ def mixed_product_grids(draw):
     sizes = draw(st.lists(st.integers(1, MAX_NODES[k]), min_size=k, max_size=k))
     seed = draw(st.integers(0, 2**32 - 1))
     rules = [one_dimensional_rule(kind, n, seed + i) for i, (kind, n) in enumerate(zip(kinds, sizes))]
-    return product_grid(rules, min(x.size for x, _ in rules)), seed
+    return product_grid(rules), seed
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,17 +162,17 @@ def test_other_grids_take_the_evaluation_matrix(points):
 
 def test_product_grid_keeps_its_rules():
     rules = [one_dimensional_rule("gauss-hermite", 5, 0), one_dimensional_rule("uniform", 7, 0)]
-    grid = product_grid(rules, 5)
+    grid = product_grid(rules)
     assert grid.n_nodes == 35 and np.isclose(grid.weights.sum(), 1.0)
     for (x, w), (x_i, w_i) in zip(rules, grid.rules):
         assert np.array_equal(x, x_i) and np.array_equal(w, w_i)
     assert np.array_equal(grid.nodes[:7, 1], rules[1][0]) and np.all(grid.nodes[:7, 0] == rules[0][0][0])
     # the separable assembly needs every rule orthonormal to the basis degree
-    assert [bool(np.max(d) <= ORTHONORMAL_TOL) for d in _rule_defects(grid, 4)] == [True, False]
-    same = product_grid([rules[0]] * 2, 5)
+    assert [bool(np.max(d) <= ORTHONORMAL_TOL) for d in grid.rule_defects(4)] == [True, False]
+    same = product_grid([rules[0]] * 2)
     assert np.array_equal(same.nodes, tensor_grid(5, 2).nodes)
     assert np.array_equal(same.weights, tensor_grid(5, 2).weights)
-    assert all(np.max(d) <= ORTHONORMAL_TOL for d in _rule_defects(same, 4))
+    assert all(np.max(d) <= ORTHONORMAL_TOL for d in same.rule_defects(4))
 
 
 def test_sum_factorization_on_the_k3_bump_grid():
@@ -259,7 +259,7 @@ def test_hermite_residuals_hold_no_p_by_m_array():
     rho = solve_linear(v, None, enumerate_basis(6, 5), grid)
     tracemalloc.start()
     try:
-        hermite_max, system_norm, _ = residual_suite(rho, v, None, grid)
+        hermite_max, system_norm, _ = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -271,7 +271,7 @@ def bump_grid_of(grid, active):
     """residual_suite's grid for bumps reading x_A, A = active: grid's rules
     with those of A replaced by the uniform bump rule."""
     rule = uniform_gaussian_grid(*BUMP_RULE).rules[0]
-    return product_grid([rule if i in active else r for i, r in enumerate(grid.rules)], grid.q)
+    return product_grid([rule if i in active else r for i, r in enumerate(grid.rules)])
 
 
 def test_suite_bumps_equal_single_residuals():
@@ -281,7 +281,7 @@ def test_suite_bumps_equal_single_residuals():
     v = drift_from_block({"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}}, 2)
     rho, _ = fixed_point_solve(v, enumerate_basis(2, 6), grid)
     p = as_measure(rho, grid)
-    _, _, values = residual_suite(rho, v, p, grid, bumps)
+    _, _, values = residual_suite(rho, v, p, grid, *node_values(rho, v, p, grid), bumps)
     assert values == [residual(rho, v, p, phi, bump_grid_of(grid, phi.active)) for phi in bumps]
 
 
@@ -303,7 +303,7 @@ def bump_grids(draw):
             x, w = levels[rng.integers(0, levels.size, x.size)], rng.uniform(0.1, 1.0, x.size)
             w = w / w.sum()
         rules.append((x, w))
-    return product_grid(rules, grid.q), seed
+    return product_grid(rules), seed
 
 
 def bump_tests(k):
@@ -347,7 +347,8 @@ def profile_sizes(monkeypatch):
 def test_bumps_are_evaluated_on_their_active_values(profile_sizes):
     # a bump on x_0 is integrated on 401 x 4 x 4 nodes but read at the 401 values of x_0
     rho = random_density(3, 3, 0)
-    _, _, values = residual_suite(rho, coupled_drift(3), None, tensor_grid(4, 3), default_bumps(3))
+    v, grid = coupled_drift(3), tensor_grid(4, 3)
+    _, _, values = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid), default_bumps(3))
     assert len(values) == len(default_bumps(3)) and profile_sizes and max(profile_sizes) <= BUMP_RULE[1]
 
 
@@ -370,9 +371,10 @@ def test_bump_grids_are_read_in_blocks(monkeypatch):
     monkeypatch.setattr(gfpk.drift.DriftField, "eval_v", lambda self, p, x: sizes.append(len(x)) or eval_v(self, p, x))
     rho = ChaosDensity.constant(enumerate_basis(6, 1))
     # zero, but not a SeparableField: the bumps take the axis_sums path, and
-    # the dense assembly of system_norm reuses hermite_defects' node values
+    # the dense assembly of system_norm reuses the suite's node values
     v = custom_drift(lambda p, x: np.zeros_like(x), 6, "H", 0.0, reads_measure=False)
-    _, _, values = residual_suite(rho, v, None, tensor_grid(6, 6), default_bumps(6))
+    grid = tensor_grid(6, 6)
+    _, _, values = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid), default_bumps(6))
     assert max(sizes) <= 1_000_000 and sum(sizes) == 6**6 + 6 * 401 * 6**5
     # rho = 1 solves the zero-drift equation exactly
     assert max(abs(b) for b in values) <= 1e-3
@@ -401,8 +403,8 @@ def test_one_axis_bumps_match_the_axis_sums(name, k):
     wrapped = custom_drift(lambda p, x: v.eval_v(p, x), k, v.bound_kind, v.bound, reads_measure=v.reads_measure)
     p = as_measure(rho, grid) if v.reads_measure else None
     bumps = default_bumps(k) + [BumpTest(active=(k - 1,), center=(0.7,), radius=1.3)]
-    one_axis = residual_suite(rho, v, p, grid, bumps)[2]
-    reference = residual_suite(rho, wrapped, p, grid, bumps)[2]
+    one_axis = residual_suite(rho, v, p, grid, *node_values(rho, v, p, grid), bumps)[2]
+    reference = residual_suite(rho, wrapped, p, grid, *node_values(rho, wrapped, p, grid), bumps)[2]
     assert np.max(np.abs(np.subtract(one_axis, reference))) <= 1e-14
 
 
@@ -435,30 +437,40 @@ BUMP = uniform_gaussian_grid(*BUMP_RULE).rules[0]
 def test_which_bumps_take_the_axis_sums(axis_sums_calls, drift, phi, other, degree, expected):
     """Only a one-axis bump of a SeparableField whose other rule is exact to
     the degree N of rho skips the sums over the 2-D bump grid."""
-    grid = product_grid([BUMP, other], 8)
+    grid = product_grid([BUMP, other])
     residual(random_density(2, degree, 1), drift_from_block(drift, 2), None, phi, grid)
     assert bool(axis_sums_calls) == expected
 
 
 def test_separable_k3_checks_read_v_and_rho_once_on_the_solve_grid(monkeypatch):
+    """Also on the dense path: a rotational k = 2 solve, whose system_norm
+    assembly reuses the suite's node values of v."""
     sizes, evaluated = [], []
     eval_v, evaluate = gfpk.drift.DriftField.eval_v, ChaosDensity.evaluate
     monkeypatch.setattr(gfpk.drift.DriftField, "eval_v", lambda self, p, x: sizes.append(len(x)) or eval_v(self, p, x))
     monkeypatch.setattr(ChaosDensity, "evaluate", lambda self, x: evaluated.append(getattr(x, "n_nodes", None)) or evaluate(self, x))
-    v = drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 3)
-    grid = tensor_grid(8, 3)
-    rho = solve_linear(v, None, enumerate_basis(3, 6), grid)
-    report, passed = density_checks(rho, v, None, grid)
-    # no bump grid of 401 * 8^2 nodes is read; v and rho are read on the 8^3 nodes once
-    assert sizes == [8**3] and evaluated.count(8**3) == 1
-    assert passed and report["residuals"]["bump_pass"]
+    cases = [
+        # no bump grid of 401 * 8^2 nodes is read
+        ({"kind": "clipped-potential", "lam": 0.5}, 3, [8**3]),
+        # the two bump grids of 401 * 8 nodes take the axis sums
+        ({"kind": "rotational", "scale": 0.3, "offset": [0.2, 0.0]}, 2, [8**2, 401 * 8, 401 * 8]),
+    ]
+    for block, k, reads in cases:
+        v = drift_from_block(block, k)
+        grid = tensor_grid(8, k)
+        rho = solve_linear(v, None, enumerate_basis(k, 6), grid)
+        sizes.clear(), evaluated.clear()
+        report, passed = density_checks(rho, v, None, grid)
+        # v and rho are read on the 8^k nodes once
+        assert sizes == reads and evaluated.count(8**k) == 1
+        assert passed and report["residuals"]["bump_pass"]
 
 
 @pytest.mark.parametrize("max_nodes", [1, 5, 37, 1_000_000])
 def test_blocks_partition_the_grid(monkeypatch, max_nodes):
     rules = [one_dimensional_rule("gauss-hermite", 4, 0), one_dimensional_rule("uniform", 6, 0),
              one_dimensional_rule("random", 5, 1)]
-    grid = product_grid(rules, 4)
+    grid = product_grid(rules)
     nodes, weights = grid.nodes.reshape(grid.shape + (3,)), grid.weights.reshape(grid.shape)
     covered = np.zeros(grid.shape)
     for block, place in grid.blocks(max_nodes):

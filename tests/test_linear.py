@@ -13,13 +13,15 @@ from gfpk import (
     constant_drift,
     custom_drift,
     enumerate_basis,
+    gauss_hermite,
+    product_grid,
     residual,
     residual_suite,
     solve_linear,
     tensor_grid,
     uniform_gaussian_grid,
 )
-from helpers import cameron_martin
+from helpers import cameron_martin, node_values
 
 
 def test_zero_drift_interaction_vanishes():
@@ -123,12 +125,25 @@ def test_residual_outside_the_basis_raises():
     assert residual(rho, v, None, HermiteTest((0, 1)), tensor_grid(6, 2)) == pytest.approx(0.2, abs=1e-14)
 
 
+def test_checks_refuse_a_coarse_grid_or_another_dimension():
+    """residual and residual_suite check the grid order, the fewest nodes of
+    any rule, and the drift dimension before they read the grid."""
+    rho = ChaosDensity.constant(enumerate_basis(2, 6))
+    coarse = product_grid([gauss_hermite(8).rules[0], gauss_hermite(6).rules[0]])
+    assert coarse.q == 6
+    with pytest.raises(ValueError, match="quadrature order 6 too small"):
+        residual(rho, constant_drift([0.1, 0.2]), None, HermiteTest((1, 0)), coarse)
+    grid = tensor_grid(8, 2)
+    with pytest.raises(ValueError, match="drift dimension 3"):
+        residual_suite(rho, constant_drift([0.1, 0.2, 0.3]), None, grid, rho.evaluate(grid), np.zeros((64, 3)))
+
+
 def test_residual_suite_solved_case():
     basis = enumerate_basis(1, 12)
     grid = tensor_grid(24, 1)
     v = constant_drift([0.3])
     rho = solve_linear(v, None, basis, grid)
-    hermite_max, system_norm, _ = residual_suite(rho, v, None, grid)
+    hermite_max, system_norm, _ = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid))
     assert hermite_max <= 1e-10 * (1.0 + system_norm)
     bgrid = uniform_gaussian_grid(10.0, 4001, 1)
     bumps = [

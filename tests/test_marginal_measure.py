@@ -84,7 +84,7 @@ def test_marginals_are_those_of_density_marginal_clipped_one_at_a_time():
 def test_rules_may_differ_per_axis():
     rho = random_density(2, 3, 5)
     gh, uniform = tensor_grid(8, 1).rules[0], uniform_gaussian_grid(5.0, 11).rules[0]
-    grid = QuadratureGrid(8, (gh, uniform))
+    grid = QuadratureGrid((gh, uniform))
     measure = marginal_measure(rho, grid)
     assert [y.size for y in measure.nodes] == [8, 11]
     assert all(abs(m.sum() - 1.0) <= 1e-15 for m in measure.masses)
@@ -108,7 +108,7 @@ def test_separable_fixed_point_reads_nothing_on_the_product_grid(name):
     v = drift_from_block(SEPARABLE_BLOCKS[name](k), k)
     basis, grid = enumerate_basis(k, degree), tensor_grid(q, k)
     opts = FixedPointOptions()
-    rho, trace = fixed_point_solve(v, basis, NodelessGrid(q, grid.rules), opts)
+    rho, trace = fixed_point_solve(v, basis, NodelessGrid(grid.rules), opts)
     reference, joint_trace = joint_fixed_point(v, basis, grid, opts)
     assert trace.converged and trace.iterations == joint_trace.iterations > 1
     assert np.max(np.abs(rho.coefficients - reference.coefficients)) <= 1e-13
@@ -123,7 +123,7 @@ def test_marginal_distance_reads_nothing_on_the_product_grid(monkeypatch):
     grids = []
     evaluate = ChaosDensity.evaluate
     monkeypatch.setattr(ChaosDensity, "evaluate", lambda self, x: grids.append(isinstance(x, QuadratureGrid)) or evaluate(self, x))
-    distance = marginal_distance(rho_a, NodelessGrid(6, grid_a.rules), rho_b, NodelessGrid(5, grid_b.rules), battery)
+    distance = marginal_distance(rho_a, NodelessGrid(grid_a.rules), rho_b, NodelessGrid(grid_b.rules), battery)
     assert not any(grids)
     assert distance > 0.0 and abs(distance - reference) <= 1e-15
 

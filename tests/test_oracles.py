@@ -87,35 +87,35 @@ def test_l2_gamma_distance_exact_match():
 
 def test_sde_zero_drift_recovers_gamma():
     v = constant_drift([0.0])
-    moments = oracle_sde(v, None, 1, dt=5e-3, n_steps=2000, n_particles=500, seed=7)
+    moments = oracle_sde(v, None, dt=5e-3, n_steps=2000, n_particles=500, seed=7)
     assert abs(moments.mean[0]) <= 3 * moments.mean_se[0]
     assert abs(moments.second[0, 0] - 1.0) <= 3 * moments.second_se[0, 0]
 
 
 def test_sde_constant_drift_mean():
     v = constant_drift([0.3])
-    moments = oracle_sde(v, None, 1, dt=5e-3, n_steps=2000, n_particles=500, seed=11)
+    moments = oracle_sde(v, None, dt=5e-3, n_steps=2000, n_particles=500, seed=11)
     assert abs(moments.mean[0] - 0.3) <= 3 * moments.mean_se[0]
 
 
 def test_sde_reproducible_bitwise():
     v = constant_drift([0.1])
-    a = oracle_sde(v, None, 1, dt=5e-3, n_steps=400, n_particles=100, seed=3)
-    b = oracle_sde(v, None, 1, dt=5e-3, n_steps=400, n_particles=100, seed=3)
+    a = oracle_sde(v, None, dt=5e-3, n_steps=400, n_particles=100, seed=3)
+    b = oracle_sde(v, None, dt=5e-3, n_steps=400, n_particles=100, seed=3)
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.second, b.second)
 
 
 def test_sde_rejects_large_dt():
     with pytest.raises(ValueError, match="dt"):
-        oracle_sde(constant_drift([0.0]), None, 1, dt=0.1)
+        oracle_sde(constant_drift([0.0]), None, dt=0.1)
 
 
 def test_sde_blowup_detection():
     # destabilizing drift v = 3x wrapped with a huge declared bound
     v = custom_drift(lambda p, x: 3.0 * x, 1, "H", 1e9, reads_measure=False)
     with pytest.raises(InstabilityError, match="dt"):
-        oracle_sde(v, None, 1, dt=0.01, n_steps=2000, n_particles=100, seed=0)
+        oracle_sde(v, None, dt=0.01, n_steps=2000, n_particles=100, seed=0)
 
 
 def test_fd_2d_zero_drift_gaussian():

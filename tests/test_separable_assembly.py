@@ -3,6 +3,7 @@ quadrature sum, the choice between the two paths by the field's type, and
 the LU solve with its condition estimate."""
 import functools
 
+import gfpk.basis
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from gfpk.drift import DRIFTS, H_BOUND, KERNELS, drift_from_block
 from gfpk.ladder import LadderConfig, run_ladder
 from gfpk.linear import GalerkinSystem, dense_interaction, hermite_defects, separable_interaction, solve_system
 from gfpk.schema import REQUIRED
+from helpers import node_values
 
 REL_TOL = 1e-13
 # largest Q per k: Gauss-Hermite rules up to Q = 25 are orthonormal to
@@ -147,7 +149,7 @@ def test_hermite_defects_equal_the_dense_product(kind, size, scale, seed, mixed)
     k, degree, q = size
     k += k % 2 if kind == "rotational" else 0  # rotational pairs the coordinates
     rules = [gauss_hermite(q).rules[0], uniform_gaussian_grid(4.0, q + 3).rules[0]]
-    grid = product_grid([rules[mixed and i % 2] for i in range(k)], q)
+    grid = product_grid([rules[mixed and i % 2] for i in range(k)])
     basis = enumerate_basis(k, degree)
     if kind == "coupled-custom":
         v = custom_drift(coupled, k, "componentwise", 0.4, reads_measure=False)
@@ -156,7 +158,7 @@ def test_hermite_defects_equal_the_dense_product(kind, size, scale, seed, mixed)
     rho = random_iterate(basis, seed, amplitude=0.5)
     p = as_measure(random_iterate(basis, seed + 1), grid) if v.reads_measure else None
     reference, bound = defect_reference(rho, v, p, grid)
-    assert np.all(np.abs(hermite_defects(rho, v, p, grid) - reference) <= 1e-13 * bound)
+    assert np.all(np.abs(hermite_defects(rho, grid, *node_values(rho, v, p, grid)) - reference) <= 1e-13 * bound)
 
 
 def test_every_kind_but_rotational_is_separable():
@@ -204,7 +206,7 @@ def test_assembly_reads_a_separable_field_on_the_one_dimensional_nodes():
 
 def mixed_rules():
     """Gauss-Hermite on x_0, a uniform rule on x_1 that is not orthonormal to degree 5."""
-    return product_grid([gauss_hermite(8).rules[0], uniform_gaussian_grid(6.0, 9).rules[0]], 8)
+    return product_grid([gauss_hermite(8).rules[0], uniform_gaussian_grid(6.0, 9).rules[0]])
 
 
 def coupled(p, x):
@@ -231,7 +233,7 @@ def test_dense_path_when_regrouping_fails(v, grid):
 @pytest.mark.parametrize("kind", sorted(SEPARABLE_KINDS))
 def test_gauss_hermite_rules_of_different_sizes_take_the_gram_path(kind):
     # Q = 7 and Q = 10, each orthonormal to the degree N = 5
-    grid = product_grid([gauss_hermite(7).rules[0], gauss_hermite(10).rules[0]], 7)
+    grid = product_grid([gauss_hermite(7).rules[0], gauss_hermite(10).rules[0]])
     basis = enumerate_basis(2, 5)
     v = drift_from_block(SEPARABLE_KINDS[kind](2, 0.5), 2)
     p = v.read_measure(random_iterate(basis, 3), grid)
@@ -253,6 +255,17 @@ def test_tables_built_once_per_basis():
     assemble(v, as_measure(rho, grid), basis, grid)
     assert basis.gram_pattern is pattern and basis.lowering_table() is lowering
     assert not lowering.flags.writeable
+
+
+def test_fixed_point_builds_one_hermite_table_per_degree(monkeypatch):
+    """The k axes of a tensor grid share one rule: every assembly and
+    marginal read of a solve uses its one table and defect of degree N."""
+    degrees = []
+    table = gfpk.basis.hermite_table
+    monkeypatch.setattr(gfpk.basis, "hermite_table", lambda n, x: degrees.append(n) or table(n, x))
+    v = drift_from_block({"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}}, 5)
+    _, trace = fixed_point_solve(v, enumerate_basis(5, 4), tensor_grid(6, 5))
+    assert trace.converged and trace.iterations > 1 and degrees == [4]
 
 
 # the bench ladder (mean-shifted componentwise tanh, k = 1..5) solved with
