@@ -309,13 +309,11 @@ def _thread_count(flag: int | None) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="gfpk", description=__doc__)
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
-        p = sub.add_parser(mode)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -323,7 +321,7 @@ def main(argv=None) -> int:
         config = load_config(args.config, seed=args.seed)
         if config.mode != args.mode:
             raise ConfigError(
-                f"config mode {config.mode!r} does not match subcommand {args.mode!r}"
+                f"config mode {config.mode!r} does not match the command-line mode {args.mode!r}"
             )
         return run(config, out_dir=args.out, threads=threads)
     except ConfigError as exc:

@@ -277,7 +277,9 @@ class BumpTest:
     phi(x) = exp(-(1 - u)^{-1} + 1) on u < 1, 0 outside, where
     u = |x_A - center|^2 / radius^2 over the distinct active coordinates A.
     The +1 normalizes phi = 1 at the center.  phi reads x_A alone, so the
-    residuals evaluate it only at the distinct values of x_A on their grid.
+    residuals evaluate it only at the distinct values of x_A on their grid,
+    every bump of one active set in one call of the profile kernel
+    (BumpTest.profiles), which value, gradient and laplacian wrap.
     """
 
     active: tuple[int, ...]
@@ -292,45 +294,39 @@ class BumpTest:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
-    def _profile(self, u: np.ndarray):
-        """g(u), g'(u), g''(u) for g = exp(-(1-u)^{-1} + 1), supported on u < 1."""
+    @staticmethod
+    def profiles(bumps, x: np.ndarray, derivatives: bool = False):
+        """phi(x) of each of the n bumps, which share one set A of active
+        coordinates, at the points x (m, k): shape (n, m).  With derivatives,
+        (phi, gradient, laplacian): the gradient (n, m, |A|) along A in
+        increasing order and the Laplacian (n, m), from g, g' and g'' of
+        g(u) = exp(-(1-u)^{-1} + 1) on u < 1, computed once for the batch."""
+        active = np.array([phi.active for phi in bumps], dtype=np.intp)  # (n, |A|)
+        d = x[:, active].transpose(1, 0, 2) - np.array([phi.center for phi in bumps], dtype=float)[:, None, :]
+        r2 = np.array([phi.radius**2 for phi in bumps])[:, None]
+        u = np.sum(d * d, axis=2) / r2
         inside = u < 1.0
-        g = np.zeros_like(u)
-        g1 = np.zeros_like(u)
-        g2 = np.zeros_like(u)
         w = 1.0 - u[inside]
-        f = -(w ** (-1)) + 1.0
-        fp = -(w ** (-2))
-        fpp = -2 * w ** (-3)
-        gi = np.exp(f)
+        gi = np.exp(-(w ** (-1)) + 1.0)
+        g = np.zeros_like(u)
         g[inside] = gi
+        if not derivatives:
+            return g
+        fp = -(w ** (-2))
+        g1, g2 = np.zeros_like(u), np.zeros_like(u)
         g1[inside] = fp * gi
-        g2[inside] = (fpp + fp**2) * gi
-        return g, g1, g2
-
-    def _u(self, x: np.ndarray):
-        d = x[:, list(self.active)] - np.asarray(self.center)
-        s = np.sum(d * d, axis=1)
-        return s / self.radius**2, d
+        g2[inside] = (-2 * w ** (-3) + fp**2) * gi
+        grad = np.take_along_axis(g1[:, :, None] * 2.0 * d, np.argsort(active)[:, None, :], axis=2) / r2[:, :, None]
+        return g, grad, g2 * 4.0 * u / r2 + g1 * 2.0 * active.shape[1] / r2
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        u, _ = self._u(x)
-        g, _, _ = self._profile(u)
-        return g
+        return BumpTest.profiles([self], np.atleast_2d(x))[0]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(x)
-        u, d = self._u(x)
-        _, g1, _ = self._profile(u)
         grad = np.zeros_like(x)
-        for col, i in enumerate(self.active):
-            grad[:, i] = g1 * 2.0 * d[:, col] / self.radius**2
+        grad[:, sorted(self.active)] = BumpTest.profiles([self], x, derivatives=True)[1][0]
         return grad
 
     def laplacian(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        u, _ = self._u(x)
-        _, g1, g2 = self._profile(u)
-        m = len(self.active)
-        return g2 * 4.0 * u / self.radius**2 + g1 * 2.0 * m / self.radius**2
+        return BumpTest.profiles([self], np.atleast_2d(x), derivatives=True)[2][0]

@@ -107,21 +107,33 @@ def lyapunov_moment(rho: ChaosDensity, weights) -> float:
 
 def _battery_integrals(rho: ChaosDensity, grid, battery) -> list:
     """integral phi d(mu) for each phi of the battery, which reads one coordinate
-    x_i: the sum of phi w_z rho_i(z) over the rule (z, w_z) of x_i (marginal_values),
-    nothing on the product grid.  A test reading a coordinate the density does
-    not have, or other than one coordinate, is a ValueError."""
-    axes = []
-    for phi in battery:
-        if (len(phi.beta) if isinstance(phi, HermiteTest) else max(phi.active) + 1) > rho.k:
+    x_i: the sum of phi w_z rho_i(z) over the rule (z, w_z) of x_i, nothing on
+    the product grid.  w_z rho_i(z) is read once per coordinate
+    (marginal_values).  The tests of every coordinate on one rule are rows of
+    its Hermite table (grid.hermite_tables) and of one BumpTest.profiles
+    call, and one row-sum integrates them all.  A test reading a coordinate
+    the density does not have, or other than one coordinate, is a ValueError."""
+    coords, by_rule = [], {}  # id of a rule's nodes -> (a coordinate on it, Hermite tests, bumps)
+    for j, phi in enumerate(battery):
+        hermite = isinstance(phi, HermiteTest)
+        if (len(phi.beta) if hermite else max(phi.active) + 1) > rho.k:
             raise ValueError(f"battery test {phi} reads a coordinate beyond the density's k={rho.k}")
-        axes.append(tuple(np.flatnonzero(phi.beta)) if isinstance(phi, HermiteTest) else phi.active)
-        if len(axes[-1]) != 1:
-            raise ValueError(f"battery test {phi} reads {len(axes[-1])} coordinates, not one")
-    out = []
-    for phi, (i,) in zip(battery, axes):
-        z, w = grid.rules[i]  # phi is read at the points z e_i
-        out.append(float(np.sum(phi.value(np.outer(z, np.eye(rho.k)[i])) * (w * marginal_values(rho, grid, i)))))
-    return out
+        axes = tuple(a for a, b in enumerate(phi.beta) if b) if hermite else phi.active
+        if len(axes) != 1:
+            raise ValueError(f"battery test {phi} reads {len(axes)} coordinates, not one")
+        coords.append(axes[0])
+        by_rule.setdefault(id(grid.rules[axes[0]][0]), (axes[0], [], []))[1 if hermite else 2].append(j)
+    weighted = {i: grid.rules[i][1] * marginal_values(rho, grid, i) for i in set(coords)}
+    out = np.empty(len(battery))
+    for i, hermite, bumps in by_rule.values():
+        degrees = [battery[j].degree for j in hermite]
+        rows = [grid.hermite_tables(max(degrees + [rho.basis.degree]))[i][degrees]]
+        if bumps:  # every coordinate of these points is z, so each bump reads the nodes of its rule
+            z = grid.rules[i][0]
+            rows.append(BumpTest.profiles([battery[j] for j in bumps], np.repeat(z[:, None], rho.k, axis=1)))
+        order = hermite + bumps
+        out[order] = np.sum(np.concatenate(rows) * np.stack([weighted[coords[j]] for j in order]), axis=1)
+    return out.tolist()
 
 
 def marginal_distance(rho_a, grid_a, rho_b, grid_b, battery) -> float:

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# about half of `import gfpk.cli`, kept: numpy exposes no LU factors for the
+# dgecon estimate, and an exact condition number from the inverse costs 2-4x
 from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
 
 from .basis import ChaosBasis, QuadratureGrid, product_grid, uniform_gaussian_grid
@@ -182,37 +184,41 @@ def residual(rho: ChaosDensity, v, p_frozen, phi, grid: QuadratureGrid) -> float
 
 def _bump_defects(bumps, rho, v, p_frozen, grid_for) -> list[float]:
     """sum_m w_m rho_m [Lap(phi) + (v - x).grad(phi)](x_m) per bump phi over
-    the grid grid_for(A), A = sorted(phi.active).  Per active set, w rho and
-    w rho (v_i - x_i), i in A, are summed over the nodes that share x_A
-    (grid.axis_sums), reading the grid in blocks of at most BLOCK_NODES
-    nodes; each bump is then evaluated at the q^|A| values of x_A only.
+    the grid grid_for(A), A = sorted(phi.active), one active set at a time.
+    Per set, w rho and w rho (v_i - x_i), i in A, are summed over the nodes
+    that share x_A (grid.axis_sums), reading the grid in blocks of at most
+    BLOCK_NODES nodes; its bumps are then evaluated together at the q^|A|
+    values of x_A only (BumpTest.profiles, in batches of at most BLOCK_NODES
+    values), and each bump's sum is one row of a row-sum.
     For A = {i}, a SeparableField and other rules exact to degree N (a
     Gauss-Hermite rule of q >= (N + 1) / 2 nodes; grid.rule_defects), those sums
     are w_z rho_i(z) and w_z rho_i(z) (v_i(z) - z) on the rule (z, w_z) of
     x_i (marginal_values, eval_rules)."""
-    grouped, out = {}, []
-    for phi in bumps:
-        axes = sorted(phi.active)
-        if tuple(axes) not in grouped:
-            grid = grid_for(axes)
-            if len(axes) == 1 and isinstance(v, SeparableField) and all(
-                np.max(d[0]) <= ORTHONORMAL_TOL for a, d in enumerate(grid.rule_defects(rho.basis.degree)) if a != axes[0]
-            ):
-                (z, w), i = grid.rules[axes[0]], axes[0]
-                weighted = w * marginal_values(rho, grid, i)
-                sums = np.column_stack([weighted, weighted * (v.eval_rules(p_frozen, grid)[i] - z)])
-            else:
-                sums = np.zeros(tuple(grid.shape[a] for a in axes) + (1 + len(axes),))
-                for block, place in grid.blocks(BLOCK_NODES):
-                    x = block.nodes
-                    weighted = block.weights * rho.evaluate(block)
-                    terms = np.column_stack([weighted, weighted[:, None] * (v.eval_v(p_frozen, x)[:, axes] - x[:, axes])])
-                    sums[tuple(place[a] for a in axes)] += block.axis_sums(terms, axes)
-            grouped[tuple(axes)] = grid.axis_points(axes), sums.reshape(-1, 1 + len(axes))
-        points, sums = grouped[tuple(axes)]
-        grad_flux = np.sum(phi.gradient(points)[:, axes] * sums[:, 1:], axis=1)
-        out.append(float(np.sum(phi.laplacian(points) * sums[:, 0] + grad_flux)))
-    return out
+    groups, out = {}, np.empty(len(bumps))
+    for j, phi in enumerate(bumps):
+        groups.setdefault(tuple(sorted(phi.active)), []).append(j)
+    for axes, members in groups.items():
+        grid, cols = grid_for(axes), list(axes)
+        if len(axes) == 1 and isinstance(v, SeparableField) and all(
+            np.max(d[0]) <= ORTHONORMAL_TOL for a, d in enumerate(grid.rule_defects(rho.basis.degree)) if a != axes[0]
+        ):
+            (z, w), i = grid.rules[axes[0]], axes[0]
+            weighted = w * marginal_values(rho, grid, i)
+            sums = np.column_stack([weighted, weighted * (v.eval_rules(p_frozen, grid)[i] - z)])
+        else:
+            sums = np.zeros(tuple(grid.shape[a] for a in axes) + (1 + len(axes),))
+            for block, place in grid.blocks(BLOCK_NODES):
+                x = block.nodes
+                weighted = block.weights * rho.evaluate(block)
+                terms = np.column_stack([weighted, weighted[:, None] * (v.eval_v(p_frozen, x)[:, cols] - x[:, cols])])
+                sums[tuple(place[a] for a in axes)] += block.axis_sums(terms, axes)
+        points, sums = grid.axis_points(axes), sums.reshape(-1, 1 + len(axes))
+        step = max(1, BLOCK_NODES // len(points))
+        for start in range(0, len(members), step):
+            batch = members[start : start + step]
+            _, grad, lap = BumpTest.profiles([bumps[j] for j in batch], points, derivatives=True)
+            out[batch] = np.sum(lap * sums[:, 0] + np.sum(grad * sums[:, 1:], axis=2), axis=1)
+    return out.tolist()
 
 
 def residual_suite(rho, v, p_frozen, grid, vals, vvals, bump_tests=()):
@@ -223,9 +229,10 @@ def residual_suite(rho, v, p_frozen, grid, vals, vvals, bump_tests=()):
     = ||D - A||_1 comes from assemble (dense only where the solve is, on the
     same vvals).  A bump reading x_A is integrated on grid's own rules with
     the rules of A replaced by the uniform BUMP_RULE, which resolves the
-    compactly supported bumps where a Gauss-Hermite rule does not; bumps of
-    one active set share that grid (_bump_defects).  Returns (hermite_max,
-    system_norm, bump_values); callers compare hermite_max against tol * (1 + system_norm).
+    compactly supported bumps where a Gauss-Hermite rule does not; the bumps
+    of one active set share that grid, its sums and one batched evaluation
+    (_bump_defects).  Returns (hermite_max, system_norm, bump_values);
+    callers compare hermite_max against tol * (1 + system_norm).
     """
     _check_sizes(v, rho.basis, grid)
     hermite_max = float(np.max(np.abs(hermite_defects(rho, grid, vals, vvals)[1:]), initial=0.0))

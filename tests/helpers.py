@@ -4,8 +4,17 @@ import math
 
 import numpy as np
 
-from gfpk import ChaosDensity, FixedPointOptions, as_measure, enumerate_basis, fixed_point_solve
-from gfpk.drift import drift_from_block
+from gfpk import (
+    ChaosDensity,
+    FixedPointOptions,
+    HermiteTest,
+    QuadratureGrid,
+    as_measure,
+    enumerate_basis,
+    fixed_point_solve,
+)
+from gfpk.density import marginal_values
+from gfpk.drift import SeparableField, drift_from_block
 
 H = [0.3, -0.2, 0.1, 0.25]
 # a config block in dimension k <= 4 for every separable drift kind and kernel
@@ -83,6 +92,93 @@ def bump_defect_per_node(phi, grid, vvals, rvals):
         [weighted * phi.laplacian(x)[:, None], weighted * (vvals - x) * phi.gradient(x)], axis=1
     )
     return float(terms.sum()), float(np.abs(terms).sum())
+
+
+def bump_per_test(phi, x):
+    """Reference (value, gradient (m, k), Laplacian) of the BumpTest phi at
+    the points x (m, k), one bump at a time: g(u) = exp(-(1-u)^{-1} + 1) on
+    u < 1 with g' and g'' from their own formulas."""
+    d = x[:, list(phi.active)] - np.asarray(phi.center)
+    u = np.sum(d * d, axis=1) / phi.radius**2
+    inside = u < 1.0
+    g, g1, g2 = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
+    w = 1.0 - u[inside]
+    f = -(w ** (-1)) + 1.0
+    fp = -(w ** (-2))
+    fpp = -2 * w ** (-3)
+    gi = np.exp(f)
+    g[inside] = gi
+    g1[inside] = fp * gi
+    g2[inside] = (fpp + fp**2) * gi
+    grad = np.zeros_like(x)
+    for col, i in enumerate(phi.active):
+        grad[:, i] = g1 * 2.0 * d[:, col] / phi.radius**2
+    return g, grad, g2 * 4.0 * u / phi.radius**2 + g1 * 2.0 * len(phi.active) / phi.radius**2
+
+
+def battery_integrals_per_test(rho, grid, battery):
+    """Reference of ladder._battery_integrals, one test at a time: each
+    test phi of coordinate i summed as phi w_z rho_i(z) over the rule of
+    x_i, with the same refusals."""
+    axes = []
+    for phi in battery:
+        if (len(phi.beta) if isinstance(phi, HermiteTest) else max(phi.active) + 1) > rho.k:
+            raise ValueError(f"battery test {phi} reads a coordinate beyond the density's k={rho.k}")
+        axes.append(tuple(np.flatnonzero(phi.beta)) if isinstance(phi, HermiteTest) else phi.active)
+        if len(axes[-1]) != 1:
+            raise ValueError(f"battery test {phi} reads {len(axes[-1])} coordinates, not one")
+    out = []
+    for phi, (i,) in zip(battery, axes):
+        z, w = grid.rules[i]
+        points = np.outer(z, np.eye(rho.k)[i])
+        values = phi.value(points) if isinstance(phi, HermiteTest) else bump_per_test(phi, points)[0]
+        out.append(float(np.sum(values * (w * marginal_values(rho, grid, i)))))
+    return out
+
+
+def bump_defects_per_test(bumps, rho, v, p_frozen, grid_for):
+    """Reference of linear._bump_defects, one bump at a time on the sums of
+    its active set A (shared by the bumps of A): each bump's Laplacian and
+    gradient flux at the values of x_A, summed on their own."""
+    import gfpk.linear
+
+    grouped, out = {}, []
+    for phi in bumps:
+        axes = sorted(phi.active)
+        if tuple(axes) not in grouped:
+            grid = grid_for(axes)
+            if len(axes) == 1 and isinstance(v, SeparableField) and all(
+                np.max(d[0]) <= gfpk.linear.ORTHONORMAL_TOL
+                for a, d in enumerate(grid.rule_defects(rho.basis.degree)) if a != axes[0]
+            ):
+                (z, w), i = grid.rules[axes[0]], axes[0]
+                weighted = w * marginal_values(rho, grid, i)
+                sums = np.column_stack([weighted, weighted * (v.eval_rules(p_frozen, grid)[i] - z)])
+            else:
+                sums = np.zeros(tuple(grid.shape[a] for a in axes) + (1 + len(axes),))
+                for block, place in grid.blocks(gfpk.linear.BLOCK_NODES):
+                    x = block.nodes
+                    weighted = block.weights * rho.evaluate(block)
+                    terms = np.column_stack([weighted, weighted[:, None] * (v.eval_v(p_frozen, x)[:, axes] - x[:, axes])])
+                    sums[tuple(place[a] for a in axes)] += block.axis_sums(terms, axes)
+            grouped[tuple(axes)] = grid.axis_points(axes), sums.reshape(-1, 1 + len(axes))
+        points, sums = grouped[tuple(axes)]
+        _, gradient, laplacian = bump_per_test(phi, points)
+        grad_flux = np.sum(gradient[:, axes] * sums[:, 1:], axis=1)
+        out.append(float(np.sum(laplacian * sums[:, 0] + grad_flux)))
+    return out
+
+
+class NodelessGrid(QuadratureGrid):
+    """A product grid whose product nodes and weights may not be read."""
+
+    @property
+    def nodes(self):
+        raise AssertionError("the product grid was read")
+
+    @property
+    def weights(self):
+        raise AssertionError("the product grid was read")
 
 
 def joint_measure_drift(v):

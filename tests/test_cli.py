@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from gfpk import ChaosDensity, ConfigError, load_config, parse_config
 from gfpk.cli import DEFAULT_BUMP_CENTERS, default_bumps, main
+from gfpk.config import MODES
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -666,3 +668,22 @@ def test_thread_flag_overrides_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("GFPK_THREADS", "abc")
     argv = ["solve-linear", "--config", write_config(tmp_path, linear_config(str(tmp_path / "out")))]
     assert main(argv + ["--threads", "2"]) == 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_mode_parses_to_its_run(monkeypatch, mode):
+    """The one parser hands the mode, the config path and every flag on."""
+    import gfpk.cli
+
+    seen = []
+    monkeypatch.setattr(gfpk.cli, "load_config", lambda path, seed: seen.append((path, seed)) or SimpleNamespace(mode=mode))
+    monkeypatch.setattr(gfpk.cli, "run", lambda config, out_dir, threads: seen.append((config.mode, out_dir, threads)) or 0)
+    assert main([mode, "--config", "cfg.json", "--out", "dir", "--seed", "7", "--threads", "2"]) == 0
+    assert seen == [("cfg.json", 7), (mode, "dir", 2)]
+
+
+@pytest.mark.parametrize("argv", [["no-such-mode", "--config", "cfg.json"], ["ladder"]], ids=["unknown-mode", "no-config"])
+def test_bad_command_line_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: gfpk")

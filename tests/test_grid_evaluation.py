@@ -35,7 +35,7 @@ from gfpk import (
     tensor_grid,
     uniform_gaussian_grid,
 )
-from gfpk.cli import default_bumps, density_checks
+from gfpk.cli import DEFAULT_BUMP_CENTERS, default_bumps, density_checks
 from gfpk.drift import drift_from_block
 from gfpk.ladder import LadderConfig, _battery_integrals, _zero_pad, default_battery, run_ladder
 from gfpk.linear import BUMP_RULE, ORTHONORMAL_TOL
@@ -336,28 +336,32 @@ def test_regrouped_bump_residuals_equal_the_per_node_sum(case, data):
 
 
 @pytest.fixture
-def profile_sizes(monkeypatch):
-    """The number of points of every BumpTest._profile call."""
+def profile_calls(monkeypatch):
+    """(number of bumps, number of points) of every BumpTest.profiles call."""
     seen = []
-    profile = BumpTest._profile
-    monkeypatch.setattr(BumpTest, "_profile", lambda self, u: seen.append(u.size) or profile(self, u))
+    profiles = BumpTest.profiles
+    monkeypatch.setattr(BumpTest, "profiles", staticmethod(
+        lambda bumps, x, derivatives=False: seen.append((len(bumps), len(x))) or profiles(bumps, x, derivatives)))
     return seen
 
 
-def test_bumps_are_evaluated_on_their_active_values(profile_sizes):
-    # a bump on x_0 is integrated on 401 x 4 x 4 nodes but read at the 401 values of x_0
+def test_bumps_are_evaluated_on_their_active_values(profile_calls):
+    # a bump on x_0 is integrated on 401 x 4 x 4 nodes but read at the 401
+    # values of x_0, in one profile call per active set
     rho = random_density(3, 3, 0)
     v, grid = coupled_drift(3), tensor_grid(4, 3)
     _, _, values = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid), default_bumps(3))
-    assert len(values) == len(default_bumps(3)) and profile_sizes and max(profile_sizes) <= BUMP_RULE[1]
+    assert len(values) == len(default_bumps(3))
+    assert profile_calls == [(len(DEFAULT_BUMP_CENTERS), BUMP_RULE[1])] * 3
 
 
-def test_battery_tests_are_evaluated_on_their_coordinate_values(profile_sizes):
+def test_battery_tests_are_evaluated_on_their_coordinate_values(profile_calls):
     grid = tensor_grid(5, 3)
     rho = random_density(3, 4, 3)
     battery = default_battery(3)
     values = _battery_integrals(rho, grid, battery)
-    assert profile_sizes and max(profile_sizes) <= 5
+    # the nine bumps of the three coordinates, which share one rule, at its 5 values in one call
+    assert profile_calls == [(9, 5)]
     weighted = grid.weights * rho.evaluate(grid)
     for phi, value in zip(battery, values):
         terms = weighted * phi.value(grid.nodes)

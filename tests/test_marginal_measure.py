@@ -31,7 +31,14 @@ from gfpk import (
 )
 from gfpk.drift import drift_from_block
 from gfpk.linear import assemble, separable_interaction
-from helpers import SEPARABLE_BLOCKS, cameron_martin, joint_fixed_point, joint_measure_drift, registry_drift
+from helpers import (
+    SEPARABLE_BLOCKS,
+    NodelessGrid,
+    cameron_martin,
+    joint_fixed_point,
+    joint_measure_drift,
+    registry_drift,
+)
 
 
 def random_density(k, degree, seed, amplitude=0.05):
@@ -88,18 +95,6 @@ def test_rules_may_differ_per_axis():
     measure = marginal_measure(rho, grid)
     assert [y.size for y in measure.nodes] == [8, 11]
     assert all(abs(m.sum() - 1.0) <= 1e-15 for m in measure.masses)
-
-
-class NodelessGrid(QuadratureGrid):
-    """A tensor grid whose product nodes and weights may not be read."""
-
-    @property
-    def nodes(self):
-        raise AssertionError("the product grid was read")
-
-    @property
-    def weights(self):
-        raise AssertionError("the product grid was read")
 
 
 @pytest.mark.parametrize("name", ["vlasov-tanh", "vlasov-gaussian-lobe", "componentwise-tanh"])
