@@ -224,15 +224,13 @@ def run_ladder(drift, cfg: LadderConfig) -> LadderReport:
     with the failure message recorded.
     """
     report = LadderReport(config=cfg)
-    previous = None  # (rho, grid)
+    previous = []  # battery integrals of the level below
     for k, degree, q in zip(cfg.levels, cfg.degrees, cfg.quad_orders):
         basis = enumerate_basis(k, degree)
         grid = tensor_grid(q, k)
         v_k = drift(k)
         cfg.check_drift(v_k)
-        seed = None
-        if previous is not None:
-            seed = _zero_pad(previous[0], basis)
+        seed = _zero_pad(report.levels[-1].solution, basis) if report.levels else None
         try:
             rho, trace = fixed_point_solve(v_k, basis, grid, replace(cfg.fixed_point, initial=seed))
         except NonConvergenceError as exc:
@@ -256,12 +254,13 @@ def run_ladder(drift, cfg: LadderConfig) -> LadderReport:
             tail_masses=tail_masses,
             iterations=trace.iterations,
         )
-        if previous is not None:
-            report.levels[-1].distance_to_next = marginal_distance(
-                previous[0], previous[1], rho, grid, default_battery(previous[0].k)
-            )
+        # battery(k') of a lower level k' is a prefix of battery(k), so zip
+        # pairs the lower level's integrals with the first ones of this level
+        integrals = _battery_integrals(rho, grid, default_battery(k))
+        if report.levels:
+            report.levels[-1].distance_to_next = max(abs(a - b) for a, b in zip(previous, integrals))
         report.levels.append(level)
-        previous = (rho, grid)
+        previous = integrals
     return report
 
 

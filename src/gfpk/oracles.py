@@ -206,31 +206,37 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
 
 def _fd_matrix(v, x: np.ndarray, h: float):
     """Flux-balance matrix of the exponentially fitted scheme, cell (i, j) at
-    row i * n + j, as CSC.  The flux equation of the cell c nearest the
-    origin becomes a_cc u_c = a_cc; its other entries stay as stored zeros."""
+    row i * n + j, written straight into CSC arrays: column c holds the rows
+    c - n, c - 1, c, c + 1, c + n that exist.  The flux equation of the cell
+    c nearest the origin becomes a_cc u_c = a_cc; its other entries stay as
+    stored zeros."""
     import scipy.sparse as sp  # deferred: only the FD oracle needs scipy.sparse
 
     n = x.size
     mid = 0.5 * (x[:-1] + x[1:])
-    cells = np.arange(n * n).reshape(n, n)
-    rows, cols, data = [], [], []
-    # faces between adjacent cells along each axis: (lower cell, upper cell)
-    for axis, face_pts, lo, step in (
-        (0, np.stack([np.repeat(mid, n), np.tile(x, n - 1)], axis=1), cells[:-1].ravel(), n),
-        (1, np.stack([np.repeat(x, n - 1), np.tile(mid, n)], axis=1), cells[:, :-1].ravel(), 1),
+    faces = []  # B(-w) / h^2 and B(w) / h^2 of the faces, by lower cell, along each axis
+    for axis, pts, shape in (
+        (0, np.stack([np.repeat(mid, n), np.tile(x, n - 1)], axis=1), (n - 1, n)),
+        (1, np.stack([np.repeat(x, n - 1), np.tile(mid, n)], axis=1), (n, n - 1)),
     ):
-        b_face = np.asarray(v(face_pts), dtype=float) - face_pts
-        w = b_face[:, axis] * h
-        b_minus = _bernoulli(-w) / h**2  # multiplies the lower cell
-        b_plus = _bernoulli(w) / h**2  # multiplies the upper cell
-        hi = lo + step
-        # flux F = B(-w) u_lo - B(w) u_hi leaves lo and enters hi
-        rows.append(np.stack([lo, lo, hi, hi], axis=1).ravel())
-        cols.append(np.stack([lo, hi, lo, hi], axis=1).ravel())
-        data.append(np.stack([b_minus, -b_plus, -b_minus, b_plus], axis=1).ravel())
-    rows, cols, data = (np.concatenate(part) for part in (rows, cols, data))
-    data[(rows == cells[n // 2, n // 2]) & (cols != rows)] = 0.0
-    return sp.csc_matrix((data, (rows, cols)), shape=(n * n, n * n))
+        w = (np.asarray(v(pts), dtype=float) - pts)[:, axis] * h
+        faces += [(_bernoulli(-w) / h**2).reshape(shape), (_bernoulli(w) / h**2).reshape(shape)]
+    m0, p0, m1, p1 = faces
+    # the flux B(-w) u_lo - B(w) u_hi leaves the lower cell and enters the upper one
+    entries = np.zeros((n, n, 5))
+    present = np.ones((n, n, 5), dtype=bool)
+    present[0, :, 0] = present[:, 0, 1] = present[:, -1, 3] = present[-1, :, 4] = False
+    entries[1:, :, 0], entries[:, 1:, 1] = -p0, -p1
+    entries[:, :-1, 3], entries[:-1, :, 4] = -m1, -m0
+    # in face order, so the diagonal is bit for bit the face-by-face sum
+    for face, cells in ((p0, np.s_[1:, :]), (m0, np.s_[:-1, :]), (p1, np.s_[:, 1:]), (m1, np.s_[:, :-1])):
+        entries[cells + (2,)] += face
+    offsets = np.array([-n, -1, 0, 1, n], dtype=np.intc)
+    rows = np.arange(n * n, dtype=np.intc)[:, None] + offsets
+    pin = (n // 2) * n + n // 2
+    entries.reshape(n * n, 5)[(rows == pin) & (offsets != 0)] = 0.0
+    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=2).ravel()))).astype(np.intc)
+    return sp.csc_matrix((entries[present], rows[present.reshape(n * n, 5)], indptr), shape=(n * n, n * n))
 
 
 def _pinned_solve(matrix, pin: int) -> np.ndarray:
@@ -242,8 +248,9 @@ def _pinned_solve(matrix, pin: int) -> np.ndarray:
 
     rhs = np.zeros(matrix.shape[0])
     rhs[pin] = matrix[pin, pin]
-    try:
-        u = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0).solve(rhs)
+    try:  # small supernodes and narrow panels suit the sparse fronts of a 5-point stencil
+        lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=2)
+        u = lu.solve(rhs)
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise NumericError(f"finite-difference steady state solve failed: {exc}") from exc
     if not np.all(np.isfinite(u)):

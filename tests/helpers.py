@@ -10,8 +10,11 @@ from gfpk import (
     HermiteTest,
     QuadratureGrid,
     as_measure,
+    default_battery,
     enumerate_basis,
     fixed_point_solve,
+    marginal_distance,
+    tensor_grid,
 )
 from gfpk.density import marginal_values
 from gfpk.drift import SeparableField, drift_from_block
@@ -236,3 +239,19 @@ def mass_row_fd_2d(v, span: float, n: int) -> np.ndarray:
     rhs[last] = 1.0
     u = spla.spsolve(sp.csr_matrix((data, (rows, cols)), shape=(n * n, n * n)), rhs)
     return (u / float(u.sum() * h * h)).reshape(n, n)
+
+
+def two_call_pair_distances(report):
+    """report with the distance_to_next of each level recomputed the way
+    run_ladder did before it kept each level's battery integrals: by
+    marginal_distance, which integrates the lower level's battery on both
+    levels of the pair, so every inner level is integrated twice."""
+    for lower, upper in zip(report.levels, report.levels[1:]):
+        lower.distance_to_next = marginal_distance(
+            lower.solution,
+            tensor_grid(lower.quad_order, lower.k),
+            upper.solution,
+            tensor_grid(upper.quad_order, upper.k),
+            default_battery(lower.k),
+        )
+    return report

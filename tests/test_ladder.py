@@ -1,7 +1,10 @@
 """Dimension ladder: moment certificates, tails and marginal stability."""
+import json
+
 import numpy as np
 import pytest
 
+import gfpk.ladder
 from gfpk import (
     BumpTest,
     ChaosDensity,
@@ -17,7 +20,9 @@ from gfpk import (
     run_ladder,
     tensor_grid,
 )
-from helpers import cameron_martin, registry_drift
+from gfpk.cli import main
+from gfpk.config import parse_config
+from helpers import cameron_martin, registry_drift, two_call_pair_distances
 
 WEIGHTS = (0.25, 0.0625, 0.015625, 0.00390625)  # alpha_n = 4^{-n}
 
@@ -187,6 +192,17 @@ def test_ladder_runs_a_custom_drift():
     assert [lv.moment for lv in custom.levels] == [lv.moment for lv in registry.levels]
 
 
+def test_ladder_pair_distances_match_the_two_call_path_on_unequal_marginals():
+    """Each coordinate has its own law here, so pairing a level's integrals
+    with the wrong tests of the level above would change a distance."""
+    drift = lambda k: custom_drift(lambda p, x: 0.5 * np.tanh(x - np.arange(k)), k, "componentwise", 0.5,
+                                   reads_measure=False)
+    report = run_ladder(drift, make_config())
+    distances = [lv.distance_to_next for lv in report.levels]
+    assert report.completed and distances[-1] is None
+    assert distances == [lv.distance_to_next for lv in two_call_pair_distances(report).levels]
+
+
 def test_ladder_report_serialization():
     cfg = make_config(levels=(1, 2), degrees=(5, 4), quad_orders=(6, 6))
     report = run_ladder(registry_drift("componentwise-tanh", scale=0.3, n_components=2), cfg)
@@ -195,3 +211,38 @@ def test_ladder_report_serialization():
     csv_lines = report.to_csv().strip().splitlines()
     assert len(csv_lines) == 3
     assert csv_lines[0].startswith("k,moment,threshold,pass")
+
+
+# five levels of the mean-shifted componentwise tanh, as the ladder-k5 bench workload runs them
+LADDER_K5 = {
+    "mode": "ladder",
+    "drift": {"kind": "componentwise-tanh", "scale": 0.5, "n_components": 5, "mean_shift": True},
+    "ladder": {
+        "weights": [1.0, 0.5, 0.25, 0.125, 0.0625],
+        "component_bound": 0.5,
+        "levels": [1, 2, 3, 4, 5],
+        "degrees": [8, 6, 5, 4, 4],
+        "quad_orders": [10, 8, 6, 6, 6],
+    },
+}
+
+
+def test_ladder_integrates_each_level_battery_once_and_keeps_its_files(tmp_path, monkeypatch):
+    """One battery pass per level, and ladder.json and ladder.csv byte-identical
+    to those of the two-call pair distances (marginal_distance per pair)."""
+    calls = []
+    original = gfpk.ladder._battery_integrals
+    monkeypatch.setattr(gfpk.ladder, "_battery_integrals", lambda *args: calls.append(args[0].k) or original(*args))
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**LADDER_K5, "output": {"dir": str(out)}}))
+    assert main(["ladder", "--config", str(path)]) == 0
+    assert calls == [1, 2, 3, 4, 5]
+    monkeypatch.undo()
+
+    config = parse_config(LADDER_K5)
+    reference = two_call_pair_distances(run_ladder(config.ladder_drifts.__getitem__, config.ladder))
+    assert reference.completed and len(reference.levels) == 5
+    expected = json.dumps(reference.to_json_dict(), sort_keys=True, indent=1)
+    assert (out / "ladder.json").read_bytes() == expected.encode()
+    assert (out / "ladder.csv").read_bytes() == reference.to_csv().encode()

@@ -166,13 +166,14 @@ def test_fd_2d_marginal_mass():
 
 def loop_built_fd_matrix(v, x, h):
     """The flux-balance matrix assembled face by face, as a reference for the
-    array assembly: four entries per face, then the row of the cell nearest
-    the origin cut to its diagonal (the pinned cell)."""
+    array assembly: four entries per face, the off-diagonal entries of the row
+    of the cell nearest the origin (the pinned cell) kept as stored zeros."""
     import scipy.sparse as sp
 
     from gfpk.oracles import _bernoulli
 
     n = x.size
+    pin = (n // 2) * n + n // 2
     rows, cols, data = [], [], []
     for axis in range(2):
         if axis == 0:
@@ -188,22 +189,19 @@ def loop_built_fd_matrix(v, x, h):
             else:
                 i, j = divmod(m, n - 1)
                 lo, hi = i * n + j, i * n + j + 1
-            rows += [lo, lo, hi, hi]
-            cols += [lo, hi, lo, hi]
-            data += [b_minus[m], -b_plus[m], -b_minus[m], b_plus[m]]
-    matrix = sp.csr_matrix((data, (rows, cols)), shape=(n * n, n * n)).tolil()
-    pin = (n // 2) * n + n // 2
-    diagonal = matrix[pin, pin]
-    matrix[pin, :] = 0.0
-    matrix[pin, pin] = diagonal
-    return matrix.tocsr()
+            entries = ((lo, lo, b_minus[m]), (lo, hi, -b_plus[m]), (hi, lo, -b_minus[m]), (hi, hi, b_plus[m]))
+            for row, col, value in entries:
+                rows.append(row)
+                cols.append(col)
+                data.append(0.0 if row == pin and col != pin else value)
+    return sp.csc_matrix((data, (rows, cols)), shape=(n * n, n * n))
 
 
-@pytest.mark.parametrize("n", [5, 40])
+@pytest.mark.parametrize("n", [5, 8, 40])
 def test_fd_matrix_matches_face_loop(n):
-    from gfpk import rotational_drift
-    from gfpk.oracles import _fd_matrix
-
+    """The CSC arrays carry the values and the sorted 5-point pattern of the
+    face loop, the stored zeros of the pinned row included: a dropped zero
+    changes the minimum-degree order and with it the FD answer."""
     v = rotational_drift(0.3, 2, offset=[0.2, 0.0])
     span = 6.0
     h = 2.0 * span / n
@@ -214,6 +212,11 @@ def test_fd_matrix_matches_face_loop(n):
     difference = abs(fast - reference)
     assert difference.max() <= 1e-15 * abs(reference).max()
     assert (fast != 0).nnz == (reference != 0).nnz
+    reference.sort_indices()
+    assert fast.format == "csc" and fast.nnz == 5 * n * n - 4 * n
+    assert np.array_equal(fast.indptr, reference.indptr)
+    assert np.array_equal(fast.indices, reference.indices)
+    assert np.count_nonzero(fast.data == 0.0) == np.count_nonzero(reference.data == 0.0) == 4
 
 
 # Both closings are backward-stable solves of one system; at n = 161 each
@@ -224,6 +227,7 @@ FD_DRIFTS = {
     "zero": lambda x: np.zeros_like(x),
     "tanh-gradient": lambda x: 0.4 * np.tanh(x / 2.0),
     "rotational": lambda x, v=rotational_drift(0.3, 2, offset=[0.2, 0.0]): v.eval_v(None, x),
+    "strong-rotational": lambda x, v=rotational_drift(3.0, 2, offset=[0.8, -0.3]): v.eval_v(None, x),
 }
 
 
