@@ -14,18 +14,33 @@ points solve the nonlinear problem.
 """
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
 
 import numpy as np
-# about half of `import gfpk.cli`, kept: numpy exposes no LU factors for the
-# dgecon estimate, and an exact condition number from the inverse costs 2-4x
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs
+import scipy
 
 from .basis import ChaosBasis, QuadratureGrid, product_grid, uniform_gaussian_grid
 from .density import BumpTest, ChaosDensity, HermiteTest, marginal_values
 from .drift import SeparableField
 from .errors import SolverError
 
+
+def _lapack_routines(directory, name="scipy.linalg._flapack"):
+    # scipy.linalg's __init__ costs ~0.25 s (numpy.f2py, .testing, .ma, .random); LAPACK needs none of it
+    for path in (os.path.join(directory, "_flapack" + suffix) for suffix in EXTENSION_SUFFIXES):
+        if name not in sys.modules and os.path.isfile(path):
+            sys.modules[name] = module_from_spec(spec := spec_from_file_location(name, path))
+            spec.loader.exec_module(sys.modules[name])
+    if name not in sys.modules:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {directory}")
+    return sys.modules[name].dgecon, sys.modules[name].dgetrf, sys.modules[name].dgetrs
+
+
+dgecon, dgetrf, dgetrs = _lapack_routines(os.path.join(scipy.__path__[0], "linalg"))
 CONDITION_LIMIT = 1e12
 # Largest deviation of H diag(w) H^T from I (of its row 0 from e_0) for which a
 # 1-D rule counts as orthonormal (exact) up to the basis degree (grid.rule_defects).

@@ -4,12 +4,12 @@
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import gfpk.linear
 from gfpk import BumpTest, ChaosDensity, HermiteTest, custom_drift, enumerate_basis, gauss_hermite, product_grid
-from gfpk import residual_suite, uniform_gaussian_grid
+from gfpk import DegenerateDensityError, residual_suite, uniform_gaussian_grid
 from gfpk.drift import drift_from_block
 from gfpk.ladder import _battery_integrals
 from gfpk.linear import BUMP_RULE
@@ -142,7 +142,10 @@ def test_bump_residuals_equal_the_per_bump_loop(data, k, drift, block_nodes, see
     bumps = data.draw(st.permutations(bumps))
     v = coupled_drift(k) if drift == "coupled" else drift_from_block(SEPARABLE_BLOCKS[drift](k), k)
     rho = random_density(k, degree, seed)
-    p = v.read_measure(rho, grid) if v.reads_measure else None
+    try:
+        p = v.read_measure(rho, grid) if v.reads_measure else None
+    except DegenerateDensityError:
+        reject()  # a truncation that is no measure gives a measure-reading drift nothing to read
     rule = uniform_gaussian_grid(*BUMP_RULE).rules[0]
     swapped = lambda axes: product_grid([rule if i in axes else r for i, r in enumerate(grid.rules)])
     with mock.patch.object(gfpk.linear, "BLOCK_NODES", block_nodes):

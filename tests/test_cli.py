@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -135,21 +136,71 @@ def test_verify_takes_default_q_from_the_density_degree(tmp_path):
     assert report["checks_passed"] is (code == 0)
 
 
-HEAVY_SCIPY = ("scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special", "scipy.stats")
+HEAVY_SCIPY = (
+    "scipy.linalg", "scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special", "scipy.stats",
+)
+
+
+def run_fresh(code):
+    """stdout of `code` run by a fresh interpreter on this checkout's src."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
 
 
 @pytest.mark.parametrize("module", ["gfpk.cli", "gfpk"])
 def test_import_loads_no_heavy_scipy_subpackage(module):
-    """Every CLI call pays for this import: numpy and scipy.linalg.lapack
-    only; the oracles and the level-set mass import the rest on first use."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    probe = f"import sys, {module}; print(' '.join(sorted(sys.modules)))"
-    env = dict(os.environ, PYTHONPATH=src)
-    loaded = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert module in loaded
+    """Every CLI call pays for this import: numpy, scipy and scipy's LAPACK
+    extension scipy.linalg._flapack only, not the scipy.linalg package; the
+    oracles and the level-set mass import the rest on first use."""
+    loaded = run_fresh(f"import sys, {module}; print(' '.join(sorted(sys.modules)))").split()
+    assert module in loaded and "scipy.linalg._flapack" in loaded
     assert [m for m in HEAVY_SCIPY if m in loaded] == []
+
+
+def test_solves_never_import_scipy_linalg(tmp_path):
+    """The saving is not a deferred import: a whole solve-linear and a whole
+    sweep run to exit 0 without scipy.linalg."""
+    runs = []
+    for mode, drift_or_sweep in [
+        ("solve-linear", {"drift": {"kind": "clipped-potential", "lam": 0.5}}),
+        ("sweep", {"sweep": {"family": "vlasov-tanh-scale", "values": [0.3]}}),
+    ]:
+        cfg = {"mode": mode, "k": 2, "N": 8, "Q": 16, **drift_or_sweep, "output": {"dir": str(tmp_path / mode)}}
+        runs.append([mode, "--config", write_config(tmp_path, cfg, f"{mode}.json")])
+    probe = (
+        "import json, sys\nfrom gfpk.cli import main\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, 'scipy.linalg' in sys.modules]))"
+    )
+    assert json.loads(run_fresh(probe).splitlines()[-1]) == [[0, 0], False]
+    assert (tmp_path / "solve-linear" / "density.json").exists()
+    assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "first, second", [("gfpk.cli", "scipy.linalg.lapack"), ("scipy.linalg.lapack", "gfpk.cli")]
+)
+def test_one_copy_of_lapack_in_either_import_order(first, second):
+    """gfpk registers the extension under scipy's own name, so scipy.linalg
+    reuses it, and gfpk reuses scipy.linalg's copy when that came first."""
+    probe = (
+        f"import sys\nimport {first}\nloaded = sys.modules.get('scipy.linalg._flapack')\nimport {second}\n"
+        "import json, gfpk.linear, scipy.linalg.lapack as lapack\n"
+        "same = [getattr(gfpk.linear, r) is getattr(lapack, r) for r in ('dgetrf', 'dgecon', 'dgetrs')]\n"
+        "print(json.dumps(same + [sys.modules['scipy.linalg._flapack'] is loaded]))"
+    )
+    assert json.loads(run_fresh(probe)) == [True, True, True, True]
+
+
+def test_lapack_loader_names_the_directory_it_searched(tmp_path, monkeypatch):
+    from gfpk import linear
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+        linear._lapack_routines(str(tmp_path))
 
 
 def test_malformed_config_exit_2_no_outputs(tmp_path):
