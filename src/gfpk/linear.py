@@ -18,10 +18,9 @@ import os
 import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
-from importlib.util import module_from_spec, spec_from_file_location
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 
 import numpy as np
-import scipy
 
 from .basis import ChaosBasis, QuadratureGrid, product_grid, uniform_gaussian_grid
 from .density import BumpTest, ChaosDensity, HermiteTest, marginal_values
@@ -40,7 +39,8 @@ def _lapack_routines(directory, name="scipy.linalg._flapack"):
     return sys.modules[name].dgecon, sys.modules[name].dgetrf, sys.modules[name].dgetrs
 
 
-dgecon, dgetrf, dgetrs = _lapack_routines(os.path.join(scipy.__path__[0], "linalg"))
+# found, not imported: scipy/__init__.py pulls in subprocess, sysconfig and a version parser (~10 ms)
+dgecon, dgetrf, dgetrs = _lapack_routines(os.path.join(find_spec("scipy").submodule_search_locations[0], "linalg"))
 CONDITION_LIMIT = 1e12
 # Largest deviation of H diag(w) H^T from I (of its row 0 from e_0) for which a
 # 1-D rule counts as orthonormal (exact) up to the basis degree (grid.rule_defects).

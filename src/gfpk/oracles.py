@@ -22,6 +22,16 @@ SELFCONSISTENT_TOL = 1e-12  # sup distance of successive 1-D iterates
 SELFCONSISTENT_MAX_ITERATIONS = 200
 SDE_BATCHES = 50  # particle groups of oracle_sde
 SDE_BURN_IN = 0.2  # share of the steps of oracle_sde left out of the averages
+FD_KRYLOV_STEPS = 60  # GMRES steps oracle_fd_2d takes before it falls back to a sparse factorization
+# GMRES stops when its Arnoldi residual is below this share of (largest face
+# coefficient) * (peak of the start, 1) * n.  At 1e-16 a rotational solve on
+# 161 cells (scale 0.8, offset (0.3, 0)) ended 2.7e-14 of the peak from the
+# factored one, at the edge of what the tests allow; at 1e-18, 6.4e-15.
+FD_KRYLOV_TOL = 1e-18
+# GMRES runs again from its answer, on the true residual: the preconditioner's
+# round-off, large where the stationary density is far below its peak, left the
+# first answer up to 9e-14 of the peak from the factored one on grids of 5 to 30 cells
+FD_KRYLOV_CYCLES = 2
 
 
 @dataclass(frozen=True)
@@ -204,24 +214,36 @@ def _bernoulli(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fd_matrix(v, x: np.ndarray, h: float):
-    """Flux-balance matrix of the exponentially fitted scheme, cell (i, j) at
-    row i * n + j, written straight into CSC arrays: column c holds the rows
-    c - n, c - 1, c, c + 1, c + n that exist.  The flux equation of the cell
-    c nearest the origin becomes a_cc u_c = a_cc; its other entries stay as
-    stored zeros."""
-    import scipy.sparse as sp  # deferred: only the FD oracle needs scipy.sparse
-
+def _face_coefficients(v, x: np.ndarray, h: float):
+    """Per axis, the face Peclet numbers w = b h of the drift b = -x + v and
+    the exponentially fitted flux coefficients B(-w) / h^2 and B(w) / h^2:
+    (n - 1, n) arrays by lower cell along axis 0, (n, n - 1) along axis 1.
+    v is read once, at the faces of both axes."""
     n = x.size
     mid = 0.5 * (x[:-1] + x[1:])
-    faces = []  # B(-w) / h^2 and B(w) / h^2 of the faces, by lower cell, along each axis
-    for axis, pts, shape in (
-        (0, np.stack([np.repeat(mid, n), np.tile(x, n - 1)], axis=1), (n - 1, n)),
-        (1, np.stack([np.repeat(x, n - 1), np.tile(mid, n)], axis=1), (n, n - 1)),
-    ):
-        w = (np.asarray(v(pts), dtype=float) - pts)[:, axis] * h
-        faces += [(_bernoulli(-w) / h**2).reshape(shape), (_bernoulli(w) / h**2).reshape(shape)]
-    m0, p0, m1, p1 = faces
+    pts = np.concatenate(
+        [
+            np.stack([np.repeat(mid, n), np.tile(x, n - 1)], axis=1),
+            np.stack([np.repeat(x, n - 1), np.tile(mid, n)], axis=1),
+        ]
+    )
+    b = (np.asarray(v(pts), dtype=float) - pts) * h
+    faces = []
+    for w in (b[: (n - 1) * n, 0].reshape(n - 1, n), b[(n - 1) * n :, 1].reshape(n, n - 1)):
+        faces.append((w, _bernoulli(-w) / h**2, _bernoulli(w) / h**2))
+    return faces
+
+
+def _fd_matrix(faces):
+    """Flux-balance matrix of the exponentially fitted scheme on the faces of
+    _face_coefficients, cell (i, j) at row i * n + j, written straight into
+    CSC arrays: column c holds the rows c - n, c - 1, c, c + 1, c + n that
+    exist.  The flux equation of the cell c nearest the origin becomes
+    a_cc u_c = a_cc; its other entries stay as stored zeros."""
+    import scipy.sparse as sp  # deferred: only the fallback of the FD oracle needs scipy.sparse
+
+    (_, m0, p0), (_, m1, p1) = faces
+    n = m0.shape[1]
     # the flux B(-w) u_lo - B(w) u_hi leaves the lower cell and enters the upper one
     entries = np.zeros((n, n, 5))
     present = np.ones((n, n, 5), dtype=bool)
@@ -242,8 +264,10 @@ def _fd_matrix(v, x: np.ndarray, h: float):
 def _pinned_solve(matrix, pin: int) -> np.ndarray:
     """u with matrix u = matrix[pin, pin] e_pin, for _fd_matrix's irreducibly
     column-diagonally-dominant M-matrix: SuperLU, minimum degree on A^T + A,
-    no pivoting.  A NumericError for an exactly singular factor or a
-    non-finite u (a density whose ratio to the pinned cell overflows)."""
+    no pivoting.  The fallback of oracle_fd_2d when its Krylov solve fails,
+    and the reference the tests hold that solve to.  A NumericError for an
+    exactly singular factor or a non-finite u (a density whose ratio to the
+    pinned cell overflows)."""
     import scipy.sparse.linalg as spla
 
     rhs = np.zeros(matrix.shape[0])
@@ -258,16 +282,138 @@ def _pinned_solve(matrix, pin: int) -> np.ndarray:
     return u
 
 
+def _flux_divergence(faces, u: np.ndarray) -> np.ndarray:
+    """A u for the unpinned flux matrix A of the faces, u an (n, n) cell array."""
+    (_, m0, p0), (_, m1, p1) = faces
+    out = np.zeros_like(u)
+    for flux, lo, hi in (
+        (m0 * u[:-1, :] - p0 * u[1:, :], np.s_[:-1, :], np.s_[1:, :]),
+        (m1 * u[:, :-1] - p1 * u[:, 1:], np.s_[:, :-1], np.s_[:, 1:]),
+    ):
+        out[lo] += flux
+        out[hi] -= flux
+    return out
+
+
+def _flux_operator_1d(w: np.ndarray, h: float):
+    """The 1-D flux operator T of face Peclet numbers w, diagonalized.
+
+    Detailed balance B(-w) pi_lo = B(w) pi_hi gives its stationary vector pi
+    (peak 1), and Pi^(-1/2) T Pi^(1/2) is a symmetric tridiagonal matrix with
+    off-diagonal -sqrt(B(-w) B(w)) / h^2, so one eigh gives T = V diag(lam)
+    V^-1.  Returns pi, lam (ascending, lam[0] = 0 the zero mode), V and V^-T.
+    """
+    m, p = _bernoulli(-w) / h**2, _bernoulli(w) / h**2
+    rise = np.log(m / p)  # log pi_{i+1} - log pi_i
+    peak = int(np.argmax(np.concatenate(([0.0], np.cumsum(rise)))))
+    # summed outward from the peak, so each cell's rounding is relative to its own distance from it
+    log_pi = np.concatenate((-np.cumsum(rise[:peak][::-1])[::-1], [0.0], np.cumsum(rise[peak:])))
+    off = -np.sqrt(m * p)
+    lam, q = np.linalg.eigh(np.diag(np.append(m, 0.0) + np.insert(p, 0, 0.0)) + np.diag(off, 1) + np.diag(off, -1))
+    lam[0] = 0.0  # T is singular with a one-dimensional kernel; eigh returns it to round-off
+    root = np.exp(0.5 * log_pi)[:, None]
+    return np.exp(log_pi), lam, root * q, q / root
+
+
+def _gmres(operator, preconditioner, rhs: np.ndarray, tol: float, budget: int):
+    """(x, steps): x with operator(x) = rhs by GMRES from x = 0, right
+    preconditioned, its Arnoldi basis kept orthogonal by classical
+    Gram-Schmidt applied twice; x is None when the Arnoldi residual is still
+    above tol after budget steps."""
+    beta = float(np.linalg.norm(rhs))
+    if beta <= tol:
+        return np.zeros_like(rhs), 0
+    basis = np.empty((budget + 1, rhs.size))
+    hessenberg = np.zeros((budget + 1, budget))
+    rotations = np.zeros((budget, 2))
+    g = np.zeros(budget + 1)
+    basis[0], g[0] = rhs.ravel() / beta, beta
+    for j in range(budget):
+        w = operator(preconditioner(basis[j].reshape(rhs.shape))).ravel()
+        for _ in range(2):
+            coefficients = basis[: j + 1] @ w
+            w -= coefficients @ basis[: j + 1]
+            hessenberg[: j + 1, j] += coefficients
+        hessenberg[j + 1, j] = norm = np.linalg.norm(w)
+        for i, (c, s) in enumerate(rotations[:j]):
+            a, b = hessenberg[i : i + 2, j]
+            hessenberg[i : i + 2, j] = c * a + s * b, c * b - s * a
+        r = math.hypot(hessenberg[j, j], hessenberg[j + 1, j])
+        rotations[j] = c, s = hessenberg[j, j] / r, hessenberg[j + 1, j] / r
+        hessenberg[j, j], hessenberg[j + 1, j] = r, 0.0
+        g[j : j + 2] = c * g[j], -s * g[j]
+        if abs(g[j + 1]) <= tol:
+            y = np.linalg.solve(np.triu(hessenberg[: j + 1, : j + 1]), g[: j + 1])
+            return preconditioner((y @ basis[: j + 1]).reshape(rhs.shape)), j + 1
+        basis[j + 1] = w / norm
+    return None, budget
+
+
+def _krylov_steady_state(faces, x: np.ndarray, h: float):
+    """(u, steps): the null vector u of the flux matrix of the faces, None
+    when GMRES fails, and the Krylov steps taken.
+
+    The preconditioner is the inverse on its range of T_1 (+) T_2, the
+    Kronecker sum of the 1-D flux operators of the face Peclet numbers
+    averaged across the faces' axis with weights exp(-x^2/2); it is applied
+    by fast diagonalization.  GMRES starts from its null vector, the outer
+    product of the two 1-D stationary vectors, and solves for the correction,
+    which keeps the start's mass: the preconditioner's range has zero sum.
+    For a separable drift the preconditioner is the operator and the start is
+    the answer.
+    """
+    (w0, _, _), (w1, _, _) = faces
+    c = x.size // 2
+    weights = np.exp(-0.5 * x**2)
+    weights /= weights.sum()
+    # the mean as a correction to the central cell's value, so a face row that does not vary is its own mean
+    mean0 = w0[:, c] + (w0 - w0[:, c : c + 1]) @ weights
+    mean1 = w1[c] + weights @ (w1 - w1[c])
+    pi0, lam0, v0, inv0 = _flux_operator_1d(mean0, h)
+    pi1, lam1, v1, inv1 = _flux_operator_1d(mean1, h)
+    start = np.outer(pi0, pi1)
+    if not ((w0 - mean0[:, None]).any() or (w1 - mean1).any()):
+        return start, 0
+    eigenvalues = lam0[:, None] + lam1
+    eigenvalues[0, 0] = np.inf  # drops the zero mode
+    inverse = 1.0 / eigenvalues
+    scale = max(float(f.max()) for _, *pair in faces for f in pair) * x.size
+    u, steps = start, 0
+    for _ in range(FD_KRYLOV_CYCLES):
+        correction, cycle_steps = _gmres(
+            lambda y: _flux_divergence(faces, y),
+            lambda r: v0 @ ((inv0.T @ r @ inv1) * inverse) @ v1.T,
+            -_flux_divergence(faces, u),
+            FD_KRYLOV_TOL * scale,
+            FD_KRYLOV_STEPS - steps,
+        )
+        steps += cycle_steps
+        if correction is None:
+            return None, steps
+        u = u + correction
+    return u, steps
+
+
 def oracle_fd_2d(v, span: float = 6.0, n: int = 161) -> GridDensity2D:
     """Steady state of div(grad u - b u) = 0 on a box with zero-flux walls.
 
     Exponentially fitted (flux-upwinded) finite volumes keep the discrete
-    density positive; the singular conservation system is closed by pinning
-    the cell nearest the origin, then scaled to unit mass.  v maps (m, 2)
-    points to (m, 2) values; the full drift -x + v is formed internally.
+    density positive.  The singular conservation system is solved by GMRES
+    preconditioned with its separable part (_krylov_steady_state); when that
+    fails (the Krylov budget runs out or a value overflows), by pinning the
+    cell nearest the origin and factoring (_pinned_solve).  The solution is
+    scaled to unit mass.  v maps (m, 2) points to (m, 2) values; the full
+    drift -x + v is formed internally.
     """
     h = 2.0 * span / n
     x = -span + h * (np.arange(n) + 0.5)
-    u = _pinned_solve(_fd_matrix(v, x, h), (n // 2) * n + n // 2)
+    faces = _face_coefficients(v, x, h)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            u, _ = _krylov_steady_state(faces, x, h)
+    except (FloatingPointError, np.linalg.LinAlgError):
+        u = None
+    if u is None:
+        u = _pinned_solve(_fd_matrix(faces), (n // 2) * n + n // 2).reshape(n, n)
     total = float(u.sum() * h * h)
-    return GridDensity2D(x=x, values=(u / total).reshape(n, n))
+    return GridDensity2D(x=x, values=u / total)

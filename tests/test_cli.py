@@ -152,32 +152,39 @@ def run_fresh(code):
 
 @pytest.mark.parametrize("module", ["gfpk.cli", "gfpk"])
 def test_import_loads_no_heavy_scipy_subpackage(module):
-    """Every CLI call pays for this import: numpy, scipy and scipy's LAPACK
-    extension scipy.linalg._flapack only, not the scipy.linalg package; the
-    oracles and the level-set mass import the rest on first use."""
+    """Every CLI call pays for this import: numpy and scipy's LAPACK
+    extension scipy.linalg._flapack only, neither the scipy package nor
+    scipy.linalg; the FD oracle's fallback and the level-set mass import the
+    rest on first use."""
     loaded = run_fresh(f"import sys, {module}; print(' '.join(sorted(sys.modules)))").split()
     assert module in loaded and "scipy.linalg._flapack" in loaded
-    assert [m for m in HEAVY_SCIPY if m in loaded] == []
+    assert [m for m in ("scipy",) + HEAVY_SCIPY if m in loaded] == []
 
 
 def test_solves_never_import_scipy_linalg(tmp_path):
-    """The saving is not a deferred import: a whole solve-linear and a whole
-    sweep run to exit 0 without scipy.linalg."""
+    """The saving is not a deferred import: a whole solve-linear, a whole
+    sweep and a whole fd2d oracle-compare run to exit 0 without scipy.linalg
+    or scipy.sparse."""
     runs = []
-    for mode, drift_or_sweep in [
+    for mode, extra in [
         ("solve-linear", {"drift": {"kind": "clipped-potential", "lam": 0.5}}),
         ("sweep", {"sweep": {"family": "vlasov-tanh-scale", "values": [0.3]}}),
+        (
+            "oracle-compare",
+            {"drift": {"kind": "rotational", "scale": 0.3, "offset": [0.2, 0.0]}, "oracle_compare": {"oracle": "fd2d"}},
+        ),
     ]:
-        cfg = {"mode": mode, "k": 2, "N": 8, "Q": 16, **drift_or_sweep, "output": {"dir": str(tmp_path / mode)}}
+        cfg = {"mode": mode, "k": 2, "N": 8, "Q": 16, **extra, "output": {"dir": str(tmp_path / mode)}}
         runs.append([mode, "--config", write_config(tmp_path, cfg, f"{mode}.json")])
     probe = (
         "import json, sys\nfrom gfpk.cli import main\n"
         f"codes = [main(argv) for argv in {runs!r}]\n"
-        "print(json.dumps([codes, 'scipy.linalg' in sys.modules]))"
+        "print(json.dumps([codes, [m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules]]))"
     )
-    assert json.loads(run_fresh(probe).splitlines()[-1]) == [[0, 0], False]
+    assert json.loads(run_fresh(probe).splitlines()[-1]) == [[0, 0, 0], []]
     assert (tmp_path / "solve-linear" / "density.json").exists()
     assert (tmp_path / "sweep" / "sweep.csv").exists()
+    assert json.loads((tmp_path / "oracle-compare" / "report.json").read_text())["oracle"]["oracle"] == "fd2d"
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,8 @@ from gfpk import (
     rotational_drift,
     tensor_grid,
 )
-from gfpk.oracles import _fd_matrix, _pinned_solve
+from gfpk import oracles
+from gfpk.oracles import _face_coefficients, _fd_matrix, _krylov_steady_state, _pinned_solve
 from helpers import cameron_martin, mass_row_fd_2d
 
 
@@ -207,7 +208,7 @@ def test_fd_matrix_matches_face_loop(n):
     h = 2.0 * span / n
     x = -span + h * (np.arange(n) + 0.5)
     field = lambda pts: v.eval_v(None, pts)
-    fast, reference = _fd_matrix(field, x, h), loop_built_fd_matrix(field, x, h)
+    fast, reference = _fd_matrix(_face_coefficients(field, x, h)), loop_built_fd_matrix(field, x, h)
     assert fast.shape == reference.shape
     difference = abs(fast - reference)
     assert difference.max() <= 1e-15 * abs(reference).max()
@@ -228,6 +229,8 @@ FD_DRIFTS = {
     "tanh-gradient": lambda x: 0.4 * np.tanh(x / 2.0),
     "rotational": lambda x, v=rotational_drift(0.3, 2, offset=[0.2, 0.0]): v.eval_v(None, x),
     "strong-rotational": lambda x, v=rotational_drift(3.0, 2, offset=[0.8, -0.3]): v.eval_v(None, x),
+    # GMRES stopped at an Arnoldi residual of 1e-16 of its scale read 2.7e-14 of the peak on this drift
+    "mid-rotational": lambda x, v=rotational_drift(0.8, 2, offset=[0.3, 0.0]): v.eval_v(None, x),
 }
 
 
@@ -239,22 +242,38 @@ def test_fd_pinned_cell_matches_the_mass_row(drift, n):
     assert np.max(np.abs(values - reference)) <= FD_CLOSING_TOL * np.max(reference)
 
 
+def fd_cells(n, span=6.0):
+    """Cell width and centers of oracle_fd_2d's grid."""
+    h = 2.0 * span / n
+    return h, -span + h * (np.arange(n) + 0.5)
+
+
+def pinned_fd_values(faces, h):
+    """oracle_fd_2d's values from the fallback: the factored pinned system."""
+    n = faces[0][0].shape[1]
+    u = _pinned_solve(_fd_matrix(faces), (n // 2) * n + n // 2).reshape(n, n)
+    return u / float(u.sum() * h * h)
+
+
+# bounded drifts v(x) = a * tanh(B x + c) on at most 30^2 cells
+TANH_DRIFTS = dict(n=st.integers(5, 30), coefficients=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8))
+
+
+def tanh_drift(coefficients):
+    a, c = np.array(coefficients[:2]), np.array(coefficients[2:4])
+    b = np.array(coefficients[4:]).reshape(2, 2)
+    return lambda pts: a * np.tanh(pts @ b.T + c)
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    n=st.integers(5, 30),
-    coefficients=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
-)
+@given(**TANH_DRIFTS)
 def test_pinned_fd_matrix_is_a_column_dominant_m_matrix(n, coefficients):
     """For a bounded drift v(x) = a * tanh(B x + c) the pinned matrix is
     structurally symmetric, with a positive diagonal, nonpositive
     off-diagonals and columns whose diagonal dominates, strictly in at least
     one column: the M-matrix that SuperLU factors without pivoting."""
-    a, c = np.array(coefficients[:2]), np.array(coefficients[2:4])
-    b = np.array(coefficients[4:]).reshape(2, 2)
-    span = 6.0
-    h = 2.0 * span / n
-    x = -span + h * (np.arange(n) + 0.5)
-    matrix = _fd_matrix(lambda pts: a * np.tanh(pts @ b.T + c), x, h)
+    h, x = fd_cells(n)
+    matrix = _fd_matrix(_face_coefficients(tanh_drift(coefficients), x, h))
     pattern = matrix.copy()
     pattern.data[:] = 1.0
     assert (pattern != pattern.T).nnz == 0
@@ -275,3 +294,33 @@ def test_fd_solve_failures_are_numeric_errors(matrix, match):
     # an exactly singular factor, and a ratio to the pinned cell beyond the float range
     with pytest.raises(NumericError, match=match):
         _pinned_solve(sp.csc_matrix(np.array(matrix)), 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**TANH_DRIFTS)
+def test_krylov_fd_solve_matches_the_factored_one(n, coefficients):
+    """On bounded non-separable drifts the oracle's answer, from GMRES or,
+    past the Krylov budget, from its fallback, is the factored one."""
+    v = tanh_drift(coefficients)
+    h, x = fd_cells(n)
+    reference = pinned_fd_values(_face_coefficients(v, x, h), h)
+    values = oracle_fd_2d(v, span=6.0, n=n).values
+    assert np.max(np.abs(values - reference)) <= FD_CLOSING_TOL * np.max(reference)
+
+
+@pytest.mark.parametrize("n", [41, 161])
+@pytest.mark.parametrize("drift", ["zero", "tanh-gradient", "rotational"])
+def test_krylov_steps_vanish_only_for_a_separable_drift(drift, n):
+    """The separable part of a separable drift is the whole operator: its
+    null vector, the start, is the answer."""
+    h, x = fd_cells(n)
+    u, steps = _krylov_steady_state(_face_coefficients(FD_DRIFTS[drift], x, h), x, h)
+    assert u is not None and (steps == 0) is (drift != "rotational")
+
+
+def test_exhausted_krylov_budget_falls_back_to_the_factored_solve(monkeypatch):
+    v, n = FD_DRIFTS["strong-rotational"], 41
+    h, x = fd_cells(n)
+    monkeypatch.setattr(oracles, "FD_KRYLOV_STEPS", 1)
+    assert _krylov_steady_state(_face_coefficients(v, x, h), x, h) == (None, 1)
+    assert np.array_equal(oracle_fd_2d(v, span=6.0, n=n).values, pinned_fd_values(_face_coefficients(v, x, h), h))
