@@ -71,7 +71,7 @@ from .ladder import (
     marginal_distance,
     run_ladder,
 )
-from .linear import GalerkinSystem, assemble, residual, residual_suite, solve_linear, solve_system
+from .linear import assemble, residual, residual_suite, solve_linear, solve_system
 from .nonlinear import (
     FixedPointOptions,
     FixedPointTrace,

@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .ladder import LadderConfig
 from .nonlinear import FixedPointOptions
 from .oracles import SDE_BATCHES
-from .schema import Param, read_block, read_kind
+from .schema import Kind, Param, read_block, read_kind
 
 # the top-level keys every mode reads, and those each mode reads besides;
 # a config with any other key is rejected
@@ -73,23 +73,21 @@ _SWEEP = (
     Param("direction", "vector", -100.0, 100.0, None),
 )
 _VERIFY = (Param("density", "text"),)
-# the keys each oracle of an oracle_compare block reads besides "oracle";
-# the sde tolerance is in standard errors of the sampled moments
+
+
+def _oracle(dim, tolerance, *params) -> Kind:
+    """An oracle_compare entry: the default tolerance (in standard errors for
+    sde), the other keys it reads besides "oracle", and its one k (None: any)."""
+    return Kind((Param("tolerance", "number", 0.0, 1e6, tolerance),) + params, lambda q, k: q,
+                dims=lambda q, k: "" if dim in (None, k) else f"requires k = {dim}")
+
+
 ORACLES = {
-    "1d": (Param("tolerance", "number", 0.0, 1e6, 1e-6), Param("span", "number", 1.0, 100.0, 10.0)),
-    "fd2d": (
-        Param("tolerance", "number", 0.0, 1e6, 5e-3),
-        Param("span", "number", 1.0, 100.0, 6.0),
-        Param("n_cells", "integer", 8, 1000, 161),
-    ),
-    "sde": (
-        Param("tolerance", "number", 0.0, 1e6, 3.0),
-        Param("dt", "number", 1e-6, 0.01, 5e-3),
-        Param("n_steps", "integer", 10, 10_000_000, 2000),
-        Param("n_particles", "integer", 50, 1_000_000, 500),
-    ),
+    "1d": _oracle(1, 1e-6, Param("span", "number", 1.0, 100.0, 10.0)),
+    "fd2d": _oracle(2, 5e-3, Param("span", "number", 1.0, 100.0, 6.0), Param("n_cells", "integer", 8, 1000, 161)),
+    "sde": _oracle(None, 3.0, Param("dt", "number", 1e-6, 0.01, 5e-3), Param("n_steps", "integer", 10, 10_000_000, 2000),
+                   Param("n_particles", "integer", 50, 1_000_000, 500)),
 }
-_ORACLE_K = {"1d": 1, "fd2d": 2}
 _OUTPUT = (Param("dir", "text", default=None),)
 
 
@@ -150,17 +148,6 @@ def _read_ladder(block, fixed_point: FixedPointOptions) -> LadderConfig:
     return ladder
 
 
-def _read_oracle(block) -> dict:
-    """The oracle_compare block, with the defaults of its oracle filled in."""
-    which = block.get("oracle") if isinstance(block, dict) else None
-    if not isinstance(which, str) or which not in ORACLES:
-        raise ConfigError(f"oracle_compare.oracle must be {' or '.join(ORACLES)}, got {which!r}")
-    oracle = read_block(block, (Param("oracle", "text"),) + ORACLES[which], "oracle_compare")
-    if which == "sde" and oracle["n_particles"] % SDE_BATCHES:
-        raise ConfigError(f"oracle_compare.n_particles must be a multiple of {SDE_BATCHES}")
-    return oracle
-
-
 def parse_config(doc: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig; strict on keys:
     a mode accepts only COMMON_KEYS and its MODE_KEYS."""
@@ -197,9 +184,10 @@ def parse_config(doc: dict) -> RunConfig:
         for u in sweep["values"]:
             read_kind(sweep_drift(sweep, k, u), DRIFTS, f"sweep point {u!r}: drift", k)
     if mode == "oracle-compare":
-        oracle = _read_oracle(required("oracle_compare"))
-        if _ORACLE_K.get(oracle["oracle"], k) != k:
-            raise ConfigError(f"the {oracle['oracle']} oracle requires k = {_ORACLE_K[oracle['oracle']]}")
+        block = required("oracle_compare")
+        oracle = {"oracle": block.get("oracle"), **read_kind(block, ORACLES, "oracle_compare", k, key="oracle")[1]}
+        if oracle["oracle"] == "sde" and oracle["n_particles"] % SDE_BATCHES:
+            raise ConfigError(f"oracle_compare.n_particles must be a multiple of {SDE_BATCHES}")
     output = read_block(top.get("output", {}), _OUTPUT, "output")
 
     config = RunConfig(

@@ -65,19 +65,20 @@ class ChaosDensity:
     def evaluate(self, x) -> np.ndarray | float:
         """Value sum_alpha c_alpha h_alpha(x) for x of shape (k,) or (m, k), or
         at the nodes of a QuadratureGrid x (by sum factorization)."""
-        if isinstance(x, QuadratureGrid):
-            return self.basis.grid_values(self.coefficients, x)
-        x = np.asarray(x, dtype=float)
-        values = self.coefficients @ self.basis.eval_matrix(np.atleast_2d(x))
-        return float(values[0]) if x.ndim == 1 else values
+        values = self._read(self.coefficients, x)
+        return float(values) if values.ndim == 0 else values
 
     def gradient(self, x) -> np.ndarray:
         """Gradient at x as in evaluate: shape (k,) for one point, else (m, k)."""
+        return self._read(self._gradient_coefficients(), x).T
+
+    def _read(self, coefficients: np.ndarray, x) -> np.ndarray:
+        """coefficients @ h(x); the last axis runs over x's nodes or points (none for one point)."""
         if isinstance(x, QuadratureGrid):
-            return self.basis.grid_values(self._gradient_coefficients(), x).T
+            return self.basis.grid_values(coefficients, x)
         x = np.asarray(x, dtype=float)
-        grad = (self._gradient_coefficients() @ self.basis.eval_matrix(np.atleast_2d(x))).T
-        return grad[0] if x.ndim == 1 else grad
+        values = coefficients @ self.basis.eval_matrix(np.atleast_2d(x))
+        return values[..., 0] if x.ndim == 1 else values
 
     def _gradient_coefficients(self) -> np.ndarray:
         """(k, P) coefficients of the partial derivatives, exactly, from

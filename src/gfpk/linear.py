@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
 
@@ -51,34 +50,13 @@ BUMP_RULE = (6.0, 401)
 BLOCK_NODES = 1_000_000  # most nodes per drift and density read of _bump_defects
 
 
-@dataclass(frozen=True)
-class GalerkinSystem:
-    """Assembled truncation: OU diagonal, interaction matrix, basis handle."""
+def assemble(v, p, basis: ChaosBasis, grid: QuadratureGrid, dense_table=None, vvals=None) -> np.ndarray:
+    """Quadrature assembly of the P x P interaction A for drift v frozen at
+    p, the only block of the Galerkin system D - A that the drift sets.
 
-    basis: ChaosBasis
-    ou_diagonal: np.ndarray  # (P,), entry |beta|
-    interaction: np.ndarray  # (P, P), the only drift- and p-dependent block
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """System matrix (D - A) restricted to the non-constant block."""
-        return np.diag(self.ou_diagonal[1:]) - self.interaction[1:, 1:]
-
-    @property
-    def rhs(self) -> np.ndarray:
-        """Right-hand side contributed by the pinned constant coefficient."""
-        return self.interaction[1:, 0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(np.diag(self.ou_diagonal) - self.interaction, 1))
-
-
-def assemble(v, p, basis: ChaosBasis, grid: QuadratureGrid, dense_table=None, vvals=None) -> GalerkinSystem:
-    """Quadrature assembly of the Galerkin system for drift v frozen at p.
-
-    The interaction comes from 1-D Gram matrices when the drift is a
-    SeparableField and the grid allows it (separable_interaction) and from
-    the dense quadrature sum otherwise.  dense_table, a callable returning
+    A comes from 1-D Gram matrices when the drift is a SeparableField and
+    the grid allows it (separable_interaction) and from the dense
+    quadrature sum otherwise.  dense_table, a callable returning
     basis.eval_matrix(grid.nodes), lets callers that assemble repeatedly on
     one grid build that P x M table once, and only if the dense path runs;
     vvals, v(p, grid.nodes) if the caller holds it, spares its read of v.
@@ -88,7 +66,7 @@ def assemble(v, p, basis: ChaosBasis, grid: QuadratureGrid, dense_table=None, vv
     if interaction is None:
         h = None if dense_table is None else dense_table()
         interaction = dense_interaction(basis, grid, v.eval_v(p, grid.nodes) if vvals is None else vvals, h)
-    return GalerkinSystem(basis=basis, ou_diagonal=basis.degrees(), interaction=interaction)
+    return interaction
 
 
 def _check_sizes(v, basis: ChaosBasis, grid: QuadratureGrid):
@@ -138,14 +116,15 @@ def separable_interaction(basis: ChaosBasis, grid: QuadratureGrid, v, p) -> np.n
     return flat.reshape(size, size)
 
 
-def solve_system(system: GalerkinSystem) -> ChaosDensity:
-    """Solve the assembled truncation for the density coefficients.
+def solve_system(basis: ChaosBasis, interaction: np.ndarray) -> ChaosDensity:
+    """Solve D - A, D = diag(|beta|), for the density coefficients: c_0 = 1
+    is pinned, so column 0 of A is the right-hand side of the rest.
 
     One LU factorization (LAPACK dgetrf) serves the solve and the 1-norm
     condition estimate (dgecon), which must stay below CONDITION_LIMIT.
     """
-    mat = system.matrix
-    coeffs = np.empty(system.basis.size)
+    mat = np.diag(basis.degrees()[1:]) - interaction[1:, 1:]
+    coeffs = np.empty(basis.size)
     coeffs[0] = 1.0
     if mat.size:
         lu, piv, _ = dgetrf(mat)
@@ -156,14 +135,14 @@ def solve_system(system: GalerkinSystem) -> ChaosDensity:
                 f"Galerkin matrix condition estimate {cond:.3g} exceeds "
                 f"{CONDITION_LIMIT:.0e}; increase the basis degree or reduce the drift"
             )
-        coeffs[1:], _ = dgetrs(lu, piv, system.rhs)
-    return ChaosDensity(system.basis, coeffs)
+        coeffs[1:], _ = dgetrs(lu, piv, interaction[1:, 0])
+    return ChaosDensity(basis, coeffs)
 
 
 def solve_linear(v, p, basis: ChaosBasis, grid: QuadratureGrid) -> ChaosDensity:
     """The map p -> rho_p: unique truncated density solving the linear
     equation with the drift frozen at p."""
-    return solve_system(assemble(v, p, basis, grid))
+    return solve_system(basis, assemble(v, p, basis, grid))
 
 
 def hermite_defects(rho: ChaosDensity, grid: QuadratureGrid, vals: np.ndarray, vvals: np.ndarray) -> np.ndarray:
@@ -251,7 +230,8 @@ def residual_suite(rho, v, p_frozen, grid, vals, vvals, bump_tests=()):
     """
     _check_sizes(v, rho.basis, grid)
     hermite_max = float(np.max(np.abs(hermite_defects(rho, grid, vals, vvals)[1:]), initial=0.0))
-    system_norm = assemble(v, p_frozen, rho.basis, grid, vvals=vvals).norm()
+    interaction = assemble(v, p_frozen, rho.basis, grid, vvals=vvals)
+    system_norm = float(np.linalg.norm(np.diag(rho.basis.degrees()) - interaction, 1))
     rule = uniform_gaussian_grid(*BUMP_RULE).rules[0]
     swapped = lambda axes: product_grid([rule if i in axes else r for i, r in enumerate(grid.rules)])
     return hermite_max, system_norm, _bump_defects(bump_tests, rho, v, p_frozen, swapped)

@@ -112,7 +112,7 @@ def fixed_point_solve(
     dx, df = [], []  # the last `memory` differences of iterates and residuals
     for _ in range(opts.max_iterations + 1):
         measure = v.read_measure(p, grid)
-        rho = solve_system(assemble(v, measure, basis, grid, dense_table))
+        rho = solve_system(basis, assemble(v, measure, basis, grid, dense_table))
         psi_res = l2_distance(rho, p)
         trace.psi_residuals.append(psi_res)
         trace.l2_norms_sq.append(p.l2_norm_sq())

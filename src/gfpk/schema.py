@@ -89,16 +89,16 @@ def read_block(block, params: tuple, context: str, k: int | None = None) -> dict
     return out
 
 
-def read_kind(block, registry: dict, context: str, k: int | None = None) -> tuple[Kind, dict]:
-    """(entry, params) of a {"kind": name, ...} block, checked against the
+def read_kind(block, registry: dict, context: str, k: int | None = None, key: str = "kind") -> tuple[Kind, dict]:
+    """(entry, params) of a {key: name, ...} block, checked against the
     registry entry of that name and, when k is known, the dimension."""
-    kind = block.get("kind") if isinstance(block, dict) else None
+    kind = block.get(key) if isinstance(block, dict) else None
     if not isinstance(kind, str) or kind not in registry:
-        raise ConfigError(f"{context} needs a 'kind' out of {sorted(registry)}, got {kind!r}")
+        raise ConfigError(f"{context} needs a {key!r} out of {sorted(registry)}, got {kind!r}")
     entry = registry[kind]
-    rest = {key: value for key, value in block.items() if key != "kind"}
+    rest = {name: value for name, value in block.items() if name != key}
     params = read_block(rest, entry.params, context, k)
     problem = "" if k is None else entry.dims(params, k)
     if problem:
-        raise ConfigError(f"{context} of kind {kind!r} {problem}")
+        raise ConfigError(f"{context} of {key} {kind!r} {problem}")
     return entry, params

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfpk import (
     BumpTest,
@@ -17,29 +19,32 @@ from gfpk import (
     product_grid,
     residual,
     residual_suite,
+    rotational_drift,
     solve_linear,
+    solve_system,
     tensor_grid,
     uniform_gaussian_grid,
 )
+from gfpk.drift import drift_from_block
 from helpers import cameron_martin, node_values
 
 
 def test_zero_drift_interaction_vanishes():
     basis = enumerate_basis(2, 4)
     grid = tensor_grid(8, 2)
-    system = assemble(constant_drift([0.0, 0.0]), None, basis, grid)
-    assert np.allclose(system.interaction, 0.0)
+    interaction = assemble(constant_drift([0.0, 0.0]), None, basis, grid)
+    assert np.allclose(interaction, 0.0)
 
 
 def test_constant_drift_interaction_is_subdiagonal():
     # k=1, v = c: A[n, m] = c sqrt(n) delta_{n-1, m}
     c = 0.3
     basis = enumerate_basis(1, 6)
-    system = assemble(constant_drift([c]), None, basis, tensor_grid(12, 1))
+    interaction = assemble(constant_drift([c]), None, basis, tensor_grid(12, 1))
     expected = np.zeros((7, 7))
     for n in range(1, 7):
         expected[n, n - 1] = c * math.sqrt(n)
-    assert np.allclose(system.interaction, expected, atol=1e-13)
+    assert np.allclose(interaction, expected, atol=1e-13)
 
 
 def test_parity_coupling():
@@ -52,13 +57,54 @@ def test_parity_coupling():
     """
     v = custom_drift(lambda p, x: np.tanh(x), 1, "H", 1.0, reads_measure=False)
     basis = enumerate_basis(1, 8)
-    system = assemble(v, None, basis, tensor_grid(24, 1))
+    interaction = assemble(v, None, basis, tensor_grid(24, 1))
     for n in range(9):
         for m in range(9):
             if (n + m) % 2 == 1:
-                assert abs(system.interaction[n, m]) <= 1e-14, (n, m)
+                assert abs(interaction[n, m]) <= 1e-14, (n, m)
     # and the even-sum block is genuinely populated
-    assert abs(system.interaction[1, 1]) > 1e-3
+    assert abs(interaction[1, 1]) > 1e-3
+
+
+# (drift kind, dimensions) the assembly test draws from: two separable
+# measure-reading kinds and one dense kind (rotational needs an even k)
+ASSEMBLY_CASES = {
+    "componentwise-tanh-mean-shift": (
+        lambda k, s: drift_from_block({"kind": "componentwise-tanh", "scale": s, "n_components": 3, "mean_shift": True}, k),
+        (1, 2, 3),
+    ),
+    "vlasov-tanh": (
+        lambda k, s: drift_from_block({"kind": "vlasov", "kernel": {"kind": "tanh", "scale": s}}, k),
+        (1, 2, 3),
+    ),
+    "rotational": (lambda k, s: rotational_drift(s, k, offset=[0.2] + [0.0] * (k - 1)), (2,)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from([(kind, k) for kind, (_, ks) in ASSEMBLY_CASES.items() for k in ks]),
+    degree=st.integers(0, 5),
+    extra_nodes=st.integers(1, 3),
+    scale=st.floats(-1.5, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_and_system_norm_read_the_assembled_array(case, degree, extra_nodes, scale, seed):
+    """assemble returns the P x P interaction A itself; the linear solve is
+    solve_system(basis, A) and the suite's system_norm is ||D - A||_1 of
+    that array, bit for bit, on the separable and the dense path."""
+    kind, k = case
+    basis = enumerate_basis(k, degree)
+    grid = tensor_grid(degree + extra_nodes, k)
+    v = ASSEMBLY_CASES[kind][0](k, scale)
+    coefficients = np.concatenate([[1.0], 0.05 * np.random.default_rng(seed).standard_normal(basis.size - 1)])
+    p = v.read_measure(ChaosDensity(basis, coefficients), grid) if v.reads_measure else None
+    interaction = assemble(v, p, basis, grid)
+    assert isinstance(interaction, np.ndarray) and interaction.shape == (basis.size, basis.size)
+    rho = solve_linear(v, p, basis, grid)
+    assert np.array_equal(rho.coefficients, solve_system(basis, interaction).coefficients)
+    _, system_norm, _ = residual_suite(rho, v, p, grid, *node_values(rho, v, p, grid))
+    assert system_norm == np.linalg.norm(np.diag(basis.degrees()) - interaction, 1)
 
 
 def test_zero_drift_solution_is_constant():

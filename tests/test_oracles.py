@@ -223,6 +223,10 @@ def test_fd_matrix_matches_face_loop(n):
 # Both closings are backward-stable solves of one system; at n = 161 each
 # lies up to 1.4e-14 of the maximum from a solution refined with long-double
 # residuals, so they may differ by twice that (measured: 1.24e-14, zero drift).
+# The closing tests stop at 161 cells: the assembled diagonal's rounding puts
+# the factored reference (_pinned_solve) 1.7e-13 of the peak from the exact
+# null vector at 321 cells with zero drift, and the mass-row reference
+# 2.3e-13, both above this tolerance.
 FD_CLOSING_TOL = 3e-14
 FD_DRIFTS = {
     "zero": lambda x: np.zeros_like(x),

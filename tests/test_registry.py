@@ -119,7 +119,7 @@ def test_readme_parameter_table_matches_registry():
 
 
 def test_readme_oracle_table_matches_config():
-    expected = [_param_row("oracle", which, p) for which, params in ORACLES.items() for p in params]
+    expected = [_param_row("oracle", which, p) for which, entry in ORACLES.items() for p in entry.params]
     assert _table_rows("oracle `") == expected
 
 

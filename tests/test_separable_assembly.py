@@ -29,7 +29,7 @@ from gfpk import (
 )
 from gfpk.drift import DRIFTS, H_BOUND, KERNELS, drift_from_block
 from gfpk.ladder import LadderConfig, run_ladder
-from gfpk.linear import GalerkinSystem, dense_interaction, hermite_defects, separable_interaction, solve_system
+from gfpk.linear import dense_interaction, hermite_defects, separable_interaction, solve_system
 from gfpk.schema import REQUIRED
 from helpers import node_values
 
@@ -118,7 +118,7 @@ def test_separable_matches_dense(kind, size, scale, seed):
     sparse = separable_interaction(basis, grid, v, p)
     assert sparse is not None
     assert_close(sparse, dense_interaction(basis, grid, v.eval_v(p, grid.nodes)))
-    assert np.array_equal(assemble(v, p, basis, grid).interaction, sparse)
+    assert np.array_equal(assemble(v, p, basis, grid), sparse)
 
 
 def defect_reference(rho, v, p, grid):
@@ -227,7 +227,7 @@ def test_dense_path_when_regrouping_fails(v, grid):
     basis = enumerate_basis(2, 5)
     assert separable_interaction(basis, grid, v, None) is None
     dense = dense_interaction(basis, grid, v.eval_v(None, grid.nodes))
-    assert np.array_equal(assemble(v, None, basis, grid).interaction, dense)
+    assert np.array_equal(assemble(v, None, basis, grid), dense)
 
 
 @pytest.mark.parametrize("kind", sorted(SEPARABLE_KINDS))
@@ -313,9 +313,8 @@ def test_lu_solve_matches_dense_solve(seed):
     basis = enumerate_basis(2, 6)
     rng = np.random.default_rng(seed)
     interaction = 0.3 * rng.standard_normal((basis.size, basis.size))
-    system = GalerkinSystem(basis, basis.degrees(), interaction)
-    rho = solve_system(system)
-    expected = np.linalg.solve(system.matrix, system.rhs)
+    rho = solve_system(basis, interaction)
+    expected = np.linalg.solve(np.diag(basis.degrees()[1:]) - interaction[1:, 1:], interaction[1:, 0])
     assert np.allclose(rho.coefficients[1:], expected, rtol=1e-12, atol=1e-14)
     assert rho.coefficients[0] == 1.0
 
@@ -328,6 +327,5 @@ def test_degree_zero_solves_to_the_constant():
 
 def test_singular_system_raises():
     basis = enumerate_basis(1, 3)
-    system = GalerkinSystem(basis, basis.degrees(), np.diag(basis.degrees()))
     with pytest.raises(SolverError, match="condition"):
-        solve_system(system)
+        solve_system(basis, np.diag(basis.degrees()))
