@@ -22,16 +22,19 @@ SELFCONSISTENT_TOL = 1e-12  # sup distance of successive 1-D iterates
 SELFCONSISTENT_MAX_ITERATIONS = 200
 SDE_BATCHES = 50  # particle groups of oracle_sde
 SDE_BURN_IN = 0.2  # share of the steps of oracle_sde left out of the averages
-FD_KRYLOV_STEPS = 60  # GMRES steps oracle_fd_2d takes before it falls back to a sparse factorization
+FD_KRYLOV_STEPS = 60  # restart length of the FD oracle's GMRES: its Arnoldi basis holds at most 60 n^2 values
 # GMRES stops when its Arnoldi residual is below this share of (largest face
 # coefficient) * (peak of the start, 1) * n.  At 1e-16 a rotational solve on
 # 161 cells (scale 0.8, offset (0.3, 0)) ended 2.7e-14 of the peak from the
 # factored one, at the edge of what the tests allow; at 1e-18, 6.4e-15.
 FD_KRYLOV_TOL = 1e-18
-# GMRES runs again from its answer, on the true residual: the preconditioner's
-# round-off, large where the stationary density is far below its peak, left the
-# first answer up to 9e-14 of the peak from the factored one on grids of 5 to 30 cells
-FD_KRYLOV_CYCLES = 2
+# GMRES restarts from its answer, on the true residual, until two cycles in a
+# row converge: the preconditioner's round-off, large where the stationary
+# density is far below its peak, left the first converged answer up to 9e-14 of
+# the peak from the factored one on grids of 5 to 30 cells.  Past this many
+# cycles the solve is a NumericError; the most measured was 3 (112 steps, a
+# steep tanh drift on a coarse grid).
+FD_KRYLOV_MAX_CYCLES = 20
 
 
 @dataclass(frozen=True)
@@ -204,13 +207,15 @@ class GridDensity2D:
 
 
 def _bernoulli(z: np.ndarray) -> np.ndarray:
-    """B(z) = z / (e^z - 1), series near 0 for stability."""
+    """B(z) = z / (e^z - 1), series near 0 for stability; past z = 709.8
+    e^z overflows to inf, which gives the limit 0."""
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     small = np.abs(z) < 1e-5
     out[small] = 1.0 - z[small] / 2.0 + z[small] ** 2 / 12.0
     zb = z[~small]
-    out[~small] = zb / np.expm1(zb)
+    with np.errstate(over="ignore"):
+        out[~small] = zb / np.expm1(zb)
     return out
 
 
@@ -234,57 +239,6 @@ def _face_coefficients(v, x: np.ndarray, h: float):
     return faces
 
 
-def _fd_matrix(faces):
-    """Flux-balance matrix of the exponentially fitted scheme on the faces of
-    _face_coefficients, cell (i, j) at row i * n + j, written straight into
-    CSC arrays: column c holds the rows c - n, c - 1, c, c + 1, c + n that
-    exist.  The flux equation of the cell c nearest the origin becomes
-    a_cc u_c = a_cc; its other entries stay as stored zeros."""
-    import scipy.sparse as sp  # deferred: only the fallback of the FD oracle needs scipy.sparse
-
-    (_, m0, p0), (_, m1, p1) = faces
-    n = m0.shape[1]
-    # the flux B(-w) u_lo - B(w) u_hi leaves the lower cell and enters the upper one
-    entries = np.zeros((n, n, 5))
-    present = np.ones((n, n, 5), dtype=bool)
-    present[0, :, 0] = present[:, 0, 1] = present[:, -1, 3] = present[-1, :, 4] = False
-    entries[1:, :, 0], entries[:, 1:, 1] = -p0, -p1
-    entries[:, :-1, 3], entries[:-1, :, 4] = -m1, -m0
-    # in face order, so the diagonal is bit for bit the face-by-face sum
-    for face, cells in ((p0, np.s_[1:, :]), (m0, np.s_[:-1, :]), (p1, np.s_[:, 1:]), (m1, np.s_[:, :-1])):
-        entries[cells + (2,)] += face
-    offsets = np.array([-n, -1, 0, 1, n], dtype=np.intc)
-    rows = np.arange(n * n, dtype=np.intc)[:, None] + offsets
-    pin = (n // 2) * n + n // 2
-    entries.reshape(n * n, 5)[(rows == pin) & (offsets != 0)] = 0.0
-    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=2).ravel()))).astype(np.intc)
-    return sp.csc_matrix((entries[present], rows[present.reshape(n * n, 5)], indptr), shape=(n * n, n * n))
-
-
-def _pinned_solve(matrix, pin: int) -> np.ndarray:
-    """u with matrix u = matrix[pin, pin] e_pin, for _fd_matrix's irreducibly
-    column-diagonally-dominant M-matrix: SuperLU, minimum degree on A^T + A,
-    no pivoting.  The fallback of oracle_fd_2d when its Krylov solve fails,
-    and the reference the tests hold that solve to.  A NumericError for an
-    exactly singular factor or a non-finite u (a density whose ratio to the
-    pinned cell overflows).  The assembled diagonal (face coefficients summed
-    in double) rounds unlike the flux operator: at 321 cells and zero drift
-    u lies 1.7e-13 of the peak from the exact null vector (the tests'
-    mass-row reference 2.3e-13), so their 3e-14 closings stop at 161 cells."""
-    import scipy.sparse.linalg as spla
-
-    rhs = np.zeros(matrix.shape[0])
-    rhs[pin] = matrix[pin, pin]
-    try:  # small supernodes and narrow panels suit the sparse fronts of a 5-point stencil
-        lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=2)
-        u = lu.solve(rhs)
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise NumericError(f"finite-difference steady state solve failed: {exc}") from exc
-    if not np.all(np.isfinite(u)):
-        raise NumericError("finite-difference steady state solve failed")
-    return u
-
-
 def _flux_divergence(faces, u: np.ndarray) -> np.ndarray:
     """A u for the unpinned flux matrix A of the faces, u an (n, n) cell array."""
     (_, m0, p0), (_, m1, p1) = faces
@@ -305,28 +259,31 @@ def _flux_operator_1d(w: np.ndarray, h: float):
     (peak 1), and Pi^(-1/2) T Pi^(1/2) is a symmetric tridiagonal matrix with
     off-diagonal -sqrt(B(-w) B(w)) / h^2, so one eigh gives T = V diag(lam)
     V^-1.  Returns pi, lam (ascending, lam[0] = 0 the zero mode), V and V^-T.
+    Where pi underflows, below the smallest normal double, the similarity
+    scaling stops at that floor, so V^-T stays finite on wide boxes.
     """
     m, p = _bernoulli(-w) / h**2, _bernoulli(w) / h**2
-    rise = np.log(m / p)  # log pi_{i+1} - log pi_i
+    rise = w  # log pi_{i+1} - log pi_i = log(B(-w) / B(w)), exactly
     peak = int(np.argmax(np.concatenate(([0.0], np.cumsum(rise)))))
     # summed outward from the peak, so each cell's rounding is relative to its own distance from it
     log_pi = np.concatenate((-np.cumsum(rise[:peak][::-1])[::-1], [0.0], np.cumsum(rise[peak:])))
     off = -np.sqrt(m * p)
     lam, q = np.linalg.eigh(np.diag(np.append(m, 0.0) + np.insert(p, 0, 0.0)) + np.diag(off, 1) + np.diag(off, -1))
     lam[0] = 0.0  # T is singular with a one-dimensional kernel; eigh returns it to round-off
-    root = np.exp(0.5 * log_pi)[:, None]
+    root = np.exp(0.5 * np.maximum(log_pi, math.log(np.finfo(float).tiny)))[:, None]
     return np.exp(log_pi), lam, root * q, q / root
 
 
 def _gmres(operator, preconditioner, rhs: np.ndarray, tol: float, budget: int):
-    """(x, steps): x with operator(x) = rhs by GMRES from x = 0, right
-    preconditioned, its Arnoldi basis kept orthogonal by classical
-    Gram-Schmidt applied twice; x is None when the Arnoldi residual is still
-    above tol after budget steps."""
+    """(x, steps, converged): one cycle of GMRES for operator(x) = rhs from
+    x = 0, right preconditioned, its Arnoldi basis kept orthogonal by
+    classical Gram-Schmidt applied twice.  It stops when the Arnoldi residual
+    is at most tol (converged) or after budget steps, and x minimizes the
+    residual over the Krylov space built so far."""
     beta = float(np.linalg.norm(rhs))
     if beta <= tol:
-        return np.zeros_like(rhs), 0
-    basis = np.empty((budget + 1, rhs.size))
+        return np.zeros_like(rhs), 0, True
+    basis = np.empty((budget, rhs.size))
     hessenberg = np.zeros((budget + 1, budget))
     rotations = np.zeros((budget, 2))
     g = np.zeros(budget + 1)
@@ -345,16 +302,16 @@ def _gmres(operator, preconditioner, rhs: np.ndarray, tol: float, budget: int):
         rotations[j] = c, s = hessenberg[j, j] / r, hessenberg[j + 1, j] / r
         hessenberg[j, j], hessenberg[j + 1, j] = r, 0.0
         g[j : j + 2] = c * g[j], -s * g[j]
-        if abs(g[j + 1]) <= tol:
+        converged = abs(g[j + 1]) <= tol
+        if converged or j + 1 == budget:
             y = np.linalg.solve(np.triu(hessenberg[: j + 1, : j + 1]), g[: j + 1])
-            return preconditioner((y @ basis[: j + 1]).reshape(rhs.shape)), j + 1
+            return preconditioner((y @ basis[: j + 1]).reshape(rhs.shape)), j + 1, converged
         basis[j + 1] = w / norm
-    return None, budget
 
 
 def _krylov_steady_state(faces, x: np.ndarray, h: float):
-    """(u, steps): the null vector u of the flux matrix of the faces, None
-    when GMRES fails, and the Krylov steps taken.
+    """(u, steps): the null vector u of the flux matrix of the faces and the
+    Krylov steps taken.
 
     The preconditioner is the inverse on its range of T_1 (+) T_2, the
     Kronecker sum of the 1-D flux operators of the face Peclet numbers
@@ -363,7 +320,9 @@ def _krylov_steady_state(faces, x: np.ndarray, h: float):
     product of the two 1-D stationary vectors, and solves for the correction,
     which keeps the start's mass: the preconditioner's range has zero sum.
     For a separable drift the preconditioner is the operator and the start is
-    the answer.
+    the answer.  Otherwise GMRES restarts every FD_KRYLOV_STEPS steps from
+    its answer, on the true residual, and the solve ends after two converged
+    cycles in a row; a NumericError after FD_KRYLOV_MAX_CYCLES cycles without.
     """
     (w0, _, _), (w1, _, _) = faces
     c = x.size // 2
@@ -381,32 +340,33 @@ def _krylov_steady_state(faces, x: np.ndarray, h: float):
     eigenvalues[0, 0] = np.inf  # drops the zero mode
     inverse = 1.0 / eigenvalues
     scale = max(float(f.max()) for _, *pair in faces for f in pair) * x.size
-    u, steps = start, 0
-    for _ in range(FD_KRYLOV_CYCLES):
-        correction, cycle_steps = _gmres(
+    u, steps, in_a_row = start, 0, 0
+    for _ in range(FD_KRYLOV_MAX_CYCLES):
+        correction, cycle_steps, converged = _gmres(
             lambda y: _flux_divergence(faces, y),
             lambda r: v0 @ ((inv0.T @ r @ inv1) * inverse) @ v1.T,
             -_flux_divergence(faces, u),
             FD_KRYLOV_TOL * scale,
-            FD_KRYLOV_STEPS - steps,
+            FD_KRYLOV_STEPS,
         )
-        steps += cycle_steps
-        if correction is None:
-            return None, steps
-        u = u + correction
-    return u, steps
+        u, steps, in_a_row = u + correction, steps + cycle_steps, in_a_row + 1 if converged else 0
+        if in_a_row == 2:
+            return u, steps
+    raise NumericError(
+        f"finite-difference steady state: GMRES did not converge in {FD_KRYLOV_MAX_CYCLES} cycles of {FD_KRYLOV_STEPS} steps"
+    )
 
 
 def oracle_fd_2d(v, span: float = 6.0, n: int = 161) -> GridDensity2D:
     """Steady state of div(grad u - b u) = 0 on a box with zero-flux walls.
 
     Exponentially fitted (flux-upwinded) finite volumes keep the discrete
-    density positive.  The singular conservation system is solved by GMRES
-    preconditioned with its separable part (_krylov_steady_state); when that
-    fails (the Krylov budget runs out or a value overflows), by pinning the
-    cell nearest the origin and factoring (_pinned_solve).  The solution is
-    scaled to unit mass.  v maps (m, 2) points to (m, 2) values; the full
-    drift -x + v is formed internally.
+    density positive.  The singular conservation system is solved by
+    restarted GMRES preconditioned with its separable part
+    (_krylov_steady_state), and the solution is scaled to unit mass.  A solve
+    that stalls, overflows or meets a singular matrix is a NumericError.  v
+    maps (m, 2) points to (m, 2) values; the full drift -x + v is formed
+    internally.
     """
     h = 2.0 * span / n
     x = -span + h * (np.arange(n) + 0.5)
@@ -414,9 +374,7 @@ def oracle_fd_2d(v, span: float = 6.0, n: int = 161) -> GridDensity2D:
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             u, _ = _krylov_steady_state(faces, x, h)
-    except (FloatingPointError, np.linalg.LinAlgError):
-        u = None
-    if u is None:
-        u = _pinned_solve(_fd_matrix(faces), (n // 2) * n + n // 2).reshape(n, n)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise NumericError(f"finite-difference steady state solve failed: {exc}") from exc
     total = float(u.sum() * h * h)
     return GridDensity2D(x=x, values=u / total)

@@ -8,6 +8,7 @@ from gfpk import (
     ChaosDensity,
     FixedPointOptions,
     HermiteTest,
+    NumericError,
     QuadratureGrid,
     as_measure,
     default_battery,
@@ -18,6 +19,7 @@ from gfpk import (
 )
 from gfpk.density import marginal_values
 from gfpk.drift import SeparableField, drift_from_block
+from gfpk.oracles import _flux_divergence
 
 H = [0.3, -0.2, 0.1, 0.25]
 # a config block in dimension k <= 4 for every separable drift kind and kernel
@@ -239,6 +241,83 @@ def mass_row_fd_2d(v, span: float, n: int) -> np.ndarray:
     rhs[last] = 1.0
     u = spla.spsolve(sp.csr_matrix((data, (rows, cols)), shape=(n * n, n * n)), rhs)
     return (u / float(u.sum() * h * h)).reshape(n, n)
+
+
+def fd_matrix(faces):
+    """Flux-balance matrix of the exponentially fitted scheme on the faces of
+    oracles._face_coefficients, cell (i, j) at row i * n + j, written straight
+    into CSC arrays: column c holds the rows c - n, c - 1, c, c + 1, c + n
+    that exist.  The flux equation of the cell c nearest the origin becomes
+    a_cc u_c = a_cc; its other entries stay as stored zeros."""
+    import scipy.sparse as sp
+
+    (_, m0, p0), (_, m1, p1) = faces
+    n = m0.shape[1]
+    # the flux B(-w) u_lo - B(w) u_hi leaves the lower cell and enters the upper one
+    entries = np.zeros((n, n, 5))
+    present = np.ones((n, n, 5), dtype=bool)
+    present[0, :, 0] = present[:, 0, 1] = present[:, -1, 3] = present[-1, :, 4] = False
+    entries[1:, :, 0], entries[:, 1:, 1] = -p0, -p1
+    entries[:, :-1, 3], entries[:-1, :, 4] = -m1, -m0
+    # in face order, so the diagonal is bit for bit the face-by-face sum
+    for face, cells in ((p0, np.s_[1:, :]), (m0, np.s_[:-1, :]), (p1, np.s_[:, 1:]), (m1, np.s_[:, :-1])):
+        entries[cells + (2,)] += face
+    offsets = np.array([-n, -1, 0, 1, n], dtype=np.intc)
+    rows = np.arange(n * n, dtype=np.intc)[:, None] + offsets
+    pin = (n // 2) * n + n // 2
+    entries.reshape(n * n, 5)[(rows == pin) & (offsets != 0)] = 0.0
+    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=2).ravel()))).astype(np.intc)
+    return sp.csc_matrix((entries[present], rows[present.reshape(n * n, 5)], indptr), shape=(n * n, n * n))
+
+
+def pinned_factor(matrix):
+    """SuperLU factor of fd_matrix's irreducibly column-diagonally-dominant
+    M-matrix: minimum degree on A^T + A, no pivoting, small supernodes and
+    narrow panels for the sparse fronts of a 5-point stencil.  A NumericError
+    for an exactly singular factor."""
+    import scipy.sparse.linalg as spla
+
+    try:
+        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=2)
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise NumericError(f"finite-difference steady state solve failed: {exc}") from exc
+
+
+def pinned_solve(matrix, pin: int) -> np.ndarray:
+    """u with matrix u = matrix[pin, pin] e_pin, by pinned_factor.  A
+    NumericError for a non-finite u (a density whose ratio to the pinned cell
+    overflows).  The assembled diagonal (face coefficients summed in double)
+    rounds unlike the flux operator: at 321 cells and zero drift u lies
+    1.7e-13 of the peak from the exact null vector (mass_row_fd_2d 2.3e-13),
+    and on a steep 27-cell drift 1.3e-13 (refined_fd_values has neither
+    error)."""
+    rhs = np.zeros(matrix.shape[0])
+    rhs[pin] = matrix[pin, pin]
+    u = pinned_factor(matrix).solve(rhs)
+    if not np.all(np.isfinite(u)):
+        raise NumericError("finite-difference steady state solve failed")
+    return u
+
+
+def refined_fd_values(faces, h: float, sweeps: int = 3) -> np.ndarray:
+    """Reference (n, n) values of oracle_fd_2d: the null vector of the flux
+    operator of the faces, at unit mass, by iterative refinement in long
+    double.  From u = e_pin, each sweep subtracts the pinned factor's
+    solution for the long-double residual of oracles._flux_divergence with
+    the pinned cell's entry zeroed.  The first sweep gives pinned_solve's
+    answer; the assembled diagonal's rounding then only slows the later
+    sweeps and leaves the answer."""
+    n = faces[0][0].shape[1]
+    pin = (n // 2) * n + n // 2
+    lu = pinned_factor(fd_matrix(faces))
+    u = np.zeros(n * n, dtype=np.longdouble)
+    u[pin] = 1.0
+    wide = [tuple(np.asarray(f, dtype=np.longdouble) for f in face) for face in faces]
+    for _ in range(sweeps):
+        residual = _flux_divergence(wide, u.reshape(n, n)).ravel()
+        residual[pin] = 0.0
+        u -= lu.solve(residual.astype(float))
+    return (u / (u.sum() * h * h)).astype(float).reshape(n, n)
 
 
 def two_call_pair_distances(report):

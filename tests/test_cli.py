@@ -154,8 +154,8 @@ def run_fresh(code):
 def test_import_loads_no_heavy_scipy_subpackage(module):
     """Every CLI call pays for this import: numpy and scipy's LAPACK
     extension scipy.linalg._flapack only, neither the scipy package nor
-    scipy.linalg; the FD oracle's fallback and the level-set mass import the
-    rest on first use."""
+    scipy.linalg; only the level-set mass imports more, scipy.optimize, on
+    first use."""
     loaded = run_fresh(f"import sys, {module}; print(' '.join(sorted(sys.modules)))").split()
     assert module in loaded and "scipy.linalg._flapack" in loaded
     assert [m for m in ("scipy",) + HEAVY_SCIPY if m in loaded] == []
@@ -163,28 +163,33 @@ def test_import_loads_no_heavy_scipy_subpackage(module):
 
 def test_solves_never_import_scipy_linalg(tmp_path):
     """The saving is not a deferred import: a whole solve-linear, a whole
-    sweep and a whole fd2d oracle-compare run to exit 0 without scipy.linalg
+    sweep and two whole fd2d oracle-compare runs, one on a box so wide that
+    the 1-D stationary vectors underflow, run to exit 0 without scipy.linalg
     or scipy.sparse."""
+    rotation = {"kind": "rotational", "scale": 0.3, "offset": [0.2, 0.0]}
     runs = []
-    for mode, extra in [
-        ("solve-linear", {"drift": {"kind": "clipped-potential", "lam": 0.5}}),
-        ("sweep", {"sweep": {"family": "vlasov-tanh-scale", "values": [0.3]}}),
+    for name, mode, extra in [
+        ("solve-linear", "solve-linear", {"drift": {"kind": "clipped-potential", "lam": 0.5}}),
+        ("sweep", "sweep", {"sweep": {"family": "vlasov-tanh-scale", "values": [0.3]}}),
+        ("fd2d", "oracle-compare", {"drift": rotation, "oracle_compare": {"oracle": "fd2d"}}),
         (
+            "fd2d-wide",
             "oracle-compare",
-            {"drift": {"kind": "rotational", "scale": 0.3, "offset": [0.2, 0.0]}, "oracle_compare": {"oracle": "fd2d"}},
+            {"drift": rotation, "oracle_compare": {"oracle": "fd2d", "span": 60, "n_cells": 161}},
         ),
     ]:
-        cfg = {"mode": mode, "k": 2, "N": 8, "Q": 16, **extra, "output": {"dir": str(tmp_path / mode)}}
-        runs.append([mode, "--config", write_config(tmp_path, cfg, f"{mode}.json")])
+        cfg = {"mode": mode, "k": 2, "N": 8, "Q": 16, **extra, "output": {"dir": str(tmp_path / name)}}
+        runs.append([mode, "--config", write_config(tmp_path, cfg, f"{name}.json")])
     probe = (
         "import json, sys\nfrom gfpk.cli import main\n"
         f"codes = [main(argv) for argv in {runs!r}]\n"
         "print(json.dumps([codes, [m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules]]))"
     )
-    assert json.loads(run_fresh(probe).splitlines()[-1]) == [[0, 0, 0], []]
+    assert json.loads(run_fresh(probe).splitlines()[-1]) == [[0, 0, 0, 0], []]
     assert (tmp_path / "solve-linear" / "density.json").exists()
     assert (tmp_path / "sweep" / "sweep.csv").exists()
-    assert json.loads((tmp_path / "oracle-compare" / "report.json").read_text())["oracle"]["oracle"] == "fd2d"
+    for name in ("fd2d", "fd2d-wide"):
+        assert json.loads((tmp_path / name / "report.json").read_text())["oracle"]["oracle"] == "fd2d"
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 """Independent oracles: closed-form 1-D, finite-difference 2-D, SDE sampler."""
+import json
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gfpk import (
@@ -22,8 +23,9 @@ from gfpk import (
     tensor_grid,
 )
 from gfpk import oracles
-from gfpk.oracles import _face_coefficients, _fd_matrix, _krylov_steady_state, _pinned_solve
-from helpers import cameron_martin, mass_row_fd_2d
+from gfpk.cli import main
+from gfpk.oracles import _face_coefficients, _krylov_steady_state
+from helpers import cameron_martin, fd_matrix, mass_row_fd_2d, pinned_solve, refined_fd_values
 
 
 def test_oracle_1d_zero_drift_is_gaussian():
@@ -202,13 +204,13 @@ def loop_built_fd_matrix(v, x, h):
 def test_fd_matrix_matches_face_loop(n):
     """The CSC arrays carry the values and the sorted 5-point pattern of the
     face loop, the stored zeros of the pinned row included: a dropped zero
-    changes the minimum-degree order and with it the FD answer."""
+    changes the minimum-degree order and with it the factored reference."""
     v = rotational_drift(0.3, 2, offset=[0.2, 0.0])
     span = 6.0
     h = 2.0 * span / n
     x = -span + h * (np.arange(n) + 0.5)
     field = lambda pts: v.eval_v(None, pts)
-    fast, reference = _fd_matrix(_face_coefficients(field, x, h)), loop_built_fd_matrix(field, x, h)
+    fast, reference = fd_matrix(_face_coefficients(field, x, h)), loop_built_fd_matrix(field, x, h)
     assert fast.shape == reference.shape
     difference = abs(fast - reference)
     assert difference.max() <= 1e-15 * abs(reference).max()
@@ -220,13 +222,15 @@ def test_fd_matrix_matches_face_loop(n):
     assert np.count_nonzero(fast.data == 0.0) == np.count_nonzero(reference.data == 0.0) == 4
 
 
-# Both closings are backward-stable solves of one system; at n = 161 each
-# lies up to 1.4e-14 of the maximum from a solution refined with long-double
-# residuals, so they may differ by twice that (measured: 1.24e-14, zero drift).
-# The closing tests stop at 161 cells: the assembled diagonal's rounding puts
-# the factored reference (_pinned_solve) 1.7e-13 of the peak from the exact
-# null vector at 321 cells with zero drift, and the mass-row reference
-# 2.3e-13, both above this tolerance.
+# The oracle's restarted GMRES and the mass-row closing (mass_row_fd_2d) are
+# backward-stable solves of one system.  Measured against the pinned solve
+# refined with long-double flux residuals (refined_fd_values) on the FD_DRIFTS
+# at 41 and 161 cells, the oracle lies at most 1.4e-15 of the peak off and the
+# mass-row closing 9.7e-15; on 3,900 random tanh drifts of 5 to 30 cells the
+# oracle lies at most 1.7e-15 off, and at spans 53 to 100 at most 2.9e-15.
+# The mass-row closing tests stop at 161 cells: the assembled diagonal's
+# rounding puts the mass-row reference 2.3e-13 of the peak from the exact null
+# vector at 321 cells with zero drift, above this tolerance.
 FD_CLOSING_TOL = 3e-14
 FD_DRIFTS = {
     "zero": lambda x: np.zeros_like(x),
@@ -252,13 +256,6 @@ def fd_cells(n, span=6.0):
     return h, -span + h * (np.arange(n) + 0.5)
 
 
-def pinned_fd_values(faces, h):
-    """oracle_fd_2d's values from the fallback: the factored pinned system."""
-    n = faces[0][0].shape[1]
-    u = _pinned_solve(_fd_matrix(faces), (n // 2) * n + n // 2).reshape(n, n)
-    return u / float(u.sum() * h * h)
-
-
 # bounded drifts v(x) = a * tanh(B x + c) on at most 30^2 cells
 TANH_DRIFTS = dict(n=st.integers(5, 30), coefficients=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8))
 
@@ -277,7 +274,7 @@ def test_pinned_fd_matrix_is_a_column_dominant_m_matrix(n, coefficients):
     off-diagonals and columns whose diagonal dominates, strictly in at least
     one column: the M-matrix that SuperLU factors without pivoting."""
     h, x = fd_cells(n)
-    matrix = _fd_matrix(_face_coefficients(tanh_drift(coefficients), x, h))
+    matrix = fd_matrix(_face_coefficients(tanh_drift(coefficients), x, h))
     pattern = matrix.copy()
     pattern.data[:] = 1.0
     assert (pattern != pattern.T).nnz == 0
@@ -297,18 +294,43 @@ def test_pinned_fd_matrix_is_a_column_dominant_m_matrix(n, coefficients):
 def test_fd_solve_failures_are_numeric_errors(matrix, match):
     # an exactly singular factor, and a ratio to the pinned cell beyond the float range
     with pytest.raises(NumericError, match=match):
-        _pinned_solve(sp.csc_matrix(np.array(matrix)), 0)
+        pinned_solve(sp.csc_matrix(np.array(matrix)), 0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(**TANH_DRIFTS)
+# 66 steps, past one GMRES cycle; the factored pinned solve alone lies 1.3e-13 of the peak from the reference
+@example(
+    n=27,
+    coefficients=[
+        -2.8847911722981614, -2.1837589438207203, -0.054842218527039854, -0.23118852275219925,
+        -2.58613073563229, -0.9568591343298007, -1.277823097413593, -1.279873032244287,
+    ],
+)
 def test_krylov_fd_solve_matches_the_factored_one(n, coefficients):
-    """On bounded non-separable drifts the oracle's answer, from GMRES or,
-    past the Krylov budget, from its fallback, is the factored one."""
+    """On bounded non-separable drifts the oracle's answer, from restarted
+    GMRES however many cycles it takes, is the factored solve refined with
+    long-double residuals."""
     v = tanh_drift(coefficients)
     h, x = fd_cells(n)
-    reference = pinned_fd_values(_face_coefficients(v, x, h), h)
+    reference = refined_fd_values(_face_coefficients(v, x, h), h)
     values = oracle_fd_2d(v, span=6.0, n=n).values
+    assert np.max(np.abs(values - reference)) <= FD_CLOSING_TOL * np.max(reference)
+
+
+@pytest.mark.parametrize("n", [8, 9, 20, 161])
+@pytest.mark.parametrize("span", [53.0, 60.0, 100.0])
+@pytest.mark.parametrize("drift", sorted(FD_DRIFTS))
+def test_krylov_fd_solve_holds_on_wide_boxes(drift, span, n):
+    """Past a span of about 53 the 1-D stationary vectors of the
+    preconditioner underflow and, on the coarse grids, B(w) with them: the
+    solve stays finite and on the refined reference."""
+    h, x = fd_cells(n, span)
+    faces = _face_coefficients(FD_DRIFTS[drift], x, h)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        u, _ = _krylov_steady_state(faces, x, h)
+    reference = refined_fd_values(faces, h)
+    values = u / float(u.sum() * h * h)
     assert np.max(np.abs(values - reference)) <= FD_CLOSING_TOL * np.max(reference)
 
 
@@ -319,12 +341,22 @@ def test_krylov_steps_vanish_only_for_a_separable_drift(drift, n):
     null vector, the start, is the answer."""
     h, x = fd_cells(n)
     u, steps = _krylov_steady_state(_face_coefficients(FD_DRIFTS[drift], x, h), x, h)
-    assert u is not None and (steps == 0) is (drift != "rotational")
+    assert np.all(np.isfinite(u)) and (steps == 0) is (drift != "rotational")
 
 
-def test_exhausted_krylov_budget_falls_back_to_the_factored_solve(monkeypatch):
-    v, n = FD_DRIFTS["strong-rotational"], 41
-    h, x = fd_cells(n)
-    monkeypatch.setattr(oracles, "FD_KRYLOV_STEPS", 1)
-    assert _krylov_steady_state(_face_coefficients(v, x, h), x, h) == (None, 1)
-    assert np.array_equal(oracle_fd_2d(v, span=6.0, n=n).values, pinned_fd_values(_face_coefficients(v, x, h), h))
+def test_exhausted_krylov_cycles_are_numeric_errors(monkeypatch, tmp_path):
+    """A solve that runs out of GMRES cycles is a NumericError, exit 3 with
+    the reason in the report, never a change of method."""
+    monkeypatch.setattr(oracles, "FD_KRYLOV_MAX_CYCLES", 1)
+    with pytest.raises(NumericError, match="did not converge in 1 cycles"):
+        oracle_fd_2d(FD_DRIFTS["strong-rotational"], span=6.0, n=41)
+    cfg = {
+        "mode": "oracle-compare", "k": 2, "N": 8, "Q": 16,
+        "drift": {"kind": "rotational", "scale": 0.3, "offset": [0.2, 0.0]},
+        "oracle_compare": {"oracle": "fd2d", "n_cells": 41},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["oracle-compare", "--config", str(tmp_path / "cfg.json")]) == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert "did not converge" in report["error"]
