@@ -61,13 +61,14 @@ def default_bumps(k: int):
     ]
 
 
-def density_checks(rho: ChaosDensity, v, p_frozen, grid) -> tuple[dict, bool]:
+def density_checks(rho: ChaosDensity, v, grid) -> tuple[dict, bool]:
     """Residual suite plus the asserted and monitored certificates.
 
-    p_frozen is the measure the drift reads (the solved density read on the
-    solve grid once, or None), so every check, the bump residuals on their
-    own grids included, certifies the drift that was solved.
+    The drift reads rho on the solve grid once (v.read_measure), so every
+    check, the bump residuals on their own grids included, certifies the
+    drift frozen at the solved density.
     """
+    p_frozen = v.read_measure(rho, grid)
     vvals, vals = v.eval_v(p_frozen, grid.nodes), rho.evaluate(grid)
     hermite_max, system_norm, bump_vals = residual_suite(rho, v, p_frozen, grid, vals, vvals, default_bumps(rho.k))
     hermite_ok = hermite_max <= HERMITE_RESIDUAL_TOL * (1.0 + system_norm)
@@ -124,20 +125,13 @@ def _config_hash(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _frozen_measure(v, rho: ChaosDensity, grid):
-    """The measure v reads at rho (v.read_measure, once), or None for a
-    drift that ignores the measure."""
-    return v.read_measure(rho, grid) if v.reads_measure else None
-
-
 def _solve_one(cfg: RunConfig):
-    """(rho, trace or None, v, grid, p_frozen) of one solve, p_frozen being
-    the measure the drift reads at rho."""
+    """(rho, trace or None, v, grid) of one solve."""
     basis = enumerate_basis(cfg.k, cfg.degree)
     grid = tensor_grid(cfg.effective_quad_order, cfg.k)
     v = drift_from_block(cfg.drift, cfg.k)
     rho, trace = solve_stationary(v, basis, grid, cfg.fixed_point)
-    return rho, trace, v, grid, _frozen_measure(v, rho, grid)
+    return rho, trace, v, grid
 
 
 def _read_density(path: str) -> ChaosDensity:
@@ -164,7 +158,7 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
 
     try:
         if config.mode in ("solve-linear", "solve-nonlinear"):
-            rho, trace, v, grid, p_frozen = _solve_one(config)
+            rho, trace, v, grid = _solve_one(config)
             # the artifacts first: a check that fails to run (exit 3) keeps them
             density_path = os.path.join(out, "density.json")
             _write(density_path, rho.to_json())
@@ -174,7 +168,7 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
                 _write(trace_path, trace.to_csv())
                 report["artifacts"]["trace"] = trace_path
                 report["iterations"] = trace.iterations
-            checks, passed = density_checks(rho, v, p_frozen, grid)
+            checks, passed = density_checks(rho, v, grid)
             report.update(checks)
             report["checks_passed"] = passed
         elif config.mode == "ladder":
@@ -197,7 +191,7 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
             check_sizes("verify density", rho.k, rho.basis.degree, quad_order)
             grid = tensor_grid(quad_order, rho.k)
             v = drift_from_block(config.drift, rho.k)
-            checks, passed = density_checks(rho, v, _frozen_measure(v, rho, grid), grid)
+            checks, passed = density_checks(rho, v, grid)
             report.update(checks)
             report["checks_passed"] = passed
         elif config.mode == "oracle-compare":
@@ -262,7 +256,8 @@ def _run_sweep(config: RunConfig, out: str, threads: int):
 def _run_oracle_compare(config: RunConfig):
     oc = config.oracle_compare
     which = oc["oracle"]
-    rho, trace, v, grid, p_frozen = _solve_one(config)
+    rho, trace, v, grid = _solve_one(config)
+    p_frozen = v.read_measure(rho, grid)
     result = {"oracle": which}
     tol = oc["tolerance"]
     if which == "1d":
@@ -295,35 +290,24 @@ def _run_oracle_compare(config: RunConfig):
     return result, worst <= tol
 
 
-def _thread_count(flag: int | None) -> int:
-    """--threads, else GFPK_THREADS, else 1; a ConfigError unless a positive integer."""
-    raw = flag if flag is not None else os.environ.get("GFPK_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"GFPK_THREADS={raw!r} is not an integer") from None
-    if value < 1:
-        raise ConfigError(f"the thread count must be at least 1, got {raw!r}")
-    return value
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="gfpk", description=__doc__)
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     try:
-        threads = _thread_count(args.threads)
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         config = load_config(args.config, seed=args.seed)
         if config.mode != args.mode:
             raise ConfigError(
                 f"config mode {config.mode!r} does not match the command-line mode {args.mode!r}"
             )
-        return run(config, out_dir=args.out, threads=threads)
+        return run(config, out_dir=args.out, threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,10 +8,11 @@ mass at the origin, which reads a Vlasov kernel itself, v(delta_0, x) = b0(x):
 by Jensen sup |b0|_H bounds |v(p, x)|_H for every probability p.  eval_v
 re-checks the bound at every point it evaluates.
 
-The measure argument of v is None for fields that ignore it, else a
-ChaosDensity in weak-topology form, read once by `v.read_measure(p, grid)`:
-a PointMeasure on every grid node, or for a SeparableField a
-MarginalMeasure, its k marginals on the grid's 1-D rules.
+`v.read_measure(p, grid)` is the one place a ChaosDensity p becomes the
+measure v reads, in weak-topology form: None for a field whose value does
+not depend on it (reads_measure false), else a PointMeasure on every grid
+node, or for a SeparableField a MarginalMeasure, its k marginals on the
+grid's 1-D rules.
 
 A SeparableField is built from one function v_i(measure, x_i) per
 coordinate; every built-in kind except `rotational` builds one.
@@ -166,8 +167,9 @@ class DriftField:
     The evaluator maps (measure, x (m, k)) to (m, k), the measure being one
     of measure_types or None.  kind is a label for messages.  bound_kind is
     H_BOUND (on |v|_H) or COMPONENTWISE_BOUND (on every |v_n|).
-    reads_measure says whether v takes the measure as an argument: such a
-    field is solved by the fixed point, any other by one linear solve.
+    reads_measure says whether the value of v depends on the measure: such a
+    field is solved by the fixed point, any other by one linear solve, and
+    reads None (read_measure).
     """
 
     measure_types = (PointMeasure,)  # what eval_v reads besides None
@@ -202,9 +204,10 @@ class DriftField:
         probe = PointMeasure(points=np.zeros((1, self.k)), masses=np.ones(1), clip_defect=0.0)
         self._check_bound(np.asarray(self._evaluator(probe, validation_samples(self.k))))
 
-    def read_measure(self, p: ChaosDensity, grid: QuadratureGrid) -> PointMeasure:
-        """The measure v reads at the density p, on grid (as_measure)."""
-        return as_measure(p, grid)
+    def read_measure(self, p: ChaosDensity, grid: QuadratureGrid) -> PointMeasure | None:
+        """The measure v reads at the density p, on grid (as_measure); None
+        when v does not read the measure."""
+        return as_measure(p, grid) if self.reads_measure else None
 
     def _check_measure(self, measure):
         if measure is not None and not isinstance(measure, self.measure_types):
@@ -275,8 +278,8 @@ class SeparableField(DriftField):
         probe = MarginalMeasure((np.zeros(1),) * self.k, (np.ones(1),) * self.k, 0.0)
         self._check_axes(self._stacked(probe, validation_samples(self.k)).T)
 
-    def read_measure(self, p: ChaosDensity, grid: QuadratureGrid) -> MarginalMeasure:
-        return marginal_measure(p, grid)
+    def read_measure(self, p: ChaosDensity, grid: QuadratureGrid) -> MarginalMeasure | None:
+        return marginal_measure(p, grid) if self.reads_measure else None
 
     def eval_rules(self, measure: PointMeasure | MarginalMeasure | None, grid: QuadratureGrid) -> list[np.ndarray]:
         """v_i at the nodes of grid.rules[i], one array per coordinate i,
@@ -415,7 +418,7 @@ def custom_drift(fn, k, bound_kind, bound, *, reads_measure: bool) -> DriftField
     """Register a user evaluator (measure, x) -> (m, k) under a declared
     bound (bound_kind "H" or "componentwise"); the measure is a PointMeasure
     or None, and `reads_measure` states whether fn reads it (a field that
-    does not is solved by one linear solve).
+    does not is handed None and solved by one linear solve).
 
     Sampling validation at registration is mandatory; a violating field never
     gets constructed.
@@ -459,13 +462,14 @@ def _decoupled_tanh_axis(q):
     return lambda measure, i, z: scale * np.tanh(z) if i == 0 else np.zeros(z.shape)
 
 
-def _componentwise(axis, *params) -> Kind:
+def _componentwise(axis, reads_measure, *params) -> Kind:
     """A separable kind bounded by |v_i| <= |scale|, whose v_i = axis(q)(measure,
-    i, x_i); it counts as reading the measure, and n_components only bounds k."""
+    i, x_i) depends on the measure when reads_measure(q); n_components only
+    bounds k."""
     return Kind(
         (_SCALE, Param("n_components", "integer", 1, 64)) + params,
         lambda q, k: SeparableField("componentwise", k, axis(q), COMPONENTWISE_BOUND, abs(q["scale"]),
-                                    reads_measure=True),
+                                    reads_measure=reads_measure(q)),
         dims=lambda q, k: "" if k <= q["n_components"] else f"has fewer n_components than k={k}",
     )
 
@@ -482,8 +486,8 @@ DRIFTS = {
         dims=lambda q, k: "" if k % 2 == 0 else f"needs an even dimension, got k={k}",
     ),
     "vlasov": Kind((Param("kernel", KERNELS),), lambda q, k: vlasov_drift(q["kernel"], k)),
-    "componentwise-tanh": _componentwise(_tanh_axis, Param("mean_shift", "bool", default=False)),
-    "componentwise-decoupled-tanh": _componentwise(_decoupled_tanh_axis),
+    "componentwise-tanh": _componentwise(_tanh_axis, lambda q: q["mean_shift"], Param("mean_shift", "bool", default=False)),
+    "componentwise-decoupled-tanh": _componentwise(_decoupled_tanh_axis, lambda q: False),
 }
 
 

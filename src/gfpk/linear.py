@@ -1,4 +1,5 @@
-"""Linear stationary solver: for a frozen measure argument p (a PointMeasure,
+"""Linear stationary solver: for a frozen measure argument p (what
+v.read_measure gives: a PointMeasure, a MarginalMeasure for a SeparableField,
 or None for a drift that ignores it), assemble and solve the Galerkin
 truncation of L*_{b(p,.)}(rho * gamma) = 0.
 

@@ -147,8 +147,8 @@ def oracle_sde(v, p_frozen, dt: float = 1e-3, n_steps: int = 2000, n_particles: 
     """Euler-Maruyama sampling of dX = (-X + v(p, X)) dt + sqrt(2) dW in
     the dimension k = v.k of the drift.
 
-    The drift is frozen at p_frozen, a PointMeasure read once from the
-    solved density (None for a drift that ignores the measure); the
+    The drift is frozen at p_frozen, the measure v.read_measure gives once
+    for the solved density (None for a drift that ignores it); the
     stationary law of this diffusion is exactly what the linear equation
     characterizes.  Standard errors come from batch means over SDE_BATCHES
     disjoint particle groups, which are genuinely independent replicates
@@ -223,7 +223,8 @@ def _face_coefficients(v, x: np.ndarray, h: float):
     """Per axis, the face Peclet numbers w = b h of the drift b = -x + v and
     the exponentially fitted flux coefficients B(-w) / h^2 and B(w) / h^2:
     (n - 1, n) arrays by lower cell along axis 0, (n, n - 1) along axis 1.
-    v is read once, at the faces of both axes."""
+    v is read once, at the faces of both axes; a non-finite value there is
+    a NumericError before any solve."""
     n = x.size
     mid = 0.5 * (x[:-1] + x[1:])
     pts = np.concatenate(
@@ -233,6 +234,10 @@ def _face_coefficients(v, x: np.ndarray, h: float):
         ]
     )
     b = (np.asarray(v(pts), dtype=float) - pts) * h
+    finite = np.isfinite(b)
+    if not finite.all():
+        raise NumericError(f"finite-difference oracle: the drift b = -x + v is not finite at "
+                           f"{np.count_nonzero(~finite.all(axis=1))} of {len(b)} cell faces; v must be finite on the whole box")
     faces = []
     for w in (b[: (n - 1) * n, 0].reshape(n - 1, n), b[(n - 1) * n :, 1].reshape(n, n - 1)):
         faces.append((w, _bernoulli(-w) / h**2, _bernoulli(w) / h**2))

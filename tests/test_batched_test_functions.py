@@ -143,7 +143,7 @@ def test_bump_residuals_equal_the_per_bump_loop(data, k, drift, block_nodes, see
     v = coupled_drift(k) if drift == "coupled" else drift_from_block(SEPARABLE_BLOCKS[drift](k), k)
     rho = random_density(k, degree, seed)
     try:
-        p = v.read_measure(rho, grid) if v.reads_measure else None
+        p = v.read_measure(rho, grid)
     except DegenerateDensityError:
         reject()  # a truncation that is no measure gives a measure-reading drift nothing to read
     rule = uniform_gaussian_grid(*BUMP_RULE).rules[0]

@@ -198,18 +198,32 @@ def test_unknown_bound_kind_is_rejected(bound_kind):
 
 
 def test_fields_state_whether_they_read_the_measure():
+    """reads_measure is true exactly for the built-in fields whose value
+    depends on the measure, and read_measure gives None for every other."""
+    componentwise = {"scale": 0.3, "n_components": 2}
     reading = [
         vlasov_drift(TanhKernel(0.3), 2),
-        drift_from_block({"kind": "componentwise-tanh", "scale": 0.3, "n_components": 2}, 2),
-        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3, reads_measure=True),
+        drift_from_block({"kind": "componentwise-tanh", **componentwise, "mean_shift": True}, 2),
     ]
     ignoring = [
         constant_drift([0.1, 0.2]),
         clipped_potential_drift(0.3, 2),
         rotational_drift(0.3, 2),
+        drift_from_block({"kind": "componentwise-tanh", **componentwise}, 2),
+        drift_from_block({"kind": "componentwise-decoupled-tanh", **componentwise}, 2),
+    ]
+    declared = [
+        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3, reads_measure=True),
         custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3, reads_measure=False),
     ]
-    assert [v.reads_measure for v in reading + ignoring] == [True] * 3 + [False] * 4
+    fields = reading + ignoring + declared
+    assert [v.reads_measure for v in fields] == [True] * 2 + [False] * 5 + [True, False]
+    grid = tensor_grid(4, 2)
+    rho = ChaosDensity(enumerate_basis(2, 3), np.array([1.0, 0.3, -0.2, 0.1, 0.0, 0.05, 0, 0, 0, 0]))
+    assert [v.read_measure(rho, grid) is None for v in fields] == [not v.reads_measure for v in fields]
+    x = np.random.default_rng(0).standard_normal((25, 2))
+    tilted, flat = as_measure(rho, grid), as_measure(ChaosDensity.constant(rho.basis), grid)
+    assert [not np.array_equal(v.eval_v(tilted, x), v.eval_v(flat, x)) for v in reading + ignoring] == [True] * 2 + [False] * 5
 
 
 def test_buggy_evaluator_is_not_registered():

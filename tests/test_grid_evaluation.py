@@ -248,7 +248,7 @@ def test_separable_checks_build_no_evaluation_matrix(eval_matrix_calls):
     v = drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 3)
     grid = tensor_grid(6, 3)
     rho = solve_linear(v, None, enumerate_basis(3, 5), grid)
-    report, _ = density_checks(rho, v, None, grid)
+    report, _ = density_checks(rho, v, grid)
     assert report["residuals"]["hermite_pass"] and eval_matrix_calls == []
 
 
@@ -405,7 +405,7 @@ def test_one_axis_bumps_match_the_axis_sums(name, k):
     rho = random_density(k, degree, 7 + k)
     v = drift_from_block(SEPARABLE_BLOCKS[name](k), k)
     wrapped = custom_drift(lambda p, x: v.eval_v(p, x), k, v.bound_kind, v.bound, reads_measure=v.reads_measure)
-    p = as_measure(rho, grid) if v.reads_measure else None
+    p = wrapped.read_measure(rho, grid)
     bumps = default_bumps(k) + [BumpTest(active=(k - 1,), center=(0.7,), radius=1.3)]
     one_axis = residual_suite(rho, v, p, grid, *node_values(rho, v, p, grid), bumps)[2]
     reference = residual_suite(rho, wrapped, p, grid, *node_values(rho, wrapped, p, grid), bumps)[2]
@@ -464,7 +464,7 @@ def test_separable_k3_checks_read_v_and_rho_once_on_the_solve_grid(monkeypatch):
         grid = tensor_grid(8, k)
         rho = solve_linear(v, None, enumerate_basis(k, 6), grid)
         sizes.clear(), evaluated.clear()
-        report, passed = density_checks(rho, v, None, grid)
+        report, passed = density_checks(rho, v, grid)
         # v and rho are read on the 8^k nodes once
         assert sizes == reads and evaluated.count(8**k) == 1
         assert passed and report["residuals"]["bump_pass"]

@@ -98,7 +98,7 @@ def test_solve_and_system_norm_read_the_assembled_array(case, degree, extra_node
     grid = tensor_grid(degree + extra_nodes, k)
     v = ASSEMBLY_CASES[kind][0](k, scale)
     coefficients = np.concatenate([[1.0], 0.05 * np.random.default_rng(seed).standard_normal(basis.size - 1)])
-    p = v.read_measure(ChaosDensity(basis, coefficients), grid) if v.reads_measure else None
+    p = v.read_measure(ChaosDensity(basis, coefficients), grid)
     interaction = assemble(v, p, basis, grid)
     assert isinstance(interaction, np.ndarray) and interaction.shape == (basis.size, basis.size)
     rho = solve_linear(v, p, basis, grid)

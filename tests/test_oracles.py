@@ -1,6 +1,7 @@
 """Independent oracles: closed-form 1-D, finite-difference 2-D, SDE sampler."""
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -344,12 +345,8 @@ def test_krylov_steps_vanish_only_for_a_separable_drift(drift, n):
     assert np.all(np.isfinite(u)) and (steps == 0) is (drift != "rotational")
 
 
-def test_exhausted_krylov_cycles_are_numeric_errors(monkeypatch, tmp_path):
-    """A solve that runs out of GMRES cycles is a NumericError, exit 3 with
-    the reason in the report, never a change of method."""
-    monkeypatch.setattr(oracles, "FD_KRYLOV_MAX_CYCLES", 1)
-    with pytest.raises(NumericError, match="did not converge in 1 cycles"):
-        oracle_fd_2d(FD_DRIFTS["strong-rotational"], span=6.0, n=41)
+def fd2d_solver_error_report(tmp_path):
+    """The report of an fd2d oracle-compare run at 41 cells, which must exit 3."""
     cfg = {
         "mode": "oracle-compare", "k": 2, "N": 8, "Q": 16,
         "drift": {"kind": "rotational", "scale": 0.3, "offset": [0.2, 0.0]},
@@ -358,5 +355,43 @@ def test_exhausted_krylov_cycles_are_numeric_errors(monkeypatch, tmp_path):
     }
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert main(["oracle-compare", "--config", str(tmp_path / "cfg.json")]) == 3
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    return json.loads((tmp_path / "out" / "report.json").read_text())
+
+
+def test_exhausted_krylov_cycles_are_numeric_errors(monkeypatch, tmp_path):
+    """A solve that runs out of GMRES cycles is a NumericError, exit 3 with
+    the reason in the report, never a change of method."""
+    monkeypatch.setattr(oracles, "FD_KRYLOV_MAX_CYCLES", 1)
+    with pytest.raises(NumericError, match="did not converge in 1 cycles"):
+        oracle_fd_2d(FD_DRIFTS["strong-rotational"], span=6.0, n=41)
+    report = fd2d_solver_error_report(tmp_path)
     assert "did not converge" in report["error"]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_drift_fails_before_the_solve(monkeypatch, value):
+    """A drift that is not finite on the box is a NumericError naming the
+    drift, raised before any GMRES step and without a floating-point warning."""
+    def no_gmres(*args):
+        raise AssertionError("GMRES ran on a non-finite drift")
+
+    monkeypatch.setattr(oracles, "_gmres", no_gmres)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="drift b = -x \\+ v is not finite at 3280 of 3280 cell faces"):
+            oracle_fd_2d(lambda x: np.full_like(x, value), span=6.0, n=41)
+
+
+@pytest.mark.parametrize("error", [FloatingPointError("overflow encountered in multiply"),
+                                   np.linalg.LinAlgError("Singular matrix")], ids=["overflow", "singular"])
+def test_solver_faults_are_numeric_errors(monkeypatch, tmp_path, error):
+    """An overflow or a singular matrix inside the FD solve is a NumericError,
+    exit 3 with the reason in the report."""
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(oracles, "_krylov_steady_state", failing)
+    with pytest.raises(NumericError, match=f"solve failed: {error}"):
+        oracle_fd_2d(FD_DRIFTS["strong-rotational"], span=6.0, n=41)
+    report = fd2d_solver_error_report(tmp_path)
+    assert report["error"] == f"finite-difference steady state solve failed: {error}"

@@ -130,11 +130,15 @@ def test_readme_mode_keys_table_matches_config():
 
 
 def test_readme_kind_table_matches_registry():
+    """The "reads the measure" cell is yes or no, or names the bool parameter
+    that makes the field read it."""
     documented = {row[0]: row[1:3] for row in _table_rows("`") if row[0].strip("`") in DRIFTS}
     expected = {}
     for kind, params in MINIMAL_DRIFTS.items():
         v = drift_from_block({"kind": kind, **params}, 2)
-        expected[f"`{kind}`"] = ["yes" if v.reads_measure else "no", v.bound_kind]
+        switches = [f"with `{p.name}`" for p in DRIFTS[kind].params
+                    if p.type == "bool" and drift_from_block({"kind": kind, **params, p.name: True}, 2).reads_measure]
+        expected[f"`{kind}`"] = ["yes" if v.reads_measure else " or ".join(switches) or "no", v.bound_kind]
     assert documented == expected
 
 

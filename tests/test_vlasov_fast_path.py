@@ -25,6 +25,8 @@ from gfpk import (
     vlasov_drift,
     vlasov_eval,
 )
+from gfpk.drift import DriftField
+from gfpk.linear import separable_interaction
 
 KERNEL_NAMES = ("constant", "tanh", "gaussian-lobe", "clipped-linear")
 REL_TOL = 1e-13
@@ -158,6 +160,38 @@ def test_undeclared_kernel_takes_the_dense_path():
         [sum(w * rotation(xi - y) for y, w in zip(measure.points, measure.masses)) for xi in x]
     )
     assert np.allclose(expected, pairwise, rtol=0, atol=1e-14)
+
+
+class CoupledLobeKernel:
+    """b0(z) = scale * z * exp(-|z|^2 / 2): not componentwise, since every
+    component reads |z|; |b0|_H <= |scale| e^(-1/2) in any dimension."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def h_bound_for(self, k):
+        return abs(self.scale) * math.exp(-0.5)
+
+    def __call__(self, z):
+        return self.scale * z * np.exp(-0.5 * np.sum(z * z, axis=-1, keepdims=True))
+
+
+def test_coupled_kernel_gives_a_dense_measure_reading_field():
+    """The Vlasov drift of a coupling kernel is a plain DriftField that reads
+    the joint PointMeasure, evaluates as vlasov_eval, assembles densely and
+    keeps the symmetric fixed point: b0 is odd, so every odd coefficient of
+    the solution vanishes."""
+    kernel = CoupledLobeKernel(1.0)
+    v = vlasov_drift(kernel, 2)
+    assert type(v) is DriftField and v.reads_measure
+    basis, grid = enumerate_basis(2, 6), tensor_grid(10, 2)
+    measure = v.read_measure(random_density(2, 6, 3), grid)
+    assert isinstance(measure, PointMeasure)
+    assert np.array_equal(v.eval_v(measure, grid.nodes), vlasov_eval(kernel, measure, grid.nodes, None))
+    assert separable_interaction(basis, grid, v, measure) is None
+    rho, trace = fixed_point_solve(v, basis, grid)
+    assert trace.converged and trace.iterations > 1
+    assert np.max(np.abs(rho.coefficients[basis.degrees() % 2 == 1])) <= 1e-14
 
 
 def shifted_density(basis, shift):
