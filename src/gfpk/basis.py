@@ -285,8 +285,12 @@ class QuadratureGrid:
     def blocks(self, max_nodes: int):
         """Yield (block, place): product sub-grids of at most max_nodes nodes
         that partition this grid, each with the slice of every axis it
-        covers.  Leading axes are taken one node at a time as far as the
-        budget needs, the next axis in runs."""
+        covers.  A grid within the budget is its own one block; otherwise
+        leading axes are taken one node at a time as far as the budget needs,
+        the next axis in runs."""
+        if self.n_nodes <= max_nodes:
+            yield self, [slice(None)] * self.k
+            return
         lead = next(j for j in range(self.k) if math.prod(self.shape[j + 1 :]) <= max_nodes)
         run = max(1, max_nodes // math.prod(self.shape[lead + 1 :]))
         for index in np.ndindex(*self.shape[:lead]):

@@ -14,13 +14,12 @@ marginal(i) -> (y, masses) and mean(), all a separable drift reads.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .basis import ChaosBasis, QuadratureGrid, _read_only, enumerate_basis, hermite_table
+from .basis import ChaosBasis, QuadratureGrid, _read_only, enumerate_basis
 from .errors import DegenerateDensityError, NumericError
 
 # Gaussian quadrature mass of the region where the truncation is positive;
@@ -242,34 +241,6 @@ class HermiteTest:
     def degree(self) -> int:
         return sum(self.beta)
 
-    def _tables(self, x: np.ndarray):
-        return [hermite_table(max(self.beta, default=0), x[:, i]) for i in range(self.k)]
-
-    def _lowered(self, tables, i: int) -> np.ndarray:
-        """d/dx_i h_beta = sqrt(beta_i) h_{beta - e_i}."""
-        term = math.sqrt(self.beta[i]) * tables[i][self.beta[i] - 1]
-        for j in range(self.k):
-            if j != i:
-                term = term * tables[j][self.beta[j]]
-        return term
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        tables = self._tables(x)
-        out = np.ones(x.shape[0])
-        for i, b in enumerate(self.beta):
-            out *= tables[i][b]
-        return out
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        tables = self._tables(x)
-        grad = np.zeros_like(x)
-        for i, b in enumerate(self.beta):
-            if b >= 1:
-                grad[:, i] = self._lowered(tables, i)
-        return grad
-
 
 @dataclass(frozen=True)
 class BumpTest:
@@ -280,7 +251,7 @@ class BumpTest:
     The +1 normalizes phi = 1 at the center.  phi reads x_A alone, so the
     residuals evaluate it only at the distinct values of x_A on their grid,
     every bump of one active set in one call of the profile kernel
-    (BumpTest.profiles), which value, gradient and laplacian wrap.
+    (BumpTest.profiles).
     """
 
     active: tuple[int, ...]
@@ -319,15 +290,3 @@ class BumpTest:
         g2[inside] = (-2 * w ** (-3) + fp**2) * gi
         grad = np.take_along_axis(g1[:, :, None] * 2.0 * d, np.argsort(active)[:, None, :], axis=2) / r2[:, :, None]
         return g, grad, g2 * 4.0 * u / r2 + g1 * 2.0 * active.shape[1] / r2
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return BumpTest.profiles([self], np.atleast_2d(x))[0]
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        grad = np.zeros_like(x)
-        grad[:, sorted(self.active)] = BumpTest.profiles([self], x, derivatives=True)[1][0]
-        return grad
-
-    def laplacian(self, x: np.ndarray) -> np.ndarray:
-        return BumpTest.profiles([self], np.atleast_2d(x), derivatives=True)[2][0]

@@ -165,11 +165,12 @@ class DriftField:
     """Measure-dependent drift v with a declared, enforced bound.
 
     The evaluator maps (measure, x (m, k)) to (m, k), the measure being one
-    of measure_types or None.  kind is a label for messages.  bound_kind is
-    H_BOUND (on |v|_H) or COMPONENTWISE_BOUND (on every |v_n|).
-    reads_measure says whether the value of v depends on the measure: such a
-    field is solved by the fixed point, any other by one linear solve, and
-    reads None (read_measure).
+    of measure_types, or None for a field that does not read it.  kind is a
+    label for messages.  bound_kind is H_BOUND (on |v|_H) or
+    COMPONENTWISE_BOUND (on every |v_n|).  reads_measure says whether the
+    value of v depends on the measure: such a field is solved by the fixed
+    point and refuses None (_check_measure), any other by one linear solve,
+    and reads None (read_measure).
     """
 
     measure_types = (PointMeasure,)  # what eval_v reads besides None
@@ -210,6 +211,8 @@ class DriftField:
         return as_measure(p, grid) if self.reads_measure else None
 
     def _check_measure(self, measure):
+        if measure is None and self.reads_measure:
+            raise TypeError(f"a {self.kind} drift reads the measure; None is no measure (v.read_measure(p, grid))")
         if measure is not None and not isinstance(measure, self.measure_types):
             raise TypeError(f"a {self.kind} drift cannot read a {type(measure).__name__} as its measure; read "
                             "a density with v.read_measure(p, grid) (as_measure or marginal_measure)")
@@ -375,19 +378,14 @@ def vlasov_drift(kernel, k: int) -> DriftField:
     The measure argument is required; None is a TypeError.
     """
 
-    def required(measure):
-        if measure is None:
-            raise TypeError("vlasov drift requires a measure argument")
-        return measure
-
     bound = kernel.h_bound_for(k)
     if isinstance(kernel, ComponentwiseKernel):
         return SeparableField(
-            "vlasov", k, lambda measure, i, z: marginal_convolution(kernel, required(measure), i, z), H_BOUND,
+            "vlasov", k, lambda measure, i, z: marginal_convolution(kernel, measure, i, z), H_BOUND,
             bound, reads_measure=True,
         )
     return DriftField(
-        "vlasov", k, lambda measure, x: vlasov_eval(kernel, required(measure), x, None), H_BOUND, bound,
+        "vlasov", k, lambda measure, x: vlasov_eval(kernel, measure, x, None), H_BOUND, bound,
         reads_measure=True,
     )
 
@@ -449,7 +447,7 @@ def _tanh_axis(q):
     scale, mean_shift = q["scale"], q["mean_shift"]
 
     def axis(measure, i, z):
-        shift = measure.mean()[i] if mean_shift and measure is not None else 0.0
+        shift = measure.mean()[i] if mean_shift else 0.0
         return scale * np.tanh(z - shift)
 
     return axis

@@ -48,25 +48,24 @@ ORTHONORMAL_TOL = 1e-13
 # (span, nodes) of the uniform rule for a bump's active coordinates; the
 # default bumps live in [-4, 4] (residual_suite)
 BUMP_RULE = (6.0, 401)
-BLOCK_NODES = 1_000_000  # most nodes per drift and density read of _bump_defects
+# most nodes per drift and density read of _bump_defects, and most P x m
+# table values per node block of dense_interaction
+BLOCK_NODES = 1_000_000
 
 
-def assemble(v, p, basis: ChaosBasis, grid: QuadratureGrid, dense_table=None, vvals=None) -> np.ndarray:
+def assemble(v, p, basis: ChaosBasis, grid: QuadratureGrid, vvals=None) -> np.ndarray:
     """Quadrature assembly of the P x P interaction A for drift v frozen at
     p, the only block of the Galerkin system D - A that the drift sets.
 
     A comes from 1-D Gram matrices when the drift is a SeparableField and
     the grid allows it (separable_interaction) and from the dense
-    quadrature sum otherwise.  dense_table, a callable returning
-    basis.eval_matrix(grid.nodes), lets callers that assemble repeatedly on
-    one grid build that P x M table once, and only if the dense path runs;
-    vvals, v(p, grid.nodes) if the caller holds it, spares its read of v.
+    quadrature sum otherwise (dense_interaction); vvals, v(p, grid.nodes)
+    if the caller holds it, spares the dense sum its read of v.
     """
     _check_sizes(v, basis, grid)
     interaction = separable_interaction(basis, grid, v, p)
     if interaction is None:
-        h = None if dense_table is None else dense_table()
-        interaction = dense_interaction(basis, grid, v.eval_v(p, grid.nodes) if vvals is None else vvals, h)
+        interaction = dense_interaction(basis, grid, v.eval_v(p, grid.nodes) if vvals is None else vvals)
     return interaction
 
 
@@ -79,21 +78,25 @@ def _check_sizes(v, basis: ChaosBasis, grid: QuadratureGrid):
         raise ValueError(f"drift dimension {v.k} != basis dimension {basis.k}")
 
 
-def dense_interaction(
-    basis: ChaosBasis, grid: QuadratureGrid, vvals: np.ndarray, h: np.ndarray | None = None
-) -> np.ndarray:
-    """A[beta, alpha] from k dense P x M x P quadrature Gram products, for
-    any drift and grid: the non-separable assembly, and the reference."""
-    if h is None:
-        h = basis.eval_matrix(grid.nodes)  # (P, M)
+def dense_interaction(basis: ChaosBasis, grid: QuadratureGrid, vvals: np.ndarray) -> np.ndarray:
+    """A[beta, alpha] from k dense quadrature Gram products h diag(w v_i) h^T,
+    for any drift and grid: the non-separable assembly, and the reference.
+
+    The grid is read in node blocks (grid.blocks) whose P x m tables h
+    hold at most BLOCK_NODES values; vvals = v(p, grid.nodes) is taken a
+    block of rows at a time.
+    """
     lowering = basis.lowering_table()
     interaction = np.zeros((basis.size, basis.size))
-    for i in range(basis.k):
-        weighted = h * (grid.weights * vvals[:, i])  # (P, M)
-        gram = weighted @ h.T  # gram[mu, alpha] = <v_i h_mu, h_alpha>
-        rows = lowering[:, i]
-        mask = rows >= 0
-        interaction[mask] += np.sqrt(basis.exponents[mask, i])[:, None] * gram[rows[mask]]
+    vvals = vvals.reshape(grid.shape + (basis.k,))
+    for block, place in grid.blocks(max(1, BLOCK_NODES // basis.size)):
+        h = basis.eval_matrix(block.nodes)  # (P, m)
+        values = vvals[tuple(place)].reshape(-1, basis.k)
+        for i in range(basis.k):
+            gram = (h * (block.weights * values[:, i])) @ h.T  # gram[mu, alpha] = <v_i h_mu, h_alpha>
+            rows = lowering[:, i]
+            mask = rows >= 0
+            interaction[mask] += np.sqrt(basis.exponents[mask, i])[:, None] * gram[rows[mask]]
     return interaction
 
 

@@ -15,7 +15,6 @@ than the weak closeness the existence argument needs.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 from dataclasses import dataclass, field
 
@@ -106,13 +105,10 @@ def fixed_point_solve(
     except NumericError:  # no finite radius: the monitored flags stay None
         ball_radius_sq = None
     trace = FixedPointTrace()
-    # the dense assembly's P x M table is built at most once per solve, and
-    # only if the separable path declines
-    dense_table = functools.cache(lambda: basis.eval_matrix(grid.nodes))
     dx, df = [], []  # the last `memory` differences of iterates and residuals
     for _ in range(opts.max_iterations + 1):
         measure = v.read_measure(p, grid)
-        rho = solve_system(basis, assemble(v, measure, basis, grid, dense_table))
+        rho = solve_system(basis, assemble(v, measure, basis, grid))
         psi_res = l2_distance(rho, p)
         trace.psi_residuals.append(psi_res)
         trace.l2_norms_sq.append(p.l2_norm_sq())

@@ -223,8 +223,9 @@ def _face_coefficients(v, x: np.ndarray, h: float):
     """Per axis, the face Peclet numbers w = b h of the drift b = -x + v and
     the exponentially fitted flux coefficients B(-w) / h^2 and B(w) / h^2:
     (n - 1, n) arrays by lower cell along axis 0, (n, n - 1) along axis 1.
-    v is read once, at the faces of both axes; a non-finite value there is
-    a NumericError before any solve."""
+    v is read once, at the faces of both axes; a coefficient that is not
+    finite (v not finite, or so large that the flux overflows) is a
+    NumericError before any solve."""
     n = x.size
     mid = 0.5 * (x[:-1] + x[1:])
     pts = np.concatenate(
@@ -233,14 +234,17 @@ def _face_coefficients(v, x: np.ndarray, h: float):
             np.stack([np.repeat(x, n - 1), np.tile(mid, n)], axis=1),
         ]
     )
-    b = (np.asarray(v(pts), dtype=float) - pts) * h
-    finite = np.isfinite(b)
-    if not finite.all():
-        raise NumericError(f"finite-difference oracle: the drift b = -x + v is not finite at "
-                           f"{np.count_nonzero(~finite.all(axis=1))} of {len(b)} cell faces; v must be finite on the whole box")
+    values = np.asarray(v(pts), dtype=float)
     faces = []
-    for w in (b[: (n - 1) * n, 0].reshape(n - 1, n), b[(n - 1) * n :, 1].reshape(n, n - 1)):
-        faces.append((w, _bernoulli(-w) / h**2, _bernoulli(w) / h**2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coefficient is refused below
+        b = (values - pts) * h
+        for w in (b[: (n - 1) * n, 0].reshape(n - 1, n), b[(n - 1) * n :, 1].reshape(n, n - 1)):
+            faces.append((w, _bernoulli(-w) / h**2, _bernoulli(w) / h**2))
+    if not all(np.isfinite(c).all() for _, lo, hi in faces for c in (lo, hi)):
+        bad = sum(np.count_nonzero(~(np.isfinite(lo) & np.isfinite(hi))) for _, lo, hi in faces)
+        raise NumericError(f"finite-difference oracle: the drift b = -x + v is not finite at {bad} of "
+                           f"{len(b)} cell faces, or overflows their flux coefficients; v must be finite "
+                           "on the whole box and far inside the float range")
     return faces
 
 

@@ -46,6 +46,36 @@ def hermite_eval(n: int, x):
     return h if h.shape else float(h)
 
 
+def hermite_value(beta, x):
+    """Reference h_beta at the points x (m, k): the product of hermite_eval
+    over the coordinates."""
+    return math.prod(hermite_eval(b, x[:, i]) for i, b in enumerate(beta))
+
+
+def hermite_gradient(beta, x):
+    """Reference gradient (m, k) of h_beta at the points x (m, k), from
+    d/dx_i h_beta = sqrt(beta_i) h_{beta - e_i}."""
+    grad = np.zeros_like(x)
+    for i, b in enumerate(beta):
+        if b:
+            grad[:, i] = math.sqrt(b) * hermite_value(beta[:i] + (b - 1,) + beta[i + 1 :], x)
+    return grad
+
+
+class CoupledLobeKernel:
+    """b0(z) = scale * z * exp(-|z|^2 / 2): not componentwise, since every
+    component reads |z|; |b0|_H <= |scale| e^(-1/2) in any dimension."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def h_bound_for(self, k):
+        return abs(self.scale) * math.exp(-0.5)
+
+    def __call__(self, z):
+        return self.scale * z * np.exp(-0.5 * np.sum(z * z, axis=-1, keepdims=True))
+
+
 def b1_bound_quadrature(c0: float) -> float:
     """Independent value of the a-priori radius B(C0) = 1 + 2 e^2 int_1^inf
     t exp(-(ln t)^2 / C0^2) dt: adaptive quadrature after u = ln t."""
@@ -93,9 +123,8 @@ def bump_defect_per_node(phi, grid, vvals, rvals):
     absolute values of its terms (the scale of its rounding error)."""
     x = grid.nodes
     weighted = (grid.weights * rvals)[:, None]
-    terms = np.concatenate(
-        [weighted * phi.laplacian(x)[:, None], weighted * (vvals - x) * phi.gradient(x)], axis=1
-    )
+    _, gradient, laplacian = bump_per_test(phi, x)
+    terms = np.concatenate([weighted * laplacian[:, None], weighted * (vvals - x) * gradient], axis=1)
     return float(terms.sum()), float(np.abs(terms).sum())
 
 
@@ -121,6 +150,11 @@ def bump_per_test(phi, x):
     return g, grad, g2 * 4.0 * u / phi.radius**2 + g1 * 2.0 * len(phi.active) / phi.radius**2
 
 
+def phi_value(phi, x):
+    """Reference value of the HermiteTest or BumpTest phi at the points x (m, k)."""
+    return hermite_value(phi.beta, x) if isinstance(phi, HermiteTest) else bump_per_test(phi, x)[0]
+
+
 def battery_integrals_per_test(rho, grid, battery):
     """Reference of ladder._battery_integrals, one test at a time: each
     test phi of coordinate i summed as phi w_z rho_i(z) over the rule of
@@ -135,8 +169,7 @@ def battery_integrals_per_test(rho, grid, battery):
     out = []
     for phi, (i,) in zip(battery, axes):
         z, w = grid.rules[i]
-        points = np.outer(z, np.eye(rho.k)[i])
-        values = phi.value(points) if isinstance(phi, HermiteTest) else bump_per_test(phi, points)[0]
+        values = phi_value(phi, np.outer(z, np.eye(rho.k)[i]))
         out.append(float(np.sum(values * (w * marginal_values(rho, grid, i)))))
     return out
 

@@ -75,10 +75,9 @@ def test_profile_kernel_equals_the_per_bump_formula(data, k, seed):
     assert bits(BumpTest.profiles(bumps, x)) == bits(g)
     for row, phi in enumerate(bumps):
         value, gradient, laplacian = bump_per_test(phi, x)
-        assert bits(g[row]) == bits(value) == bits(phi.value(x))
+        assert bits(g[row]) == bits(value)
         assert bits(grad[row]) == bits(gradient[:, sorted(axes)])
-        assert bits(phi.gradient(x)) == bits(gradient)
-        assert bits(lap[row]) == bits(laplacian) == bits(phi.laplacian(x))
+        assert bits(lap[row]) == bits(laplacian)
 
 
 @st.composite

@@ -470,6 +470,30 @@ def test_oracle_compare_1d(tmp_path):
     assert report["oracle"]["l2_gamma_distance"] <= 1e-6
 
 
+def test_oracle_compare_1d_vlasov_takes_the_self_consistent_oracle(tmp_path, monkeypatch):
+    """A Vlasov drift is compared against the self-consistent 1-D fixed
+    point, not the closed form for a frozen drift."""
+    import gfpk.cli
+
+    calls = []
+    for name in ("oracle_1d", "oracle_1d_selfconsistent"):
+        oracle = getattr(gfpk.cli, name)
+        monkeypatch.setattr(gfpk.cli, name, lambda *a, name=name, oracle=oracle, **kw: calls.append(name) or oracle(*a, **kw))
+    cfg = {
+        "mode": "oracle-compare",
+        "k": 1,
+        "N": 16,
+        "Q": 32,
+        "drift": {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}},
+        "oracle_compare": {"oracle": "1d", "tolerance": 1e-6},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    assert main(["oracle-compare", "--config", write_config(tmp_path, cfg)]) == 0
+    assert calls == ["oracle_1d_selfconsistent"]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["oracle"]["l2_gamma_distance"] <= 1e-6
+
+
 def test_oracle_compare_sde_honours_its_tolerance(tmp_path):
     cfg = {
         **_solve(1, CONSTANT, "oracle-compare"),

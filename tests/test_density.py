@@ -8,7 +8,6 @@ from gfpk import (
     BumpTest,
     ChaosDensity,
     DegenerateDensityError,
-    HermiteTest,
     NumericError,
     as_measure,
     enumerate_basis,
@@ -157,32 +156,39 @@ def test_from_json_rejects_unknown_ordering():
 
 
 def test_hermite_test_value_and_gradient():
-    phi = HermiteTest((2, 1))
+    """h_beta as the code reads it, the one non-constant term of the density
+    1 + h_beta: its value is the product of the 1-D Hermite values and its
+    gradient agrees with finite differences."""
+    basis = enumerate_basis(2, 3)
+    coeffs = np.zeros(basis.size)
+    coeffs[[0, basis.position((2, 1))]] = 1.0
+    rho = ChaosDensity(basis, coeffs)
     x = np.array([[0.5, -0.7], [1.2, 0.1]])
     expected = hermite_eval(2, x[:, 0]) * hermite_eval(1, x[:, 1])
-    assert np.allclose(phi.value(x), expected)
+    assert np.allclose(rho.evaluate(x) - 1.0, expected)
     eps = 1e-6
     for i in range(2):
         shift = np.zeros((1, 2))
         shift[0, i] = eps
-        fd = (phi.value(x + shift) - phi.value(x - shift)) / (2 * eps)
-        assert np.allclose(phi.gradient(x)[:, i], fd, atol=1e-8)
+        fd = (rho.evaluate(x + shift) - rho.evaluate(x - shift)) / (2 * eps)
+        assert np.allclose(rho.gradient(x)[:, i], fd, atol=1e-8)
 
 
 def test_bump_test_support_and_smoothness():
     phi = BumpTest(active=(0,), center=(0.0,), radius=2.0)
-    x = np.array([[0.0], [1.9], [2.0], [3.0]])
-    vals = phi.value(x)
+    value = lambda x: BumpTest.profiles([phi], x)[0]
+    vals = value(np.array([[0.0], [1.9], [2.0], [3.0]]))
     assert vals[0] == pytest.approx(1.0)
     assert vals[1] > 0.0
     assert vals[2] == 0.0 and vals[3] == 0.0
     # gradient and laplacian agree with finite differences inside the support
     pts = np.array([[0.4], [-1.2], [1.7]])
+    _, grad, lap = BumpTest.profiles([phi], pts, derivatives=True)
     eps = 1e-5
-    fd_grad = (phi.value(pts + eps) - phi.value(pts - eps)) / (2 * eps)
-    assert np.allclose(phi.gradient(pts)[:, 0], fd_grad, atol=1e-6)
-    fd_lap = (phi.value(pts + eps) - 2 * phi.value(pts) + phi.value(pts - eps)) / eps**2
-    assert np.allclose(phi.laplacian(pts), fd_lap, atol=1e-4)
+    fd_grad = (value(pts + eps) - value(pts - eps)) / (2 * eps)
+    assert np.allclose(grad[0][:, 0], fd_grad, atol=1e-6)
+    fd_lap = (value(pts + eps) - 2 * value(pts) + value(pts - eps)) / eps**2
+    assert np.allclose(lap[0], fd_lap, atol=1e-4)
 
 
 def test_bump_test_center_length_mismatch():

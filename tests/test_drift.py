@@ -30,7 +30,14 @@ from gfpk.drift import (
     h_norm,
     validation_samples,
 )
-from helpers import cameron_martin
+from helpers import CoupledLobeKernel, cameron_martin
+
+VLASOV_KERNELS = [
+    {"kind": "constant", "h": [0.3, -0.2]},
+    {"kind": "tanh", "scale": 0.5},
+    {"kind": "gaussian-lobe", "scale": 0.8},
+    {"kind": "clipped-linear", "scale": 0.5, "cap": 0.4},
+]
 
 
 def test_constant_drift_value_and_bound():
@@ -224,6 +231,28 @@ def test_fields_state_whether_they_read_the_measure():
     x = np.random.default_rng(0).standard_normal((25, 2))
     tilted, flat = as_measure(rho, grid), as_measure(ChaosDensity.constant(rho.basis), grid)
     assert [not np.array_equal(v.eval_v(tilted, x), v.eval_v(flat, x)) for v in reading + ignoring] == [True] * 2 + [False] * 5
+
+
+@pytest.mark.parametrize(
+    "v",
+    [drift_from_block({"kind": "vlasov", "kernel": kernel}, 2) for kernel in VLASOV_KERNELS]
+    + [
+        drift_from_block({"kind": "componentwise-tanh", "scale": 0.5, "n_components": 2, "mean_shift": True}, 2),
+        vlasov_drift(CoupledLobeKernel(1.0), 2),
+        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3, reads_measure=True),
+    ],
+    ids=[f"vlasov-{kernel['kind']}" for kernel in VLASOV_KERNELS] + ["mean-shifted-tanh", "coupled-kernel", "custom"],
+)
+def test_fields_that_read_the_measure_refuse_none(v):
+    """A field whose value depends on the measure has no value at None: eval_v
+    and, for a SeparableField, eval_rules raise instead of reading it as no
+    shift or no mass."""
+    assert v.reads_measure
+    with pytest.raises(TypeError, match="reads the measure"):
+        v.eval_v(None, [[0.3, -0.2]])
+    if isinstance(v, SeparableField):
+        with pytest.raises(TypeError, match="reads the measure"):
+            v.eval_rules(None, tensor_grid(4, 2))
 
 
 def test_buggy_evaluator_is_not_registered():

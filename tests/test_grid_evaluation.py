@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 import gfpk.basis
 import gfpk.drift
 import gfpk.linear
+import gfpk.nonlinear
 from gfpk import (
     BumpTest,
     ChaosDensity,
     FixedPointOptions,
-    HermiteTest,
     as_measure,
     custom_drift,
     enumerate_basis,
@@ -39,7 +39,15 @@ from gfpk.cli import DEFAULT_BUMP_CENTERS, default_bumps, density_checks
 from gfpk.drift import drift_from_block
 from gfpk.ladder import LadderConfig, _battery_integrals, _zero_pad, default_battery, run_ladder
 from gfpk.linear import BUMP_RULE, ORTHONORMAL_TOL
-from helpers import SEPARABLE_BLOCKS, bump_defect_per_node, node_values
+from helpers import (
+    SEPARABLE_BLOCKS,
+    CoupledLobeKernel,
+    bump_defect_per_node,
+    hermite_gradient,
+    hermite_value,
+    node_values,
+    phi_value,
+)
 
 REL_TOL = 1e-13
 MAX_NODES = {1: 40, 2: 14, 3: 8, 4: 6}
@@ -72,13 +80,9 @@ def assert_matches_reference(rho, grid):
     h = rho.basis.eval_matrix(grid.nodes)
     scale = max(float(np.max(np.abs(rho.coefficients) @ np.abs(h))), 1.0)
     assert np.max(np.abs(rho.evaluate(grid) - rho.coefficients @ h)) <= REL_TOL * scale
-    reference = sum(
-        c * HermiteTest(alpha).gradient(grid.nodes)
-        for c, alpha in zip(rho.coefficients, rho.basis.indices)
-    )
+    reference = sum(c * hermite_gradient(alpha, grid.nodes) for c, alpha in zip(rho.coefficients, rho.basis.indices))
     magnitude = sum(
-        abs(c) * np.abs(HermiteTest(alpha).gradient(grid.nodes))
-        for c, alpha in zip(rho.coefficients, rho.basis.indices)
+        abs(c) * np.abs(hermite_gradient(alpha, grid.nodes)) for c, alpha in zip(rho.coefficients, rho.basis.indices)
     )
     gradient_scale = max(float(np.max(magnitude)), 1.0)
     on_grid = rho.gradient(grid)
@@ -153,10 +157,10 @@ def test_other_grids_take_the_evaluation_matrix(points):
     rho = random_density(points.shape[1], 4, 11)
     values = rho.evaluate(points)
     assert np.array_equal(values, rho.coefficients @ rho.basis.eval_matrix(points))
-    terms = [c * HermiteTest(alpha).value(points) for c, alpha in zip(rho.coefficients, rho.basis.indices)]
+    terms = [c * hermite_value(alpha, points) for c, alpha in zip(rho.coefficients, rho.basis.indices)]
     scale = max(float(np.max(sum(np.abs(t) for t in terms))), 1.0)
     assert np.max(np.abs(values - sum(terms))) <= REL_TOL * scale
-    gradient = sum(c * HermiteTest(alpha).gradient(points) for c, alpha in zip(rho.coefficients, rho.basis.indices))
+    gradient = sum(c * hermite_gradient(alpha, points) for c, alpha in zip(rho.coefficients, rho.basis.indices))
     assert np.allclose(rho.gradient(points), gradient, rtol=0.0, atol=1e-12)
 
 
@@ -234,14 +238,35 @@ def test_separable_solves_build_no_evaluation_matrix(eval_matrix_calls):
     assert eval_matrix_calls == []
 
 
-def test_dense_fixed_point_builds_the_evaluation_matrix_once(eval_matrix_calls):
-    # a coupled drift takes the dense assembly on every iteration
-    v = custom_drift(lambda p, x: 0.4 * np.tanh(x + x[:, ::-1]), 2, "componentwise", 0.4,
-                     reads_measure=True)
-    grid = tensor_grid(8, 2)
-    _, trace = fixed_point_solve(v, enumerate_basis(2, 5), grid, FixedPointOptions(damping=0.5))
-    assert trace.converged and trace.iterations > 1
-    assert eval_matrix_calls == [grid.nodes.shape]
+def test_dense_assembly_reads_the_grid_in_blocks(monkeypatch, eval_matrix_calls):
+    """With a small block budget, a rotational k = 2 assembly and every
+    assembly of a coupled-kernel fixed point read the grid in several blocks,
+    none of whose tables holds more than BLOCK_NODES values, and give the
+    interaction of one block to 1e-13 relative."""
+    rotational = drift_from_block({"kind": "rotational", "scale": 0.3, "offset": [0.2, 0.0]}, 2)
+    coupled = gfpk.drift.vlasov_drift(CoupledLobeKernel(1.0), 2)
+    basis, grid = enumerate_basis(2, 5), tensor_grid(8, 2)
+    interactions = []
+    assemble = gfpk.linear.assemble
+    monkeypatch.setattr(gfpk.nonlinear, "assemble", lambda *args: interactions.append(assemble(*args)) or interactions[-1])
+
+    def run():
+        interactions.clear()
+        interactions.append(assemble(rotational, None, basis, grid))
+        rho, trace = fixed_point_solve(coupled, basis, grid)
+        assert trace.converged and trace.iterations > 1
+        return list(interactions), rho
+
+    whole, rho = run()
+    assert len(eval_matrix_calls) == len(whole)  # one block each
+    eval_matrix_calls.clear()
+    monkeypatch.setattr(gfpk.linear, "BLOCK_NODES", 5 * basis.size)
+    blocked, blocked_rho = run()
+    assert len(blocked) == len(whole) and len(eval_matrix_calls) >= 2 * len(whole)
+    assert all(m * basis.size <= gfpk.linear.BLOCK_NODES for m, _ in eval_matrix_calls)
+    for a, b in zip(blocked, whole):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+    assert np.max(np.abs(blocked_rho.coefficients - rho.coefficients)) <= 1e-13
 
 
 def test_separable_checks_build_no_evaluation_matrix(eval_matrix_calls):
@@ -364,7 +389,7 @@ def test_battery_tests_are_evaluated_on_their_coordinate_values(profile_calls):
     assert profile_calls == [(9, 5)]
     weighted = grid.weights * rho.evaluate(grid)
     for phi, value in zip(battery, values):
-        terms = weighted * phi.value(grid.nodes)
+        terms = weighted * phi_value(phi, grid.nodes)
         assert abs(value - terms.sum()) <= 1e-14 * np.abs(terms).sum()
 
 

@@ -37,6 +37,7 @@ from helpers import (
     cameron_martin,
     joint_fixed_point,
     joint_measure_drift,
+    phi_value,
     registry_drift,
 )
 
@@ -113,7 +114,7 @@ def test_marginal_distance_reads_nothing_on_the_product_grid(monkeypatch):
     rho_a, rho_b = random_density(2, 4, 1), random_density(3, 4, 2)
     grid_a, grid_b = tensor_grid(6, 2), tensor_grid(5, 3)
     battery = default_battery(2)
-    per_node = lambda rho, grid, phi: np.sum(grid.weights * rho.evaluate(grid) * phi.value(grid.nodes))
+    per_node = lambda rho, grid, phi: np.sum(grid.weights * rho.evaluate(grid) * phi_value(phi, grid.nodes))
     reference = max(abs(per_node(rho_a, grid_a, phi) - per_node(rho_b, grid_b, phi)) for phi in battery)
     grids = []
     evaluate = ChaosDensity.evaluate

@@ -382,6 +382,20 @@ def test_non_finite_drift_fails_before_the_solve(monkeypatch, value):
             oracle_fd_2d(lambda x: np.full_like(x, value), span=6.0, n=41)
 
 
+@pytest.mark.parametrize("value", [1e308, -1e308], ids=["plus", "minus"])
+def test_huge_finite_drift_fails_before_the_solve(monkeypatch, value):
+    """A finite drift so large that its flux coefficients overflow is the
+    same NumericError, raised before any GMRES step and without a warning."""
+    def no_gmres(*args):
+        raise AssertionError("GMRES ran on an overflowing drift")
+
+    monkeypatch.setattr(oracles, "_gmres", no_gmres)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="overflows their flux coefficients"):
+            oracle_fd_2d(lambda x: np.full_like(x, value), span=6.0, n=41)
+
+
 @pytest.mark.parametrize("error", [FloatingPointError("overflow encountered in multiply"),
                                    np.linalg.LinAlgError("Singular matrix")], ids=["overflow", "singular"])
 def test_solver_faults_are_numeric_errors(monkeypatch, tmp_path, error):

@@ -123,11 +123,16 @@ def test_separable_matches_dense(kind, size, scale, seed):
 
 def defect_reference(rho, v, p, grid):
     """(A c - D c) from the dense interaction, and per entry the sum of the
-    absolute values of its quadrature terms (the scale of its rounding)."""
+    absolute values of its quadrature terms (the scale of its rounding):
+    sum_i sqrt(beta_i) sum_m w_m |v_i| |h_{beta - e_i}| sum_alpha |c_alpha h_alpha|
+    at the nodes x_m, plus |beta| |c_beta|."""
     basis, c = rho.basis, rho.coefficients
-    vvals, h = v.eval_v(p, grid.nodes), basis.eval_matrix(grid.nodes)
-    reference = dense_interaction(basis, grid, vvals, h) @ c - basis.degrees() * c
-    bound = dense_interaction(basis, grid, np.abs(vvals), np.abs(h)) @ np.abs(c) + basis.degrees() * np.abs(c)
+    vvals, h = v.eval_v(p, grid.nodes), np.abs(basis.eval_matrix(grid.nodes))
+    reference = dense_interaction(basis, grid, vvals) @ c - basis.degrees() * c
+    sums = (h * (grid.weights * (np.abs(c) @ h))) @ np.abs(vvals)  # (P, k)
+    # the -1 entries of the lowering table meet sqrt(beta_i) = 0
+    lowered = sums[basis.lowering_table(), np.arange(basis.k)]
+    bound = np.sum(np.sqrt(basis.exponents) * lowered, axis=1) + basis.degrees() * np.abs(c)
     return reference, bound
 
 

@@ -27,6 +27,7 @@ from gfpk import (
 )
 from gfpk.drift import DriftField
 from gfpk.linear import separable_interaction
+from helpers import CoupledLobeKernel
 
 KERNEL_NAMES = ("constant", "tanh", "gaussian-lobe", "clipped-linear")
 REL_TOL = 1e-13
@@ -160,20 +161,6 @@ def test_undeclared_kernel_takes_the_dense_path():
         [sum(w * rotation(xi - y) for y, w in zip(measure.points, measure.masses)) for xi in x]
     )
     assert np.allclose(expected, pairwise, rtol=0, atol=1e-14)
-
-
-class CoupledLobeKernel:
-    """b0(z) = scale * z * exp(-|z|^2 / 2): not componentwise, since every
-    component reads |z|; |b0|_H <= |scale| e^(-1/2) in any dimension."""
-
-    def __init__(self, scale):
-        self.scale = scale
-
-    def h_bound_for(self, k):
-        return abs(self.scale) * math.exp(-0.5)
-
-    def __call__(self, z):
-        return self.scale * z * np.exp(-0.5 * np.sum(z * z, axis=-1, keepdims=True))
 
 
 def test_coupled_kernel_gives_a_dense_measure_reading_field():
