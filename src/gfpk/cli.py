@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -121,10 +119,6 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-def _config_hash(doc: dict) -> str:
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
-
-
 def _solve_one(cfg: RunConfig):
     """(rho, trace or None, v, grid) of one solve."""
     basis = enumerate_basis(cfg.k, cfg.degree)
@@ -150,7 +144,6 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
         "version": __version__,
         "mode": config.mode,
         "config": config.raw,
-        "config_hash": _config_hash(config.raw),
         "artifacts": {},
         "checks_passed": None,
     }
@@ -228,8 +221,13 @@ def _run_sweep(config: RunConfig, out: str, threads: int):
         except GfpkError as exc:
             return None, str(exc)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results, failures = zip(*pool.map(solve_point, values))
+    if threads == 1:  # a one-worker pool would only hand the GIL back and forth
+        results, failures = zip(*map(solve_point, values))
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results, failures = zip(*pool.map(solve_point, values))
 
     rows = []
     for j, u in enumerate(values):

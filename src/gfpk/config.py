@@ -181,6 +181,8 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"ladder: {exc}") from exc
     if mode == "sweep":
         sweep = read_block(required("sweep"), _SWEEP, "sweep", k)
+        if "direction" in sweep and sweep["family"] != "constant-scale":
+            raise ConfigError(f"sweep family {sweep['family']!r} does not read sweep.direction; only constant-scale does")
         for u in sweep["values"]:
             read_kind(sweep_drift(sweep, k, u), DRIFTS, f"sweep point {u!r}: drift", k)
     if mode == "oracle-compare":

@@ -61,9 +61,25 @@ def h_norm(values, axis=None) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def validation_samples(k: int) -> np.ndarray:
-    """The read-only (VALIDATION_SAMPLES, k) seed-0 Gaussian samples every
-    k-dimensional field is validated on, drawn once per k."""
-    return _read_only(np.random.default_rng(0).standard_normal((VALIDATION_SAMPLES, k)))
+    """The read-only (VALIDATION_SAMPLES, k) Gaussian design every
+    k-dimensional field is validated on, built once per k.
+
+    Row j holds d = 2 ceil(k/2) uniforms u = frac(1/2 + j alpha), j >= 1, of
+    the R_d sequence: alpha_i = phi^-i with phi > 1 the root of
+    x^(d+1) = x + 1.  Each pair (u_2i-1, u_2i) becomes two normals by
+    Box-Muller, sqrt(-2 ln u_2i-1) (cos, sin)(2 pi u_2i); the first k are kept.
+    Deterministic and numpy-only, so a run loads no random generator.
+    """
+    d = 2 * ((k + 1) // 2)
+    phi = 2.0
+    for _ in range(64):  # the fixed point of x -> (1 + x)^(1/(d+1)), a contraction
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    alpha = phi ** -np.arange(1.0, d + 1)
+    u = (0.5 + np.arange(1.0, VALIDATION_SAMPLES + 1)[:, None] * alpha) % 1.0
+    radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    angle = 2.0 * np.pi * u[:, 1::2]
+    z = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=2).reshape(VALIDATION_SAMPLES, d)
+    return _read_only(np.ascontiguousarray(z[:, :k]))
 
 
 def _by_coordinate(component, k: int, z: np.ndarray) -> np.ndarray:

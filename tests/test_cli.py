@@ -139,6 +139,8 @@ def test_verify_takes_default_q_from_the_density_degree(tmp_path):
 HEAVY_SCIPY = (
     "scipy.linalg", "scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special", "scipy.stats",
 )
+# no mode reads a hash, and a --threads 1 sweep starts no pool
+UNREAD = ("hashlib", "concurrent.futures")
 
 
 def run_fresh(code):
@@ -158,14 +160,16 @@ def test_import_loads_no_heavy_scipy_subpackage(module):
     first use."""
     loaded = run_fresh(f"import sys, {module}; print(' '.join(sorted(sys.modules)))").split()
     assert module in loaded and "scipy.linalg._flapack" in loaded
-    assert [m for m in ("scipy",) + HEAVY_SCIPY if m in loaded] == []
+    assert [m for m in ("scipy",) + HEAVY_SCIPY + UNREAD if m in loaded] == []
 
 
 def test_solves_never_import_scipy_linalg(tmp_path):
     """The saving is not a deferred import: a whole solve-linear, a whole
     sweep and two whole fd2d oracle-compare runs, one on a box so wide that
     the 1-D stationary vectors underflow, run to exit 0 without scipy.linalg
-    or scipy.sparse."""
+    or scipy.sparse, and without UNREAD or numpy.random (with which
+    secrets and OpenSSL's _hashlib come).  Only an sde oracle-compare run,
+    which draws its particles, then loads numpy.random."""
     rotation = {"kind": "rotational", "scale": 0.3, "offset": [0.2, 0.0]}
     runs = []
     for name, mode, extra in [
@@ -180,12 +184,18 @@ def test_solves_never_import_scipy_linalg(tmp_path):
     ]:
         cfg = {"mode": mode, "k": 2, "N": 8, "Q": 16, **extra, "output": {"dir": str(tmp_path / name)}}
         runs.append([mode, "--config", write_config(tmp_path, cfg, f"{name}.json")])
+    sde = {"mode": "oracle-compare", "k": 1, "N": 6, "drift": {"kind": "constant", "h": [0.3]},
+           "oracle_compare": {"oracle": "sde", "n_steps": 10, "n_particles": 50}, "output": {"dir": str(tmp_path / "sde")}}
+    unwanted = ("scipy.linalg", "scipy.sparse", "numpy.random", "secrets", "_hashlib") + UNREAD
     probe = (
         "import json, sys\nfrom gfpk.cli import main\n"
         f"codes = [main(argv) for argv in {runs!r}]\n"
-        "print(json.dumps([codes, [m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules]]))"
+        f"loaded = [m for m in {unwanted!r} if m in sys.modules]\n"
+        f"codes.append(main(['oracle-compare', '--config', {write_config(tmp_path, sde, 'sde.json')!r}]))\n"
+        "print(json.dumps([codes, loaded, 'numpy.random' in sys.modules]))"
     )
-    assert json.loads(run_fresh(probe).splitlines()[-1]) == [[0, 0, 0, 0], []]
+    codes, loaded, sde_loads_random = json.loads(run_fresh(probe).splitlines()[-1])
+    assert codes == [0] * 5 and loaded == [] and sde_loads_random
     assert (tmp_path / "solve-linear" / "density.json").exists()
     assert (tmp_path / "sweep" / "sweep.csv").exists()
     for name in ("fd2d", "fd2d-wide"):
@@ -328,6 +338,13 @@ def test_sweep_constant_family(tmp_path):
     d01 = float(table[2].split(",")[3])
     cm = lambda u: np.array([u**n / math.sqrt(math.factorial(n)) for n in range(13)])
     assert d01 == pytest.approx(np.linalg.norm(cm(0.1) - cm(0.0)), abs=1e-6)
+
+
+def test_sweep_direction_is_read_by_constant_scale_only():
+    sweep = {"family": "vlasov-tanh-scale", "values": [0.5], "direction": [1, 0]}
+    with pytest.raises(ConfigError, match="'vlasov-tanh-scale' does not read sweep.direction"):
+        parse_config({"mode": "sweep", "k": 2, "N": 4, "sweep": sweep})
+    parse_config({"mode": "sweep", "k": 2, "N": 4, "sweep": {**sweep, "family": "constant-scale"}})
 
 
 def test_failing_sweep_points_keep_four_columns(tmp_path):
@@ -515,6 +532,18 @@ def test_sweep_threads_give_identical_artifacts(tmp_path):
     names = ["sweep.csv"] + [f"density_{j:03d}.json" for j in range(3)]
     for name in names:
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_sweep_on_one_thread_starts_no_thread(tmp_path, monkeypatch):
+    import threading
+
+    def refuse(thread):
+        raise AssertionError(f"a --threads 1 sweep started {thread!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg = {"mode": "sweep", "k": 1, "N": 8, "sweep": {"family": "vlasov-tanh-scale", "values": [0.1, 0.3]}}
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), "--threads", "1"]) == 0
+    assert (tmp_path / "out" / "density_001.json").exists()
 
 
 def test_oracle_compare_sde_reads_the_density_once(tmp_path, monkeypatch):

@@ -1,9 +1,13 @@
 """Drift fields, convolution kernels and bound enforcement."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gfpk
 from gfpk import (
     BoundViolationError,
     ChaosDensity,
@@ -329,9 +333,29 @@ def test_a_kernel_beyond_its_bound_near_zero_is_refused(k):
         vlasov_drift(SpikedTanh(), k)
 
 
+def test_validation_samples_are_a_fixed_gaussian_design(tmp_path):
+    """Finite, close to N(0, 1) in each coordinate, dense enough near 0 to
+    meet a spike there (SpikedTanh), reaching |z| >= 3.5, and the same bits
+    in a fresh interpreter."""
+    path = tmp_path / "fresh.npz"
+    code = ("import numpy as np\nfrom gfpk.drift import validation_samples\n"
+            f"np.savez({str(path)!r}, *[validation_samples(k) for k in range(1, 9)])")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gfpk.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True)
+    fresh = np.load(path)
+    for k in range(1, 9):
+        z = validation_samples(k)
+        assert z.shape == (VALIDATION_SAMPLES, k) and np.isfinite(z).all()
+        assert z.tobytes() == fresh[f"arr_{k - 1}"].tobytes()
+        assert np.all(np.abs(z.mean(axis=0)) <= 0.02) and np.all(np.abs(z.std(axis=0) - 1.0) <= 0.02)
+        assert np.all(np.sum(np.abs(z) < 0.05, axis=0) >= 100)
+        assert np.max(np.abs(z)) >= 3.5
+    assert all(np.isfinite(validation_samples(k)).all() for k in range(9, 65))
+
+
 def test_separable_validation_covers_the_product_of_the_samples():
     samples = validation_samples(2)
-    assert np.array_equal(samples, np.random.default_rng(0).standard_normal((VALIDATION_SAMPLES, 2)))
+    assert samples.shape == (VALIDATION_SAMPLES, 2)
     assert validation_samples(2) is samples and not samples.flags.writeable  # one draw per k
     # v_0 peaks at the first row's x_0 only, v_1 at the second row's x_1 only
     peaks = (samples[0, 0], samples[1, 1])
