@@ -138,6 +138,8 @@ def _read_density(path: str) -> ChaosDensity:
 
 def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
     """Dispatch a parsed config; write artifacts; return the exit code."""
+    if threads > 1 and config.mode != "sweep":
+        raise ConfigError(f"--threads {threads}: only sweep runs on more than one thread, not {config.mode}")
     out = out_dir or config.output_dir or "."
     started = time.time()
     report = {

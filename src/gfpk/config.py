@@ -1,9 +1,9 @@
 """Strict run-configuration parsing for the batch front door.
 
-Configs are JSON documents with a fixed schema: a key the mode does not
-read and an out-of-range value abort before any computation.  The parsed
-RunConfig carries everything a mode needs, so a run is a pure function of
-(config, seed).
+Configs are JSON documents with a fixed schema: each mode declares the keys
+it reads, and a key the mode does not read or an out-of-range value aborts
+before any computation.  The parsed RunConfig carries everything a mode
+needs, so a run is a pure function of (config, seed).
 """
 from __future__ import annotations
 
@@ -17,46 +17,20 @@ from .errors import ConfigError
 from .ladder import LadderConfig
 from .nonlinear import FixedPointOptions
 from .oracles import SDE_BATCHES
-from .schema import Kind, Param, read_block, read_kind
-
-# the top-level keys every mode reads, and those each mode reads besides;
-# a config with any other key is rejected
-COMMON_KEYS = ("mode", "seed", "output")
-_SOLVE_KEYS = ("k", "N", "Q", "drift", "fixed_point")
-MODE_KEYS = {
-    "solve-linear": _SOLVE_KEYS,
-    "solve-nonlinear": _SOLVE_KEYS,
-    "ladder": ("drift", "fixed_point", "ladder"),
-    "sweep": ("k", "N", "Q", "fixed_point", "sweep"),
-    "verify": ("k", "N", "Q", "drift", "verify"),  # k and N must match the density
-    "oracle-compare": _SOLVE_KEYS + ("oracle_compare",),
-}
-MODES = tuple(MODE_KEYS)
+from .schema import Kind, Param, read_kind
 
 # a tensor rule with more nodes than this is not built from a config
 MAX_GRID_NODES = 1_000_000
 
-_TOP = (
-    Param("mode", "text", choices=MODES),
-    Param("k", "integer", 1, 8, 1),
-    Param("N", "integer", 0, 64, 8),
-    Param("Q", "integer", 0, 512, 0),
-    Param("seed", "integer", 0, 2**64 - 1, 0),
-    *(
-        Param(name, "object", default=None)
-        for name in ("drift", "fixed_point", "ladder", "sweep", "verify", "oracle_compare", "output")
-    ),
-)
 
-
-def fixed_point_params(mode: str) -> tuple:
-    """The fixed_point block; its defaults depend on the mode."""
-    return (
-        Param("damping", "number", 1e-6, 1.0, 1.0 if mode == "sweep" else 0.5),
+def _fixed_point(damping: float = 0.5, max_iterations: int = 100) -> Param:
+    """The fixed_point block with a mode's defaults."""
+    return Param("fixed_point", (
+        Param("damping", "number", 1e-6, 1.0, damping),
         Param("tolerance", "number", 1e-16, 1.0, 1e-10),
-        Param("max_iterations", "integer", 1, 100_000, 200 if mode == "ladder" else 100),
+        Param("max_iterations", "integer", 1, 100_000, max_iterations),
         Param("memory", "integer", 0, 20, 5),
-    )
+    ), default={})
 
 
 _LADDER = (
@@ -65,20 +39,48 @@ _LADDER = (
     Param("levels", "integers", 1, 8),
     Param("degrees", "integers", 2, 64),
     Param("quad_orders", "integers", 1, 512),
-    Param("tail_levels", "numbers", 0.0, 1e6, (1.0, 2.0, 4.0)),
+    Param("tail_levels", "numbers", 0.0, 1e6, [1.0, 2.0, 4.0]),
 )
-_SWEEP = (
-    Param("family", "text", choices=("constant-scale", "vlasov-tanh-scale")),
-    Param("values", "numbers", -100.0, 100.0),
-    Param("direction", "vector", -100.0, 100.0, None),
-)
-_VERIFY = (Param("density", "text"),)
+_SIZES = (Param("k", "integer", 1, 8, 1), Param("N", "integer", 0, 64, 8), Param("Q", "integer", 0, 512, 0))
+_DRIFT = Param("drift", "object")
+_COMMON = (Param("seed", "integer", 0, 2**64 - 1, 0), Param("output", (Param("dir", "text", default=None),), default={}))
+_SOLVE = (*_SIZES, _DRIFT, _fixed_point())
+
+# each mode's entry declares the top-level keys it reads besides "mode"; a
+# config with any other key is rejected
+MODE_PARAMS = {
+    "solve-linear": Kind(_SOLVE + _COMMON),
+    "solve-nonlinear": Kind(_SOLVE + _COMMON),
+    "ladder": Kind((_DRIFT, _fixed_point(max_iterations=200), Param("ladder", _LADDER)) + _COMMON),
+    "sweep": Kind((*_SIZES, _fixed_point(damping=1.0), Param("sweep", "object")) + _COMMON),
+    "verify": Kind((*_SIZES, _DRIFT, Param("verify", (Param("density", "text"),))) + _COMMON),  # k, N must match the density
+    "oracle-compare": Kind(_SOLVE + (Param("oracle_compare", "object"),) + _COMMON),
+}
+MODES = tuple(MODE_PARAMS)
+MODE_KEYS = {mode: tuple(p.name for p in entry.params) for mode, entry in MODE_PARAMS.items()}
+
+
+def fixed_point_params(mode: str) -> tuple:
+    """The fixed_point block of a mode that reads one, with its defaults."""
+    return next(p.type for p in MODE_PARAMS[mode].params if p.name == "fixed_point")
+
+
+_VALUES = Param("values", "numbers", -100.0, 100.0)
+
+# each sweep family builds the map u -> drift block of its points
+SWEEPS = {
+    "constant-scale": Kind(
+        (_VALUES, Param("direction", "vector", -100.0, 100.0, None)),
+        lambda q, k: lambda u: {"kind": "constant", "h": [u * d for d in q.get("direction") or [1.0] + [0.0] * (k - 1)]},
+    ),
+    "vlasov-tanh-scale": Kind((_VALUES,), lambda q, k: lambda u: {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": u}}),
+}
 
 
 def _oracle(dim, tolerance, *params) -> Kind:
     """An oracle_compare entry: the default tolerance (in standard errors for
     sde), the other keys it reads besides "oracle", and its one k (None: any)."""
-    return Kind((Param("tolerance", "number", 0.0, 1e6, tolerance),) + params, lambda q, k: q,
+    return Kind((Param("tolerance", "number", 0.0, 1e6, tolerance),) + params,
                 dims=lambda q, k: "" if dim in (None, k) else f"requires k = {dim}")
 
 
@@ -88,7 +90,6 @@ ORACLES = {
     "sde": _oracle(None, 3.0, Param("dt", "number", 1e-6, 0.01, 5e-3), Param("n_steps", "integer", 10, 10_000_000, 2000),
                    Param("n_particles", "integer", 50, 1_000_000, 500)),
 }
-_OUTPUT = (Param("dir", "text", default=None),)
 
 
 @dataclass(frozen=True)
@@ -130,82 +131,53 @@ def check_sizes(context: str, k: int, degree: int, quad_order: int):
 
 def sweep_drift(sweep: dict, k: int, u) -> dict:
     """The drift block of the sweep point with parameter value u."""
-    if sweep["family"] == "constant-scale":
-        direction = sweep.get("direction") or [1.0] + [0.0] * (k - 1)
-        return {"kind": "constant", "h": [u * d for d in direction]}
-    return {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": u}}
-
-
-def _read_ladder(block, fixed_point: FixedPointOptions) -> LadderConfig:
-    q = read_block(block, _LADDER, "ladder")
-    q["component_bound"] = float(q["component_bound"])  # ladder.json prints a float
-    try:
-        ladder = LadderConfig(fixed_point=fixed_point, **q)
-    except ValueError as exc:
-        raise ConfigError(f"ladder: {exc}") from exc
-    for k, degree, quad_order in zip(ladder.levels, ladder.degrees, ladder.quad_orders):
-        check_sizes(f"ladder level k={k}", k, degree, quad_order)
-    return ladder
+    return SWEEPS[sweep["family"]].build(sweep, k)(u)
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig; strict on keys:
-    a mode accepts only COMMON_KEYS and its MODE_KEYS."""
-    top = read_block(doc, _TOP, "config")
-    mode, k = top["mode"], top["k"]
-    unread = set(doc) - set(COMMON_KEYS + MODE_KEYS[mode])
-    if unread:
-        raise ConfigError(f"{mode} mode does not read the key(s) {sorted(unread)}")
-    fixed_point = FixedPointOptions(
-        **read_block(top.get("fixed_point", {}), fixed_point_params(mode), "fixed_point")
-    )
-
-    def required(name):
-        if name not in top:
-            raise ConfigError(f"{mode} mode requires a {name} block")
-        return top[name]
-
-    ladder, ladder_drifts, sweep, verify, oracle = None, {}, {}, {}, {}
-    if mode in ("solve-linear", "solve-nonlinear", "oracle-compare"):
-        read_kind(top.get("drift"), DRIFTS, "drift", k)
-    if mode == "verify":
-        verify = read_block(required("verify"), _VERIFY, "verify")
-        read_kind(top.get("drift"), DRIFTS, "drift")
+    a mode accepts only the keys its MODE_PARAMS entry declares."""
+    top = read_kind(doc, MODE_PARAMS, "config", key="mode")[1]
+    mode, k = doc["mode"], top.get("k")
+    fixed_point = FixedPointOptions(**top.get("fixed_point", {}))
+    ladder, ladder_drifts, sweep, oracle = None, {}, {}, {}
+    if "drift" in top and mode != "ladder":  # the ladder builds a drift per level
+        read_kind(top["drift"], DRIFTS, "drift", None if mode == "verify" else k)
     if mode == "ladder":
-        ladder = _read_ladder(required("ladder"), fixed_point)
-        ladder_drifts = {k: drift_from_block(top.get("drift"), k) for k in ladder.levels}
+        q = top["ladder"]
+        q["component_bound"] = float(q["component_bound"])  # ladder.json prints a float
         try:
+            ladder = LadderConfig(fixed_point=fixed_point, **q)
+            for level, degree, quad_order in zip(ladder.levels, ladder.degrees, ladder.quad_orders):
+                check_sizes(f"ladder level k={level}", level, degree, quad_order)
+            ladder_drifts = {level: drift_from_block(top["drift"], level) for level in ladder.levels}
             for v in ladder_drifts.values():
                 ladder.check_drift(v)
         except ValueError as exc:
             raise ConfigError(f"ladder: {exc}") from exc
     if mode == "sweep":
-        sweep = read_block(required("sweep"), _SWEEP, "sweep", k)
-        if "direction" in sweep and sweep["family"] != "constant-scale":
-            raise ConfigError(f"sweep family {sweep['family']!r} does not read sweep.direction; only constant-scale does")
+        sweep = {"family": top["sweep"].get("family"), **read_kind(top["sweep"], SWEEPS, "sweep", k, key="family")[1]}
         for u in sweep["values"]:
             read_kind(sweep_drift(sweep, k, u), DRIFTS, f"sweep point {u!r}: drift", k)
     if mode == "oracle-compare":
-        block = required("oracle_compare")
+        block = top["oracle_compare"]
         oracle = {"oracle": block.get("oracle"), **read_kind(block, ORACLES, "oracle_compare", k, key="oracle")[1]}
         if oracle["oracle"] == "sde" and oracle["n_particles"] % SDE_BATCHES:
             raise ConfigError(f"oracle_compare.n_particles must be a multiple of {SDE_BATCHES}")
-    output = read_block(top.get("output", {}), _OUTPUT, "output")
 
+    sizes = {field: top[key] for key, field in (("k", "k"), ("N", "degree"), ("Q", "quad_order")) if key in top}
     config = RunConfig(
         mode=mode,
-        k=k,
-        degree=top["N"],
-        quad_order=top["Q"],
+        **sizes,
         seed=int(top["seed"]),
         drift=top.get("drift", {}),
         fixed_point=fixed_point,
         ladder=ladder,
         ladder_drifts=ladder_drifts,
         sweep=sweep,
-        verify=verify,
+        verify=top.get("verify", {}),
         oracle_compare=oracle,
-        output_dir=output.get("dir"),
+        output_dir=top["output"].get("dir"),
         raw=doc,
     )
     if mode not in ("ladder", "verify"):  # these two size their own grids

@@ -22,7 +22,7 @@ from .basis import enumerate_basis, tensor_grid
 from .density import BumpTest, ChaosDensity, HermiteTest, as_measure, marginal_values
 from .drift import COMPONENTWISE_BOUND
 from .errors import NonConvergenceError
-from .nonlinear import FixedPointOptions, fixed_point_solve
+from .nonlinear import FixedPointOptions, solve_stationary
 
 MAX_WEIGHT_RATIO = 0.9  # enforced geometric decay of the weights
 
@@ -215,10 +215,11 @@ class LadderReport:
 
 
 def run_ladder(drift, cfg: LadderConfig) -> LadderReport:
-    """Solve the nonlinear problem level by level, seeding each dimension
-    with the zero-padded solution of the previous one.  drift maps k to the
-    k-dimensional drift, which cfg.check_drift must accept.  Adjacent levels
-    are compared on the default battery of the lower one.
+    """Solve the nonlinear problem level by level (solve_stationary: one
+    linear solve for a drift that does not read the measure), seeding each
+    dimension with the zero-padded solution of the previous one.  drift maps
+    k to the k-dimensional drift, which cfg.check_drift must accept.
+    Adjacent levels are compared on the default battery of the lower one.
 
     A non-convergent level aborts the ladder and returns the partial report
     with the failure message recorded.
@@ -232,15 +233,14 @@ def run_ladder(drift, cfg: LadderConfig) -> LadderReport:
         cfg.check_drift(v_k)
         seed = _zero_pad(report.levels[-1].solution, basis) if report.levels else None
         try:
-            rho, trace = fixed_point_solve(v_k, basis, grid, replace(cfg.fixed_point, initial=seed))
+            rho, trace = solve_stationary(v_k, basis, grid, replace(cfg.fixed_point, initial=seed))
         except NonConvergenceError as exc:
             report.completed = False
             report.failure = f"level k={k}: {exc}"
             break
         moment = lyapunov_moment(rho, cfg.weights)
-        quad_error = max(cfg.fixed_point.tolerance, trace.psi_residuals[-1]) * sum(
-            cfg.weights[:k]
-        )
+        residual = trace.psi_residuals[-1] if trace else 0.0  # no trace: one linear solve
+        quad_error = max(cfg.fixed_point.tolerance, residual) * sum(cfg.weights[:k])
         tail_masses = _tail_masses(rho, grid, cfg.weights[:k], cfg.tail_levels)
         level = LevelReport(
             k=k,
@@ -252,7 +252,7 @@ def run_ladder(drift, cfg: LadderConfig) -> LadderReport:
             quad_error=quad_error,
             passed=moment <= cfg.moment_threshold + quad_error,
             tail_masses=tail_masses,
-            iterations=trace.iterations,
+            iterations=trace.iterations if trace else 0,
         )
         # battery(k') of a lower level k' is a prefix of battery(k), so zip
         # pairs the lower level's integrals with the first ones of this level

@@ -117,7 +117,7 @@ def separable_interaction(basis: ChaosBasis, grid: QuadratureGrid, v, p) -> np.n
     target, source, scale = basis.gram_pattern
     size = basis.size
     flat = np.bincount(target, weights=scale * grams.ravel()[source], minlength=size * size)
-    return flat.reshape(size, size)
+    return flat.reshape(size, size).astype(float, copy=False)  # bincount of no entries (N = 0) is int
 
 
 def solve_system(basis: ChaosBasis, interaction: np.ndarray) -> ChaosDensity:
@@ -126,13 +126,17 @@ def solve_system(basis: ChaosBasis, interaction: np.ndarray) -> ChaosDensity:
 
     One LU factorization (LAPACK dgetrf) serves the solve and the 1-norm
     condition estimate (dgecon), which must stay below CONDITION_LIMIT.
+    D - A[1:, 1:] is formed as (0 - A) + D, bitwise the same, in the one
+    Fortran-ordered array that dgetrf factors in place.
     """
-    mat = np.diag(basis.degrees()[1:]) - interaction[1:, 1:]
+    mat = np.subtract(0.0, interaction[1:, 1:], out=np.empty((basis.size - 1,) * 2, order="F"))
+    mat.ravel(order="F")[:: basis.size] += basis.degrees()[1:]  # a view; the diagonal is every P-th entry
     coeffs = np.empty(basis.size)
     coeffs[0] = 1.0
     if mat.size:
-        lu, piv, _ = dgetrf(mat)
-        rcond, _ = dgecon(lu, np.linalg.norm(mat, 1), norm="1")
+        norm = np.linalg.norm(mat, 1)
+        lu, piv, _ = dgetrf(mat, overwrite_a=1)
+        rcond, _ = dgecon(lu, norm, norm="1")
         cond = 1.0 / rcond if rcond > 0.0 else np.inf
         if not np.isfinite(cond) or cond > CONDITION_LIMIT:
             raise SolverError(
@@ -234,8 +238,10 @@ def residual_suite(rho, v, p_frozen, grid, vals, vvals, bump_tests=()):
     """
     _check_sizes(v, rho.basis, grid)
     hermite_max = float(np.max(np.abs(hermite_defects(rho, grid, vals, vvals)[1:]), initial=0.0))
-    interaction = assemble(v, p_frozen, rho.basis, grid, vvals=vvals)
-    system_norm = float(np.linalg.norm(np.diag(rho.basis.degrees()) - interaction, 1))
+    system = assemble(v, p_frozen, rho.basis, grid, vvals=vvals)
+    np.subtract(0.0, system, out=system)  # D - A, formed in A
+    system.ravel()[:: rho.basis.size + 1] += rho.basis.degrees()
+    system_norm = float(np.linalg.norm(system, 1))
     rule = uniform_gaussian_grid(*BUMP_RULE).rules[0]
     swapped = lambda axes: product_grid([rule if i in axes else r for i, r in enumerate(grid.rules)])
     return hermite_max, system_norm, _bump_defects(bump_tests, rho, v, p_frozen, swapped)

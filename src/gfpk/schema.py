@@ -21,8 +21,9 @@ class Param:
     (REQUIRED, or None for an optional key without one).  Types: "number",
     "integer", "bool", "text" (one of `choices` if given), "object" (a block
     read on its own), "vector" (numbers, one per coordinate), "numbers" and
-    "integers" (non-empty lists), or a registry of Kinds (a nested
-    {"kind": ...} block, read into the object its entry builds)."""
+    "integers" (non-empty lists), a tuple of Params (a nested block) or a
+    registry of Kinds (a nested {"kind": ...} block, read into the object
+    its entry builds)."""
 
     name: str
     type: object
@@ -34,11 +35,12 @@ class Param:
 
 @dataclass(frozen=True)
 class Kind:
-    """A registry entry: parameters, constructor (params, k) -> object and
-    a dimension check (params, k) -> "" or what is wrong with k."""
+    """A registry entry: parameters, constructor (params, k) -> object (by
+    default the params) and a dimension check (params, k) -> "" or what is
+    wrong with k."""
 
     params: tuple
-    build: Callable
+    build: Callable = lambda params, k: params
     dims: Callable = lambda params, k: ""
 
 
@@ -52,6 +54,8 @@ def _number(value, name, low, high, integer):
 
 def _read_value(param: Param, value, name: str, k):
     ptype = param.type
+    if isinstance(ptype, tuple):
+        return read_block(value, ptype, name, k)
     if isinstance(ptype, dict):
         entry, params = read_kind(value, ptype, name, k)
         return entry.build(params, k)
@@ -70,9 +74,9 @@ def _read_value(param: Param, value, name: str, k):
 
 
 def read_block(block, params: tuple, context: str, k: int | None = None) -> dict:
-    """The block's values (lists as tuples) plus the declared defaults;
-    optional keys without a default stay absent.  A known k fixes the
-    length of vectors."""
+    """The block's values (lists as tuples); an absent key with a default
+    is read as if given its default, and an optional key without one stays
+    absent.  A known k fixes the length of vectors."""
     if not isinstance(block, dict):
         raise ConfigError(f"{context} must be an object, got {block!r}")
     unknown = set(block) - {p.name for p in params}
@@ -80,12 +84,10 @@ def read_block(block, params: tuple, context: str, k: int | None = None) -> dict
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
     out = {}
     for param in params:
-        if param.name in block:
-            out[param.name] = _read_value(param, block[param.name], f"{context}.{param.name}", k)
+        if param.name in block or param.default not in (REQUIRED, None):
+            out[param.name] = _read_value(param, block.get(param.name, param.default), f"{context}.{param.name}", k)
         elif param.default is REQUIRED:
             raise ConfigError(f"missing required key {param.name!r} in {context}")
-        elif param.default is not None:
-            out[param.name] = param.default
     return out
 
 
@@ -97,6 +99,8 @@ def read_kind(block, registry: dict, context: str, k: int | None = None, key: st
         raise ConfigError(f"{context} needs a {key!r} out of {sorted(registry)}, got {kind!r}")
     entry = registry[kind]
     rest = {name: value for name, value in block.items() if name != key}
+    if set(rest) - {p.name for p in entry.params}:  # an unknown key is named with this entry
+        context = f"{context} of {key} {kind!r}"
     params = read_block(rest, entry.params, context, k)
     problem = "" if k is None else entry.dims(params, k)
     if problem:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from gfpk import ChaosDensity, ConfigError, load_config, parse_config
 from gfpk.cli import DEFAULT_BUMP_CENTERS, default_bumps, main
-from gfpk.config import MODES
+from gfpk.config import MODE_KEYS, MODES
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -342,7 +342,7 @@ def test_sweep_constant_family(tmp_path):
 
 def test_sweep_direction_is_read_by_constant_scale_only():
     sweep = {"family": "vlasov-tanh-scale", "values": [0.5], "direction": [1, 0]}
-    with pytest.raises(ConfigError, match="'vlasov-tanh-scale' does not read sweep.direction"):
+    with pytest.raises(ConfigError, match=re.escape("unknown key(s) ['direction'] in sweep of family 'vlasov-tanh-scale'")):
         parse_config({"mode": "sweep", "k": 2, "N": 4, "sweep": sweep})
     parse_config({"mode": "sweep", "k": 2, "N": 4, "sweep": {**sweep, "family": "constant-scale"}})
 
@@ -752,7 +752,32 @@ def test_malformed_input_exits_2(tmp_path, capsys, name):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flag", ["-3", "0"])
+# a valid config of each mode without the keys it may leave out, and a valid
+# value of every top-level key some mode reads
+MINIMAL_MODES = {
+    "solve-linear": {"drift": CONSTANT},
+    "solve-nonlinear": {"drift": {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.2}}},
+    "ladder": {"drift": COMPONENTWISE, "ladder": LADDER},
+    "sweep": {"sweep": {"family": "constant-scale", "values": [0.1]}},
+    "verify": {"drift": CONSTANT, "verify": {"density": "rho.json"}},
+    "oracle-compare": {"drift": CONSTANT, "oracle_compare": {"oracle": "1d"}},
+}
+KEY_VALUES = {**{key: value for doc in MINIMAL_MODES.values() for key, value in doc.items()},
+              "k": 1, "N": 4, "Q": 16, "seed": 3, "fixed_point": {"memory": 0}, "output": {"dir": "out"}}
+
+
+@pytest.mark.parametrize("key", sorted(set().union(*MODE_KEYS.values())))
+@pytest.mark.parametrize("mode", MODES)
+def test_each_mode_reads_exactly_its_declared_keys(mode, key):
+    doc = {key: KEY_VALUES[key], "mode": mode, **MINIMAL_MODES[mode]}
+    if key in MODE_KEYS[mode]:
+        assert parse_config(doc).mode == mode
+    else:
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key(s) [{key!r}] in config of mode {mode!r}")):
+            parse_config(doc)
+
+
+@pytest.mark.parametrize("flag", ["-3", "0", "2"])  # 2: only sweep runs on more than one thread
 def test_bad_thread_count_exits_2(tmp_path, capsys, flag):
     out = tmp_path / "out"
     argv = ["solve-linear", "--config", write_config(tmp_path, linear_config(str(out))), "--threads", flag]

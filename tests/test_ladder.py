@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import gfpk.ladder
+import gfpk.linear
+import gfpk.nonlinear
 from gfpk import (
     BumpTest,
     ChaosDensity,
@@ -18,6 +20,7 @@ from gfpk import (
     lyapunov_moment,
     marginal_distance,
     run_ladder,
+    solve_linear,
     tensor_grid,
 )
 from gfpk.cli import main
@@ -164,10 +167,31 @@ def test_ladder_aborts_on_non_convergence():
     cfg = make_config(
         fixed_point=FixedPointOptions(damping=0.5, tolerance=1e-12, max_iterations=1)
     )
-    report = run_ladder(registry_drift("componentwise-tanh", scale=0.5, n_components=3), cfg)
+    report = run_ladder(registry_drift("componentwise-tanh", scale=0.5, n_components=3, mean_shift=True), cfg)
     assert not report.completed
     assert "k=1" in report.failure
     assert report.levels == []
+
+
+@pytest.mark.parametrize("kind", ["componentwise-tanh", "componentwise-decoupled-tanh"])
+def test_a_level_whose_drift_ignores_the_measure_takes_one_linear_solve(monkeypatch, kind):
+    """run_ladder solves each level through solve_stationary: a drift that
+    does not read the measure assembles once per level, reports 0
+    iterations and the quadrature error tolerance * sum(weights), and its
+    density is solve_linear's, bit for bit."""
+    calls = []
+    for module in (gfpk.linear, gfpk.nonlinear):
+        original = module.assemble
+        monkeypatch.setattr(module, "assemble", lambda *args, original=original: calls.append(args[2].k) or original(*args))
+    cfg, drift = make_config(), registry_drift(kind, scale=0.5, n_components=3)
+    report = run_ladder(drift, cfg)
+    assert report.completed and calls == [1, 2, 3]
+    for level in report.levels:
+        assert level.iterations == 0
+        assert level.quad_error == cfg.fixed_point.tolerance * sum(cfg.weights[: level.k])
+        grid = tensor_grid(level.quad_order, level.k)
+        expected = solve_linear(drift(level.k), None, enumerate_basis(level.k, level.degree), grid)
+        assert np.array_equal(level.solution.coefficients, expected.coefficients)
 
 
 def test_ladder_rejects_a_drift_beyond_its_component_bound():

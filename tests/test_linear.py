@@ -1,5 +1,6 @@
 """Galerkin assembly, the linear solve and the residual suite."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gfpk import (
     uniform_gaussian_grid,
 )
 from gfpk.drift import drift_from_block
+from gfpk.linear import dgetrf, dgetrs
 from helpers import cameron_martin, node_values
 
 
@@ -105,6 +107,32 @@ def test_solve_and_system_norm_read_the_assembled_array(case, degree, extra_node
     assert np.array_equal(rho.coefficients, solve_system(basis, interaction).coefficients)
     _, system_norm, _ = residual_suite(rho, v, p, grid, *node_values(rho, v, p, grid))
     assert system_norm == np.linalg.norm(np.diag(basis.degrees()) - interaction, 1)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_and_system_norm_form_d_minus_a_without_a_diagonal_matrix():
+    """Beside A, solve_system holds two (P-1)^2 arrays at most: D - A, which
+    dgetrf factors in place, and the 1-norm's |D - A|.  residual_suite holds
+    two P^2 arrays: the A it assembles, turned into D - A, and |D - A|.
+    With np.diag(D) - A either held three.  The coefficients are bitwise
+    those of the np.diag system, zero signs included."""
+    basis, grid, v = enumerate_basis(2, 24), tensor_grid(25, 2), constant_drift([0.3, -0.2])
+    interaction = assemble(v, None, basis, grid)
+    square = (basis.size - 1) ** 2 * 8
+    assert _peak_bytes(lambda: solve_system(basis, interaction)) < 2.5 * square
+    rho = solve_system(basis, interaction)
+    lu, piv, _ = dgetrf(np.diag(basis.degrees()[1:]) - interaction[1:, 1:])
+    assert rho.coefficients[1:].tobytes() == dgetrs(lu, piv, interaction[1:, 0])[0].tobytes()
+    vals, vvals = node_values(rho, v, None, grid)
+    assert _peak_bytes(lambda: residual_suite(rho, v, None, grid, vals, vvals)) < 2.5 * basis.size**2 * 8
 
 
 def test_zero_drift_solution_is_constant():

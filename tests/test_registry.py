@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gfpk import ConfigError, PointMeasure, enumerate_basis, parse_config, tensor_grid
-from gfpk.config import MODE_KEYS, MODES, ORACLES, fixed_point_params, sweep_drift
+from gfpk.config import MODE_KEYS, MODES, ORACLES, SWEEPS, fixed_point_params, sweep_drift
 from gfpk.drift import DRIFTS, KERNELS, drift_from_block
 from gfpk.schema import REQUIRED
 
@@ -123,8 +123,13 @@ def test_readme_oracle_table_matches_config():
     assert _table_rows("oracle `") == expected
 
 
+def test_readme_sweep_table_matches_config():
+    expected = [_param_row("sweep", family, p) for family, entry in SWEEPS.items() for p in entry.params]
+    assert _table_rows("sweep `") == expected
+
+
 def test_readme_mode_keys_table_matches_config():
-    rows = _table(["mode", "keys it reads besides `mode`, `seed` and `output`"])
+    rows = _table(["mode", "keys it reads besides `mode`"])
     documented = {row[0].strip("`"): re.findall(r"`([^`]+)`", row[1]) for row in rows}
     assert documented == {mode: list(keys) for mode, keys in MODE_KEYS.items()}
 
