@@ -26,9 +26,8 @@ from .density import (
     marginal_measure,
 )
 from .diagnostics import (
-    BoundReport,
-    FisherReport,
     b1_bound,
+    ball_check,
     fisher_energy,
     log_moment,
     log_moment_bracket,
@@ -77,7 +76,6 @@ from .nonlinear import (
     FixedPointTrace,
     fixed_point_solve,
     l2_distance,
-    schauder_membership,
     solve_stationary,
 )
 from .oracles import (

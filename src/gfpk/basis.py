@@ -15,7 +15,9 @@ weight).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,19 +43,16 @@ def hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
 
 def enumerate_multi_indices(k: int, max_degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of length k with total degree <= max_degree,
-    in graded lexicographic order (degree-major, lex within a degree)."""
+    in graded lexicographic order (degree-major, lex within a degree).
 
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
+    A tuple of degree d is read off its partial sums 0 <= s_1 <= ... <=
+    s_{k-1} <= d as the differences of (0, s_1, ..., s_{k-1}, d); the sums
+    are lex-ordered as the tuples are, so their combinations run reversed.
+    """
     out = []
     for degree in range(max_degree + 1):
-        out.extend(compositions(degree, k))
+        for sums in reversed(list(itertools.combinations_with_replacement(range(degree + 1), k - 1))):
+            out.append(tuple(map(operator.sub, sums + (degree,), (0,) + sums)))
     return out
 
 

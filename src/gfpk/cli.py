@@ -22,16 +22,16 @@ import numpy as np
 
 from . import __version__
 from .basis import enumerate_basis, tensor_grid
-from .config import MODES, RunConfig, check_sizes, load_config, sweep_drift
+from .config import DENSITY_FILE, MODES, RunConfig, check_sizes, load_config, sweep_drift
 from .density import BumpTest, ChaosDensity, integrate
 from .density import marginal as density_marginal
-from .diagnostics import fisher_energy, log_moment, log_moment_bracket, tail_check
+from .diagnostics import ball_check, fisher_energy, log_moment, log_moment_bracket, tail_check
 from .drift import DRIFTS, drift_from_block
-from .errors import BasisSizeError, ConfigError, GfpkError
+from .errors import ConfigError, GfpkError
 from .ladder import run_ladder
 # residual stays importable here: the benchmark's tests check gfpk.cli.residual
 from .linear import residual, residual_suite  # noqa: F401
-from .nonlinear import l2_distance, schauder_membership, solve_stationary
+from .nonlinear import l2_distance, solve_stationary
 from .oracles import (
     l2_gamma_distance,
     oracle_1d,
@@ -39,7 +39,7 @@ from .oracles import (
     oracle_fd_2d,
     oracle_sde,
 )
-from .schema import read_kind
+from .schema import read_block, read_kind
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -71,9 +71,7 @@ def density_checks(rho: ChaosDensity, v, grid) -> tuple[dict, bool]:
     hermite_max, system_norm, bump_vals = residual_suite(rho, v, p_frozen, grid, vals, vvals, default_bumps(rho.k))
     hermite_ok = hermite_max <= HERMITE_RESIDUAL_TOL * (1.0 + system_norm)
     bump_ok = all(abs(b) <= BUMP_RESIDUAL_TOL for b in bump_vals)
-    member, margin = schauder_membership(rho, v.c0)
-    tail = tail_check(v.sigma_inf, TAIL_LEVELS, grid, vals)
-    fisher = fisher_energy(rho, grid, vals, vvals)
+    bounds = [ball_check(rho, v.c0), tail_check(v.sigma_inf, TAIL_LEVELS, grid, vals)]
     report = {
         "residuals": {
             "hermite_max": hermite_max,
@@ -84,37 +82,17 @@ def density_checks(rho: ChaosDensity, v, grid) -> tuple[dict, bool]:
             "bump_tolerance": BUMP_RESIDUAL_TOL,
             "bump_pass": bump_ok,
         },
-        "bounds": [
-            {
-                "name": "l2_ball",
-                "left": rho.l2_norm_sq(),
-                "right": rho.l2_norm_sq() + margin,
-                "pass": member,
-                "inputs": {"C0": v.c0},
-            },
-            {
-                "name": "tail",
-                "left": tail.left,
-                "right": tail.right,
-                "pass": tail.passed,
-                "inputs": tail.inputs,
-            },
-        ],
+        "bounds": bounds,
         "monitored": {
             "log_moment": log_moment(0.2, grid, vals),
             "log_moment_bracket": log_moment_bracket(0.2, grid, vals, vvals),
-            "fisher": fisher.fisher,
-            "drift_energy_gamma": fisher.drift_energy_gamma,
-            "drift_energy_mu": fisher.drift_energy_mu,
-            "fisher_skipped": fisher.skipped,
+            **fisher_energy(rho, grid, vals, vvals),
         },
     }
-    passed = hermite_ok and bump_ok and member and bool(tail.passed)
-    return report, passed
+    return report, hermite_ok and bump_ok and all(b["pass"] for b in bounds)
 
 
 def _write(path: str, text: str):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -128,11 +106,24 @@ def _solve_one(cfg: RunConfig):
     return rho, trace, v, grid
 
 
-def _read_density(path: str) -> ChaosDensity:
+def _read_density(config: RunConfig) -> ChaosDensity:
+    """The density verify checks, read against DENSITY_FILE, the config's k
+    and N, the size caps and the drift block: a fault is a ConfigError before
+    anything is written."""
+    path = config.verify["density"]
     try:
         with open(path) as fh:
-            return ChaosDensity.from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError, BasisSizeError) as exc:
+            doc = read_block(json.load(fh), DENSITY_FILE, "density")
+    except (OSError, ValueError, ConfigError) as exc:
+        raise ConfigError(f"cannot read density {path}: {exc}") from exc
+    for key in ("k", "N"):
+        if config.raw.get(key, doc[key]) != doc[key]:
+            raise ConfigError(f"verify: {key}={config.raw[key]!r} but the density has {key}={doc[key]}")
+    check_sizes("verify density", doc["k"], doc["N"], config.quad_order_for(doc["N"]))
+    read_kind(config.drift, DRIFTS, "drift", doc["k"])
+    try:
+        return ChaosDensity.from_json_dict(doc)
+    except ValueError as exc:
         raise ConfigError(f"cannot read density {path}: {exc}") from exc
 
 
@@ -140,7 +131,13 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
     """Dispatch a parsed config; write artifacts; return the exit code."""
     if threads > 1 and config.mode != "sweep":
         raise ConfigError(f"--threads {threads}: only sweep runs on more than one thread, not {config.mode}")
+    if config.mode == "verify":
+        rho = _read_density(config)
     out = out_dir or config.output_dir or "."
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {out}: {exc}") from exc
     started = time.time()
     report = {
         "version": __version__,
@@ -178,21 +175,12 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
         elif config.mode == "sweep":
             report["sweep"], report["checks_passed"] = _run_sweep(config, out, threads)
         elif config.mode == "verify":
-            rho = _read_density(config.verify["density"])
-            for key, value in (("k", rho.k), ("N", rho.basis.degree)):
-                if config.raw.get(key, value) != value:
-                    raise ConfigError(f"verify: {key}={config.raw[key]!r} but the density has {key}={value}")
-            quad_order = config.quad_order_for(rho.basis.degree)
-            check_sizes("verify density", rho.k, rho.basis.degree, quad_order)
-            grid = tensor_grid(quad_order, rho.k)
-            v = drift_from_block(config.drift, rho.k)
-            checks, passed = density_checks(rho, v, grid)
+            grid = tensor_grid(config.quad_order_for(rho.basis.degree), rho.k)
+            checks, passed = density_checks(rho, drift_from_block(config.drift, rho.k), grid)
             report.update(checks)
             report["checks_passed"] = passed
         elif config.mode == "oracle-compare":
             report["oracle"], report["checks_passed"] = _run_oracle_compare(config)
-    except ConfigError:
-        raise
     except GfpkError as exc:
         report["error"] = str(exc)
         report["checks_passed"] = False
@@ -200,7 +188,7 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
     timestamps["finished_unix"] = time.time()
     report["timestamps"] = timestamps
     report["wall_seconds"] = timestamps["finished_unix"] - started
-    _write(os.path.join(out, "report.json"), json.dumps(report, sort_keys=True, indent=1, default=str))
+    _write(os.path.join(out, "report.json"), json.dumps(report, sort_keys=True, indent=1, default=str, allow_nan=False))
     if "error" in report:
         print(f"solver error: {report['error']}", file=sys.stderr)
         return EXIT_SOLVER

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .basis import BASIS_CAP
 from .drift import DRIFTS, drift_from_block
@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .ladder import LadderConfig
 from .nonlinear import FixedPointOptions
 from .oracles import SDE_BATCHES
-from .schema import Kind, Param, read_kind
+from .schema import REQUIRED, Kind, Param, read_kind
 
 # a tensor rule with more nodes than this is not built from a config
 MAX_GRID_NODES = 1_000_000
@@ -42,6 +42,9 @@ _LADDER = (
     Param("tail_levels", "numbers", 0.0, 1e6, [1.0, 2.0, 4.0]),
 )
 _SIZES = (Param("k", "integer", 1, 8, 1), Param("N", "integer", 0, 64, 8), Param("Q", "integer", 0, 512, 0))
+# the density file verify reads (ChaosDensity.to_json_dict), its k and N in the config's ranges
+DENSITY_FILE = (*(replace(p, default=REQUIRED) for p in _SIZES[:2]),
+                Param("ordering", "text", choices=("grlex",)), Param("coefficients", "numbers"))
 _DRIFT = Param("drift", "object")
 _COMMON = (Param("seed", "integer", 0, 2**64 - 1, 0), Param("output", (Param("dir", "text", default=None),), default={}))
 _SOLVE = (*_SIZES, _DRIFT, _fixed_point())

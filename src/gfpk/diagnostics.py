@@ -2,16 +2,16 @@
 radius, Gaussian-measure tail bounds, the logarithmic moment functional and
 the Fisher information functional.
 
-Asserted bounds (ball radius, tails) come with explicit tolerances; the
-logarithmic moment and Fisher functionals are monitored only, because their
-comparison constants are not pinned down.  The functionals on a grid take
-the node values they read, vals = rho.evaluate(grid) and vvals = v(p,
-grid.nodes), from their caller, which reads each once (cli.density_checks).
+Each returns what report.json prints: an asserted bound (ball, tails) its
+"bounds" entry, the logarithmic moment and Fisher functionals, monitored only
+because their comparison constants are not pinned down, their "monitored"
+values.  The functionals on a grid take the node values vals =
+rho.evaluate(grid) and vvals = v(p, grid.nodes) from their caller, which
+reads each once (cli.density_checks).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,16 +25,6 @@ TAIL_TOLERANCE = 1e-8  # absolute slack of each tail comparison
 # half-width and point count of the sign-change scan of superlevel_mass_1d
 LEVELSET_SPAN = 12.0
 LEVELSET_SCAN = 4001
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    name: str
-    left: float
-    right: float
-    passed: bool | None  # None for monitored-only functionals
-    tolerance: float
-    inputs: dict = field(default_factory=dict)
 
 
 def b1_bound(c0: float) -> float:
@@ -56,6 +46,14 @@ def b1_bound(c0: float) -> float:
     if not math.isfinite(value):
         raise NumericError(f"ball radius is not a finite float for C0={c0}")
     return value
+
+
+def ball_check(rho: ChaosDensity, c0: float) -> dict:
+    """The bound entry of the a-priori ball sum c^2 <= B(C0); it passes when
+    the margin B(C0) - sum c^2 is nonnegative."""
+    left = rho.l2_norm_sq()
+    margin = b1_bound(c0) - left
+    return {"name": "l2_ball", "left": left, "right": left + margin, "pass": margin >= 0.0, "inputs": {"C0": c0}}
 
 
 def superlevel_mass_1d(rho: ChaosDensity, t: float) -> float:
@@ -88,27 +86,22 @@ def _gaussian_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def tail_check(sigma_inf: float, t_grid, grid: QuadratureGrid, vals: np.ndarray) -> BoundReport:
-    """Verify gamma(rho >= t) <= e^2 exp(-sigma_inf (ln t)^2) for each t > 1,
-    the left side being the quadrature super-level mass of rho's node values
-    vals on grid."""
+def tail_check(sigma_inf: float, t_grid, grid: QuadratureGrid, vals: np.ndarray) -> dict:
+    """The bound entry of gamma(rho >= t) <= e^2 exp(-sigma_inf (ln t)^2) at
+    its worst level t > 1, the left side being the quadrature super-level
+    mass of rho's node values vals on grid; an infinite sigma_inf is None."""
     rows = []
     for t in t_grid:
         if t <= 1.0:
             raise ValueError("tail levels must exceed 1")
         left = float(np.sum(grid.weights[vals >= t]))
         # zero drift: density is 1, super-level mass above t > 1 must vanish
-        right = math.e**2 * math.exp(-sigma_inf * math.log(t) ** 2) if np.isfinite(sigma_inf) else 0.0
+        right = math.e**2 * math.exp(-sigma_inf * math.log(t) ** 2) if math.isfinite(sigma_inf) else 0.0
         rows.append({"t": t, "left": left, "right": right, "passed": left <= right + TAIL_TOLERANCE})
     worst = max(rows, key=lambda r: r["left"] - r["right"])
-    return BoundReport(
-        name="tail",
-        left=worst["left"],
-        right=worst["right"],
-        passed=all(r["passed"] for r in rows),
-        tolerance=TAIL_TOLERANCE,
-        inputs={"sigma_inf": sigma_inf, "t_grid": list(t_grid), "rows": rows},
-    )
+    inputs = {"sigma_inf": sigma_inf if math.isfinite(sigma_inf) else None, "t_grid": list(t_grid), "rows": rows}
+    return {"name": "tail", "left": worst["left"], "right": worst["right"],
+            "pass": all(r["passed"] for r in rows), "inputs": inputs}
 
 
 def log_moment(alpha: float, grid: QuadratureGrid, vals: np.ndarray) -> float:
@@ -128,26 +121,19 @@ def log_moment_bracket(alpha: float, grid: QuadratureGrid, vals: np.ndarray, vva
     return 1.0 + l1 * math.log1p(l1) ** alpha
 
 
-@dataclass(frozen=True)
-class FisherReport:
-    fisher: float | None
-    drift_energy_gamma: float | None
-    drift_energy_mu: float | None
-    skipped: bool = False
-    reason: str = ""
-
-
-def fisher_energy(rho: ChaosDensity, grid: QuadratureGrid, vals: np.ndarray, vvals: np.ndarray) -> FisherReport:
+def fisher_energy(rho: ChaosDensity, grid: QuadratureGrid, vals: np.ndarray, vvals: np.ndarray) -> dict:
     """Monitored relative Fisher information |grad rho|^2 / rho against the
     drift energies |b|^2 integrated under gamma and under mu = rho * gamma.
 
     Both candidate right-hand sides are reported; neither is asserted.
-    Skipped (with reason) when the positive part carries too little mass.
+    Skipped (all three None, with fisher_skipped_reason) when the positive
+    part carries too little mass.
     """
     positive_mass = float(np.sum(grid.weights[vals > 0.0]))
     if positive_mass < FISHER_MASS_REQUIRED:
         reason = f"positive-part mass {positive_mass:.8f} below {FISHER_MASS_REQUIRED}"
-        return FisherReport(None, None, None, skipped=True, reason=reason)
+        return {"fisher": None, "drift_energy_gamma": None, "drift_energy_mu": None,
+                "fisher_skipped": True, "fisher_skipped_reason": reason}
     grads = rho.gradient(grid)
     mask = vals > FISHER_FLOOR
     fisher = float(np.sum(grid.weights[mask] * np.sum(grads[mask] ** 2, axis=1) / vals[mask]))
@@ -155,4 +141,4 @@ def fisher_energy(rho: ChaosDensity, grid: QuadratureGrid, vals: np.ndarray, vva
     b_sq = np.sum(b * b, axis=1)
     energy_gamma = float(np.sum(grid.weights * b_sq))
     energy_mu = float(np.sum(grid.weights * b_sq * np.clip(vals, 0.0, None)))
-    return FisherReport(fisher, energy_gamma, energy_mu)
+    return {"fisher": fisher, "drift_energy_gamma": energy_gamma, "drift_energy_mu": energy_mu, "fisher_skipped": False}

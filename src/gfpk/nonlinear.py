@@ -1,5 +1,6 @@
 """Nonlinear stationary solver: Anderson-mixed fixed-point iteration on the
-map p -> rho_p, plus membership certification for the a-priori L^2 ball.
+map p -> rho_p, whose trace flags each iterate's membership in the a-priori
+L^2 ball.
 
 With x_m the coefficients of p_m and f_m = rho_{p_m} - x_m, a damped step is
 x_{m+1} = (1 - theta) x_m + theta rho_{p_m}.  An Anderson (type-II) step
@@ -157,12 +158,3 @@ def solve_stationary(v, basis, grid, opts: FixedPointOptions) -> tuple[ChaosDens
         return solve_linear(v, None, basis, grid), None
     return fixed_point_solve(v, basis, grid, opts)
 
-
-def schauder_membership(rho: ChaosDensity, c0: float) -> tuple[bool, float]:
-    """Check membership in the a-priori ball: sum c^2 <= B(C0).
-
-    Returns (flag, margin) with margin = B(C0) - ||rho||^2.
-    """
-    radius_sq = b1_bound(c0)
-    margin = radius_sq - rho.l2_norm_sq()
-    return margin >= 0.0, margin

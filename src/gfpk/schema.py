@@ -17,7 +17,7 @@ REQUIRED = "required"
 
 @dataclass(frozen=True)
 class Param:
-    """A key with its type, inclusive range [low, high] and default
+    """A key with its type, inclusive range [low, high] (of finite numbers) and default
     (REQUIRED, or None for an optional key without one).  Types: "number",
     "integer", "bool", "text" (one of `choices` if given), "object" (a block
     read on its own), "vector" (numbers, one per coordinate), "numbers" and
@@ -47,7 +47,9 @@ class Kind:
 def _number(value, name, low, high, integer):
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise ConfigError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    if not low <= value <= high:  # also rejects NaN
+    if not -math.inf < value < math.inf:  # NaN or an infinity
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if not low <= value <= high:
         raise ConfigError(f"{name}={value!r} outside the documented range [{low}, {high}]")
     return value
 

@@ -19,6 +19,7 @@ from gfpk import (
     LadderConfig,
     TanhKernel,
     b1_bound,
+    ball_check,
     clipped_potential_drift,
     constant_drift,
     enumerate_basis,
@@ -35,7 +36,6 @@ from gfpk import (
     residual_suite,
     rotational_drift,
     run_ladder,
-    schauder_membership,
     solve_linear,
     superlevel_mass_1d,
     tail_check,
@@ -78,7 +78,7 @@ def test_criterion_02_cameron_martin_recovery():
     expected = cameron_martin(0.3, 12).coefficients
     coeff_err = float(np.max(np.abs(rho.coefficients - expected)))
     norm_err = abs(rho.l2_norm_sq() - math.exp(0.09))
-    member, _ = schauder_membership(rho, 0.6 * math.pi)
+    member = ball_check(rho, 0.6 * math.pi)["pass"]
     elapsed = time.monotonic() - start
     check(
         2,
@@ -196,7 +196,7 @@ def test_criterion_08_tail_bound():
     )
     cases.append((rho_vl, v_vl.sigma_inf, grid40))
     for rho, sigma_inf, g in cases:
-        all_pass = all_pass and tail_check(sigma_inf, t_grid, g, rho.evaluate(g)).passed
+        all_pass = all_pass and tail_check(sigma_inf, t_grid, g, rho.evaluate(g))["pass"]
     # Cameron-Martin left side against the error-function closed form
     c = 0.3
     rho_cm = cases[0][0]

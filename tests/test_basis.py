@@ -40,6 +40,34 @@ def test_enumeration_is_graded():
     assert len(indices) == math.comb(4 + 3, 3)
 
 
+def _grlex_by_recursion(k, degree):
+    """The degree-major, first-exponent-descending order by its recursive
+    definition (one level per coordinate, so for small k only)."""
+
+    def compositions(total, parts):
+        if parts == 1:
+            return [(total,)]
+        return [(first,) + rest for first in range(total, -1, -1) for rest in compositions(total - first, parts - 1)]
+
+    return [alpha for d in range(degree + 1) for alpha in compositions(d, k)]
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_enumeration_matches_the_recursive_grlex_order(k):
+    for degree in range(7):
+        assert enumerate_multi_indices(k, degree) == _grlex_by_recursion(k, degree)
+
+
+@pytest.mark.parametrize("k, degree", [(5000, 0), (2000, 1)])
+def test_enumeration_does_not_recurse_per_coordinate(k, degree):
+    """Both bases lie under BASIS_CAP; a recursion one level per coordinate
+    exceeds Python's recursion limit on them."""
+    indices = enumerate_multi_indices(k, degree)
+    assert len(indices) == math.comb(degree + k, k)
+    assert indices[0] == (0,) * k and indices[-1] == (0,) * (k - 1) + (degree,)
+    assert enumerate_basis(k, degree).size == len(indices)
+
+
 def test_basis_cap_raises():
     with pytest.raises(BasisSizeError, match="exceed"):
         enumerate_basis(6, 30)

@@ -233,6 +233,35 @@ def test_malformed_config_exit_2_no_outputs(tmp_path):
     assert not (tmp_path / "should_not_exist").exists()
 
 
+@pytest.mark.parametrize("where", ["file", "below-file"])
+def test_an_output_path_that_cannot_be_a_directory_exits_2_before_solving(tmp_path, capsys, monkeypatch, where):
+    import gfpk.cli
+
+    (tmp_path / "taken").write_text("a file")
+    out = tmp_path / "taken" if where == "file" else tmp_path / "taken" / "sub"
+    monkeypatch.setattr(gfpk.cli, "solve_stationary", lambda *args: pytest.fail("solved before the output check"))
+    code = main(["solve-linear", "--config", write_config(tmp_path, linear_config(str(out)))])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert (tmp_path / "taken").read_text() == "a file"
+
+
+def test_a_zero_drift_report_is_strict_json(tmp_path):
+    """sigma_inf = C0^-2 is infinite at zero drift: the tail entry records it
+    as null, and the report holds no NaN or Infinity token."""
+    out = tmp_path / "out"
+    cfg = dict(linear_config(str(out)), drift={"kind": "constant", "h": [0.0]})
+    assert main(["solve-linear", "--config", write_config(tmp_path, cfg)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-finite token {token} in report.json")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    tail = next(b for b in report["bounds"] if b["name"] == "tail")
+    assert tail["inputs"]["sigma_inf"] is None and tail["right"] == 0.0
+
+
 def test_mode_mismatch_exit_2(tmp_path):
     code = main(["verify", "--config", write_config(tmp_path, linear_config(str(tmp_path)))])
     assert code == 2
@@ -628,6 +657,13 @@ MALFORMED = {
     "verify-q-below-density-degree": {**_verify("{tmp}/high.json"), "Q": 8},
     "verify-k-differs-from-density": {**_verify("{tmp}/high.json"), "k": 2},
     "verify-with-fixed-point": {**_verify("{tmp}/high.json"), "fixed_point": {"damping": 0.5}},
+    "verify-density-k-2000": _verify("{tmp}/k2000.json"),
+    "verify-density-k-5000": _verify("{tmp}/k5000.json"),
+    "verify-density-list": _verify("{tmp}/list.json"),
+    "verify-density-k-fraction": _verify("{tmp}/k-fraction.json"),
+    "verify-density-k-bool": _verify("{tmp}/k-bool.json"),
+    "verify-density-nan": _verify("{tmp}/nan.json"),
+    "verify-density-infinity": _verify("{tmp}/infinity.json"),
     "fixed-point-memory-negative": {**_vlasov(1, {"kind": "tanh", "scale": 0.2}), "fixed_point": {"memory": -1}},
     "ladder-levels-string": _ladder(levels="ab"),
     "ladder-weights-flat": _ladder(weights=[1, 1], levels=[1, 2], degrees=[4, 4], quad_orders=[6, 6]),
@@ -736,13 +772,29 @@ def test_oracle_compare_exits_3_when_the_fixed_point_fails(tmp_path, oracle):
     assert _run_tiny(doc, str(tmp_path / "out")) == 3
 
 
+def _density_text(k, degree, coefficients=(1.0,)):
+    return json.dumps({"k": k, "N": degree, "ordering": "grlex", "coefficients": list(coefficients)})
+
+
+# the density files MALFORMED's verify configs read from {tmp}
+DENSITY_FILES = {
+    "bad.json": "{not json",
+    "short.json": _density_text(1, 4, [1.0, 0.0]),
+    "high.json": _density_text(1, 12, [1.0] + [0.0] * 12),
+    "k2000.json": _density_text(2000, 1),
+    "k5000.json": _density_text(5000, 0),
+    "list.json": json.dumps([1.0, 0.0]),
+    "k-fraction.json": _density_text(1.7, 1, [1.0, 0.0]),
+    "k-bool.json": _density_text(True, 1, [1.0, 0.0]),
+    "nan.json": _density_text(1, 1, [1.0, math.nan]),
+    "infinity.json": _density_text(1, 1, [1.0, math.inf]),
+}
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_input_exits_2(tmp_path, capsys, name):
-    (tmp_path / "bad.json").write_text("{not json")
-    short = {"k": 1, "N": 4, "ordering": "grlex", "coefficients": [1.0, 0.0]}
-    (tmp_path / "short.json").write_text(json.dumps(short))
-    high = {"k": 1, "N": 12, "ordering": "grlex", "coefficients": [1.0] + [0.0] * 12}
-    (tmp_path / "high.json").write_text(json.dumps(high))
+    for file_name, text in DENSITY_FILES.items():
+        (tmp_path / file_name).write_text(text)
     doc = json.loads(json.dumps(MALFORMED[name]).replace("{tmp}", str(tmp_path)))
     doc["output"] = {"dir": str(tmp_path / "out")}
     code = main([doc["mode"], "--config", write_config(tmp_path, doc)])

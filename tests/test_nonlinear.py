@@ -13,6 +13,7 @@ from gfpk import (
     GfpkError,
     NonConvergenceError,
     TanhKernel,
+    ball_check,
     constant_drift,
     custom_drift,
     enumerate_basis,
@@ -20,7 +21,6 @@ from gfpk import (
     l2_distance,
     oracle_1d_selfconsistent,
     l2_gamma_distance,
-    schauder_membership,
     solve_linear,
     solve_stationary,
     tensor_grid,
@@ -225,15 +225,21 @@ def test_anderson_converges_wherever_damped_picard_does(kernel, scale, cap, damp
     assert np.max(np.abs(mixed.coefficients - damped.coefficients)) <= 1e-9
 
 
+def _ball(rho, c0):
+    """(flag, margin) of the ball entry: its pass and B(C0) - sum c^2."""
+    entry = ball_check(rho, c0)
+    return entry["pass"], entry["right"] - entry["left"]
+
+
 def test_schauder_membership_constant_density():
     rho = cameron_martin(0.0, 4)
-    flag, margin = schauder_membership(rho, 1.0)
+    flag, margin = _ball(rho, 1.0)
     assert flag and margin >= 0.0
 
 
 def test_schauder_margin_vanishes_at_zero_bound():
     rho = cameron_martin(0.0, 4)
-    _, margin_small = schauder_membership(rho, 1e-4)
+    _, margin_small = _ball(rho, 1e-4)
     assert 0.0 <= margin_small <= 1e-2
-    flag, margin_zero = schauder_membership(rho, 0.0)
+    flag, margin_zero = _ball(rho, 0.0)
     assert flag and margin_zero == pytest.approx(0.0, abs=1e-15)

@@ -134,6 +134,31 @@ def test_readme_mode_keys_table_matches_config():
     assert documented == {mode: list(keys) for mode, keys in MODE_KEYS.items()}
 
 
+def test_readme_report_entries_table_matches_a_run(tmp_path):
+    """The certificate entries of two real solve-linear reports, one whose
+    Fisher functional runs (h = 0.3) and one that skips it (h = 3, N = 2)."""
+    from gfpk.cli import main
+
+    keys = {"bounds": set(), "residuals": set(), "monitored": set()}
+    for h, degree in ((0.3, 12), (3.0, 2)):
+        out = tmp_path / f"h{h}"
+        doc = {"mode": "solve-linear", "k": 1, "N": degree, "drift": {"kind": "constant", "h": [h]},
+               "output": {"dir": str(out)}}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        assert main(["solve-linear", "--config", str(tmp_path / "cfg.json")]) in (0, 1)
+        report = json.loads((out / "report.json").read_text())
+        assert [b["name"] for b in report["bounds"]] == ["l2_ball", "tail"]
+        assert report["monitored"]["fisher_skipped"] is (h == 3.0)
+        for bound in report["bounds"]:
+            keys["bounds"].update(bound)
+        keys["residuals"].update(report["residuals"])
+        keys["monitored"].update(report["monitored"])
+    rows = _table(["report entry", "its keys"])
+    documented = {re.findall(r"`([^`]+)`", row[0])[0]: re.findall(r"`([^`]+)`", row[1]) for row in rows}
+    assert {entry: set(names) for entry, names in documented.items()} == keys
+    assert all(len(names) == len(set(names)) for names in documented.values())
+
+
 def test_readme_kind_table_matches_registry():
     """The "reads the measure" cell is yes or no, or names the bool parameter
     that makes the field read it."""
