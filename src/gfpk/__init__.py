@@ -64,7 +64,6 @@ from .drift import (
 from .ladder import (
     LadderConfig,
     LadderReport,
-    LevelReport,
     default_battery,
     lyapunov_moment,
     marginal_distance,

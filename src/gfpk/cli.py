@@ -47,8 +47,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 TAIL_LEVELS = (2.0, 4.0, 8.0)
-HERMITE_RESIDUAL_TOL = 1e-10
-BUMP_RESIDUAL_TOL = 1e-3
 DEFAULT_BUMP_CENTERS = np.linspace(-2.0, 2.0, 10)
 
 
@@ -68,28 +66,17 @@ def density_checks(rho: ChaosDensity, v, grid) -> tuple[dict, bool]:
     """
     p_frozen = v.read_measure(rho, grid)
     vvals, vals = v.eval_v(p_frozen, grid.nodes), rho.evaluate(grid)
-    hermite_max, system_norm, bump_vals = residual_suite(rho, v, p_frozen, grid, vals, vvals, default_bumps(rho.k))
-    hermite_ok = hermite_max <= HERMITE_RESIDUAL_TOL * (1.0 + system_norm)
-    bump_ok = all(abs(b) <= BUMP_RESIDUAL_TOL for b in bump_vals)
-    bounds = [ball_check(rho, v.c0), tail_check(v.sigma_inf, TAIL_LEVELS, grid, vals)]
     report = {
-        "residuals": {
-            "hermite_max": hermite_max,
-            "system_norm": system_norm,
-            "hermite_tolerance": HERMITE_RESIDUAL_TOL * (1.0 + system_norm),
-            "hermite_pass": hermite_ok,
-            "bumps": bump_vals,
-            "bump_tolerance": BUMP_RESIDUAL_TOL,
-            "bump_pass": bump_ok,
-        },
-        "bounds": bounds,
+        "residuals": residual_suite(rho, v, p_frozen, grid, vals, vvals, default_bumps(rho.k)),
+        "bounds": [ball_check(rho, v.c0), tail_check(v.sigma_inf, TAIL_LEVELS, grid, vals)],
         "monitored": {
             "log_moment": log_moment(0.2, grid, vals),
             "log_moment_bracket": log_moment_bracket(0.2, grid, vals, vvals),
             **fisher_energy(rho, grid, vals, vvals),
         },
     }
-    return report, hermite_ok and bump_ok and all(b["pass"] for b in bounds)
+    residuals = report["residuals"]
+    return report, residuals["hermite_pass"] and residuals["bump_pass"] and all(b["pass"] for b in report["bounds"])
 
 
 def _write(path: str, text: str):
@@ -169,9 +156,7 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
             _write(os.path.join(out, "ladder.csv"), ladder_report.to_csv())
             report["artifacts"]["ladder_json"] = os.path.join(out, "ladder.json")
             report["artifacts"]["ladder_csv"] = os.path.join(out, "ladder.csv")
-            report["checks_passed"] = ladder_report.completed and all(
-                lv.passed for lv in ladder_report.levels
-            )
+            report["checks_passed"] = ladder_report.completed and all(lv["pass"] for lv in ladder_report.levels)
         elif config.mode == "sweep":
             report["sweep"], report["checks_passed"] = _run_sweep(config, out, threads)
         elif config.mode == "verify":
@@ -181,8 +166,8 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
             report["checks_passed"] = passed
         elif config.mode == "oracle-compare":
             report["oracle"], report["checks_passed"] = _run_oracle_compare(config)
-    except GfpkError as exc:
-        report["error"] = str(exc)
+    except (GfpkError, MemoryError) as exc:  # numpy's MemoryError names the array it could not allocate
+        report["error"] = str(exc) or type(exc).__name__
         report["checks_passed"] = False
 
     timestamps["finished_unix"] = time.time()
@@ -233,10 +218,10 @@ def _run_sweep(config: RunConfig, out: str, threads: int):
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")  # quotes the commas of failure messages
-    writer.writerow(["u", "failed", "l2_norm_sq", "distance_to_previous"])
+    columns = ("u", "failed", "l2_norm_sq", "distance_to_previous")
+    writer.writerow(columns)
     for row in rows:
-        measured = [row.get(key) for key in ("l2_norm_sq", "distance_to_previous")]
-        writer.writerow([repr(row["u"]), row["failed"] or ""] + ["" if x is None else repr(x) for x in measured])
+        writer.writerow([row.get(key) for key in columns])
     _write(os.path.join(out, "sweep.csv"), buf.getvalue())
     return rows, all(f is None for f in failures)
 

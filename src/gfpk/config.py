@@ -63,11 +63,6 @@ MODES = tuple(MODE_PARAMS)
 MODE_KEYS = {mode: tuple(p.name for p in entry.params) for mode, entry in MODE_PARAMS.items()}
 
 
-def fixed_point_params(mode: str) -> tuple:
-    """The fixed_point block of a mode that reads one, with its defaults."""
-    return next(p.type for p in MODE_PARAMS[mode].params if p.name == "fixed_point")
-
-
 _VALUES = Param("values", "numbers", -100.0, 100.0)
 
 # each sweep family builds the map u -> drift block of its points

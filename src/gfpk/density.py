@@ -234,10 +234,6 @@ class HermiteTest:
     beta: tuple[int, ...]
 
     @property
-    def k(self) -> int:
-        return len(self.beta)
-
-    @property
     def degree(self) -> int:
         return sum(self.beta)
 

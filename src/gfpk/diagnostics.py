@@ -50,10 +50,16 @@ def b1_bound(c0: float) -> float:
 
 def ball_check(rho: ChaosDensity, c0: float) -> dict:
     """The bound entry of the a-priori ball sum c^2 <= B(C0); it passes when
-    the margin B(C0) - sum c^2 is nonnegative."""
+    the margin B(C0) - sum c^2 is nonnegative.  A B(C0) above the largest
+    float (b1_bound's NumericError) is right None, and every finite sum c^2
+    passes."""
     left = rho.l2_norm_sq()
-    margin = b1_bound(c0) - left
-    return {"name": "l2_ball", "left": left, "right": left + margin, "pass": margin >= 0.0, "inputs": {"C0": c0}}
+    entry = {"name": "l2_ball", "left": left, "inputs": {"C0": c0}}
+    try:
+        margin = b1_bound(c0) - left
+    except NumericError:  # a NaN C0 raises it too, and bounds no sum
+        return {**entry, "right": None, "pass": math.isfinite(left) and c0 > 0.0}
+    return {**entry, "right": left + margin, "pass": margin >= 0.0}
 
 
 def superlevel_mass_1d(rho: ChaosDensity, t: float) -> float:

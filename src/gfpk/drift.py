@@ -166,6 +166,10 @@ class ClippedLinearKernel(ComponentwiseKernel):
     scale: float
     cap: float
 
+    def __post_init__(self):
+        if not self.cap >= 0.0:  # np.clip(x, -cap, cap) with cap < 0 is the constant cap, not a clip
+            raise ValueError(f"cap must be nonnegative, got {self.cap!r}")
+
     @property
     def component_bound(self) -> float:
         return abs(self.cap)
@@ -452,7 +456,7 @@ KERNELS = {
     "constant": _kernel(ConstantKernel, Param("h", "vector", -100.0, 100.0)),
     "tanh": _kernel(TanhKernel, _SCALE),
     "gaussian-lobe": _kernel(GaussianLobeKernel, _SCALE),
-    "clipped-linear": _kernel(ClippedLinearKernel, _SCALE, Param("cap", "number", -100.0, 100.0)),
+    "clipped-linear": _kernel(ClippedLinearKernel, _SCALE, Param("cap", "number", 0.0, 100.0)),
 }
 
 

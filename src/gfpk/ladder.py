@@ -148,22 +148,12 @@ def marginal_distance(rho_a, grid_a, rho_b, grid_b, battery) -> float:
 
 
 @dataclass
-class LevelReport:
-    k: int
-    degree: int
-    quad_order: int
-    solution: ChaosDensity
-    moment: float
-    threshold: float
-    quad_error: float
-    passed: bool
-    tail_masses: dict
-    distance_to_next: float | None = None
-    iterations: int = 0
-
-
-@dataclass
 class LadderReport:
+    """levels: one ladder.json entry per completed level, as a dict, with its
+    solution a ChaosDensity (the seed of the next level) and its tail_masses
+    keyed by the float R (ladder.csv sorts its columns by R); to_json_dict
+    writes those two as JSON."""
+
     config: LadderConfig
     levels: list = field(default_factory=list)
     completed: bool = True
@@ -172,21 +162,11 @@ class LadderReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        tails = sorted(self.levels[0].tail_masses) if self.levels else []
-        writer.writerow(
-            ["k", "moment", "threshold", "pass", "d_next"] + [f"tail@{r}" for r in tails]
-        )
+        tails = sorted(self.levels[0]["tail_masses"]) if self.levels else []
+        writer.writerow(["k", "moment", "threshold", "pass", "d_next"] + [f"tail@{r}" for r in tails])
         for lv in self.levels:
-            writer.writerow(
-                [
-                    lv.k,
-                    repr(lv.moment),
-                    repr(lv.threshold),
-                    lv.passed,
-                    "" if lv.distance_to_next is None else repr(lv.distance_to_next),
-                ]
-                + [repr(lv.tail_masses[r]) for r in tails]
-            )
+            columns = [lv[key] for key in ("k", "moment", "threshold", "pass", "distance_to_next")]
+            writer.writerow(columns + [lv["tail_masses"][r] for r in tails])
         return buf.getvalue()
 
     def to_json_dict(self) -> dict:
@@ -196,19 +176,8 @@ class LadderReport:
             "completed": self.completed,
             "failure": self.failure,
             "levels": [
-                {
-                    "k": lv.k,
-                    "degree": lv.degree,
-                    "quad_order": lv.quad_order,
-                    "moment": lv.moment,
-                    "threshold": lv.threshold,
-                    "quad_error": lv.quad_error,
-                    "pass": lv.passed,
-                    "tail_masses": {str(r): m for r, m in lv.tail_masses.items()},
-                    "distance_to_next": lv.distance_to_next,
-                    "iterations": lv.iterations,
-                    "solution": lv.solution.to_json_dict(),
-                }
+                {**lv, "tail_masses": {str(r): m for r, m in lv["tail_masses"].items()},
+                 "solution": lv["solution"].to_json_dict()}
                 for lv in self.levels
             ],
         }
@@ -231,7 +200,7 @@ def run_ladder(drift, cfg: LadderConfig) -> LadderReport:
         grid = tensor_grid(q, k)
         v_k = drift(k)
         cfg.check_drift(v_k)
-        seed = _zero_pad(report.levels[-1].solution, basis) if report.levels else None
+        seed = _zero_pad(report.levels[-1]["solution"], basis) if report.levels else None
         try:
             rho, trace = solve_stationary(v_k, basis, grid, replace(cfg.fixed_point, initial=seed))
         except NonConvergenceError as exc:
@@ -241,24 +210,24 @@ def run_ladder(drift, cfg: LadderConfig) -> LadderReport:
         moment = lyapunov_moment(rho, cfg.weights)
         residual = trace.psi_residuals[-1] if trace else 0.0  # no trace: one linear solve
         quad_error = max(cfg.fixed_point.tolerance, residual) * sum(cfg.weights[:k])
-        tail_masses = _tail_masses(rho, grid, cfg.weights[:k], cfg.tail_levels)
-        level = LevelReport(
-            k=k,
-            degree=degree,
-            quad_order=q,
-            solution=rho,
-            moment=moment,
-            threshold=cfg.moment_threshold,
-            quad_error=quad_error,
-            passed=moment <= cfg.moment_threshold + quad_error,
-            tail_masses=tail_masses,
-            iterations=trace.iterations if trace else 0,
-        )
+        level = {
+            "k": k,
+            "degree": degree,
+            "quad_order": q,
+            "solution": rho,
+            "moment": moment,
+            "threshold": cfg.moment_threshold,
+            "quad_error": quad_error,
+            "pass": moment <= cfg.moment_threshold + quad_error,
+            "tail_masses": _tail_masses(rho, grid, cfg.weights[:k], cfg.tail_levels),
+            "distance_to_next": None,
+            "iterations": trace.iterations if trace else 0,
+        }
         # battery(k') of a lower level k' is a prefix of battery(k), so zip
         # pairs the lower level's integrals with the first ones of this level
         integrals = _battery_integrals(rho, grid, default_battery(k))
         if report.levels:
-            report.levels[-1].distance_to_next = max(abs(a - b) for a, b in zip(previous, integrals))
+            report.levels[-1]["distance_to_next"] = max(abs(a - b) for a, b in zip(previous, integrals))
         report.levels.append(level)
         previous = integrals
     return report

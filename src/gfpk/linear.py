@@ -51,6 +51,10 @@ BUMP_RULE = (6.0, 401)
 # most nodes per drift and density read of _bump_defects, and most P x m
 # table values per node block of dense_interaction
 BLOCK_NODES = 1_000_000
+# residual_suite's passes: hermite_max <= HERMITE_RESIDUAL_TOL * (1 + system_norm),
+# and |bump residual| <= BUMP_RESIDUAL_TOL for every bump
+HERMITE_RESIDUAL_TOL = 1e-10
+BUMP_RESIDUAL_TOL = 1e-3
 
 
 def assemble(v, p, basis: ChaosBasis, grid: QuadratureGrid, vvals=None) -> np.ndarray:
@@ -223,18 +227,18 @@ def _bump_defects(bumps, rho, v, p_frozen, grid_for) -> list[float]:
     return out.tolist()
 
 
-def residual_suite(rho, v, p_frozen, grid, vals, vvals, bump_tests=()):
-    """Residuals for every Hermite test of degree <= N plus optional bumps.
+def residual_suite(rho, v, p_frozen, grid, vals, vvals, bump_tests=()) -> dict:
+    """The "residuals" entry of report.json: every Hermite test of degree
+    <= N plus optional bumps, with their tolerances and passes.
 
     The Hermite residuals (hermite_defects, from the node values vals and
     vvals) are projected, so they cross-check either assembly; system_norm
     = ||D - A||_1 comes from assemble (dense only where the solve is, on the
-    same vvals).  A bump reading x_A is integrated on grid's own rules with
-    the rules of A replaced by the uniform BUMP_RULE, which resolves the
-    compactly supported bumps where a Gauss-Hermite rule does not; the bumps
-    of one active set share that grid, its sums and one batched evaluation
-    (_bump_defects).  Returns (hermite_max, system_norm, bump_values);
-    callers compare hermite_max against tol * (1 + system_norm).
+    same vvals) and scales the Hermite tolerance.  A bump reading x_A is
+    integrated on grid's own rules with the rules of A replaced by the
+    uniform BUMP_RULE, which resolves the compactly supported bumps where a
+    Gauss-Hermite rule does not; the bumps of one active set share that
+    grid, its sums and one batched evaluation (_bump_defects).
     """
     _check_sizes(v, rho.basis, grid)
     hermite_max = float(np.max(np.abs(hermite_defects(rho, grid, vals, vvals)[1:]), initial=0.0))
@@ -244,4 +248,8 @@ def residual_suite(rho, v, p_frozen, grid, vals, vvals, bump_tests=()):
     system_norm = float(np.linalg.norm(system, 1))
     rule = uniform_gaussian_grid(*BUMP_RULE).rules[0]
     swapped = lambda axes: product_grid([rule if i in axes else r for i, r in enumerate(grid.rules)])
-    return hermite_max, system_norm, _bump_defects(bump_tests, rho, v, p_frozen, swapped)
+    bumps = _bump_defects(bump_tests, rho, v, p_frozen, swapped)
+    tolerance = HERMITE_RESIDUAL_TOL * (1.0 + system_norm)
+    return {"hermite_max": hermite_max, "system_norm": system_norm, "hermite_tolerance": tolerance,
+            "hermite_pass": hermite_max <= tolerance, "bumps": bumps, "bump_tolerance": BUMP_RESIDUAL_TOL,
+            "bump_pass": all(abs(b) <= BUMP_RESIDUAL_TOL for b in bumps)}

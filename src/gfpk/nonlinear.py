@@ -64,17 +64,9 @@ class FixedPointTrace:
         writer = csv.writer(buf)
         writer.writerow(["iteration", "delta", "psi_residual", "l2sq", "in_schauder_set", "depth"])
         for m in range(len(self.psi_residuals)):
-            stepped = m < len(self.deltas)
-            writer.writerow(
-                [
-                    m,
-                    repr(self.deltas[m]) if stepped else "",
-                    repr(self.psi_residuals[m]),
-                    repr(self.l2_norms_sq[m]),
-                    self.in_ball[m],
-                    self.depths[m] if stepped else "",
-                ]
-            )
+            stepped = m < len(self.deltas)  # the last iterate took no step
+            writer.writerow([m, self.deltas[m] if stepped else None, self.psi_residuals[m], self.l2_norms_sq[m],
+                             self.in_ball[m], self.depths[m] if stepped else None])
         return buf.getvalue()
 
 

@@ -45,10 +45,6 @@ class GridDensity1D:
     pdf: np.ndarray
     z: float  # normalization constant of the unnormalized density
 
-    @property
-    def h(self) -> float:
-        return float(self.x[1] - self.x[0])
-
     def gamma_density(self) -> np.ndarray:
         """Values of the density relative to the standard Gaussian."""
         phi = np.exp(-0.5 * self.x**2) / math.sqrt(2.0 * math.pi)

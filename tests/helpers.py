@@ -112,6 +112,16 @@ def gram_pattern_by_compare(basis):
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
+def cell_holds(cell: str, value) -> bool:
+    """Whether a CSV cell holds value exactly: None an empty cell, a float
+    the same bits through float(), anything else its str."""
+    if value is None:
+        return cell == ""
+    if isinstance(value, float):
+        return np.float64(float(cell)).tobytes() == np.float64(value).tobytes()
+    return cell == str(value)
+
+
 def node_values(rho, v, p, grid):
     """(rho, v) read on every node of grid: the (vals, vvals) the check layer takes."""
     return rho.evaluate(grid), v.eval_v(p, grid.nodes)
@@ -359,11 +369,11 @@ def two_call_pair_distances(report):
     marginal_distance, which integrates the lower level's battery on both
     levels of the pair, so every inner level is integrated twice."""
     for lower, upper in zip(report.levels, report.levels[1:]):
-        lower.distance_to_next = marginal_distance(
-            lower.solution,
-            tensor_grid(lower.quad_order, lower.k),
-            upper.solution,
-            tensor_grid(upper.quad_order, upper.k),
-            default_battery(lower.k),
+        lower["distance_to_next"] = marginal_distance(
+            lower["solution"],
+            tensor_grid(lower["quad_order"], lower["k"]),
+            upper["solution"],
+            tensor_grid(upper["quad_order"], upper["k"]),
+            default_battery(lower["k"]),
         )
     return report

@@ -93,8 +93,9 @@ def test_criterion_03_residual_suite():
     grid = tensor_grid(24, 1)
     v = constant_drift([0.3])
     rho = solve_linear(v, None, basis, grid)
-    hermite_max, system_norm, _ = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid))
-    hermite_ok = hermite_max <= 1e-10 * (1.0 + system_norm)
+    residuals = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid))
+    hermite_max = residuals["hermite_max"]
+    hermite_ok = hermite_max <= 1e-10 * (1.0 + residuals["system_norm"])
     bgrid = uniform_gaussian_grid(10.0, 4001, 1)
     bumps = [
         BumpTest(active=(0,), center=(float(c),), radius=2.0)
@@ -225,7 +226,7 @@ def test_criterion_09_ladder():
     )
     report = run_ladder(registry_drift("componentwise-tanh", scale=0.5, n_components=4, mean_shift=True), cfg)
     moments_ok = report.completed and all(
-        lv.moment <= 2.25 * cfg.weight_total + lv.quad_error for lv in report.levels
+        lv["moment"] <= 2.25 * cfg.weight_total + lv["quad_error"] for lv in report.levels
     )
     # decoupled drift: identical truncation per level, marginals must agree
     cfg_dec = LadderConfig(
@@ -238,7 +239,7 @@ def test_criterion_09_ladder():
     )
     report_dec = run_ladder(registry_drift("componentwise-decoupled-tanh", scale=0.5, n_components=4), cfg_dec)
     stability = max(
-        lv.distance_to_next for lv in report_dec.levels[:-1] if lv.distance_to_next is not None
+        lv["distance_to_next"] for lv in report_dec.levels[:-1] if lv["distance_to_next"] is not None
     )
     elapsed = time.monotonic() - start
     ok = moments_ok and report_dec.completed and stability <= 1e-8 and elapsed < 120.0

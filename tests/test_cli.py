@@ -17,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfpk import ChaosDensity, ConfigError, load_config, parse_config
+import gfpk.cli
+from gfpk import ChaosDensity, ConfigError, NumericError, load_config, parse_config
 from gfpk.cli import DEFAULT_BUMP_CENTERS, default_bumps, main
 from gfpk.config import MODE_KEYS, MODES
+from helpers import cell_holds
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -235,8 +237,6 @@ def test_malformed_config_exit_2_no_outputs(tmp_path):
 
 @pytest.mark.parametrize("where", ["file", "below-file"])
 def test_an_output_path_that_cannot_be_a_directory_exits_2_before_solving(tmp_path, capsys, monkeypatch, where):
-    import gfpk.cli
-
     (tmp_path / "taken").write_text("a file")
     out = tmp_path / "taken" if where == "file" else tmp_path / "taken" / "sub"
     monkeypatch.setattr(gfpk.cli, "solve_stationary", lambda *args: pytest.fail("solved before the output check"))
@@ -254,10 +254,7 @@ def test_a_zero_drift_report_is_strict_json(tmp_path):
     cfg = dict(linear_config(str(out)), drift={"kind": "constant", "h": [0.0]})
     assert main(["solve-linear", "--config", write_config(tmp_path, cfg)]) == 0
 
-    def refuse(token):
-        raise ValueError(f"non-finite token {token} in report.json")
-
-    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    report = json.loads((out / "report.json").read_text(), parse_constant=_refuse_non_finite)
     tail = next(b for b in report["bounds"] if b["name"] == "tail")
     assert tail["inputs"]["sigma_inf"] is None and tail["right"] == 0.0
 
@@ -395,6 +392,32 @@ def test_failing_sweep_points_keep_four_columns(tmp_path):
     assert all(len(row) == 4 for row in rows) and all("," in row[1] for row in rows[1:])
 
 
+def test_sweep_csv_holds_the_report_rows_exactly(tmp_path):
+    """One LF row per point: u, the failure message or an empty cell, and
+    l2_norm_sq and distance_to_previous, each the report's float or an empty
+    cell where the report has none.  Scale 2.0 fails to converge in three
+    iterations, so the point after it has no distance."""
+    cfg = {
+        "mode": "sweep",
+        "k": 1,
+        "N": 6,
+        "fixed_point": {"max_iterations": 3},
+        "sweep": {"family": "vlasov-tanh-scale", "values": [0.0, 0.05, 2.0, 0.1]},
+        "output": {"dir": str(tmp_path / "out")},
+    }
+    assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 1
+    text = (tmp_path / "out" / "sweep.csv").read_bytes().decode()
+    rows = list(csv.reader(io.StringIO(text)))
+    points = json.loads((tmp_path / "out" / "report.json").read_text())["sweep"]
+    assert "\r" not in text and text.count("\n") == len(rows) == len(points) + 1
+    columns = ("u", "failed", "l2_norm_sq", "distance_to_previous")
+    assert tuple(rows[0]) == columns
+    assert all(cell_holds(cell, point.get(key)) for row, point in zip(rows[1:], points)
+               for cell, key in zip(row, columns, strict=True))
+    assert [point["failed"] is None for point in points] == [True, True, False, True]
+    assert "distance_to_previous" in points[1] and "distance_to_previous" not in points[3]
+
+
 def test_sweep_point_without_a_finite_ball_radius_is_solved(tmp_path):
     # Vlasov tanh 4.0 at k=2 has C0 = 35.5, beyond a finite b1_bound
     cfg = {
@@ -411,9 +434,13 @@ def test_sweep_point_without_a_finite_ball_radius_is_solved(tmp_path):
     assert (tmp_path / "out" / "density_000.json").exists()
 
 
-def test_a_check_that_cannot_run_keeps_the_artifacts(tmp_path, capsys):
-    # the l2_ball certificate has no finite radius at C0 = 35.5: exit 3, but
-    # the converged density and its trace are written first
+def test_a_check_that_cannot_run_keeps_the_artifacts(tmp_path, capsys, monkeypatch):
+    # a certificate that raises is exit 3, but the converged density and its
+    # trace are written first
+    def unreadable(*args):
+        raise NumericError("tail levels cannot be read")
+
+    monkeypatch.setattr(gfpk.cli, "tail_check", unreadable)
     out = tmp_path / "out"
     cfg = {**_vlasov(2, {"kind": "tanh", "scale": 4.0}), "N": 8, "Q": 16, "output": {"dir": str(out)}}
     assert main(["solve-nonlinear", "--config", write_config(tmp_path, cfg)]) == 3
@@ -424,6 +451,22 @@ def test_a_check_that_cannot_run_keeps_the_artifacts(tmp_path, capsys):
     }
     assert ChaosDensity.from_json((out / "density.json").read_text()).k == 2
     assert (out / "trace.csv").read_text().startswith("iteration,delta,psi_residual")
+
+
+def _refuse_non_finite(token):
+    raise ValueError(f"non-finite token {token} in report.json")
+
+
+def test_running_out_of_memory_is_exit_3_with_a_report(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 9.08 GiB for an array with shape (34902, 34902)")
+
+    monkeypatch.setattr(gfpk.cli, "solve_stationary", exhausted)
+    out = tmp_path / "out"
+    assert main(["solve-linear", "--config", write_config(tmp_path, linear_config(str(out)))]) == 3
+    assert capsys.readouterr().err.startswith("solver error: Unable to allocate")
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"].startswith("Unable to allocate") and report["checks_passed"] is False
 
 
 def test_ladder_mode(tmp_path):
@@ -481,7 +524,6 @@ def test_seed_flag_parses_the_config_once(tmp_path, monkeypatch):
     """--seed replaces the document's seed before the one parse; a ladder
     config builds and sample-validates the drift of every level at parse
     time."""
-    import gfpk.cli
     import gfpk.config
 
     calls = []
@@ -648,6 +690,7 @@ MALFORMED = {
     "constant-kernel-h-short": _vlasov(2, {"kind": "constant", "h": [0.3]}),
     "constant-kernel-h-scalar": _vlasov(1, {"kind": "constant", "h": 0.3}),
     "tanh-kernel-without-scale": _vlasov(1, {"kind": "tanh"}),
+    "clipped-linear-kernel-cap-negative": _vlasov(1, {"kind": "clipped-linear", "scale": 1.0, "cap": -0.5}),
     "q-below-n-plus-1": {**_solve(1, CONSTANT), "N": 64, "Q": 8},
     "basis-above-cap": {**_solve(8, {"kind": "clipped-potential", "lam": 0.5}), "N": 20, "Q": 21},
     "grid-above-cap": {**_solve(4, {"kind": "clipped-potential", "lam": 0.5}), "Q": 40},
@@ -802,6 +845,33 @@ def test_malformed_input_exits_2(tmp_path, capsys, name):
     assert code == 2
     assert len(err) == 1 and err[0].startswith("config error:")
     assert not (tmp_path / "out").exists()
+
+
+# drifts whose C0 (26.6 to 35.5) puts the a-priori radius B(C0) above the
+# largest float; each is admitted, and its solve converges
+UNBOUNDED_BALL = {
+    "vlasov-tanh-5": {**_vlasov(1, {"kind": "tanh", "scale": 5.0}), "N": 16, "Q": 32},
+    "vlasov-tanh-4-k2": {**_vlasov(2, {"kind": "tanh", "scale": 4.0}), "N": 8, "Q": 16},
+    "clipped-potential-5": {**_solve(1, {"kind": "clipped-potential", "lam": 5.0}), "N": 16, "Q": 32},
+    "constant-5": {**_solve(1, {"kind": "constant", "h": [5.0]}), "N": 12, "Q": 24},
+    "rotational-9": {**_solve(2, {"kind": "rotational", "scale": 9.0}), "N": 10, "Q": 20},
+    "componentwise-tanh-3": {**_solve(2, {"kind": "componentwise-tanh", "scale": 3.0, "n_components": 2}), "N": 8,
+                             "Q": 16},
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNBOUNDED_BALL))
+def test_a_ball_radius_beyond_the_float_range_passes_with_right_null(tmp_path, name):
+    """sum c^2 is finite and B(C0) exceeds every float, so the ball bound
+    holds: the l2_ball entry passes with right null, and the run does not
+    exit 3 after its solve."""
+    out = tmp_path / "out"
+    cfg = {**UNBOUNDED_BALL[name], "output": {"dir": str(out)}}
+    code = main([cfg["mode"], "--config", write_config(tmp_path, cfg)])
+    report = json.loads((out / "report.json").read_text(), parse_constant=_refuse_non_finite)
+    ball = next(b for b in report["bounds"] if b["name"] == "l2_ball")
+    assert code != 3 and "error" not in report
+    assert ball["pass"] is True and ball["right"] is None and ball["left"] >= 1.0
 
 
 # a valid config of each mode without the keys it may leave out, and a valid

@@ -9,6 +9,7 @@ from gfpk import (
     ChaosDensity,
     NumericError,
     b1_bound,
+    ball_check,
     constant_drift,
     enumerate_basis,
     fisher_energy,
@@ -50,6 +51,16 @@ def test_b1_bound_beyond_float_range_raises(c0):
     OverflowError or an infinite radius."""
     with pytest.raises(NumericError):
         b1_bound(c0)
+
+
+@pytest.mark.parametrize("c0", [26.6, 30.0, math.inf])
+def test_ball_check_beyond_float_range_passes_with_right_none(c0):
+    """b1_bound keeps its NumericError; the ball entry reads a radius above
+    the largest float as right None, which every finite sum c^2 is below."""
+    rho = cameron_martin(0.5, 6)
+    entry = ball_check(rho, c0)
+    assert entry == {"name": "l2_ball", "left": rho.l2_norm_sq(), "right": None, "pass": True, "inputs": {"C0": c0}}
+    assert ball_check(rho, math.nan)["pass"] is False
 
 
 def test_b1_bound_monotone():

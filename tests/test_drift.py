@@ -11,6 +11,7 @@ import gfpk
 from gfpk import (
     BoundViolationError,
     ChaosDensity,
+    ClippedLinearKernel,
     ConstantKernel,
     TanhKernel,
     as_measure,
@@ -323,6 +324,14 @@ class SpikedTanh(ComponentwiseKernel):
 
     def component(self, i, z):
         return np.where(np.abs(z) < 0.05, 3.0, np.tanh(z))
+
+
+@pytest.mark.parametrize("cap", [-0.5, -1e-300, math.nan])
+def test_a_clipped_linear_kernel_refuses_a_negative_cap(cap):
+    # np.clip(z, 0.5, -0.5) is -0.5 everywhere: a constant kernel, not a clip
+    with pytest.raises(ValueError, match="cap must be nonnegative"):
+        ClippedLinearKernel(1.0, cap)
+    assert np.array_equal(ClippedLinearKernel(1.0, 0.0)(np.array([[-2.0, 3.0]])), [[0.0, 0.0]])
 
 
 @pytest.mark.parametrize("k", [1, 2])

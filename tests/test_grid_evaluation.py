@@ -284,11 +284,11 @@ def test_hermite_residuals_hold_no_p_by_m_array():
     rho = solve_linear(v, None, enumerate_basis(6, 5), grid)
     tracemalloc.start()
     try:
-        hermite_max, system_norm, _ = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid))
+        residuals = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert hermite_max <= 1e-10 * (1.0 + system_norm)
+    assert residuals["hermite_max"] <= 1e-10 * (1.0 + residuals["system_norm"])
     assert peak < 50e6
 
 
@@ -306,7 +306,7 @@ def test_suite_bumps_equal_single_residuals():
     v = drift_from_block({"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}}, 2)
     rho, _ = fixed_point_solve(v, enumerate_basis(2, 6), grid)
     p = as_measure(rho, grid)
-    _, _, values = residual_suite(rho, v, p, grid, *node_values(rho, v, p, grid), bumps)
+    values = residual_suite(rho, v, p, grid, *node_values(rho, v, p, grid), bumps)["bumps"]
     assert values == [residual(rho, v, p, phi, bump_grid_of(grid, phi.active)) for phi in bumps]
 
 
@@ -375,7 +375,7 @@ def test_bumps_are_evaluated_on_their_active_values(profile_calls):
     # values of x_0, in one profile call per active set
     rho = random_density(3, 3, 0)
     v, grid = coupled_drift(3), tensor_grid(4, 3)
-    _, _, values = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid), default_bumps(3))
+    values = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid), default_bumps(3))["bumps"]
     assert len(values) == len(default_bumps(3))
     assert profile_calls == [(len(DEFAULT_BUMP_CENTERS), BUMP_RULE[1])] * 3
 
@@ -403,7 +403,7 @@ def test_bump_grids_are_read_in_blocks(monkeypatch):
     # the dense assembly of system_norm reuses the suite's node values
     v = custom_drift(lambda p, x: np.zeros_like(x), 6, "H", 0.0, reads_measure=False)
     grid = tensor_grid(6, 6)
-    _, _, values = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid), default_bumps(6))
+    values = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid), default_bumps(6))["bumps"]
     assert max(sizes) <= 1_000_000 and sum(sizes) == 6**6 + 6 * 401 * 6**5
     # rho = 1 solves the zero-drift equation exactly
     assert max(abs(b) for b in values) <= 1e-3
@@ -432,8 +432,8 @@ def test_one_axis_bumps_match_the_axis_sums(name, k):
     wrapped = custom_drift(lambda p, x: v.eval_v(p, x), k, v.bound_kind, v.bound, reads_measure=v.reads_measure)
     p = wrapped.read_measure(rho, grid)
     bumps = default_bumps(k) + [BumpTest(active=(k - 1,), center=(0.7,), radius=1.3)]
-    one_axis = residual_suite(rho, v, p, grid, *node_values(rho, v, p, grid), bumps)[2]
-    reference = residual_suite(rho, wrapped, p, grid, *node_values(rho, wrapped, p, grid), bumps)[2]
+    one_axis = residual_suite(rho, v, p, grid, *node_values(rho, v, p, grid), bumps)["bumps"]
+    reference = residual_suite(rho, wrapped, p, grid, *node_values(rho, wrapped, p, grid), bumps)["bumps"]
     assert np.max(np.abs(np.subtract(one_axis, reference))) <= 1e-14
 
 
@@ -533,8 +533,8 @@ except OSError:
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({
     "completed": report.completed,
-    "levels": [lv.k for lv in report.levels],
-    "passed": [lv.passed for lv in report.levels],
+    "levels": [lv["k"] for lv in report.levels],
+    "passed": [lv["pass"] for lv in report.levels],
     "maxrss_mb": peak_kb / 1024,
 }))
 """

@@ -1,4 +1,6 @@
 """Dimension ladder: moment certificates, tails and marginal stability."""
+import csv
+import io
 import json
 
 import numpy as np
@@ -25,7 +27,7 @@ from gfpk import (
 )
 from gfpk.cli import main
 from gfpk.config import parse_config
-from helpers import cameron_martin, registry_drift, two_call_pair_distances
+from helpers import cameron_martin, cell_holds, registry_drift, two_call_pair_distances
 
 WEIGHTS = (0.25, 0.0625, 0.015625, 0.00390625)  # alpha_n = 4^{-n}
 
@@ -132,9 +134,9 @@ def test_ladder_zero_drift():
     report = run_ladder(registry_drift("componentwise-tanh", scale=0.0, n_components=3), cfg)
     assert report.completed
     for level, k in zip(report.levels, cfg.levels):
-        assert np.max(np.abs(level.solution.coefficients[1:])) <= 1e-12
-        assert level.moment == pytest.approx(sum(WEIGHTS[:k]), abs=1e-12)
-        assert level.passed
+        assert np.max(np.abs(level["solution"].coefficients[1:])) <= 1e-12
+        assert level["moment"] == pytest.approx(sum(WEIGHTS[:k]), abs=1e-12)
+        assert level["pass"]
 
 
 def test_ladder_tanh_moment_certificates():
@@ -142,11 +144,11 @@ def test_ladder_tanh_moment_certificates():
     report = run_ladder(registry_drift("componentwise-tanh", scale=0.5, n_components=3, mean_shift=True), cfg)
     assert report.completed
     for level in report.levels:
-        assert level.passed
-        assert level.moment <= cfg.moment_threshold + level.quad_error
+        assert level["pass"]
+        assert level["moment"] <= cfg.moment_threshold + level["quad_error"]
         # Chebyshev: tail mass at R bounded by moment / R
-        for r, mass in level.tail_masses.items():
-            assert mass <= level.moment / r + 1e-9
+        for r, mass in level["tail_masses"].items():
+            assert mass <= level["moment"] / r + 1e-9
 
 
 def test_ladder_decoupled_marginal_stability():
@@ -159,8 +161,8 @@ def test_ladder_decoupled_marginal_stability():
     report = run_ladder(registry_drift("componentwise-decoupled-tanh", scale=0.5, n_components=3), cfg)
     assert report.completed
     for level in report.levels[:-1]:
-        assert level.distance_to_next is not None
-        assert level.distance_to_next <= 1e-8
+        assert level["distance_to_next"] is not None
+        assert level["distance_to_next"] <= 1e-8
 
 
 def test_ladder_aborts_on_non_convergence():
@@ -187,11 +189,11 @@ def test_a_level_whose_drift_ignores_the_measure_takes_one_linear_solve(monkeypa
     report = run_ladder(drift, cfg)
     assert report.completed and calls == [1, 2, 3]
     for level in report.levels:
-        assert level.iterations == 0
-        assert level.quad_error == cfg.fixed_point.tolerance * sum(cfg.weights[: level.k])
-        grid = tensor_grid(level.quad_order, level.k)
-        expected = solve_linear(drift(level.k), None, enumerate_basis(level.k, level.degree), grid)
-        assert np.array_equal(level.solution.coefficients, expected.coefficients)
+        assert level["iterations"] == 0
+        assert level["quad_error"] == cfg.fixed_point.tolerance * sum(cfg.weights[: level["k"]])
+        grid = tensor_grid(level["quad_order"], level["k"])
+        expected = solve_linear(drift(level["k"]), None, enumerate_basis(level["k"], level["degree"]), grid)
+        assert np.array_equal(level["solution"].coefficients, expected.coefficients)
 
 
 def test_ladder_rejects_a_drift_beyond_its_component_bound():
@@ -213,7 +215,7 @@ def test_ladder_runs_a_custom_drift():
                                                    reads_measure=True), cfg)
     registry = run_ladder(registry_drift("componentwise-tanh", scale=0.3, n_components=2), cfg)
     assert custom.completed
-    assert [lv.moment for lv in custom.levels] == [lv.moment for lv in registry.levels]
+    assert [lv["moment"] for lv in custom.levels] == [lv["moment"] for lv in registry.levels]
 
 
 def test_ladder_pair_distances_match_the_two_call_path_on_unequal_marginals():
@@ -222,9 +224,9 @@ def test_ladder_pair_distances_match_the_two_call_path_on_unequal_marginals():
     drift = lambda k: custom_drift(lambda p, x: 0.5 * np.tanh(x - np.arange(k)), k, "componentwise", 0.5,
                                    reads_measure=False)
     report = run_ladder(drift, make_config())
-    distances = [lv.distance_to_next for lv in report.levels]
+    distances = [lv["distance_to_next"] for lv in report.levels]
     assert report.completed and distances[-1] is None
-    assert distances == [lv.distance_to_next for lv in two_call_pair_distances(report).levels]
+    assert distances == [lv["distance_to_next"] for lv in two_call_pair_distances(report).levels]
 
 
 def test_ladder_report_serialization():
@@ -235,6 +237,39 @@ def test_ladder_report_serialization():
     csv_lines = report.to_csv().strip().splitlines()
     assert len(csv_lines) == 3
     assert csv_lines[0].startswith("k,moment,threshold,pass")
+
+
+def test_ladder_files_hold_the_level_entries_exactly():
+    """ladder.csv holds each level's values (None an empty cell) on CRLF
+    rows, and ladder.json each level entry apart from its solution, written
+    as its JSON dict, and its tail_masses, keyed by str(R).  The aborted
+    ladder solves k = 1 by one linear solve and fails to converge at k = 2."""
+    cfg = make_config(levels=(1, 2), degrees=(5, 4), quad_orders=(6, 6))
+    completed = run_ladder(registry_drift("componentwise-tanh", scale=0.3, n_components=2), cfg)
+    shifted = lambda k: custom_drift(lambda p, x: 0.5 * np.tanh(x - p.mean() - 0.3), k, "componentwise", 0.5,
+                                     reads_measure=True)
+    first = registry_drift("componentwise-tanh", scale=0.3, n_components=3)
+    aborted = run_ladder(lambda k: shifted(k) if k > 1 else first(k),
+                         make_config(fixed_point=FixedPointOptions(max_iterations=1)))
+    assert completed.completed and not aborted.completed and len(aborted.levels) == 1
+    for report in (completed, aborted):
+        tails = sorted(report.levels[0]["tail_masses"])
+        text = report.to_csv()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert text.count("\r\n") == len(rows) == len(report.levels) + 1
+        assert rows[0] == ["k", "moment", "threshold", "pass", "d_next"] + [f"tail@{r}" for r in tails]
+        for row, lv in zip(rows[1:], report.levels):
+            values = [lv[key] for key in ("k", "moment", "threshold", "pass", "distance_to_next")]
+            values += [lv["tail_masses"][r] for r in tails]
+            assert all(cell_holds(c, x) for c, x in zip(row, values, strict=True))
+        doc = json.loads(json.dumps(report.to_json_dict()))
+        for entry, lv in zip(doc["levels"], report.levels, strict=True):
+            assert set(entry) == set(lv)
+            solution = ChaosDensity.from_json_dict(entry["solution"])
+            assert solution.coefficients.tobytes() == lv["solution"].coefficients.tobytes()
+            assert {float(r): m for r, m in entry["tail_masses"].items()} == lv["tail_masses"]
+            assert all(entry[key] == lv[key] for key in set(lv) - {"solution", "tail_masses"})
+    assert completed.levels[-1]["distance_to_next"] is None and aborted.levels[0]["distance_to_next"] is None
 
 
 # five levels of the mean-shifted componentwise tanh, as the ladder-k5 bench workload runs them

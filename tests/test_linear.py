@@ -105,7 +105,7 @@ def test_solve_and_system_norm_read_the_assembled_array(case, degree, extra_node
     assert isinstance(interaction, np.ndarray) and interaction.shape == (basis.size, basis.size)
     rho = solve_linear(v, p, basis, grid)
     assert np.array_equal(rho.coefficients, solve_system(basis, interaction).coefficients)
-    _, system_norm, _ = residual_suite(rho, v, p, grid, *node_values(rho, v, p, grid))
+    system_norm = residual_suite(rho, v, p, grid, *node_values(rho, v, p, grid))["system_norm"]
     assert system_norm == np.linalg.norm(np.diag(basis.degrees()) - interaction, 1)
 
 
@@ -217,8 +217,8 @@ def test_residual_suite_solved_case():
     grid = tensor_grid(24, 1)
     v = constant_drift([0.3])
     rho = solve_linear(v, None, basis, grid)
-    hermite_max, system_norm, _ = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid))
-    assert hermite_max <= 1e-10 * (1.0 + system_norm)
+    residuals = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid))
+    assert residuals["hermite_max"] <= 1e-10 * (1.0 + residuals["system_norm"])
     bgrid = uniform_gaussian_grid(10.0, 4001, 1)
     bumps = [
         BumpTest(active=(0,), center=(float(c),), radius=2.0)

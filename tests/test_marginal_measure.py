@@ -206,5 +206,5 @@ def test_bench_and_acceptance_ladders_match_the_joint_measure(name):
     reference = run_ladder(lambda k: joint_measure_drift(drift(k)), cfg)
     assert report.completed and reference.completed
     for level, joint in zip(report.levels, reference.levels):
-        assert level.iterations == joint.iterations
-        assert np.max(np.abs(level.solution.coefficients - joint.solution.coefficients)) <= 1e-13
+        assert level["iterations"] == joint["iterations"]
+        assert np.max(np.abs(level["solution"].coefficients - joint["solution"].coefficients)) <= 1e-13

@@ -1,4 +1,6 @@
 """Damped and Anderson-mixed fixed-point iteration and ball membership."""
+import csv
+import io
 from unittest import mock
 
 import numpy as np
@@ -27,7 +29,7 @@ from gfpk import (
     vlasov_drift,
 )
 from gfpk.drift import drift_from_block
-from helpers import cameron_martin
+from helpers import cameron_martin, cell_holds
 
 
 def test_options_validation():
@@ -175,6 +177,25 @@ def test_a_drift_without_a_finite_ball_radius_still_converges(memory):
     _, trace = fixed_point_solve(v, enumerate_basis(2, 8), tensor_grid(16, 2), FixedPointOptions(memory=memory))
     assert trace.converged
     assert trace.in_ball == [None] * len(trace.psi_residuals)
+
+
+def test_trace_csv_holds_the_trace_exactly():
+    """One CRLF row per iterate; the last took no step, so its delta and
+    depth are empty, as is an in_ball flag of None (tanh 5.0, C0 = 31.4)."""
+    basis, grid = enumerate_basis(1, 8), tensor_grid(16, 1)
+    _, converged = fixed_point_solve(vlasov_drift(TanhKernel(0.5), 1), basis, grid)
+    with pytest.raises(NonConvergenceError) as failed:
+        fixed_point_solve(vlasov_drift(TanhKernel(5.0), 1), basis, grid, FixedPointOptions(max_iterations=3))
+    for trace in (converged, failed.value.trace):
+        text = trace.to_csv()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert text.count("\r\n") == len(rows) == len(trace.psi_residuals) + 1
+        assert rows[0] == ["iteration", "delta", "psi_residual", "l2sq", "in_schauder_set", "depth"]
+        columns = [range(len(rows) - 1), trace.deltas + [None], trace.psi_residuals, trace.l2_norms_sq, trace.in_ball,
+                   trace.depths + [None]]
+        assert all(cell_holds(cell, value) for row, *values in zip(rows[1:], *columns)
+                   for cell, value in zip(row, values, strict=True))
+    assert None not in converged.in_ball and failed.value.trace.in_ball == [None] * 4
 
 
 def test_measure_free_custom_drift_takes_one_linear_solve():

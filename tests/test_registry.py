@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gfpk import ConfigError, PointMeasure, enumerate_basis, parse_config, tensor_grid
-from gfpk.config import MODE_KEYS, MODES, ORACLES, SWEEPS, fixed_point_params, sweep_drift
+from gfpk.config import MODE_KEYS, MODE_PARAMS, MODES, ORACLES, SWEEPS, sweep_drift
 from gfpk.drift import DRIFTS, KERNELS, drift_from_block
 from gfpk.schema import REQUIRED
 
@@ -176,9 +176,10 @@ def test_readme_fixed_point_defaults_match_config():
     rows = _table(["mode", "`damping`", "`tolerance`", "`max_iterations`", "`memory`"])
     documented = {row[0].strip("`"): row[1:] for row in rows}
     expected = {
-        mode: [f"{p.default:g}" for p in fixed_point_params(mode)]
-        for mode in MODES
-        if "fixed_point" in MODE_KEYS[mode]
+        mode: [f"{p.default:g}" for p in block.type]
+        for mode, entry in MODE_PARAMS.items()
+        for block in entry.params
+        if block.name == "fixed_point"
     }
     assert documented == expected
 

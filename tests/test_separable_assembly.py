@@ -41,14 +41,16 @@ MAX_Q = {1: 24, 2: 12, 3: 7, 4: 5}
 
 def minimal_block(registry, kind, k, s, switched_on=None):
     """The {"kind": kind} block with every required number, integer and
-    vector set from the scale s (integers at their largest value) and the
-    bool parameter switched_on set."""
+    vector set from the scale s (integers at their largest value, a number
+    whose range is nonnegative at |s|) and the bool parameter switched_on
+    set."""
     block = {"kind": kind}
     for param in registry[kind].params:
         if param.name == switched_on:
             block[param.name] = True
         elif param.default is REQUIRED and not isinstance(param.type, dict):
-            values = {"number": s, "integer": int(param.high), "vector": [s * (i + 1) / k for i in range(k)]}
+            number = abs(s) if param.type == "number" and param.low >= 0.0 else s
+            values = {"number": number, "integer": int(param.high), "vector": [s * (i + 1) / k for i in range(k)]}
             block[param.name] = values[param.type]
     return block
 
@@ -300,17 +302,17 @@ def bench_ladder(fixed_point):
 
 def test_ladder_matches_dense_assembly():
     report = bench_ladder(FixedPointOptions(memory=0))
-    assert [(lv.k, lv.iterations) for lv in report.levels] == [row[:2] for row in DENSE_LADDER]
+    assert [(lv["k"], lv["iterations"]) for lv in report.levels] == [row[:2] for row in DENSE_LADDER]
     for lv, (_, _, moment) in zip(report.levels, DENSE_LADDER):
-        assert abs(lv.moment - moment) <= 1e-12
+        assert abs(lv["moment"] - moment) <= 1e-12
 
 
 def test_anderson_ladder_reaches_the_damped_moments():
     report = bench_ladder(FixedPointOptions())
-    assert [lv.k for lv in report.levels] == [row[0] for row in DENSE_LADDER]
+    assert [lv["k"] for lv in report.levels] == [row[0] for row in DENSE_LADDER]
     for lv, (_, _, moment) in zip(report.levels, DENSE_LADDER):
-        assert lv.iterations <= 3
-        assert abs(lv.moment - moment) <= 1e-12
+        assert lv["iterations"] <= 3
+        assert abs(lv["moment"] - moment) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(5))
