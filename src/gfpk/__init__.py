@@ -13,7 +13,7 @@ from .basis import (
     tensor_grid,
     uniform_gaussian_grid,
 )
-from .config import RunConfig, load_config, parse_config
+from .config import load_config, parse_config
 from .density import (
     BumpTest,
     ChaosDensity,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .basis import enumerate_basis, tensor_grid
-from .config import DENSITY_FILE, MODES, RunConfig, check_sizes, load_config, sweep_drift
+from .config import DENSITY_FILE, MODES, check_sizes, load_config, quad_order, sweep_drift
 from .density import BumpTest, ChaosDensity, integrate
 from .density import marginal as density_marginal
 from .diagnostics import ball_check, fisher_energy, log_moment, log_moment_bracket, tail_check
@@ -79,48 +79,50 @@ def density_checks(rho: ChaosDensity, v, grid) -> tuple[dict, bool]:
     return report, residuals["hermite_pass"] and residuals["bump_pass"] and all(b["pass"] for b in report["bounds"])
 
 
-def _write(path: str, text: str):
+def _write(path: str, text: str) -> str:
     with open(path, "w") as fh:
         fh.write(text)
+    return path
 
 
-def _solve_one(cfg: RunConfig):
+def _solve_one(config: dict):
     """(rho, trace or None, v, grid) of one solve."""
-    basis = enumerate_basis(cfg.k, cfg.degree)
-    grid = tensor_grid(cfg.effective_quad_order, cfg.k)
-    v = drift_from_block(cfg.drift, cfg.k)
-    rho, trace = solve_stationary(v, basis, grid, cfg.fixed_point)
+    basis = enumerate_basis(config["k"], config["N"])
+    grid = tensor_grid(quad_order(config, config["N"]), config["k"])
+    v = drift_from_block(config["drift"], config["k"])
+    rho, trace = solve_stationary(v, basis, grid, config["fixed_point"])
     return rho, trace, v, grid
 
 
-def _read_density(config: RunConfig) -> ChaosDensity:
+def _read_density(config: dict) -> ChaosDensity:
     """The density verify checks, read against DENSITY_FILE, the config's k
     and N, the size caps and the drift block: a fault is a ConfigError before
     anything is written."""
-    path = config.verify["density"]
+    path = config["verify"]["density"]
     try:
         with open(path) as fh:
             doc = read_block(json.load(fh), DENSITY_FILE, "density")
     except (OSError, ValueError, ConfigError) as exc:
         raise ConfigError(f"cannot read density {path}: {exc}") from exc
     for key in ("k", "N"):
-        if config.raw.get(key, doc[key]) != doc[key]:
-            raise ConfigError(f"verify: {key}={config.raw[key]!r} but the density has {key}={doc[key]}")
-    check_sizes("verify density", doc["k"], doc["N"], config.quad_order_for(doc["N"]))
-    read_kind(config.drift, DRIFTS, "drift", doc["k"])
+        if config["raw"].get(key, doc[key]) != doc[key]:
+            raise ConfigError(f"verify: {key}={config['raw'][key]!r} but the density has {key}={doc[key]}")
+    check_sizes("verify density", doc["k"], doc["N"], quad_order(config, doc["N"]))
+    read_kind(config["drift"], DRIFTS, "drift", doc["k"])
     try:
         return ChaosDensity.from_json_dict(doc)
     except ValueError as exc:
         raise ConfigError(f"cannot read density {path}: {exc}") from exc
 
 
-def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
+def run(config: dict, out_dir: str | None = None, threads: int = 1) -> int:
     """Dispatch a parsed config; write artifacts; return the exit code."""
-    if threads > 1 and config.mode != "sweep":
-        raise ConfigError(f"--threads {threads}: only sweep runs on more than one thread, not {config.mode}")
-    if config.mode == "verify":
+    mode = config["mode"]
+    if threads > 1 and mode != "sweep":
+        raise ConfigError(f"--threads {threads}: only sweep runs on more than one thread, not {mode}")
+    if mode == "verify":
         rho = _read_density(config)
-    out = out_dir or config.output_dir or "."
+    out = out_dir or config["output"].get("dir") or "."
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
@@ -128,43 +130,38 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
     started = time.time()
     report = {
         "version": __version__,
-        "mode": config.mode,
-        "config": config.raw,
+        "mode": mode,
+        "config": config["raw"],
         "artifacts": {},
         "checks_passed": None,
     }
     timestamps = {"started_unix": started}
 
     try:
-        if config.mode in ("solve-linear", "solve-nonlinear"):
+        if mode in ("solve-linear", "solve-nonlinear"):
             rho, trace, v, grid = _solve_one(config)
             # the artifacts first: a check that fails to run (exit 3) keeps them
-            density_path = os.path.join(out, "density.json")
-            _write(density_path, rho.to_json())
-            report["artifacts"]["density"] = density_path
+            report["artifacts"]["density"] = _write(os.path.join(out, "density.json"), rho.to_json())
             if trace is not None:
-                trace_path = os.path.join(out, "trace.csv")
-                _write(trace_path, trace.to_csv())
-                report["artifacts"]["trace"] = trace_path
+                report["artifacts"]["trace"] = _write(os.path.join(out, "trace.csv"), trace.to_csv())
                 report["iterations"] = trace.iterations
             checks, passed = density_checks(rho, v, grid)
             report.update(checks)
             report["checks_passed"] = passed
-        elif config.mode == "ladder":
-            ladder_report = run_ladder(config.ladder_drifts.__getitem__, config.ladder)
-            _write(os.path.join(out, "ladder.json"), json.dumps(ladder_report.to_json_dict(), sort_keys=True, indent=1))
-            _write(os.path.join(out, "ladder.csv"), ladder_report.to_csv())
-            report["artifacts"]["ladder_json"] = os.path.join(out, "ladder.json")
-            report["artifacts"]["ladder_csv"] = os.path.join(out, "ladder.csv")
+        elif mode == "ladder":
+            ladder_report = run_ladder(config["ladder_drifts"].__getitem__, config["ladder"])
+            ladder_json = json.dumps(ladder_report.to_json_dict(), sort_keys=True, indent=1)
+            report["artifacts"]["ladder_json"] = _write(os.path.join(out, "ladder.json"), ladder_json)
+            report["artifacts"]["ladder_csv"] = _write(os.path.join(out, "ladder.csv"), ladder_report.to_csv())
             report["checks_passed"] = ladder_report.completed and all(lv["pass"] for lv in ladder_report.levels)
-        elif config.mode == "sweep":
+        elif mode == "sweep":
             report["sweep"], report["checks_passed"] = _run_sweep(config, out, threads)
-        elif config.mode == "verify":
-            grid = tensor_grid(config.quad_order_for(rho.basis.degree), rho.k)
-            checks, passed = density_checks(rho, drift_from_block(config.drift, rho.k), grid)
+        elif mode == "verify":
+            grid = tensor_grid(quad_order(config, rho.basis.degree), rho.k)
+            checks, passed = density_checks(rho, drift_from_block(config["drift"], rho.k), grid)
             report.update(checks)
             report["checks_passed"] = passed
-        elif config.mode == "oracle-compare":
+        elif mode == "oracle-compare":
             report["oracle"], report["checks_passed"] = _run_oracle_compare(config)
     except (GfpkError, MemoryError) as exc:  # numpy's MemoryError names the array it could not allocate
         report["error"] = str(exc) or type(exc).__name__
@@ -183,16 +180,16 @@ def run(config: RunConfig, out_dir: str | None = None, threads: int = 1) -> int:
     return EXIT_OK
 
 
-def _run_sweep(config: RunConfig, out: str, threads: int):
-    values = config.sweep["values"]
-    basis = enumerate_basis(config.k, config.degree)
-    grid = tensor_grid(config.effective_quad_order, config.k)
+def _run_sweep(config: dict, out: str, threads: int):
+    values, k = config["sweep"]["values"], config["k"]
+    basis = enumerate_basis(k, config["N"])
+    grid = tensor_grid(quad_order(config, config["N"]), k)
 
     def solve_point(u: float):
         """(density, None), or (None, the failure message)."""
         try:
-            v = drift_from_block(sweep_drift(config.sweep, config.k, u), config.k)
-            return solve_stationary(v, basis, grid, config.fixed_point)[0], None
+            v = drift_from_block(sweep_drift(config["sweep"], k, u), k)
+            return solve_stationary(v, basis, grid, config["fixed_point"])[0], None
         except GfpkError as exc:
             return None, str(exc)
 
@@ -208,9 +205,7 @@ def _run_sweep(config: RunConfig, out: str, threads: int):
     for j, u in enumerate(values):
         row = {"u": u, "failed": failures[j]}
         if results[j] is not None:
-            path = os.path.join(out, f"density_{j:03d}.json")
-            _write(path, results[j].to_json())
-            row["density"] = path
+            row["density"] = _write(os.path.join(out, f"density_{j:03d}.json"), results[j].to_json())
             row["l2_norm_sq"] = results[j].l2_norm_sq()
             if j > 0 and results[j - 1] is not None:
                 row["distance_to_previous"] = l2_distance(results[j], results[j - 1])
@@ -226,15 +221,15 @@ def _run_sweep(config: RunConfig, out: str, threads: int):
     return rows, all(f is None for f in failures)
 
 
-def _run_oracle_compare(config: RunConfig):
-    oc = config.oracle_compare
+def _run_oracle_compare(config: dict):
+    oc = config["oracle_compare"]
     which = oc["oracle"]
     rho, trace, v, grid = _solve_one(config)
     p_frozen = v.read_measure(rho, grid)
     result = {"oracle": which}
     tol = oc["tolerance"]
     if which == "1d":
-        kernel = read_kind(config.drift, DRIFTS, "drift", 1)[1].get("kernel")
+        kernel = read_kind(config["drift"], DRIFTS, "drift", 1)[1].get("kernel")
         if kernel is not None:  # a Vlasov drift: the self-consistent problem
             oracle = oracle_1d_selfconsistent(lambda z: kernel(z[:, None])[:, 0], span=oc["span"])
         else:
@@ -251,9 +246,9 @@ def _run_oracle_compare(config: RunConfig):
             worst = max(worst, float(np.max(np.abs(spectral - fd.marginal(axis)))))
         result.update({"max_marginal_gap": worst, "tolerance": tol})
         return result, worst <= tol
-    moments = oracle_sde(v, p_frozen, dt=oc["dt"], n_steps=oc["n_steps"], n_particles=oc["n_particles"], seed=config.seed)
+    moments = oracle_sde(v, p_frozen, dt=oc["dt"], n_steps=oc["n_steps"], n_particles=oc["n_particles"], seed=config["seed"])
     gaps = []
-    for i in range(config.k):
+    for i in range(config["k"]):
         target = integrate(rho, lambda x, i=i: x[:, i], grid)
         gaps.append(abs(moments.mean[i] - target) / max(moments.mean_se[i], 1e-15))
         target2 = integrate(rho, lambda x, i=i: x[:, i] ** 2, grid)
@@ -276,10 +271,8 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         config = load_config(args.config, seed=args.seed)
-        if config.mode != args.mode:
-            raise ConfigError(
-                f"config mode {config.mode!r} does not match the command-line mode {args.mode!r}"
-            )
+        if config["mode"] != args.mode:
+            raise ConfigError(f"config mode {config['mode']!r} does not match the command-line mode {args.mode!r}")
         return run(config, out_dir=args.out, threads=args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -2,14 +2,15 @@
 
 Configs are JSON documents with a fixed schema: each mode declares the keys
 it reads, and a key the mode does not read or an out-of-range value aborts
-before any computation.  The parsed RunConfig carries everything a mode
-needs, so a run is a pure function of (config, seed).
+before any computation.  The parsed config is the read document under its
+own key names and carries everything a mode needs, so a run is a pure
+function of (config, seed).
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 from .basis import BASIS_CAP
 from .drift import DRIFTS, drift_from_block
@@ -49,20 +50,6 @@ _DRIFT = Param("drift", "object")
 _COMMON = (Param("seed", "integer", 0, 2**64 - 1, 0), Param("output", (Param("dir", "text", default=None),), default={}))
 _SOLVE = (*_SIZES, _DRIFT, _fixed_point())
 
-# each mode's entry declares the top-level keys it reads besides "mode"; a
-# config with any other key is rejected
-MODE_PARAMS = {
-    "solve-linear": Kind(_SOLVE + _COMMON),
-    "solve-nonlinear": Kind(_SOLVE + _COMMON),
-    "ladder": Kind((_DRIFT, _fixed_point(max_iterations=200), Param("ladder", _LADDER)) + _COMMON),
-    "sweep": Kind((*_SIZES, _fixed_point(damping=1.0), Param("sweep", "object")) + _COMMON),
-    "verify": Kind((*_SIZES, _DRIFT, Param("verify", (Param("density", "text"),))) + _COMMON),  # k, N must match the density
-    "oracle-compare": Kind(_SOLVE + (Param("oracle_compare", "object"),) + _COMMON),
-}
-MODES = tuple(MODE_PARAMS)
-MODE_KEYS = {mode: tuple(p.name for p in entry.params) for mode, entry in MODE_PARAMS.items()}
-
-
 _VALUES = Param("values", "numbers", -100.0, 100.0)
 
 # each sweep family builds the map u -> drift block of its points
@@ -90,32 +77,6 @@ ORACLES = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str
-    k: int = 1
-    degree: int = 8
-    quad_order: int = 0  # 0: default 2 * degree
-    seed: int = 0
-    drift: dict = field(default_factory=dict)
-    fixed_point: FixedPointOptions = FixedPointOptions()
-    ladder: LadderConfig | None = None
-    ladder_drifts: dict = field(default_factory=dict, compare=False, repr=False)  # level k -> drift, built once
-    sweep: dict = field(default_factory=dict)
-    verify: dict = field(default_factory=dict)
-    oracle_compare: dict = field(default_factory=dict)
-    output_dir: str | None = None
-    raw: dict = field(default_factory=dict)
-
-    @property
-    def effective_quad_order(self) -> int:
-        return self.quad_order_for(self.degree)
-
-    def quad_order_for(self, degree: int) -> int:
-        """The configured Q, else the default max(2N, N + 1) for degree N."""
-        return self.quad_order if self.quad_order else max(2 * degree, degree + 1)
-
-
 def check_sizes(context: str, k: int, degree: int, quad_order: int):
     """Reject a (k, N, Q) the solver cannot run: Q < N + 1, a basis above
     the size cap or a tensor grid above MAX_GRID_NODES."""
@@ -132,58 +93,84 @@ def sweep_drift(sweep: dict, k: int, u) -> dict:
     return SWEEPS[sweep["family"]].build(sweep, k)(u)
 
 
-def parse_config(doc: dict) -> RunConfig:
-    """Validate a parsed JSON document into a RunConfig; strict on keys:
-    a mode accepts only the keys its MODE_PARAMS entry declares."""
-    top = read_kind(doc, MODE_PARAMS, "config", key="mode")[1]
-    mode, k = doc["mode"], top.get("k")
-    fixed_point = FixedPointOptions(**top.get("fixed_point", {}))
-    ladder, ladder_drifts, sweep, oracle = None, {}, {}, {}
-    if "drift" in top and mode != "ladder":  # the ladder builds a drift per level
-        read_kind(top["drift"], DRIFTS, "drift", None if mode == "verify" else k)
-    if mode == "ladder":
-        q = top["ladder"]
-        q["component_bound"] = float(q["component_bound"])  # ladder.json prints a float
-        try:
-            ladder = LadderConfig(fixed_point=fixed_point, **q)
-            for level, degree, quad_order in zip(ladder.levels, ladder.degrees, ladder.quad_orders):
-                check_sizes(f"ladder level k={level}", level, degree, quad_order)
-            ladder_drifts = {level: drift_from_block(top["drift"], level) for level in ladder.levels}
-            for v in ladder_drifts.values():
-                ladder.check_drift(v)
-        except ValueError as exc:
-            raise ConfigError(f"ladder: {exc}") from exc
-    if mode == "sweep":
-        sweep = {"family": top["sweep"].get("family"), **read_kind(top["sweep"], SWEEPS, "sweep", k, key="family")[1]}
-        for u in sweep["values"]:
-            read_kind(sweep_drift(sweep, k, u), DRIFTS, f"sweep point {u!r}: drift", k)
-    if mode == "oracle-compare":
-        block = top["oracle_compare"]
-        oracle = {"oracle": block.get("oracle"), **read_kind(block, ORACLES, "oracle_compare", k, key="oracle")[1]}
-        if oracle["oracle"] == "sde" and oracle["n_particles"] % SDE_BATCHES:
-            raise ConfigError(f"oracle_compare.n_particles must be a multiple of {SDE_BATCHES}")
-
-    sizes = {field: top[key] for key, field in (("k", "k"), ("N", "degree"), ("Q", "quad_order")) if key in top}
-    config = RunConfig(
-        mode=mode,
-        **sizes,
-        seed=int(top["seed"]),
-        drift=top.get("drift", {}),
-        fixed_point=fixed_point,
-        ladder=ladder,
-        ladder_drifts=ladder_drifts,
-        sweep=sweep,
-        verify=top.get("verify", {}),
-        oracle_compare=oracle,
-        output_dir=top["output"].get("dir"),
-        raw=doc,
-    )
-    if mode not in ("ladder", "verify"):  # these two size their own grids
-        check_sizes("config", k, config.degree, config.effective_quad_order)
-    return config
+def quad_order(config: dict, degree: int) -> int:
+    """The configured Q, else the default max(2N, N + 1) for degree N."""
+    return config["Q"] or max(2 * degree, degree + 1)
 
 
-def load_config(path: str, seed: int | None = None) -> RunConfig:
+def _sized(top: dict, k: int) -> dict:
+    check_sizes("config", k, top["N"], quad_order(top, top["N"]))
+    return top
+
+
+def _solve(top: dict, k: int) -> dict:
+    read_kind(top["drift"], DRIFTS, "drift", k)
+    return _sized(top, k)
+
+
+def _ladder(top: dict, k) -> dict:
+    """top with the LadderConfig and the drift of each level, built once (ladder_drifts)."""
+    q = top["ladder"]
+    q["component_bound"] = float(q["component_bound"])  # ladder.json prints a float
+    try:
+        ladder = LadderConfig(fixed_point=top["fixed_point"], **q)
+        for level, degree, order in zip(ladder.levels, ladder.degrees, ladder.quad_orders):
+            check_sizes(f"ladder level k={level}", level, degree, order)
+        drifts = {level: drift_from_block(top["drift"], level) for level in ladder.levels}
+        for v in drifts.values():
+            ladder.check_drift(v)
+    except ValueError as exc:
+        raise ConfigError(f"ladder: {exc}") from exc
+    return {**top, "ladder": ladder, "ladder_drifts": drifts}
+
+
+def _sweep(top: dict, k: int) -> dict:
+    block = top["sweep"]
+    sweep = top["sweep"] = {"family": block.get("family"), **read_kind(block, SWEEPS, "sweep", k, key="family")[1]}
+    for u in sweep["values"]:
+        read_kind(sweep_drift(sweep, k, u), DRIFTS, f"sweep point {u!r}: drift", k)
+    return _sized(top, k)
+
+
+def _verify(top: dict, k: int) -> dict:
+    read_kind(top["drift"], DRIFTS, "drift")  # k, N and the sizes are the density's (cli._read_density)
+    return top
+
+
+def _oracle_compare(top: dict, k: int) -> dict:
+    read_kind(top["drift"], DRIFTS, "drift", k)
+    block = top["oracle_compare"]
+    oracle = top["oracle_compare"] = {"oracle": block.get("oracle"), **read_kind(block, ORACLES, "oracle_compare", k, key="oracle")[1]}
+    if oracle["oracle"] == "sde" and oracle["n_particles"] % SDE_BATCHES:
+        raise ConfigError(f"oracle_compare.n_particles must be a multiple of {SDE_BATCHES}")
+    return _sized(top, k)
+
+
+# each mode's entry declares the top-level keys it reads besides "mode" (a
+# config with any other key is rejected), and its build runs the mode's
+# cross-field checks on the values read and their k
+MODE_PARAMS = {
+    "solve-linear": Kind(_SOLVE + _COMMON, _solve),
+    "solve-nonlinear": Kind(_SOLVE + _COMMON, _solve),
+    "ladder": Kind((_DRIFT, _fixed_point(max_iterations=200), Param("ladder", _LADDER)) + _COMMON, _ladder),
+    "sweep": Kind((*_SIZES, _fixed_point(damping=1.0), Param("sweep", "object")) + _COMMON, _sweep),
+    "verify": Kind((*_SIZES, _DRIFT, Param("verify", (Param("density", "text"),))) + _COMMON, _verify),  # k, N must match the density
+    "oracle-compare": Kind(_SOLVE + (Param("oracle_compare", "object"),) + _COMMON, _oracle_compare),
+}
+MODES = tuple(MODE_PARAMS)
+MODE_KEYS = {mode: tuple(p.name for p in entry.params) for mode, entry in MODE_PARAMS.items()}
+
+
+def parse_config(doc: dict) -> dict:
+    """{"mode", "raw": doc, **values}: the values of the document its mode's
+    MODE_PARAMS entry reads (strict on keys) and builds, under its own names."""
+    entry, top = read_kind(doc, MODE_PARAMS, "config", key="mode")
+    if "fixed_point" in top:
+        top["fixed_point"] = FixedPointOptions(**top["fixed_point"])
+    return {"mode": doc["mode"], "raw": doc, **entry.build(top, top.get("k"))}
+
+
+def load_config(path: str, seed: int | None = None) -> dict:
     """Read and parse the config file at path; a seed given here replaces
     the document's before the one parse."""
     try:

@@ -300,7 +300,7 @@ def test_ladder_integrates_each_level_battery_once_and_keeps_its_files(tmp_path,
     monkeypatch.undo()
 
     config = parse_config(LADDER_K5)
-    reference = two_call_pair_distances(run_ladder(config.ladder_drifts.__getitem__, config.ladder))
+    reference = two_call_pair_distances(run_ladder(config["ladder_drifts"].__getitem__, config["ladder"]))
     assert reference.completed and len(reference.levels) == 5
     expected = json.dumps(reference.to_json_dict(), sort_keys=True, indent=1)
     assert (out / "ladder.json").read_bytes() == expected.encode()

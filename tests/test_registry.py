@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gfpk import ConfigError, PointMeasure, enumerate_basis, parse_config, tensor_grid
-from gfpk.config import MODE_KEYS, MODE_PARAMS, MODES, ORACLES, SWEEPS, sweep_drift
+from gfpk.config import MODE_KEYS, MODE_PARAMS, MODES, ORACLES, SWEEPS, quad_order, sweep_drift
 from gfpk.drift import DRIFTS, KERNELS, drift_from_block
 from gfpk.schema import REQUIRED
 
@@ -60,7 +60,7 @@ def _block_id(block):
 def test_minimal_block_round_trip(block):
     mode = "solve-nonlinear" if drift_from_block(block, 2).reads_measure else "solve-linear"
     cfg = parse_config({"mode": mode, "k": 2, "N": 4, "Q": 8, "drift": block})
-    v = drift_from_block(cfg.drift, 2)
+    v = drift_from_block(cfg["drift"], 2)
     assert v.k == 2
     assert v.bound_kind in ("H", "componentwise")
     x = np.random.default_rng(0).standard_normal((25, 2))
@@ -266,22 +266,22 @@ def _mutate(data, doc):
 
 def _build(cfg):
     """Everything a run builds from the config before its first solve."""
-    if cfg.mode == "verify":
+    if cfg["mode"] == "verify":
         return
-    if cfg.mode == "ladder":
-        assert drift_from_block(cfg.drift, cfg.ladder.levels[-1]).k == cfg.ladder.levels[-1]
-        for k, degree, q in zip(cfg.ladder.levels, cfg.ladder.degrees, cfg.ladder.quad_orders):
+    if cfg["mode"] == "ladder":
+        assert drift_from_block(cfg["drift"], cfg["ladder"].levels[-1]).k == cfg["ladder"].levels[-1]
+        for k, degree, q in zip(cfg["ladder"].levels, cfg["ladder"].degrees, cfg["ladder"].quad_orders):
             enumerate_basis(k, degree)
             tensor_grid(q, k)
         return
-    enumerate_basis(cfg.k, cfg.degree)
-    tensor_grid(cfg.effective_quad_order, cfg.k)
-    if cfg.mode == "sweep":
-        blocks = [sweep_drift(cfg.sweep, cfg.k, u) for u in cfg.sweep["values"]]
+    enumerate_basis(cfg["k"], cfg["N"])
+    tensor_grid(quad_order(cfg, cfg["N"]), cfg["k"])
+    if cfg["mode"] == "sweep":
+        blocks = [sweep_drift(cfg["sweep"], cfg["k"], u) for u in cfg["sweep"]["values"]]
     else:
-        blocks = [cfg.drift]
+        blocks = [cfg["drift"]]
     for block in blocks:
-        assert drift_from_block(block, cfg.k).k == cfg.k
+        assert drift_from_block(block, cfg["k"]).k == cfg["k"]
 
 
 def test_ladder_component_bound_below_the_drift_is_a_config_error():
