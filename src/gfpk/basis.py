@@ -31,11 +31,15 @@ BASIS_CAP = 20000
 
 def hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
     """Table H[n, j] = h_n(x[j]) for n = 0..n_max via the three-term recurrence."""
-    x = np.asarray(x, dtype=float)
+    return _scaled_hermite_table(n_max, np.asarray(x, dtype=float), 1.0)
+
+
+def _scaled_hermite_table(n_max: int, x: np.ndarray, first) -> np.ndarray:
+    """Table H[n, j] = h_n(x[j]) * first[j]: the recurrence started from the row first."""
     table = np.empty((n_max + 1, x.size))
-    table[0] = 1.0
+    table[0] = first
     if n_max >= 1:
-        table[1] = x
+        table[1] = x * first
     for n in range(1, n_max):
         table[n + 1] = (x * table[n] - math.sqrt(n) * table[n - 1]) / math.sqrt(n + 1)
     return table
@@ -301,19 +305,24 @@ class QuadratureGrid:
 def gauss_hermite(q: int) -> QuadratureGrid:
     """One-dimensional Gauss-Hermite rule for the standard Gaussian weight.
 
-    Nodes are the roots of the degree-q probabilists' Hermite polynomial,
-    obtained from the symmetric Jacobi matrix of the three-term recurrence;
-    exact for polynomials of degree <= 2q - 1.
+    Nodes are the roots of the degree-q probabilists' Hermite polynomial:
+    the eigenvalues of the symmetric Jacobi matrix of the three-term
+    recurrence, refined by one Newton step on h_q (h_q' = sqrt(q) h_{q-1}).
+    The weights are the Christoffel numbers 1 / sum_{n<q} h_n(x_j)^2, read
+    from the Hermite functions psi_n = h_n e^{-x^2/4}, which stay bounded
+    where h_n overflows; exact for polynomials of degree <= 2q - 1.
     """
     if q < 1:
         raise ValueError("quadrature order must be >= 1")
     jacobi = np.diag(np.sqrt(np.arange(1, q)), 1)
-    jacobi = jacobi + jacobi.T
     try:
-        nodes, vecs = np.linalg.eigh(jacobi)
+        nodes = np.linalg.eigvalsh(jacobi + jacobi.T)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"Gauss-Hermite eigensolve failed for q={q}") from exc
-    weights = vecs[0] ** 2
+    psi = _scaled_hermite_table(q, nodes, np.exp(-0.25 * nodes**2))
+    nodes = nodes - psi[q] / (math.sqrt(q) * psi[q - 1])
+    psi = _scaled_hermite_table(q - 1, nodes, np.exp(-0.25 * nodes**2))
+    weights = np.exp(-0.5 * nodes**2) / np.sum(psi**2, axis=0)
     weights = weights / weights.sum()
     # extreme-node weights may underflow to exactly 0 for large q; that is
     # harmless, only negative or non-finite weights indicate a failure

@@ -8,6 +8,7 @@ import json
 import math
 import time
 
+import gfpk.linear
 import numpy as np
 import pytest
 
@@ -296,7 +297,7 @@ def test_criterion_11_gradient_check():
     check(11, "exact-gradient check", worst <= 1e-6, f"max dev {worst:.2e}")
 
 
-def test_criterion_12_determinism(tmp_path):
+def test_criterion_12_determinism(tmp_path, monkeypatch):
     cfg = {
         "mode": "solve-nonlinear",
         "k": 1,
@@ -308,9 +309,18 @@ def test_criterion_12_determinism(tmp_path):
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
+    separable, paths = gfpk.linear.separable_interaction, []
+
+    def spy(*args):
+        interaction = separable(*args)
+        paths.append(interaction is not None)
+        return interaction
+
+    monkeypatch.setattr(gfpk.linear, "separable_interaction", spy)
     assert cli_main(["solve-nonlinear", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
     assert cli_main(["solve-nonlinear", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
     same = (tmp_path / "a" / "density.json").read_bytes() == (
         tmp_path / "b" / "density.json"
     ).read_bytes()
     check(12, "byte-identical determinism", same)
+    assert paths and all(paths)  # every assembly of the Q = 32 rule takes the Gram path

@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfpk.cli
-from gfpk import ChaosDensity, ConfigError, NumericError, load_config, parse_config
+from gfpk import ChaosDensity, ConfigError, FixedPointOptions, LadderConfig, NumericError, load_config, parse_config
 from gfpk.cli import DEFAULT_BUMP_CENTERS, default_bumps, main
-from gfpk.config import MODE_KEYS, MODES, quad_order
+from gfpk.config import MODE_KEYS, MODE_PARAMS, MODES, quad_order
 from helpers import cell_holds
 
 
@@ -557,6 +557,22 @@ def test_oracle_compare_1d(tmp_path):
     assert report["oracle"]["l2_gamma_distance"] <= 1e-6
 
 
+CLIPPED_ONE = {"kind": "clipped-potential", "lam": 1.0}
+
+
+@pytest.mark.parametrize("cfg", [
+    {"mode": "solve-linear", "k": 1, "N": 64, "Q": 512, "drift": CLIPPED_ONE},
+    {"mode": "oracle-compare", "k": 1, "N": 64, "Q": 100, "drift": CLIPPED_ONE, "oracle_compare": {"oracle": "1d", "span": 12}},
+], ids=["solve-q512", "oracle-1d-q100"])
+def test_the_largest_rules_keep_the_galerkin_matrix_conditioned(tmp_path, cfg):
+    """N = 64 with Q = 512 and Q = 100 exited 3 (condition estimates of
+    1e74 and 5e19) while the rule's weights came from the eigenvectors of
+    its Jacobi matrix."""
+    out = tmp_path / "out"
+    assert main([cfg["mode"], "--config", write_config(tmp_path, {**cfg, "output": {"dir": str(out)}})]) == 0
+    assert "error" not in json.loads((out / "report.json").read_text())
+
+
 def test_oracle_compare_1d_vlasov_takes_the_self_consistent_oracle(tmp_path, monkeypatch):
     """A Vlasov drift is compared against the self-consistent 1-D fixed
     point, not the closed form for a frozen drift."""
@@ -896,6 +912,31 @@ def test_each_mode_reads_exactly_its_declared_keys(mode, key):
     else:
         with pytest.raises(ConfigError, match=re.escape(f"unknown key(s) [{key!r}] in config of mode {mode!r}")):
             parse_config(doc)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_parsed_config_is_the_read_document(mode):
+    """parse_config returns the values the mode reads under the document's
+    own names, each key left out at its declared default, plus the mode, the
+    document and, for the ladder, the drift of each level."""
+    doc = {"mode": mode, **MINIMAL_MODES[mode]}
+    config = parse_config(doc)
+    assert set(config) == {*MODE_KEYS[mode], "mode", "raw", *(["ladder_drifts"] if mode == "ladder" else [])}
+    assert config["mode"] == mode and config["raw"] is doc
+    for param in MODE_PARAMS[mode].params:
+        if param.name not in doc and isinstance(param.type, str):
+            assert config[param.name] == param.default
+    assert config["output"] == {}
+    defaults = {"sweep": FixedPointOptions(damping=1.0), "ladder": FixedPointOptions(max_iterations=200)}
+    if "fixed_point" in config:
+        assert config["fixed_point"] == defaults.get(mode, FixedPointOptions())
+    if "Q" in config:
+        assert config["Q"] == 0 and [quad_order(config, n) for n in (0, 1, 8)] == [1, 2, 16]
+    if mode == "ladder":
+        assert isinstance(config["ladder"], LadderConfig) and config["ladder"].fixed_point == config["fixed_point"]
+        assert sorted(config["ladder_drifts"]) == list(config["ladder"].levels)
+    assert config.get("sweep", {"family": "constant-scale"})["family"] == "constant-scale"
+    assert config.get("oracle_compare", {"oracle": "1d"})["oracle"] == "1d"
 
 
 @pytest.mark.parametrize("flag", ["-3", "0", "2"])  # 2: only sweep runs on more than one thread

@@ -21,9 +21,11 @@ from gfpk import (
     default_battery,
     enumerate_basis,
     fixed_point_solve,
+    gauss_hermite,
     marginal,
     marginal_distance,
     marginal_measure,
+    product_grid,
     run_ladder,
     tensor_grid,
     uniform_gaussian_grid,
@@ -138,10 +140,11 @@ def test_the_joint_measure_still_reads_as_a_measure_of_a_separable_drift():
 
 
 @pytest.mark.parametrize("read", ["marginal_measure", "as_measure"])
-@pytest.mark.parametrize("grid", [tensor_grid(30, 2), uniform_gaussian_grid(5.0, 30, 2)], ids=["gauss-hermite", "uniform"])
+@pytest.mark.parametrize("grid", [product_grid(gauss_hermite(30).rules + uniform_gaussian_grid(5.0, 30).rules),
+                                  uniform_gaussian_grid(5.0, 30, 2)], ids=["gauss-hermite", "uniform"])
 def test_the_dense_path_reads_the_kernel_once_per_distinct_value(read, grid, monkeypatch):
-    """Where the Gram regrouping fails (Gauss-Hermite Q = 30 at N = 12, a
-    uniform rule), assembly reads a separable Vlasov drift on all q^k nodes;
+    """Where the Gram regrouping fails (a uniform rule on any axis: a Gauss-
+    Hermite rule times a uniform one, or two uniform ones), assembly reads a separable Vlasov drift on all q^k nodes;
     the kernel is still evaluated at no more than k q^2 pairs, one per
     distinct x_i and marginal node, not k q^(k+1)."""
     k, q, kernel = 2, 30, TanhKernel(0.5)

@@ -34,8 +34,7 @@ from gfpk.schema import REQUIRED
 from helpers import node_values
 
 REL_TOL = 1e-13
-# largest Q per k: Gauss-Hermite rules up to Q = 25 are orthonormal to
-# 1e-13 up to degree Q - 1, and the grids stay small
+# largest Q per k: the grids stay small
 MAX_Q = {1: 24, 2: 12, 3: 7, 4: 5}
 
 
@@ -248,6 +247,16 @@ def test_gauss_hermite_rules_of_different_sizes_take_the_gram_path(kind):
     sparse = separable_interaction(basis, grid, v, p)
     assert sparse is not None
     assert_close(sparse, dense_interaction(basis, grid, v.eval_v(p, grid.nodes)))
+
+
+def test_a_gauss_hermite_rule_from_q_26_on_takes_the_gram_path():
+    """Q = 26 at N = 25: the eigenvector weights of the Jacobi matrix missed
+    1e-13 here and sent a separable drift to the dense sum."""
+    grid, basis = tensor_grid(26, 2), enumerate_basis(2, 25)
+    v = drift_from_block({"kind": "clipped-potential", "lam": 1.0}, 2)
+    sparse = separable_interaction(basis, grid, v, None)
+    assert sparse is not None
+    assert_close(sparse, dense_interaction(basis, grid, v.eval_v(None, grid.nodes)))
 
 
 def test_tables_built_once_per_basis():
