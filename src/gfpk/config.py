@@ -133,7 +133,7 @@ def _sweep(top: dict, k: int) -> dict:
 
 
 def _verify(top: dict, k: int) -> dict:
-    read_kind(top["drift"], DRIFTS, "drift")  # k, N and the sizes are the density's (cli._read_density)
+    read_kind(top["drift"], DRIFTS, "drift")  # at the density's k in cli._read_density
     return top
 
 

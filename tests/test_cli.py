@@ -566,7 +566,7 @@ CLIPPED_ONE = {"kind": "clipped-potential", "lam": 1.0}
 ], ids=["solve-q512", "oracle-1d-q100"])
 def test_the_largest_rules_keep_the_galerkin_matrix_conditioned(tmp_path, cfg):
     """N = 64 with Q = 512 and Q = 100 exited 3 (condition estimates of
-    1e74 and 5e19) while the rule's weights came from the eigenvectors of
+    3e74 and 5e19) while the rule's weights came from the eigenvectors of
     its Jacobi matrix."""
     out = tmp_path / "out"
     assert main([cfg["mode"], "--config", write_config(tmp_path, {**cfg, "output": {"dir": str(out)}})]) == 0

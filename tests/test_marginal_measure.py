@@ -143,10 +143,11 @@ def test_the_joint_measure_still_reads_as_a_measure_of_a_separable_drift():
 @pytest.mark.parametrize("grid", [product_grid(gauss_hermite(30).rules + uniform_gaussian_grid(5.0, 30).rules),
                                   uniform_gaussian_grid(5.0, 30, 2)], ids=["gauss-hermite", "uniform"])
 def test_the_dense_path_reads_the_kernel_once_per_distinct_value(read, grid, monkeypatch):
-    """Where the Gram regrouping fails (a uniform rule on any axis: a Gauss-
-    Hermite rule times a uniform one, or two uniform ones), assembly reads a separable Vlasov drift on all q^k nodes;
-    the kernel is still evaluated at no more than k q^2 pairs, one per
-    distinct x_i and marginal node, not k q^(k+1)."""
+    """Where the Gram regrouping fails (a uniform rule on an axis: a
+    Gauss-Hermite rule times a uniform one, or two uniform ones), assembly
+    reads a separable Vlasov drift on all q^k nodes; the kernel is still
+    evaluated at no more than k q^2 pairs, one per distinct x_i and marginal
+    node, not k q^(k+1)."""
     k, q, kernel = 2, 30, TanhKernel(0.5)
     v, basis = vlasov_drift(kernel, k), enumerate_basis(k, 12)
     measure = {"marginal_measure": marginal_measure, "as_measure": as_measure}[read](random_density(k, 4, 1), grid)
