@@ -47,17 +47,17 @@ from .errors import (
     SolverError,
 )
 from .drift import (
-    ClippedLinearKernel,
     ComponentwiseKernel,
-    ConstantKernel,
     DriftField,
-    GaussianLobeKernel,
     SeparableField,
-    TanhKernel,
+    clipped_linear_kernel,
     clipped_potential_drift,
     constant_drift,
+    constant_kernel,
     custom_drift,
+    gaussian_lobe_kernel,
     rotational_drift,
+    tanh_kernel,
     vlasov_drift,
     vlasov_eval,
 )

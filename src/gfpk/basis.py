@@ -240,7 +240,7 @@ class QuadratureGrid:
     @cached_property
     def nodes(self) -> np.ndarray:
         grids = np.meshgrid(*(x for x, _ in self.rules), indexing="ij", copy=False)
-        return np.stack(grids, axis=-1).reshape(-1, self.k)
+        return _read_only(np.stack(grids, axis=-1).reshape(-1, self.k))
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -260,15 +260,15 @@ class QuadratureGrid:
         return self._per_rule(n_max)[1]
 
     def _per_rule(self, n_max: int):
-        """(hermite_tables, rule_defects) of degree n_max, built once per
-        grid, degree and distinct rule: the axes of tensor_grid share one."""
+        """(hermite_tables, rule_defects) of degree n_max, read-only, built once
+        per grid, degree and distinct rule: the axes of tensor_grid share one."""
         cache = self.__dict__.setdefault("_rule_tables", {})
         if n_max not in cache:
             built = {}
             for x, w in self.rules:
                 if (id(x), id(w)) not in built:
-                    h = hermite_table(n_max, x)
-                    built[id(x), id(w)] = h, np.abs((h * w) @ h.T - np.eye(n_max + 1))
+                    h = _read_only(hermite_table(n_max, x))
+                    built[id(x), id(w)] = h, _read_only(np.abs((h * w) @ h.T - np.eye(n_max + 1)))
             cache[n_max] = tuple(zip(*(built[id(x), id(w)] for x, w in self.rules)))
         return cache[n_max]
 
@@ -302,6 +302,7 @@ class QuadratureGrid:
                 yield product_grid([(x[s], w[s]) for (x, w), s in zip(self.rules, place)]), place
 
 
+@functools.lru_cache(maxsize=16)
 def gauss_hermite(q: int) -> QuadratureGrid:
     """One-dimensional Gauss-Hermite rule for the standard Gaussian weight.
 
@@ -310,7 +311,8 @@ def gauss_hermite(q: int) -> QuadratureGrid:
     recurrence, refined by one Newton step on h_q (h_q' = sqrt(q) h_{q-1}).
     The weights are the Christoffel numbers 1 / sum_{n<q} h_n(x_j)^2, read
     from the Hermite functions psi_n = h_n e^{-x^2/4}, which stay bounded
-    where h_n overflows; exact for polynomials of degree <= 2q - 1.
+    where h_n overflows; exact for polynomials of degree <= 2q - 1.  The 16
+    most recent rules are shared, so their nodes and weights are read-only.
     """
     if q < 1:
         raise ValueError("quadrature order must be >= 1")
@@ -328,7 +330,7 @@ def gauss_hermite(q: int) -> QuadratureGrid:
     # harmless, only negative or non-finite weights indicate a failure
     if not (np.all(np.isfinite(nodes)) and np.all(weights >= 0) and weights.sum() > 0):
         raise NumericError(f"Gauss-Hermite rule for q={q} produced invalid nodes/weights")
-    return product_grid([(nodes, weights)])
+    return product_grid([(_read_only(nodes), _read_only(weights))])
 
 
 def uniform_gaussian_grid(span: float, n: int, k: int = 1) -> QuadratureGrid:

@@ -231,7 +231,7 @@ def _run_oracle_compare(config: dict):
     if which == "1d":
         kernel = read_kind(config["drift"], DRIFTS, "drift", 1)[1].get("kernel")
         if kernel is not None:  # a Vlasov drift: the self-consistent problem
-            oracle = oracle_1d_selfconsistent(lambda z: kernel(z[:, None])[:, 0], span=oc["span"])
+            oracle = oracle_1d_selfconsistent(lambda z: kernel.component(0, z), span=oc["span"])
         else:
             oracle = oracle_1d(lambda x: v.eval_v(p_frozen, x[:, None])[:, 0], span=oc["span"])
         distance = l2_gamma_distance(rho, oracle)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,88 +95,48 @@ def _by_coordinate(component, k: int, z: np.ndarray) -> np.ndarray:
 # -- convolution kernels ---------------------------------------------------
 
 
+@dataclass(frozen=True)
 class ComponentwiseKernel:
-    """A kernel whose i-th output component depends on z_i only.
+    """A kernel whose i-th output component depends on z_i only: b0(z)_i =
+    component(i, z_i), read on a plain array of z_i values, and bounded by
+    component_bound; h_bound, where set, bounds |b0|_H in every dimension.
 
-    Subclasses implement `component(i, z)` on a plain array of z_i values;
     `vlasov_drift` builds a SeparableField from an instance, convolved
-    coordinate by coordinate against the 1-D marginals of the measure.  Any
-    other kernel is convolved densely.
+    coordinate by coordinate against the 1-D marginals of the measure.
     """
 
-    def component(self, i: int, z: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    component: Callable[[int, np.ndarray], np.ndarray]
+    component_bound: float
+    h_bound: float | None = None
 
     def h_bound_for(self, k: int) -> float:
-        """Bound on |b0|_H in dimension k implied by the componentwise bound."""
-        return self.component_bound * math.sqrt(k)
+        """Bound on |b0|_H in dimension k."""
+        return self.component_bound * math.sqrt(k) if self.h_bound is None else self.h_bound
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return _by_coordinate(self.component, z.shape[-1], z)
 
 
-@dataclass(frozen=True)
-class ConstantKernel(ComponentwiseKernel):
-    """b0(z) = h, independent of z."""
-
-    h: tuple[float, ...]
-
-    @property
-    def component_bound(self) -> float:
-        return max(abs(c) for c in self.h)
-
-    def h_bound_for(self, k: int) -> float:
-        return float(h_norm(self.h))
-
-    def component(self, i: int, z: np.ndarray) -> np.ndarray:
-        return np.full(z.shape, float(self.h[i]))
+def constant_kernel(h) -> ComponentwiseKernel:
+    """b0(z) = h, independent of z; |b0|_H = |h|."""
+    return ComponentwiseKernel(lambda i, z: np.full(z.shape, float(h[i])), max(abs(c) for c in h), float(h_norm(h)))
 
 
-@dataclass(frozen=True)
-class TanhKernel(ComponentwiseKernel):
+def tanh_kernel(scale: float) -> ComponentwiseKernel:
     """b0(z) = scale * tanh(z), componentwise; |b0_n| <= scale."""
-
-    scale: float
-
-    @property
-    def component_bound(self) -> float:
-        return abs(self.scale)
-
-    def component(self, i: int, z: np.ndarray) -> np.ndarray:
-        return self.scale * np.tanh(z)
+    return ComponentwiseKernel(lambda i, z: scale * np.tanh(z), abs(scale))
 
 
-@dataclass(frozen=True)
-class GaussianLobeKernel(ComponentwiseKernel):
+def gaussian_lobe_kernel(scale: float) -> ComponentwiseKernel:
     """b0(z) = scale * z * exp(-z^2 / 2), componentwise; |b0_n| <= scale e^{-1/2}."""
-
-    scale: float
-
-    @property
-    def component_bound(self) -> float:
-        return abs(self.scale) * math.exp(-0.5)
-
-    def component(self, i: int, z: np.ndarray) -> np.ndarray:
-        return self.scale * z * np.exp(-0.5 * z * z)
+    return ComponentwiseKernel(lambda i, z: scale * z * np.exp(-0.5 * z * z), abs(scale) * math.exp(-0.5))
 
 
-@dataclass(frozen=True)
-class ClippedLinearKernel(ComponentwiseKernel):
+def clipped_linear_kernel(scale: float, cap: float) -> ComponentwiseKernel:
     """b0(z) = clip(scale * z, -cap, cap), componentwise."""
-
-    scale: float
-    cap: float
-
-    def __post_init__(self):
-        if not self.cap >= 0.0:  # np.clip(x, -cap, cap) with cap < 0 is the constant cap, not a clip
-            raise ValueError(f"cap must be nonnegative, got {self.cap!r}")
-
-    @property
-    def component_bound(self) -> float:
-        return abs(self.cap)
-
-    def component(self, i: int, z: np.ndarray) -> np.ndarray:
-        return np.clip(self.scale * z, -self.cap, self.cap)
+    if not cap >= 0.0:  # np.clip(x, -cap, cap) with cap < 0 is the constant cap, not a clip
+        raise ValueError(f"cap must be nonnegative, got {cap!r}")
+    return ComponentwiseKernel(lambda i, z: np.clip(scale * z, -cap, cap), abs(cap))
 
 
 # -- drift field -----------------------------------------------------------
@@ -447,16 +408,16 @@ def custom_drift(fn, k, bound_kind, bound, *, reads_measure: bool) -> DriftField
 # -- registry of config kinds ----------------------------------------------
 
 
-def _kernel(cls, *params) -> Kind:
-    return Kind(params, lambda q, k: cls(**q))
+def _kernel(build, *params) -> Kind:
+    return Kind(params, lambda q, k: build(**q))
 
 
 _SCALE = Param("scale", "number", -100.0, 100.0)
 KERNELS = {
-    "constant": _kernel(ConstantKernel, Param("h", "vector", -100.0, 100.0)),
-    "tanh": _kernel(TanhKernel, _SCALE),
-    "gaussian-lobe": _kernel(GaussianLobeKernel, _SCALE),
-    "clipped-linear": _kernel(ClippedLinearKernel, _SCALE, Param("cap", "number", 0.0, 100.0)),
+    "constant": _kernel(constant_kernel, Param("h", "vector", -100.0, 100.0)),
+    "tanh": _kernel(tanh_kernel, _SCALE),
+    "gaussian-lobe": _kernel(gaussian_lobe_kernel, _SCALE),
+    "clipped-linear": _kernel(clipped_linear_kernel, _SCALE, Param("cap", "number", 0.0, 100.0)),
 }
 
 

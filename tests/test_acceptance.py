@@ -15,14 +15,13 @@ import pytest
 from gfpk import (
     BumpTest,
     ChaosDensity,
-    ConstantKernel,
     FixedPointOptions,
     LadderConfig,
-    TanhKernel,
     b1_bound,
     ball_check,
     clipped_potential_drift,
     constant_drift,
+    constant_kernel,
     enumerate_basis,
     fixed_point_solve,
     integrate,
@@ -40,6 +39,7 @@ from gfpk import (
     solve_linear,
     superlevel_mass_1d,
     tail_check,
+    tanh_kernel,
     tensor_grid,
     uniform_gaussian_grid,
     vlasov_drift,
@@ -125,7 +125,7 @@ def test_criterion_05_nonlinear_vlasov():
     start = time.monotonic()
     grid = tensor_grid(40, 1)
     basis = enumerate_basis(1, 20)
-    v = vlasov_drift(TanhKernel(0.2), 1)
+    v = vlasov_drift(tanh_kernel(0.2), 1)
     rho, trace = fixed_point_solve(
         v, basis, grid, FixedPointOptions(damping=0.5, tolerance=1e-10)
     )
@@ -163,7 +163,7 @@ def test_criterion_05_nonlinear_vlasov():
 def test_criterion_06_constant_kernel_one_iteration():
     grid = tensor_grid(24, 1)
     basis = enumerate_basis(1, 12)
-    v = vlasov_drift(ConstantKernel((0.3,)), 1)
+    v = vlasov_drift(constant_kernel((0.3,)), 1)
     _, trace = fixed_point_solve(v, basis, grid, FixedPointOptions(damping=1.0))
     check(6, "constant-kernel one iteration", trace.iterations == 1, f"{trace.iterations} iters")
 
@@ -192,7 +192,7 @@ def test_criterion_08_tail_bound():
     grid32 = tensor_grid(32, 1)
     cases.append((solve_linear(v_grad, None, basis16, grid32), v_grad.sigma_inf, grid32))
     grid40 = tensor_grid(40, 1)
-    v_vl = vlasov_drift(TanhKernel(0.2), 1)
+    v_vl = vlasov_drift(tanh_kernel(0.2), 1)
     rho_vl, _ = fixed_point_solve(
         v_vl, enumerate_basis(1, 20), grid40, FixedPointOptions(damping=0.5)
     )
@@ -286,7 +286,7 @@ def test_criterion_10_cross_validation_2d():
 
 def test_criterion_11_gradient_check():
     grid = tensor_grid(40, 1)
-    v = vlasov_drift(TanhKernel(0.2), 1)
+    v = vlasov_drift(tanh_kernel(0.2), 1)
     rho, _ = fixed_point_solve(v, enumerate_basis(1, 20), grid, FixedPointOptions(damping=0.5))
     rng = np.random.default_rng(0)
     x = rng.standard_normal((100, 1))

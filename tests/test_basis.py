@@ -144,6 +144,17 @@ def test_tensor_grid_shape_and_moments():
     assert np.allclose(second, np.eye(3), atol=1e-12)
 
 
+def test_tensor_grids_share_one_read_only_rule():
+    """gauss_hermite builds each rule once, and every grid of that order
+    shares its arrays, so they and the tables of its 1-D grid are read-only."""
+    x, w = tensor_grid(6, 2).rules[0]
+    assert x is tensor_grid(6, 3).rules[0][0] and w is tensor_grid(6, 3).rules[1][1]
+    grid = gauss_hermite(6)
+    for array in (x, w, grid.nodes, grid.weights, *grid.hermite_tables(5), *grid.rule_defects(5)):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0.0
+
+
 def test_uniform_gaussian_grid_normalized():
     grid = uniform_gaussian_grid(8.0, 801, 2)
     assert grid.weights.sum() == pytest.approx(1.0, abs=1e-12)

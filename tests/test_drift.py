@@ -11,16 +11,17 @@ import gfpk
 from gfpk import (
     BoundViolationError,
     ChaosDensity,
-    ClippedLinearKernel,
-    ConstantKernel,
-    TanhKernel,
     as_measure,
+    clipped_linear_kernel,
     clipped_potential_drift,
     constant_drift,
+    constant_kernel,
     custom_drift,
     enumerate_basis,
+    gaussian_lobe_kernel,
     marginal_measure,
     rotational_drift,
+    tanh_kernel,
     tensor_grid,
     vlasov_drift,
     vlasov_eval,
@@ -54,7 +55,7 @@ def test_constant_drift_value_and_bound():
 
 def test_vlasov_constant_kernel_ignores_measure():
     grid = tensor_grid(12, 1)
-    v = vlasov_drift(ConstantKernel((0.4,)), 1)
+    v = vlasov_drift(constant_kernel((0.4,)), 1)
     p = as_measure(ChaosDensity.constant(enumerate_basis(1, 4)), grid)
     out = v.eval_v(p, np.array([[0.0], [2.0]]))
     assert np.allclose(out, 0.4)
@@ -63,7 +64,7 @@ def test_vlasov_constant_kernel_ignores_measure():
 def test_vlasov_tanh_symmetric_measure_at_origin():
     # odd kernel against the symmetric Gaussian vanishes at x = 0
     grid = tensor_grid(24, 1)
-    v = vlasov_drift(TanhKernel(1.0), 1)
+    v = vlasov_drift(tanh_kernel(1.0), 1)
     p = as_measure(ChaosDensity.constant(enumerate_basis(1, 4)), grid)
     assert abs(v.eval_v(p, np.array([[0.0]]))[0, 0]) < 1e-14
 
@@ -73,7 +74,7 @@ def test_vlasov_tanh_against_quadrature_oracle():
     independent high-order quadrature over the explicit integrand."""
     grid = tensor_grid(48, 1)
     p = cameron_martin(0.5, 20)
-    v = vlasov_drift(TanhKernel(1.0), 1)
+    v = vlasov_drift(tanh_kernel(1.0), 1)
     value = v.eval_v(as_measure(p, grid), np.array([[0.0]]))[0, 0]
     y = grid.nodes[:, 0]
     oracle = float(np.sum(grid.weights * np.tanh(-y) * np.exp(0.5 * y - 0.125)))
@@ -86,14 +87,14 @@ def test_vlasov_eval_point_measure():
     measure = PointMeasure(
         points=np.array([[1.0], [-1.0]]), masses=np.array([0.5, 0.5]), clip_defect=0.0
     )
-    out = vlasov_eval(TanhKernel(1.0), measure, np.array([[0.0]]), None)
+    out = vlasov_eval(tanh_kernel(1.0), measure, np.array([[0.0]]), None)
     assert abs(out[0, 0]) < 1e-15
 
 
 @pytest.mark.parametrize(
     "v",
     [
-        vlasov_drift(TanhKernel(0.5), 1),
+        vlasov_drift(tanh_kernel(0.5), 1),
         drift_from_block({"kind": "componentwise-tanh", "scale": 0.5, "n_components": 1, "mean_shift": True}, 1),
         constant_drift([0.3]),
     ],
@@ -108,7 +109,7 @@ def test_eval_v_rejects_a_density(v):
     v.eval_v(as_measure(p, tensor_grid(12, 1)), np.zeros((1, 1)))
 
 
-@pytest.mark.parametrize("kernel", [TanhKernel(0.7), ConstantKernel((0.2, -0.1))])
+@pytest.mark.parametrize("kernel", [tanh_kernel(0.7), constant_kernel((0.2, -0.1))])
 def test_vlasov_eval_reads_a_density_on_its_grid(kernel):
     """vlasov_eval on a ChaosDensity and a grid is vlasov_eval on the
     measure as_measure reads from them, bit for bit."""
@@ -128,7 +129,7 @@ def test_vlasov_weak_continuity():
     eval_v(p_m, x) -> eval_v(p, x) at every node (the sequential-continuity
     hypothesis the fixed-point argument rests on)."""
     grid = tensor_grid(24, 1)
-    v = vlasov_drift(TanhKernel(0.5), 1)
+    v = vlasov_drift(tanh_kernel(0.5), 1)
     basis = enumerate_basis(1, 8)
     target = cameron_martin(0.4, 8)
     x = grid.nodes[:32]
@@ -186,7 +187,7 @@ def test_mean_shift_tanh_matches_per_component_evaluation(k, ambient):
     [
         clipped_potential_drift(0.5, 2),
         rotational_drift(0.3, 2),
-        vlasov_drift(TanhKernel(0.3), 2),
+        vlasov_drift(tanh_kernel(0.3), 2),
         custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3, reads_measure=False),
     ],
     ids=lambda v: v.kind,
@@ -214,7 +215,7 @@ def test_fields_state_whether_they_read_the_measure():
     depends on the measure, and read_measure gives None for every other."""
     componentwise = {"scale": 0.3, "n_components": 2}
     reading = [
-        vlasov_drift(TanhKernel(0.3), 2),
+        vlasov_drift(tanh_kernel(0.3), 2),
         drift_from_block({"kind": "componentwise-tanh", **componentwise, "mean_shift": True}, 2),
     ]
     ignoring = [
@@ -295,43 +296,35 @@ def test_nan_fails_the_bound_check(bound_kind):
         v.eval_v(None, np.array([[60.0]]))
 
 
-class CountingTanh(ComponentwiseKernel):
-    """tanh, counting the kernel entries evaluated per coordinate."""
+def counting_tanh(entries):
+    """tanh, counting in entries[i] the kernel entries evaluated on coordinate i."""
 
-    component_bound = 1.0
-
-    def __init__(self, k):
-        self.entries = [0] * k
-
-    def component(self, i, z):
-        self.entries[i] += z.size
+    def component(i, z):
+        entries[i] += z.size
         return np.tanh(z)
+
+    return ComponentwiseKernel(component, 1.0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_vlasov_validation_reads_the_kernel_once_per_sample(k):
     # the probe is a point mass, so construction costs one kernel entry per
     # sample and coordinate (a 64-point probe cloud cost 64 each)
-    kernel = CountingTanh(k)
-    vlasov_drift(kernel, k)
-    assert 0 < max(kernel.entries) <= VALIDATION_SAMPLES
+    entries = [0] * k
+    vlasov_drift(counting_tanh(entries), k)
+    assert 0 < max(entries) <= VALIDATION_SAMPLES
 
 
-class SpikedTanh(ComponentwiseKernel):
-    """tanh declared bounded by 1, but 3 on |z| < 0.05."""
-
-    component_bound = 1.0
-
-    def component(self, i, z):
-        return np.where(np.abs(z) < 0.05, 3.0, np.tanh(z))
+# tanh declared bounded by 1, but 3 on |z| < 0.05
+SPIKED_TANH = ComponentwiseKernel(lambda i, z: np.where(np.abs(z) < 0.05, 3.0, np.tanh(z)), 1.0)
 
 
 @pytest.mark.parametrize("cap", [-0.5, -1e-300, math.nan])
 def test_a_clipped_linear_kernel_refuses_a_negative_cap(cap):
     # np.clip(z, 0.5, -0.5) is -0.5 everywhere: a constant kernel, not a clip
     with pytest.raises(ValueError, match="cap must be nonnegative"):
-        ClippedLinearKernel(1.0, cap)
-    assert np.array_equal(ClippedLinearKernel(1.0, 0.0)(np.array([[-2.0, 3.0]])), [[0.0, 0.0]])
+        clipped_linear_kernel(1.0, cap)
+    assert np.array_equal(clipped_linear_kernel(1.0, 0.0)(np.array([[-2.0, 3.0]])), [[0.0, 0.0]])
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -339,12 +332,12 @@ def test_a_kernel_beyond_its_bound_near_zero_is_refused(k):
     # convolved with a spread probe the spike averages away; the point-mass
     # probe reads the kernel itself
     with pytest.raises(BoundViolationError):
-        vlasov_drift(SpikedTanh(), k)
+        vlasov_drift(SPIKED_TANH, k)
 
 
 def test_validation_samples_are_a_fixed_gaussian_design(tmp_path):
     """Finite, close to N(0, 1) in each coordinate, dense enough near 0 to
-    meet a spike there (SpikedTanh), reaching |z| >= 3.5, and the same bits
+    meet a spike there (SPIKED_TANH), reaching |z| >= 3.5, and the same bits
     in a fresh interpreter."""
     path = tmp_path / "fresh.npz"
     code = ("import numpy as np\nfrom gfpk.drift import validation_samples\n"
@@ -413,24 +406,22 @@ def test_rotational_offset_enters_bound():
 
 
 def test_kernel_bounds():
-    from gfpk import ClippedLinearKernel, GaussianLobeKernel
-
-    assert TanhKernel(0.7).component_bound == pytest.approx(0.7)
-    assert GaussianLobeKernel(2.0).component_bound == pytest.approx(2.0 * math.exp(-0.5))
-    assert ClippedLinearKernel(5.0, 0.4).component_bound == pytest.approx(0.4)
-    assert GaussianLobeKernel(2.0).h_bound_for(4) == 2.0 * GaussianLobeKernel(2.0).component_bound
-    assert ConstantKernel((0.3, -0.4)).h_bound_for(2) == pytest.approx(0.5)  # |h|, not 0.4 sqrt(2)
+    assert tanh_kernel(0.7).component_bound == pytest.approx(0.7)
+    assert gaussian_lobe_kernel(2.0).component_bound == pytest.approx(2.0 * math.exp(-0.5))
+    assert clipped_linear_kernel(5.0, 0.4).component_bound == pytest.approx(0.4)
+    assert gaussian_lobe_kernel(2.0).h_bound_for(4) == 2.0 * gaussian_lobe_kernel(2.0).component_bound
+    assert constant_kernel((0.3, -0.4)).h_bound_for(2) == pytest.approx(0.5)  # |h|, not 0.4 sqrt(2)
     z = np.linspace(-10, 10, 1001)
-    assert np.max(np.abs(GaussianLobeKernel(2.0)(z))) <= 2.0 * math.exp(-0.5) + 1e-12
-    assert np.max(np.abs(ClippedLinearKernel(5.0, 0.4)(z))) <= 0.4
+    assert np.max(np.abs(gaussian_lobe_kernel(2.0)(z))) <= 2.0 * math.exp(-0.5) + 1e-12
+    assert np.max(np.abs(clipped_linear_kernel(5.0, 0.4)(z))) <= 0.4
 
 
 @pytest.mark.parametrize("scale", [4.9e-162, -1.1648016382560584e-170, 3e-200, 5e-310])
 def test_tiny_fields_keep_their_bounds(scale):
     # unscaled squares underflow here: |v| read 4.97e-162 against the tanh
     # kernel's bound 4.9e-162, and the constant kernel's bound read 0
-    for kernel in (TanhKernel(scale), ConstantKernel((scale,)), ConstantKernel((scale, scale / 3))):
-        v = vlasov_drift(kernel, len(getattr(kernel, "h", (0,))))
+    for kernel, k in ((tanh_kernel(scale), 1), (constant_kernel((scale,)), 1), (constant_kernel((scale, scale / 3)), 2)):
+        v = vlasov_drift(kernel, k)
         assert v.bound > 0.0
     assert constant_drift([scale, scale]).bound == pytest.approx(abs(scale) * math.sqrt(2), rel=1e-15)
     assert rotational_drift(0.0, 2, offset=[scale, 0.0]).bound == abs(scale)
@@ -446,4 +437,4 @@ def test_h_norm_is_linalg_norm_in_range():
         assert np.array_equal(h_norm(values, axis=axis), np.linalg.norm(values, axis=axis))
     assert h_norm(np.zeros((4, 2)), axis=1).tolist() == [0.0] * 4
     assert h_norm([3e200, 4e200]) == pytest.approx(5e200, rel=1e-15)
-    assert ConstantKernel((0.3, -0.4)).h_bound_for(2) == math.sqrt(0.3 * 0.3 + 0.4 * 0.4)
+    assert constant_kernel((0.3, -0.4)).h_bound_for(2) == math.sqrt(0.3 * 0.3 + 0.4 * 0.4)

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from gfpk import (
     ChaosDensity,
-    ConstantKernel,
+    ComponentwiseKernel,
     DegenerateDensityError,
     FixedPointOptions,
     LadderConfig,
     MarginalMeasure,
     PointMeasure,
     QuadratureGrid,
-    TanhKernel,
     as_measure,
+    constant_kernel,
     custom_drift,
     default_battery,
     enumerate_basis,
@@ -27,6 +27,7 @@ from gfpk import (
     marginal_measure,
     product_grid,
     run_ladder,
+    tanh_kernel,
     tensor_grid,
     uniform_gaussian_grid,
     vlasov_drift,
@@ -127,7 +128,7 @@ def test_marginal_distance_reads_nothing_on_the_product_grid(monkeypatch):
 
 
 def test_the_joint_measure_still_reads_as_a_measure_of_a_separable_drift():
-    v = vlasov_drift(TanhKernel(0.5), 2)
+    v = vlasov_drift(tanh_kernel(0.5), 2)
     grid = tensor_grid(6, 2)
     p = ChaosDensity.constant(enumerate_basis(2, 3))
     assert isinstance(v.read_measure(p, grid), MarginalMeasure)
@@ -142,20 +143,19 @@ def test_the_joint_measure_still_reads_as_a_measure_of_a_separable_drift():
 @pytest.mark.parametrize("read", ["marginal_measure", "as_measure"])
 @pytest.mark.parametrize("grid", [product_grid(gauss_hermite(30).rules + uniform_gaussian_grid(5.0, 30).rules),
                                   uniform_gaussian_grid(5.0, 30, 2)], ids=["gauss-hermite", "uniform"])
-def test_the_dense_path_reads_the_kernel_once_per_distinct_value(read, grid, monkeypatch):
+def test_the_dense_path_reads_the_kernel_once_per_distinct_value(read, grid):
     """Where the Gram regrouping fails (a uniform rule on an axis: a
     Gauss-Hermite rule times a uniform one, or two uniform ones), assembly
     reads a separable Vlasov drift on all q^k nodes; the kernel is still
     evaluated at no more than k q^2 pairs, one per distinct x_i and marginal
     node, not k q^(k+1)."""
-    k, q, kernel = 2, 30, TanhKernel(0.5)
+    entries, tanh = [], tanh_kernel(0.5)
+    k, q, kernel = 2, 30, ComponentwiseKernel(lambda i, z: entries.append(z.size) or tanh.component(i, z), 0.5)
     v, basis = vlasov_drift(kernel, k), enumerate_basis(k, 12)
     measure = {"marginal_measure": marginal_measure, "as_measure": as_measure}[read](random_density(k, 4, 1), grid)
     x = grid.nodes
-    expected = np.column_stack([kernel.component(i, x[:, [i]] - y) @ masses for i, (y, masses) in enumerate(map(measure.marginal, range(k)))])
-    entries = []
-    component = TanhKernel.component
-    monkeypatch.setattr(TanhKernel, "component", lambda self, i, z: entries.append(z.size) or component(self, i, z))
+    expected = np.column_stack([tanh.component(i, x[:, [i]] - y) @ masses for i, (y, masses) in enumerate(map(measure.marginal, range(k)))])
+    entries.clear()
     assert separable_interaction(basis, grid, v, measure) is None
     assemble(v, measure, basis, grid)
     assert 0 < sum(entries) <= k * q * q
@@ -168,12 +168,12 @@ def test_the_dense_path_reads_the_kernel_once_per_distinct_value(read, grid, mon
 # Vlasov solves; the sweep runs every scale with damping 1.0
 SWEEP_SCALES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 1.0, 1.2, 1.5)
 SOLVES = {
-    **{f"sweep-{s}": (2, 12, 24, TanhKernel(s), FixedPointOptions(damping=1.0)) for s in SWEEP_SCALES},
-    "certify-a": (1, 16, 32, TanhKernel(0.2), FixedPointOptions()),
-    "criterion-5": (1, 20, 40, TanhKernel(0.2), FixedPointOptions(damping=0.5)),
-    "criterion-5-undamped": (1, 20, 40, TanhKernel(0.2), FixedPointOptions(damping=1.0)),
-    "criterion-5-seeded": (1, 20, 40, TanhKernel(0.2), FixedPointOptions(initial=cameron_martin(0.2, 20))),
-    "criterion-6": (1, 12, 24, ConstantKernel((0.3,)), FixedPointOptions(damping=1.0)),
+    **{f"sweep-{s}": (2, 12, 24, tanh_kernel(s), FixedPointOptions(damping=1.0)) for s in SWEEP_SCALES},
+    "certify-a": (1, 16, 32, tanh_kernel(0.2), FixedPointOptions()),
+    "criterion-5": (1, 20, 40, tanh_kernel(0.2), FixedPointOptions(damping=0.5)),
+    "criterion-5-undamped": (1, 20, 40, tanh_kernel(0.2), FixedPointOptions(damping=1.0)),
+    "criterion-5-seeded": (1, 20, 40, tanh_kernel(0.2), FixedPointOptions(initial=cameron_martin(0.2, 20))),
+    "criterion-6": (1, 12, 24, constant_kernel((0.3,)), FixedPointOptions(damping=1.0)),
 }
 
 

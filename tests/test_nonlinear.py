@@ -9,14 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gfpk import (
-    ClippedLinearKernel,
-    ConstantKernel,
     FixedPointOptions,
     GfpkError,
     NonConvergenceError,
-    TanhKernel,
     ball_check,
+    clipped_linear_kernel,
     constant_drift,
+    constant_kernel,
     custom_drift,
     enumerate_basis,
     fixed_point_solve,
@@ -25,6 +24,7 @@ from gfpk import (
     l2_gamma_distance,
     solve_linear,
     solve_stationary,
+    tanh_kernel,
     tensor_grid,
     vlasov_drift,
 )
@@ -46,7 +46,7 @@ def test_options_validation():
 def test_constant_kernel_converges_in_one_iteration():
     grid = tensor_grid(24, 1)
     basis = enumerate_basis(1, 12)
-    v = vlasov_drift(ConstantKernel((0.3,)), 1)
+    v = vlasov_drift(constant_kernel((0.3,)), 1)
     rho, trace = fixed_point_solve(
         v, basis, grid, FixedPointOptions(damping=1.0, tolerance=1e-10)
     )
@@ -70,7 +70,7 @@ def test_measure_independent_drift_stationary_after_first_step():
 def test_vlasov_tanh_matches_selfconsistent_oracle():
     grid = tensor_grid(40, 1)
     basis = enumerate_basis(1, 20)
-    v = vlasov_drift(TanhKernel(0.2), 1)
+    v = vlasov_drift(tanh_kernel(0.2), 1)
     rho, trace = fixed_point_solve(
         v, basis, grid, FixedPointOptions(damping=0.5, tolerance=1e-10)
     )
@@ -82,7 +82,7 @@ def test_vlasov_tanh_matches_selfconsistent_oracle():
 def test_undamped_reaches_same_fixed_point():
     grid = tensor_grid(40, 1)
     basis = enumerate_basis(1, 20)
-    v = vlasov_drift(TanhKernel(0.2), 1)
+    v = vlasov_drift(tanh_kernel(0.2), 1)
     damped, _ = fixed_point_solve(
         v, basis, grid, FixedPointOptions(damping=0.5, tolerance=1e-10)
     )
@@ -95,7 +95,7 @@ def test_undamped_reaches_same_fixed_point():
 def test_seed_robustness():
     grid = tensor_grid(40, 1)
     basis = enumerate_basis(1, 20)
-    v = vlasov_drift(TanhKernel(0.2), 1)
+    v = vlasov_drift(tanh_kernel(0.2), 1)
     opts = FixedPointOptions(damping=0.5, tolerance=1e-10)
     from_default, _ = fixed_point_solve(v, basis, grid, opts)
     seeded = FixedPointOptions(
@@ -108,7 +108,7 @@ def test_seed_robustness():
 def test_affine_update_preserves_unit_mass():
     grid = tensor_grid(24, 1)
     basis = enumerate_basis(1, 12)
-    v = vlasov_drift(TanhKernel(0.2), 1)
+    v = vlasov_drift(tanh_kernel(0.2), 1)
     rho, trace = fixed_point_solve(
         v, basis, grid, FixedPointOptions(damping=0.3, tolerance=1e-10)
     )
@@ -120,7 +120,7 @@ def test_affine_update_preserves_unit_mass():
 def test_non_convergence_carries_trace():
     grid = tensor_grid(24, 1)
     basis = enumerate_basis(1, 12)
-    v = vlasov_drift(TanhKernel(0.2), 1)
+    v = vlasov_drift(tanh_kernel(0.2), 1)
     with pytest.raises(NonConvergenceError) as err:
         fixed_point_solve(
             v, basis, grid, FixedPointOptions(damping=0.5, tolerance=1e-10, max_iterations=2)
@@ -133,7 +133,7 @@ def test_non_convergence_carries_trace():
 def test_trace_csv_format():
     grid = tensor_grid(24, 1)
     basis = enumerate_basis(1, 10)
-    v = vlasov_drift(TanhKernel(0.2), 1)
+    v = vlasov_drift(tanh_kernel(0.2), 1)
     _, trace = fixed_point_solve(v, basis, grid, FixedPointOptions(damping=0.5))
     lines = trace.to_csv().strip().splitlines()
     assert lines[0] == "iteration,delta,psi_residual,l2sq,in_schauder_set,depth"
@@ -144,7 +144,7 @@ def test_trace_csv_format():
 def test_trace_records_the_anderson_depth(memory):
     """Each step mixes one more history pair than the last, up to memory;
     the first step and every step after the residual grows mix none."""
-    v = vlasov_drift(ClippedLinearKernel(1.0, 2.0), 1)
+    v = vlasov_drift(clipped_linear_kernel(1.0, 2.0), 1)
     _, trace = fixed_point_solve(
         v, enumerate_basis(1, 12), tensor_grid(24, 1), FixedPointOptions(damping=0.5, memory=memory)
     )
@@ -160,7 +160,7 @@ def test_trace_records_the_anderson_depth(memory):
 
 
 def test_anderson_converges_where_undamped_picard_does_not():
-    v = vlasov_drift(ClippedLinearKernel(1.0, 2.0), 2)
+    v = vlasov_drift(clipped_linear_kernel(1.0, 2.0), 2)
     basis, grid = enumerate_basis(2, 12), tensor_grid(24, 2)
     with pytest.raises(NonConvergenceError):
         fixed_point_solve(v, basis, grid, FixedPointOptions(damping=1.0, memory=0))
@@ -172,7 +172,7 @@ def test_anderson_converges_where_undamped_picard_does_not():
 def test_a_drift_without_a_finite_ball_radius_still_converges(memory):
     """C0 = 35.5 is past the last finite b1_bound (C0 about 26.6); the radius
     only feeds the monitored in_ball flags, which stay None."""
-    v = vlasov_drift(TanhKernel(4.0), 2)
+    v = vlasov_drift(tanh_kernel(4.0), 2)
     assert v.c0 > 26.6
     _, trace = fixed_point_solve(v, enumerate_basis(2, 8), tensor_grid(16, 2), FixedPointOptions(memory=memory))
     assert trace.converged
@@ -183,9 +183,9 @@ def test_trace_csv_holds_the_trace_exactly():
     """One CRLF row per iterate; the last took no step, so its delta and
     depth are empty, as is an in_ball flag of None (tanh 5.0, C0 = 31.4)."""
     basis, grid = enumerate_basis(1, 8), tensor_grid(16, 1)
-    _, converged = fixed_point_solve(vlasov_drift(TanhKernel(0.5), 1), basis, grid)
+    _, converged = fixed_point_solve(vlasov_drift(tanh_kernel(0.5), 1), basis, grid)
     with pytest.raises(NonConvergenceError) as failed:
-        fixed_point_solve(vlasov_drift(TanhKernel(5.0), 1), basis, grid, FixedPointOptions(max_iterations=3))
+        fixed_point_solve(vlasov_drift(tanh_kernel(5.0), 1), basis, grid, FixedPointOptions(max_iterations=3))
     for trace in (converged, failed.value.trace):
         text = trace.to_csv()
         rows = list(csv.reader(io.StringIO(text)))

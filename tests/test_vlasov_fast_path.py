@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 
 from gfpk import (
     ChaosDensity,
-    ClippedLinearKernel,
-    ConstantKernel,
+    ComponentwiseKernel,
     FixedPointOptions,
-    GaussianLobeKernel,
     PointMeasure,
-    TanhKernel,
     as_measure,
+    clipped_linear_kernel,
+    constant_kernel,
     enumerate_basis,
     fixed_point_solve,
+    gaussian_lobe_kernel,
     l2_distance,
     solve_linear,
+    tanh_kernel,
     tensor_grid,
     uniform_gaussian_grid,
     vlasov_drift,
@@ -29,7 +30,8 @@ from gfpk.drift import DriftField
 from gfpk.linear import separable_interaction
 from helpers import CoupledLobeKernel
 
-KERNEL_NAMES = ("constant", "tanh", "gaussian-lobe", "clipped-linear")
+# the built-in kinds, and a kernel built from a plain component
+KERNEL_NAMES = ("constant", "tanh", "gaussian-lobe", "clipped-linear", "own-sine")
 REL_TOL = 1e-13
 
 scales = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -37,12 +39,14 @@ scales = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 def make_kernel(name, k, scale, cap):
     if name == "constant":
-        return ConstantKernel(tuple(scale * (i + 1) / k for i in range(k)))
+        return constant_kernel(tuple(scale * (i + 1) / k for i in range(k)))
     if name == "tanh":
-        return TanhKernel(scale)
+        return tanh_kernel(scale)
     if name == "gaussian-lobe":
-        return GaussianLobeKernel(scale)
-    return ClippedLinearKernel(scale, cap)
+        return gaussian_lobe_kernel(scale)
+    if name == "own-sine":
+        return ComponentwiseKernel(lambda i, z: scale * np.sin(z), abs(scale))
+    return clipped_linear_kernel(scale, cap)
 
 
 kernel_args = st.tuples(scales, st.floats(min_value=0.01, max_value=2.0))
@@ -135,12 +139,24 @@ def test_marginal_matches_dense_on_uniform_grids(name, args, k, n, span, seed):
 
 def test_kernels_apply_their_component_on_every_axis():
     z = np.linspace(-4.0, 4.0, 24).reshape(4, 3, 2)
-    assert np.array_equal(ConstantKernel((0.3, -0.2))(z)[..., 1], np.full((4, 3), -0.2))
-    assert np.allclose(TanhKernel(0.7)(z), 0.7 * np.tanh(z), rtol=0, atol=1e-15)
+    assert np.array_equal(constant_kernel((0.3, -0.2))(z)[..., 1], np.full((4, 3), -0.2))
+    assert np.allclose(tanh_kernel(0.7)(z), 0.7 * np.tanh(z), rtol=0, atol=1e-15)
     assert np.allclose(
-        GaussianLobeKernel(1.5)(z), 1.5 * z * np.exp(-0.5 * z * z), rtol=0, atol=1e-15
+        gaussian_lobe_kernel(1.5)(z), 1.5 * z * np.exp(-0.5 * z * z), rtol=0, atol=1e-15
     )
-    assert np.array_equal(ClippedLinearKernel(2.0, 0.5)(z), np.clip(2.0 * z, -0.5, 0.5))
+    assert np.array_equal(clipped_linear_kernel(2.0, 0.5)(z), np.clip(2.0 * z, -0.5, 0.5))
+
+
+def test_a_kernel_built_from_its_component_solves_as_the_built_in_one():
+    """The same fixed point, bit for bit, and the same trace as tanh_kernel."""
+    grid, basis = tensor_grid(40, 1), enumerate_basis(1, 20)
+    (rho, trace), (own, own_trace) = [
+        fixed_point_solve(vlasov_drift(kernel, 1), basis, grid, FixedPointOptions(damping=0.5))
+        for kernel in (tanh_kernel(0.2), ComponentwiseKernel(lambda i, z: 0.2 * np.tanh(z), 0.2))
+    ]
+    assert trace.converged and trace.iterations > 1
+    assert own.coefficients.tobytes() == rho.coefficients.tobytes()
+    assert own_trace == trace
 
 
 def test_undeclared_kernel_takes_the_dense_path():
@@ -214,7 +230,7 @@ def test_hoisted_fixed_point_matches_per_iteration_solves(scale):
     every iterate off the symmetric fixed point."""
     grid = tensor_grid(16, 2)
     basis = enumerate_basis(2, 8)
-    v = vlasov_drift(TanhKernel(scale), 2)
+    v = vlasov_drift(tanh_kernel(scale), 2)
     opts = FixedPointOptions(
         damping=0.7, tolerance=1e-10, memory=0, initial=shifted_density(basis, (0.4, -0.25))
     )
