@@ -31,7 +31,6 @@ from .diagnostics import (
     fisher_energy,
     log_moment,
     log_moment_bracket,
-    superlevel_mass_1d,
     tail_check,
 )
 from .errors import (

@@ -22,9 +22,6 @@ from .errors import NumericError
 FISHER_FLOOR = 1e-12
 FISHER_MASS_REQUIRED = 1.0 - 1e-6
 TAIL_TOLERANCE = 1e-8  # absolute slack of each tail comparison
-# half-width and point count of the sign-change scan of superlevel_mass_1d
-LEVELSET_SPAN = 12.0
-LEVELSET_SCAN = 4001
 
 
 def b1_bound(c0: float) -> float:
@@ -60,36 +57,6 @@ def ball_check(rho: ChaosDensity, c0: float) -> dict:
     except NumericError:  # a NaN C0 raises it too, and bounds no sum
         return {**entry, "right": None, "pass": math.isfinite(left) and c0 > 0.0}
     return {**entry, "right": left + margin, "pass": margin >= 0.0}
-
-
-def superlevel_mass_1d(rho: ChaosDensity, t: float) -> float:
-    """gamma(rho >= t) for a 1-D density by explicit level-set resolution.
-
-    Scans [-LEVELSET_SPAN, LEVELSET_SPAN] for sign changes of rho - t,
-    refines each crossing by bisection and sums the exact Gaussian mass of
-    the super-level intervals.  Accurate to root-finding precision, unlike
-    node counting.
-    """
-    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
-
-    if rho.k != 1:
-        raise ValueError("level-set mass is implemented for 1-D densities only")
-    span = LEVELSET_SPAN
-    xs = np.linspace(-span, span, LEVELSET_SCAN)
-    sign = rho.evaluate(xs[:, None]) >= t
-    f = lambda s: rho.evaluate(np.array([s])) - t
-    changes = np.flatnonzero(sign[:-1] != sign[1:])
-    edges = [-span] + [brentq(f, xs[j], xs[j + 1], xtol=1e-14) for j in changes] + [span]
-    mass = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        if rho.evaluate(np.array([mid])) >= t:
-            mass += _gaussian_cdf(b) - _gaussian_cdf(a)
-    return mass
-
-
-def _gaussian_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def tail_check(sigma_inf: float, t_grid, grid: QuadratureGrid, vals: np.ndarray) -> dict:

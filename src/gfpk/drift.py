@@ -1,12 +1,13 @@
 """Drift fields b(p, x) = -x + v(p, x) with certified bounds.
 
 A DriftField owns the measure-dependent part v only; callers add the
-linear -x part.  Every field declares a bound, either on the Euclidean
-(Cameron-Martin) norm |v|_H or componentwise (|v_n| <= C).  The bound is
-validated at construction on Gaussian samples with the measure a unit point
-mass at the origin, which reads a Vlasov kernel itself, v(delta_0, x) = b0(x):
-by Jensen sup |b0|_H bounds |v(p, x)|_H for every probability p.  eval_v
-re-checks the bound at every point it evaluates.
+linear -x part.  Every field declares its bounds as numbers: h_bound on the
+Euclidean (Cameron-Martin) norm |v|_H, and component_bound on every |v_n|
+where it has one.  The bounds are validated at construction on Gaussian
+samples with the measure a unit point mass at the origin, which reads a
+Vlasov kernel itself, v(delta_0, x) = b0(x): by Jensen sup |b0| bounds
+|v(p, x)| for every probability p.  eval_v re-checks them at every point it
+evaluates.
 
 `v.read_measure(p, grid)` is the one place a ChaosDensity p becomes the
 measure v reads, in weak-topology form: None for a field whose value does
@@ -19,7 +20,7 @@ coordinate; every built-in kind except `rotational` builds one.
 
 The registry at the end (DRIFTS, KERNELS) is the one description of the
 drift and kernel kinds a config can name: their parameters and
-constructors.  Everything else about a drift (its bound, whether it reads
+constructors.  Everything else about a drift (its bounds, whether it reads
 the measure) is stated by the DriftField its constructor builds.
 """
 from __future__ import annotations
@@ -38,9 +39,6 @@ from .schema import Kind, Param, read_kind
 
 BOUND_SLACK = 1e-9
 VALIDATION_SAMPLES = 10_000
-
-H_BOUND = "H"
-COMPONENTWISE_BOUND = "componentwise"
 
 
 def h_norm(values, axis=None) -> np.ndarray:
@@ -92,6 +90,18 @@ def _by_coordinate(component, k: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _largest_rows(values: np.ndarray) -> np.ndarray:
+    """The rows of values (m, k) among which the largest norm lies: those whose
+    plain sum of squares is within rounding of the largest, or every row where
+    a square may have under- or overflowed (or is NaN).  The bound check
+    takes h_norm of these rows only."""
+    squares = np.einsum("ij,ij->i", values, values)
+    top = np.max(squares, initial=0.0)
+    if not 2.0**-1000 <= top < math.inf:
+        return values
+    return values[squares >= top * (1.0 - 1e-12)]
+
+
 # -- convolution kernels ---------------------------------------------------
 
 
@@ -99,7 +109,8 @@ def _by_coordinate(component, k: int, z: np.ndarray) -> np.ndarray:
 class ComponentwiseKernel:
     """A kernel whose i-th output component depends on z_i only: b0(z)_i =
     component(i, z_i), read on a plain array of z_i values, and bounded by
-    component_bound; h_bound, where set, bounds |b0|_H in every dimension.
+    component_bound; h_bound, where set, bounds |b0|_H in every dimension
+    (else the drift takes component_bound * sqrt(k)).
 
     `vlasov_drift` builds a SeparableField from an instance, convolved
     coordinate by coordinate against the 1-D marginals of the measure.
@@ -108,10 +119,6 @@ class ComponentwiseKernel:
     component: Callable[[int, np.ndarray], np.ndarray]
     component_bound: float
     h_bound: float | None = None
-
-    def h_bound_for(self, k: int) -> float:
-        """Bound on |b0|_H in dimension k."""
-        return self.component_bound * math.sqrt(k) if self.h_bound is None else self.h_bound
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         return _by_coordinate(self.component, z.shape[-1], z)
@@ -143,44 +150,49 @@ def clipped_linear_kernel(scale: float, cap: float) -> ComponentwiseKernel:
 
 
 class DriftField:
-    """Measure-dependent drift v with a declared, enforced bound.
+    """Measure-dependent drift v with declared, enforced bounds.
 
     The evaluator maps (measure, x (m, k)) to (m, k), the measure being one
     of measure_types, or None for a field that does not read it.  kind is a
-    label for messages.  bound_kind is H_BOUND (on |v|_H) or
-    COMPONENTWISE_BOUND (on every |v_n|).  reads_measure says whether the
-    value of v depends on the measure: such a field is solved by the fixed
-    point and refuses None (_check_measure), any other by one linear solve,
-    and reads None (read_measure).
+    label for messages.  h_bound bounds |v|_H, and component_bound every
+    |v_n| (None where the field has no such bound); a field declares at
+    least one, each a finite number >= 0, and h_bound defaults to
+    component_bound * sqrt(k).  reads_measure says whether the value of v
+    depends on the measure: such a field is solved by the fixed point and
+    refuses None (_check_measure), any other by one linear solve, and reads
+    None (read_measure).
     """
 
     measure_types = (PointMeasure,)  # what eval_v reads besides None
 
-    def __init__(self, kind, k, evaluator, bound_kind, bound, reads_measure):
-        if bound_kind not in (H_BOUND, COMPONENTWISE_BOUND):
-            raise ValueError(f"bound kind must be {H_BOUND!r} or {COMPONENTWISE_BOUND!r}, got {bound_kind!r}")
+    def __init__(self, kind, k, evaluator, *, reads_measure, h_bound=None, component_bound=None):
+        for name, bound in (("h_bound", h_bound), ("component_bound", component_bound)):
+            if bound is not None and not 0.0 <= bound < math.inf:  # NaN fails too
+                raise ValueError(f"a {kind} drift's {name} must be a finite number >= 0, got {bound!r}")
+        if h_bound is None and component_bound is None:
+            raise ValueError(f"a {kind} drift must declare h_bound, component_bound or both")
         self.kind = kind
         self.k = k
         self._evaluator = evaluator
-        self.bound_kind = bound_kind
-        self.bound = float(bound)
+        self.component_bound = None if component_bound is None else float(component_bound)
+        # a derived h_bound follows from the componentwise check, so only a declared one is checked
+        self._checks_h = h_bound is not None
+        self.h_bound = float(h_bound) if self._checks_h else self.component_bound * math.sqrt(k)
         self.reads_measure = reads_measure
         self._validate_by_sampling()
 
     def _check_bound(self, values: np.ndarray):
-        worst = float(np.max(np.abs(values), initial=0.0))
-        if self.bound_kind == H_BOUND:  # one exact power-of-two scale; the largest row keeps its norm
-            _, exponent = math.frexp(worst)
-            scaled = np.ldexp(values, -exponent)
-            worst = float(np.ldexp(np.sqrt(np.max(np.einsum("ij,ij->i", scaled, scaled), initial=0.0)), exponent))
-        if not worst <= self.bound * (1.0 + BOUND_SLACK) + 1e-300:  # NaN fails too
-            raise BoundViolationError(
-                f"{self.kind} drift produced |v| = {worst:.6g} beyond its "
-                f"declared {self.bound_kind} bound {self.bound:.6g}"
-            )
+        if self.component_bound is not None:
+            self._refuse_beyond("|v_n|", float(np.max(np.abs(values), initial=0.0)), self.component_bound)
+        if self._checks_h:
+            self._refuse_beyond("|v|_H", float(np.max(h_norm(_largest_rows(values), axis=1), initial=0.0)), self.h_bound)
+
+    def _refuse_beyond(self, norm: str, worst: float, bound: float):
+        if not worst <= bound * (1.0 + BOUND_SLACK) + 1e-300:  # NaN fails too
+            raise BoundViolationError(f"{self.kind} drift produced {norm} = {worst:.6g} beyond its declared bound {bound:.6g}")
 
     def _validate_by_sampling(self):
-        """Check the bound at Gaussian samples against a unit point mass at the
+        """Check the bounds at Gaussian samples against a unit point mass at the
         origin: a Vlasov field then reads b0 itself, which by Jensen bounds
         v(p, x) for every probability p; eval_v still re-checks every point."""
         probe = PointMeasure(points=np.zeros((1, self.k)), masses=np.ones(1), clip_defect=0.0)
@@ -211,14 +223,6 @@ class DriftField:
         return values[0] if single else values
 
     @property
-    def h_bound(self) -> float:
-        """Bound on |v|_H implied by the declared bound (componentwise fields
-        convert by sqrt(k))."""
-        if self.bound_kind == H_BOUND:
-            return self.bound
-        return self.bound * math.sqrt(self.k)
-
-    @property
     def c0(self) -> float:
         """Certified constant C0 = 2 pi ||v|_H||_inf driving the a-priori bounds."""
         return 2.0 * math.pi * self.h_bound
@@ -243,16 +247,17 @@ class SeparableField(DriftField):
 
     measure_types = (PointMeasure, MarginalMeasure)
 
-    def __init__(self, kind, k, axis, bound_kind, bound, reads_measure):
+    def __init__(self, kind, k, axis, *, reads_measure, h_bound=None, component_bound=None):
         self.axis = axis
-        super().__init__(kind, k, self._stacked, bound_kind, bound, reads_measure)
+        super().__init__(kind, k, self._stacked, reads_measure=reads_measure, h_bound=h_bound,
+                         component_bound=component_bound)
 
     def _stacked(self, measure, x):
         return _by_coordinate(lambda i, z: self.axis(measure, i, z), self.k, x)
 
     def _check_axes(self, values):
-        """Check the bound on the row of maxima max_a |v_i(x_ai)| over each coordinate's
-        values: for either bound kind that row is the worst point of their product."""
+        """Check the bounds on the row of maxima max_a |v_i(x_ai)| over each coordinate's
+        values: for either bound that row is the worst point of their product."""
         self._check_bound(np.array([[np.max(np.abs(v_i)) for v_i in values]]))
         return values
 
@@ -276,8 +281,8 @@ def constant_drift(h) -> DriftField:
     """v = h, a fixed Cameron-Martin vector; ignores the measure and the point."""
     h = np.asarray(h, dtype=float).reshape(-1)
     return SeparableField(
-        "constant", h.size, lambda measure, i, z: np.full(z.shape, h[i]), H_BOUND, float(h_norm(h)),
-        reads_measure=False,
+        "constant", h.size, lambda measure, i, z: np.full(z.shape, h[i]), reads_measure=False,
+        h_bound=float(h_norm(h)), component_bound=float(np.max(np.abs(h), initial=0.0)),
     )
 
 
@@ -294,8 +299,7 @@ def clipped_potential_drift(lam: float, k: int, width: float = 2.0) -> DriftFiel
     if width <= 0:
         raise ValueError("saturation width must be positive")
     return SeparableField(
-        "gradient", k, lambda measure, i, z: lam * np.tanh(z / width), H_BOUND, abs(lam) * math.sqrt(k),
-        reads_measure=False,
+        "gradient", k, lambda measure, i, z: lam * np.tanh(z / width), reads_measure=False, component_bound=abs(lam)
     )
 
 
@@ -355,20 +359,18 @@ def vlasov_drift(kernel, k: int) -> DriftField:
     the 1-D marginals of the measure; any other kernel, such as a general
     H-valued b0, is convolved over all pairs of points.
 
-    Every kernel answers h_bound_for(k), its bound on |b0|_H in dimension k.
-    The measure argument is required; None is a TypeError.
+    Every kernel states h_bound, its bound on |b0|_H, and component_bound,
+    its bound on every |b0_n|, either None where it has none; the drift
+    declares both.  The measure argument is required; None is a TypeError.
     """
-
-    bound = kernel.h_bound_for(k)
+    bounds = {"h_bound": kernel.h_bound, "component_bound": kernel.component_bound}
     if isinstance(kernel, ComponentwiseKernel):
         return SeparableField(
-            "vlasov", k, lambda measure, i, z: marginal_convolution(kernel, measure, i, z), H_BOUND,
-            bound, reads_measure=True,
+            "vlasov", k, lambda measure, i, z: marginal_convolution(kernel, measure, i, z), reads_measure=True,
+            **bounds,
         )
-    return DriftField(
-        "vlasov", k, lambda measure, x: vlasov_eval(kernel, measure, x, None), H_BOUND, bound,
-        reads_measure=True,
-    )
+    return DriftField("vlasov", k, lambda measure, x: vlasov_eval(kernel, measure, x, None), reads_measure=True,
+                      **bounds)
 
 
 def rotational_drift(scale: float, k: int = 2, offset=None) -> DriftField:
@@ -389,20 +391,20 @@ def rotational_drift(scale: float, k: int = 2, offset=None) -> DriftField:
         rotated[:, 1::2] = x[:, 0::2]
         return scale * rotated / (1.0 + np.sum(x * x, axis=1))[:, None] + shift
 
-    bound = abs(scale) / 2.0 + float(h_norm(shift))
-    return DriftField("rotational", k, evaluator, H_BOUND, bound, reads_measure=False)
+    return DriftField("rotational", k, evaluator, reads_measure=False, h_bound=abs(scale) / 2.0 + float(h_norm(shift)))
 
 
-def custom_drift(fn, k, bound_kind, bound, *, reads_measure: bool) -> DriftField:
-    """Register a user evaluator (measure, x) -> (m, k) under a declared
-    bound (bound_kind "H" or "componentwise"); the measure is a PointMeasure
-    or None, and `reads_measure` states whether fn reads it (a field that
-    does not is handed None and solved by one linear solve).
+def custom_drift(fn, k, *, reads_measure: bool, h_bound=None, component_bound=None) -> DriftField:
+    """Register a user evaluator (measure, x) -> (m, k) under its declared
+    bounds, h_bound on |v|_H and component_bound on every |v_n| (one at
+    least); the measure is a PointMeasure or None, and `reads_measure`
+    states whether fn reads it (a field that does not is handed None and
+    solved by one linear solve).
 
     Sampling validation at registration is mandatory; a violating field never
     gets constructed.
     """
-    return DriftField("custom", k, fn, bound_kind, bound, reads_measure=reads_measure)
+    return DriftField("custom", k, fn, reads_measure=reads_measure, h_bound=h_bound, component_bound=component_bound)
 
 
 # -- registry of config kinds ----------------------------------------------
@@ -447,8 +449,8 @@ def _componentwise(axis, reads_measure, *params) -> Kind:
     bounds k."""
     return Kind(
         (_SCALE, Param("n_components", "integer", 1, 64)) + params,
-        lambda q, k: SeparableField("componentwise", k, axis(q), COMPONENTWISE_BOUND, abs(q["scale"]),
-                                    reads_measure=reads_measure(q)),
+        lambda q, k: SeparableField("componentwise", k, axis(q), reads_measure=reads_measure(q),
+                                    component_bound=abs(q["scale"])),
         dims=lambda q, k: "" if k <= q["n_components"] else f"has fewer n_components than k={k}",
     )
 

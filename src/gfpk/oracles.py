@@ -50,12 +50,6 @@ class GridDensity1D:
         phi = np.exp(-0.5 * self.x**2) / math.sqrt(2.0 * math.pi)
         return self.pdf / phi
 
-    def mean(self) -> float:
-        return float(np.trapezoid(self.x * self.pdf, self.x))
-
-    def second_moment(self) -> float:
-        return float(np.trapezoid(self.x**2 * self.pdf, self.x))
-
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Running trapezoid integral of y over x from x[0], summed in the order

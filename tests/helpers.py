@@ -64,13 +64,14 @@ def hermite_gradient(beta, x):
 
 class CoupledLobeKernel:
     """b0(z) = scale * z * exp(-|z|^2 / 2): not componentwise, since every
-    component reads |z|; |b0|_H <= |scale| e^(-1/2) in any dimension."""
+    component reads |z|; |b0|_H <= |scale| e^(-1/2) in any dimension, and it
+    states no componentwise bound."""
+
+    component_bound = None
 
     def __init__(self, scale):
         self.scale = scale
-
-    def h_bound_for(self, k):
-        return abs(self.scale) * math.exp(-0.5)
+        self.h_bound = abs(scale) * math.exp(-0.5)
 
     def __call__(self, z):
         return self.scale * z * np.exp(-0.5 * np.sum(z * z, axis=-1, keepdims=True))
@@ -87,6 +88,42 @@ def b1_bound_quadrature(c0: float) -> float:
     value, err = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
     assert np.isfinite(value) and err <= 1e-8 * max(1.0, value), f"quadrature failed at C0={c0}"
     return 1.0 + 2.0 * math.e**2 * value
+
+
+# half-width and point count of the sign-change scan of superlevel_mass_1d
+LEVELSET_SPAN = 12.0
+LEVELSET_SCAN = 4001
+
+
+def superlevel_mass_1d(rho: ChaosDensity, t: float) -> float:
+    """Reference gamma(rho >= t) for a 1-D density by explicit level-set
+    resolution, for the tail check's node mass to be checked against.
+
+    Scans [-LEVELSET_SPAN, LEVELSET_SPAN] for sign changes of rho - t,
+    refines each crossing by bisection and sums the exact Gaussian mass of
+    the super-level intervals.  Accurate to root-finding precision, unlike
+    node counting.
+    """
+    from scipy.optimize import brentq
+
+    if rho.k != 1:
+        raise ValueError("level-set mass is implemented for 1-D densities only")
+    span = LEVELSET_SPAN
+    xs = np.linspace(-span, span, LEVELSET_SCAN)
+    sign = rho.evaluate(xs[:, None]) >= t
+    f = lambda s: rho.evaluate(np.array([s])) - t
+    changes = np.flatnonzero(sign[:-1] != sign[1:])
+    edges = [-span] + [brentq(f, xs[j], xs[j + 1], xtol=1e-14) for j in changes] + [span]
+    mass = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (a + b)
+        if rho.evaluate(np.array([mid])) >= t:
+            mass += _gaussian_cdf(b) - _gaussian_cdf(a)
+    return mass
+
+
+def _gaussian_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def cameron_martin(c: float, degree: int) -> ChaosDensity:

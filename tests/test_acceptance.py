@@ -37,7 +37,6 @@ from gfpk import (
     rotational_drift,
     run_ladder,
     solve_linear,
-    superlevel_mass_1d,
     tail_check,
     tanh_kernel,
     tensor_grid,
@@ -45,7 +44,7 @@ from gfpk import (
     vlasov_drift,
 )
 from gfpk.cli import main as cli_main
-from helpers import b1_bound_quadrature, cameron_martin, node_values, registry_drift
+from helpers import b1_bound_quadrature, cameron_martin, node_values, registry_drift, superlevel_mass_1d
 from scipy.special import ndtr
 
 

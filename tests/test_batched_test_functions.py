@@ -115,7 +115,7 @@ def test_battery_integrals_equal_the_per_test_loop(data, k, degree, seed):
 
 
 def coupled_drift(k):
-    return custom_drift(lambda p, x: 0.5 * np.tanh(x + 1.0 - x[:, ::-1]), k, "componentwise", 0.5,
+    return custom_drift(lambda p, x: 0.5 * np.tanh(x + 1.0 - x[:, ::-1]), k, component_bound=0.5,
                         reads_measure=False)
 
 

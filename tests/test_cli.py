@@ -157,8 +157,7 @@ def run_fresh(code):
 def test_import_loads_no_heavy_scipy_subpackage(module):
     """Every CLI call pays for this import: numpy and scipy's LAPACK
     extension scipy.linalg._flapack only, neither the scipy package nor
-    scipy.linalg; only the level-set mass imports more, scipy.optimize, on
-    first use."""
+    scipy.linalg, and no gfpk function imports more of scipy."""
     loaded = run_fresh(f"import sys, {module}; print(' '.join(sorted(sys.modules)))").split()
     assert module in loaded and "scipy.linalg._flapack" in loaded
     assert [m for m in ("scipy",) + HEAVY_SCIPY + UNREAD if m in loaded] == []

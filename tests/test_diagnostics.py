@@ -14,12 +14,11 @@ from gfpk import (
     enumerate_basis,
     fisher_energy,
     log_moment,
-    superlevel_mass_1d,
     tail_check,
     tensor_grid,
 )
 from gfpk.diagnostics import log_moment_bracket
-from helpers import b1_bound_quadrature, cameron_martin, node_values
+from helpers import b1_bound_quadrature, cameron_martin, node_values, superlevel_mass_1d
 
 
 def test_b1_bound_zero_is_one():

@@ -28,10 +28,10 @@ from gfpk import (
 )
 from gfpk.drift import (
     BOUND_SLACK,
-    H_BOUND,
     VALIDATION_SAMPLES,
     ComponentwiseKernel,
     SeparableField,
+    _largest_rows,
     drift_from_block,
     h_norm,
     validation_samples,
@@ -188,7 +188,7 @@ def test_mean_shift_tanh_matches_per_component_evaluation(k, ambient):
         clipped_potential_drift(0.5, 2),
         rotational_drift(0.3, 2),
         vlasov_drift(tanh_kernel(0.3), 2),
-        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3, reads_measure=False),
+        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, h_bound=0.3, reads_measure=False),
     ],
     ids=lambda v: v.kind,
 )
@@ -202,12 +202,49 @@ def test_eval_v_rejects_points_of_another_dimension(v, shape):
     assert v.eval_v(measure, np.ones(2)).shape == (2,)
 
 
-@pytest.mark.parametrize("bound_kind", ["h", "Hilbert", "Componentwise", ""])
-def test_unknown_bound_kind_is_rejected(bound_kind):
-    # a misspelt kind once became componentwise: h_bound 0.3 * sqrt(2)
-    with pytest.raises(ValueError, match="bound kind"):
-        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, bound_kind, 0.3, reads_measure=False)
-    assert custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3, reads_measure=False).h_bound == 0.3
+@pytest.mark.parametrize("name", ["h_bound", "component_bound"])
+@pytest.mark.parametrize("bound", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_a_declared_bound_is_a_finite_number_at_least_zero(name, bound):
+    # a bound of -1 or NaN once blamed the zero field for |v| = 0 beyond it, and
+    # an infinite one built c0 = inf and sigma_inf = 0, passing the ball and tail vacuously
+    zero = lambda p, x: np.zeros_like(x)
+    with pytest.raises(ValueError, match=f"{name} must be a finite number >= 0, got {bound!r}"):
+        custom_drift(zero, 2, reads_measure=False, **{name: bound})
+    with pytest.raises(ValueError, match=name):
+        custom_drift(zero, 2, reads_measure=False, **{"h_bound": 0.3, "component_bound": 0.3, name: bound})
+    assert custom_drift(zero, 2, reads_measure=False, **{name: 0.0}).c0 == 0.0
+
+
+def test_a_field_declares_a_bound():
+    with pytest.raises(ValueError, match="must declare h_bound, component_bound or both"):
+        custom_drift(lambda p, x: np.zeros_like(x), 2, reads_measure=False)
+    with pytest.raises(ValueError, match="must declare"):
+        SeparableField("none", 2, lambda measure, i, z: np.zeros(z.shape), reads_measure=False)
+
+
+def test_a_componentwise_bound_alone_gives_the_h_bound_by_sqrt_k():
+    tanh = lambda p, x: 0.1 * np.tanh(x)
+    v = custom_drift(tanh, 2, reads_measure=False, component_bound=0.3)
+    assert (v.component_bound, v.h_bound) == (0.3, 0.3 * math.sqrt(2))
+    w = custom_drift(tanh, 2, reads_measure=False, h_bound=0.3)
+    assert (w.component_bound, w.h_bound) == (None, 0.3)
+    both = custom_drift(tanh, 2, reads_measure=False, h_bound=0.2, component_bound=0.15)
+    assert (both.component_bound, both.h_bound) == (0.15, 0.2)
+
+
+def test_each_declared_bound_is_enforced():
+    """A field is refused beyond either of its bounds, at construction and
+    where it is evaluated; the message names the norm that broke."""
+    flat = lambda p, x: np.where(np.abs(x) > 50.0, 0.2, 0.1)
+    with pytest.raises(BoundViolationError, match=r"\|v_n\| = 0\.1 beyond its declared bound 0\.05$"):
+        custom_drift(flat, 2, reads_measure=False, h_bound=1.0, component_bound=0.05)
+    with pytest.raises(BoundViolationError, match=r"\|v\|_H = 0\.141421 beyond its declared bound 0\.12$"):
+        custom_drift(flat, 2, reads_measure=False, h_bound=0.12, component_bound=0.1)
+    v = custom_drift(flat, 2, reads_measure=False, h_bound=0.15, component_bound=0.1)
+    with pytest.raises(BoundViolationError, match=r"\|v_n\| = 0\.2 "):
+        v.eval_v(None, [[60.0, 0.0]])
+    with pytest.raises(BoundViolationError, match=r"\|v\|_H = 0\.282843 "):
+        custom_drift(flat, 2, reads_measure=False, h_bound=0.15).eval_v(None, [[60.0, 60.0]])
 
 
 def test_fields_state_whether_they_read_the_measure():
@@ -226,8 +263,8 @@ def test_fields_state_whether_they_read_the_measure():
         drift_from_block({"kind": "componentwise-decoupled-tanh", **componentwise}, 2),
     ]
     declared = [
-        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3, reads_measure=True),
-        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3, reads_measure=False),
+        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, h_bound=0.3, reads_measure=True),
+        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, h_bound=0.3, reads_measure=False),
     ]
     fields = reading + ignoring + declared
     assert [v.reads_measure for v in fields] == [True] * 2 + [False] * 5 + [True, False]
@@ -245,7 +282,7 @@ def test_fields_state_whether_they_read_the_measure():
     + [
         drift_from_block({"kind": "componentwise-tanh", "scale": 0.5, "n_components": 2, "mean_shift": True}, 2),
         vlasov_drift(CoupledLobeKernel(1.0), 2),
-        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, "H", 0.3, reads_measure=True),
+        custom_drift(lambda p, x: 0.1 * np.tanh(x), 2, h_bound=0.3, reads_measure=True),
     ],
     ids=[f"vlasov-{kernel['kind']}" for kernel in VLASOV_KERNELS] + ["mean-shifted-tanh", "coupled-kernel", "custom"],
 )
@@ -264,14 +301,14 @@ def test_fields_that_read_the_measure_refuse_none(v):
 def test_buggy_evaluator_is_not_registered():
     # the validation probe lets the evaluator's own error through
     with pytest.raises(AttributeError):
-        custom_drift(lambda p, x: x.no_such_attribute, 1, "H", 1.0, reads_measure=False)
+        custom_drift(lambda p, x: x.no_such_attribute, 1, h_bound=1.0, reads_measure=False)
     with pytest.raises(TypeError):
-        custom_drift(lambda p, x: p + x, 1, "H", 1.0, reads_measure=True)
+        custom_drift(lambda p, x: p + x, 1, h_bound=1.0, reads_measure=True)
 
 
 def test_bound_violation_raises():
     with pytest.raises(BoundViolationError, match="declared"):
-        custom_drift(lambda p, x: 2.0 * np.ones_like(x), 1, "H", 1.0, reads_measure=False)
+        custom_drift(lambda p, x: 2.0 * np.ones_like(x), 1, h_bound=1.0, reads_measure=False)
 
 
 def test_eval_time_bound_check():
@@ -280,17 +317,17 @@ def test_eval_time_bound_check():
     def fn(p, x):
         return np.where(np.abs(x) > 50.0, 10.0, 0.1)
 
-    v = custom_drift(fn, 1, "H", 0.5, reads_measure=False)
+    v = custom_drift(fn, 1, h_bound=0.5, reads_measure=False)
     with pytest.raises(BoundViolationError):
         v.eval_v(None, np.array([[60.0]]))
 
 
-@pytest.mark.parametrize("bound_kind", ["H", "componentwise"])
-def test_nan_fails_the_bound_check(bound_kind):
+@pytest.mark.parametrize("name", ["h_bound", "component_bound"], ids=["H", "componentwise"])
+def test_nan_fails_the_bound_check(name):
     with pytest.raises(BoundViolationError, match="nan"):
-        custom_drift(lambda p, x: np.full_like(x, np.nan), 1, bound_kind, 1.0, reads_measure=False)
+        custom_drift(lambda p, x: np.full_like(x, np.nan), 1, reads_measure=False, **{name: 1.0})
     # NaN only far out: constructed, then refused where it is evaluated
-    v = custom_drift(lambda p, x: np.where(np.abs(x) > 50.0, np.nan, 0.1), 1, bound_kind, 0.5, reads_measure=False)
+    v = custom_drift(lambda p, x: np.where(np.abs(x) > 50.0, np.nan, 0.1), 1, reads_measure=False, **{name: 0.5})
     assert v.eval_v(None, np.array([[1.0]])).tolist() == [[0.1]]
     with pytest.raises(BoundViolationError, match="nan"):
         v.eval_v(None, np.array([[60.0]]))
@@ -366,12 +403,12 @@ def test_separable_validation_covers_the_product_of_the_samples():
     assert np.max(np.linalg.norm(rows, axis=1)) == 1.0  # no row holds both peaks
     # a bound between the row maximum 1 and the product maximum sqrt(2) is refused
     with pytest.raises(BoundViolationError, match="1.41421"):
-        SeparableField("peaks", 2, axis, H_BOUND, 1.2, reads_measure=False)
-    SeparableField("peaks", 2, axis, H_BOUND, math.sqrt(2.0), reads_measure=False)
+        SeparableField("peaks", 2, axis, h_bound=1.2, reads_measure=False)
+    SeparableField("peaks", 2, axis, h_bound=math.sqrt(2.0), reads_measure=False)
 
 
 def test_bound_check_gives_the_verdict_of_the_row_norms():
-    fields = {k: custom_drift(lambda p, x: np.zeros_like(x), k, "H", 0.0, reads_measure=False) for k in range(1, 9)}
+    fields = {k: custom_drift(lambda p, x: np.zeros_like(x), k, h_bound=0.0, reads_measure=False) for k in range(1, 9)}
     rng = np.random.default_rng(11)
     for _ in range(300):
         k, m = int(rng.integers(1, 9)), int(rng.integers(1, 200))
@@ -380,13 +417,26 @@ def test_bound_check_gives_the_verdict_of_the_row_norms():
         worst = float(np.max(h_norm(values, axis=1)))
         v = fields[k]
         for factor in (0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0):
-            v.bound = worst * factor
-            refused = not worst <= v.bound * (1.0 + BOUND_SLACK) + 1e-300
+            v.h_bound = worst * factor
+            refused = not worst <= v.h_bound * (1.0 + BOUND_SLACK) + 1e-300
             try:
                 v._check_bound(values)
                 assert not refused
             except BoundViolationError:
                 assert refused
+
+
+def test_the_largest_rows_hold_the_largest_norm():
+    """The H check reads h_norm on _largest_rows only; that maximum is the
+    maximum over every row, bit for bit, from underflow to overflow."""
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        k, m = int(rng.integers(1, 9)), int(rng.integers(1, 200))
+        low, high = np.sort(rng.uniform(-320.0, 308.0, 2))
+        values = rng.standard_normal((m, k)) * 10.0 ** rng.uniform(low, high, (m, 1))
+        assert np.max(h_norm(_largest_rows(values), axis=1)) == np.max(h_norm(values, axis=1))
+    assert _largest_rows(np.zeros((5, 2))).shape == (5, 2)
+    assert _largest_rows(np.array([[np.nan, 0.0], [1.0, 0.0]])).shape == (2, 2)
 
 
 def test_rotational_drift_bound_and_structure():
@@ -409,8 +459,10 @@ def test_kernel_bounds():
     assert tanh_kernel(0.7).component_bound == pytest.approx(0.7)
     assert gaussian_lobe_kernel(2.0).component_bound == pytest.approx(2.0 * math.exp(-0.5))
     assert clipped_linear_kernel(5.0, 0.4).component_bound == pytest.approx(0.4)
-    assert gaussian_lobe_kernel(2.0).h_bound_for(4) == 2.0 * gaussian_lobe_kernel(2.0).component_bound
-    assert constant_kernel((0.3, -0.4)).h_bound_for(2) == pytest.approx(0.5)  # |h|, not 0.4 sqrt(2)
+    assert vlasov_drift(gaussian_lobe_kernel(2.0), 4).h_bound == 2.0 * gaussian_lobe_kernel(2.0).component_bound
+    assert vlasov_drift(constant_kernel((0.3, -0.4)), 2).h_bound == pytest.approx(0.5)  # |h|, not 0.4 sqrt(2)
+    assert vlasov_drift(constant_kernel((0.3, -0.4)), 2).component_bound == 0.4
+    assert vlasov_drift(CoupledLobeKernel(2.0), 3).component_bound is None
     z = np.linspace(-10, 10, 1001)
     assert np.max(np.abs(gaussian_lobe_kernel(2.0)(z))) <= 2.0 * math.exp(-0.5) + 1e-12
     assert np.max(np.abs(clipped_linear_kernel(5.0, 0.4)(z))) <= 0.4
@@ -422,9 +474,9 @@ def test_tiny_fields_keep_their_bounds(scale):
     # kernel's bound 4.9e-162, and the constant kernel's bound read 0
     for kernel, k in ((tanh_kernel(scale), 1), (constant_kernel((scale,)), 1), (constant_kernel((scale, scale / 3)), 2)):
         v = vlasov_drift(kernel, k)
-        assert v.bound > 0.0
-    assert constant_drift([scale, scale]).bound == pytest.approx(abs(scale) * math.sqrt(2), rel=1e-15)
-    assert rotational_drift(0.0, 2, offset=[scale, 0.0]).bound == abs(scale)
+        assert v.h_bound > 0.0
+    assert constant_drift([scale, scale]).h_bound == pytest.approx(abs(scale) * math.sqrt(2), rel=1e-15)
+    assert rotational_drift(0.0, 2, offset=[scale, 0.0]).h_bound == abs(scale)
 
 
 def test_h_norm_is_linalg_norm_in_range():
@@ -437,4 +489,4 @@ def test_h_norm_is_linalg_norm_in_range():
         assert np.array_equal(h_norm(values, axis=axis), np.linalg.norm(values, axis=axis))
     assert h_norm(np.zeros((4, 2)), axis=1).tolist() == [0.0] * 4
     assert h_norm([3e200, 4e200]) == pytest.approx(5e200, rel=1e-15)
-    assert constant_kernel((0.3, -0.4)).h_bound_for(2) == math.sqrt(0.3 * 0.3 + 0.4 * 0.4)
+    assert constant_kernel((0.3, -0.4)).h_bound == math.sqrt(0.3 * 0.3 + 0.4 * 0.4)

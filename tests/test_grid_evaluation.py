@@ -344,7 +344,7 @@ def bump_tests(k):
 
 
 def coupled_drift(k):
-    return custom_drift(lambda p, x: 0.5 * np.tanh(x + 1.0 - x[:, ::-1]), k, "componentwise", 0.5,
+    return custom_drift(lambda p, x: 0.5 * np.tanh(x + 1.0 - x[:, ::-1]), k, component_bound=0.5,
                         reads_measure=False)
 
 
@@ -401,7 +401,7 @@ def test_bump_grids_are_read_in_blocks(monkeypatch):
     rho = ChaosDensity.constant(enumerate_basis(6, 1))
     # zero, but not a SeparableField: the bumps take the axis_sums path, and
     # the dense assembly of system_norm reuses the suite's node values
-    v = custom_drift(lambda p, x: np.zeros_like(x), 6, "H", 0.0, reads_measure=False)
+    v = custom_drift(lambda p, x: np.zeros_like(x), 6, h_bound=0.0, reads_measure=False)
     grid = tensor_grid(6, 6)
     values = residual_suite(rho, v, None, grid, *node_values(rho, v, None, grid), default_bumps(6))["bumps"]
     assert max(sizes) <= 1_000_000 and sum(sizes) == 6**6 + 6 * 401 * 6**5
@@ -429,7 +429,8 @@ def test_one_axis_bumps_match_the_axis_sums(name, k):
     grid = tensor_grid(q, k)
     rho = random_density(k, degree, 7 + k)
     v = drift_from_block(SEPARABLE_BLOCKS[name](k), k)
-    wrapped = custom_drift(lambda p, x: v.eval_v(p, x), k, v.bound_kind, v.bound, reads_measure=v.reads_measure)
+    wrapped = custom_drift(lambda p, x: v.eval_v(p, x), k, reads_measure=v.reads_measure, h_bound=v.h_bound,
+                           component_bound=v.component_bound)
     p = wrapped.read_measure(rho, grid)
     bumps = default_bumps(k) + [BumpTest(active=(k - 1,), center=(0.7,), radius=1.3)]
     one_axis = residual_suite(rho, v, p, grid, *node_values(rho, v, p, grid), bumps)["bumps"]

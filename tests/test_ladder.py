@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,13 +22,16 @@ from gfpk import (
     enumerate_basis,
     lyapunov_moment,
     marginal_distance,
+    oracle_1d_selfconsistent,
     run_ladder,
     solve_linear,
+    tanh_kernel,
     tensor_grid,
+    vlasov_drift,
 )
 from gfpk.cli import main
 from gfpk.config import parse_config
-from helpers import cameron_martin, cell_holds, registry_drift, two_call_pair_distances
+from helpers import cameron_martin, cell_holds, hermite_eval, registry_drift, two_call_pair_distances
 
 WEIGHTS = (0.25, 0.0625, 0.015625, 0.00390625)  # alpha_n = 4^{-n}
 
@@ -203,16 +207,24 @@ def test_ladder_rejects_a_drift_beyond_its_component_bound():
                       quad_orders=(6, 6))
     with pytest.raises(ValueError, match="component_bound=0.1 is below"):
         run_ladder(registry_drift("componentwise-tanh", scale=2.0, n_components=2), cfg)
-    with pytest.raises(ValueError, match="componentwise-bounded"):
-        run_ladder(lambda k: constant_drift([0.05] * k), cfg)
+    with pytest.raises(ValueError, match="component_bound=0.1 is below the drift's bound 0.2"):
+        run_ladder(lambda k: vlasov_drift(tanh_kernel(0.2), k), cfg)
+    # a drift that bounds only |v|_H states no C for the threshold
+    h_only = lambda k: custom_drift(lambda p, x: 0.05 * np.tanh(x), k, reads_measure=False, h_bound=0.05 * math.sqrt(k))
+    with pytest.raises(ValueError, match="componentwise-bounded drift; a custom drift bounds only"):
+        run_ladder(h_only, cfg)
+    # constant and Vlasov drifts within C, once refused as H-bounded, are certified
+    for drift in (lambda k: constant_drift([0.05] * k), lambda k: vlasov_drift(tanh_kernel(0.05), k)):
+        report = run_ladder(drift, cfg)
+        assert report.completed and all(level["pass"] for level in report.levels)
 
 
 def test_ladder_runs_a_custom_drift():
     """A custom componentwise field is laddered like the registry's; equal
     values give equal levels."""
     cfg = make_config(levels=(1, 2), degrees=(5, 4), quad_orders=(6, 6))
-    custom = run_ladder(lambda k: custom_drift(lambda p, x: 0.3 * np.tanh(x), k, "componentwise", 0.3,
-                                                   reads_measure=True), cfg)
+    custom = run_ladder(lambda k: custom_drift(lambda p, x: 0.3 * np.tanh(x), k, component_bound=0.3,
+                                               reads_measure=True), cfg)
     registry = run_ladder(registry_drift("componentwise-tanh", scale=0.3, n_components=2), cfg)
     assert custom.completed
     assert [lv["moment"] for lv in custom.levels] == [lv["moment"] for lv in registry.levels]
@@ -221,7 +233,7 @@ def test_ladder_runs_a_custom_drift():
 def test_ladder_pair_distances_match_the_two_call_path_on_unequal_marginals():
     """Each coordinate has its own law here, so pairing a level's integrals
     with the wrong tests of the level above would change a distance."""
-    drift = lambda k: custom_drift(lambda p, x: 0.5 * np.tanh(x - np.arange(k)), k, "componentwise", 0.5,
+    drift = lambda k: custom_drift(lambda p, x: 0.5 * np.tanh(x - np.arange(k)), k, component_bound=0.5,
                                    reads_measure=False)
     report = run_ladder(drift, make_config())
     distances = [lv["distance_to_next"] for lv in report.levels]
@@ -246,7 +258,7 @@ def test_ladder_files_hold_the_level_entries_exactly():
     ladder solves k = 1 by one linear solve and fails to converge at k = 2."""
     cfg = make_config(levels=(1, 2), degrees=(5, 4), quad_orders=(6, 6))
     completed = run_ladder(registry_drift("componentwise-tanh", scale=0.3, n_components=2), cfg)
-    shifted = lambda k: custom_drift(lambda p, x: 0.5 * np.tanh(x - p.mean() - 0.3), k, "componentwise", 0.5,
+    shifted = lambda k: custom_drift(lambda p, x: 0.5 * np.tanh(x - p.mean() - 0.3), k, component_bound=0.5,
                                      reads_measure=True)
     first = registry_drift("componentwise-tanh", scale=0.3, n_components=3)
     aborted = run_ladder(lambda k: shifted(k) if k > 1 else first(k),
@@ -305,3 +317,62 @@ def test_ladder_integrates_each_level_battery_once_and_keeps_its_files(tmp_path,
     expected = json.dumps(reference.to_json_dict(), sort_keys=True, indent=1)
     assert (out / "ladder.json").read_bytes() == expected.encode()
     assert (out / "ladder.csv").read_bytes() == reference.to_csv().encode()
+
+
+# the multiple of the truncation tail a ladder level's moment may miss by
+QUASI_OPTIMALITY = 2.0
+
+
+def product_tail(x, pdf, k: int, degree: int, n_max: int = 40) -> float:
+    """L^2(gamma_k) norm of the chaos components of total degree > degree of
+    the product of k copies of the 1-D law with Lebesgue density pdf on the
+    grid x, its coefficients c_n = integral h_n pdf dx up to n_max."""
+    c = np.array([np.trapezoid(hermite_eval(n, x) * pdf, x) for n in range(n_max + 1)])
+    shells = np.ones(1)
+    for _ in range(k):
+        shells = np.convolve(shells, c**2)  # shells[d] = squared norm of total degree d
+    return math.sqrt(float(np.sum(shells[degree + 1 : n_max + 1])))
+
+
+def vlasov_tanh_marginal():
+    oracle = oracle_1d_selfconsistent(lambda z: 0.5 * np.tanh(z))
+    return oracle.x, oracle.pdf
+
+
+def clipped_potential_marginal():
+    """exp(-x^2/2) cosh(x / width)^(lam width) / Z for lam = 0.5, width = 2."""
+    x = np.linspace(-12.0, 12.0, 4801)
+    pdf = np.exp(-0.5 * x * x) * np.cosh(x / 2.0)
+    return x, pdf / np.trapezoid(pdf, x)
+
+
+@pytest.mark.parametrize(
+    "drift, marginal",
+    [
+        ({"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}}, vlasov_tanh_marginal),
+        ({"kind": "clipped-potential", "lam": 0.5}, clipped_potential_marginal),
+    ],
+    ids=["vlasov-tanh", "clipped-potential"],
+)
+def test_ladder_runs_every_componentwise_bounded_drift(tmp_path, drift, marginal):
+    """The Vlasov tanh drift and the clipped potential, each bounded by 0.5 in
+    every component, run the ladder-k5 schedule.  Both laws are products of
+    one 1-D marginal (the self-consistent one, the cosh power), so level k's
+    moment is sum_{n<k} alpha_n E[x^2], up to sqrt(2) times that weight times
+    a multiple of the level's truncation tail: a Galerkin solve is within a
+    constant of the best approximation, and the Vlasov solve reads its
+    measure on the level's rule too (at k = 1 its gap is 1.1 tails)."""
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**LADDER_K5, "drift": drift, "output": {"dir": str(out)}}))
+    assert main(["ladder", "--config", str(path)]) == 0
+    doc = json.loads((out / "ladder.json").read_text())
+    schedule = LADDER_K5["ladder"]
+    x, pdf = marginal()
+    ex2 = np.trapezoid(x * x * pdf, x)
+    assert doc["completed"] and [lv["k"] for lv in doc["levels"]] == schedule["levels"]
+    for lv, degree in zip(doc["levels"], schedule["degrees"]):
+        assert lv["pass"] and lv["moment"] <= lv["threshold"] == 4.5
+        weight = sum(schedule["weights"][: lv["k"]])
+        tail = product_tail(x, pdf, lv["k"], degree)
+        assert abs(lv["moment"] - weight * ex2) <= QUASI_OPTIMALITY * math.sqrt(2.0) * weight * tail + 1e-9

@@ -57,7 +57,7 @@ def test_parity_coupling():
     only when h_{n-1} and h_m have opposite parity, i.e. n + m even.  Every
     entry with n + m odd must vanish (quadrature oracle).
     """
-    v = custom_drift(lambda p, x: np.tanh(x), 1, "H", 1.0, reads_measure=False)
+    v = custom_drift(lambda p, x: np.tanh(x), 1, h_bound=1.0, reads_measure=False)
     basis = enumerate_basis(1, 8)
     interaction = assemble(v, None, basis, tensor_grid(24, 1))
     for n in range(9):
@@ -157,7 +157,7 @@ def test_quadrature_order_too_small_raises():
 
 def test_ill_conditioned_system_raises():
     # a drift of enormous magnitude makes D - A effectively singular
-    v = custom_drift(lambda p, x: np.full_like(x, 40.0), 1, "H", 40.0, reads_measure=False)
+    v = custom_drift(lambda p, x: np.full_like(x, 40.0), 1, h_bound=40.0, reads_measure=False)
     basis = enumerate_basis(1, 10)
     with pytest.raises(SolverError, match="condition"):
         solve_linear(v, None, basis, tensor_grid(20, 1))

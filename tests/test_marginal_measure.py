@@ -69,7 +69,7 @@ def test_separable_fields_read_the_marginals_as_the_joint_measure(name, k, degre
         assert np.max(np.abs(masses - marginals.masses[i])) <= 1e-14
     assert np.max(np.abs(joint.mean() - marginals.mean())) <= 1e-14
     v = drift_from_block(SEPARABLE_BLOCKS[name](k), k)
-    assert np.max(np.abs(np.subtract(v.eval_rules(marginals, grid), v.eval_rules(joint, grid)))) <= 1e-13 * v.bound
+    assert np.max(np.abs(np.subtract(v.eval_rules(marginals, grid), v.eval_rules(joint, grid)))) <= 1e-13 * v.component_bound
 
 
 def test_marginals_are_those_of_density_marginal_clipped_one_at_a_time():
@@ -134,7 +134,7 @@ def test_the_joint_measure_still_reads_as_a_measure_of_a_separable_drift():
     assert isinstance(v.read_measure(p, grid), MarginalMeasure)
     assert isinstance(joint_measure_drift(v).read_measure(p, grid), PointMeasure)
     # a non-separable drift reads the joint measure, and refuses the marginals
-    coupled = custom_drift(lambda p, x: 0.1 * np.tanh(x[:, ::-1]), 2, "H", 0.2, reads_measure=True)
+    coupled = custom_drift(lambda p, x: 0.1 * np.tanh(x[:, ::-1]), 2, h_bound=0.2, reads_measure=True)
     assert isinstance(coupled.read_measure(p, grid), PointMeasure)
     with pytest.raises(TypeError, match="read_measure"):
         coupled.eval_v(marginal_measure(p, grid), np.zeros((1, 2)))

@@ -206,10 +206,10 @@ def test_measure_free_custom_drift_takes_one_linear_solve():
     def field(measure, x):
         return 0.3 * np.tanh(x)
 
-    w = custom_drift(field, 1, "H", 0.3, reads_measure=False)
+    w = custom_drift(field, 1, h_bound=0.3, reads_measure=False)
     rho, trace = solve_stationary(w, basis, grid, FixedPointOptions())
     assert trace is None
-    reading = custom_drift(field, 1, "H", 0.3, reads_measure=True)
+    reading = custom_drift(field, 1, h_bound=0.3, reads_measure=True)
     for memory in (0, 5):
         fixed, fixed_trace = solve_stationary(reading, basis, grid, FixedPointOptions(memory=memory))
         assert fixed_trace.iterations > 1

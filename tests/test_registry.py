@@ -3,6 +3,7 @@ README tables that document it, and config fuzzing against the rule that
 every rejected input is a ConfigError."""
 import copy
 import json
+import math
 import os
 import re
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from gfpk import ConfigError, PointMeasure, enumerate_basis, parse_config, tensor_grid
 from gfpk.config import MODE_KEYS, MODE_PARAMS, MODES, ORACLES, SWEEPS, quad_order, sweep_drift
 from gfpk.drift import DRIFTS, KERNELS, drift_from_block
-from gfpk.schema import REQUIRED
+from gfpk.schema import REQUIRED, read_kind
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -62,7 +63,8 @@ def test_minimal_block_round_trip(block):
     cfg = parse_config({"mode": mode, "k": 2, "N": 4, "Q": 8, "drift": block})
     v = drift_from_block(cfg["drift"], 2)
     assert v.k == 2
-    assert v.bound_kind in ("H", "componentwise")
+    assert 0.0 <= v.h_bound < math.inf
+    assert v.component_bound is None or 0.0 <= v.component_bound <= v.h_bound
     x = np.random.default_rng(0).standard_normal((25, 2))
     if not v.reads_measure:
         assert np.array_equal(v.eval_v(_cloud(1), x), v.eval_v(_cloud(2), x))
@@ -159,17 +161,44 @@ def test_readme_report_entries_table_matches_a_run(tmp_path):
     assert all(len(names) == len(set(names)) for names in documented.values())
 
 
+# the functions a bound cell of the drift-kind table names; an absent vector has norm 0
+BOUND_CELL_FUNCTIONS = {"abs": np.abs, "max": np.max, "sqrt": math.sqrt,
+                        "norm": lambda a: 0.0 if a is None else np.linalg.norm(a)}
+
+
+def _bound_cell(cell, params, k):
+    """A bound cell's value at params and k: None for "none", else its formula."""
+    return None if cell == "none" else pytest.approx(eval(cell.strip("`"), BOUND_CELL_FUNCTIONS, {**params, "k": k}))
+
+
 def test_readme_kind_table_matches_registry():
     """The "reads the measure" cell is yes or no, or names the bool parameter
-    that makes the field read it."""
-    documented = {row[0]: row[1:3] for row in _table_rows("`") if row[0].strip("`") in DRIFTS}
-    expected = {}
+    that makes the field read it.  The bound cells are formulas in the
+    parameters and k, or "none"; a Vlasov drift states its kernel's bounds,
+    with the H bound sqrt(k) times the componentwise one where the kernel
+    states none."""
+    documented = {row[0]: row[1:4] for row in _table_rows("`") if row[0].strip("`") in DRIFTS}
+    assert set(documented) == {f"`{kind}`" for kind in DRIFTS}
     for kind, params in MINIMAL_DRIFTS.items():
         v = drift_from_block({"kind": kind, **params}, 2)
         switches = [f"with `{p.name}`" for p in DRIFTS[kind].params
                     if p.type == "bool" and drift_from_block({"kind": kind, **params, p.name: True}, 2).reads_measure]
-        expected[f"`{kind}`"] = ["yes" if v.reads_measure else " or ".join(switches) or "no", v.bound_kind]
-    assert documented == expected
+        reads, component, h = documented[f"`{kind}`"]
+        assert reads == ("yes" if v.reads_measure else " or ".join(switches) or "no")
+        if kind == "vlasov":
+            assert [component, h] == ["the kernel's", "the kernel's"]
+            continue
+        blocks = [{"kind": kind, **params}] + [{"kind": kind, **params, "offset": [0.1, -0.2]}] * (kind == "rotational")
+        for block in blocks:
+            # an absent optional parameter (rotational's offset) is None
+            named = {p.name: None for p in DRIFTS[kind].params} | read_kind(block, DRIFTS, "drift", 2)[1]
+            v = drift_from_block(block, 2)
+            assert (v.component_bound, v.h_bound) == (_bound_cell(component, named, 2), _bound_cell(h, named, 2))
+    for kind, params in MINIMAL_KERNELS.items():
+        block = {"kind": "vlasov", "kernel": {"kind": kind, **params}}
+        v, kernel = drift_from_block(block, 2), read_kind(block, DRIFTS, "drift", 2)[1]["kernel"]
+        assert v.component_bound == kernel.component_bound
+        assert v.h_bound == (kernel.component_bound * math.sqrt(2) if kernel.h_bound is None else kernel.h_bound)
 
 
 def test_readme_fixed_point_defaults_match_config():
@@ -293,9 +322,19 @@ def test_ladder_component_bound_below_the_drift_is_a_config_error():
     }
     with pytest.raises(ConfigError, match="component_bound=0.1 is below"):
         parse_config(doc)
-    doc["drift"] = {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.05}}
-    with pytest.raises(ConfigError, match="componentwise-bounded"):
+    doc["drift"] = {"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.5}}
+    with pytest.raises(ConfigError, match="component_bound=0.1 is below the drift's bound 0.5"):
         parse_config(doc)
+    # a rotational drift bounds only |v|_H, so no C certifies it
+    rotational = {**doc, "drift": {"kind": "rotational", "scale": 0.1},
+                  "ladder": {**doc["ladder"], "levels": [2], "degrees": [4], "quad_orders": [6]}}
+    with pytest.raises(ConfigError, match="componentwise-bounded drift; a rotational drift bounds only"):
+        parse_config(rotational)
+    # the Vlasov tanh drift and the clipped potential within C, once refused as H-bounded, are admitted
+    for drift, bound in (({"kind": "vlasov", "kernel": {"kind": "tanh", "scale": 0.05}}, 0.05),
+                         ({"kind": "clipped-potential", "lam": 0.1}, 0.1)):
+        drifts = parse_config({**doc, "drift": drift})["ladder_drifts"]
+        assert [v.component_bound for v in drifts.values()] == [bound, bound]
 
 
 @pytest.mark.parametrize("doc", VALID, ids=lambda d: d["mode"])

@@ -27,7 +27,7 @@ from gfpk import (
     tensor_grid,
     uniform_gaussian_grid,
 )
-from gfpk.drift import DRIFTS, H_BOUND, KERNELS, drift_from_block
+from gfpk.drift import DRIFTS, KERNELS, drift_from_block
 from gfpk.ladder import LadderConfig, run_ladder
 from gfpk.linear import dense_interaction, hermite_defects, separable_interaction, solve_system
 from gfpk.schema import REQUIRED
@@ -158,7 +158,7 @@ def test_hermite_defects_equal_the_dense_product(kind, size, scale, seed, mixed)
     grid = product_grid([rules[mixed and i % 2] for i in range(k)])
     basis = enumerate_basis(k, degree)
     if kind == "coupled-custom":
-        v = custom_drift(coupled, k, "componentwise", 0.4, reads_measure=False)
+        v = custom_drift(coupled, k, component_bound=0.4, reads_measure=False)
     else:
         v = drift_from_block(ALL_KINDS[kind](k, scale), k)
     rho = random_iterate(basis, seed, amplitude=0.5)
@@ -183,7 +183,7 @@ def one_sided(c):
             return np.zeros(z.shape)
         return np.where(z > 0 if i == 0 else z < 0, c, 0.0)
 
-    return SeparableField("one-sided", 2, axis, H_BOUND, c, reads_measure=True)
+    return SeparableField("one-sided", 2, axis, h_bound=c, reads_measure=True)
 
 
 def test_bound_is_checked_on_the_product_grid():
@@ -204,7 +204,7 @@ def test_assembly_reads_a_separable_field_on_the_one_dimensional_nodes():
         sizes.append(z.size)
         return 0.3 * np.tanh(z)
 
-    v = SeparableField("counting", 3, axis, H_BOUND, 0.3 * np.sqrt(3), reads_measure=False)
+    v = SeparableField("counting", 3, axis, h_bound=0.3 * np.sqrt(3), reads_measure=False)
     sizes.clear()
     assemble(v, None, enumerate_basis(3, 4), tensor_grid(6, 3))
     assert sizes == [6, 6, 6]
@@ -223,7 +223,7 @@ def coupled(p, x):
     "v, grid",
     [
         (rotational_drift(0.3, 2, offset=[0.2, 0.0]), tensor_grid(8, 2)),
-        (custom_drift(coupled, 2, "componentwise", 0.4, reads_measure=False), tensor_grid(8, 2)),
+        (custom_drift(coupled, 2, component_bound=0.4, reads_measure=False), tensor_grid(8, 2)),
         (drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 2), uniform_gaussian_grid(6.0, 21, 2)),
         (drift_from_block({"kind": "clipped-potential", "lam": 0.5}, 2), mixed_rules()),
     ],
@@ -336,7 +336,7 @@ def test_lu_solve_matches_dense_solve(seed):
 
 
 def test_degree_zero_solves_to_the_constant():
-    rho = solve_linear(custom_drift(lambda p, x: np.full_like(x, 0.3), 1, "H", 0.3, reads_measure=False), None,
+    rho = solve_linear(custom_drift(lambda p, x: np.full_like(x, 0.3), 1, h_bound=0.3, reads_measure=False), None,
                        enumerate_basis(1, 0), tensor_grid(2, 1))
     assert np.array_equal(rho.coefficients, [1.0])
 

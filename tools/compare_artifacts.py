@@ -16,8 +16,9 @@ exit code is 1 if there is any, else 0.
 
 The configs are the operations of the benchmark's workloads
 (`bench/workloads.WORKLOADS`), the README's JSON config blocks, the
-acceptance gate's criterion-12 config, and Vlasov configs that reach every
-kernel kind, the self-consistent `1d` oracle, the `sde` oracle and a sweep.
+acceptance gate's criterion-12 config, Vlasov configs that reach every
+kernel kind, the self-consistent `1d` oracle, the `sde` oracle and a sweep,
+and ladders over a Vlasov tanh drift and a clipped potential.
 The benchmark and README are read from the checkout holding this file.
 """
 from __future__ import annotations
@@ -58,6 +59,16 @@ KERNEL_CONFIGS = {
     "sweep-vlasov-k1": {"mode": "sweep", "k": 1, "N": 12, "Q": 24,
                         "sweep": {"family": "vlasov-tanh-scale", "values": [0.1, 0.5, 1.0]}},
 }
+# the benchmark's ladder-k5 schedule over the two drifts bounded by 0.5 in every
+# component that are not componentwise kinds
+LADDER_K5_SCHEDULE = {"weights": [1.0, 0.5, 0.25, 0.125, 0.0625], "component_bound": 0.5, "levels": [1, 2, 3, 4, 5],
+                      "degrees": [8, 6, 5, 4, 4], "quad_orders": [10, 8, 6, 6, 6]}
+LADDER_CONFIGS = {
+    "ladder-vlasov-tanh": {"mode": "ladder", "drift": _vlasov({"kind": "tanh", "scale": 0.5}),
+                           "ladder": LADDER_K5_SCHEDULE},
+    "ladder-clipped-potential": {"mode": "ladder", "drift": {"kind": "clipped-potential", "lam": 0.5},
+                                 "ladder": LADDER_K5_SCHEDULE},
+}
 
 
 def configs() -> dict[str, dict]:
@@ -71,6 +82,7 @@ def configs() -> dict[str, dict]:
     out.update({f"readme-{j}": json.loads(text) for j, text in enumerate(blocks)})
     out["criterion-12"] = CRITERION_12
     out.update(KERNEL_CONFIGS)
+    out.update(LADDER_CONFIGS)
     return out
 
 
